@@ -15,8 +15,11 @@ Section III):
     re-sort — communication in both passes, which is the amplification
     the paper's algorithm avoids.
 ``guidesort``
-    Canonical phases 1–3 plus Hagerup's deterministic guide-sequence
-    single-pass merge (:mod:`.guidesort`).
+    Hagerup's deterministic guide-sequence merge (PAPERS.md).  Since
+    :func:`repro.native.phases.merge` became a prediction-sequence batch
+    merge — the guide *is* that sequence — this is canonical under a
+    second name, kept so the CLI value and the ``:guide`` conformance
+    tokens keep working until ROADMAP item 4(b) retires it.
 
 Workers dispatch through :func:`resolve_algorithm`; job validation
 (:class:`~repro.native.job.NativeJob`) guarantees only registered
@@ -25,10 +28,11 @@ Workers dispatch through :func:`resolve_algorithm`; job validation
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ...core.config import ConfigError
 from .base import Algorithm
 from .canonical import CANONICAL_FIXED16, CANONICAL_STRING
-from . import guidesort as _guidesort
 from . import striped as _striped
 from .. import phases as _phases
 
@@ -48,16 +52,7 @@ STRIPED_FIXED16 = Algorithm(
     wire_profile="striped",
 )
 
-GUIDESORT_FIXED16 = Algorithm(
-    name="guidesort",
-    records="fixed16",
-    generate_input=_guidesort.generate_input,
-    run_formation=_guidesort.run_formation,
-    selection=_guidesort.selection,
-    all_to_all=_guidesort.all_to_all,
-    merge=_guidesort.merge,
-    wire_profile="canonical",
-)
+GUIDESORT_FIXED16 = replace(CANONICAL_FIXED16, name="guidesort")
 
 _REGISTRY = {
     (alg.name, alg.records): alg

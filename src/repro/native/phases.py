@@ -14,8 +14,8 @@ native phase           simulator twin                       shared kernels
                                                             ``warm_start_from_samples``,
                                                             ``em.cache.LRUCache``
 :func:`all_to_all`     ``core.all_to_all``                  (layout arithmetic only)
-:func:`merge`          ``core.merge_phase``                 batch merge semantics of
-                                                            ``records.arrays``
+:func:`merge`          ``core.merge_phase``                 prediction sequence of
+                                                            ``em.prefetch``
 =====================  ===================================  =========================
 
 The phase contracts are identical to the simulator's: globally sorted
@@ -40,20 +40,14 @@ from ..algos.multiway_selection import (
     select_coroutine,
 )
 from ..core.selection_phase import _run_samples, warm_start_from_samples
-from .blockstore import FileBlockStore, SequentialReader
+from .blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
-from .pipeline import (
-    Prefetcher,
-    PrefetchReader,
-    WriteBehind,
-    plan_fetch_order,
-    sequential_fetch_order,
-)
+from .pipeline import Prefetcher, WriteBehind, sequential_fetch_order
 from .records import (
-    NATIVE_DTYPE,
     RECORD_BYTES,
     bytes_view,
+    concat_records,
     generate_records,
     merge_record_arrays,
     records_from_bytes,
@@ -342,7 +336,7 @@ def _distributed_sort_run(
         received[sender] = []
         if bufs:
             parts.append(
-                np.concatenate([records_from_bytes(b) for b in bufs])
+                concat_records([records_from_bytes(b) for b in bufs])
                 if len(bufs) > 1
                 else records_from_bytes(bufs[0])
             )
@@ -778,88 +772,87 @@ def merge(
 ) -> OutputMeta:
     """Phase 4: R-way merge of the segment files into the final output.
 
-    Streaming batch merge: each run contributes one buffered block; every
-    round emits all records ≤ the smallest buffer-tail key (so at least
-    one buffer drains completely), merged with the same stable batch
-    kernel the simulator's merge phase models.  Verification happens in
+    A prediction-sequence batch merge (paper Section III / Appendix A;
+    Hagerup's Guidesort is the same idea).  The guide is every segment
+    block's ``(first_key, run, block)`` triple in sorted order — the
+    order the merge needs the blocks in, known in advance because the
+    all-to-all harvested the first keys for free.  Each round loads the
+    next G blocks of the guide with one coalesced read per run, cuts
+    every run's buffered records against the first triple still on disk,
+    ``(k*, r*, b*)``: runs ``r <= r*`` give up their keys ``<= k*``, runs
+    ``r > r*`` their keys ``< k*`` — exactly the records that precede
+    everything unread in (key, run, position) order.  The cuts are
+    concatenated in run order, stable-sorted once and emitted once, so
+    the output is the stable merge of the segments whatever B and G are.
+    What a run keeps (the carry) lies in its last loaded block, because
+    that block's own triple already sorted below ``(k*, r*, b*)``.
+
+    G is ``piece_blocks - R`` (at least one): batch plus carry never
+    exceed the M/3 chunk run formation sorts.  Verification happens in
     stream: sortedness, count, first/last key and the valsort checksum
     are computed as the output is written.
 
-    With ``job.prefetch_blocks > 0``, segment blocks are fetched by
-    background threads in the order given by the prediction sequence
-    (``block_first_keys``, harvested for free during the all-to-all) fed
-    through the optimal prefetch schedule of Appendix A; output writes go
-    through a bounded write-behind buffer when ``job.write_behind_blocks
-    > 0``.  Both layers are bitwise-transparent: the merge consumes and
-    emits the identical record stream either way.
+    With ``job.prefetch_blocks > 0`` background threads fetch the guide's
+    blocks ahead of the merge (the guide *is* the consumption order, so
+    :func:`sequential_fetch_order` applies); output writes go through a
+    bounded write-behind buffer when ``job.write_behind_blocks > 0``.
+    Both layers are bitwise-transparent.
     """
     job, store, rank = ctx.job, ctx.store, ctx.rank
     block = job.block_records
-
-    prefetcher: Optional[Prefetcher] = None
-    if job.prefetch_blocks > 0 and sum(seg_len) > 0:
-        # One read request per (run, block), triple-keyed for the
-        # prediction order.  Without harvested first keys (merge called
-        # standalone), (0, r, b) degrades to run-major fetch order —
-        # still a valid schedule, just without the cross-run interleave.
-        requests: List[Tuple[str, int, int]] = []
-        triples: List[Tuple[int, int, int]] = []
-        file_ids: List[int] = []
-        per_run: List[List[int]] = []
-        for r, n in enumerate(seg_len):
-            path = store.segment_path(r)
-            indices: List[int] = []
-            for b in range(-(-n // block)):
-                start = b * block
-                indices.append(len(requests))
-                requests.append((path, start, min(block, n - start)))
-                key = (
-                    block_first_keys[r][b]
-                    if block_first_keys is not None
-                    else 0
-                )
-                triples.append((key, r, b))
-                file_ids.append(r)
-            per_run.append(indices)
-        order = plan_fetch_order(triples, file_ids, job.prefetch_blocks)
-        prefetcher = Prefetcher(
-            store, requests, order, TAG_MERGE, job.prefetch_blocks,
-            stats=ctx.stats,
-        )
-        readers: List[object] = [
-            PrefetchReader(prefetcher, per_run[r]) for r in range(len(seg_len))
-        ]
-    else:
-        readers = [
-            SequentialReader(store, store.segment_path(r), TAG_MERGE, n_records=n)
+    paths = [store.segment_path(r) for r in range(len(seg_len))]
+    if block_first_keys is None:
+        # Standalone call, nothing harvested: probe each block's first
+        # record.  Bookkeeping reads, charged like a varlen index so the
+        # phase's data bytes stay exactly the segment bytes.
+        block_first_keys = [
+            [
+                int(store.read_range(
+                    paths[r], start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
+                )["key"][0])
+                for start in range(0, n, block)
+            ]
             for r, n in enumerate(seg_len)
         ]
+    guide = sorted(
+        (key, r, b)
+        for r, keys in enumerate(block_first_keys)
+        for b, key in enumerate(keys)
+    )
+    per_round = max(1, job.piece_blocks - len(seg_len))
 
     out_path = store.output_path()
     checksum = 0
     count = 0
+    marked = 0
     first_key: Optional[int] = None
     last_key: Optional[int] = None
     sorted_ok = True
+    prefetcher: Optional[Prefetcher] = None
     wb: Optional[WriteBehind] = None
+    journal = ctx.journal
 
     try:
-        buffers: List[Optional[np.ndarray]] = []
-        for reader in readers:
-            buffers.append(reader.next_block())
-
+        if job.prefetch_blocks > 0 and guide:
+            prefetcher = Prefetcher(
+                store,
+                [
+                    (paths[r], b * block, min(block, seg_len[r] - b * block))
+                    for _key, r, b in guide
+                ],
+                sequential_fetch_order(
+                    [r for _key, r, _b in guide], job.prefetch_blocks
+                ),
+                TAG_MERGE, job.prefetch_blocks, stats=ctx.stats,
+            )
         with open(out_path, "wb") as out:
             if job.write_behind_blocks > 0:
                 wb = WriteBehind(
-                    store, TAG_MERGE, max(job.write_behind_bytes, 1),
-                    stats=ctx.stats,
+                    store, TAG_MERGE, job.write_behind_bytes, stats=ctx.stats
                 )
 
-            journal = ctx.journal
-            emits = 0
-
             def emit(batch: np.ndarray) -> None:
-                nonlocal checksum, count, first_key, last_key, sorted_ok, emits
+                nonlocal checksum, count, marked, first_key, last_key, sorted_ok
                 if not len(batch):
                     return
                 keys = batch["key"]
@@ -874,64 +867,70 @@ def merge(
                     checksum = (checksum + int(np.add.reduce(keys))) & _MASK
                 count += len(batch)
                 if wb is not None:
-                    wb.append(out, batch)
+                    # Budget-sized slices: the buffer's bound stays the
+                    # knob's, not the batch's.
+                    step = job.write_behind_blocks * block
+                    for s in range(0, len(batch), step):
+                        wb.append(out, batch[s : s + step])
                 else:
                     store.append_records(out, batch, TAG_MERGE)
-                emits += 1
-                if journal is not None and emits % 128 == 0:
+                if journal is not None and count - marked >= 128 * block:
                     # Output-offset watermark: pure observability (a
                     # resumed merge restarts from the segments, which is
                     # already o(N)); it shows how far a crashed merge got.
                     journal.merge_mark(count)
+                    marked = count
 
-            def note_working_set(batch_bytes: int) -> None:
+            #: Loaded but not yet emittable records, per run (non-empty only).
+            carry: Dict[int, np.ndarray] = {}
+            for lo in range(0, len(guide), per_round):
+                hi = min(lo + per_round, len(guide))
+                fresh: Dict[int, List[np.ndarray]] = {}
+                if prefetcher is not None:
+                    for idx in range(lo, hi):
+                        fresh.setdefault(guide[idx][1], []).append(
+                            prefetcher.get(idx)
+                        )
+                else:
+                    # First keys ascend within a run, so a run's blocks
+                    # of this batch are consecutive: one coalesced read.
+                    wanted: Dict[int, List[int]] = {}
+                    for _key, r, b in guide[lo:hi]:
+                        wanted.setdefault(r, []).append(b)
+                    for r, ids in wanted.items():
+                        fresh[r] = [store.read_blocks(paths[r], ids, TAG_MERGE)]
+
+                bound = guide[hi] if hi < len(guide) else None
+                parts: List[np.ndarray] = []
+                held = 0
+                for r in sorted(carry.keys() | fresh.keys()):
+                    pieces = fresh.get(r, [])
+                    if r in carry:
+                        pieces = [carry.pop(r)] + pieces
+                    buf = pieces[0] if len(pieces) == 1 else concat_records(pieces)
+                    held += len(buf)
+                    cut = len(buf)
+                    if bound is not None:
+                        # The carry lies in the last loaded block: only
+                        # that tail of the buffer needs searching.
+                        tail = buf["key"][-block:]
+                        cut += int(np.searchsorted(
+                            tail, bound[0],
+                            side="right" if r <= bound[1] else "left",
+                        )) - len(tail)
+                    if cut:
+                        parts.append(buf[:cut])
+                    if cut < len(buf):
+                        # Copy out of a freshly loaded batch so the carry
+                        # pins at most its own block, not the batch.
+                        carry[r] = buf[cut:].copy() if r in fresh else buf[cut:]
+                batch = merge_record_arrays(parts)
                 ctx.stats.note_resident(
-                    sum(len(b) for b in buffers if b is not None) * RECORD_BYTES
-                    + 2 * batch_bytes
+                    held * RECORD_BYTES
+                    + 2 * batch.nbytes
                     + (prefetcher.buffered_bytes() if prefetcher else 0)
                     + (wb.queued_bytes() if wb else 0)
                 )
-
-            while True:
-                active = [i for i, b in enumerate(buffers) if b is not None]
-                if not active:
-                    break
-                # Refill any drained-but-not-exhausted buffer first.
-                for i in active:
-                    if len(buffers[i]) == 0:
-                        nxt = readers[i].next_block()
-                        buffers[i] = nxt
-                active = [
-                    i for i, b in enumerate(buffers) if b is not None and len(b)
-                ]
-                if not active:
-                    break
-                if len(active) == 1:
-                    # Single-run fast path: stream the remainder through.
-                    # It moves the same bytes as the general path, so it
-                    # must keep the same resident/byte accounting.
-                    i = active[0]
-                    note_working_set(buffers[i].nbytes)
-                    emit(buffers[i])
-                    buffers[i] = np.empty(0, dtype=NATIVE_DTYPE)
-                    while True:
-                        nxt = readers[i].next_block()
-                        if nxt is None:
-                            buffers[i] = None
-                            break
-                        note_working_set(nxt.nbytes)
-                        emit(nxt)
-                    continue
-                bound = min(int(buffers[i]["key"][-1]) for i in active)
-                parts = []
-                for i in active:
-                    buf = buffers[i]
-                    cut = int(np.searchsorted(buf["key"], bound, side="right"))
-                    if cut:
-                        parts.append(buf[:cut])
-                        buffers[i] = buf[cut:]
-                batch = merge_record_arrays(parts)
-                note_working_set(batch.nbytes)
                 emit(batch)
 
             if wb is not None:
@@ -952,11 +951,11 @@ def merge(
         checksum=checksum & _MASK,
         sorted_ok=sorted_ok,
     )
-    if ctx.journal is not None:
+    if journal is not None:
         # Journal completion before reclaiming the segments (same
         # ordering argument as the all-to-all): a resume after this
         # record restores the output metadata without touching a byte.
-        ctx.journal.merge_done({
+        journal.merge_done({
             "rank": meta.rank,
             "path": meta.path,
             "n_records": meta.n_records,
@@ -965,7 +964,6 @@ def merge(
             "checksum": meta.checksum,
             "sorted_ok": meta.sorted_ok,
         })
-    for r in range(len(seg_len)):
-        store.remove(store.segment_path(r))
-    ctx.stats.add_counter("merge_arity", float(len(seg_len)))
+    for path in paths:
+        store.remove(path)
     return meta

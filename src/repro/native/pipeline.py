@@ -45,7 +45,6 @@ from .records import read_records
 
 __all__ = [
     "Prefetcher",
-    "PrefetchReader",
     "WriteBehind",
     "plan_fetch_order",
     "sequential_fetch_order",
@@ -254,30 +253,6 @@ class Prefetcher:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class PrefetchReader:
-    """Drop-in for :class:`~repro.native.blockstore.SequentialReader`.
-
-    Streams one file's blocks in order by pulling the pre-planned
-    requests from a shared :class:`Prefetcher`.
-    """
-
-    def __init__(self, prefetcher: Prefetcher, indices: Sequence[int]):
-        self.prefetcher = prefetcher
-        self.indices = list(indices)
-        self._next = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self.indices)
-
-    def next_block(self) -> Optional[np.ndarray]:
-        if self.exhausted:
-            return None
-        block = self.prefetcher.get(self.indices[self._next])
-        self._next += 1
-        return block
 
 
 #: Writer-queue operation kinds.

@@ -32,6 +32,7 @@ __all__ = [
     "make_records",
     "generate_records",
     "sort_records",
+    "concat_records",
     "merge_record_arrays",
     "read_records",
     "record_count",
@@ -100,10 +101,60 @@ def generate_records(
     return make_records(keys, payloads)
 
 
+#: Above this share of tied neighbours the tie repair of
+#: :func:`sort_records` costs more than sorting stably in the first place.
+_TIE_REPAIR_MAX_SHARE = 0.125
+
+#: Field-free twin of :data:`NATIVE_DTYPE`: ``np.concatenate`` on it is a
+#: plain memcpy, on the structured dtype it promotes fields per part.
+_PLAIN_DTYPE = np.dtype(f"V{RECORD_BYTES}")
+
+
+def concat_records(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` for record arrays, without field promotion."""
+    return np.concatenate([p.view(_PLAIN_DTYPE) for p in parts]).view(
+        NATIVE_DTYPE
+    )
+
+
+def _stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
+    """The stable sorting permutation of ``keys``; None if already sorted."""
+    n = len(keys)
+    keys = np.ascontiguousarray(keys)
+    if n < 2 or bool(np.all(keys[:-1] <= keys[1:])):
+        return None
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    tied = sorted_keys[1:] == sorted_keys[:-1]
+    n_tied = int(np.count_nonzero(tied))
+    if n_tied > n * _TIE_REPAIR_MAX_SHARE:
+        return np.argsort(keys, kind="stable")
+    if n_tied:
+        in_group = np.zeros(n, dtype=bool)
+        in_group[1:] = tied
+        in_group[:-1] |= tied
+        slots = np.flatnonzero(in_group)
+        members = order[slots]
+        # Slots ascend and their keys with them, so ordering the members
+        # by (key, input position) only permutes inside each tie group.
+        order[slots] = members[np.lexsort((members, sorted_keys[slots]))]
+    return order
+
+
 def sort_records(records: np.ndarray) -> np.ndarray:
-    """Sort records by key, stable in input position (ties keep order)."""
-    order = np.argsort(records["key"], kind="stable")
-    return records[order]
+    """Sort records by key, stable in input position (ties keep order).
+
+    Always returns a fresh array.  Sorted input is only copied; anything
+    else is sorted with the default (SIMD where the CPU has it) argsort
+    of a contiguous key column and gathered once.  That sort is not
+    stable, so positions inside groups of equal keys are re-sorted
+    afterwards — or, when ties are common, the stable argsort is used
+    after all (its cost is what the fast path exists to avoid).
+    """
+    # The key copies die with the helper's frame, before the gather
+    # allocates the output: they never add to the sort's peak.
+    order = _stable_order(records["key"])
+    return records.copy() if order is None else np.take(records, order)
 
 
 def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
@@ -114,7 +165,9 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
     passes parts in sequence order.  Like
     :func:`repro.records.arrays.merge_sorted_arrays` this is implemented
     as concatenate + stable sort (the paper explicitly allows replacing
-    batch merging by sorting of batches).
+    batch merging by sorting of batches): timsort gallops over the
+    presorted parts, which on this record layout beats a
+    ``searchsorted``-scatter tournament 1.7-2x (see ROADMAP item 3).
     """
     parts = [p for p in parts if len(p)]
     if not parts:
@@ -128,9 +181,8 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
         view = parts[0].view()
         view.flags.writeable = False
         return view
-    out = np.concatenate(parts)
-    order = np.argsort(out["key"], kind="stable")
-    return out[order]
+    out = concat_records(parts)
+    return np.take(out, np.argsort(out["key"], kind="stable"))
 
 
 def read_records(path: str, start: int, count: int) -> np.ndarray:

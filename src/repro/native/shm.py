@@ -337,7 +337,11 @@ class _RingProducer:
         return struct.unpack_from("<Q", self._buf, _HEAD_OFF)[0]
 
     def _free(self) -> int:
-        return self.capacity - (self._tail - self._head())
+        # struct writes "<Q" a byte at a time, so a concurrent read of the
+        # peer's counter can be torn: new low bytes over old high bytes,
+        # i.e. too small.  A stale head only understates the free space;
+        # the clamp keeps a badly torn one from going negative.
+        return max(0, self.capacity - (self._tail - self._head()))
 
     def _cons_waiting(self) -> bool:
         return bool(struct.unpack_from("<I", self._buf, _CONS_WAIT_OFF)[0])
@@ -441,7 +445,8 @@ class _RingConsumer:
         return struct.unpack_from("<Q", self._buf, _TAIL_OFF)[0]
 
     def avail(self) -> int:
-        return self._tail() - self._head
+        # A torn read of tail is too small (see _RingProducer._free).
+        return max(0, self._tail() - self._head)
 
     def mid_frame(self) -> bool:
         return self._frame_fill > 0 or self._body is not None

@@ -475,9 +475,9 @@ def striped_variants(specs: Sequence[CaseSpec]) -> List[CaseSpec]:
 def guidesort_variants(specs: Sequence[CaseSpec]) -> List[CaseSpec]:
     """Native-only Guidesort twins of ``specs``.
 
-    Each twin keeps canonical phases 1–3 and swaps the merge for the
-    deterministic guide-sequence pass
-    (:mod:`repro.native.algos.guidesort`); conservation invariants are
+    Each twin runs the ``guidesort`` registry entry, which shares every
+    phase with canonical (the guide-sequence merge is
+    :func:`repro.native.phases.merge`); conservation invariants are
     canonical's, byte for byte.
     """
     return [

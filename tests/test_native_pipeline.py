@@ -4,9 +4,9 @@ Unit tests drive :class:`~repro.native.pipeline.Prefetcher` and
 :class:`~repro.native.pipeline.WriteBehind` directly against a
 :class:`~repro.native.blockstore.FileBlockStore`; the end-to-end tests
 prove the pipelined sort is bitwise-invisible next to the synchronous
-one and that the new stall/overlap statistics are populated.  The merge
-fast-path test is a regression test: the single-active-run shortcut
-used to skip the resident-bytes accounting the general path keeps.
+one and that the new stall/overlap statistics are populated.  The
+single-run merge test is a regression test: a one-run shortcut the
+merge once had skipped the resident-bytes accounting.
 """
 
 import time
@@ -20,7 +20,6 @@ from repro.native.blockstore import FileBlockStore
 from repro.native.phases import TAG_MERGE, NativeContext, merge
 from repro.native.pipeline import (
     Prefetcher,
-    PrefetchReader,
     WriteBehind,
     plan_fetch_order,
     sequential_fetch_order,
@@ -120,24 +119,6 @@ def test_prefetcher_rejects_bad_arguments(tmp_path):
         Prefetcher(store, requests, [0, 1], TAG, 0)  # no budget
 
 
-def test_prefetch_reader_streams_one_file_in_order(tmp_path):
-    store = FileBlockStore(str(tmp_path), rank=0, block_records=4)
-    a = write_records(tmp_path / "a.dat", np.arange(10, dtype=np.uint64))
-    requests, file_ids = block_requests([(tmp_path / "a.dat", 10)])
-    with Prefetcher(
-        store, requests, sequential_fetch_order(file_ids, 2), TAG, 2
-    ) as pf:
-        reader = PrefetchReader(pf, list(range(len(requests))))
-        out = []
-        while True:
-            blk = reader.next_block()
-            if blk is None:
-                break
-            out.append(blk)
-        assert reader.exhausted
-    assert np.array_equal(np.concatenate(out), a)
-
-
 def test_plan_fetch_order_validates_lengths():
     with pytest.raises(ValueError):
         plan_fetch_order([(0, 0, 0)], [0, 1], 2)
@@ -233,14 +214,14 @@ def test_write_behind_rejects_use_after_close(tmp_path):
         wb.write_file(str(tmp_path / "a.dat"), make_records(np.arange(2)))
 
 
-# --------------------------------------- merge fast path (stats regression)
+# ---------------------------------------- single-run merge (stats regression)
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["sync", "pipelined"])
 def test_merge_single_run_fast_path_keeps_accounting(tmp_path, pipelined):
-    """One run only: merge() runs entirely on the single-active-run fast
-    path, which used to skip ``note_resident`` — peak_resident_bytes
-    stayed 0 and the working-set proof silently excluded this case."""
+    """One run only, no harvested keys: a single-run shortcut used to
+    skip ``note_resident`` — peak_resident_bytes stayed 0 and the
+    working-set proof silently excluded this case."""
     n, block = 160, 32
     job = NativeJob(
         config=SortConfig(
@@ -270,8 +251,7 @@ def test_merge_single_run_fast_path_keeps_accounting(tmp_path, pipelined):
     assert meta.first_key == int(keys[0]) and meta.last_key == int(keys[-1])
     out = np.fromfile(store.output_path(), dtype=NATIVE_DTYPE)
     assert np.array_equal(out, seg)
-    # The regression: the fast path must keep the same accounting as the
-    # general path — bytes conserved AND a non-zero working set recorded.
+    # The regression: bytes conserved AND a non-zero working set recorded.
     assert store.bytes_read[TAG_MERGE] == n * RECORD_BYTES
     assert store.bytes_written[TAG_MERGE] == n * RECORD_BYTES
     assert stats.peak_resident_bytes > 0
