@@ -24,7 +24,6 @@ Usage::
         --listen 127.0.0.1:7099
     python -m repro submit --connect 127.0.0.1:7099 --data-mib 8 --wait
     python -m repro jobs --connect 127.0.0.1:7099 --stats
-    python -m repro tune run --quick   # knob ablation sweep (docs/TUNING.md)
 
 Data sizes are given in MiB per node — *represented* bytes for the
 simulator, real record bytes for the native backend.  ``--json`` replaces
@@ -58,7 +57,7 @@ ALGORITHMS = ("canonical", "striped", "nowsort", "samplesort")
 
 #: Native backend registry names (repro.native.algos); a separate axis
 #: from the sim-only ``--algorithm`` above.
-NATIVE_ALGORITHMS = ("canonical", "striped", "guidesort")
+NATIVE_ALGORITHMS = ("canonical", "striped")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,15 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--algo", choices=NATIVE_ALGORITHMS, default="canonical",
-        help="native sort backend: the paper's canonical pipeline, the "
-        "globally striped mergesort, or the guide-sequence merge "
-        "(see docs/NATIVE.md)",
+        help="native sort backend: the paper's canonical pipeline or the "
+        "globally striped mergesort (see docs/NATIVE.md)",
     )
     parser.add_argument(
         "--shm-ring-kib", type=int, default=None, metavar="KIB",
         help="shm transport: data capacity of each directed ring buffer "
-        "in KiB (default 1024; rejected for pipe/tcp jobs — this is a "
-        "tuning knob, see docs/TUNING.md)",
+        "in KiB (default 1024; rejected for pipe/tcp jobs — see "
+        "docs/TRANSPORT.md)",
     )
     return parser
 
@@ -449,12 +447,6 @@ def main(argv=None) -> int:
         return conformance_main(argv[1:])
     if argv and argv[0] == "worker":
         return run_worker(argv[1:])
-    if argv and argv[0] == "tune":
-        # The ablation + auto-tuning harness (docs/TUNING.md):
-        # python -m repro tune plan|run|report|suggest ...
-        from .tuning.cli import main as tune_main
-
-        return tune_main(argv[1:])
     if argv and argv[0] in ("serve", "submit", "jobs"):
         # The sort service (docs/SERVICE.md): a persistent daemon plus
         # its thin submit/inspect clients, each with its own parser.

@@ -1,9 +1,8 @@
 """Pluggable native sort algorithms (the backend bake-off registry).
 
-Three registered backends sort the same jobs to the same canonical
-balanced output, so the driver, the conformance harness and the bench
-trajectory can compare them head to head (ROADMAP item 4; paper
-Section III):
+Two registered backends sort the same jobs to the same canonical
+balanced output, so the driver and the conformance harness can compare
+them head to head (ROADMAP item 4; paper Section III):
 
 ``canonical``
     CANONICALMERGESORT — the paper's algorithm, the default, and the
@@ -14,12 +13,6 @@ Section III):
     runs striped block-wise over all PEs, merge by collective batch
     re-sort — communication in both passes, which is the amplification
     the paper's algorithm avoids.
-``guidesort``
-    Hagerup's deterministic guide-sequence merge (PAPERS.md).  Since
-    :func:`repro.native.phases.merge` became a prediction-sequence batch
-    merge — the guide *is* that sequence — this is canonical under a
-    second name, kept so the CLI value and the ``:guide`` conformance
-    tokens keep working until ROADMAP item 4(b) retires it.
 
 Workers dispatch through :func:`resolve_algorithm`; job validation
 (:class:`~repro.native.job.NativeJob`) guarantees only registered
@@ -27,8 +20,6 @@ Workers dispatch through :func:`resolve_algorithm`; job validation
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from ...core.config import ConfigError
 from .base import Algorithm
@@ -39,7 +30,7 @@ from .. import phases as _phases
 __all__ = ["ALGORITHMS", "Algorithm", "resolve_algorithm"]
 
 #: Registered backend names, in documentation order.
-ALGORITHMS = ("canonical", "striped", "guidesort")
+ALGORITHMS = ("canonical", "striped")
 
 STRIPED_FIXED16 = Algorithm(
     name="striped",
@@ -52,15 +43,12 @@ STRIPED_FIXED16 = Algorithm(
     wire_profile="striped",
 )
 
-GUIDESORT_FIXED16 = replace(CANONICAL_FIXED16, name="guidesort")
-
 _REGISTRY = {
     (alg.name, alg.records): alg
     for alg in (
         CANONICAL_FIXED16,
         CANONICAL_STRING,
         STRIPED_FIXED16,
-        GUIDESORT_FIXED16,
     )
 }
 

@@ -40,7 +40,7 @@ __all__ = ["Algorithm"]
 class Algorithm:
     """A named native sort backend: five phase callables plus metadata."""
 
-    #: Registry name (``"canonical"``, ``"striped"``, ``"guidesort"``).
+    #: Registry name (``"canonical"``, ``"striped"``).
     name: str
     #: Record model this implementation handles (``"fixed16"``/``"string"``).
     records: str

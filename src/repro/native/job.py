@@ -132,17 +132,16 @@ class NativeJob:
     #: a given data volume sorts the same record count either way.
     records: str = "fixed16"
     #: Sort algorithm backend: ``"canonical"`` (CANONICALMERGESORT, the
-    #: default), ``"striped"`` (mergesort with global striping — paper
-    #: Section III's baseline) or ``"guidesort"`` (deterministic
-    #: guide-sequence merge).  See docs/NATIVE.md for the decision
-    #: matrix; all backends produce the identical canonical output.
+    #: default) or ``"striped"`` (mergesort with global striping — paper
+    #: Section III's baseline).  See docs/NATIVE.md for the decision
+    #: matrix; both backends produce the identical canonical output.
     algo: str = "canonical"
     #: Shared-memory transport only: data capacity of each directed ring
     #: in KiB.  ``None`` keeps the transport default
     #: (:data:`~repro.native.shm.DEFAULT_RING_BYTES`).  Messages larger
     #: than the ring stream through in pieces, so any positive size is
-    #: correct — smaller rings just park the producer more often (this is
-    #: the knob the ablation driver sweeps; see docs/TUNING.md).
+    #: correct — smaller rings just park the producer more often (see
+    #: docs/TRANSPORT.md).
     shm_ring_kib: Optional[int] = None
 
     def __post_init__(self):

@@ -70,8 +70,8 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
 
     # The (algorithm, record model) pair picks the phase implementations
     # from the backend registry (see native/algos): canonical's
-    # fixed-slot phases, their byte-rank string twins, or the striped /
-    # guidesort backends.  Job validation guarantees only registered
+    # fixed-slot phases, their byte-rank string twins, or the striped
+    # backend.  Job validation guarantees only registered
     # combinations arrive here, and that non-canonical and varlen jobs
     # never reach the checkpoint/resume branches below.
     algorithm = resolve_algorithm(

@@ -66,15 +66,6 @@ def run_serve(argv) -> int:
         help="aggregate spill-footprint admission budget (default: unmetered)",
     )
     parser.add_argument(
-        "--tuning-file", default=None, metavar="PATH",
-        help="ablation file the auto-tuner reads "
-        "(default: the committed benchmarks/BENCH_ablations.json)",
-    )
-    parser.add_argument(
-        "--no-tuning", action="store_true",
-        help="never auto-fill knobs on submitted specs",
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="announce the endpoint as one JSON line instead of prose",
     )
@@ -95,7 +86,6 @@ def run_serve(argv) -> int:
             int(args.spill_budget_mib * MiB)
             if args.spill_budget_mib is not None else None
         ),
-        tuning=False if args.no_tuning else (args.tuning_file or None),
     )
     host, port = service.addr
     if args.json:
@@ -138,8 +128,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-mib", type=float, default=8.0)
     parser.add_argument(
         "--block-kib", type=float, default=None,
-        help="block size in KiB (unset lets the service auto-tuner "
-        "pick; the service default is 64)",
+        help="block size in KiB (default: the service default, 64)",
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
@@ -160,8 +149,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         "records (see docs/NATIVE.md)",
     )
     parser.add_argument(
-        "--algo", choices=("canonical", "striped", "guidesort"),
-        default="canonical",
+        "--algo", choices=("canonical", "striped"), default="canonical",
         help="native sort backend (see docs/NATIVE.md)",
     )
     parser.add_argument(
@@ -171,7 +159,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shm-ring-kib", type=int, default=None, metavar="KIB",
         help="shm transport: per-channel ring capacity "
-        "(see docs/TUNING.md)",
+        "(see docs/TRANSPORT.md)",
     )
 
 
@@ -189,8 +177,7 @@ def _spec_from_args(args) -> dict:
         "records": args.records,
         "algo": args.algo,
     }
-    # Knob-ish flags stay *out* of the spec when unset, so the service
-    # auto-tuner may fill them; an explicit flag always wins.
+    # Unset flags stay out of the spec so the service defaults apply.
     if args.block_kib is not None:
         spec["block_kib"] = args.block_kib
     if args.transport is not None:
@@ -303,12 +290,6 @@ def run_jobs(argv) -> int:
                         f"{stats['restarts']} restarts, "
                         f"{stats['respawns']} respawns"
                     )
-                    tuning = stats.get("tuning", {})
-                    print(
-                        "auto-tuning "
-                        + ("on" if tuning.get("enabled") else "off")
-                        + f", {tuning.get('jobs_tuned', 0)} jobs tuned"
-                    )
                 return 0
             jobs = client.jobs()
     except ServiceError as exc:
@@ -326,11 +307,6 @@ def run_jobs(argv) -> int:
             )
             if job.get("label"):
                 line += f"  [{job['label']}]"
-            if job.get("tuned_knobs"):
-                line += "  tuned: " + ", ".join(
-                    f"{k}={v}"
-                    for k, v in sorted(job["tuned_knobs"].items())
-                )
             if job.get("error"):
                 line += f"  error: {job['error']}"
             print(line)

@@ -69,7 +69,6 @@ from .jobs import (
 )
 from .pool import MSG_RESULT, WarmPool, WorkerHandle
 from .stats import ServiceStats
-from ..tuning.policy import TuningPolicy, suggest_job_knobs
 
 __all__ = ["SortService"]
 
@@ -111,22 +110,8 @@ class SortService:
         memory_budget_bytes: Optional[int] = None,
         spill_budget_bytes: Optional[int] = None,
         ctx=None,
-        tuning=None,
     ):
         self.spill_root = str(spill_root)
-        # ``tuning``: None = auto-load the committed ablation file (an
-        # absent/unreadable file silently means "no suggestions");
-        # False = off; a str = load that ablation file; a TuningPolicy
-        # = use as-is.  Suggestions only ever fill knobs the client
-        # left unset — explicit spec values always win.
-        if tuning is False:
-            self.tuning_policy: Optional[TuningPolicy] = None
-        elif tuning is None:
-            self.tuning_policy = TuningPolicy.from_file()
-        elif isinstance(tuning, str):
-            self.tuning_policy = TuningPolicy.from_file(tuning)
-        else:
-            self.tuning_policy = tuning
         self.pool = WarmPool(pool_size, ctx)
         self.memory_budget_bytes = (
             int(memory_budget_bytes)
@@ -169,48 +154,37 @@ class SortService:
         """Queue a sort described by ``spec``; returns the job id.
 
         Raises :class:`JobRejected` for a job this service can *never*
-        run (more workers than the pool, or a cost above a whole
-        budget) — distinct from a feasible job that merely has to wait.
+        run (an invalid spec, more workers than the pool, or a cost
+        above a whole budget) — distinct from a feasible job that
+        merely has to wait.  Every rejection counts in ``stats.rejected``.
         """
         with self._lock:
             if self._stopping:
                 raise ServiceError("service is shutting down")
-            tuned = suggest_job_knobs(spec, self.tuning_policy)
-            if tuned:
-                try:
-                    native = build_native_job({**spec, **tuned},
-                                              self.spill_root)
-                except JobRejected:
-                    # A suggestion must never reject a job the client's
-                    # own spec allows (e.g. a tuned block size tripping
-                    # the two-pass feasibility limit at this sizing):
-                    # fall back to the untuned spec.
-                    tuned = {}
-                    native = build_native_job(spec, self.spill_root)
-            else:
+            try:
                 native = build_native_job(spec, self.spill_root)
-            mem_cost, spill_cost = job_costs(native)
-            if native.n_workers > self.pool.size:
+                mem_cost, spill_cost = job_costs(native)
+                if native.n_workers > self.pool.size:
+                    raise JobRejected(
+                        f"job wants {native.n_workers} workers, pool has "
+                        f"{self.pool.size}"
+                    )
+                if mem_cost > self.memory_budget_bytes:
+                    raise JobRejected(
+                        f"job memory cost {mem_cost} exceeds the service "
+                        f"budget {self.memory_budget_bytes}"
+                    )
+                if (
+                    self.spill_budget_bytes is not None
+                    and spill_cost > self.spill_budget_bytes
+                ):
+                    raise JobRejected(
+                        f"job spill cost {spill_cost} exceeds the service "
+                        f"budget {self.spill_budget_bytes}"
+                    )
+            except JobRejected:
                 self.stats.rejected += 1
-                raise JobRejected(
-                    f"job wants {native.n_workers} workers, pool has "
-                    f"{self.pool.size}"
-                )
-            if mem_cost > self.memory_budget_bytes:
-                self.stats.rejected += 1
-                raise JobRejected(
-                    f"job memory cost {mem_cost} exceeds the service "
-                    f"budget {self.memory_budget_bytes}"
-                )
-            if (
-                self.spill_budget_bytes is not None
-                and spill_cost > self.spill_budget_bytes
-            ):
-                self.stats.rejected += 1
-                raise JobRejected(
-                    f"job spill cost {spill_cost} exceeds the service "
-                    f"budget {self.spill_budget_bytes}"
-                )
+                raise
             num = self._next_num
             self._next_num += 1
             job_id = f"j{num}"
@@ -222,14 +196,11 @@ class SortService:
                 job=native,
                 mem_cost=mem_cost,
                 spill_cost=spill_cost,
-                tuned=tuned,
                 policy=RestartPolicy(native.max_restarts),
             )
             self._jobs[job_id] = job
             self._queue.append(job)
             self.stats.submitted += 1
-            if tuned:
-                self.stats.tuned_jobs += 1
             self.stats.note_queue_depth(len(self._queue))
         self._wake()
         return job_id
@@ -261,8 +232,6 @@ class SortService:
                 reserved_spill=self._reserved_spill,
                 memory_budget=self.memory_budget_bytes,
                 spill_budget=self.spill_budget_bytes,
-                tuning_enabled=self.tuning_policy is not None
-                and self.tuning_policy.n_sweeps > 0,
             )
 
     def cancel(self, job_id: str) -> str:

@@ -105,7 +105,7 @@ SPEC_CHOICES = {
     "transport": ("pipe", "shm"),
     "selection": ("sampled", "basic", "bisect"),
     "records": ("fixed16", "string"),
-    "algo": ("canonical", "striped", "guidesort"),
+    "algo": ("canonical", "striped"),
 }
 
 #: Numeric spec fields and their floors: (minimum, or None if the field
@@ -239,9 +239,6 @@ class ServiceJob:
     #: The assembled NativeSortResult on DONE (library callers read the
     #: output files through it; the JSON surface carries a summary).
     result: Optional[object] = None
-    #: Knob assignments the auto-tuner filled in at admission (empty
-    #: when tuning is off or every knob was explicit in the spec).
-    tuned: dict = field(default_factory=dict)
     policy: RestartPolicy = field(default_factory=lambda: RestartPolicy(0))
     done: threading.Event = field(default_factory=threading.Event)
     created_wall: float = field(default_factory=time.time)
@@ -281,8 +278,6 @@ class ServiceJob:
             "created_at": self.created_wall,
             "error": self.error,
         }
-        if self.tuned:
-            out["tuned_knobs"] = dict(self.tuned)
         if queue_position is not None:
             out["queue_position"] = queue_position
         if self.admission_wait is not None:

@@ -30,8 +30,6 @@ class ServiceStats:
         self.restarts = 0
         #: Dispatches (attempts), including restarts.
         self.dispatches = 0
-        #: Jobs whose spec got at least one auto-tuned knob at admission.
-        self.tuned_jobs = 0
         self.queue_depth_peak = 0
         self._admission_waits: List[float] = []
 
@@ -43,8 +41,7 @@ class ServiceStats:
 
     def snapshot(self, pool, queue_depth: int, running: int,
                  reserved_mem: int, reserved_spill: int,
-                 memory_budget: int, spill_budget,
-                 tuning_enabled: bool = False) -> Dict:
+                 memory_budget: int, spill_budget) -> Dict:
         """One JSON-safe view of the whole service."""
         uptime = max(time.monotonic() - self.started, 1e-9)
         waits = self._admission_waits
@@ -78,10 +75,6 @@ class ServiceStats:
             },
             "restarts": self.restarts,
             "dispatches": self.dispatches,
-            "tuning": {
-                "enabled": bool(tuning_enabled),
-                "jobs_tuned": self.tuned_jobs,
-            },
             "respawns": pool.respawns,
             "queue": {
                 "depth": queue_depth,

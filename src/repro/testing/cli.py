@@ -75,12 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         "string map, LCP-compressed splitters, decoded sorted() oracle)",
     )
     parser.add_argument(
-        "--algo", choices=("canonical", "striped", "guidesort", "all"),
-        default="canonical",
-        help="native sort backend for matrix cases; 'striped' or "
-        "'guidesort' adds native-only twins of every matrix case on that "
-        "backend (differentially tested byte-for-byte against the same "
-        "np.sort oracle); 'all' adds both",
+        "--algo", choices=("canonical", "striped"), default="canonical",
+        help="native sort backend for matrix cases; 'striped' adds "
+        "native-only twins of every matrix case on that backend "
+        "(differentially tested byte-for-byte against the same np.sort "
+        "oracle)",
     )
     parser.add_argument(
         "--recover-smoke", action="store_true",
@@ -244,31 +243,16 @@ def main(argv: List[str] = None) -> int:
                     ]
                 )
             )
-        extra_algos = {
-            "canonical": (),
-            "striped": ("striped",),
-            "guidesort": ("guidesort",),
-            "all": ("striped", "guidesort"),
-        }[args.algo]
-        if extra_algos and specs:
+        if args.algo == "striped":
             # Native-only backend twins over every transport already in
             # the list: the identical workloads through the striped
-            # and/or guide-sequence data paths, against the same oracle.
-            base = [
-                s for s in specs
-                if "native" in s.backends
-                and not s.pipelined
-                and not s.recover
-                and s.records == "fixed16"
-                and s.algo == "canonical"
-            ]
-            for extra in extra_algos:
-                variants = (
-                    differential.striped_variants(base)
-                    if extra == "striped"
-                    else differential.guidesort_variants(base)
+            # data path, against the same oracle (striped_variants skips
+            # the pipelined, recovery and string cases itself).
+            specs.extend(
+                differential.striped_variants(
+                    [s for s in specs if "native" in s.backends]
                 )
-                specs.extend(variants)
+            )
         if args.strings and specs:
             # Native-only string twins over every transport already in
             # the list: the identical corpus keys, mapped through the

@@ -41,7 +41,6 @@ __all__ = [
     "recovery_variants",
     "string_variants",
     "striped_variants",
-    "guidesort_variants",
     "run_case",
     "run_sim_case",
     "run_native_case",
@@ -194,7 +193,7 @@ class CaseSpec:
                 f"string family {self.string_family!r} requires "
                 'records="string"'
             )
-        if self.algo not in ("canonical", "striped", "guidesort"):
+        if self.algo not in ("canonical", "striped"):
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.algo != "canonical":
             if "sim" in self.backends:
@@ -232,8 +231,6 @@ class CaseSpec:
             )
         if self.algo == "striped":
             token += ":striped"
-        elif self.algo == "guidesort":
-            token += ":guide"
         return token
 
     @classmethod
@@ -244,7 +241,7 @@ class CaseSpec:
                 f"bad replay token {token!r}: want "
                 "entry:sizing:p<P>:s<seed>:rand|norand:selection"
                 "[:backends][:pipe][:tcp|:shm][:recover]"
-                "[:str|:str-url|:str-log][:striped|:guide]"
+                "[:str|:str-url|:str-log][:striped]"
             )
         entry, sizing, p, s, rand, selection = parts[:6]
         if not p.startswith("p") or not s.startswith("s"):
@@ -270,8 +267,6 @@ class CaseSpec:
                 string_family = part[len("str-"):]
             elif part == "striped":
                 algo = "striped"
-            elif part == "guide":
-                algo = "guidesort"
             else:
                 backends = tuple(part.split("+"))
         return cls(
@@ -472,22 +467,6 @@ def striped_variants(specs: Sequence[CaseSpec]) -> List[CaseSpec]:
     ]
 
 
-def guidesort_variants(specs: Sequence[CaseSpec]) -> List[CaseSpec]:
-    """Native-only Guidesort twins of ``specs``.
-
-    Each twin runs the ``guidesort`` registry entry, which shares every
-    phase with canonical (the guide-sequence merge is
-    :func:`repro.native.phases.merge`); conservation invariants are
-    canonical's, byte for byte.
-    """
-    return [
-        replace(spec, backends=("native",), algo="guidesort")
-        for spec in specs
-        if not spec.pipelined and not spec.recover
-        and spec.records == "fixed16" and spec.algo == "canonical"
-    ]
-
-
 def recovery_variants(specs: Sequence[CaseSpec]) -> List[CaseSpec]:
     """Native-only recovery twins of ``specs`` (kill + resume).
 
@@ -646,8 +625,7 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
         # Conservation: every conserved phase moved exactly N·record_bytes
         # through the block store, summed over the workers.  The striped
         # backend asserts its own profile (two exchanges, empty
-        # all-to-all slot); canonical and guidesort share the canonical
-        # one.
+        # all-to-all slot).
         nbytes = total * RECORD_BYTES
         if spec.algo == "striped":
             result.divergences.extend(

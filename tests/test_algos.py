@@ -38,7 +38,7 @@ def _job(tmp_path, **overrides):
 
 
 def test_registry_names_are_the_public_tuple():
-    assert ALGORITHMS == ("canonical", "striped", "guidesort")
+    assert ALGORITHMS == ("canonical", "striped")
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -55,7 +55,7 @@ def test_unknown_algorithm_name_is_a_config_error():
         resolve_algorithm("quicksort")
 
 
-@pytest.mark.parametrize("algo", ["striped", "guidesort"])
+@pytest.mark.parametrize("algo", ["striped"])
 def test_string_model_only_runs_canonical(algo):
     with pytest.raises(ConfigError, match="does not support records='string'"):
         resolve_algorithm(algo, "string")
@@ -71,10 +71,8 @@ def test_backends_share_the_canonical_generate_phase():
 
 def test_wire_profiles_diverge_where_the_paper_says():
     # Striped pays communication in both passes (its own conservation
-    # profile); guidesort only swaps the merge strategy, so canonical's
-    # exact N*16 wire accounting still applies.
+    # profile); canonical keeps its exact N*16 wire accounting.
     assert resolve_algorithm("striped").wire_profile == "striped"
-    assert resolve_algorithm("guidesort").wire_profile == "canonical"
     assert resolve_algorithm("canonical").wire_profile == "canonical"
 
 
@@ -97,7 +95,7 @@ def test_job_rejects_unknown_backend(tmp_path):
         _job(tmp_path, algo="timsort")
 
 
-@pytest.mark.parametrize("algo", ["striped", "guidesort"])
+@pytest.mark.parametrize("algo", ["striped"])
 def test_noncanonical_gates(tmp_path, algo):
     with pytest.raises(ConfigError, match="only supports records='fixed16'"):
         _job(tmp_path, algo=algo, records="string")

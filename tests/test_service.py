@@ -248,7 +248,7 @@ class TestShmTransportJobs:
 
 
 class TestAlgoSpecs:
-    @pytest.mark.parametrize("algo", ["striped", "guidesort"])
+    @pytest.mark.parametrize("algo", ["striped"])
     def test_algo_spec_round_trips_through_submit(self, tmp_path, algo):
         """An ``algo`` spec reaches the compiled job and the warm pool
         runs that backend to the same bytes as a cold single-shot run."""
@@ -273,6 +273,64 @@ class TestAlgoSpecs:
                 svc.submit(dict(SMALL, algo="quicksort"))
             # Rejections never occupy the queue.
             assert svc.stats_snapshot()["jobs"]["submitted"] == 0
+
+
+# ------------------------------------------------- spec rejection messages
+
+
+class TestSpecRejectionMessages:
+    """Every family of bad spec value names the key and what's legal."""
+
+    def check(self, spec, *needles):
+        with pytest.raises(JobRejected) as err:
+            build_native_job(spec, "/tmp")
+        for needle in needles:
+            assert needle in str(err.value), (spec, str(err.value))
+
+    def test_choice_fields_name_key_and_accepted_values(self):
+        self.check(
+            {"transport": "tcp"}, "spec field 'transport'='tcp'",
+            "'pipe', 'shm'",
+        )
+        self.check(
+            {"selection": "bogus"}, "spec field 'selection'='bogus'",
+            "'sampled', 'basic', 'bisect'",
+        )
+        self.check(
+            {"records": "f32"}, "spec field 'records'='f32'",
+            "'fixed16', 'string'",
+        )
+        self.check(
+            {"algo": "quantum"}, "spec field 'algo'='quantum'",
+            "'canonical', 'striped'",
+        )
+
+    def test_numeric_fields_name_key_and_floor(self):
+        self.check({"n_workers": 0}, "spec field 'n_workers'=0", ">= 1")
+        self.check(
+            {"data_mib": -1.0}, "spec field 'data_mib'=-1.0", "> 0"
+        )
+        self.check(
+            {"pending_sends": 0}, "spec field 'pending_sends'=0", ">= 1"
+        )
+        self.check(
+            {"sample_every": 0}, "spec field 'sample_every'=0", ">= 1"
+        )
+
+    def test_cross_field_shm_ring_requires_shm(self):
+        self.check(
+            {"shm_ring_kib": 64}, "spec field 'shm_ring_kib'=64",
+            "transport='shm'",
+        )
+        # And on shm it passes through to the job.
+        job = build_native_job(
+            {"transport": "shm", "shm_ring_kib": 64}, "/tmp"
+        )
+        assert job.shm_ring_kib == 64
+        assert job.ring_bytes == 64 * 1024
+
+    def test_unknown_field_lists_accepted_keys(self):
+        self.check({"warp": 9}, "unknown spec field 'warp'")
 
 
 # ---------------------------------------------------------------- admission
@@ -322,20 +380,55 @@ class TestAdmissionControl:
             assert svc.wait(second, timeout=120).state == "DONE"
 
     def test_infeasible_jobs_are_rejected_outright(self, tmp_path):
+        """Pool/budget and spec-validation rejections alike raise, count
+        in ``stats.rejected`` and never occupy the queue."""
         with SortService(
             pool_size=2,
             spill_root=str(tmp_path),
             listen=None,
             memory_budget_bytes=4 * 2**20,
         ) as svc:
-            with pytest.raises(JobRejected):
-                svc.submit(dict(SMALL, n_workers=3))
-            with pytest.raises(JobRejected):
-                svc.submit(dict(SMALL, memory_mib=16.0))
-            with pytest.raises(JobRejected):
-                svc.submit(dict(SMALL, bogus_knob=1))
-            # Rejections never occupy the queue.
+            for n, bad in enumerate(
+                (
+                    dict(SMALL, n_workers=3),  # pool too small
+                    dict(SMALL, memory_mib=16.0),  # over the memory budget
+                    dict(SMALL, bogus_knob=1),  # unknown key
+                    dict(SMALL, selection="psychic"),  # bad value
+                    dict(SMALL, pending_sends=0),  # out-of-range knob
+                ),
+                start=1,
+            ):
+                with pytest.raises(JobRejected):
+                    svc.submit(bad)
+                assert svc.stats_snapshot()["jobs"]["rejected"] == n, bad
             assert svc.stats_snapshot()["jobs"]["submitted"] == 0
+
+    def test_unset_io_knobs_get_the_synchronous_defaults(self, tmp_path):
+        """Nothing fills knobs at admission: a spec that leaves the I/O
+        knobs out runs exactly like one that spells the defaults out."""
+        explicit = dict(
+            SMALL, prefetch_blocks=0, write_behind_blocks=0, pending_sends=4
+        )
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+            jobs = [
+                svc.wait(svc.submit(spec), timeout=120)
+                for spec in (dict(SMALL), explicit)
+            ]
+            for job in jobs:
+                assert job.state == "DONE", job.error
+                assert (
+                    job.job.prefetch_blocks,
+                    job.job.write_behind_blocks,
+                    job.job.pending_sends,
+                ) == (0, 0, 4)
+                assert "tuned_knobs" not in svc.status(job.id)
+            assert "tuning" not in svc.stats_snapshot()
+            unset, spelled = jobs
+            assert output_bytes(unset.job, unset.result.outputs) == (
+                output_bytes(spelled.job, spelled.result.outputs)
+            )
 
 
 # ------------------------------------------------------------- cancellation

@@ -1,7 +1,6 @@
 """Service queue-depth stress: bursts, head-of-line blocking, budgets.
 
-Satellite of the tuning PR: the scheduler now fills knobs at admission,
-so the admission path gets a dedicated stress suite pinning what must
+A dedicated stress suite for the admission path, pinning what must
 never change — strict FIFO order, budget reserve/release balance, and
 bitwise-correct outputs under a deep queue.
 """
@@ -29,7 +28,6 @@ class TestBurst:
         n_jobs = 16
         with SortService(
             pool_size=2, spill_root=str(tmp_path / "svc"), listen=None,
-            tuning=False,
         ) as svc:
             ids = [svc.submit(burst_spec(i)) for i in range(n_jobs)]
             peak = [0]
@@ -93,7 +91,7 @@ class TestBurst:
         # smalls (2 x 48 KiB each); FIFO must serialize huge-first.
         with SortService(
             pool_size=2, spill_root=str(tmp_path / "svc"), listen=None,
-            memory_budget_bytes=2 * MiB, tuning=False,
+            memory_budget_bytes=2 * MiB,
         ) as svc:
             first = svc.submit(dict(SMALL, seed=3000))
             huge_id = svc.submit(huge)
@@ -113,7 +111,6 @@ class TestBurst:
         """Deep-queue snapshots stay consistent while jobs drain."""
         with SortService(
             pool_size=2, spill_root=str(tmp_path / "svc"), listen=None,
-            tuning=False,
         ) as svc:
             ids = [svc.submit(burst_spec(i)) for i in range(8)]
             # While draining, queue positions must be unique and
