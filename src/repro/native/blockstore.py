@@ -11,7 +11,9 @@ Layout of one sort's spill directory::
 
     input_<rank>.dat            gensort-style input slice of one worker
     run<r>_piece<rank>.dat      phase-1 output: this worker's piece of run r
-    seg<r>_rank<rank>.dat       phase-3 output: this worker's segment of run r
+    slab<r>_rank<rank>.dat      phase-3 output: what other workers sent this one
+                                of run r (the part of its segment that was not
+                                already in its own piece file)
     output_<rank>.dat           phase-4 output: the rank's sorted slice
     manifest_<rank>.jsonl       recovery journal (when checkpointing)
 
@@ -40,7 +42,6 @@ from .records import (
     NATIVE_DTYPE,
     RECORD_BYTES,
     VarlenBatch,
-    read_records,
     varlen_index_path,
 )
 
@@ -82,6 +83,28 @@ def purge_namespace(root: str, namespace: str) -> int:
             except OSError:
                 pass
     return removed
+
+
+_HAS_PREADV = hasattr(os, "preadv")
+
+
+def _pread_exact(fh, dst: memoryview, offset: int, path: str) -> None:
+    """Fill ``dst`` from byte ``offset`` of the unbuffered file ``fh``
+    (positioned reads straight into the caller's buffer, no copy)."""
+    nbytes = len(dst)
+    done = 0
+    while done < nbytes:
+        if _HAS_PREADV:
+            got = os.preadv(fh.fileno(), [dst[done:]], offset + done)
+        else:  # pragma: no cover - non-POSIX fallback
+            fh.seek(offset + done)
+            got = fh.readinto(dst[done:])
+        if not got:
+            raise IOError(
+                f"{path}: short read at byte {offset + done} "
+                f"({done} of {nbytes})"
+            )
+        done += got
 
 
 class FileBlockStore:
@@ -134,9 +157,10 @@ class FileBlockStore:
         rank = self.rank if rank is None else rank
         return os.path.join(self.root, f"{self._prefix}run{run}_piece{rank}.dat")
 
-    def segment_path(self, run: int, rank: Optional[int] = None) -> str:
+    def slab_path(self, run: int, rank: Optional[int] = None) -> str:
+        """Records of run ``run`` this rank *received* in the all-to-all."""
         rank = self.rank if rank is None else rank
-        return os.path.join(self.root, f"{self._prefix}seg{run}_rank{rank}.dat")
+        return os.path.join(self.root, f"{self._prefix}slab{run}_rank{rank}.dat")
 
     def output_path(self, rank: Optional[int] = None) -> str:
         rank = self.rank if rank is None else rank
@@ -171,9 +195,15 @@ class FileBlockStore:
     # -- record I/O -----------------------------------------------------------
 
     def read_range(self, path: str, start: int, count: int, tag: str) -> np.ndarray:
-        """Read ``count`` records at record offset ``start``."""
+        """Read ``count`` records at record offset ``start`` (fewer where
+        the file ends first) with one positioned read."""
         t0 = time.monotonic()
-        out = read_records(path, start, count)
+        with open(path, "rb", buffering=0) as fh:
+            in_file = os.fstat(fh.fileno()).st_size // RECORD_BYTES
+            out = np.empty(
+                max(0, min(count, in_file - start)), dtype=NATIVE_DTYPE
+            )
+            _pread_exact(fh, out.view(np.uint8).data, start * RECORD_BYTES, path)
         self._charge_stall(tag, time.monotonic() - t0)
         self.charge_read(tag, out.nbytes)
         return out
@@ -214,9 +244,7 @@ class FileBlockStore:
         counts = [min(bs, file_records - b * bs) for b in ids]
         out = np.empty(sum(counts), dtype=NATIVE_DTYPE)
         mv = out.view(np.uint8).data
-        use_preadv = hasattr(os, "preadv")
         with open(path, "rb", buffering=0) as fh:
-            fd = fh.fileno()
             filled = 0
             i = 0
             while i < len(ids):
@@ -230,21 +258,10 @@ class FileBlockStore:
                 ):
                     nbytes += counts[j] * RECORD_BYTES
                     j += 1
-                offset = ids[i] * bs * RECORD_BYTES
-                done = 0
-                while done < nbytes:
-                    dst = mv[filled + done : filled + nbytes]
-                    if use_preadv:
-                        got = os.preadv(fd, [dst], offset + done)
-                    else:  # pragma: no cover - non-POSIX fallback
-                        fh.seek(offset + done)
-                        got = fh.readinto(dst)
-                    if not got:
-                        raise IOError(
-                            f"{path}: short read at byte {offset + done} "
-                            f"({done} of {nbytes})"
-                        )
-                    done += got
+                _pread_exact(
+                    fh, mv[filled : filled + nbytes],
+                    ids[i] * bs * RECORD_BYTES, path,
+                )
                 self.charge_read(tag, nbytes)
                 filled += nbytes
                 i = j
@@ -301,7 +318,7 @@ class FileBlockStore:
         """Create ``path`` sized for ``n_records`` (sparse where supported).
 
         Idempotent on size: a file already at exactly the target size is
-        left untouched, so a resumed all-to-all keeps the segment bytes
+        left untouched, so a resumed all-to-all keeps the slab bytes
         delivered before the restart instead of zeroing them.
         """
         nbytes = n_records * RECORD_BYTES
@@ -332,7 +349,7 @@ class FileBlockStore:
     def remove(self, path: str) -> None:
         """Remove a spill file; **idempotent** by contract.
 
-        Phase teardown calls this unconditionally on every piece/segment
+        Phase teardown calls this unconditionally on every piece/slab
         path, and a rerun after a mid-phase crash (e.g. a chaos kill)
         may find some already gone — a missing file is success, not an
         error.  Covered by the rerun-after-kill regression test.
@@ -402,8 +419,10 @@ class FileBlockStore:
         """Read ``count`` records at record offset ``start`` (one pread).
 
         ``offsets`` overrides the sidecar index — the merge phase reads
-        segment files whose boundaries it already holds in memory (the
-        all-to-all computed them), so segments need no ``.idx`` on disk.
+        slab files whose boundaries it already holds in memory (the
+        all-to-all rebuilt them from the arrivals), so slabs need no
+        ``.idx`` on disk, and kept piece ranges through a slice of the
+        piece's index.
         """
         if offsets is None:
             offsets = self.varlen_offsets(path, tag)
@@ -416,24 +435,8 @@ class FileBlockStore:
         nbytes = hi - lo
         t0 = time.monotonic()
         out = np.empty(nbytes, dtype=np.uint8)
-        mv = out.data
-        use_preadv = hasattr(os, "preadv")
         with open(path, "rb", buffering=0) as fh:
-            fd = fh.fileno()
-            done = 0
-            while done < nbytes:
-                dst = mv[done:nbytes]
-                if use_preadv:
-                    got = os.preadv(fd, [dst], lo + done)
-                else:  # pragma: no cover - non-POSIX fallback
-                    fh.seek(lo + done)
-                    got = fh.readinto(dst)
-                if not got:
-                    raise IOError(
-                        f"{path}: short read at byte {lo + done} "
-                        f"({done} of {nbytes})"
-                    )
-                done += got
+            _pread_exact(fh, out.data, lo, path)
         self._charge_stall(tag, time.monotonic() - t0)
         self.charge_read(tag, nbytes)
         return VarlenBatch(out, offsets[start : stop + 1] - lo)

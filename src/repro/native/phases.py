@@ -20,8 +20,10 @@ native phase           simulator twin                       shared kernels
 
 The phase contracts are identical to the simulator's: globally sorted
 runs with one local piece per PE after phase 1, an exact (P+1) × R
-splitter matrix after phase 2, per-run sorted segment files after
-phase 3, and the canonical balanced output after phase 4.
+splitter matrix after phase 2, one sorted segment per run after phase 3
+— an extent list over the rank's own piece file plus what its peers
+sent it, see :class:`SegmentLayout` — and the canonical balanced output
+after phase 4.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +67,12 @@ __all__ = [
     "restore_runs",
     "verify_restored_pieces",
     "selection",
+    "Extent",
+    "SegmentLayout",
+    "segment_layouts",
+    "piece_slice",
+    "read_units",
+    "reclaim_segments",
     "all_to_all",
     "merge",
 ]
@@ -91,6 +99,10 @@ class NativeContext:
     #: Replayed manifest state (:class:`~repro.recovery.manifest.ResumeState`)
     #: when resuming an epoch > 0 attempt; None on a fresh run.
     resume: Optional[object] = None
+    #: Per run, the first key of every block of this rank's piece file.
+    #: Run formation holds each piece in memory when it writes it, so the
+    #: merge's guide over the ranges that never leave the piece is free.
+    piece_first_keys: List[np.ndarray] = field(default_factory=list)
 
     def _add_checksum(self, keys: np.ndarray) -> None:
         if len(keys):
@@ -207,6 +219,10 @@ def _meta_from_record(rec: dict, rank: int) -> PieceMeta:
     )
 
 
+def _first_keys_from_record(rec: dict) -> np.ndarray:
+    return np.asarray(rec["first_keys"], dtype=np.uint64)
+
+
 def verify_restored_pieces(ctx: NativeContext, run_records: List[dict]) -> None:
     """CRC-check retained piece files against the manifest (suspects only).
 
@@ -240,6 +256,7 @@ def restore_runs(ctx: NativeContext, resume) -> List[NativeRun]:
     metas = [_meta_from_record(rec, ctx.rank) for rec in recs]
     all_metas: List[List[PieceMeta]] = ctx.comm.allgather(metas)
     ctx.input_checksum = resume.rf_checksum
+    ctx.piece_first_keys = [_first_keys_from_record(rec) for rec in recs]
     ctx.stats.add_counter("recovery_phases_restored")
     ctx.stats.add_counter("recovery_rf_blocks_reread", 0.0)
     return [
@@ -382,10 +399,12 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
 
     metas: List[PieceMeta] = []
     run_records: List[dict] = []
+    ctx.piece_first_keys = []
     for r in range(k):
         metas.append(_meta_from_record(restored[r], ctx.rank))
         run_records.append(restored[r])
         ctx.input_checksum = restored[r]["checksum"]
+        ctx.piece_first_keys.append(_first_keys_from_record(restored[r]))
     if k:
         ctx.stats.add_counter("recovery_runs_restored", float(k))
         if ctx.rank in getattr(job, "suspect_ranks", ()):
@@ -418,6 +437,8 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             else:
                 store.write_file(store.piece_path(r), piece, TAG_RF)
             sample = np.ascontiguousarray(piece["key"][:: job.sample_every])
+            first_keys = np.ascontiguousarray(piece["key"][:: job.block_records])
+            ctx.piece_first_keys.append(first_keys)
             metas.append(
                 PieceMeta(
                     run=r,
@@ -434,6 +455,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                     "samples": [int(s) for s in sample],
                     "every": job.sample_every,
                     "crcs": _block_crcs(piece, job.block_records),
+                    "first_keys": [int(k) for k in first_keys],
                     "checksum": ctx.input_checksum,
                 }
                 run_records.append(rec)
@@ -442,10 +464,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                     # completion may be journaled now; under write-behind
                     # it is only durable after wb.close(), so per-run
                     # records are skipped and rf_done covers them all.
-                    journal.rf_run_done(
-                        r, rec["n"], rec["samples"], rec["every"],
-                        rec["crcs"], rec["checksum"],
-                    )
+                    journal.rf_run_done(rec)
             del piece
         if wb is not None:
             wb.close()
@@ -532,56 +551,169 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
 TAG_A2A = "all_to_all"
 
 
+class Extent(NamedTuple):
+    """``count`` records of file ``path``, from record ``start``."""
+
+    path: str
+    start: int
+    count: int
+
+
+class SegmentLayout(NamedTuple):
+    """Where one rank's segment of one run lives after the all-to-all.
+
+    The segment is the part of the run inside the rank's splitter span,
+    in run order: what lower ranks sent (``lower`` records, at the front
+    of the run's slab file), the range of the rank's *own piece file*
+    inside the span (``kept`` records from record ``keep_start``; the
+    all-to-all neither reads nor rewrites it), and what higher ranks
+    sent (``upper`` records, behind the lower ones in the slab file).
+    """
+
+    lower: int
+    keep_start: int
+    kept: int
+    upper: int
+
+    @property
+    def n_records(self) -> int:
+        return self.lower + self.kept + self.upper
+
+    def extents(self, store: FileBlockStore, run: int) -> List[Extent]:
+        """The segment as its non-empty extents, in run order."""
+        slab, piece = store.slab_path(run), store.piece_path(run)
+        parts = (
+            Extent(slab, 0, self.lower),
+            Extent(piece, self.keep_start, self.kept),
+            Extent(slab, self.lower, self.upper),
+        )
+        return [part for part in parts if part.count]
+
+
+def piece_slice(
+    run: NativeRun, splits: Sequence[Sequence[int]], r: int, sender: int,
+    dest: int,
+) -> Tuple[int, int]:
+    """The part of ``sender``'s piece of run ``r`` inside ``dest``'s span.
+
+    Returns ``(lo, hi)``, piece-local record positions, ``lo <= hi``.
+    """
+    offset = run.offsets[sender]
+    n = run.pieces[sender].n_records
+    lo = min(n, max(0, splits[dest][r] - offset))
+    hi = max(lo, min(n, splits[dest + 1][r] - offset))
+    return lo, hi
+
+
+def segment_layouts(
+    runs: List[NativeRun], splits: Sequence[Sequence[int]], rank: int
+) -> Tuple[List[SegmentLayout], List[List[int]]]:
+    """Where rank ``rank``'s segment of every run lives, from the splitters.
+
+    Returns ``(layouts, slab_base)``: one :class:`SegmentLayout` per run,
+    and per run the P + 1 record offsets at which the senders'
+    contributions start in the run's slab file — rank order is run
+    order, the own rank contributes nothing, the last entry is the
+    slab's length.  Pure arithmetic on the run inventory and the
+    splitter matrix — the one place both record models derive who keeps
+    and who ships what.
+    """
+    n_workers = len(splits) - 1
+    layouts: List[SegmentLayout] = []
+    slab_base: List[List[int]] = []
+    for r, run in enumerate(runs):
+        counts = []
+        for sender in range(n_workers):
+            lo, hi = piece_slice(run, splits, r, sender, rank)
+            counts.append(hi - lo)
+            if sender == rank:
+                keep_start = lo
+        layout = SegmentLayout(
+            lower=sum(counts[:rank]),
+            keep_start=keep_start,
+            kept=counts[rank],
+            upper=sum(counts[rank + 1 :]),
+        )
+        span = splits[rank + 1][r] - splits[rank][r]
+        if layout.n_records != span:
+            raise AssertionError(
+                f"run {r}: segment layout {layout.n_records} != splitter "
+                f"span {span}"
+            )
+        counts[rank] = 0
+        layouts.append(layout)
+        slab_base.append([sum(counts[:j]) for j in range(n_workers + 1)])
+    return layouts, slab_base
+
+
+def read_units(extents: Sequence[Extent], block: int) -> List[Extent]:
+    """Cut a segment's extents on their files' B-grids.
+
+    These are the merge's read units: every unit lies inside one block
+    of its file, so a kept range is cut exactly where run formation
+    recorded block-first keys, and only its first unit can start off the
+    grid.
+    """
+    units: List[Extent] = []
+    for path, start, count in extents:
+        stop = start + count
+        while start < stop:
+            nxt = min(stop, (start // block + 1) * block)
+            units.append(Extent(path, start, nxt - start))
+            start = nxt
+    return units
+
+
+def reclaim_segments(store: FileBlockStore, n_runs: int) -> None:
+    """Delete the merge's input, pieces and slabs, once its output is durable.
+
+    Idempotent: a resumed or rerun attempt may find some already gone.
+    """
+    for r in range(n_runs):
+        store.remove(store.piece_path(r))
+        store.remove(store.slab_path(r))
+
+
 def all_to_all(
     ctx: NativeContext, runs: List[NativeRun], splits: List[List[int]]
-) -> Tuple[List[int], List[List[int]]]:
-    """Phase 3: the external all-to-all, disk → pipes → disk.
+) -> Tuple[List[List[Extent]], List[List[Optional[int]]]]:
+    """Phase 3: the in-place external all-to-all (paper Section IV-C/E).
 
-    Each worker streams its piece of every run in block-sized chunks to
-    the destinations the splitters dictate, and assembles the chunks it
-    receives into one *sorted* segment file per run (arrivals are written
-    at precomputed record offsets, so no post-hoc sorting is needed —
-    the run's global order carries through).
+    After exact selection almost everything a rank has to merge already
+    sits in its own piece files, so only what changes owner moves: each
+    worker streams the ranges of its pieces that lie inside *another*
+    rank's splitter span, in block-sized chunks, and places what it
+    receives in one slab file per run (arrivals are written at
+    precomputed record offsets, lower senders first, so a slab is sorted
+    as it lands).  The range of a piece inside the rank's own span is
+    not read, not sent to itself and not rewritten; the segment is the
+    extent list of :meth:`SegmentLayout.extents`.  The phase's disk
+    traffic is 2 x (bytes that change rank) — o(N) on randomized input,
+    which is what makes the sort two passes, 4N + o(N).
 
-    Returns ``(seg_len, block_first_keys)``: the per-run segment lengths
-    of this rank, and — for free, harvested from the arriving chunks at
-    the merge's block boundaries — the smallest key of every merge-phase
-    block of every segment.  That is exactly the prediction sequence the
-    merge's optimal prefetch schedule (Appendix A) needs, obtained with
-    zero extra I/O because every segment byte passes through this phase
-    anyway.
+    Returns ``(segments, first_keys)``: per run the segment's extents
+    and the first key of every unit :func:`read_units` cuts them into —
+    the merge's prediction sequence (Appendix A).  Slab units are
+    harvested from the arriving chunks and kept units come from the
+    block-first keys run formation recorded, both with zero I/O; only a
+    kept range that starts inside a block leaves its first key unknown
+    (``None``), for the merge to find with one single-record index read.
 
     With ``job.prefetch_blocks > 0`` the piece reads feeding the send
     stream run on background threads (the send order is the prediction
     sequence of this phase, so :func:`sequential_fetch_order` applies);
-    with ``job.write_behind_blocks > 0`` the positioned segment writes
-    are deferred to a writer thread and flushed before the pieces are
-    deleted.
+    with ``job.write_behind_blocks > 0`` the positioned slab writes are
+    deferred to a writer thread and flushed before the phase ends.
     """
     job, comm, store, rank = ctx.job, ctx.comm, ctx.store, ctx.rank
     n_workers = job.n_workers
     block = job.block_records
+    read_before = store.bytes_read.get(TAG_A2A, 0)
+    written_before = store.bytes_written.get(TAG_A2A, 0)
 
-    # Receiver layout: for run r my segment is [splits[rank][r],
-    # splits[rank+1][r]); sender j contributes its piece's overlap, placed
-    # after the contributions of senders 0..j-1 (global order).
-    seg_base: List[List[int]] = []
-    seg_len: List[int] = []
-    for r, run in enumerate(runs):
-        seg_lo, seg_hi = splits[rank][r], splits[rank + 1][r]
-        bases, acc = [], 0
-        for j in range(n_workers):
-            piece_lo = run.offsets[j]
-            piece_hi = piece_lo + run.pieces[j].n_records
-            overlap = max(0, min(seg_hi, piece_hi) - max(seg_lo, piece_lo))
-            bases.append(acc)
-            acc += overlap
-        seg_base.append(bases)
-        seg_len.append(acc)
-        if acc != seg_hi - seg_lo:
-            raise AssertionError(
-                f"run {r}: segment layout {acc} != splitter span {seg_hi - seg_lo}"
-            )
+    # Receiver side: sender j's records land in the run's slab behind
+    # those of senders 0..j-1 (global order), own rank skipped.
+    layouts, slab_base = segment_layouts(runs, splits, rank)
 
     # Resume bookkeeping: the contiguous chunk count already delivered
     # per (run, sender) channel, agreed across all ranks so every sender
@@ -591,26 +723,33 @@ def all_to_all(
     # identical on every rank.
     journal = ctx.journal
     marks: Dict[Tuple[int, int], int] = {}
-    first_keys: List[Dict[int, int]] = [dict() for _ in runs]
+    #: Per run, slab record position -> key of the record there, for the
+    #: positions where a read unit of the slab starts.
+    slab_keys: List[Dict[int, int]] = [dict() for _ in runs]
     if journal is not None and job.epoch > 0 and ctx.resume is not None:
         marks = dict(ctx.resume.a2a_marks)
-        for (r, b), key in ctx.resume.a2a_first_keys.items():
-            if r < len(first_keys):
-                first_keys[r][b] = key
+        for (r, pos), key in ctx.resume.a2a_first_keys.items():
+            if r < len(slab_keys):
+                slab_keys[r][pos] = key
     all_marks: Optional[List[Dict[Tuple[int, int], int]]] = None
     if journal is not None:
         gathered = comm.allgather([[r, s, c] for (r, s), c in marks.items()])
         all_marks = [
             {(r, s): c for r, s, c in entry} for entry in gathered
         ]
+    held = sum(
+        min(chunks * block, slab_base[r][sender + 1] - slab_base[r][sender])
+        for (r, sender), chunks in marks.items()
+    )
 
-    handles = []
-    for r in range(len(runs)):
-        path = store.segment_path(r)
-        # preallocate is size-idempotent: on resume the bytes delivered
-        # before the restart survive in place.
-        store.preallocate(path, seg_len[r])
-        handles.append(open(path, "r+b"))
+    handles: Dict[int, object] = {}
+    for r, layout in enumerate(layouts):
+        if layout.lower + layout.upper:
+            path = store.slab_path(r)
+            # preallocate is size-idempotent: on resume the bytes
+            # delivered before the restart survive in place.
+            store.preallocate(path, layout.lower + layout.upper)
+            handles[r] = open(path, "r+b")
 
     # The exact (run, piece-offset, count) read sequence of the send
     # stream, precomputed so a prefetcher can run ahead of the pipes.
@@ -620,11 +759,10 @@ def all_to_all(
     send_plan: List[Tuple[int, int, int, int, int]] = []  # (dest, run, k, start, count)
     skipped = 0
     for r, run in enumerate(runs):
-        my_off = run.offsets[rank]
-        my_len = run.pieces[rank].n_records
         for dest in range(n_workers):
-            lo = max(0, splits[dest][r] - my_off)
-            hi = min(my_len, splits[dest + 1][r] - my_off)
+            if dest == rank:
+                continue
+            lo, hi = piece_slice(run, splits, r, rank, dest)
             for chunk_k, s in enumerate(range(lo, hi, block)):
                 if (
                     all_marks is not None
@@ -667,45 +805,48 @@ def all_to_all(
             yield dest, ("a2a", r, chunk_k, bytes_view(chunk))
 
     # Harvest the merge's prediction sequence from the arriving bytes:
-    # each chunk lands at a known record offset of the segment, so every
-    # merge-block boundary it covers yields that block's first key.
-    # ``first_keys`` was preloaded above with keys journaled before a
+    # each chunk lands at a known record offset of the slab, so every
+    # read-unit start it covers (the slab's block grid, plus the first
+    # record from a higher rank) yields that unit's first key.
+    # ``slab_keys`` was preloaded above with keys journaled before a
     # restart (their chunks are skipped and never re-arrive).
     chaos = getattr(job, "chaos", None)
     chunk_hook = getattr(chaos, "on_a2a_chunk", None)
     watermark_every = max(1, int(getattr(job, "a2a_checkpoint_chunks", 8)))
     new_keys: Dict[Tuple[int, int], int] = {}
     arrivals = 0
+    received = 0
 
     def flush_watermark() -> None:
-        # Durability order matters: segment bytes first, then the marks
+        # Durability order matters: slab bytes first, then the marks
         # that claim them.  A crash between the two only under-claims —
         # the unclaimed chunks are simply re-sent and rewritten in place.
-        for handle in handles:
+        for handle in handles.values():
             handle.flush()
             os.fsync(handle.fileno())
         journal.a2a_mark(marks, new_keys)
         new_keys.clear()
 
     def on_chunk(peer: int, payload: tuple) -> None:
-        nonlocal arrivals
+        nonlocal arrivals, received
         kind, r, k, buf = payload
-        assert kind == "a2a"
-        offset = seg_base[r][peer] + k * block
+        assert kind == "a2a" and peer != rank
+        offset = slab_base[r][peer] + k * block
         n_recs = len(buf) // RECORD_BYTES
-        first_block = -(-offset // block)  # first block starting in the chunk
-        for b in range(first_block, (offset + n_recs + block - 1) // block):
-            pos = b * block
-            if pos < offset + n_recs:
-                key = struct.unpack_from("<Q", buf, (pos - offset) * RECORD_BYTES)[0]
-                first_keys[r][b] = key
-                if journal is not None:
-                    new_keys[(r, b)] = key
+        starts = list(range(-(-offset // block) * block, offset + n_recs, block))
+        if offset <= layouts[r].lower < offset + n_recs:
+            starts.append(layouts[r].lower)
+        for pos in starts:
+            key = struct.unpack_from("<Q", buf, (pos - offset) * RECORD_BYTES)[0]
+            slab_keys[r][pos] = key
+            if journal is not None:
+                new_keys[(r, pos)] = key
         if wb is not None:
             wb.write_at(handles[r], offset, buf)
         else:
             store.write_at(handles[r], offset, buf, TAG_A2A)
         arrivals += 1
+        received += n_recs
         if journal is not None:
             # Per-channel FIFO + ascending k per (run, dest) make k+1 the
             # contiguous delivered count for this channel.
@@ -729,35 +870,60 @@ def all_to_all(
             prefetcher.close()
         if wb is not None:  # error path
             wb.close(raise_error=False)
-    for handle in handles:
-        handle.close()
+        for handle in handles.values():
+            handle.close()
 
-    block_first_keys: List[List[int]] = []
-    for r in range(len(runs)):
-        n_blocks = -(-seg_len[r] // block)
-        if len(first_keys[r]) != n_blocks:
-            raise AssertionError(
-                f"run {r}: harvested {len(first_keys[r])} block keys, "
-                f"expected {n_blocks}"
-            )
-        block_first_keys.append([first_keys[r][b] for b in range(n_blocks)])
+    # The volume identities, checked on every run, not only under the
+    # conformance harness: everything this rank's spans need is either
+    # kept or received, and the phase read exactly what it sent and
+    # wrote exactly what arrived — the kept ranges were never touched.
+    moved_in = sum(layout.lower + layout.upper for layout in layouts)
+    sent = sum(count for _d, _r, _k, _s, count in send_plan)
+    read = store.bytes_read.get(TAG_A2A, 0) - read_before
+    written = store.bytes_written.get(TAG_A2A, 0) - written_before
+    if (
+        held + received != moved_in
+        or read != sent * RECORD_BYTES
+        or written != received * RECORD_BYTES
+    ):
+        raise AssertionError(
+            f"rank {rank}: all-to-all volume identity broken: received "
+            f"{received} (+{held} held from before a restart) of {moved_in} "
+            f"records due; read {read} bytes for {sent} records sent, wrote "
+            f"{written} bytes for {received} records received"
+        )
+    kept = sum(layout.kept for layout in layouts)
+    ctx.stats.add_counter("a2a_kept_bytes", float(kept * RECORD_BYTES))
+
+    segments = [layout.extents(store, r) for r, layout in enumerate(layouts)]
+    first_keys: List[List[Optional[int]]] = []
+    for r, extents in enumerate(segments):
+        slab = store.slab_path(r)
+        piece_keys = ctx.piece_first_keys[r]
+        keys: List[Optional[int]] = []
+        for path, start, _count in read_units(extents, block):
+            if path == slab:
+                if start not in slab_keys[r]:
+                    raise AssertionError(
+                        f"run {r}: no first key harvested for the slab "
+                        f"unit at record {start}"
+                    )
+                keys.append(slab_keys[r][start])
+            elif start % block == 0:
+                keys.append(int(piece_keys[start // block]))
+            else:
+                keys.append(None)
+        first_keys.append(keys)
 
     if journal is not None:
-        # Completion is journaled *before* the pieces are reclaimed: a
-        # crash after this line resumes past the phase and never needs
-        # them; a crash before it still finds every piece in place.
-        journal.a2a_done(seg_len, block_first_keys)
+        journal.a2a_done(layouts, first_keys)
 
-    # The run pieces have been redistributed; reclaim their disk space
-    # (idempotent: a rerun over a crashed attempt may find some gone).
-    for r in range(len(runs)):
-        store.remove(store.piece_path(r))
     ctx.stats.note_resident(
         (2 + 4 + job.prefetch_blocks + job.write_behind_blocks)
         * block
         * RECORD_BYTES
     )
-    return seg_len, block_first_keys
+    return segments, first_keys
 
 
 # --------------------------------------------------------------- phase 4
@@ -765,61 +931,89 @@ def all_to_all(
 TAG_MERGE = "merge"
 
 
+def _coalesce(units: Sequence[Extent]) -> List[Extent]:
+    """Join units that are adjacent in the same file into single reads."""
+    spans: List[Extent] = []
+    for unit in units:
+        last = spans[-1] if spans else None
+        if (
+            last is not None
+            and last.path == unit.path
+            and last.start + last.count == unit.start
+        ):
+            spans[-1] = Extent(last.path, last.start, last.count + unit.count)
+        else:
+            spans.append(unit)
+    return spans
+
+
+def _read_exactly(store: FileBlockStore, span: Extent) -> np.ndarray:
+    records = store.read_range(span.path, span.start, span.count, TAG_MERGE)
+    if len(records) != span.count:
+        raise IOError(
+            f"{span.path}: short read at record {span.start} "
+            f"({len(records)} of {span.count})"
+        )
+    return records
+
+
 def merge(
     ctx: NativeContext,
-    seg_len: List[int],
-    block_first_keys: Optional[List[List[int]]] = None,
+    segments: List[List[Extent]],
+    first_keys: Optional[List[List[Optional[int]]]] = None,
 ) -> OutputMeta:
-    """Phase 4: R-way merge of the segment files into the final output.
+    """Phase 4: R-way merge of the segments into the final output.
 
     A prediction-sequence batch merge (paper Section III / Appendix A;
-    Hagerup's Guidesort is the same idea).  The guide is every segment
-    block's ``(first_key, run, block)`` triple in sorted order — the
-    order the merge needs the blocks in, known in advance because the
-    all-to-all harvested the first keys for free.  Each round loads the
-    next G blocks of the guide with one coalesced read per run, cuts
-    every run's buffered records against the first triple still on disk,
-    ``(k*, r*, b*)``: runs ``r <= r*`` give up their keys ``<= k*``, runs
+    Hagerup's Guidesort is the same idea).  A segment is an extent list
+    (:class:`SegmentLayout`); :func:`read_units` cuts it into units of at
+    most one block, and the guide is every unit's ``(first_key, run,
+    unit)`` triple in sorted order — the order the merge needs them in,
+    known in advance because the all-to-all and run formation harvested
+    the first keys for free.  Each round loads the next G units of the
+    guide with one coalesced read per run and extent, cuts every run's
+    buffered records against the first triple still on disk,
+    ``(k*, r*, u*)``: runs ``r <= r*`` give up their keys ``<= k*``, runs
     ``r > r*`` their keys ``< k*`` — exactly the records that precede
     everything unread in (key, run, position) order.  The cuts are
     concatenated in run order, stable-sorted once and emitted once, so
-    the output is the stable merge of the segments whatever B and G are.
-    What a run keeps (the carry) lies in its last loaded block, because
-    that block's own triple already sorted below ``(k*, r*, b*)``.
+    the output is the stable merge of the segments however they are cut
+    into extents, blocks and batches.  What a run keeps (the carry) lies
+    in its last loaded unit, because that unit's own triple already
+    sorted below ``(k*, r*, u*)``.
 
     G is ``piece_blocks - R`` (at least one): batch plus carry never
     exceed the M/3 chunk run formation sorts.  Verification happens in
     stream: sortedness, count, first/last key and the valsort checksum
     are computed as the output is written.
 
+    A first key the caller does not know (``None``; all of them when
+    ``first_keys`` is omitted) is probed with a single-record read under
+    the ``merge:index`` tag — bookkeeping, charged like a varlen index so
+    the phase's data bytes stay exactly the segment bytes.  After a real
+    all-to-all that is at most one probe per run: the kept range's first
+    unit, when it starts inside a block.
+
     With ``job.prefetch_blocks > 0`` background threads fetch the guide's
-    blocks ahead of the merge (the guide *is* the consumption order, so
+    units ahead of the merge (the guide *is* the consumption order, so
     :func:`sequential_fetch_order` applies); output writes go through a
     bounded write-behind buffer when ``job.write_behind_blocks > 0``.
     Both layers are bitwise-transparent.
     """
     job, store, rank = ctx.job, ctx.store, ctx.rank
     block = job.block_records
-    paths = [store.segment_path(r) for r in range(len(seg_len))]
-    if block_first_keys is None:
-        # Standalone call, nothing harvested: probe each block's first
-        # record.  Bookkeeping reads, charged like a varlen index so the
-        # phase's data bytes stay exactly the segment bytes.
-        block_first_keys = [
-            [
-                int(store.read_range(
-                    paths[r], start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
+    units = [read_units(extents, block) for extents in segments]
+    guide = []
+    for r, run_units in enumerate(units):
+        for u, (path, start, _count) in enumerate(run_units):
+            key = first_keys[r][u] if first_keys is not None else None
+            if key is None:
+                key = int(store.read_range(
+                    path, start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
                 )["key"][0])
-                for start in range(0, n, block)
-            ]
-            for r, n in enumerate(seg_len)
-        ]
-    guide = sorted(
-        (key, r, b)
-        for r, keys in enumerate(block_first_keys)
-        for b, key in enumerate(keys)
-    )
-    per_round = max(1, job.piece_blocks - len(seg_len))
+            guide.append((key, r, u))
+    guide.sort()
+    per_round = max(1, job.piece_blocks - len(segments))
 
     out_path = store.output_path()
     checksum = 0
@@ -836,12 +1030,9 @@ def merge(
         if job.prefetch_blocks > 0 and guide:
             prefetcher = Prefetcher(
                 store,
-                [
-                    (paths[r], b * block, min(block, seg_len[r] - b * block))
-                    for _key, r, b in guide
-                ],
+                [tuple(units[r][u]) for _key, r, u in guide],
                 sequential_fetch_order(
-                    [r for _key, r, _b in guide], job.prefetch_blocks
+                    [r for _key, r, _u in guide], job.prefetch_blocks
                 ),
                 TAG_MERGE, job.prefetch_blocks, stats=ctx.stats,
             )
@@ -892,13 +1083,17 @@ def merge(
                             prefetcher.get(idx)
                         )
                 else:
-                    # First keys ascend within a run, so a run's blocks
-                    # of this batch are consecutive: one coalesced read.
+                    # First keys ascend within a run, so a run's units
+                    # of this batch are consecutive: one coalesced read
+                    # per extent they touch.
                     wanted: Dict[int, List[int]] = {}
-                    for _key, r, b in guide[lo:hi]:
-                        wanted.setdefault(r, []).append(b)
+                    for _key, r, u in guide[lo:hi]:
+                        wanted.setdefault(r, []).append(u)
                     for r, ids in wanted.items():
-                        fresh[r] = [store.read_blocks(paths[r], ids, TAG_MERGE)]
+                        fresh[r] = [
+                            _read_exactly(store, span)
+                            for span in _coalesce(units[r][ids[0] : ids[-1] + 1])
+                        ]
 
                 bound = guide[hi] if hi < len(guide) else None
                 parts: List[np.ndarray] = []
@@ -952,9 +1147,10 @@ def merge(
         sorted_ok=sorted_ok,
     )
     if journal is not None:
-        # Journal completion before reclaiming the segments (same
-        # ordering argument as the all-to-all): a resume after this
-        # record restores the output metadata without touching a byte.
+        # Journal completion before reclaiming the pieces and slabs: a
+        # crash after this record restores the output metadata without
+        # touching a byte; a crash before it still finds every extent
+        # in place.
         journal.merge_done({
             "rank": meta.rank,
             "path": meta.path,
@@ -964,6 +1160,5 @@ def merge(
             "checksum": meta.checksum,
             "sorted_ok": meta.sorted_ok,
         })
-    for path in paths:
-        store.remove(path)
+    reclaim_segments(store, len(segments))
     return meta

@@ -32,6 +32,9 @@ class WorkerStats:
     #: Phase -> bytes read / written through the block store.
     bytes_read: Dict[str, int] = field(default_factory=dict)
     bytes_written: Dict[str, int] = field(default_factory=dict)
+    #: Phase -> read / write *operations* issued to the block store.
+    read_ops: Dict[str, int] = field(default_factory=dict)
+    write_ops: Dict[str, int] = field(default_factory=dict)
     #: Phase -> seconds the phase's *main thread* spent blocked on I/O
     #: (synchronous reads/writes, prefetch waits, write-behind backpressure).
     #: Background pipeline threads never count here — their I/O time is
@@ -46,8 +49,9 @@ class WorkerStats:
     #: PEs (the wire; self-delivered exchange chunks excluded).
     comm_wire_sent: Dict[str, int] = field(default_factory=dict)
     comm_wire_recv: Dict[str, int] = field(default_factory=dict)
-    #: Phase -> payload bytes the exchange delivered to *itself* (the
-    #: locally kept share; wire + local = the phase's full data volume).
+    #: Phase -> payload bytes an exchange delivered to *itself* (run
+    #: formation's in-run exchange; the all-to-all keeps its local share
+    #: on disk and self-delivers nothing — see ``a2a_kept_bytes``).
     comm_local_bytes: Dict[str, int] = field(default_factory=dict)
     #: Peer rank -> payload bytes sent to / received from that peer.
     comm_peer_sent: Dict[int, int] = field(default_factory=dict)
@@ -169,11 +173,13 @@ class NativeStats:
         return sum(w.comm_local_bytes.get(phase, 0) for w in self.workers)
 
     def wire_volume(self, phase: str) -> int:
-        """Full data volume a phase moved: wire sends + local deliveries.
+        """Data volume a phase's exchanges moved: wire sends + local
+        deliveries.
 
-        For the all-to-all this is the paper's N: on balanced inputs it
-        equals ``total_records * record_bytes`` exactly, of which the
-        wire part is N·(P-1)/P and the local part N/P.
+        For the all-to-all this is only what changed rank (it delivers
+        nothing to itself): ``wire_volume("all_to_all") +
+        counter_total("a2a_kept_bytes") == total_bytes`` for fixed
+        records, and ``phase_bytes("all_to_all")`` is twice it.
         """
         return self.wire_sent(phase) + self.local_bytes(phase)
 
@@ -260,6 +266,8 @@ class NativeStats:
                     "walls": dict(w.walls),
                     "bytes_read": dict(w.bytes_read),
                     "bytes_written": dict(w.bytes_written),
+                    "read_ops": dict(w.read_ops),
+                    "write_ops": dict(w.write_ops),
                     "io_stall_s": dict(w.io_stall_s),
                     "counters": dict(w.counters),
                     "comm_bytes_sent": w.comm_bytes_sent,
@@ -300,8 +308,8 @@ class NativeStats:
         a2a = self.wire_volume("all_to_all")
         lines.append(
             f"  interconnect   {self.network_bytes / 2**20:9.1f} MiB; "
-            f"all-to-all volume {a2a / 2**20:.1f} MiB "
-            f"({a2a / self.total_bytes:.2f}x N); "
+            f"all-to-all moved {a2a / 2**20:.1f} MiB "
+            f"({a2a / self.total_bytes:.2f}x N, the rest stayed in place); "
             f"peak resident {self.peak_resident_bytes / 2**20:.1f} MiB/worker"
         )
         if self.socket_bytes_sent:

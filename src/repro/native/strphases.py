@@ -26,7 +26,7 @@ Splitter ranks stay *record-count* ranks (rank i owns records
 ``[i*N/P, (i+1)*N/P)`` of the sorted order, exactly the fixed-model
 contract, so the oracle's exact-rank cut carries over); byte-rank
 bookkeeping appears where the fixed code used ``pos * RECORD_BYTES`` —
-segment placement, boundary harvesting, conservation — via the offset
+slab placement, boundary harvesting, conservation — via the offset
 arrays the senders ship along with each chunk.
 
 String jobs do not (yet) support checkpoint/recovery, pipelined I/O, or
@@ -54,6 +54,9 @@ from .phases import (
     NativeRun,
     OutputMeta,
     _chunk_schedule,
+    piece_slice,
+    reclaim_segments,
+    segment_layouts,
 )
 from .records import (
     VarlenBatch,
@@ -409,103 +412,97 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
 
 # --------------------------------------------------------------- phase 3
 
+#: One part of a string segment: a file, plus the byte offsets of the
+#: part's record boundaries *in that file* (``n + 1`` of them).
+SegmentPart = Tuple[str, np.ndarray]
+
 
 def all_to_all(
     ctx: NativeContext, runs: List[NativeRun], splits: List[List[int]]
-) -> Tuple[List[int], List[np.ndarray]]:
-    """Phase 3: the string all-to-all, disk → wire → disk, prefix-trimmed.
+) -> Tuple[List[List[SegmentPart]], None]:
+    """Phase 3: the in-place string all-to-all, prefix-trimmed on the wire.
 
-    Record-space layout (who owns which records of which run) is the
-    fixed phase verbatim; bytes need one extra agreement round — an
-    allgather of each sender's per-(run, dest) slice byte sizes — so
+    Record-space layout (who keeps and who ships which records of which
+    run) is the fixed phase's :func:`~repro.native.phases.segment_layouts`
+    verbatim: only the ranges of a piece inside *another* rank's span are
+    read, sent and written; the range inside the rank's own span stays
+    in the piece file, untouched.  Bytes need one extra agreement round —
+    an allgather of each sender's per-(run, dest) slice byte sizes — so
     every receiver can precompute exact byte bases per channel and place
-    arrivals positionally, preserving the no-post-hoc-sort property.
-    Chunks travel LCP front-coded; each carries its record and byte
-    offset *within its channel*, and the receiver rebuilds the segment's
-    record-boundary offsets as the bytes land (the varlen analogue of
-    the fixed phase's free prediction-key harvest).
+    arrivals positionally in the run's slab file.  Chunks travel LCP
+    front-coded; each carries its record and byte offset *within its
+    channel*, and the receiver rebuilds the slab's record-boundary
+    offsets as the bytes land.
 
-    Returns ``(seg_len, seg_bounds)``: per-run record counts and the
-    per-run record-boundary byte-offset arrays of this rank's segments.
+    Returns ``(segments, None)``: per run the segment as at most three
+    parts in run order — lower slab, kept piece range (its boundaries
+    are a slice of the piece's ``.idx``, which this phase loads anyway),
+    upper slab.  (The second slot is the fixed phase's prediction
+    sequence; the string merge streams and needs none.)
     """
     job, comm, store, rank = ctx.job, ctx.comm, ctx.store, ctx.rank
     n_workers = job.n_workers
     block = job.block_records
+    read_before = store.bytes_read.get(TAG_A2A, 0)
+    written_before = store.bytes_written.get(TAG_A2A, 0)
 
-    # Record-space receiver layout — identical to the fixed phase.
-    seg_base: List[List[int]] = []
-    seg_len: List[int] = []
-    for r, run in enumerate(runs):
-        seg_lo, seg_hi = splits[rank][r], splits[rank + 1][r]
-        bases, acc = [], 0
-        for j in range(n_workers):
-            piece_lo = run.offsets[j]
-            piece_hi = piece_lo + run.pieces[j].n_records
-            overlap = max(0, min(seg_hi, piece_hi) - max(seg_lo, piece_lo))
-            bases.append(acc)
-            acc += overlap
-        seg_base.append(bases)
-        seg_len.append(acc)
-        if acc != seg_hi - seg_lo:
-            raise AssertionError(
-                f"run {r}: segment layout {acc} != splitter span "
-                f"{seg_hi - seg_lo}"
-            )
+    layouts, slab_base = segment_layouts(runs, splits, rank)
 
     # Byte-space agreement: every sender publishes the encoded byte size
     # of its piece slice per (run, dest); receivers prefix-sum their
-    # column into exact per-channel byte bases.
-    offs_by_run: Dict[int, np.ndarray] = {}
-    my_sizes: List[List[int]] = [[0] * n_workers for _ in runs]
+    # column (own entry skipped: kept bytes never move) into exact
+    # per-channel byte bases.
+    offs_by_run: List[np.ndarray] = []
+    my_sizes: List[List[int]] = []
     for r, run in enumerate(runs):
         offs = store.varlen_offsets(store.piece_path(r), TAG_A2A)
-        offs_by_run[r] = offs
-        my_off = run.offsets[rank]
-        my_len = run.pieces[rank].n_records
-        for dest in range(n_workers):
-            lo = max(0, min(splits[dest][r] - my_off, my_len))
-            hi = max(lo, min(my_len, splits[dest + 1][r] - my_off))
-            my_sizes[r][dest] = int(offs[hi] - offs[lo])
+        offs_by_run.append(offs)
+        slices = [
+            piece_slice(run, splits, r, rank, dest) for dest in range(n_workers)
+        ]
+        my_sizes.append([int(offs[hi] - offs[lo]) for lo, hi in slices])
     all_sizes: List[List[List[int]]] = comm.allgather(my_sizes)
 
-    seg_base_bytes: List[List[int]] = []
-    seg_bytes: List[int] = []
+    slab_base_bytes: List[List[int]] = []
+    slab_bytes: List[int] = []
     for r in range(len(runs)):
         bases, acc = [], 0
         for j in range(n_workers):
             bases.append(acc)
-            acc += all_sizes[j][r][rank]
-        seg_base_bytes.append(bases)
-        seg_bytes.append(acc)
+            if j != rank:
+                acc += all_sizes[j][r][rank]
+        slab_base_bytes.append(bases)
+        slab_bytes.append(acc)
 
-    handles = []
-    seg_bounds: List[np.ndarray] = []
-    for r in range(len(runs)):
-        path = store.segment_path(r)
-        store.preallocate_bytes(path, seg_bytes[r])
-        handles.append(open(path, "r+b"))
-        bounds = np.full(seg_len[r] + 1, -1, dtype=np.int64)
+    handles: Dict[int, object] = {}
+    slab_bounds: List[np.ndarray] = []
+    for r, layout in enumerate(layouts):
+        bounds = np.full(layout.lower + layout.upper + 1, -1, dtype=np.int64)
         bounds[0] = 0
-        seg_bounds.append(bounds)
+        slab_bounds.append(bounds)
+        if len(bounds) > 1:
+            path = store.slab_path(r)
+            store.preallocate_bytes(path, slab_bytes[r])
+            handles[r] = open(path, "r+b")
 
-    # (dest, run, chunk_k, piece-local start, count, channel-local lo)
-    send_plan: List[Tuple[int, int, int, int, int, int]] = []
+    # (dest, run, piece-local start, count, channel-local lo)
+    send_plan: List[Tuple[int, int, int, int, int]] = []
     for r, run in enumerate(runs):
-        my_off = run.offsets[rank]
-        my_len = run.pieces[rank].n_records
         for dest in range(n_workers):
-            lo = max(0, splits[dest][r] - my_off)
-            hi = min(my_len, splits[dest + 1][r] - my_off)
-            for chunk_k, s in enumerate(range(lo, hi, block)):
-                send_plan.append(
-                    (dest, r, chunk_k, s, min(block, hi - s), lo)
-                )
+            if dest == rank:
+                continue
+            lo, hi = piece_slice(run, splits, r, rank, dest)
+            for s in range(lo, hi, block):
+                send_plan.append((dest, r, s, min(block, hi - s), lo))
+
+    sent_bytes = 0
 
     def outgoing():
-        for dest, r, chunk_k, s, count, lo in send_plan:
+        nonlocal sent_bytes
+        for dest, r, s, count, lo in send_plan:
+            offs = offs_by_run[r]
             chunk = store.read_varlen_range(
-                store.piece_path(r), s, count, TAG_A2A,
-                offsets=offs_by_run[r],
+                store.piece_path(r), s, count, TAG_A2A, offsets=offs
             )
             wire, saved = lcp_encode_batch(chunk)
             _count_lcp(
@@ -515,48 +512,65 @@ def all_to_all(
                 overhead=4 + 4 * len(chunk),
                 trimmed=saved,
             )
-            offs = offs_by_run[r]
-            byte_off = int(offs[s] - offs[lo])
+            sent_bytes += chunk.nbytes
             ctx.stats.note_resident(2 * chunk.nbytes)
-            yield dest, ("sa2a", r, s - lo, byte_off, wire)
+            yield dest, ("sa2a", r, s - lo, int(offs[s] - offs[lo]), wire)
 
     def on_chunk(peer: int, payload: tuple) -> None:
         kind, r, rec_off, byte_off, buf = payload
-        assert kind == "sa2a"
+        assert kind == "sa2a" and peer != rank
         arrived = lcp_decode_batch(buf)
-        base_rec = seg_base[r][peer]
-        base_byte = seg_base_bytes[r][peer]
-        store.write_at_bytes(
-            handles[r], base_byte + byte_off, arrived.bytes_view(), TAG_A2A
+        start = slab_base_bytes[r][peer] + byte_off
+        store.write_at_bytes(handles[r], start, arrived.bytes_view(), TAG_A2A)
+        g = slab_base[r][peer] + rec_off
+        slab_bounds[r][g + 1 : g + 1 + len(arrived)] = (
+            start + arrived.offsets[1:]
         )
-        bounds = seg_bounds[r]
-        g = base_rec + rec_off
-        start = base_byte + byte_off
-        for i in range(len(arrived)):
-            bounds[g + i + 1] = start + int(arrived.offsets[i + 1])
         ctx.stats.note_resident(2 * arrived.nbytes)
 
     try:
         comm.exchange(outgoing(), on_chunk)
     finally:
-        for handle in handles:
+        for handle in handles.values():
             handle.close()
 
-    for r in range(len(runs)):
-        bounds = seg_bounds[r]
-        if len(bounds) > 1 and (
-            bool(np.any(bounds[1:] < 0))
-            or int(bounds[-1]) != seg_bytes[r]
+    for r, bounds in enumerate(slab_bounds):
+        if (
+            bool(np.any(bounds < 0))
+            or int(bounds[-1]) != slab_bytes[r]
             or bool(np.any(np.diff(bounds) < 0))
         ):
             raise AssertionError(
-                f"run {r}: segment boundary reconstruction incomplete "
-                f"({int(bounds[-1])} of {seg_bytes[r]} bytes claimed)"
+                f"run {r}: slab boundary reconstruction incomplete "
+                f"({int(bounds[-1])} of {slab_bytes[r]} bytes claimed)"
             )
 
-    for r in range(len(runs)):
-        store.remove(store.piece_path(r))
-    return seg_len, seg_bounds
+    # The volume identities, checked on every run (cf. the fixed phase):
+    # read exactly what was sent, wrote exactly what arrived — the kept
+    # ranges were never touched.
+    read = store.bytes_read.get(TAG_A2A, 0) - read_before
+    written = store.bytes_written.get(TAG_A2A, 0) - written_before
+    if read != sent_bytes or written != sum(slab_bytes):
+        raise AssertionError(
+            f"rank {rank}: all-to-all volume identity broken: read {read} "
+            f"bytes for {sent_bytes} sent, wrote {written} bytes for "
+            f"{sum(slab_bytes)} due"
+        )
+    ctx.stats.add_counter(
+        "a2a_kept_bytes", float(sum(sizes[rank] for sizes in my_sizes))
+    )
+
+    segments: List[List[SegmentPart]] = []
+    for r, layout in enumerate(layouts):
+        slab, bounds = store.slab_path(r), slab_bounds[r]
+        keep_stop = layout.keep_start + layout.kept
+        parts = (
+            (slab, bounds[: layout.lower + 1]),
+            (store.piece_path(r), offs_by_run[r][layout.keep_start : keep_stop + 1]),
+            (slab, bounds[layout.lower :]),
+        )
+        segments.append([part for part in parts if len(part[1]) > 1])
+    return segments, None
 
 
 # --------------------------------------------------------------- phase 4
@@ -564,36 +578,44 @@ def all_to_all(
 
 class _SegmentReader:
     """Stream one varlen segment block-of-records by block (cf.
-    SequentialReader), addressed through its in-memory boundary array."""
+    SequentialReader) through the chain of its parts.  A block is
+    ``block`` records of the *segment*, so where the blocks are cut does
+    not depend on where the parts meet."""
 
-    def __init__(self, store, path: str, bounds: np.ndarray, block: int):
+    def __init__(self, store, parts: List[SegmentPart], block: int):
         self.store = store
-        self.path = path
-        self.bounds = bounds
+        self.parts = parts
         self.block = block
-        self.n_records = len(bounds) - 1
-        self.pos = 0
+        self.part = 0   # index of the part being read
+        self.pos = 0    # records of that part already read
 
     def next_block(self) -> Optional[VarlenBatch]:
-        if self.pos >= self.n_records:
+        pieces: List[VarlenBatch] = []
+        want = self.block
+        while want and self.part < len(self.parts):
+            path, bounds = self.parts[self.part]
+            count = min(want, len(bounds) - 1 - self.pos)
+            pieces.append(self.store.read_varlen_range(
+                path, self.pos, count, TAG_MERGE, offsets=bounds
+            ))
+            if len(pieces[-1]) != count:
+                raise IOError(
+                    f"{path}: short read at record {self.pos} "
+                    f"({len(pieces[-1])} of {count})"
+                )
+            want -= count
+            self.pos += count
+            if self.pos == len(bounds) - 1:
+                self.part, self.pos = self.part + 1, 0
+        if not pieces:
             return None
-        count = min(self.block, self.n_records - self.pos)
-        out = self.store.read_varlen_range(
-            self.path, self.pos, count, TAG_MERGE, offsets=self.bounds
-        )
-        if len(out) != count:
-            raise IOError(
-                f"{self.path}: short read at record {self.pos} "
-                f"({len(out)} of {count})"
-            )
-        self.pos += count
-        return out
+        return pieces[0] if len(pieces) == 1 else VarlenBatch.concat(pieces)
 
 
 def merge(
     ctx: NativeContext,
-    seg_len: List[int],
-    seg_bounds: List[np.ndarray],
+    segments: List[List[SegmentPart]],
+    _first_keys: None = None,
 ) -> OutputMeta:
     """Phase 4: R-way streaming merge of the string segments.
 
@@ -606,10 +628,7 @@ def merge(
     job, store, rank = ctx.job, ctx.store, ctx.rank
     block = job.block_records
 
-    readers = [
-        _SegmentReader(store, store.segment_path(r), seg_bounds[r], block)
-        for r in range(len(seg_len))
-    ]
+    readers = [_SegmentReader(store, parts, block) for parts in segments]
 
     out_path = store.output_path()
     checksum = 0
@@ -700,7 +719,6 @@ def merge(
         checksum=checksum,
         sorted_ok=sorted_ok,
     )
-    for r in range(len(seg_len)):
-        store.remove(store.segment_path(r))
-    ctx.stats.add_counter("merge_arity", float(len(seg_len)))
+    reclaim_segments(store, len(segments))
+    ctx.stats.add_counter("merge_arity", float(len(segments)))
     return meta

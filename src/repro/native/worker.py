@@ -39,6 +39,8 @@ from .job import NativeJob
 from .phases import (
     NativeContext,
     OutputMeta,
+    SegmentLayout,
+    reclaim_segments,
     restore_runs,
     verify_restored_pieces,
 )
@@ -141,9 +143,11 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
             if global_done >= 1:
                 runs = restore_runs(ctx, resume)
                 if rank in getattr(job, "suspect_ranks", ()) and global_done <= 2:
-                    # Pieces are still an input (selection probes and the
-                    # all-to-all read them): a suspect rank must prove its
-                    # retained blocks survived the failure.
+                    # Pieces are still being read by peers (selection
+                    # probes, the all-to-all's sends): a suspect rank
+                    # must prove its retained blocks survived the
+                    # failure.  Past a2a_done only the rank itself reads
+                    # them, and a resume there re-reads nothing.
                     verify_restored_pieces(
                         ctx,
                         [resume.rf_runs[r] for r in range(len(resume.rf_runs))],
@@ -166,17 +170,19 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         at("before:all_to_all")
         with PhaseClock(stats, "all_to_all"):
             if global_done >= 3:
-                seg_len = [int(x) for x in resume.a2a_seg_len]
-                block_first_keys = [
-                    list(keys) for keys in resume.a2a_block_first_keys
+                # The extent table and the guide come straight from the
+                # journal; pieces and slabs stay where they are — they
+                # are the merge's input — so nothing is read here.
+                segments = [
+                    SegmentLayout(*row).extents(store, r)
+                    for r, row in enumerate(resume.a2a_layout)
+                ]
+                first_keys = [
+                    list(keys) for keys in resume.a2a_unit_first_keys
                 ]
                 stats.add_counter("recovery_phases_restored")
-                # a2a_done is journaled *before* piece teardown, so a
-                # crash in between leaves pieces behind; finish the job.
-                for r in range(len(seg_len)):
-                    store.remove(store.piece_path(r))
             else:
-                seg_len, block_first_keys = fn_all_to_all(ctx, runs, splits)
+                segments, first_keys = fn_all_to_all(ctx, runs, splits)
             comm.barrier()
         at("after:all_to_all")
         comm.set_phase("merge")
@@ -184,18 +190,19 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         with PhaseClock(stats, "merge"):
             # Merge is the one phase restored *per-rank* rather than by
             # the global minimum: it does no communication, and a rank
-            # that ran ahead, finished its merge and tore down its
-            # segments before the failed attempt died has nothing left
-            # to re-merge — its durable OutputMeta is the only truth.
+            # that ran ahead, finished its merge and reclaimed its
+            # pieces and slabs before the failed attempt died has nothing
+            # left to re-merge — its durable OutputMeta is the only truth.
             if global_done >= 4 or (
                 resume is not None and resume.merge_meta is not None
             ):
                 out_meta = OutputMeta(**resume.merge_meta)
                 stats.add_counter("recovery_phases_restored")
-                for r in range(len(seg_len)):
-                    store.remove(store.segment_path(r))
+                # merge_done is journaled *before* the teardown, so a
+                # crash in between leaves pieces and slabs behind.
+                reclaim_segments(store, len(runs))
             else:
-                out_meta = fn_merge(ctx, seg_len, block_first_keys)
+                out_meta = fn_merge(ctx, segments, first_keys)
             comm.barrier()
         at("after:merge")
 
@@ -203,10 +210,10 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         if fenced:
             stats.add_counter("recovery_fenced_frames", float(fenced))
 
-        for phase, nbytes in store.bytes_read.items():
-            stats.bytes_read[phase] = nbytes
-        for phase, nbytes in store.bytes_written.items():
-            stats.bytes_written[phase] = nbytes
+        stats.bytes_read.update(store.bytes_read)
+        stats.bytes_written.update(store.bytes_written)
+        stats.read_ops.update(store.reads)
+        stats.write_ops.update(store.writes)
         stats.comm_bytes_sent = comm.bytes_sent
         stats.comm_bytes_received = comm.bytes_received
         stats.comm_wire_sent = dict(comm.wire_sent)

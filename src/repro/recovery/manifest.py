@@ -3,9 +3,10 @@
 Each native worker appends fsynced JSON records to
 ``manifest_<rank>.jsonl`` inside its spill directory.  The journal is a
 write-ahead log of *completed deterministic facts*: which phases
-finished, the run inventory (with per-block CRCs of the locally stored
-piece files), the chosen splitters, the all-to-all chunk watermarks per
-(run, sender) channel, and the merge output offset.  A record is always
+finished, the run inventory (with per-block CRCs and first keys of the
+locally stored piece files), the chosen splitters, the all-to-all chunk
+watermarks per (run, sender) channel, the segment extent table, and the
+merge output offset.  A record is always
 written *before* the barrier that lets peers advance past the same
 point, so the invariant holds: if any rank passed the barrier after
 phase X, every rank has durably recorded X.
@@ -25,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: Phase indices used for the "highest completed phase" agreement.
 PHASE_INDEX = {
@@ -70,6 +71,19 @@ def job_fingerprint(job) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _run_record(rec: dict) -> dict:
+    """One run's piece inventory, as ``rf_run`` / ``rf_done`` carry it."""
+    return {
+        "run": int(rec["run"]),
+        "n": int(rec["n"]),
+        "samples": [int(s) for s in rec["samples"]],
+        "every": int(rec["every"]),
+        "crcs": [int(c) for c in rec["crcs"]],
+        "first_keys": [int(k) for k in rec["first_keys"]],
+        "checksum": int(rec.get("checksum", 0)),
+    }
+
+
 def _encode_pairs(pairs: Dict[Tuple[int, int], int]) -> Dict[str, int]:
     return {f"{a}:{b}": int(v) for (a, b), v in pairs.items()}
 
@@ -89,18 +103,24 @@ class ResumeState:
     fingerprint: Optional[str] = None
     last_epoch: int = 0
     generate_done: bool = False
-    #: run_id -> {"n", "samples", "every", "crcs", "checksum"} for runs
-    #: whose piece file is durably on disk (mid-run-formation resume).
+    #: run_id -> {"n", "samples", "every", "crcs", "first_keys",
+    #: "checksum"} for runs whose piece file is durably on disk
+    #: (mid-run-formation resume); ``first_keys`` are the piece's
+    #: block-first keys, the merge's guide over the ranges it keeps.
     rf_runs: Dict[int, dict] = field(default_factory=dict)
     rf_done: bool = False
     rf_checksum: int = 0
     selection_splits: Optional[List[List[int]]] = None
     #: (run, sender) -> contiguous chunk count already received.
     a2a_marks: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    #: (run, block) -> first key, harvested before the crash.
+    #: (run, slab record position) -> key, harvested before the crash.
     a2a_first_keys: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    a2a_seg_len: Optional[List[int]] = None
-    a2a_block_first_keys: Optional[List[List[int]]] = None
+    #: Per run ``[lower, keep_start, kept, upper]`` — the extent table
+    #: (``repro.native.phases.SegmentLayout``) of this rank's segments.
+    a2a_layout: Optional[List[List[int]]] = None
+    #: Per run, the first key of every merge read unit (None = unknown,
+    #: re-probed by the merge under its index tag).
+    a2a_unit_first_keys: Optional[List[List[Optional[int]]]] = None
     merge_records_out: int = 0
     merge_meta: Optional[dict] = None
 
@@ -109,7 +129,7 @@ class ResumeState:
         """Highest fully-completed phase index, or -1 for none."""
         if self.merge_meta is not None:
             return PHASE_INDEX["merge"]
-        if self.a2a_seg_len is not None:
+        if self.a2a_layout is not None:
             return PHASE_INDEX["all_to_all"]
         if self.selection_splits is not None:
             return PHASE_INDEX["selection"]
@@ -141,26 +161,12 @@ class ResumeState:
             elif kind == "generate":
                 state.generate_done = True
             elif kind == "rf_run":
-                state.rf_runs[int(rec["run"])] = {
-                    "run": int(rec["run"]),
-                    "n": int(rec["n"]),
-                    "samples": [int(s) for s in rec["samples"]],
-                    "every": int(rec["every"]),
-                    "crcs": [int(c) for c in rec["crcs"]],
-                    "checksum": int(rec["checksum"]),
-                }
+                state.rf_runs[int(rec["run"])] = _run_record(rec)
             elif kind == "rf_done":
                 state.rf_done = True
                 state.rf_checksum = int(rec["checksum"])
                 for run in rec["runs"]:
-                    state.rf_runs[int(run["run"])] = {
-                        "run": int(run["run"]),
-                        "n": int(run["n"]),
-                        "samples": [int(s) for s in run["samples"]],
-                        "every": int(run["every"]),
-                        "crcs": [int(c) for c in run["crcs"]],
-                        "checksum": int(run.get("checksum", 0)),
-                    }
+                    state.rf_runs[int(run["run"])] = _run_record(run)
             elif kind == "selection":
                 state.selection_splits = [
                     [int(x) for x in row] for row in rec["splits"]
@@ -170,9 +176,12 @@ class ResumeState:
                 state.a2a_marks = _decode_pairs(rec["marks"])
                 state.a2a_first_keys.update(_decode_pairs(rec["keys"]))
             elif kind == "a2a_done":
-                state.a2a_seg_len = [int(x) for x in rec["seg_len"]]
-                state.a2a_block_first_keys = [
-                    [int(k) for k in run_keys] for run_keys in rec["first_keys"]
+                state.a2a_layout = [
+                    [int(x) for x in row] for row in rec["layout"]
+                ]
+                state.a2a_unit_first_keys = [
+                    [None if k is None else int(k) for k in run_keys]
+                    for run_keys in rec["first_keys"]
                 ]
             elif kind == "merge_mark":
                 state.merge_records_out = int(rec["records"])
@@ -231,13 +240,8 @@ class RankJournal:
     def generate_done(self) -> None:
         self.append({"t": "generate"})
 
-    def rf_run_done(self, run: int, n: int, samples, every: int,
-                    crcs, checksum: int) -> None:
-        self.append({
-            "t": "rf_run", "run": int(run), "n": int(n),
-            "samples": [int(s) for s in samples], "every": int(every),
-            "crcs": [int(c) for c in crcs], "checksum": int(checksum),
-        })
+    def rf_run_done(self, run: dict) -> None:
+        self.append({"t": "rf_run", **_run_record(run)})
 
     def rf_done(self, runs: List[dict], checksum: int) -> None:
         self.append({"t": "rf_done", "checksum": int(checksum), "runs": runs})
@@ -256,12 +260,13 @@ class RankJournal:
             "keys": _encode_pairs(new_keys),
         })
 
-    def a2a_done(self, seg_len, block_first_keys) -> None:
+    def a2a_done(self, layout, unit_first_keys) -> None:
         self.append({
             "t": "a2a_done",
-            "seg_len": [int(x) for x in seg_len],
+            "layout": [[int(x) for x in row] for row in layout],
             "first_keys": [
-                [int(k) for k in run_keys] for run_keys in block_first_keys
+                [None if k is None else int(k) for k in run_keys]
+                for run_keys in unit_first_keys
             ],
         })
 

@@ -27,7 +27,8 @@ by an earlier layer and composed here:
 
 **Admission control** is strict FIFO over two budgets: aggregate
 worker memory (``P·M`` per job) and aggregate spill footprint (3 data
-copies per job at the all-to-all peak).  The head job blocks the queue
+copies per job at the end of its merge, plus what a job without
+randomization may ship in its all-to-all — :func:`.jobs.job_costs`).  The head job blocks the queue
 until it fits — jobs whose combined cost exceeds a budget are thereby
 *provably serialized*, and nothing ever starves.
 

@@ -310,9 +310,19 @@ def job_costs(job: NativeJob) -> "tuple[int, int]":
 
     Memory: M per worker (the native layer's working-set budget is
     honored per process, so the aggregate is exactly ``P·M``).  Spill:
-    input + run pieces + segments/output live simultaneously at the
-    all-to-all peak — 3 copies of the data volume.
+    the footprint peaks at the end of the merge, when the input, the run
+    pieces (the merge reads their kept ranges in place, so they live
+    until the output is complete) and the output exist side by side — 3
+    copies of the data volume — next to the slabs the all-to-all
+    received.  Slabs are o(N) with high probability when the job
+    randomizes its run formation (paper Section IV-D) and are not
+    charged; without randomization up to N·(P−1)/P changes rank (the
+    Figure 6 input moves N/2 on two PEs) and the ranges it was sent from
+    are not freed, so such a job is charged for that much more.
     """
     mem = job.n_workers * job.memory_bytes
     data = job.total_records * job.record_bytes
-    return int(mem), int(3 * data)
+    slabs = 0 if job.config.randomize else (
+        data * (job.n_workers - 1) // job.n_workers
+    )
+    return int(mem), int(3 * data + slabs)

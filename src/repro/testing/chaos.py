@@ -426,27 +426,46 @@ def _run_recovery_case(
     bitwise identical to the clean twin's.  For faults that fire after
     run formation completed, the recovery counters must show zero input
     blocks re-read — recovery cost stays o(N).
+
+    A mid-exchange kill (``kill_after_a2a_chunks``) counts chunks
+    *arriving* at the victim, and the in-place all-to-all ships only
+    what changes rank — next to nothing on randomized input.  That case
+    therefore sorts the paper's Figure 6 input (locally sorted, no
+    randomization), where about half of the data really moves, so the
+    kill lands mid-stream and the watermark replay-skip is exercised.
     """
     import filecmp
 
     from ..core.config import SortConfig
     from ..native import NativeJob, NativeSorter
     from ..native.driver import NativeSortError
+    from . import corpus
 
     rb = 16
+    fig6 = spec.kill_after_a2a_chunks is not None
     config = SortConfig(
         data_per_node_bytes=n_per_rank * rb,
         memory_bytes=memory_records * rb,
         block_bytes=block_records * rb,
         block_elems=block_records,
+        randomize=not fig6,
         seed=7,
     )
 
     def make_job(subdir: str, chaos, restarts: int) -> NativeJob:
+        spill = os.path.join(spill_dir, subdir)
+        if fig6:
+            corpus.write_native_inputs(spill, [
+                corpus.generate(
+                    "fig6_local_sorted", n_per_rank, rank, n_workers, 7
+                )
+                for rank in range(n_workers)
+            ])
         return NativeJob(
             config=config,
             n_workers=n_workers,
-            spill_dir=os.path.join(spill_dir, subdir),
+            spill_dir=spill,
+            generate=not fig6,
             timeout=job_timeout,
             transport=transport,
             chaos=chaos,

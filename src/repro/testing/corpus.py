@@ -36,6 +36,7 @@ __all__ = [
     "ENTRIES",
     "SIZINGS",
     "generate",
+    "write_native_inputs",
     "entry_names",
     "resolve_sizing",
     "sizing_feasible",
@@ -167,6 +168,27 @@ def generate(name: str, n: int, rank: int, n_ranks: int, seed: int) -> np.ndarra
     if len(keys) != n:
         raise AssertionError(f"corpus entry {name} produced {len(keys)} != {n} keys")
     return keys
+
+
+def write_native_inputs(spill_dir: str, parts) -> None:
+    """Pre-write ``input_<rank>.dat`` (fixed16) for a ``generate=False`` job.
+
+    ``parts[rank]`` are that rank's keys; the payload is the global
+    input index, so an output record can be traced back to the exact
+    input permutation.
+    """
+    import os
+
+    from ..native.records import make_records
+
+    os.makedirs(spill_dir, exist_ok=True)
+    first = 0
+    for rank, keys in enumerate(parts):
+        payloads = np.arange(first, first + len(keys), dtype=np.uint64)
+        make_records(keys, payloads).tofile(
+            os.path.join(spill_dir, f"input_{rank}.dat")
+        )
+        first += len(keys)
 
 
 # ------------------------------------------------------------------- sizings

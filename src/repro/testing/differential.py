@@ -12,8 +12,9 @@ Each case feeds the identical per-rank key arrays to:
 
 Both backends must reproduce the oracle's per-rank key sequences
 *byte-identically*, match its order-independent checksum, and satisfy
-the conservation invariant (every phase moves exactly N·16 bytes through
-the block store).  The native backend additionally proves payload
+the conservation invariants (run formation and the merge each move
+exactly N·16 bytes through the block store; the all-to-all moves exactly
+what changes rank and leaves the rest in place — two passes, 4N + o(N)).  The native backend additionally proves payload
 integrity: the output payload column is a permutation of the global
 input indices and every (key, payload) pair round-trips.
 """
@@ -49,14 +50,51 @@ __all__ = [
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Everything a native worker may legitimately read/write besides the
-#: conserved data stream, keyed by phase tag.
-_CONSERVED_NATIVE = {
-    # phase tag     -> (reads must sum to N*16, writes must sum to N*16)
-    "run_formation": (True, True),   # reads input, writes run pieces
-    "all_to_all": (True, True),      # reads pieces, writes segments
-    "merge": (True, True),           # reads segments, writes output
-}
+def _check_canonical_conservation(
+    stats, nbytes: int, shipped: int, volume: str, skip_run_formation: bool
+) -> List[str]:
+    """The canonical backend's conservation profile (either record model).
+
+    Two passes over the data plus what changes rank: run formation reads
+    the input and writes the pieces, the merge reads the segments and
+    writes the output — exactly ``nbytes`` each way, each.  The in-place
+    all-to-all reads and writes exactly ``shipped`` — the record bytes
+    its senders handed to the interconnect, counted by a layer that
+    knows nothing of the block store — and the ranges it left in the
+    piece files (``a2a_kept_bytes``) make up the rest of ``nbytes``:
+    nothing is moved twice, nothing that stays is touched.  ``volume``
+    names ``nbytes`` in the messages.
+    """
+    issues: List[str] = []
+
+    def io(phase):
+        return (
+            sum(w.bytes_read.get(phase, 0) for w in stats.workers),
+            sum(w.bytes_written.get(phase, 0) for w in stats.workers),
+        )
+
+    for phase, want in (
+        ("run_formation", nbytes), ("all_to_all", shipped), ("merge", nbytes)
+    ):
+        if phase == "run_formation" and skip_run_formation:
+            # A resumed epoch restores its runs from the manifest: by
+            # design it re-reads zero input bytes, so conservation holds
+            # for the *lineage*, not the reported final epoch.
+            continue
+        what = volume if want == nbytes else "the bytes that changed rank"
+        for verb, got in zip(("read", "wrote"), io(phase)):
+            if got != want:
+                issues.append(
+                    f"native conservation: {phase} {verb} {got} bytes, "
+                    f"want exactly {what} = {want}"
+                )
+    kept = int(stats.counter_total("a2a_kept_bytes"))
+    if shipped + kept != nbytes:
+        issues.append(
+            f"native conservation: all_to_all shipped {shipped} bytes and "
+            f"kept {kept} in place, which is not {volume} = {nbytes}"
+        )
+    return issues
 
 
 def _check_striped_conservation(workers, nbytes: int) -> List[str]:
@@ -531,7 +569,7 @@ def _compare_to_oracle(
 def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult:
     """One case through the native backend, checked against the oracle."""
     from ..native import NativeJob, NativeSorter
-    from ..native.records import NATIVE_DTYPE, RECORD_BYTES, make_records
+    from ..native.records import NATIVE_DTYPE, RECORD_BYTES
 
     if spec.records != "fixed16":
         return _run_native_string_case(spec, workdir=workdir)
@@ -546,14 +584,9 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
     own_dir = workdir is None
     spill = workdir or tempfile.mkdtemp(prefix="repro-conf-")
     try:
-        os.makedirs(spill, exist_ok=True)
         # Pre-write the inputs: payload = global input index, so the
         # output can be traced back to the exact input permutation.
-        for rank, keys in enumerate(parts):
-            payloads = np.arange(rank * n, rank * n + n, dtype=np.uint64)
-            make_records(keys, payloads).tofile(
-                os.path.join(spill, f"input_{rank}.dat")
-            )
+        corpus.write_native_inputs(spill, parts)
         chaos = None
         if spec.recover:
             from .chaos import ChaosSpec
@@ -622,8 +655,8 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
                         "does not round-trip to the input"
                     )
 
-        # Conservation: every conserved phase moved exactly N·record_bytes
-        # through the block store, summed over the workers.  The striped
+        # Conservation, summed over the workers: two passes of exactly
+        # N·record_bytes plus what the all-to-all shipped.  The striped
         # backend asserts its own profile (two exchanges, empty
         # all-to-all slot).
         nbytes = total * RECORD_BYTES
@@ -631,26 +664,11 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
             result.divergences.extend(
                 _check_striped_conservation(sort.stats.workers, nbytes)
             )
-        for phase, (check_r, check_w) in (
-            {} if spec.algo == "striped" else _CONSERVED_NATIVE
-        ).items():
-            if spec.recover and phase == "run_formation":
-                # The resumed epoch restores its runs from the manifest:
-                # by design it re-reads zero input bytes, so conservation
-                # holds for the *lineage*, not the reported final epoch.
-                continue
-            got_r = sum(w.bytes_read.get(phase, 0) for w in sort.stats.workers)
-            got_w = sum(w.bytes_written.get(phase, 0) for w in sort.stats.workers)
-            if check_r and got_r != nbytes:
-                result.divergences.append(
-                    f"native conservation: {phase} read {got_r} bytes, "
-                    f"want exactly N*{RECORD_BYTES} = {nbytes}"
-                )
-            if check_w and got_w != nbytes:
-                result.divergences.append(
-                    f"native conservation: {phase} wrote {got_w} bytes, "
-                    f"want exactly N*{RECORD_BYTES} = {nbytes}"
-                )
+        else:
+            result.divergences.extend(_check_canonical_conservation(
+                sort.stats, nbytes, sort.stats.wire_sent("all_to_all"),
+                f"N*{RECORD_BYTES}", skip_run_formation=spec.recover,
+            ))
     finally:
         if own_dir:
             shutil.rmtree(spill, ignore_errors=True)
@@ -776,22 +794,14 @@ def _run_native_string_case(
 
         # Conservation, in encoded bytes: the offset-index sidecars are
         # charged under their own ":index" tags, so the conserved phase
-        # tags must still move exactly the input's encoded volume.
-        for phase, (check_r, check_w) in _CONSERVED_NATIVE.items():
-            got_r = sum(w.bytes_read.get(phase, 0) for w in sort.stats.workers)
-            got_w = sum(
-                w.bytes_written.get(phase, 0) for w in sort.stats.workers
-            )
-            if check_r and got_r != nbytes:
-                result.divergences.append(
-                    f"native str conservation: {phase} read {got_r} bytes, "
-                    f"want exactly the encoded volume {nbytes}"
-                )
-            if check_w and got_w != nbytes:
-                result.divergences.append(
-                    f"native str conservation: {phase} wrote {got_w} bytes, "
-                    f"want exactly the encoded volume {nbytes}"
-                )
+        # tags must still move exactly the input's encoded volume (the
+        # wire is LCP-coded, so what the all-to-all shipped is the
+        # senders' raw-byte counter, not the wire volume).
+        result.divergences.extend(_check_canonical_conservation(
+            sort.stats, nbytes,
+            int(sort.stats.counter_total("a2a_raw_bytes")),
+            "the encoded volume", skip_run_formation=False,
+        ))
 
         # The LCP identity: per family, wire == raw + overhead - trimmed
         # (it is linear, so it survives summing over workers), and the

@@ -108,7 +108,7 @@ def test_bytes_view_roundtrip():
 
 
 def test_write_at_places_chunks_exactly(store):
-    path = store.segment_path(0)
+    path = store.slab_path(0)
     store.preallocate(path, 16)
     lo, hi = some_records(8), some_records(8, start=100)
     with open(path, "r+b") as handle:
@@ -122,7 +122,7 @@ def test_write_at_places_chunks_exactly(store):
 def test_paths_are_per_rank_and_per_run(store):
     assert store.input_path() != store.input_path(rank=1)
     assert store.piece_path(0) != store.piece_path(1)
-    assert store.segment_path(2, rank=1) != store.segment_path(2, rank=0)
+    assert store.slab_path(2, rank=1) != store.slab_path(2, rank=0)
     assert "output_0" in store.output_path()
 
 
@@ -146,7 +146,7 @@ def test_probe_cache_blocks_and_hits(store):
 
 def test_sequential_reader_streams_all_blocks(store):
     records = some_records(26)
-    path = store.segment_path(1)
+    path = store.slab_path(1)
     store.write_file(path, records, tag="t")
     from repro.native.blockstore import SequentialReader
 
@@ -159,7 +159,7 @@ def test_sequential_reader_streams_all_blocks(store):
 
 def test_sequential_reader_detects_truncation(store, tmp_path):
     records = some_records(8)
-    path = store.segment_path(2)
+    path = store.slab_path(2)
     store.write_file(path, records, tag="t")
     from repro.native.blockstore import SequentialReader
 

@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import SortConfig
 from repro.native import NativeJob, native_sort
 from repro.native.blockstore import FileBlockStore
-from repro.native.phases import TAG_MERGE, NativeContext, merge
+from repro.native.phases import TAG_MERGE, Extent, NativeContext, merge
 from repro.native.pipeline import (
     Prefetcher,
     WriteBehind,
@@ -242,10 +242,10 @@ def test_merge_single_run_fast_path_keeps_accounting(tmp_path, pipelined):
     keys = np.sort(
         np.random.default_rng(9).integers(0, 2**60, n).astype(np.uint64)
     )
-    seg = write_records(store.segment_path(0), keys)
+    seg = write_records(store.piece_path(0), keys)
     ctx = NativeContext(rank=0, job=job, comm=None, store=store, stats=stats)
 
-    meta = merge(ctx, [n])
+    meta = merge(ctx, [[Extent(store.piece_path(0), 0, n)]])
 
     assert meta.n_records == n and meta.sorted_ok
     assert meta.first_key == int(keys[0]) and meta.last_key == int(keys[-1])
@@ -293,15 +293,20 @@ def test_pipelined_sort_is_bitwise_invisible(tmp_path):
     for phase in ("run_formation", "all_to_all", "merge"):
         assert stats.counter_total(f"{phase}_write_behind_chunks") > 0, phase
 
-    # Conservation survives the thread hop (each phase moves N*16 bytes).
+    # Conservation survives the thread hop: each pass moves N*16 bytes,
+    # the all-to-all exactly what it shipped.
     nbytes = pipe.job.total_records * RECORD_BYTES
-    for phase in ("run_formation", "all_to_all", "merge"):
+    shipped = stats.wire_sent("all_to_all")
+    assert shipped + stats.counter_total("a2a_kept_bytes") == nbytes
+    for phase, want in (
+        ("run_formation", nbytes), ("all_to_all", shipped), ("merge", nbytes)
+    ):
         assert sum(
             w.bytes_read.get(phase, 0) for w in stats.workers
-        ) == nbytes, phase
+        ) == want, phase
         assert sum(
             w.bytes_written.get(phase, 0) for w in stats.workers
-        ) == nbytes, phase
+        ) == want, phase
 
     d = stats.to_dict()
     for phase, row in d["phases"].items():

@@ -61,18 +61,24 @@ def test_tcp_sort_is_correct_and_bitwise_matches_pipe(tmp_path):
 
 
 def test_tcp_all_to_all_wire_volume_meets_the_paper_bound(tmp_path):
-    """Balanced input: all-to-all moves exactly N record bytes (wire+local)."""
+    """The in-place all-to-all: what crosses the wire plus what stays in
+    the piece files is exactly N record bytes, nothing is self-delivered,
+    and the phase's disk traffic is twice what crossed."""
     result = run_tcp_sort(tmp_path, n_workers=3)
     stats = result.stats
     n_bytes = result.job.total_records * RECORD_BYTES
-    assert stats.wire_volume("all_to_all") == n_bytes
+    shipped = stats.wire_sent("all_to_all")
+    assert 0 < shipped < n_bytes // 4
+    assert shipped + stats.counter_total("a2a_kept_bytes") == n_bytes
+    assert stats.local_bytes("all_to_all") == 0
+    assert stats.phase_bytes("all_to_all") == 2 * shipped
     # Real sockets moved real framed bytes: kernel counts exceed payload.
     assert stats.socket_bytes_sent > stats.wire_sent("all_to_all")
     assert stats.socket_bytes_recv > 0
     # And the transport shows up in the report surfaces.
     d = stats.to_dict()
-    assert d["phases"]["all_to_all"]["wire_volume"] == n_bytes
-    assert "all-to-all volume" in stats.summary()
+    assert d["phases"]["all_to_all"]["wire_volume"] == shipped
+    assert "all-to-all moved" in stats.summary()
 
 
 def test_externally_launched_workers(tmp_path):
@@ -113,9 +119,9 @@ def test_externally_launched_workers(tmp_path):
                 p.kill()
     assert all(p.exitcode == 0 for p in procs)
     assert result.validate().ok, result.validate().issues
-    assert result.stats.wire_volume("all_to_all") == (
-        job.total_records * RECORD_BYTES
-    )
+    assert result.stats.wire_volume("all_to_all") + result.stats.counter_total(
+        "a2a_kept_bytes"
+    ) == job.total_records * RECORD_BYTES
 
 
 def test_chaos_kill_over_tcp_fails_fast(tmp_path):
@@ -162,5 +168,6 @@ def test_cli_tcp_json_reports_wire_volume(tmp_path, capsys):
     assert report["backend"] == "native"
     assert report["validation"]["ok"] is True
     n_bytes = 2 * int(0.125 * 1024 * 1024)
-    assert report["phases"]["all_to_all"]["wire_volume"] == n_bytes
+    kept = sum(w["counters"]["a2a_kept_bytes"] for w in report["per_worker"])
+    assert report["phases"]["all_to_all"]["wire_volume"] + kept == n_bytes
     assert report["phases"]["all_to_all"]["wire_sent"] > 0

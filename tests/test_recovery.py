@@ -99,15 +99,15 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
     j = journal_for(tmp_path)
     j.begin_epoch(0)
     j.generate_done()
-    j.rf_run_done(0, 64, [1, 2], 16, [111, 222], 42)
-    j.rf_done(
-        [{"run": 0, "n": 64, "samples": [1, 2], "every": 16,
-          "crcs": [111, 222], "checksum": 42}],
-        checksum=42,
-    )
+    run = {"run": 0, "n": 64, "samples": [1, 2], "every": 16,
+           "crcs": [111, 222], "first_keys": [1, 33], "checksum": 42}
+    j.rf_run_done(run)
+    j.rf_done([run], checksum=42)
     j.selection_done([[10, 20], [30, 40]])
     j.a2a_mark({(0, 1): 3}, {(0, 0): 99})
-    j.a2a_done([64, 64], [[5, 6], [7, 8]])
+    # Run 1's kept range starts inside a block: its first unit's key is
+    # unknown (None) and must survive the roundtrip as None.
+    j.a2a_done([[0, 0, 60, 4], [2, 5, 62, 0]], [[5, 6, 8], [7, None, 8]])
     j.merge_mark(32)
     j.merge_done({"rank": 0, "path": "out", "n_records": 128, "first_key": 1,
                   "last_key": 9, "checksum": 7, "sorted_ok": True})
@@ -117,11 +117,12 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
     assert state.completed_index == 4
     assert state.generate_done and state.rf_done
     assert state.rf_runs[0]["crcs"] == [111, 222]
+    assert state.rf_runs[0]["first_keys"] == [1, 33]
     assert state.selection_splits == [[10, 20], [30, 40]]
     assert state.a2a_marks == {(0, 1): 3}
     assert state.a2a_first_keys == {(0, 0): 99}
-    assert state.a2a_seg_len == [64, 64]
-    assert state.a2a_block_first_keys == [[5, 6], [7, 8]]
+    assert state.a2a_layout == [[0, 0, 60, 4], [2, 5, 62, 0]]
+    assert state.a2a_unit_first_keys == [[5, 6, 8], [7, None, 8]]
     assert state.merge_records_out == 32
     assert state.merge_meta["n_records"] == 128
 
@@ -205,7 +206,7 @@ def test_completed_index_progression():
     assert state.completed_index == 1
     state.selection_splits = [[1]]
     assert state.completed_index == 2
-    state.a2a_seg_len = [4]
+    state.a2a_layout = [[0, 0, 4, 0]]
     assert state.completed_index == 3
     state.merge_meta = {"rank": 0}
     assert state.completed_index == 4

@@ -78,6 +78,49 @@ def test_mid_exchange_kill_skips_delivered_chunks(tmp_path):
     assert rec["chunks_skipped"] > 0
 
 
+def test_kill_between_a2a_done_and_merge_rereads_nothing(tmp_path):
+    """Past ``a2a_done`` the pieces and slabs *are* the merge's input:
+    the resumed attempt must find them in place (nothing reclaimed
+    early), rebuild the extent table from the journal, and read each
+    segment byte exactly once — in the merge, nowhere else."""
+    job = recovery_job(
+        tmp_path, ChaosSpec(rank=0, kill_at="before:merge"),
+        n_per_rank=2048, mem=1536,
+    )
+    result = NativeSorter(job).run()
+    assert result.validate().ok
+    stats = result.stats
+    assert stats.restarts == 1
+    rec = stats.recovery_dict()
+    assert rec["rf_blocks_reread"] == 0 and rec["crc_blocks_verified"] == 0
+    # run formation, selection, all-to-all restored on both ranks.
+    assert rec["phases_restored"] >= 6
+    nbytes = stats.total_bytes
+    for w in stats.workers:
+        # The resumed epoch reads data under the merge tag only ...
+        assert set(w.bytes_read) <= {"merge", "merge:index"}
+        assert set(w.bytes_written) <= {"merge"}
+        # ... and finds an unknown first key with one record per run at most.
+        probes = w.read_ops.get("merge:index", 0)
+        assert probes <= stats.n_runs
+        assert w.bytes_read.get("merge:index", 0) == probes * RB
+    # The victim merges its whole share; its peer either does too or had
+    # finished before the attempt was reaped (merge is restored per rank).
+    share = nbytes // len(stats.workers)
+    assert stats.workers[0].bytes_read["merge"] == share
+    assert stats.workers[1].bytes_read.get("merge", 0) in (0, share)
+    left = sorted(os.listdir(job.spill_dir))
+    assert not [n for n in left if "piece" in n or n.startswith("slab")], left
+
+    clean = NativeSorter(
+        recovery_job(
+            tmp_path / "clean", None, max_restarts=0, n_per_rank=2048, mem=1536
+        )
+    ).run()
+    for a, b in zip(result.outputs, clean.outputs):
+        assert open(a.path, "rb").read() == open(b.path, "rb").read()
+
+
 def test_severed_mesh_recovers(tmp_path):
     verdict = run_chaos_case(
         ChaosSpec(rank=0, sever_comm_at="before:all_to_all"),

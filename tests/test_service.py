@@ -164,6 +164,83 @@ class TestSpillNamespacing:
             purge_namespace(str(tmp_path), "")
 
 
+# ------------------------------------------------------------ spill budget
+
+
+class _StopEveryoneAt(ChaosSpec):
+    """Every rank exits at one phase boundary, so the spill directory is
+    left exactly as it stood there (a one-rank kill lets the peers run
+    on into the next phase before the driver reaps them)."""
+
+    def at_point(self, rank, point, result_conn=None, comm=None):
+        if point == self.kill_at:
+            os._exit(77)
+
+
+class TestSpillCharge:
+    @pytest.mark.parametrize("randomize", [True, False], ids=["rand", "norand"])
+    def test_charge_covers_the_footprint_behind_the_all_to_all(
+        self, tmp_path, randomize
+    ):
+        """At ``after:all_to_all`` a job's files are its input, its run
+        pieces, the slabs it received — slab bytes == bytes that changed
+        rank — and its journals, nothing else; the merge then adds one output
+        copy before any of it is reclaimed.  The charge covers that peak:
+        3x data for a randomized job (its slabs are o(N)), and the
+        N·(P-1)/P a job without randomization may move on top."""
+        from dataclasses import replace
+
+        from repro.native import NativeSortError
+        from repro.service.jobs import job_costs
+        from repro.testing import corpus
+
+        spec = dict(SLOW, randomize=randomize, max_restarts=0, checkpoint=True)
+        n_workers = spec["n_workers"]
+
+        def job_in(subdir, chaos):
+            job = build_native_job(
+                dict(spec, chaos=chaos), str(tmp_path / subdir)
+            )
+            if randomize:
+                return job
+            # The input that really moves data: locally sorted (Fig. 6).
+            corpus.write_native_inputs(job.spill_dir, [
+                corpus.generate(
+                    "fig6_local_sorted", job.records_per_worker, rank,
+                    n_workers, seed=7,
+                )
+                for rank in range(n_workers)
+            ])
+            return replace(job, generate=False)
+
+        clean = NativeSorter(job_in("clean", None)).run()
+        moved = clean.stats.wire_sent("all_to_all")
+        data = clean.stats.total_bytes
+
+        stopped = job_in("stopped", _StopEveryoneAt(kill_at="after:all_to_all"))
+        with pytest.raises(NativeSortError):
+            NativeSorter(stopped).run()
+        sizes = {"input": 0, "piece": 0, "slab": 0, "manifest": 0}
+        for name in os.listdir(stopped.spill_dir):
+            kind = next(
+                (k for k in sizes if name.startswith(k) or f"_{k}" in name), None
+            )
+            assert kind is not None, f"unexpected spill file {name}"
+            sizes[kind] += os.path.getsize(os.path.join(stopped.spill_dir, name))
+        journals = sizes.pop("manifest")
+        assert journals > 0
+        assert sizes == {"input": data, "piece": data, "slab": moved}
+
+        _mem, charge = job_costs(stopped)
+        peak = sum(sizes.values()) + data  # the output the merge adds
+        if randomize:
+            assert charge == 3 * data
+            assert 0 < moved < data // 50 and peak == charge + moved
+        else:
+            assert charge == 3 * data + data * (n_workers - 1) // n_workers
+            assert data * 2 // 5 < moved and peak <= charge
+
+
 # ------------------------------------------------------------- concurrency
 
 

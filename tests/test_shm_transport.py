@@ -71,11 +71,15 @@ def test_shm_sort_is_correct_and_bitwise_matches_pipe(tmp_path):
 
 
 def test_shm_all_to_all_wire_volume_meets_the_paper_bound(tmp_path):
-    """Balanced input: all-to-all moves exactly N record bytes (wire+local)."""
+    """What crosses the rings plus what stays in the piece files is
+    exactly N record bytes; nothing is self-delivered."""
     result = run_shm_sort(tmp_path, n_workers=3)
     stats = result.stats
     n_bytes = result.job.total_records * RECORD_BYTES
-    assert stats.wire_volume("all_to_all") == n_bytes
+    shipped = stats.wire_sent("all_to_all")
+    assert shipped + stats.counter_total("a2a_kept_bytes") == n_bytes
+    assert stats.wire_volume("all_to_all") == shipped
+    assert stats.phase_bytes("all_to_all") == 2 * shipped
 
 
 def test_shm_sort_two_workers_skew(tmp_path):
@@ -120,7 +124,8 @@ def test_cli_shm_json_is_valid(tmp_path, capsys):
     assert report["backend"] == "native"
     assert report["validation"]["ok"] is True
     n_bytes = 2 * int(0.125 * 1024 * 1024)
-    assert report["phases"]["all_to_all"]["wire_volume"] == n_bytes
+    kept = sum(w["counters"]["a2a_kept_bytes"] for w in report["per_worker"])
+    assert report["phases"]["all_to_all"]["wire_volume"] + kept == n_bytes
 
 # ---------------------------------------------------- ring-capacity knob
 
