@@ -6,8 +6,9 @@ them head to head (ROADMAP item 4; paper Section III):
 
 ``canonical``
     CANONICALMERGESORT — the paper's algorithm, the default, and the
-    only backend for the string record model.  Phases live in
-    :mod:`repro.native.phases` / :mod:`repro.native.strphases`.
+    only backend for the string record model.  Its phases live in
+    :mod:`repro.native.phases`, one implementation for both record
+    models (:class:`~repro.native.records.RecordModel`).
 ``striped``
     Mergesort with global striping (:mod:`.striped`): locally sorted
     runs striped block-wise over all PEs, merge by collective batch

@@ -1,38 +1,32 @@
 """CANONICALMERGESORT as a registered backend.
 
-The first ``Algorithm``: a thin binding of the existing phase pipeline
-(:mod:`repro.native.phases` for the fixed 16-byte record model,
-:mod:`repro.native.strphases` for variable-length strings) to the
-strategy interface.  The phase functions themselves are unchanged — the
-backend object is pure dispatch metadata, so canonical jobs run the
-exact code paths of every prior release.
+A thin binding of the phase pipeline (:mod:`repro.native.phases`) to the
+strategy interface, once per record model.  Both bindings name the same
+five functions: the phases are written against
+:class:`~repro.native.records.RecordModel`, and the job's model decides
+the format.  The backend objects are pure dispatch metadata.
 """
 
 from __future__ import annotations
 
-from .. import phases, strphases
+from .. import phases
 from .base import Algorithm
 
 __all__ = ["CANONICAL_FIXED16", "CANONICAL_STRING"]
 
-CANONICAL_FIXED16 = Algorithm(
-    name="canonical",
-    records="fixed16",
-    generate_input=phases.generate_input,
-    run_formation=phases.run_formation,
-    selection=phases.selection,
-    all_to_all=phases.all_to_all,
-    merge=phases.merge,
-    wire_profile="canonical",
-)
 
-CANONICAL_STRING = Algorithm(
-    name="canonical",
-    records="string",
-    generate_input=strphases.generate_input,
-    run_formation=strphases.run_formation,
-    selection=strphases.selection,
-    all_to_all=strphases.all_to_all,
-    merge=strphases.merge,
-    wire_profile="canonical",
-)
+def _canonical(records: str) -> Algorithm:
+    return Algorithm(
+        name="canonical",
+        records=records,
+        generate_input=phases.generate_input,
+        run_formation=phases.run_formation,
+        selection=phases.selection,
+        all_to_all=phases.all_to_all,
+        merge=phases.merge,
+        wire_profile="canonical",
+    )
+
+
+CANONICAL_FIXED16 = _canonical("fixed16")
+CANONICAL_STRING = _canonical("string")

@@ -146,7 +146,7 @@ def run_formation(ctx: NativeContext) -> List[StripedRun]:
     for r in range(n_rounds):
         block_ids = chunks[r] if r < len(chunks) else []
         records = store.read_blocks(input_path, block_ids, TAG_RF)
-        ctx._add_checksum(records["key"])
+        ctx.add_checksum(records)
         ctx.stats.note_resident(2 * records.nbytes)
         records = sort_records(records)
 

@@ -17,8 +17,11 @@ Layout of one sort's spill directory::
     output_<rank>.dat           phase-4 output: the rank's sorted slice
     manifest_<rank>.jsonl       recovery journal (when checkpointing)
 
-All files are flat arrays of :data:`~repro.native.records.NATIVE_DTYPE`
-records.
+Fixed16 files are flat arrays of :data:`~repro.native.records.NATIVE_DTYPE`
+records; string files are byte streams of varlen records plus an
+``.idx`` sidecar of record-boundary offsets (a slab's boundaries are
+rebuilt in memory by the all-to-all instead, see
+:meth:`FileBlockStore.set_varlen_offsets`).
 
 When the store is built with a ``namespace`` (the sort service gives
 every job ``<job-id>-<fingerprint>``), each name above is prefixed
@@ -47,6 +50,7 @@ from .records import (
 
 __all__ = [
     "FileBlockStore",
+    "RecordAppender",
     "SequentialReader",
     "VarlenAppender",
     "VarlenProbeCache",
@@ -133,6 +137,10 @@ class FileBlockStore:
         # writes from background threads; the counters stay exact under
         # this lock, and only *main-thread* I/O time counts as stall.
         self._lock = threading.Lock()
+        #: Serializes ``.idx`` loads so two reader threads never charge
+        #: the same index twice.
+        self._idx_lock = threading.Lock()
+        self._varlen_idx: Dict[str, np.ndarray] = {}
         self._stats = None
         self._main_thread: Optional[int] = None
 
@@ -302,6 +310,9 @@ class FileBlockStore:
         self._charge_stall(tag, time.monotonic() - t0)
         self.charge_write(tag, records.nbytes)
 
+    def record_appender(self, path: str, tag: str) -> "RecordAppender":
+        return RecordAppender(self, path, tag)
+
     def write_at(self, handle, record_offset: int, payload: bytes, tag: str) -> None:
         """Place a raw record chunk at a known record offset (phase 3)."""
         t0 = time.monotonic()
@@ -321,14 +332,7 @@ class FileBlockStore:
         left untouched, so a resumed all-to-all keeps the slab bytes
         delivered before the restart instead of zeroing them.
         """
-        nbytes = n_records * RECORD_BYTES
-        try:
-            if os.path.getsize(path) == nbytes:
-                return
-        except OSError:
-            pass
-        with open(path, "wb") as handle:
-            handle.truncate(nbytes)
+        self.preallocate_bytes(path, n_records * RECORD_BYTES)
 
     def verify_block_crcs(self, path: str, crcs, tag: str = "recovery"):
         """Compare each block of ``path`` against expected CRC-32s.
@@ -382,28 +386,28 @@ class FileBlockStore:
 
     def varlen_offsets(self, path: str, tag: str) -> np.ndarray:
         """The record-boundary offsets of a varlen file (cached)."""
-        with self._lock:
-            cache = getattr(self, "_varlen_idx", None)
-            if cache is None:
-                cache = self._varlen_idx = {}
-            offsets = cache.get(path)
-        if offsets is not None:
-            return offsets
-        t0 = time.monotonic()
-        offsets = np.fromfile(varlen_index_path(path), dtype=np.int64)
-        self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_read(tag + INDEX_TAG_SUFFIX, offsets.nbytes)
-        if len(offsets) < 1 or offsets[0] != 0:
-            raise ValueError(f"{varlen_index_path(path)}: malformed index")
-        with self._lock:
+        with self._idx_lock:
+            offsets = self._varlen_idx.get(path)
+            if offsets is not None:
+                return offsets
+            t0 = time.monotonic()
+            offsets = np.fromfile(varlen_index_path(path), dtype=np.int64)
+            self._charge_stall(tag, time.monotonic() - t0)
+            self.charge_read(tag + INDEX_TAG_SUFFIX, offsets.nbytes)
+            if len(offsets) < 1 or offsets[0] != 0:
+                raise ValueError(f"{varlen_index_path(path)}: malformed index")
             self._varlen_idx[path] = offsets
         return offsets
 
+    def set_varlen_offsets(self, path: str, offsets: np.ndarray) -> None:
+        """Serve ``path``'s record boundaries from memory, not an ``.idx``
+        (the all-to-all rebuilds a slab's as its chunks land)."""
+        with self._idx_lock:
+            self._varlen_idx[path] = offsets
+
     def _invalidate_varlen_index(self, path: str) -> None:
-        with self._lock:
-            cache = getattr(self, "_varlen_idx", None)
-            if cache is not None:
-                cache.pop(path, None)
+        with self._idx_lock:
+            self._varlen_idx.pop(path, None)
 
     def varlen_record_count(self, path: str, tag: str) -> int:
         return len(self.varlen_offsets(path, tag)) - 1
@@ -544,13 +548,31 @@ class ProbeCache:
         return int(cached[pos - block_idx * self.store.block_records])
 
 
+class RecordAppender:
+    """Stream-append fixed record arrays to one file (cf. VarlenAppender).
+
+    Input generation and the merge emit their output through this.
+    """
+
+    def __init__(self, store: FileBlockStore, path: str, tag: str):
+        self.store = store
+        self.tag = tag
+        self._handle = open(path, "wb")
+
+    def append(self, records: np.ndarray) -> None:
+        self.store.append_records(self._handle, records, self.tag)
+
+    def close(self) -> None:
+        self._handle.close()
+
+
 class VarlenAppender:
     """Stream-append varlen batches to one file, writing the index on close.
 
-    The string phases' counterpart of open-handle ``append_records``:
-    input generation and the merge emit batches as they go; the
-    record-boundary offsets accumulate in memory and land in the
-    ``.idx`` sidecar when the file is complete.
+    The string model's counterpart of :class:`RecordAppender`: input
+    generation and the merge emit batches as they go; the record-boundary
+    offsets accumulate in memory and land in the ``.idx`` sidecar when
+    the file is complete.
     """
 
     def __init__(self, store: FileBlockStore, path: str, tag: str):

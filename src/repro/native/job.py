@@ -226,20 +226,18 @@ class NativeJob:
                 f"{tuple(sorted(MODELS))}"
             )
         if self.varlen:
-            # Follow-ups tracked in ROADMAP: the recovery journal, the
-            # pipelined I/O layer and the chaos write gate are all
-            # slot-addressed today.
+            # Follow-ups tracked in ROADMAP: the recovery manifest
+            # journals u64 keys, and the chaos write gate is
+            # slot-addressed.
             if self.checkpointing or self.epoch > 0:
                 raise ConfigError(
-                    "records='string' does not support checkpoint/resume yet"
-                )
-            if self.pipelined:
-                raise ConfigError(
-                    "records='string' does not support pipelined I/O yet"
+                    "records='string' does not support checkpoint/resume "
+                    "yet: the recovery manifest carries u64 keys"
                 )
             if self.chaos is not None:
                 raise ConfigError(
-                    "records='string' does not support chaos injection yet"
+                    "records='string' does not support chaos injection "
+                    "yet: the chaos write gate is slot-addressed"
                 )
         from .algos import ALGORITHMS
 

@@ -24,37 +24,31 @@ splitter matrix after phase 2, one sorted segment per run after phase 3
 — an extent list over the rank's own piece file plus what its peers
 sent it, see :class:`SegmentLayout` — and the canonical balanced output
 after phase 4.
+
+The phases are written once for every record format: whatever depends on
+the format (reading and writing parts, sorting and merging them, the
+wire encoding, the selection probe key, the checksum) is a method of the
+job's :class:`~repro.native.records.RecordModel`, ``ctx.model``.
+Positions, splitters, segment layouts, read units and the merge's guide
+are record counts for both models; bytes appear only where the model
+reports them.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algos.multiway_selection import (
-    sample_initial_positions,
-    select_bisect_coroutine,
-    select_coroutine,
-)
-from ..core.selection_phase import _run_samples, warm_start_from_samples
+from ..algos.multiway_selection import select_bisect_coroutine, select_coroutine
 from .blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
 from .pipeline import Prefetcher, WriteBehind, sequential_fetch_order
-from .records import (
-    RECORD_BYTES,
-    bytes_view,
-    concat_records,
-    generate_records,
-    merge_record_arrays,
-    records_from_bytes,
-    sort_records,
-)
+from .records import RECORD_BYTES, RecordModel
 from .stats import WorkerStats
 
 __all__ = [
@@ -102,14 +96,14 @@ class NativeContext:
     #: Per run, the first key of every block of this rank's piece file.
     #: Run formation holds each piece in memory when it writes it, so the
     #: merge's guide over the ranges that never leave the piece is free.
-    piece_first_keys: List[np.ndarray] = field(default_factory=list)
+    piece_first_keys: List[list] = field(default_factory=list)
 
-    def _add_checksum(self, keys: np.ndarray) -> None:
-        if len(keys):
-            with np.errstate(over="ignore"):
-                self.input_checksum = (
-                    self.input_checksum + int(np.add.reduce(keys))
-                ) & _MASK
+    @property
+    def model(self) -> RecordModel:
+        return self.job.model
+
+    def add_checksum(self, part) -> None:
+        self.input_checksum = self.model.checksum(part, self.input_checksum)
 
 
 @dataclass
@@ -119,13 +113,17 @@ class PieceMeta:
     Attribute-compatible with the simulator's ``LocalRunPiece`` where the
     selection-phase helpers care (``sample_keys``, ``sample_every``,
     ``n_keys``), so ``core.selection_phase`` logic applies unchanged.
+    ``sample_keys`` is in the record model's ``encode_keys`` form (a key
+    array for fixed16, LCP front-coded bytes for strings);
+    ``max_key_bytes`` is the widest key of the piece.
     """
 
     run: int
     rank: int
     n_records: int
-    sample_keys: np.ndarray
+    sample_keys: object
     sample_every: int
+    max_key_bytes: int = 0
 
     @property
     def n_keys(self) -> int:
@@ -165,8 +163,8 @@ class OutputMeta:
     rank: int
     path: str
     n_records: int
-    first_key: Optional[int]
-    last_key: Optional[int]
+    first_key: Optional[object]
+    last_key: Optional[object]
     checksum: int
     sorted_ok: bool
 
@@ -176,18 +174,18 @@ class OutputMeta:
 
 def generate_input(ctx: NativeContext) -> None:
     """Write this worker's gensort-style input slice (index order)."""
-    job = ctx.job
+    job, model = ctx.job, ctx.model
     start = job.worker_start(ctx.rank)
     n = job.records_per_worker
     batch = max(job.block_records, job.chunk_records)
-    path = ctx.store.input_path()
-    with open(path, "wb") as handle:
+    out = model.appender(ctx.store, ctx.store.input_path(), "generate")
+    try:
         for s in range(0, n, batch):
-            count = min(batch, n - s)
-            records = generate_records(
-                start + s, count, seed=job.config.seed, skew=job.skew
-            )
-            ctx.store.append_records(handle, records, tag="generate")
+            out.append(model.generate(
+                start + s, min(batch, n - s), job.config.seed, job.skew
+            ))
+    finally:
+        out.close()
 
 
 # --------------------------------------------------------------- phase 1
@@ -217,10 +215,6 @@ def _meta_from_record(rec: dict, rank: int) -> PieceMeta:
         sample_keys=np.asarray(rec["samples"], dtype=np.uint64),
         sample_every=int(rec["every"]),
     )
-
-
-def _first_keys_from_record(rec: dict) -> np.ndarray:
-    return np.asarray(rec["first_keys"], dtype=np.uint64)
 
 
 def verify_restored_pieces(ctx: NativeContext, run_records: List[dict]) -> None:
@@ -256,7 +250,7 @@ def restore_runs(ctx: NativeContext, resume) -> List[NativeRun]:
     metas = [_meta_from_record(rec, ctx.rank) for rec in recs]
     all_metas: List[List[PieceMeta]] = ctx.comm.allgather(metas)
     ctx.input_checksum = resume.rf_checksum
-    ctx.piece_first_keys = [_first_keys_from_record(rec) for rec in recs]
+    ctx.piece_first_keys = [list(rec["first_keys"]) for rec in recs]
     ctx.stats.add_counter("recovery_phases_restored")
     ctx.stats.add_counter("recovery_rf_blocks_reread", 0.0)
     return [
@@ -278,9 +272,15 @@ def _chunk_schedule(ctx: NativeContext) -> List[List[int]]:
     ]
 
 
-def _distributed_sort_run(
-    ctx: NativeContext, records: np.ndarray, run_id: int
-) -> np.ndarray:
+def _put(wb: Optional[WriteBehind], nbytes: int, write, *args) -> None:
+    """``write(*args)`` now, or on the write-behind thread when there is one."""
+    if wb is None:
+        write(*args)
+    else:
+        wb.defer(write, *args, nbytes=nbytes)
+
+
+def _distributed_sort_run(ctx: NativeContext, records, run_id: int):
     """Globally sort one run; returns this rank's exact-quantile piece.
 
     The native execution of ``core.internal_sort.distributed_sort_run``:
@@ -289,28 +289,28 @@ def _distributed_sort_run(
     *between* the worker processes, a chunked all-to-all over the pipes,
     and a final P-way batch merge.
     """
-    job, comm, rank = ctx.job, ctx.comm, ctx.rank
+    job, comm, rank, model = ctx.job, ctx.comm, ctx.rank, ctx.model
     n_workers = job.n_workers
     if n_workers == 1:
         return records
 
-    keys = records["key"]
+    keys = model.keys(records)
     lengths: List[int] = comm.allgather(len(records))
     total = sum(lengths)
     target = rank * total // n_workers
+    lookup = model.local_probe(comm, records)
 
     # Sample warm start (Appendix B), then the exact probe selection.
-    samples = [np.asarray(s) for s in comm.allgather(keys[:: job.sample_every].copy())]
-    init_pos, init_step = sample_initial_positions(
+    wire = model.encode_keys(keys[:: job.sample_every], ctx.stats, "rf_sample")
+    samples = [model.decode_keys(w) for w in comm.allgather(wire)]
+    init_pos, init_step = model.sample_start(
         samples, job.sample_every, target, lengths
     )
     gen = select_coroutine(
         lengths, target, init_positions=init_pos, init_step=init_step
     )
     result = comm.selection_round(
-        gen,
-        local_lookup=lambda pos: int(keys[pos]),
-        owner_of=lambda seq: seq,
+        gen, local_lookup=lookup, owner_of=lambda seq: seq
     )
     ctx.stats.add_counter("internal_selection_touches", result.touches)
 
@@ -330,11 +330,12 @@ def _distributed_sort_run(
             lo = positions[dest][rank]
             hi = positions[dest + 1][rank]
             for k, s in enumerate(range(lo, hi, block)):
-                # A view, not a copy: the exchange's final flush+barrier
-                # keeps ``records`` alive until every chunk is on the
-                # wire, so shm and TCP sends stay zero-copy end to end.
-                chunk = records[s : min(s + block, hi)]
-                yield dest, ("rfx", run_id, k, bytes_view(chunk))
+                # A view, not a copy (fixed16): the exchange's final
+                # flush+barrier keeps ``records`` alive until every chunk
+                # is on the wire, so shm and TCP sends stay zero-copy.
+                chunk = model.slice(records, s, min(s + block, hi))
+                wire = model.encode(chunk, ctx.stats, "rf_xchg")
+                yield dest, ("rfx", run_id, k, wire)
 
     def on_chunk(peer: int, payload: tuple) -> None:
         nonlocal recv_bytes
@@ -345,19 +346,15 @@ def _distributed_sort_run(
 
     comm.exchange(outgoing(), on_chunk)
     ctx.stats.note_resident(records.nbytes + recv_bytes)
-    del records, keys  # the chunk's memory is no longer needed
+    del records, keys, lookup  # the chunk's memory is no longer needed
 
     parts = []
     for sender in range(n_workers):
-        bufs = [buf for _k, buf in sorted(received[sender])]
+        bufs = [model.decode(buf) for _k, buf in sorted(received[sender])]
         received[sender] = []
         if bufs:
-            parts.append(
-                concat_records([records_from_bytes(b) for b in bufs])
-                if len(bufs) > 1
-                else records_from_bytes(bufs[0])
-            )
-    merged = merge_record_arrays(parts)
+            parts.append(model.concat(bufs))
+    merged = model.merge(parts)
     ctx.stats.note_resident(2 * merged.nbytes)
     ctx.stats.add_counter("internal_sort_sent_records", sum(lengths) // n_workers)
     return merged
@@ -374,7 +371,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
     peers read the piece files during selection, so a piece must be
     durable before its existence is announced.
     """
-    job, comm, store = ctx.job, ctx.comm, ctx.store
+    job, comm, store, model = ctx.job, ctx.comm, ctx.store, ctx.model
     chunks = _chunk_schedule(ctx)
     n_runs = comm.allreduce(len(chunks), max)
     input_path = store.input_path()
@@ -404,7 +401,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
         metas.append(_meta_from_record(restored[r], ctx.rank))
         run_records.append(restored[r])
         ctx.input_checksum = restored[r]["checksum"]
-        ctx.piece_first_keys.append(_first_keys_from_record(restored[r]))
+        ctx.piece_first_keys.append(list(restored[r]["first_keys"]))
     if k:
         ctx.stats.add_counter("recovery_runs_restored", float(k))
         if ctx.rank in getattr(job, "suspect_ranks", ()):
@@ -422,22 +419,22 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             # the chunk's sort buffer (no per-block arrays, no
             # concatenate) — one coalesced positioned read per run of
             # consecutive block IDs.
-            records = store.read_blocks(input_path, block_ids, TAG_RF)
-            ctx._add_checksum(records["key"])
+            records = model.read_blocks(store, input_path, block_ids, TAG_RF)
+            ctx.add_checksum(records)
             ctx.stats.note_resident(
                 2 * records.nbytes + (wb.queued_bytes() if wb else 0)
             )
-            records = sort_records(records)
+            records = model.sort(records)
 
             piece = _distributed_sort_run(ctx, records, run_id=r)
             del records
 
-            if wb is not None:
-                wb.write_file(store.piece_path(r), piece)
-            else:
-                store.write_file(store.piece_path(r), piece, TAG_RF)
-            sample = np.ascontiguousarray(piece["key"][:: job.sample_every])
-            first_keys = np.ascontiguousarray(piece["key"][:: job.block_records])
+            _put(wb, piece.nbytes, model.write_file, store,
+                 store.piece_path(r), piece, TAG_RF)
+            # A copy, not a view: the piece must be free before the next
+            # run's chunk is read.
+            sample = model.encode_keys(model.keys(piece)[:: job.sample_every])
+            first_keys = model.first_keys(piece, job.block_records)
             ctx.piece_first_keys.append(first_keys)
             metas.append(
                 PieceMeta(
@@ -446,6 +443,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                     n_records=len(piece),
                     sample_keys=sample,
                     sample_every=job.sample_every,
+                    max_key_bytes=model.max_key_bytes(piece),
                 )
             )
             if journal is not None:
@@ -455,7 +453,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                     "samples": [int(s) for s in sample],
                     "every": job.sample_every,
                     "crcs": _block_crcs(piece, job.block_records),
-                    "first_keys": [int(k) for k in first_keys],
+                    "first_keys": first_keys,
                     "checksum": ctx.input_checksum,
                 }
                 run_records.append(rec)
@@ -498,14 +496,14 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
     rows: row i is where rank i's output starts in every run, row P holds
     the run lengths.
     """
-    job, comm, store = ctx.job, ctx.comm, ctx.store
+    job, comm, store, model = ctx.job, ctx.comm, ctx.store, ctx.model
     lengths = [run.n_records for run in runs]
     total = sum(lengths)
     target = ctx.rank * total // job.n_workers
 
     if job.config.selection == "sampled":
-        init_pos, init_step = warm_start_from_samples(
-            _run_samples(runs), target, lengths, job.sample_every
+        init_pos, init_step = model.run_sample_start(
+            runs, target, lengths, job.sample_every
         )
         gen = select_coroutine(
             lengths, target, init_positions=init_pos, init_step=init_step
@@ -515,7 +513,8 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
     else:
         gen = select_bisect_coroutine(lengths, target)
 
-    cache = store.probe_cache(job.selection_cache_blocks)
+    cache = model.probe_cache(store, job.selection_cache_blocks)
+    probe_key = model.probe_key(runs)
     try:
         request = next(gen)
         while True:
@@ -524,7 +523,7 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
             if owner != ctx.rank:
                 ctx.stats.add_counter("selection_remote_probes")
             key = cache.key_at(store.piece_path(r, owner), lpos, TAG_SEL)
-            request = gen.send(key)
+            request = gen.send(probe_key(key))
     except StopIteration as stop:
         result = stop.value
 
@@ -684,8 +683,9 @@ def all_to_all(
     worker streams the ranges of its pieces that lie inside *another*
     rank's splitter span, in block-sized chunks, and places what it
     receives in one slab file per run (arrivals are written at
-    precomputed record offsets, lower senders first, so a slab is sorted
-    as it lands).  The range of a piece inside the rank's own span is
+    precomputed offsets, lower senders first, so a slab is sorted as it
+    lands; the model supplies the byte bases — fixed16 from the
+    splitters, strings from one allgather of slice sizes).  The range of a piece inside the rank's own span is
     not read, not sent to itself and not rewritten; the segment is the
     extent list of :meth:`SegmentLayout.extents`.  The phase's disk
     traffic is 2 x (bytes that change rank) — o(N) on randomized input,
@@ -705,15 +705,28 @@ def all_to_all(
     with ``job.write_behind_blocks > 0`` the positioned slab writes are
     deferred to a writer thread and flushed before the phase ends.
     """
-    job, comm, store, rank = ctx.job, ctx.comm, ctx.store, ctx.rank
+    job, comm, store, rank, model = ctx.job, ctx.comm, ctx.store, ctx.rank, ctx.model
     n_workers = job.n_workers
     block = job.block_records
     read_before = store.bytes_read.get(TAG_A2A, 0)
     written_before = store.bytes_written.get(TAG_A2A, 0)
 
     # Receiver side: sender j's records land in the run's slab behind
-    # those of senders 0..j-1 (global order), own rank skipped.
+    # those of senders 0..j-1 (global order), own rank skipped.  The
+    # record offsets follow from the splitters; the byte offsets are the
+    # model's (``sizes[r][dest]``: this rank's slice of run r for dest).
     layouts, slab_base = segment_layouts(runs, splits, rank)
+    sizes = [
+        [
+            model.range_nbytes(
+                store, store.piece_path(r),
+                *piece_slice(run, splits, r, rank, dest), TAG_A2A,
+            )
+            for dest in range(n_workers)
+        ]
+        for r, run in enumerate(runs)
+    ]
+    byte_base = model.slab_byte_bases(comm, sizes, rank, slab_base)
 
     # Resume bookkeeping: the contiguous chunk count already delivered
     # per (run, sender) channel, agreed across all ranks so every sender
@@ -725,7 +738,7 @@ def all_to_all(
     marks: Dict[Tuple[int, int], int] = {}
     #: Per run, slab record position -> key of the record there, for the
     #: positions where a read unit of the slab starts.
-    slab_keys: List[Dict[int, int]] = [dict() for _ in runs]
+    slab_keys: List[Dict[int, object]] = [dict() for _ in runs]
     if journal is not None and job.epoch > 0 and ctx.resume is not None:
         marks = dict(ctx.resume.a2a_marks)
         for (r, pos), key in ctx.resume.a2a_first_keys.items():
@@ -743,20 +756,23 @@ def all_to_all(
     )
 
     handles: Dict[int, object] = {}
+    slab_index: Dict[int, object] = {}
     for r, layout in enumerate(layouts):
         if layout.lower + layout.upper:
             path = store.slab_path(r)
             # preallocate is size-idempotent: on resume the bytes
             # delivered before the restart survive in place.
-            store.preallocate(path, layout.lower + layout.upper)
+            store.preallocate_bytes(path, byte_base[r][-1])
             handles[r] = open(path, "r+b")
+            slab_index[r] = model.slab_index(layout.lower + layout.upper)
 
     # The exact (run, piece-offset, count) read sequence of the send
     # stream, precomputed so a prefetcher can run ahead of the pipes.
     # Chunks a receiver already journaled are dropped here — the chunk
     # index k keeps its fresh-run numbering, so every surviving arrival
     # lands at the same absolute offset it would have on a clean run.
-    send_plan: List[Tuple[int, int, int, int, int]] = []  # (dest, run, k, start, count)
+    #: (dest, run, k, piece-local start, count, byte offset in channel)
+    send_plan: List[Tuple[int, int, int, int, int, int]] = []
     skipped = 0
     for r, run in enumerate(runs):
         for dest in range(n_workers):
@@ -770,21 +786,25 @@ def all_to_all(
                 ):
                     skipped += 1
                     continue
-                send_plan.append((dest, r, chunk_k, s, min(block, hi - s)))
+                byte_off = model.range_nbytes(
+                    store, store.piece_path(r), lo, s, TAG_A2A
+                )
+                send_plan.append(
+                    (dest, r, chunk_k, s, min(block, hi - s), byte_off)
+                )
     if skipped:
         ctx.stats.add_counter("recovery_chunks_skipped", float(skipped))
 
     prefetcher: Optional[Prefetcher] = None
     if job.prefetch_blocks > 0 and send_plan:
-        requests = [
-            (store.piece_path(r), s, count) for _d, r, _k, s, count in send_plan
-        ]
-        order = sequential_fetch_order(
-            [r for _d, r, _k, _s, _c in send_plan], job.prefetch_blocks
-        )
         prefetcher = Prefetcher(
-            store, requests, order, TAG_A2A, job.prefetch_blocks,
-            stats=ctx.stats,
+            store,
+            [(store.piece_path(r), s, count) for _d, r, _k, s, count, _b in send_plan],
+            sequential_fetch_order(
+                [r for _d, r, _k, _s, _c, _b in send_plan], job.prefetch_blocks
+            ),
+            TAG_A2A, job.prefetch_blocks, stats=ctx.stats,
+            fetch=lambda path, s, count: model.fetch(store, path, s, count, TAG_A2A),
         )
 
     wb: Optional[WriteBehind] = None
@@ -796,15 +816,23 @@ def all_to_all(
     # The chunk index k of each send rides in the plan (see above), so
     # the receiver's offset arithmetic is identical whether or not a
     # prefix of the stream was skipped on resume.
+    sent_bytes = 0
+
     def outgoing():
-        for idx, (dest, r, chunk_k, s, count) in enumerate(send_plan):
+        nonlocal sent_bytes
+        for idx, (dest, r, chunk_k, s, count, byte_off) in enumerate(send_plan):
             if prefetcher is not None:
                 chunk = prefetcher.get(idx)
             else:
-                chunk = store.read_range(store.piece_path(r), s, count, TAG_A2A)
-            yield dest, ("a2a", r, chunk_k, bytes_view(chunk))
+                chunk = model.read_range(
+                    store, store.piece_path(r), s, count, TAG_A2A
+                )
+            sent_bytes += chunk.nbytes
+            ctx.stats.note_resident(2 * chunk.nbytes)
+            yield dest, ("a2a", r, chunk_k, byte_off,
+                         model.encode(chunk, ctx.stats, "a2a"))
 
-    # Harvest the merge's prediction sequence from the arriving bytes:
+    # Harvest the merge's prediction sequence from the arriving records:
     # each chunk lands at a known record offset of the slab, so every
     # read-unit start it covers (the slab's block grid, plus the first
     # record from a higher rank) yields that unit's first key.
@@ -813,9 +841,10 @@ def all_to_all(
     chaos = getattr(job, "chaos", None)
     chunk_hook = getattr(chaos, "on_a2a_chunk", None)
     watermark_every = max(1, int(getattr(job, "a2a_checkpoint_chunks", 8)))
-    new_keys: Dict[Tuple[int, int], int] = {}
+    new_keys: Dict[Tuple[int, int], object] = {}
     arrivals = 0
     received = 0
+    received_bytes = 0
 
     def flush_watermark() -> None:
         # Durability order matters: slab bytes first, then the marks
@@ -828,25 +857,29 @@ def all_to_all(
         new_keys.clear()
 
     def on_chunk(peer: int, payload: tuple) -> None:
-        nonlocal arrivals, received
-        kind, r, k, buf = payload
+        nonlocal arrivals, received, received_bytes
+        kind, r, k, byte_off, buf = payload
         assert kind == "a2a" and peer != rank
+        part = model.decode(buf)
         offset = slab_base[r][peer] + k * block
-        n_recs = len(buf) // RECORD_BYTES
+        n_recs = len(part)
         starts = list(range(-(-offset // block) * block, offset + n_recs, block))
         if offset <= layouts[r].lower < offset + n_recs:
             starts.append(layouts[r].lower)
         for pos in starts:
-            key = struct.unpack_from("<Q", buf, (pos - offset) * RECORD_BYTES)[0]
+            key = model.key_at(part, pos - offset)
             slab_keys[r][pos] = key
             if journal is not None:
                 new_keys[(r, pos)] = key
-        if wb is not None:
-            wb.write_at(handles[r], offset, buf)
-        else:
-            store.write_at(handles[r], offset, buf, TAG_A2A)
+        byte_pos = byte_base[r][peer] + byte_off
+        model.note_arrival(slab_index[r], offset, byte_pos, part)
+        view = model.bytes_view(part)
+        _put(wb, len(view), store.write_at_bytes, handles[r], byte_pos, view,
+             TAG_A2A)
+        ctx.stats.note_resident(2 * part.nbytes)
         arrivals += 1
         received += n_recs
+        received_bytes += part.nbytes
         if journal is not None:
             # Per-channel FIFO + ascending k per (run, dest) make k+1 the
             # contiguous delivered count for this channel.
@@ -872,35 +905,33 @@ def all_to_all(
             wb.close(raise_error=False)
         for handle in handles.values():
             handle.close()
+    for r, index in slab_index.items():
+        model.seal_slab(store, store.slab_path(r), index, byte_base[r][-1])
 
     # The volume identities, checked on every run, not only under the
     # conformance harness: everything this rank's spans need is either
     # kept or received, and the phase read exactly what it sent and
     # wrote exactly what arrived — the kept ranges were never touched.
     moved_in = sum(layout.lower + layout.upper for layout in layouts)
-    sent = sum(count for _d, _r, _k, _s, count in send_plan)
     read = store.bytes_read.get(TAG_A2A, 0) - read_before
     written = store.bytes_written.get(TAG_A2A, 0) - written_before
-    if (
-        held + received != moved_in
-        or read != sent * RECORD_BYTES
-        or written != received * RECORD_BYTES
-    ):
+    if held + received != moved_in or read != sent_bytes or written != received_bytes:
         raise AssertionError(
             f"rank {rank}: all-to-all volume identity broken: received "
             f"{received} (+{held} held from before a restart) of {moved_in} "
-            f"records due; read {read} bytes for {sent} records sent, wrote "
-            f"{written} bytes for {received} records received"
+            f"records due; read {read} bytes for {sent_bytes} sent, wrote "
+            f"{written} bytes for {received_bytes} received"
         )
-    kept = sum(layout.kept for layout in layouts)
-    ctx.stats.add_counter("a2a_kept_bytes", float(kept * RECORD_BYTES))
+    ctx.stats.add_counter(
+        "a2a_kept_bytes", float(sum(run_sizes[rank] for run_sizes in sizes))
+    )
 
     segments = [layout.extents(store, r) for r, layout in enumerate(layouts)]
-    first_keys: List[List[Optional[int]]] = []
+    first_keys: List[List[Optional[object]]] = []
     for r, extents in enumerate(segments):
         slab = store.slab_path(r)
         piece_keys = ctx.piece_first_keys[r]
-        keys: List[Optional[int]] = []
+        keys: List[Optional[object]] = []
         for path, start, _count in read_units(extents, block):
             if path == slab:
                 if start not in slab_keys[r]:
@@ -910,7 +941,7 @@ def all_to_all(
                     )
                 keys.append(slab_keys[r][start])
             elif start % block == 0:
-                keys.append(int(piece_keys[start // block]))
+                keys.append(piece_keys[start // block])
             else:
                 keys.append(None)
         first_keys.append(keys)
@@ -947,8 +978,8 @@ def _coalesce(units: Sequence[Extent]) -> List[Extent]:
     return spans
 
 
-def _read_exactly(store: FileBlockStore, span: Extent) -> np.ndarray:
-    records = store.read_range(span.path, span.start, span.count, TAG_MERGE)
+def _read_exactly(model: RecordModel, store: FileBlockStore, span: Extent):
+    records = model.read_range(store, span.path, span.start, span.count, TAG_MERGE)
     if len(records) != span.count:
         raise IOError(
             f"{span.path}: short read at record {span.start} "
@@ -960,7 +991,7 @@ def _read_exactly(store: FileBlockStore, span: Extent) -> np.ndarray:
 def merge(
     ctx: NativeContext,
     segments: List[List[Extent]],
-    first_keys: Optional[List[List[Optional[int]]]] = None,
+    first_keys: Optional[List[List[Optional[object]]]] = None,
 ) -> OutputMeta:
     """Phase 4: R-way merge of the segments into the final output.
 
@@ -984,8 +1015,9 @@ def merge(
 
     G is ``piece_blocks - R`` (at least one): batch plus carry never
     exceed the M/3 chunk run formation sorts.  Verification happens in
-    stream: sortedness, count, first/last key and the valsort checksum
-    are computed as the output is written.
+    stream: sortedness, count, first/last key and the model's checksum
+    are computed as the output is written.  Keys are the model's, so
+    both record models get the same merge and the same tie order.
 
     A first key the caller does not know (``None``; all of them when
     ``first_keys`` is omitted) is probed with a single-record read under
@@ -1000,7 +1032,7 @@ def merge(
     bounded write-behind buffer when ``job.write_behind_blocks > 0``.
     Both layers are bitwise-transparent.
     """
-    job, store, rank = ctx.job, ctx.store, ctx.rank
+    job, store, rank, model = ctx.job, ctx.store, ctx.rank, ctx.model
     block = job.block_records
     units = [read_units(extents, block) for extents in segments]
     guide = []
@@ -1008,9 +1040,9 @@ def merge(
         for u, (path, start, _count) in enumerate(run_units):
             key = first_keys[r][u] if first_keys is not None else None
             if key is None:
-                key = int(store.read_range(
-                    path, start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
-                )["key"][0])
+                key = model.key_at(model.read_range(
+                    store, path, start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
+                ), 0)
             guide.append((key, r, u))
     guide.sort()
     per_round = max(1, job.piece_blocks - len(segments))
@@ -1019,13 +1051,41 @@ def merge(
     checksum = 0
     count = 0
     marked = 0
-    first_key: Optional[int] = None
-    last_key: Optional[int] = None
+    first_key = None
+    last_key = None
     sorted_ok = True
     prefetcher: Optional[Prefetcher] = None
     wb: Optional[WriteBehind] = None
     journal = ctx.journal
 
+    def emit(batch) -> None:
+        nonlocal checksum, count, marked, first_key, last_key, sorted_ok
+        if not len(batch):
+            return
+        head = model.key_at(batch, 0)
+        if not model.is_sorted(batch) or (
+            last_key is not None and head < last_key
+        ):
+            sorted_ok = False
+        if first_key is None:
+            first_key = head
+        last_key = model.key_at(batch, -1)
+        checksum = model.checksum(batch, checksum)
+        count += len(batch)
+        # Budget-sized slices under write-behind: the buffer's bound
+        # stays the knob's, not the batch's.
+        step = job.write_behind_blocks * block if wb is not None else len(batch)
+        for s in range(0, len(batch), step):
+            part = model.slice(batch, s, s + step)
+            _put(wb, part.nbytes, out.append, part)
+        if journal is not None and count - marked >= 128 * block:
+            # Output-offset watermark: pure observability (a resumed
+            # merge restarts from the segments, which is already o(N));
+            # it shows how far a crashed merge got.
+            journal.merge_mark(count)
+            marked = count
+
+    out = model.appender(store, out_path, TAG_MERGE)
     try:
         if job.prefetch_blocks > 0 and guide:
             prefetcher = Prefetcher(
@@ -1035,107 +1095,78 @@ def merge(
                     [r for _key, r, _u in guide], job.prefetch_blocks
                 ),
                 TAG_MERGE, job.prefetch_blocks, stats=ctx.stats,
+                fetch=lambda path, s, n: model.fetch(store, path, s, n, TAG_MERGE),
             )
-        with open(out_path, "wb") as out:
-            if job.write_behind_blocks > 0:
-                wb = WriteBehind(
-                    store, TAG_MERGE, job.write_behind_bytes, stats=ctx.stats
-                )
+        if job.write_behind_blocks > 0:
+            wb = WriteBehind(
+                store, TAG_MERGE, job.write_behind_bytes, stats=ctx.stats
+            )
 
-            def emit(batch: np.ndarray) -> None:
-                nonlocal checksum, count, marked, first_key, last_key, sorted_ok
-                if not len(batch):
-                    return
-                keys = batch["key"]
-                if len(keys) > 1 and not bool(np.all(keys[:-1] <= keys[1:])):
-                    sorted_ok = False
-                if last_key is not None and int(keys[0]) < last_key:
-                    sorted_ok = False
-                if first_key is None:
-                    first_key = int(keys[0])
-                last_key = int(keys[-1])
-                with np.errstate(over="ignore"):
-                    checksum = (checksum + int(np.add.reduce(keys))) & _MASK
-                count += len(batch)
-                if wb is not None:
-                    # Budget-sized slices: the buffer's bound stays the
-                    # knob's, not the batch's.
-                    step = job.write_behind_blocks * block
-                    for s in range(0, len(batch), step):
-                        wb.append(out, batch[s : s + step])
-                else:
-                    store.append_records(out, batch, TAG_MERGE)
-                if journal is not None and count - marked >= 128 * block:
-                    # Output-offset watermark: pure observability (a
-                    # resumed merge restarts from the segments, which is
-                    # already o(N)); it shows how far a crashed merge got.
-                    journal.merge_mark(count)
-                    marked = count
+        #: Loaded but not yet emittable records, per run (non-empty only).
+        carry: Dict[int, object] = {}
+        for lo in range(0, len(guide), per_round):
+            hi = min(lo + per_round, len(guide))
+            fresh: Dict[int, list] = {}
+            if prefetcher is not None:
+                for idx in range(lo, hi):
+                    fresh.setdefault(guide[idx][1], []).append(
+                        prefetcher.get(idx)
+                    )
+            else:
+                # First keys ascend within a run, so a run's units of
+                # this batch are consecutive: one coalesced read per
+                # extent they touch.
+                wanted: Dict[int, List[int]] = {}
+                for _key, r, u in guide[lo:hi]:
+                    wanted.setdefault(r, []).append(u)
+                for r, ids in wanted.items():
+                    fresh[r] = [
+                        _read_exactly(model, store, span)
+                        for span in _coalesce(units[r][ids[0] : ids[-1] + 1])
+                    ]
 
-            #: Loaded but not yet emittable records, per run (non-empty only).
-            carry: Dict[int, np.ndarray] = {}
-            for lo in range(0, len(guide), per_round):
-                hi = min(lo + per_round, len(guide))
-                fresh: Dict[int, List[np.ndarray]] = {}
-                if prefetcher is not None:
-                    for idx in range(lo, hi):
-                        fresh.setdefault(guide[idx][1], []).append(
-                            prefetcher.get(idx)
-                        )
-                else:
-                    # First keys ascend within a run, so a run's units
-                    # of this batch are consecutive: one coalesced read
-                    # per extent they touch.
-                    wanted: Dict[int, List[int]] = {}
-                    for _key, r, u in guide[lo:hi]:
-                        wanted.setdefault(r, []).append(u)
-                    for r, ids in wanted.items():
-                        fresh[r] = [
-                            _read_exactly(store, span)
-                            for span in _coalesce(units[r][ids[0] : ids[-1] + 1])
-                        ]
+            bound = guide[hi] if hi < len(guide) else None
+            parts = []
+            held = 0
+            for r in sorted(carry.keys() | fresh.keys()):
+                pieces = fresh.get(r, [])
+                if r in carry:
+                    pieces = [carry.pop(r)] + pieces
+                buf = model.concat(pieces)
+                held += buf.nbytes
+                cut = len(buf)
+                if bound is not None:
+                    # The carry lies in the last loaded block: only that
+                    # tail of the buffer needs searching.
+                    cut = model.cut(
+                        buf, bound[0], "right" if r <= bound[1] else "left",
+                        lo=max(0, len(buf) - block),
+                    )
+                if cut:
+                    parts.append(model.slice(buf, 0, cut))
+                if cut < len(buf):
+                    # Copy out of a freshly loaded batch so the carry
+                    # pins at most its own block, not the batch.
+                    tail = model.slice(buf, cut, len(buf))
+                    carry[r] = model.copy(tail) if r in fresh else tail
+            batch = model.merge(parts)
+            ctx.stats.note_resident(
+                held
+                + 2 * batch.nbytes
+                + (prefetcher.buffered_bytes() if prefetcher else 0)
+                + (wb.queued_bytes() if wb else 0)
+            )
+            emit(batch)
 
-                bound = guide[hi] if hi < len(guide) else None
-                parts: List[np.ndarray] = []
-                held = 0
-                for r in sorted(carry.keys() | fresh.keys()):
-                    pieces = fresh.get(r, [])
-                    if r in carry:
-                        pieces = [carry.pop(r)] + pieces
-                    buf = pieces[0] if len(pieces) == 1 else concat_records(pieces)
-                    held += len(buf)
-                    cut = len(buf)
-                    if bound is not None:
-                        # The carry lies in the last loaded block: only
-                        # that tail of the buffer needs searching.
-                        tail = buf["key"][-block:]
-                        cut += int(np.searchsorted(
-                            tail, bound[0],
-                            side="right" if r <= bound[1] else "left",
-                        )) - len(tail)
-                    if cut:
-                        parts.append(buf[:cut])
-                    if cut < len(buf):
-                        # Copy out of a freshly loaded batch so the carry
-                        # pins at most its own block, not the batch.
-                        carry[r] = buf[cut:].copy() if r in fresh else buf[cut:]
-                batch = merge_record_arrays(parts)
-                ctx.stats.note_resident(
-                    held * RECORD_BYTES
-                    + 2 * batch.nbytes
-                    + (prefetcher.buffered_bytes() if prefetcher else 0)
-                    + (wb.queued_bytes() if wb else 0)
-                )
-                emit(batch)
-
-            if wb is not None:
-                wb.close()  # flush inside the with-block: out must stay open
-                wb = None
+        if wb is not None:
+            wb.close()  # flush before the output file is closed
+            wb = None
     finally:
         if prefetcher is not None:
             prefetcher.close()
         if wb is not None:  # error path
             wb.close(raise_error=False)
+        out.close()
 
     meta = OutputMeta(
         rank=rank,
@@ -1143,7 +1174,7 @@ def merge(
         n_records=count,
         first_key=first_key,
         last_key=last_key,
-        checksum=checksum & _MASK,
+        checksum=checksum,
         sorted_ok=sorted_ok,
     )
     if journal is not None:

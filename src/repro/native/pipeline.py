@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,7 +96,9 @@ class Prefetcher:
     At most ``budget_blocks`` requests are in flight or fetched-but-
     unconsumed at any time.  :meth:`get` hands the consumer request ``i``,
     charging the read to ``store`` *on the consuming thread* and
-    recording the wait as stall time in ``stats``.
+    recording the wait as stall time in ``stats``.  ``fetch(path, start,
+    count)`` reads a request without accounting (default: fixed16
+    records; the phases pass their record model's ``fetch``).
     """
 
     def __init__(
@@ -108,6 +110,7 @@ class Prefetcher:
         budget_blocks: int,
         stats=None,
         n_threads: Optional[int] = None,
+        fetch: Optional[Callable] = None,
     ):
         if budget_blocks < 1:
             raise ValueError(f"budget_blocks must be >= 1, got {budget_blocks}")
@@ -118,6 +121,7 @@ class Prefetcher:
         self.tag = tag
         self.budget = budget_blocks
         self.stats = stats
+        self._fetch = fetch or read_records
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._order = list(fetch_order)
@@ -166,15 +170,8 @@ class Prefetcher:
                     idx = self._next_index()
                 if self._stopped:
                     return
-            path, start, count = self.requests[idx]
             try:
-                block = read_records(path, start, count)
-                if len(block) != count:
-                    raise IOError(
-                        f"{path}: short read at record {start} "
-                        f"({len(block)} of {count})"
-                    )
-                payload: object = block
+                payload: object = self._read(idx)
             except BaseException as exc:  # surfaced to the consumer in get()
                 payload = exc
             with self._cond:
@@ -188,9 +185,19 @@ class Prefetcher:
                     )
                 self._cond.notify_all()
 
+    def _read(self, idx: int):
+        path, start, count = self.requests[idx]
+        block = self._fetch(path, start, count)
+        if len(block) != count:
+            raise IOError(
+                f"{path}: short read at record {start} "
+                f"({len(block)} of {count})"
+            )
+        return block
+
     # -- consumer side ---------------------------------------------------------
 
-    def get(self, idx: int) -> np.ndarray:
+    def get(self, idx: int):
         """Request ``idx``'s block, waiting only while a fetch can deliver it.
 
         The consumer waits as long as the schedule can still produce the
@@ -223,21 +230,18 @@ class Prefetcher:
                     break
                 self._cond.wait(0.5)
         assert miss
+        block = self._read(idx)
+        self.store.charge_read(self.tag, block.nbytes)
         if self.stats is not None:
             self.stats.add_counter(f"{self.tag}_prefetch_direct")
-            waited = time.monotonic() - start_wait
-            if waited > 0:
-                self.stats.add_stall(self.tag, waited)
-        return self.store.read_range(
-            self.requests[idx][0], self.requests[idx][1], self.requests[idx][2],
-            self.tag,
-        )
+            self.stats.add_stall(self.tag, time.monotonic() - start_wait)
+        return block
 
     def buffered_bytes(self) -> int:
         with self._lock:
             return sum(
                 b.nbytes for b in self._results.values()
-                if isinstance(b, np.ndarray)
+                if not isinstance(b, BaseException)
             )
 
     def close(self) -> None:
@@ -255,14 +259,11 @@ class Prefetcher:
         self.close()
 
 
-#: Writer-queue operation kinds.
-_OP_APPEND, _OP_AT, _OP_FILE = "append", "at", "file"
-
-
 class WriteBehind:
     """Bounded write-behind buffer: one writer thread per store user.
 
-    All writes are executed through the owning store's methods, so
+    All writes are executed through the owning store's methods (or, via
+    :meth:`defer`, whatever store-backed write the caller hands in), so
     per-tag byte accounting and the chaos write gate (torn ENOSPC
     writes) behave exactly as on the synchronous path — just on a
     background thread.  Any write error is re-raised on the producer
@@ -290,7 +291,9 @@ class WriteBehind:
 
     # -- producer side ---------------------------------------------------------
 
-    def _submit(self, op: tuple, nbytes: int) -> None:
+    def defer(self, write: Callable, *args, nbytes: int) -> None:
+        """Run ``write(*args)`` on the writer thread; ``nbytes`` counts
+        against the budget until it has run."""
         start_wait = time.monotonic()
         with self._cond:
             if self._error is not None:
@@ -303,7 +306,7 @@ class WriteBehind:
                 self._cond.wait(0.5)
                 if self._error is not None:
                     raise self._error
-            self._queue.append(op)
+            self._queue.append((write, args, nbytes))
             self._queued_bytes += nbytes
             if self.stats is not None:
                 self.stats.add_counter(f"{self.tag}_write_behind_chunks")
@@ -317,15 +320,18 @@ class WriteBehind:
 
     def append(self, handle, records: np.ndarray) -> None:
         """Deferred ``store.append_records(handle, records, tag)``."""
-        self._submit((_OP_APPEND, handle, records), records.nbytes)
+        self.defer(self.store.append_records, handle, records, self.tag,
+                   nbytes=records.nbytes)
 
     def write_at(self, handle, record_offset: int, payload: bytes) -> None:
         """Deferred ``store.write_at(handle, record_offset, payload, tag)``."""
-        self._submit((_OP_AT, handle, record_offset, payload), len(payload))
+        self.defer(self.store.write_at, handle, record_offset, payload,
+                   self.tag, nbytes=len(payload))
 
     def write_file(self, path: str, records: np.ndarray) -> None:
         """Deferred ``store.write_file(path, records, tag)``."""
-        self._submit((_OP_FILE, path, records), records.nbytes)
+        self.defer(self.store.write_file, path, records, self.tag,
+                   nbytes=records.nbytes)
 
     def queued_bytes(self) -> int:
         with self._cond:
@@ -340,21 +346,9 @@ class WriteBehind:
                     self._cond.wait(0.5)
                 if self._error is not None or (self._closed and not self._queue):
                     return
-                op = self._queue.pop(0)
+                write, args, nbytes = self._queue.pop(0)
             try:
-                kind = op[0]
-                if kind == _OP_APPEND:
-                    _, handle, records = op
-                    self.store.append_records(handle, records, self.tag)
-                    nbytes = records.nbytes
-                elif kind == _OP_AT:
-                    _, handle, offset, payload = op
-                    self.store.write_at(handle, offset, payload, self.tag)
-                    nbytes = len(payload)
-                else:
-                    _, path, records = op
-                    self.store.write_file(path, records, self.tag)
-                    nbytes = records.nbytes
+                write(*args)
             except BaseException as exc:
                 with self._cond:
                     self._error = exc

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..algos.multiway_selection import sample_initial_positions
+from ..core.selection_phase import _run_samples, warm_start_from_samples
 from ..records.element import ELEM_PAPER_16B, KEY_DTYPE
 from ..workloads.gensort import record_keys
 
@@ -60,6 +63,7 @@ __all__ = [
     "lcp_encode_batch",
     "lcp_decode_batch",
     "read_varlen_file",
+    "read_varlen_records",
     "write_varlen_file",
     "RecordModel",
     "Fixed16Model",
@@ -738,18 +742,74 @@ def read_varlen_file(path: str) -> VarlenBatch:
     return VarlenBatch(data, offsets)
 
 
-# -- the record-model registry ----------------------------------------------
+def read_varlen_records(
+    path: str, start: int, count: int, offsets: np.ndarray
+) -> VarlenBatch:
+    """Read ``count`` varlen records at record ``start``, no accounting.
+
+    ``offsets`` are the file's record boundaries (cf. :func:`read_records`).
+    """
+    lo, hi = int(offsets[start]), int(offsets[start + count])
+    with open(path, "rb") as handle:
+        handle.seek(lo)
+        data = np.fromfile(handle, dtype=np.uint8, count=hi - lo)
+    return VarlenBatch(data, offsets[start : start + count + 1] - lo)
+
+
+def _count_lcp(stats, phase: str, raw: int, wire: int, overhead: int,
+               trimmed: int) -> None:
+    """Accumulate the provable LCP volume identity of one wire chunk::
+
+        <phase>_wire_bytes == <phase>_raw_bytes + <phase>_overhead_bytes
+                              - <phase>_trimmed_bytes
+    """
+    if stats is None:
+        return
+    stats.add_counter(f"{phase}_raw_bytes", float(raw))
+    stats.add_counter(f"{phase}_wire_bytes", float(wire))
+    stats.add_counter(f"{phase}_overhead_bytes", float(overhead))
+    stats.add_counter(f"{phase}_trimmed_bytes", float(trimmed))
+
+
+# -- the record models -------------------------------------------------------
 
 
 class RecordModel:
-    """What the rest of the backend needs to know about a record format.
+    """Everything the phase pipeline needs to know about a record format.
 
-    ``name`` is the job-spec / CLI token; ``varlen`` selects the phase
-    implementations (fixed-slot vs byte-rank); ``nominal_bytes`` is the
-    per-record figure used for *sizing* (memory budgets, block sizing,
-    records-per-worker) — for the string model it is the same 16 bytes,
-    so a given ``--data-mib`` sorts the same record count under either
-    model and sizing-sensitive invariants stay comparable.
+    :mod:`repro.native.phases` is written once against this interface and
+    never asks which model it runs; where the formats truly differ, the
+    difference lives in a method here.  A *part* is an in-memory batch of
+    the model's records — a :data:`NATIVE_DTYPE` array for fixed16, a
+    :class:`VarlenBatch` for strings; both have ``len()`` and ``nbytes``.
+    Keys surface as Python ``int`` (fixed16) or ``bytes`` (strings), so
+    guides, cuts and output metadata compare them without knowing which.
+
+    The interface, by concern:
+
+    * parts — ``generate``, ``sort``, ``concat``, ``merge`` (stable in
+      list order), ``slice``, ``copy``, ``keys``, ``key_at``,
+      ``first_keys``, ``cut`` (a buffer at a key, ``side`` as in
+      ``searchsorted``), ``is_sorted``, ``checksum``, ``max_key_bytes``;
+    * files (through a :class:`~repro.native.blockstore.FileBlockStore`) —
+      ``read_blocks``, ``read_range``, ``fetch`` (uncharged, for reader
+      threads), ``write_file``, ``appender``, ``range_nbytes`` (the byte
+      size of a record range), ``probe_cache``;
+    * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
+      a sorted key sequence, ``bytes_view`` of a part as written;
+    * selection — ``sample_start`` and ``run_sample_start`` (the Appendix
+      B warm starts), ``local_probe`` and ``probe_key`` (a key as the
+      integer the shared selection kernel compares);
+    * all-to-all slabs — ``slab_byte_bases``, and ``slab_index`` /
+      ``note_arrival`` / ``seal_slab`` for a slab's record boundaries.
+
+    ``name`` is the job-spec / CLI token; ``varlen`` says whether files
+    carry an ``.idx`` record-boundary sidecar (job validation reads it,
+    the phases do not); ``nominal_bytes`` is the per-record figure used
+    for *sizing* (memory budgets, block sizing, records-per-worker) — for
+    the string model it is the same 16 bytes, so a given ``--data-mib``
+    sorts the same record count under either model and sizing-sensitive
+    invariants stay comparable.
     """
 
     name: str = "abstract"
@@ -767,7 +827,12 @@ class RecordModel:
 
 
 class Fixed16Model(RecordModel):
-    """The paper's fixed 16-byte (u64 key, u64 payload) element."""
+    """The paper's fixed 16-byte (u64 key, u64 payload) element.
+
+    Constant stride: a record's byte offset is 16 x its position, so
+    files need no index, a chunk crosses the wire as its raw bytes, and
+    slab byte offsets follow from the splitters alone.
+    """
 
     name = "fixed16"
     varlen = False
@@ -778,9 +843,130 @@ class Fixed16Model(RecordModel):
     def output_keys(self, path: str) -> np.ndarray:
         return keys_of(self.read_output(path))
 
+    # -- parts
+    def generate(self, start, count, seed, skew):
+        return generate_records(start, count, seed=seed, skew=skew)
+
+    def sort(self, part):
+        return sort_records(part)
+
+    def concat(self, parts):
+        return parts[0] if len(parts) == 1 else concat_records(parts)
+
+    def merge(self, parts):
+        return merge_record_arrays(parts)
+
+    def slice(self, part, lo, hi):
+        return part[lo:hi]
+
+    def copy(self, part):
+        return part.copy()
+
+    def keys(self, part):
+        return part["key"]
+
+    def key_at(self, part, i) -> int:
+        return int(part["key"][i])
+
+    def first_keys(self, part, every) -> List[int]:
+        return part["key"][::every].tolist()
+
+    def cut(self, part, key, side, lo=0) -> int:
+        return lo + int(np.searchsorted(part["key"][lo:], key, side=side))
+
+    def is_sorted(self, part) -> bool:
+        keys = part["key"]
+        return bool(np.all(keys[:-1] <= keys[1:]))
+
+    def checksum(self, part, acc=0) -> int:
+        """The gensort input checksum: the key sum mod 2^64."""
+        if not len(part):
+            return acc
+        with np.errstate(over="ignore"):
+            return (acc + int(np.add.reduce(part["key"]))) & _U64_MASK
+
+    def max_key_bytes(self, part) -> int:
+        return np.dtype(KEY_DTYPE).itemsize
+
+    # -- files
+    def read_blocks(self, store, path, block_ids, tag):
+        return store.read_blocks(path, block_ids, tag)
+
+    def read_range(self, store, path, start, count, tag):
+        return store.read_range(path, start, count, tag)
+
+    def fetch(self, store, path, start, count, tag):
+        return read_records(path, start, count)
+
+    def write_file(self, store, path, part, tag):
+        store.write_file(path, part, tag)
+
+    def appender(self, store, path, tag):
+        return store.record_appender(path, tag)
+
+    def range_nbytes(self, store, path, lo, hi, tag) -> int:
+        return (hi - lo) * RECORD_BYTES
+
+    def probe_cache(self, store, capacity_blocks):
+        return store.probe_cache(capacity_blocks)
+
+    # -- wire
+    def encode(self, part, stats=None, phase=""):
+        return bytes_view(part)
+
+    def decode(self, buf):
+        return records_from_bytes(buf)
+
+    def bytes_view(self, part):
+        return bytes_view(part)
+
+    def encode_keys(self, keys, stats=None, phase=""):
+        return np.ascontiguousarray(keys)
+
+    def decode_keys(self, wire):
+        return np.asarray(wire)
+
+    # -- selection
+    def sample_start(self, samples, every, target, lengths):
+        return sample_initial_positions(samples, every, target, lengths)
+
+    def run_sample_start(self, runs, target, lengths, every):
+        return warm_start_from_samples(_run_samples(runs), target, lengths, every)
+
+    def local_probe(self, comm, part):
+        keys = part["key"]
+        return lambda pos: int(keys[pos])
+
+    def probe_key(self, runs):
+        return int
+
+    # -- all-to-all slabs
+    def slab_byte_bases(self, comm, sizes, rank, slab_base):
+        """Per run, where each sender's bytes start in the slab: the
+        record offsets times 16 — no agreement round needed."""
+        return [[b * RECORD_BYTES for b in bases] for bases in slab_base]
+
+    def slab_index(self, n_records):
+        return None
+
+    def note_arrival(self, index, pos, byte_pos, part) -> None:
+        pass
+
+    def seal_slab(self, store, path, index, nbytes) -> None:
+        pass
+
 
 class StringModel(RecordModel):
-    """Length-prefixed variable records with byte-string keys."""
+    """Length-prefixed variable records with byte-string keys.
+
+    Files carry an ``.idx`` sidecar of record-boundary byte offsets (a
+    slab's is rebuilt in memory as its chunks land); every sorted key
+    sequence that crosses the wire — samples, exchange and all-to-all
+    chunks — travels LCP front-coded per *Communication-Efficient String
+    Sorting* (Bingmann, Sanders, Schimek), with the trimmed bytes counted
+    (:func:`_count_lcp`); the shared integer selection kernel compares
+    keys through :func:`embed_key` at a globally agreed width.
+    """
 
     name = "string"
     varlen = True
@@ -790,6 +976,186 @@ class StringModel(RecordModel):
 
     def output_keys(self, path: str) -> List[bytes]:
         return self.read_output(path).keys()
+
+    # -- parts
+    def generate(self, start, count, seed, skew):
+        return generate_string_batch(start, count, seed=seed, skew=skew)
+
+    def sort(self, part):
+        return part.sort()
+
+    def concat(self, parts):
+        return VarlenBatch.concat(parts)
+
+    def merge(self, parts):
+        return merge_varlen_batches(parts)
+
+    def slice(self, part, lo, hi):
+        return part.slice(lo, hi)
+
+    def copy(self, part):
+        return VarlenBatch(np.array(part.data), part.offsets.copy(),
+                           keys=part._keys)
+
+    def keys(self, part):
+        return part.keys()
+
+    def key_at(self, part, i) -> bytes:
+        return part.keys()[i]
+
+    def first_keys(self, part, every) -> List[bytes]:
+        return part.keys()[::every]
+
+    def cut(self, part, key, side, lo=0) -> int:
+        search = bisect_right if side == "right" else bisect_left
+        return search(part.keys(), key, lo)
+
+    def is_sorted(self, part) -> bool:
+        keys = part.keys()
+        return all(a <= b for a, b in zip(keys, keys[1:]))
+
+    def checksum(self, part, acc=0) -> int:
+        return string_checksum(part, acc)
+
+    def max_key_bytes(self, part) -> int:
+        return part.max_key_len()
+
+    # -- files
+    def read_blocks(self, store, path, block_ids, tag):
+        return store.read_varlen_blocks(path, block_ids, tag)
+
+    def read_range(self, store, path, start, count, tag):
+        return store.read_varlen_range(path, start, count, tag)
+
+    def fetch(self, store, path, start, count, tag):
+        offsets = store.varlen_offsets(path, tag)
+        return read_varlen_records(path, start, count, offsets)
+
+    def write_file(self, store, path, part, tag):
+        store.write_varlen_file(path, part, tag)
+
+    def appender(self, store, path, tag):
+        return store.varlen_appender(path, tag)
+
+    def range_nbytes(self, store, path, lo, hi, tag) -> int:
+        offsets = store.varlen_offsets(path, tag)
+        return int(offsets[hi] - offsets[lo])
+
+    def probe_cache(self, store, capacity_blocks):
+        return store.varlen_probe_cache(capacity_blocks)
+
+    # -- wire
+    def encode(self, part, stats=None, phase=""):
+        wire, saved = lcp_encode_batch(part)
+        _count_lcp(stats, phase, raw=part.nbytes, wire=len(wire),
+                   overhead=4 + 4 * len(part), trimmed=saved)
+        return wire
+
+    def decode(self, buf):
+        return lcp_decode_batch(buf)
+
+    def bytes_view(self, part):
+        return part.bytes_view()
+
+    def encode_keys(self, keys, stats=None, phase=""):
+        wire, saved = lcp_encode_keys(keys)
+        _count_lcp(stats, phase, raw=sum(len(k) for k in keys),
+                   wire=len(wire), overhead=4 + 8 * len(keys), trimmed=saved)
+        return wire
+
+    def decode_keys(self, wire):
+        return lcp_decode_keys(wire)
+
+    # -- selection
+    def sample_start(self, samples, every, target, lengths):
+        """Pure-Python port of ``sample_initial_positions`` for bytes keys.
+
+        ``samples[j][i]`` is the key at position ``i * every`` of
+        sequence ``j``; ties sort by (key, sequence, sample index),
+        matching the numpy ``lexsort`` of the fixed kernel.
+        """
+        n_seqs = len(samples)
+        total = sum(len(s) for s in samples)
+        if total == 0 or target == 0:
+            return [0] * n_seqs, every
+        triples = sorted(
+            (key, j, i) for j, seq in enumerate(samples) for i, key in enumerate(seq)
+        )
+        counts = [0] * n_seqs
+        for _key, j, _i in triples[: min(target // every, total - 1) + 1]:
+            counts[j] += 1
+        return [
+            min(0 if c == 0 else (c - 1) * every, int(lengths[j]))
+            for j, c in enumerate(counts)
+        ], every
+
+    def run_sample_start(self, runs, target, lengths, every):
+        """Pure-Python port of ``warm_start_from_samples`` for bytes keys:
+        the runs' (key, run, global position) samples, stitched across
+        the rank-ordered pieces."""
+        n_runs = len(runs)
+        triples = sorted(
+            (key, r, i * piece.sample_every + run.offsets[n])
+            for r, run in enumerate(runs)
+            for n, piece in enumerate(run.pieces)
+            for i, key in enumerate(self.decode_keys(piece.sample_keys))
+        )
+        if target <= 0 or not triples:
+            return [0] * n_runs, every
+        last: Dict[int, int] = {}
+        for _key, r, pos in triples[: min(target // every, len(triples) - 1) + 1]:
+            last[r] = pos
+        return [min(last.get(r, 0), int(lengths[r])) for r in range(n_runs)], every
+
+    def local_probe(self, comm, part):
+        keys = part.keys()
+        width = comm.allreduce(part.max_key_len() + 1, max)
+        return lambda pos: embed_key(keys[pos], width)
+
+    def probe_key(self, runs):
+        width = 1 + max(
+            (p.max_key_bytes for run in runs for p in run.pieces), default=0
+        )
+        return lambda key: embed_key(key, width)
+
+    # -- all-to-all slabs
+    def slab_byte_bases(self, comm, sizes, rank, slab_base):
+        """Per run, where each sender's bytes start in the slab.  Byte
+        sizes are not implied by record counts, so every sender publishes
+        its per-(run, dest) slice sizes in one allgather and each
+        receiver prefix-sums its column (own entry skipped)."""
+        all_sizes = comm.allgather(sizes)
+        bases = []
+        for r in range(len(sizes)):
+            row, acc = [], 0
+            for j, peer_sizes in enumerate(all_sizes):
+                row.append(acc)
+                if j != rank:
+                    acc += peer_sizes[r][rank]
+            bases.append(row + [acc])
+        return bases
+
+    def slab_index(self, n_records):
+        bounds = np.full(n_records + 1, -1, dtype=np.int64)
+        bounds[0] = 0
+        return bounds
+
+    def note_arrival(self, index, pos, byte_pos, part) -> None:
+        index[pos + 1 : pos + 1 + len(part)] = byte_pos + part.offsets[1:]
+
+    def seal_slab(self, store, path, index, nbytes) -> None:
+        """Check the rebuilt boundaries cover the slab, then hand them to
+        the store: the merge reads the slab through them, no ``.idx``."""
+        if (
+            bool(np.any(index < 0))
+            or int(index[-1]) != nbytes
+            or bool(np.any(np.diff(index) < 0))
+        ):
+            raise AssertionError(
+                f"{path}: slab boundary reconstruction incomplete "
+                f"({int(index[-1])} of {nbytes} bytes claimed)"
+            )
+        store.set_varlen_offsets(path, index)
 
 
 MODELS = {"fixed16": Fixed16Model(), "string": StringModel()}

@@ -71,9 +71,9 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         _chaos_point(job, rank, point, result_conn, comm=comm)
 
     # The (algorithm, record model) pair picks the phase implementations
-    # from the backend registry (see native/algos): canonical's
-    # fixed-slot phases, their byte-rank string twins, or the striped
-    # backend.  Job validation guarantees only registered
+    # from the backend registry (see native/algos): canonical's phases
+    # (one implementation, the record model is the job's) or the
+    # striped backend.  Job validation guarantees only registered
     # combinations arrive here, and that non-canonical and varlen jobs
     # never reach the checkpoint/resume branches below.
     algorithm = resolve_algorithm(

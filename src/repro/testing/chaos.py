@@ -39,6 +39,7 @@ __all__ = [
     "kill_points",
     "run_chaos_case",
     "run_chaos_sweep",
+    "sweep_specs",
     "run_recovery_smoke",
     "run_service_smoke",
     "run_service_chaos",
@@ -528,6 +529,31 @@ def _run_recovery_case(
     return verdict
 
 
+def sweep_specs(
+    points=None, pipelined: bool = False, recover: bool = False
+) -> List[ChaosSpec]:
+    """The faults :func:`run_chaos_sweep` injects, one case each."""
+    points = kill_points() if points is None else list(points)
+    specs = [ChaosSpec(rank=0, kill_at=point) for point in points]
+    # One connection severed mid-protocol: the all-to-all is where the
+    # bulk of the data crosses the mesh, so losing a PE's network there
+    # must fail fast on every peer and leave no torn output files.
+    specs.append(ChaosSpec(rank=0, sever_comm_at="before:all_to_all"))
+    if recover:
+        # A death *between* watermark checkpoints inside the exchange,
+        # and a wedged (not just severed) mesh: the two hard resume
+        # shapes beyond plain boundary kills.
+        specs.append(ChaosSpec(rank=0, kill_after_a2a_chunks=3))
+        specs.append(ChaosSpec(rank=0, wedge_comm_at="before:all_to_all"))
+    if pipelined and not recover:
+        # Torn disk-full write, deferred into the writer thread: the
+        # threshold sits past the 8 KiB input (written synchronously
+        # during generate), so the failing write is a run-formation
+        # piece spill — executed by the write-behind thread.
+        specs.append(ChaosSpec(rank=0, enospc_after_bytes=9000))
+    return specs
+
+
 def run_chaos_sweep(
     spill_root: str,
     n_workers: int = 2,
@@ -564,27 +590,10 @@ def run_chaos_sweep(
     import shutil
     import tempfile
 
-    points = kill_points() if points is None else list(points)
     pipe_kw = (
         {"prefetch_blocks": 4, "write_behind_blocks": 4} if pipelined else {}
     )
-    specs = [ChaosSpec(rank=0, kill_at=point) for point in points]
-    # One connection severed mid-protocol: the all-to-all is where the
-    # bulk of the data crosses the mesh, so losing a PE's network there
-    # must fail fast on every peer and leave no torn output files.
-    specs.append(ChaosSpec(rank=0, sever_comm_at="before:all_to_all"))
-    if recover:
-        # A death *between* watermark checkpoints inside the exchange,
-        # and a wedged (not just severed) mesh: the two hard resume
-        # shapes beyond plain boundary kills.
-        specs.append(ChaosSpec(rank=0, kill_after_a2a_chunks=3))
-        specs.append(ChaosSpec(rank=0, wedge_comm_at="before:all_to_all"))
-    if pipelined and not recover:
-        # Torn disk-full write, deferred into the writer thread: the
-        # threshold sits past the 8 KiB input (written synchronously
-        # during generate), so the failing write is a run-formation
-        # piece spill — executed by the write-behind thread.
-        specs.append(ChaosSpec(rank=0, enospc_after_bytes=9000))
+    specs = sweep_specs(points, pipelined=pipelined, recover=recover)
     verdicts = []
     for i, spec in enumerate(specs):
         if progress is not None:

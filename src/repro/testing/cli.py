@@ -254,17 +254,16 @@ def main(argv: List[str] = None) -> int:
                 )
             )
         if args.strings and specs:
-            # Native-only string twins over every transport already in
-            # the list: the identical corpus keys, mapped through the
-            # order-preserving u64-to-string embedding, sorted as
-            # variable-length records against an independent decoded
-            # sorted() oracle.
+            # Native-only string twins over every transport (and, with
+            # --pipelined, every pipelined case) already in the list: the
+            # identical corpus keys, mapped through the order-preserving
+            # u64-to-string embedding, sorted as variable-length records
+            # against an independent decoded sorted() oracle.
             specs.extend(
                 differential.string_variants(
                     [
                         s for s in specs
                         if "native" in s.backends
-                        and not s.pipelined
                         and not s.recover
                         and s.records == "fixed16"
                         and s.algo == "canonical"

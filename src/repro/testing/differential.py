@@ -214,10 +214,10 @@ class CaseSpec:
         if self.records != "fixed16":
             if "sim" in self.backends:
                 raise ValueError("string cases run the native backend only")
-            if self.pipelined or self.recover:
+            if self.recover:
                 raise ValueError(
-                    "string cases support neither pipelined I/O nor "
-                    "recovery yet (NativeJob rejects both)"
+                    "string cases do not support recovery yet (NativeJob "
+                    "rejects checkpointing for strings)"
                 )
         from ..native.records import STRING_FAMILIES
 
@@ -469,10 +469,12 @@ def string_variants(
     Twins cycle deterministically through ``families`` (synthetic hex,
     URL-like, log-line), so any slice of three or more specs covers all
     the corpus's string shapes without multiplying the case count.
+    Pipelined specs get pipelined string twins: both record models run
+    the same phase code, read-ahead and write-behind included.
     """
     eligible = [
         spec for spec in specs
-        if not spec.pipelined and not spec.recover
+        if not spec.recover
         and spec.records == "fixed16" and spec.algo == "canonical"
     ]
     return [
@@ -735,6 +737,8 @@ def _run_native_string_case(
             generate=False,
             timeout=120.0,
             transport=spec.transport,
+            prefetch_blocks=4 if spec.pipelined else 0,
+            write_behind_blocks=4 if spec.pipelined else 0,
             records="string",
         )
         sort = NativeSorter(job).run()

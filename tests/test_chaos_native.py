@@ -21,6 +21,7 @@ from repro.testing.chaos import (
     kill_points,
     run_chaos_case,
     run_chaos_sweep,
+    sweep_specs,
 )
 
 RB = 16
@@ -209,7 +210,7 @@ def test_kill_points_cover_every_phase_boundary():
 @pytest.mark.conformance
 def test_full_kill_sweep_every_boundary(tmp_path):
     verdicts = run_chaos_sweep(str(tmp_path), budget=30.0)
-    assert len(verdicts) == len(kill_points())
+    assert len(verdicts) == len(sweep_specs())
     bad = [v for v in verdicts if not v["ok"]]
     assert not bad, bad
 

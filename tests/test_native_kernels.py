@@ -7,7 +7,7 @@ size B, the batch size G (derived from M), the pipelining knobs and the
 way each segment is spread over its piece and slab files (the extent
 lists the in-place all-to-all leaves behind), its output is the stable
 merge of the segments in run order — the package's (key, run, position)
-tie rule — with exact byte conservation.
+tie rule — with exact byte conservation, for both record models.
 """
 
 import os
@@ -34,9 +34,13 @@ from repro.native.phases import (
 from repro.native.records import (
     NATIVE_DTYPE,
     RECORD_BYTES,
+    VarlenBatch,
     make_records,
     merge_record_arrays,
+    resolve_model,
     sort_records,
+    string_key_from_u64,
+    write_varlen_file,
 )
 from repro.native.stats import WorkerStats
 
@@ -127,11 +131,27 @@ def _merge_job(spill, n_runs, block, piece_blocks, **knobs):
     )
 
 
-#: A record no segment contains: the filler around a kept range in its
-#: piece file.  Reading one would break the output's order and count.
-_POISON = make_records(
-    np.full(1, 2**64 - 1, dtype=np.uint64), np.full(1, 2**64 - 1, dtype=np.uint64)
-)
+#: A record no segment contains, per record model: the filler around a
+#: kept range in its piece file.  Reading one would break the output's
+#: order and count.
+_POISON = {
+    "fixed16": make_records(
+        np.full(1, 2**64 - 1, dtype=np.uint64),
+        np.full(1, 2**64 - 1, dtype=np.uint64),
+    ),
+    "string": VarlenBatch.build([b"\xff\xff"], [2**64 - 1]),
+}
+
+
+def _raw(model, part):
+    return bytes(model.bytes_view(part))
+
+
+def _write(model, path, part):
+    if model.varlen:
+        write_varlen_file(path, part)
+    else:
+        part.tofile(path)
 
 
 def _whole(seg):
@@ -139,7 +159,7 @@ def _whole(seg):
     return SegmentLayout(0, 0, len(seg), 0)
 
 
-def _lay_out(store, r, seg, layout, tail=0):
+def _lay_out(store, model, r, seg, layout, tail=0):
     """Put ``seg`` on disk the way the all-to-all leaves a segment: its
     kept range inside the piece file (poison records around it), lower
     and upper slab back to back in the slab file.  Returns the extents
@@ -147,38 +167,49 @@ def _lay_out(store, r, seg, layout, tail=0):
     lower, keep_start, kept, upper = layout
     assert layout.n_records == len(seg)
     block = store.block_records
-    piece = np.concatenate([
-        np.repeat(_POISON, keep_start), seg[lower : lower + kept],
-        np.repeat(_POISON, tail),
-    ])
-    piece.tofile(store.piece_path(r))
+    poison = _POISON[model.name]
+    piece = model.concat(
+        [poison] * keep_start + [model.slice(seg, lower, lower + kept)]
+        + [poison] * tail
+    )
+    paths = [store.piece_path(r)]
+    _write(model, paths[0], piece)
     if lower + upper:
-        np.concatenate([seg[:lower], seg[lower + kept :]]).tofile(
-            store.slab_path(r)
-        )
+        paths.append(store.slab_path(r))
+        _write(model, paths[1], model.concat(
+            [model.slice(seg, 0, lower), model.slice(seg, lower + kept, len(seg))]
+        ))
+    if model.varlen:
+        # The all-to-all leaves every segment file's record boundaries in
+        # the store's memory; the merge itself reads no ``.idx``.
+        for path in paths:
+            store.varlen_offsets(path, "setup")
     extents = layout.extents(store, r)
     # Slab units and kept units on the piece's block grid come for free;
     # a kept range starting inside a block leaves its first key unknown.
     first_keys, pos = [], 0
     for path, start, count in read_units(extents, block):
         known = path == store.slab_path(r) or start % block == 0
-        first_keys.append(int(seg["key"][pos]) if known else None)
+        first_keys.append(model.key_at(seg, pos) if known else None)
         pos += count
     return extents, first_keys
 
 
 def _run_merge(spill, segments, block, piece_blocks, harvested=True,
-               layouts=None, rank=0, **knobs):
+               layouts=None, rank=0, records="fixed16", **knobs):
     """Lay ``segments`` out as extent lists and merge them; returns
     ``(output records, OutputMeta, store, stats, job)``."""
-    job = _merge_job(spill, len(segments), block, piece_blocks, **knobs)
+    job = _merge_job(
+        spill, len(segments), block, piece_blocks, records=records, **knobs
+    )
+    model = job.model
     assert job.n_runs == len(segments) and job.piece_blocks == piece_blocks
     store = FileBlockStore(str(spill), rank=rank, block_records=block)
     stats = WorkerStats(rank=rank)
     store.attach_stats(stats)
     layouts = layouts or [_whole(seg) for seg in segments]
     laid = [
-        _lay_out(store, r, seg, layout)
+        _lay_out(store, model, r, seg, layout)
         for r, (seg, layout) in enumerate(zip(segments, layouts))
     ]
     ctx = NativeContext(rank=rank, job=job, comm=None, store=store, stats=stats)
@@ -187,19 +218,23 @@ def _run_merge(spill, segments, block, piece_blocks, harvested=True,
         [extents for extents, _keys in laid],
         [keys for _extents, keys in laid] if harvested else None,
     )
-    out = np.fromfile(store.output_path(), dtype=NATIVE_DTYPE)
+    out = model.read_output(store.output_path())
     return out, meta, store, stats, job
 
 
-def _segments(lengths, key_range, seed):
+def _segments(lengths, key_range, seed, records="fixed16"):
     """Sorted segments with globally unique payloads (so that any
-    reordering of equal keys shows)."""
+    reordering of equal keys shows); string keys are the order-preserving
+    hex embedding of the same u64 keys."""
     rng = np.random.default_rng(seed)
     segments, next_id = [], 0
     for n in lengths:
         keys = np.sort(rng.integers(0, key_range, n).astype(np.uint64))
         ids = np.arange(next_id, next_id + n, dtype=np.uint64)
-        segments.append(make_records(keys, ids))
+        segments.append(
+            make_records(keys, ids) if records == "fixed16" else
+            VarlenBatch.build([string_key_from_u64(k) for k in keys], ids)
+        )
         next_id += n
     return segments
 
@@ -242,25 +277,32 @@ def merge_cases(draw):
     }
 
 
+@pytest.mark.parametrize("records", ["fixed16", "string"])
 @given(case=merge_cases())
 @settings(max_examples=60, deadline=None)
-def test_merge_is_the_stable_merge_of_the_segments(tmp_path_factory, case):
-    segments = _segments(case["lengths"], case["key_range"], case["seed"])
-    expect = merge_record_arrays(segments)
+def test_merge_is_the_stable_merge_of_the_segments(
+    tmp_path_factory, records, case
+):
+    model = resolve_model(records)
+    segments = _segments(
+        case["lengths"], case["key_range"], case["seed"], records
+    )
+    expect = model.merge(segments)
     nbytes = expect.nbytes
     shape = (case["block"], case["piece_blocks"], case["harvested"])
 
     out, meta, store, stats, job = _run_merge(
         tmp_path_factory.mktemp("sync"), segments, *shape,
-        layouts=case["layouts"],
+        layouts=case["layouts"], records=records,
     )
 
-    assert np.array_equal(out, expect)
+    assert _raw(model, out) == _raw(model, expect)
     assert meta.n_records == len(expect) and meta.sorted_ok
     if len(expect):
-        keys = expect["key"]
-        assert (meta.first_key, meta.last_key) == (int(keys[0]), int(keys[-1]))
-        assert meta.checksum == int(np.add.reduce(keys)) & (2**64 - 1)
+        assert (meta.first_key, meta.last_key) == (
+            model.key_at(expect, 0), model.key_at(expect, -1)
+        )
+        assert meta.checksum == model.checksum(expect)
     else:
         assert meta.first_key is None and meta.last_key is None
         assert meta.checksum == 0
@@ -269,11 +311,15 @@ def test_merge_is_the_stable_merge_of_the_segments(tmp_path_factory, case):
     assert store.bytes_read.get(TAG_MERGE, 0) == nbytes
     assert store.bytes_written.get(TAG_MERGE, 0) == nbytes
     index_bytes, index_ops = _index_reads(store)
-    assert index_bytes == index_ops * RECORD_BYTES  # single-record probes
+    if records == "fixed16":
+        assert index_bytes == index_ops * RECORD_BYTES  # single-record probes
     if case["harvested"]:
         # At most the kept range's first unit per run needs its key found.
         assert index_ops <= len(segments)
-    assert stats.peak_resident_bytes <= 2 * job.memory_bytes
+    # Memory is budgeted in nominal 16-byte records; a string record is
+    # larger, so its bound scales with the mean encoded record size.
+    scale = max(1.0, nbytes / max(1, len(expect)) / RECORD_BYTES)
+    assert stats.peak_resident_bytes <= 2 * job.memory_bytes * scale
     # The merge's input is reclaimed.
     assert not any(
         os.path.exists(path(r))
@@ -283,11 +329,11 @@ def test_merge_is_the_stable_merge_of_the_segments(tmp_path_factory, case):
 
     piped, piped_meta, piped_store, _stats, _job = _run_merge(
         tmp_path_factory.mktemp("pipe"), segments, *shape,
-        layouts=case["layouts"],
+        layouts=case["layouts"], records=records,
         prefetch_blocks=case["prefetch_blocks"],
         write_behind_blocks=case["write_behind_blocks"],
     )
-    assert piped.tobytes() == out.tobytes()
+    assert _raw(model, piped) == _raw(model, out)
     assert piped_meta.checksum == meta.checksum
     assert piped_store.bytes_read.get(TAG_MERGE, 0) == nbytes
     assert piped_store.bytes_written.get(TAG_MERGE, 0) == nbytes
@@ -339,15 +385,20 @@ def test_merge_reads_each_extent_shape_exactly(tmp_path, shape, harvested):
         )
 
 
+@pytest.mark.parametrize("records", ["fixed16", "string"])
 @pytest.mark.parametrize("key_range", [12, 1], ids=["dup-heavy", "all-equal"])
-def test_merge_tie_order_does_not_depend_on_block_size(tmp_path, key_range):
+def test_merge_tie_order_does_not_depend_on_block_size(
+    tmp_path, key_range, records
+):
     """Regression: the per-block loop emitted everything <= the smallest
     buffer tail from *every* run, so when a run's buffered block ended in
     key k and its next block started with k, later runs' k-records were
     written first — tie order (and so the output bytes) depended on B.
-    Nor may it depend on how a segment is cut into extents."""
-    segments = _segments([150, 90, 200, 1, 0, 170], key_range, seed=3)
-    expect = merge_record_arrays(segments)
+    Nor may it depend on how a segment is cut into extents — in either
+    record model."""
+    model = resolve_model(records)
+    segments = _segments([150, 90, 200, 1, 0, 170], key_range, 3, records)
+    expect = model.merge(segments)
     cut = [
         SegmentLayout(41, 3, 60, 49), SegmentLayout(0, 7, 90, 0),
         SegmentLayout(100, 0, 0, 100), SegmentLayout(0, 0, 0, 1),
@@ -358,11 +409,11 @@ def test_merge_tie_order_does_not_depend_on_block_size(tmp_path, key_range):
         for name, layouts in (("whole", None), ("cut", cut)):
             out, meta, _store, _stats, _job = _run_merge(
                 tmp_path / f"b{block}-{name}", segments, block,
-                piece_blocks=8, layouts=layouts,
+                piece_blocks=8, layouts=layouts, records=records,
             )
             assert meta.sorted_ok
-            assert np.array_equal(out, expect), f"B = {block}, {name}"
-            outputs.append(out.tobytes())
+            assert _raw(model, out) == _raw(model, expect), f"B = {block}, {name}"
+            outputs.append(_raw(model, out))
     assert len(set(outputs)) == 1
 
 

@@ -9,6 +9,7 @@ single-run merge test is a regression test: a one-run shortcut the
 merge once had skipped the resident-bytes accounting.
 """
 
+import os
 import time
 
 import numpy as np
@@ -272,15 +273,18 @@ def run_native(tmp_path, name, **knobs):
     )
 
 
-def test_pipelined_sort_is_bitwise_invisible(tmp_path):
-    sync = run_native(tmp_path, "sync")
+@pytest.mark.parametrize("records", ["fixed16", "string"])
+def test_pipelined_sort_is_bitwise_invisible(tmp_path, records):
+    sync = run_native(tmp_path, "sync", records=records)
     pipe = run_native(
-        tmp_path, "pipe", prefetch_blocks=4, write_behind_blocks=4
+        tmp_path, "pipe", records=records, prefetch_blocks=4,
+        write_behind_blocks=4,
     )
     assert sync.validate().ok and pipe.validate().ok
+    model = pipe.job.model
     for rank in range(2):
-        assert np.array_equal(
-            sync.output_records(rank), pipe.output_records(rank)
+        assert bytes(model.bytes_view(sync.output_records(rank))) == bytes(
+            model.bytes_view(pipe.output_records(rank))
         )
 
     stats = pipe.stats
@@ -293,10 +297,17 @@ def test_pipelined_sort_is_bitwise_invisible(tmp_path):
     for phase in ("run_formation", "all_to_all", "merge"):
         assert stats.counter_total(f"{phase}_write_behind_chunks") > 0, phase
 
-    # Conservation survives the thread hop: each pass moves N*16 bytes,
-    # the all-to-all exactly what it shipped.
-    nbytes = pipe.job.total_records * RECORD_BYTES
-    shipped = stats.wire_sent("all_to_all")
+    # Conservation survives the thread hop: each pass moves the input's
+    # bytes, the all-to-all exactly what it shipped (the string wire is
+    # LCP-coded, so there that is the senders' raw-byte counter).
+    nbytes = sum(
+        os.path.getsize(os.path.join(pipe.job.spill_dir, f"input_{rank}.dat"))
+        for rank in range(2)
+    )
+    shipped = (
+        stats.counter_total("a2a_raw_bytes") if model.varlen
+        else stats.wire_sent("all_to_all")
+    )
     assert shipped + stats.counter_total("a2a_kept_bytes") == nbytes
     for phase, want in (
         ("run_formation", nbytes), ("all_to_all", shipped), ("merge", nbytes)

@@ -348,8 +348,6 @@ def test_string_job_rejects_unsupported_features(tmp_path):
         _string_job(tmp_path, checkpoint=True)
     with pytest.raises(ConfigError, match="checkpoint"):
         _string_job(tmp_path, max_restarts=1)
-    with pytest.raises(ConfigError, match="pipelined"):
-        _string_job(tmp_path, prefetch_blocks=2)
     from repro.testing.chaos import ChaosSpec
 
     with pytest.raises(ConfigError, match="chaos"):
