@@ -580,13 +580,15 @@ class VarlenAppender:
         self.path = path
         self.tag = tag
         self._handle = open(path, "wb")
-        self._offsets = [0]
+        #: Per appended batch, its record ends in file byte offsets.
+        self._offsets = [np.zeros(1, dtype=np.int64)]
         self._total = 0
+        self._n_records = 0
         self._closed = False
 
     @property
     def n_records(self) -> int:
-        return len(self._offsets) - 1
+        return self._n_records
 
     def append(self, batch: VarlenBatch) -> None:
         mv = batch.bytes_view()
@@ -598,16 +600,16 @@ class VarlenAppender:
         self._handle.write(mv)
         self.store._charge_stall(self.tag, time.monotonic() - t0)
         self.store.charge_write(self.tag, len(mv))
-        base = self._total
-        self._offsets.extend(base + int(o) for o in batch.offsets[1:])
-        self._total = base + len(mv)
+        self._offsets.append(batch.offsets[1:] + self._total)
+        self._total += len(mv)
+        self._n_records += len(batch)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self._handle.close()
-        offsets = np.asarray(self._offsets, dtype=np.int64)
+        offsets = np.concatenate(self._offsets)
         with open(varlen_index_path(self.path), "wb") as handle:
             offsets.tofile(handle)
         self.store.charge_write(self.tag + INDEX_TAG_SUFFIX, offsets.nbytes)
@@ -617,9 +619,10 @@ class VarlenAppender:
 class VarlenProbeCache:
     """Block-granular *string* key reads with an LRU (cf. ProbeCache).
 
-    Returns the raw byte key; the selection driver embeds it into the
-    order-preserving integer form the shared multiway-selection kernel
-    compares (see ``records.embed_key``).
+    A cached block is its key column.  Returns the raw byte key; the
+    selection driver embeds it into the order-preserving integer form
+    the shared multiway-selection kernel compares (see
+    ``records.embed_key``).
     """
 
     def __init__(self, store: FileBlockStore, capacity_blocks: int):
@@ -641,10 +644,10 @@ class VarlenProbeCache:
                 self.store.block_records,
                 tag,
             )
-            cached = batch.keys()
+            cached = batch.column
             self.cache.put((path, block_idx), cached)
             self.block_reads += 1
-        return cached[pos - block_idx * self.store.block_records]
+        return bytes(cached[pos - block_idx * self.store.block_records])
 
 
 class SequentialReader:

@@ -345,7 +345,7 @@ def _distributed_sort_run(ctx: NativeContext, records, run_id: int):
         recv_bytes += len(buf)
 
     comm.exchange(outgoing(), on_chunk)
-    ctx.stats.note_resident(records.nbytes + recv_bytes)
+    ctx.stats.note_resident(model.footprint(records) + recv_bytes)
     del records, keys, lookup  # the chunk's memory is no longer needed
 
     parts = []
@@ -355,7 +355,7 @@ def _distributed_sort_run(ctx: NativeContext, records, run_id: int):
         if bufs:
             parts.append(model.concat(bufs))
     merged = model.merge(parts)
-    ctx.stats.note_resident(2 * merged.nbytes)
+    ctx.stats.note_resident(2 * model.footprint(merged))
     ctx.stats.add_counter("internal_sort_sent_records", sum(lengths) // n_workers)
     return merged
 
@@ -420,10 +420,13 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             # concatenate) — one coalesced positioned read per run of
             # consecutive block IDs.
             records = model.read_blocks(store, input_path, block_ids, TAG_RF)
-            ctx.add_checksum(records)
+            # Sized before the checksum: a model's footprint may build
+            # state of the part (the string key column) that the
+            # checksum and the sort then reuse.
             ctx.stats.note_resident(
-                2 * records.nbytes + (wb.queued_bytes() if wb else 0)
+                2 * model.footprint(records) + (wb.queued_bytes() if wb else 0)
             )
+            ctx.add_checksum(records)
             records = model.sort(records)
 
             piece = _distributed_sort_run(ctx, records, run_id=r)
@@ -828,7 +831,7 @@ def all_to_all(
                     store, store.piece_path(r), s, count, TAG_A2A
                 )
             sent_bytes += chunk.nbytes
-            ctx.stats.note_resident(2 * chunk.nbytes)
+            ctx.stats.note_resident(2 * model.footprint(chunk))
             yield dest, ("a2a", r, chunk_k, byte_off,
                          model.encode(chunk, ctx.stats, "a2a"))
 
@@ -876,7 +879,7 @@ def all_to_all(
         view = model.bytes_view(part)
         _put(wb, len(view), store.write_at_bytes, handles[r], byte_pos, view,
              TAG_A2A)
-        ctx.stats.note_resident(2 * part.nbytes)
+        ctx.stats.note_resident(2 * model.footprint(part))
         arrivals += 1
         received += n_recs
         received_bytes += part.nbytes
@@ -1133,7 +1136,7 @@ def merge(
                 if r in carry:
                     pieces = [carry.pop(r)] + pieces
                 buf = model.concat(pieces)
-                held += buf.nbytes
+                held += model.footprint(buf)
                 cut = len(buf)
                 if bound is not None:
                     # The carry lies in the last loaded block: only that
@@ -1152,7 +1155,7 @@ def merge(
             batch = model.merge(parts)
             ctx.stats.note_resident(
                 held
-                + 2 * batch.nbytes
+                + 2 * model.footprint(batch)
                 + (prefetcher.buffered_bytes() if prefetcher else 0)
                 + (wb.queued_bytes() if wb else 0)
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -247,6 +246,12 @@ def keys_of(records: np.ndarray) -> np.ndarray:
 # which compares integer probe replies, rank strings without change.
 # The payload stays a u64 record index so the conformance permutation
 # and round-trip checks carry over unchanged.
+#
+# In memory a batch also holds its keys as one *column*: a NUL-padded
+# fixed-width ``np.dtype(f"S{w}")`` array, w = max key length + 1.  The
+# same NUL-freeness makes numpy's order on that column the byte order of
+# the keys, so sorting, merging, cutting and LCP coding a batch are
+# whole-column numpy operations, never loops over Python ``bytes``.
 # ---------------------------------------------------------------------------
 
 #: Bytes of the per-record length prefix (u32 key length).
@@ -255,15 +260,112 @@ VARLEN_HEADER_BYTES = 4
 #: Bytes of the per-record payload (u64 record index).
 VARLEN_PAYLOAD_BYTES = 8
 
+#: Bytes a record adds to its key.
+_RECORD_OVERHEAD = VARLEN_HEADER_BYTES + VARLEN_PAYLOAD_BYTES
+
 _U64_MASK = (1 << 64) - 1
 
+_U32 = struct.Struct("<I")
 
-def _check_key(key: bytes) -> bytes:
-    if not isinstance(key, (bytes, bytearray)):
-        raise TypeError(f"string keys must be bytes, got {type(key).__name__}")
-    if b"\x00" in key:
+#: Up to this row width :func:`_prefix_mask` looks rows up in a table.
+_MASK_TABLE_WIDTH = 1024
+
+#: Bytes of rows one step of a row-wise kernel handles: its gathers and
+#: masks stay this small however large the batch.
+_BLOCK_BYTES = 1 << 16
+
+
+def _prefix_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` bools: row i is True in its first ``lengths[i]`` columns."""
+    if width <= _MASK_TABLE_WIDTH:
+        table = np.arange(width) < np.arange(width + 1)[:, None]
+        return np.take(table, lengths, axis=0)
+    return np.arange(width) < lengths[:, None]
+
+
+def _row_blocks(n: int, width: int) -> Iterable[Tuple[int, int]]:
+    """``(lo, hi)`` row ranges of about :data:`_BLOCK_BYTES` each."""
+    step = max(1, _BLOCK_BYTES // max(1, width))
+    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
+
+
+def _windows(data: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-byte window of the contiguous ``data`` as one view:
+    row i is ``data[i : i + width]``, and writes go through to ``data``."""
+    return np.ndarray((data.nbytes - width + 1, width), dtype=np.uint8,
+                      buffer=data, strides=(1, 1))
+
+
+def _rows(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """``data[s : s + width]`` for every ``s`` in ``starts`` as one
+    ``(n, width)`` gather; bytes past the end of ``data`` read as NUL."""
+    n = len(starts)
+    if not n:
+        return np.zeros((0, width), dtype=np.uint8)
+    over = starts > data.nbytes - width
+    if not over.any():
+        return _windows(data, width)[starts]
+    # Windows that run past the end (the last few records) come from a
+    # NUL-padded copy of the data's tail, less than two rows long.
+    base = int(starts[over].min())
+    tail = np.zeros(data.nbytes - base + width, dtype=np.uint8)
+    tail[: data.nbytes - base] = data[base:]
+    rows = np.empty((n, width), dtype=np.uint8)
+    if not over.all():
+        rows[~over] = _windows(data, width)[starts[~over]]
+    rows[over] = _windows(tail, width)[starts[over] - base]
+    return rows
+
+
+def _key_column(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The NUL-padded ``S{w}`` key column of the records in ``data``."""
+    lengths = np.diff(offsets) - _RECORD_OVERHEAD
+    width = int(lengths.max()) + 1 if len(lengths) else 1
+    starts = offsets[:-1] + VARLEN_HEADER_BYTES
+    column = np.empty((len(lengths), width), dtype=np.uint8)
+    for lo, hi in _row_blocks(len(lengths), width):
+        rows = _rows(data, starts[lo:hi], width)
+        np.multiply(rows, _prefix_mask(lengths[lo:hi], width), out=column[lo:hi])
+    return column.view(f"S{width}").ravel()
+
+
+def _joined_keys(keys: Sequence[bytes]) -> bytes:
+    """All keys back to back, after checking they are NUL-free bytes."""
+    try:
+        joined = b"".join(keys)
+    except TypeError:
+        bad = next(k for k in keys if not isinstance(k, (bytes, bytearray)))
+        raise TypeError(
+            f"string keys must be bytes, got {type(bad).__name__}"
+        ) from None
+    if b"\x00" in joined:
         raise ValueError("string keys must be NUL-free (ordering embedding)")
-    return bytes(key)
+    return joined
+
+
+def _assemble(
+    keys: np.ndarray, lengths: np.ndarray, payloads: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Records from the concatenated key bytes, the key lengths and the
+    payloads: ``(data, offsets)``.  Headers and payloads are placed with
+    one fixed-width scatter each, the key bytes with one masked copy."""
+    n = len(lengths)
+    if len(payloads) != n:
+        raise ValueError(f"{n} keys vs {len(payloads)} payloads")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths + _RECORD_OVERHEAD, out=offsets[1:])
+    data = np.empty(int(offsets[-1]), dtype=np.uint8)
+    if n:
+        is_key = np.ones(len(data), dtype=bool)
+        for width, at, values in (
+            (VARLEN_HEADER_BYTES, offsets[:-1], lengths.astype("<u4")),
+            (VARLEN_PAYLOAD_BYTES, offsets[1:] - VARLEN_PAYLOAD_BYTES,
+             payloads.astype("<u8")),
+        ):
+            _windows(data, width)[at] = values.view(np.uint8).reshape(n, width)
+            _windows(is_key.view(np.uint8), width)[at] = 0
+        data[is_key] = keys
+    return data, offsets
 
 
 class VarlenBatch:
@@ -276,22 +378,29 @@ class VarlenBatch:
     ``slice`` is a view of the data (only the small offset vector is
     rebased), so the exchange hot path keeps the no-intermediate-copy
     property of the fixed model.
+
+    ``column`` is the NUL-padded ``S{w}`` key column: one vectorised
+    gather builds it the first time a kernel asks, and ``slice``,
+    ``take``, ``concat`` and the merge carry it along instead of
+    building it again.  It costs n·w bytes beside the data.
     """
 
-    __slots__ = ("data", "offsets", "_mv", "_keys")
+    __slots__ = ("data", "offsets", "_mv", "_column")
 
     def __init__(
         self,
         data: np.ndarray,
         offsets: np.ndarray,
-        keys: Optional[List[bytes]] = None,
+        column: Optional[np.ndarray] = None,
     ):
         data = np.asarray(data, dtype=np.uint8)
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0:
             raise ValueError("offsets must be 1-D with offsets[0] == 0")
-        if len(offsets) > 1 and bool(np.any(np.diff(offsets) < 0)):
-            raise ValueError("offsets must be non-decreasing")
+        if len(offsets) > 1 and bool(np.any(np.diff(offsets) < _RECORD_OVERHEAD)):
+            raise ValueError(
+                f"offsets must step by at least {_RECORD_OVERHEAD} bytes"
+            )
         if int(offsets[-1]) != data.nbytes:
             raise ValueError(
                 f"offsets end at {int(offsets[-1])} but data holds "
@@ -300,7 +409,7 @@ class VarlenBatch:
         self.data = data
         self.offsets = offsets
         self._mv = memoryview(np.ascontiguousarray(data)).cast("B")
-        self._keys = keys
+        self._column = column
 
     # -- construction ------------------------------------------------------
 
@@ -309,29 +418,16 @@ class VarlenBatch:
         cls, keys: Sequence[bytes], payloads: Iterable[int]
     ) -> "VarlenBatch":
         """Encode parallel key/payload sequences into a batch."""
-        chunks: List[bytes] = []
-        offsets = np.empty(len(keys) + 1, dtype=np.int64)
-        offsets[0] = 0
-        total = 0
-        checked: List[bytes] = []
-        for i, (key, payload) in enumerate(zip(keys, payloads)):
-            key = _check_key(key)
-            checked.append(key)
-            rec = (
-                struct.pack("<I", len(key))
-                + key
-                + struct.pack("<Q", int(payload) & _U64_MASK)
-            )
-            chunks.append(rec)
-            total += len(rec)
-            offsets[i + 1] = total
-        data = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        return cls(data, offsets, keys=checked)
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        key_bytes = np.frombuffer(_joined_keys(keys), dtype=np.uint8)
+        if not isinstance(payloads, np.ndarray):
+            payloads = np.fromiter(payloads, dtype=np.uint64, count=len(lengths))
+        return cls(*_assemble(key_bytes, lengths, payloads))
 
     @classmethod
     def empty(cls) -> "VarlenBatch":
         return cls(np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64),
-                   keys=[])
+                   np.empty(0, dtype="S1"))
 
     @classmethod
     def concat(cls, parts: Sequence["VarlenBatch"]) -> "VarlenBatch":
@@ -341,14 +437,15 @@ class VarlenBatch:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
-        data = np.concatenate([np.ascontiguousarray(p.data) for p in parts])
+        data = np.concatenate([p.data for p in parts])
         sizes = np.concatenate([np.diff(p.offsets) for p in parts])
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        keys = None
-        if all(p._keys is not None for p in parts):
-            keys = [k for p in parts for k in p._keys]
-        return cls(data, offsets, keys=keys)
+        column = None
+        if all(p._column is not None for p in parts):
+            # Widths may differ: numpy pads the narrower parts with NUL.
+            column = np.concatenate([p._column for p in parts])
+        return cls(data, offsets, column)
 
     @classmethod
     def from_bytes(cls, buf) -> "VarlenBatch":
@@ -357,20 +454,19 @@ class VarlenBatch:
         end = len(mv)
         offsets = [0]
         off = 0
-        while off < end:
-            if off + VARLEN_HEADER_BYTES > end:
-                raise ValueError(
-                    f"truncated varlen record header at byte {off}/{end}"
-                )
-            (key_len,) = struct.unpack_from("<I", mv, off)
-            nxt = off + VARLEN_HEADER_BYTES + key_len + VARLEN_PAYLOAD_BYTES
-            if nxt > end:
-                raise ValueError(
-                    f"truncated varlen record at byte {off}/{end} "
-                    f"(key_len={key_len})"
-                )
-            off = nxt
-            offsets.append(off)
+        unpack = _U32.unpack_from
+        try:
+            while off < end:
+                off += _RECORD_OVERHEAD + unpack(mv, off)[0]
+                offsets.append(off)
+        except struct.error:
+            raise ValueError(
+                f"truncated varlen record header at byte {off}/{end}"
+            ) from None
+        if off != end:
+            raise ValueError(
+                f"truncated varlen record at byte {offsets[-2]}/{end}"
+            )
         data = np.frombuffer(mv, dtype=np.uint8)
         return cls(data, np.asarray(offsets, dtype=np.int64))
 
@@ -387,34 +483,40 @@ class VarlenBatch:
         """Zero-copy byte view of the whole batch (wire/disk form)."""
         return self._mv[: self.nbytes]
 
-    def key_at(self, i: int) -> bytes:
-        if self._keys is not None:
-            return self._keys[i]
-        off = int(self.offsets[i])
-        (key_len,) = struct.unpack_from("<I", self._mv, off)
-        start = off + VARLEN_HEADER_BYTES
-        return bytes(self._mv[start : start + key_len])
+    @property
+    def column(self) -> np.ndarray:
+        """The NUL-padded ``S{w}`` key column (built on first use)."""
+        if self._column is None:
+            self._column = _key_column(self.data, self.offsets)
+        return self._column
 
-    def payload_at(self, i: int) -> int:
-        off = int(self.offsets[i])
-        (key_len,) = struct.unpack_from("<I", self._mv, off)
-        return struct.unpack_from(
-            "<Q", self._mv, off + VARLEN_HEADER_BYTES + key_len
-        )[0]
+    @property
+    def lengths(self) -> np.ndarray:
+        """The key lengths, ``int64``."""
+        return np.diff(self.offsets) - _RECORD_OVERHEAD
+
+    def key_at(self, i: int) -> bytes:
+        return bytes(self.column[i])
 
     def keys(self) -> List[bytes]:
-        """All keys, decoded once and cached."""
-        if self._keys is None:
-            self._keys = [self.key_at(i) for i in range(len(self))]
-        return self._keys
+        """All keys as Python ``bytes`` (for the checksum, tests and
+        oracles).  Without a column in place this decodes a block of rows
+        at a time and keeps none of them."""
+        if self._column is not None:
+            return self._column.tolist()
+        step = max(1, _BLOCK_BYTES // (self.max_key_len() + 1))
+        keys: List[bytes] = []
+        for lo in range(0, len(self), step):
+            keys += _key_column(self.data, self.offsets[lo : lo + step + 1]).tolist()
+        return keys
 
     def payloads(self) -> np.ndarray:
-        return np.array(
-            [self.payload_at(i) for i in range(len(self))], dtype=np.uint64
-        )
+        """The ``u64`` payload column."""
+        ends = self.offsets[1:] - VARLEN_PAYLOAD_BYTES
+        return _rows(self.data, ends, VARLEN_PAYLOAD_BYTES).view("<u8").ravel()
 
     def max_key_len(self) -> int:
-        return max((len(k) for k in self.keys()), default=0)
+        return int(self.lengths.max()) if len(self) else 0
 
     # -- slicing / reordering ---------------------------------------------
 
@@ -425,28 +527,33 @@ class VarlenBatch:
         stop = max(start, min(stop, n))
         lo = int(self.offsets[start])
         hi = int(self.offsets[stop])
-        keys = self._keys[start:stop] if self._keys is not None else None
+        column = None if self._column is None else self._column[start:stop]
         return VarlenBatch(
-            self.data[lo:hi], self.offsets[start : stop + 1] - lo, keys=keys
+            self.data[lo:hi], self.offsets[start : stop + 1] - lo, column
         )
 
     def take(self, order: Sequence[int]) -> "VarlenBatch":
-        """A new batch with records permuted into ``order``."""
-        keys = self.keys()
-        out = bytearray()
-        offsets = np.empty(len(order) + 1, dtype=np.int64)
-        offsets[0] = 0
-        for j, i in enumerate(order):
-            out += self._mv[int(self.offsets[i]) : int(self.offsets[i + 1])]
-            offsets[j + 1] = len(out)
-        data = np.frombuffer(bytes(out), dtype=np.uint8)
-        return VarlenBatch(data, offsets, keys=[keys[i] for i in order])
+        """A new batch with records permuted into ``order``: every record
+        gathered as a row as wide as the widest, masked to its size."""
+        order = np.asarray(order, dtype=np.intp)
+        sizes = np.diff(self.offsets)[order]
+        starts = self.offsets[:-1][order]
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        data = np.empty(int(offsets[-1]), dtype=np.uint8)
+        width = int(sizes.max()) if len(order) else 0
+        for lo, hi in _row_blocks(len(order), width):
+            rows = _rows(self.data, starts[lo:hi], width)
+            data[offsets[lo] : offsets[hi]] = rows[
+                _prefix_mask(sizes[lo:hi], width)
+            ]
+        column = None if self._column is None else self._column[order]
+        return VarlenBatch(data, offsets, column)
 
     def sort(self) -> "VarlenBatch":
-        """Byte-lexicographic key sort, stable in input position."""
-        keys = self.keys()
-        order = sorted(range(len(self)), key=keys.__getitem__)
-        return self.take(order)
+        """Byte-lexicographic key sort, stable in input position: one
+        stable argsort of the key column and one gather."""
+        return self.take(np.argsort(self.column, kind="stable"))
 
 
 def make_varlen_batch(
@@ -466,21 +573,12 @@ def merge_varlen_batches(parts: List[VarlenBatch]) -> VarlenBatch:
 
     Same concatenate-then-stable-sort strategy (and the same canonical
     (key, sequence, position) tie-break realization) as
-    :func:`merge_record_arrays`.
+    :func:`merge_record_arrays`, on the concatenated key column.
     """
     parts = [p for p in parts if len(p)]
-    if not parts:
-        return VarlenBatch.empty()
     if len(parts) == 1:
         return parts[0]
-    data = np.concatenate([p.data for p in parts])
-    sizes = np.concatenate([np.diff(p.offsets) for p in parts])
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    keys: List[bytes] = []
-    for p in parts:
-        keys.extend(p.keys())
-    return VarlenBatch(data, offsets, keys=keys).sort()
+    return VarlenBatch.concat(parts).sort()
 
 
 # -- integer embedding for the selection kernel -----------------------------
@@ -513,92 +611,151 @@ def unembed_key(value: int, width: int) -> bytes:
 # samples, splitters, sorted record chunks — is sent as (lcp-with-
 # previous, suffix) pairs.  The saved byte counts feed the wire-volume
 # stats so ``raw == wire_payload + trimmed`` stays provable.
+#
+# The wire is columnar, one section per field::
+#
+#     u32 n | n x (u32 lcp, u32 suffix_len) | suffix bytes | n x u64 payload
+#
+# (record batches only carry the payload section).  Encoding compares
+# adjacent rows of the key column; decoding drops the suffixes into a
+# zeroed column and copies every key's shared prefix down from the row
+# above, one column at a time.
 
 
-def _lcp(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+def _lcp_encode(
+    column: np.ndarray,
+    lengths: np.ndarray,
+    payloads: Optional[np.ndarray] = None,
+) -> Tuple[bytes, int]:
+    n, width = len(column), column.dtype.itemsize
+    rows = np.ascontiguousarray(column).view(np.uint8).reshape(n, width)
+    lcp = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        # The first byte where each key differs from its predecessor; a
+        # pair without one is two equal keys, sharing their whole length.
+        differs = rows[1:] != rows[:-1]
+        first = differs.argmax(axis=1)
+        lcp[1:] = np.where(
+            differs[np.arange(n - 1), first], first, lengths[1:]
+        )
+    suffixes = rows[_prefix_mask(lengths, width) & ~_prefix_mask(lcp, width)]
+    pairs = np.empty((n, 2), dtype="<u4")
+    pairs[:, 0] = lcp
+    pairs[:, 1] = lengths - lcp
+    sections = [_U32.pack(n), pairs, suffixes]
+    if payloads is not None:
+        sections.append(payloads.astype("<u8"))
+    return b"".join(sections), int(lcp.sum())
 
 
-def lcp_encode_keys(keys: Sequence[bytes]) -> Tuple[bytes, int]:
-    """Front-code a key sequence.  Returns ``(wire, saved_bytes)``."""
-    out = [struct.pack("<I", len(keys))]
-    prev = b""
-    saved = 0
-    for key in keys:
-        lcp = _lcp(prev, key)
-        suffix = key[lcp:]
-        out.append(struct.pack("<II", lcp, len(suffix)))
-        out.append(suffix)
-        saved += lcp
-        prev = key
-    return b"".join(out), saved
+def _lcp_decode(buf, with_payloads: bool):
+    """Check and decode a front-coded sequence: ``(rows, lengths,
+    payloads)``, the keys as a NUL-padded ``(n, w)`` byte matrix.
+
+    Malformed input raises ``ValueError``: sections that do not add up
+    to the buffer, trailing bytes, a NUL key byte, or an lcp longer than
+    the previous key (or non-zero on the first) — it never decodes to a
+    silently shortened key.
+    """
+    mv = memoryview(buf).cast("B")
+    size = len(mv)
+    if size < 4:
+        raise ValueError(f"lcp block of {size} bytes has no record count")
+    (n,) = _U32.unpack_from(mv, 0)
+    head = 4 + 8 * n
+    if head > size:
+        raise ValueError(
+            f"lcp block: {n} (lcp, suffix) pairs need {head} bytes, "
+            f"the buffer holds {size}"
+        )
+    pairs = np.frombuffer(mv, dtype="<u4", count=2 * n, offset=4)
+    pairs = pairs.reshape(n, 2).astype(np.int64)
+    lcp = pairs[:, 0]
+    lengths = lcp + pairs[:, 1]
+    n_suffix = int(pairs[:, 1].sum())
+    end = head + n_suffix + (VARLEN_PAYLOAD_BYTES * n if with_payloads else 0)
+    if end > size:
+        raise ValueError(
+            f"lcp block: its sections need {end} bytes, the buffer holds {size}"
+        )
+    if end < size:
+        raise ValueError(f"lcp block: {size - end} trailing bytes")
+    if n and lcp[0]:
+        raise ValueError(f"lcp block: the first key has lcp {int(lcp[0])}")
+    bad = np.flatnonzero(lcp[1:] > lengths[:-1])
+    if len(bad):
+        i = int(bad[0]) + 1
+        raise ValueError(
+            f"lcp block: lcp {int(lcp[i])} of key {i} exceeds the previous "
+            f"key's {int(lengths[i - 1])} bytes"
+        )
+    suffixes = np.frombuffer(mv, dtype=np.uint8, count=n_suffix, offset=head)
+    if np.count_nonzero(suffixes) != n_suffix:
+        raise ValueError("lcp block: NUL byte in a key")
+    width = int(lengths.max()) + 1 if n else 1
+    rows = np.zeros((n, width), dtype=np.uint8)
+    rows[_prefix_mask(lengths, width) & ~_prefix_mask(lcp, width)] = suffixes
+    # Column j: a key with lcp > j holds the byte of the key above it.  A
+    # run of such keys copies from the row just before the run, which
+    # holds byte j itself; the runs shrink as j grows.
+    inherit = np.flatnonzero(lcp)
+    j = 0
+    while len(inherit):
+        run_start = np.diff(inherit, prepend=-2) != 1
+        source = np.maximum.accumulate(np.where(run_start, inherit - 1, 0))
+        rows[inherit, j] = rows[source, j]
+        j += 1
+        inherit = inherit[lcp[inherit] > j]
+    payloads = None
+    if with_payloads:
+        payloads = np.frombuffer(
+            mv, dtype="<u8", count=n, offset=head + n_suffix
+        )
+    return rows, lengths, payloads
+
+
+def lcp_encode_keys(keys) -> Tuple[bytes, int]:
+    """Front-code a key sequence (``bytes`` keys or a key column).
+
+    Returns ``(wire, saved_bytes)``; ``len(wire) == 4 + 8 * n + raw -
+    saved_bytes`` for ``n`` keys of ``raw`` bytes in all.
+    """
+    if not isinstance(keys, np.ndarray):
+        keys = list(keys)
+        _joined_keys(keys)
+        keys = np.array(keys, dtype=f"S{max(map(len, keys), default=0) + 1}")
+    return _lcp_encode(keys, np.char.str_len(keys).astype(np.int64))
 
 
 def lcp_decode_keys(buf) -> List[bytes]:
-    mv = memoryview(buf).cast("B")
-    (n,) = struct.unpack_from("<I", mv, 0)
-    off = 4
-    keys: List[bytes] = []
-    prev = b""
-    for _ in range(n):
-        lcp, suffix_len = struct.unpack_from("<II", mv, off)
-        off += 8
-        key = prev[:lcp] + bytes(mv[off : off + suffix_len])
-        off += suffix_len
-        keys.append(key)
-        prev = key
-    if off != len(mv):
-        raise ValueError(f"lcp key block: {len(mv) - off} trailing bytes")
-    return keys
+    """Decode :func:`lcp_encode_keys` output; malformed input raises."""
+    rows, _lengths, _payloads = _lcp_decode(buf, with_payloads=False)
+    return rows.view(f"S{rows.shape[1]}").ravel().tolist()
 
 
 def lcp_encode_batch(batch: VarlenBatch) -> Tuple[bytes, int]:
     """Front-code a (key-sorted) record batch for the wire.
 
     Returns ``(wire, saved_bytes)`` where ``saved_bytes`` is the total
-    of trimmed prefix bytes; the wire form prepends a ``u32`` record
-    count and replaces each record's ``u32 key_len`` with
-    ``u32 lcp | u32 suffix_len``, so
+    of trimmed prefix bytes; the wire carries every field of the batch
+    except the ``u32`` key lengths, for which it has ``u32 lcp | u32
+    suffix_len`` pairs, plus a ``u32`` record count, so
     ``len(wire) == 4 + batch.nbytes + 4 * len(batch) - saved_bytes``.
     """
-    keys = batch.keys()
-    out = [struct.pack("<I", len(keys))]
-    prev = b""
-    saved = 0
-    for i, key in enumerate(keys):
-        lcp = _lcp(prev, key)
-        suffix = key[lcp:]
-        out.append(struct.pack("<II", lcp, len(suffix)))
-        out.append(suffix)
-        out.append(struct.pack("<Q", batch.payload_at(i)))
-        saved += lcp
-        prev = key
-    return b"".join(out), saved
+    return _lcp_encode(batch.column, batch.lengths, batch.payloads())
 
 
 def lcp_decode_batch(buf) -> VarlenBatch:
-    mv = memoryview(buf).cast("B")
-    (n,) = struct.unpack_from("<I", mv, 0)
-    off = 4
-    keys: List[bytes] = []
-    payloads: List[int] = []
-    prev = b""
-    for _ in range(n):
-        lcp, suffix_len = struct.unpack_from("<II", mv, off)
-        off += 8
-        key = prev[:lcp] + bytes(mv[off : off + suffix_len])
-        off += suffix_len
-        payloads.append(struct.unpack_from("<Q", mv, off)[0])
-        off += 8
-        keys.append(key)
-        prev = key
-    if off != len(mv):
-        raise ValueError(f"lcp record block: {len(mv) - off} trailing bytes")
-    return VarlenBatch.build(keys, payloads)
+    """Decode :func:`lcp_encode_batch` output (with its key column).
+
+    Malformed input raises ``ValueError``.
+    """
+    rows, lengths, payloads = _lcp_decode(buf, with_payloads=True)
+    width = rows.shape[1]
+    data, offsets = _assemble(
+        rows[_prefix_mask(lengths, width)], lengths, payloads
+    )
+    return VarlenBatch(data, offsets, rows.view(f"S{width}").ravel())
 
 
 # -- string workload + checksum ---------------------------------------------
@@ -709,13 +866,17 @@ def string_checksum(batch: VarlenBatch, acc: int = 0) -> int:
     The varlen analogue of the gensort input checksum: summable across
     batches and workers in any order, so the merge phase can prove the
     output multiset equals the input multiset without a global gather.
+    Each record adds ``crc32(key) * 0x9E3779B1 + payload + 1``; the sum
+    is one ``u64`` reduction.
     """
-    total = acc
-    for i in range(len(batch)):
-        key = batch.key_at(i)
-        contrib = (zlib.crc32(key) * 0x9E3779B1 + batch.payload_at(i) + 1)
-        total = (total + contrib) & _U64_MASK
-    return total
+    if not len(batch):
+        return acc
+    crcs = np.fromiter(
+        map(zlib.crc32, batch.keys()), dtype=np.uint64, count=len(batch)
+    )
+    with np.errstate(over="ignore"):
+        terms = crcs * np.uint64(0x9E3779B1) + batch.payloads() + np.uint64(1)
+        return (acc + int(np.add.reduce(terms, dtype=np.uint64))) & _U64_MASK
 
 
 # -- varlen files -----------------------------------------------------------
@@ -790,7 +951,9 @@ class RecordModel:
     * parts — ``generate``, ``sort``, ``concat``, ``merge`` (stable in
       list order), ``slice``, ``copy``, ``keys``, ``key_at``,
       ``first_keys``, ``cut`` (a buffer at a key, ``side`` as in
-      ``searchsorted``), ``is_sorted``, ``checksum``, ``max_key_bytes``;
+      ``searchsorted``), ``is_sorted``, ``checksum``, ``max_key_bytes``,
+      ``footprint`` (the bytes a part holds in memory, for the resident
+      accounting: its records, plus the key column for strings);
     * files (through a :class:`~repro.native.blockstore.FileBlockStore`) —
       ``read_blocks``, ``read_range``, ``fetch`` (uncharged, for reader
       threads), ``write_file``, ``appender``, ``range_nbytes`` (the byte
@@ -887,6 +1050,9 @@ class Fixed16Model(RecordModel):
 
     def max_key_bytes(self, part) -> int:
         return np.dtype(KEY_DTYPE).itemsize
+
+    def footprint(self, part) -> int:
+        return part.nbytes
 
     # -- files
     def read_blocks(self, store, path, block_ids, tag):
@@ -994,31 +1160,34 @@ class StringModel(RecordModel):
         return part.slice(lo, hi)
 
     def copy(self, part):
-        return VarlenBatch(np.array(part.data), part.offsets.copy(),
-                           keys=part._keys)
+        column = None if part._column is None else part._column.copy()
+        return VarlenBatch(np.array(part.data), part.offsets.copy(), column)
 
     def keys(self, part):
-        return part.keys()
+        return part.column
 
     def key_at(self, part, i) -> bytes:
-        return part.keys()[i]
+        return part.key_at(i)
 
     def first_keys(self, part, every) -> List[bytes]:
-        return part.keys()[::every]
+        return part.column[::every].tolist()
 
     def cut(self, part, key, side, lo=0) -> int:
-        search = bisect_right if side == "right" else bisect_left
-        return search(part.keys(), key, lo)
+        return lo + int(np.searchsorted(part.column[lo:], key, side=side))
 
     def is_sorted(self, part) -> bool:
-        keys = part.keys()
-        return all(a <= b for a, b in zip(keys, keys[1:]))
+        column = part.column
+        return bool(np.all(column[:-1] <= column[1:]))
 
     def checksum(self, part, acc=0) -> int:
         return string_checksum(part, acc)
 
     def max_key_bytes(self, part) -> int:
         return part.max_key_len()
+
+    def footprint(self, part) -> int:
+        """The records plus their key column, n·w bytes more."""
+        return part.nbytes + part.column.nbytes
 
     # -- files
     def read_blocks(self, store, path, block_ids, tag):
@@ -1059,7 +1228,7 @@ class StringModel(RecordModel):
 
     def encode_keys(self, keys, stats=None, phase=""):
         wire, saved = lcp_encode_keys(keys)
-        _count_lcp(stats, phase, raw=sum(len(k) for k in keys),
+        _count_lcp(stats, phase, raw=sum(map(len, keys)),
                    wire=len(wire), overhead=4 + 8 * len(keys), trimmed=saved)
         return wire
 
@@ -1108,9 +1277,9 @@ class StringModel(RecordModel):
         return [min(last.get(r, 0), int(lengths[r])) for r in range(n_runs)], every
 
     def local_probe(self, comm, part):
-        keys = part.keys()
+        column = part.column
         width = comm.allreduce(part.max_key_len() + 1, max)
-        return lambda pos: embed_key(keys[pos], width)
+        return lambda pos: embed_key(column[pos], width)
 
     def probe_key(self, runs):
         width = 1 + max(
