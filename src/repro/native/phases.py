@@ -420,13 +420,10 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             # concatenate) — one coalesced positioned read per run of
             # consecutive block IDs.
             records = model.read_blocks(store, input_path, block_ids, TAG_RF)
-            # Sized before the checksum: a model's footprint may build
-            # state of the part (the string key column) that the
-            # checksum and the sort then reuse.
+            ctx.add_checksum(records)
             ctx.stats.note_resident(
                 2 * model.footprint(records) + (wb.queued_bytes() if wb else 0)
             )
-            ctx.add_checksum(records)
             records = model.sort(records)
 
             piece = _distributed_sort_run(ctx, records, run_id=r)

@@ -267,20 +267,27 @@ _U64_MASK = (1 << 64) - 1
 
 _U32 = struct.Struct("<I")
 
-#: Up to this row width :func:`_prefix_mask` looks rows up in a table.
-_MASK_TABLE_WIDTH = 1024
-
-#: Bytes of rows one step of a row-wise kernel handles: its gathers and
-#: masks stay this small however large the batch.
+#: Bytes of rows one step of the column build and of ``take`` handles:
+#: their gathers and masks stay this small however large the batch.
 _BLOCK_BYTES = 1 << 16
 
 
 def _prefix_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    """``(n, width)`` bools: row i is True in its first ``lengths[i]`` columns."""
-    if width <= _MASK_TABLE_WIDTH:
-        table = np.arange(width) < np.arange(width + 1)[:, None]
-        return np.take(table, lengths, axis=0)
-    return np.arange(width) < lengths[:, None]
+    """``(n, width)`` bools: row i is True in its first ``lengths[i]`` columns.
+
+    Row i is the ``width``-byte window at ``width - lengths[i]`` of
+    ``width`` ones followed by ``width`` zeros: a row gather, several
+    times cheaper than comparing every cell against ``lengths``.
+    """
+    ones_then_zeros = np.repeat(np.array([1, 0], dtype=np.uint8), width)
+    return _windows(ones_then_zeros, width)[width - lengths].view(bool)
+
+
+def _suffix_mask(lcp: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` bools: row i is True in columns ``lcp[i] .. lengths[i]-1``."""
+    mask = _prefix_mask(lengths, width)
+    mask &= ~_prefix_mask(lcp, width)
+    return mask
 
 
 def _row_blocks(n: int, width: int) -> Iterable[Tuple[int, int]]:
@@ -499,9 +506,10 @@ class VarlenBatch:
         return bytes(self.column[i])
 
     def keys(self) -> List[bytes]:
-        """All keys as Python ``bytes`` (for the checksum, tests and
-        oracles).  Without a column in place this decodes a block of rows
-        at a time and keeps none of them."""
+        """All keys as Python ``bytes`` (for tests, oracles and
+        :func:`string_checksum`; no phase calls it).  Without a column in
+        place this decodes a block of rows at a time and keeps none of
+        them."""
         if self._column is not None:
             return self._column.tolist()
         step = max(1, _BLOCK_BYTES // (self.max_key_len() + 1))
@@ -638,7 +646,7 @@ def _lcp_encode(
         lcp[1:] = np.where(
             differs[np.arange(n - 1), first], first, lengths[1:]
         )
-    suffixes = rows[_prefix_mask(lengths, width) & ~_prefix_mask(lcp, width)]
+    suffixes = rows[_suffix_mask(lcp, lengths, width)]
     pairs = np.empty((n, 2), dtype="<u4")
     pairs[:, 0] = lcp
     pairs[:, 1] = lengths - lcp
@@ -694,7 +702,7 @@ def _lcp_decode(buf, with_payloads: bool):
         raise ValueError("lcp block: NUL byte in a key")
     width = int(lengths.max()) + 1 if n else 1
     rows = np.zeros((n, width), dtype=np.uint8)
-    rows[_prefix_mask(lengths, width) & ~_prefix_mask(lcp, width)] = suffixes
+    rows[_suffix_mask(lcp, lengths, width)] = suffixes
     # Column j: a key with lcp > j holds the byte of the key above it.  A
     # run of such keys copies from the row just before the run, which
     # holds byte j itself; the runs shrink as j grows.
@@ -869,13 +877,16 @@ def string_checksum(batch: VarlenBatch, acc: int = 0) -> int:
     Each record adds ``crc32(key) * 0x9E3779B1 + payload + 1``; the sum
     is one ``u64`` reduction.
     """
-    if not len(batch):
+    return _checksum(batch.keys(), batch.payloads(), acc)
+
+
+def _checksum(keys: List[bytes], payloads: np.ndarray, acc: int) -> int:
+    """:func:`string_checksum` of the records with these keys and payloads."""
+    if not keys:
         return acc
-    crcs = np.fromiter(
-        map(zlib.crc32, batch.keys()), dtype=np.uint64, count=len(batch)
-    )
+    crcs = np.fromiter(map(zlib.crc32, keys), dtype=np.uint64, count=len(keys))
     with np.errstate(over="ignore"):
-        terms = crcs * np.uint64(0x9E3779B1) + batch.payloads() + np.uint64(1)
+        terms = crcs * np.uint64(0x9E3779B1) + payloads + np.uint64(1)
         return (acc + int(np.add.reduce(terms, dtype=np.uint64))) & _U64_MASK
 
 
@@ -1180,14 +1191,17 @@ class StringModel(RecordModel):
         return bool(np.all(column[:-1] <= column[1:]))
 
     def checksum(self, part, acc=0) -> int:
-        return string_checksum(part, acc)
+        """:func:`string_checksum`, hashed off the key column (built here
+        if the part has none: the sort that follows needs it anyway)."""
+        return _checksum(part.column.tolist(), part.payloads(), acc)
 
     def max_key_bytes(self, part) -> int:
         return part.max_key_len()
 
     def footprint(self, part) -> int:
-        """The records plus their key column, n·w bytes more."""
-        return part.nbytes + part.column.nbytes
+        """The records plus the key column they hold or will hold, n·w
+        bytes more (w = max key length + 1)."""
+        return part.nbytes + len(part) * (part.max_key_len() + 1)
 
     # -- files
     def read_blocks(self, store, path, block_ids, tag):
