@@ -372,6 +372,7 @@ def run_native(args, config: SortConfig) -> int:
             "wire_sent": p["wire_sent"],
             "wire_recv": p["wire_recv"],
             "wire_volume": p["wire_volume"],
+            "collectives": p["collectives"],
         }
         for phase, p in report["phases"].items()
     }

@@ -344,7 +344,7 @@ def merge(
             ) if parts else np.empty(0, dtype=NATIVE_DTYPE)
             ctx.stats.note_resident(3 * local.nbytes)
             local = sort_records(local)
-            piece = _distributed_sort_run(ctx, local, run_id=rounds)
+            piece = _distributed_sort_run(ctx, local)
             del local, parts
 
             if bound is None:

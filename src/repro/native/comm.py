@@ -27,6 +27,12 @@ Design notes
   user space stays bounded — the external-memory discipline extends to
   the interconnect.
 
+* **Record bytes are never pickled.**  A message's trailing buffer (the
+  one :func:`repro.net.framing.split_raw_nested` peels for the TCP and
+  shm frames) travels as a raw ``send_bytes`` message right behind the
+  pickled rest, so pipes, sockets and rings all deliver a run's slice
+  without serializing it.
+
 * **Stash-aware receives.**  A fast peer may already be sending its next
   phase's traffic while a slow peer still owes this phase's message.
   :meth:`MeshComm.recv_match` parks non-matching messages per peer and
@@ -39,6 +45,7 @@ from __future__ import annotations
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Dict, Optional
 
+from ..net.framing import reattach_payload, split_raw_nested
 from .comm_api import (
     DEFAULT_PENDING_SENDS,
     DEFAULT_TIMEOUT,
@@ -102,23 +109,21 @@ class PipeComm(MeshComm):
 
     # -- channel primitives ---------------------------------------------------
 
-    @staticmethod
-    def _pickle_safe(obj):
-        # Pickle cannot serialize a memoryview: the zero-copy hot path
-        # hands chunks around as views, and this transport is where the
-        # copy is unavoidable (Connection.send pickles everything).
-        if isinstance(obj, memoryview):
-            return obj.tobytes()
-        if isinstance(obj, tuple):
-            return tuple(PipeComm._pickle_safe(x) for x in obj)
-        return obj
-
     def _transmit(self, peer: int, msg: tuple) -> None:
         # Pipes have no frame header, so the composite (job, epoch)
-        # fence wraps the message itself: (fence, payload).  The payload
-        # is always a protocol tuple whose first element is a string, so
-        # the wrapper is unambiguous on the receive side.
-        self.conns[peer].send((self.wire_fence, self._pickle_safe(msg)))
+        # fence wraps the pickled part of the message: (fence, meta,
+        # nested).  Record bytes never go through pickle: the buffer the
+        # TCP and shm framing would peel off follows as one raw
+        # ``send_bytes`` message (zero-copy from the caller's memory),
+        # and ``nested`` — None when there is none — says where the
+        # receiver reattaches it.  Both writes happen in this one call,
+        # so a wedge (which stops the sender between calls) can never
+        # split a message from its payload.
+        meta, payload, nested = split_raw_nested(msg)
+        conn = self.conns[peer]
+        conn.send((self.wire_fence, meta, None if payload is None else nested))
+        if payload is not None:
+            conn.send_bytes(payload)
 
     def _check_interrupt(self) -> None:
         if self._interrupt is None:
@@ -163,17 +168,22 @@ class PipeComm(MeshComm):
                 continue
             peer = by_conn[id(conn)]
             try:
-                wrapped = conn.recv()
+                fence, msg, nested = conn.recv()
+                # The raw payload is read even for a frame about to be
+                # fenced off: it is part of the same message, and leaving
+                # it in the pipe would desynchronize the stream.
+                payload = None if nested is None else conn.recv_bytes()
             except EOFError as exc:
                 raise CommError(
                     f"rank {self.rank}: peer {peer} closed its pipe"
                 ) from exc
-            fence, msg = wrapped
             if fence != self.wire_fence:
                 # A stale frame from a pre-restart epoch — or another
                 # job's dispatch on a warm pool: fence it off.
                 self.fenced_drops += 1
                 continue
+            if payload is not None:
+                msg = reattach_payload(msg, payload, nested)
             self._stash_message(peer, msg)
             got = True
         return got

@@ -9,8 +9,9 @@ unchanged over either.  This module pins that surface down:
 * :class:`Comm` is the typed :class:`~typing.Protocol` every transport
   satisfies (the contract is spelled out in its docstring);
 * :class:`MeshComm` is the shared implementation of everything *above*
-  the transport: the sender thread, the stash, the collectives, the
-  chunked exchange, the probe service, and the wire accounting.  A
+  the transport: the sender thread, the stash, the collectives (among
+  them the one-round in-memory ``alltoall``), the chunked disk-streaming
+  exchange, the probe service, and the wire accounting.  A
   transport subclasses it and provides exactly two primitives —
   :meth:`MeshComm._transmit` (push one message to one peer) and
   :meth:`MeshComm._poll_once` (pull whatever arrived into the stash).
@@ -64,6 +65,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -181,6 +183,8 @@ class Comm(Protocol):
     def barrier(self) -> None: ...
 
     def allgather(self, obj) -> List: ...
+
+    def alltoall(self, parts: Sequence) -> List: ...
 
     def allreduce(self, value, op: Callable) -> object: ...
 
@@ -343,15 +347,18 @@ class MeshComm:
                 continue
             if item is None:
                 return
-            peer, msg = item
             if not self._wedged:
                 try:
-                    self._transmit(peer, msg)
+                    self._transmit(*item)
                 except BaseException as exc:  # surface on the main thread
                     with self._send_lock:
                         self._send_error = exc
                         self._send_lock.notify_all()
                     return
+            # Drop the message now: its payload can be a view of a whole
+            # run chunk, which must not stay resident until the next
+            # message comes along.
+            item = None
             with self._send_lock:
                 self._sent += 1
                 self._send_lock.notify_all()
@@ -542,22 +549,53 @@ class MeshComm:
         """Wait until every worker reached this point."""
         self.allgather(None)
 
-    def allgather(self, obj) -> List:
-        """Everyone contributes ``obj``; everyone gets the rank-ordered list."""
+    @property
+    def collectives(self) -> int:
+        """Collective epochs entered so far (every collective adds one)."""
+        return self._epoch
+
+    def _round(self, tag: str, parts: Sequence) -> List:
+        """One collective epoch: ``parts[d]`` to every peer d, one message
+        each; returns what every rank addressed to this one, in rank order."""
         self._epoch += 1
         epoch = self._epoch
         out: List = [None] * self.n_workers
-        out[self.rank] = obj
+        out[self.rank] = parts[self.rank]
         for peer in self.peers:
-            self.post(peer, ("__ag__", epoch, obj))
+            self.post(peer, (tag, epoch, parts[peer]))
         need = set(self.peers)
         while need:
             peer, msg = self.recv_match(
-                lambda p, m: p in need and m[0] == "__ag__" and m[1] == epoch
+                lambda p, m: p in need and m[0] == tag and m[1] == epoch
             )
             out[peer] = msg[2]
             need.discard(peer)
         return out
+
+    def allgather(self, obj) -> List:
+        """Everyone contributes ``obj``; everyone gets the rank-ordered list."""
+        return self._round("__ag__", [obj] * self.n_workers)
+
+    def alltoall(self, parts: Sequence) -> List:
+        """Personalized all-to-all in one round: ``parts[d]`` goes to rank d.
+
+        Returns the part every rank addressed to this one, in rank order;
+        the own part is delivered locally (and counted in
+        :attr:`local_bytes`, as :meth:`exchange` counts self-deliveries).
+        One epoch and exactly one message per peer: no end-of-stream
+        markers, no flush and no closing barrier — the epoch tag alone
+        keeps a fast peer's next collective apart.  Nothing bounds the
+        bytes in flight, so this is for data the caller already holds in
+        memory; disk-backed streams go through :meth:`exchange`.
+        """
+        if len(parts) != self.n_workers:
+            raise ValueError(
+                f"alltoall needs {self.n_workers} parts, got {len(parts)}"
+            )
+        est = payload_bytes(parts[self.rank])
+        if est:
+            self.local_bytes[self._phase] = self.local_bytes.get(self._phase, 0) + est
+        return self._round("__a2a__", parts)
 
     def allreduce(self, value, op: Callable) -> object:
         """Reduce ``value`` over all workers with binary ``op``."""
@@ -574,7 +612,7 @@ class MeshComm:
         outgoing: Iterable[Tuple[int, tuple]],
         on_chunk: Callable[[int, tuple], None],
     ) -> None:
-        """Chunked, bounded-memory all-to-all.
+        """Chunked, bounded-memory all-to-all for streams read from disk.
 
         ``outgoing`` lazily yields ``(dest, payload_msg)`` pairs; payloads
         destined for *this* rank are delivered directly.  ``on_chunk(peer,

@@ -280,29 +280,34 @@ def _put(wb: Optional[WriteBehind], nbytes: int, write, *args) -> None:
         wb.defer(write, *args, nbytes=nbytes)
 
 
-def _distributed_sort_run(ctx: NativeContext, records, run_id: int):
+def _distributed_sort_run(ctx: NativeContext, records):
     """Globally sort one run; returns this rank's exact-quantile piece.
 
     The native execution of ``core.internal_sort.distributed_sort_run``:
     local sort (already done by the caller), exact splitting at the P
     quantiles via the paper's probe-based multiway selection running
-    *between* the worker processes, a chunked all-to-all over the pipes,
-    and a final P-way batch merge.
+    *between* the worker processes, a one-round all-to-all of the
+    in-memory slices, and a final P-way batch merge.  Four collective
+    epochs per run: the fused length, key-width and sample allgather,
+    the selection round, the positions allgather and the all-to-all.
     """
     job, comm, rank, model = ctx.job, ctx.comm, ctx.rank, ctx.model
     n_workers = job.n_workers
     if n_workers == 1:
         return records
 
+    # One allgather carries what every rank needs before selecting: the
+    # lengths, the widest key (the strings' probe width) and the samples
+    # for the Appendix B warm start.
     keys = model.keys(records)
-    lengths: List[int] = comm.allgather(len(records))
-    total = sum(lengths)
-    target = rank * total // n_workers
-    lookup = model.local_probe(comm, records)
-
-    # Sample warm start (Appendix B), then the exact probe selection.
-    wire = model.encode_keys(keys[:: job.sample_every], ctx.stats, "rf_sample")
-    samples = [model.decode_keys(w) for w in comm.allgather(wire)]
+    sample = model.encode_keys(keys[:: job.sample_every], ctx.stats, "rf_sample")
+    gathered = comm.allgather(
+        (len(records), model.max_key_bytes(records), sample)
+    )
+    lengths: List[int] = [n for n, _kb, _s in gathered]
+    samples = [model.decode_keys(s) for _n, _kb, s in gathered]
+    lookup = model.local_probe(records, max(kb for _n, kb, _s in gathered))
+    target = rank * sum(lengths) // n_workers
     init_pos, init_step = model.sample_start(
         samples, job.sample_every, target, lengths
     )
@@ -317,43 +322,27 @@ def _distributed_sort_run(ctx: NativeContext, records, run_id: int):
     positions: List[List[int]] = comm.allgather(result.positions)
     positions.append(list(lengths))
 
-    # Chunked all-to-all: slice [positions[d][rank], positions[d+1][rank])
-    # goes to destination d, in block-sized chunks.
-    block = job.block_records
-    received: Dict[int, List[Tuple[int, bytes]]] = {
-        j: [] for j in range(n_workers)
-    }
-    recv_bytes = 0
+    # Slice [positions[d][rank], positions[d+1][rank]) goes to rank d as
+    # one message.  Fixed16 wires are views of ``records`` (so counting
+    # them resident is an upper bound); the sender thread holds them
+    # until they are on the wire.
+    wires = [
+        model.encode(
+            model.slice(records, positions[d][rank], positions[d + 1][rank]),
+            ctx.stats, "rf_xchg",
+        )
+        for d in range(n_workers)
+    ]
+    received = comm.alltoall(wires)
+    ctx.stats.note_resident(
+        model.footprint(records)
+        + sum(len(w) for w in wires)
+        + sum(len(buf) for d, buf in enumerate(received) if d != rank)
+    )
+    del records, keys, lookup, wires  # the chunk's memory is no longer needed
 
-    def outgoing():
-        for dest in range(n_workers):
-            lo = positions[dest][rank]
-            hi = positions[dest + 1][rank]
-            for k, s in enumerate(range(lo, hi, block)):
-                # A view, not a copy (fixed16): the exchange's final
-                # flush+barrier keeps ``records`` alive until every chunk
-                # is on the wire, so shm and TCP sends stay zero-copy.
-                chunk = model.slice(records, s, min(s + block, hi))
-                wire = model.encode(chunk, ctx.stats, "rf_xchg")
-                yield dest, ("rfx", run_id, k, wire)
-
-    def on_chunk(peer: int, payload: tuple) -> None:
-        nonlocal recv_bytes
-        kind, rid, k, buf = payload
-        assert kind == "rfx" and rid == run_id
-        received[peer].append((k, buf))
-        recv_bytes += len(buf)
-
-    comm.exchange(outgoing(), on_chunk)
-    ctx.stats.note_resident(model.footprint(records) + recv_bytes)
-    del records, keys, lookup  # the chunk's memory is no longer needed
-
-    parts = []
-    for sender in range(n_workers):
-        bufs = [model.decode(buf) for _k, buf in sorted(received[sender])]
-        received[sender] = []
-        if bufs:
-            parts.append(model.concat(bufs))
+    parts = [model.decode(buf) for buf in received]
+    del received
     merged = model.merge(parts)
     ctx.stats.note_resident(2 * model.footprint(merged))
     ctx.stats.add_counter("internal_sort_sent_records", sum(lengths) // n_workers)
@@ -426,7 +415,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             )
             records = model.sort(records)
 
-            piece = _distributed_sort_run(ctx, records, run_id=r)
+            piece = _distributed_sort_run(ctx, records)
             del records
 
             _put(wb, piece.nbytes, model.write_file, store,

@@ -973,7 +973,8 @@ class RecordModel:
       a sorted key sequence, ``bytes_view`` of a part as written;
     * selection — ``sample_start`` and ``run_sample_start`` (the Appendix
       B warm starts), ``local_probe`` and ``probe_key`` (a key as the
-      integer the shared selection kernel compares);
+      integer the shared selection kernel compares; ``local_probe`` takes
+      the widest key of all ranks' parts, ``max_key_bytes``);
     * all-to-all slabs — ``slab_byte_bases``, and ``slab_index`` /
       ``note_arrival`` / ``seal_slab`` for a slab's record boundaries.
 
@@ -1110,7 +1111,7 @@ class Fixed16Model(RecordModel):
     def run_sample_start(self, runs, target, lengths, every):
         return warm_start_from_samples(_run_samples(runs), target, lengths, every)
 
-    def local_probe(self, comm, part):
+    def local_probe(self, part, max_key_bytes):
         keys = part["key"]
         return lambda pos: int(keys[pos])
 
@@ -1138,9 +1139,9 @@ class StringModel(RecordModel):
 
     Files carry an ``.idx`` sidecar of record-boundary byte offsets (a
     slab's is rebuilt in memory as its chunks land); every sorted key
-    sequence that crosses the wire — samples, exchange and all-to-all
-    chunks — travels LCP front-coded per *Communication-Efficient String
-    Sorting* (Bingmann, Sanders, Schimek), with the trimmed bytes counted
+    sequence that crosses the wire — samples, run formation's slices and
+    all-to-all chunks — travels LCP front-coded per *Communication-Efficient
+    String Sorting* (Bingmann, Sanders, Schimek), with the trimmed bytes counted
     (:func:`_count_lcp`); the shared integer selection kernel compares
     keys through :func:`embed_key` at a globally agreed width.
     """
@@ -1290,9 +1291,9 @@ class StringModel(RecordModel):
             last[r] = pos
         return [min(last.get(r, 0), int(lengths[r])) for r in range(n_runs)], every
 
-    def local_probe(self, comm, part):
+    def local_probe(self, part, max_key_bytes):
         column = part.column
-        width = comm.allreduce(part.max_key_len() + 1, max)
+        width = max_key_bytes + 1
         return lambda pos: embed_key(column[pos], width)
 
     def probe_key(self, runs):

@@ -42,6 +42,9 @@ class WorkerStats:
     io_stall_s: Dict[str, float] = field(default_factory=dict)
     #: Free-form counters (probe reads, cache hits, runs formed, ...).
     counters: Dict[str, float] = field(default_factory=dict)
+    #: Phase -> collective epochs entered (allgathers, barriers,
+    #: selection rounds, exchanges; the same on every rank).
+    collectives: Dict[str, int] = field(default_factory=dict)
     #: Bytes pushed through / pulled from the interconnect mesh.
     comm_bytes_sent: int = 0
     comm_bytes_received: int = 0
@@ -257,6 +260,10 @@ class NativeStats:
                     "wire_sent": self.wire_sent(phase),
                     "wire_recv": self.wire_recv(phase),
                     "wire_volume": self.wire_volume(phase),
+                    "collectives": max(
+                        (w.collectives.get(phase, 0) for w in self.workers),
+                        default=0,
+                    ),
                 }
                 for phase in self.phases
             },
@@ -270,6 +277,7 @@ class NativeStats:
                     "write_ops": dict(w.write_ops),
                     "io_stall_s": dict(w.io_stall_s),
                     "counters": dict(w.counters),
+                    "collectives": dict(w.collectives),
                     "comm_bytes_sent": w.comm_bytes_sent,
                     "comm_bytes_received": w.comm_bytes_received,
                     "comm_wire_sent": dict(w.comm_wire_sent),
@@ -347,15 +355,19 @@ def max_rss_bytes() -> int:
 
 @dataclass
 class PhaseClock:
-    """Context manager recording one phase's wall time into WorkerStats."""
+    """Context manager recording one phase's wall time into WorkerStats,
+    and the collective epochs ``comm`` entered meanwhile."""
 
     stats: WorkerStats
     phase: str
+    comm: object
     _start: Optional[float] = None
+    _epochs: int = 0
 
     def __enter__(self) -> "PhaseClock":
         import time
 
+        self._epochs = self.comm.collectives
         self._start = time.monotonic()
         return self
 
@@ -365,4 +377,8 @@ class PhaseClock:
         assert self._start is not None
         self.stats.walls[self.phase] = (
             self.stats.walls.get(self.phase, 0.0) + time.monotonic() - self._start
+        )
+        self.stats.collectives[self.phase] = (
+            self.stats.collectives.get(self.phase, 0)
+            + self.comm.collectives - self._epochs
         )

@@ -130,7 +130,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         ):
             comm.set_phase("generate")
             at("before:generate")
-            with PhaseClock(stats, "generate"):
+            with PhaseClock(stats, "generate", comm):
                 fn_generate(ctx)
                 if journal is not None:
                     journal.generate_done()
@@ -139,7 +139,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
 
         comm.set_phase("run_formation")
         at("before:run_formation")
-        with PhaseClock(stats, "run_formation"):
+        with PhaseClock(stats, "run_formation", comm):
             if global_done >= 1:
                 runs = restore_runs(ctx, resume)
                 if rank in getattr(job, "suspect_ranks", ()) and global_done <= 2:
@@ -158,7 +158,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         at("after:run_formation")
         comm.set_phase("selection")
         at("before:selection")
-        with PhaseClock(stats, "selection"):
+        with PhaseClock(stats, "selection", comm):
             if global_done >= 2:
                 splits = [list(row) for row in resume.selection_splits]
                 stats.add_counter("recovery_phases_restored")
@@ -168,7 +168,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         at("after:selection")
         comm.set_phase("all_to_all")
         at("before:all_to_all")
-        with PhaseClock(stats, "all_to_all"):
+        with PhaseClock(stats, "all_to_all", comm):
             if global_done >= 3:
                 # The extent table and the guide come straight from the
                 # journal; pieces and slabs stay where they are — they
@@ -187,7 +187,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         at("after:all_to_all")
         comm.set_phase("merge")
         at("before:merge")
-        with PhaseClock(stats, "merge"):
+        with PhaseClock(stats, "merge", comm):
             # Merge is the one phase restored *per-rank* rather than by
             # the global minimum: it does no communication, and a rank
             # that ran ahead, finished its merge and reclaimed its

@@ -183,6 +183,40 @@ def test_exchange_delivers_every_chunk_once(mesh3):
         assert sorted({s for s, _k, _p in got}) == [0, 1, 2]
 
 
+def test_alltoall_delivers_one_part_per_peer_in_rank_order(mesh3):
+    """Empty parts, ``bytes`` and ``memoryview`` parts, and a 3 MiB part —
+    larger than a pipe's OS buffer and an shm ring — arrive intact, one
+    message per peer, in one collective epoch."""
+    big = bytes(range(256)) * (3 * 2**12)
+    parts = {  # (source, destination) -> part
+        (0, 1): b"", (0, 2): memoryview(big),
+        (1, 0): memoryview(b""), (1, 2): b"\x01\x02" * 700,
+        (2, 0): memoryview(bytearray(b"\x02\x00" * 300)), (2, 1): big,
+    }
+    for r in range(3):
+        parts[(r, r)] = bytes([r]) * 10
+
+    def body(c):
+        posted = []
+        post = c.post
+        c.post = lambda peer, msg: (posted.append(msg[0]), post(peer, msg))
+        before = c.collectives
+        got = c.alltoall([parts[(c.rank, d)] for d in range(3)])
+        epochs = c.collectives - before
+        c.barrier()  # the next collective's traffic stays apart
+        return [bytes(g) for g in got], epochs, posted
+
+    for rank, (got, epochs, posted) in enumerate(run_all(mesh3, body)):
+        assert got == [bytes(parts[(src, rank)]) for src in range(3)]
+        assert epochs == 1
+        assert posted == ["__a2a__", "__a2a__", "__ag__", "__ag__"]
+
+
+def test_alltoall_rejects_a_wrong_part_count(mesh2):
+    with pytest.raises(ValueError):
+        mesh2[0].alltoall([b"x"])
+
+
 def test_recv_match_times_out(mesh2):
     with pytest.raises(CommTimeout):
         mesh2[0].recv_match(lambda p, m: True, timeout=0.1)

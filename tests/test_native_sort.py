@@ -6,14 +6,19 @@ runs, and the full pipe mesh.
 """
 
 import json
+import multiprocessing as mp
 import os
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.config import ConfigError, SortConfig
 from repro.native import NativeJob, NativeSorter, NativeSortError, native_sort
+from repro.native.comm import PipeComm
 from repro.native.records import NATIVE_DTYPE
+from repro.native.worker import _run_phases
 from repro.workloads.gensort import record_keys
 from repro.workloads.validation import validate_output
 
@@ -144,6 +149,76 @@ def test_stats_account_every_phase(tmp_path):
     assert set(d["phases"]) == set(stats.phases)
     assert "wall_max" in d["phases"]["merge"]
     assert stats.summary()
+
+
+class _CountingPipeComm(PipeComm):
+    """A pipe comm that counts its posts per (phase, message tag, peer)."""
+
+    def __init__(self, *args, **kwargs):
+        self.posted = Counter()
+        super().__init__(*args, **kwargs)
+
+    def post(self, peer, msg):
+        self.posted[(self._phase, msg[0], peer)] += 1
+        super().post(peer, msg)
+
+
+class _Mailbox:
+    """Stands in for a worker's result pipe: keeps what it is sent."""
+
+    def send(self, obj):
+        self.obj = obj
+
+
+@pytest.mark.parametrize("records", ["fixed16", "string"])
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_run_formation_is_four_collectives_and_one_message_per_peer(
+    tmp_path, n_workers, records
+):
+    """Each run costs exactly four collective epochs — the fused length,
+    key-width and sample allgather, the selection round, the positions
+    allgather and the all-to-all — and sends each peer one data message.
+
+    The phase adds c = 3 epochs once: the allreduce of the run count, the
+    allgather of the piece metadata and the barrier closing the phase (a
+    fresh, unjournaled job has no resume allgather).  The chunked
+    exchange this replaces cost 6 per run (7 for strings, whose probe
+    width was a separate allreduce) and ceil(slice / B) + 2 messages per
+    run and peer.  The ranks run as threads over a real pipe mesh, so the
+    posts can be counted."""
+    job = NativeJob(
+        config=native_config(), n_workers=n_workers,
+        spill_dir=str(tmp_path), records=records, timeout=60,
+    )
+    conns = [dict() for _ in range(n_workers)]
+    for i in range(n_workers):
+        for j in range(i + 1, n_workers):
+            conns[i][j], conns[j][i] = mp.Pipe(duplex=True)
+    comms = [
+        _CountingPipeComm(r, n_workers, conns[r], timeout=60)
+        for r in range(n_workers)
+    ]
+    boxes = [_Mailbox() for _ in range(n_workers)]
+    try:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(
+                lambda r: _run_phases(r, job, comms[r], boxes[r], persistent=True),
+                range(n_workers),
+            ))
+    finally:
+        for comm in comms:
+            comm.close()
+    for comm, box in zip(comms, boxes):
+        status, stats, _meta, _checksum, n_runs = box.obj
+        assert status == "ok", box.obj
+        assert n_runs > 2
+        assert stats.collectives["run_formation"] == 4 * n_runs + 3
+        for peer in comm.peers:
+            assert comm.posted[("run_formation", "__a2a__", peer)] == n_runs
+        assert not [
+            key for key in comm.posted
+            if key[0] == "run_formation" and key[1] in ("__xch__", "__xeof__")
+        ]
 
 
 def test_cleanup_removes_spill_dir(tmp_path):

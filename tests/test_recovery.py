@@ -335,6 +335,34 @@ def test_stale_epoch_frames_are_dropped_not_delivered(fence_transport):
             c.close()
 
 
+def test_stale_frame_is_dropped_with_its_raw_payload(fence_transport):
+    """A fenced frame whose record bytes ride raw — a nested memoryview,
+    the run-formation and all-to-all shape — is dropped *with* those
+    bytes: the live message behind it on the same channel arrives intact,
+    so the stream stayed in step."""
+    comms = PAIR_MAKERS[fence_transport]([0, 1], timeout=10.0)
+    blob = bytes(range(256)) * 64
+    try:
+        def sender(c):
+            c.post(1, ("__a2a__", 7, ("ghost", memoryview(blob))))
+            c.flush()
+            c.wire_fence = comms[1].wire_fence  # the restarted epoch's
+            c.post(1, ("__a2a__", 8, ("live", memoryview(blob[::-1]))))
+            return "sent"
+
+        def receiver(c):
+            _peer, msg = c.recv_match(lambda p, m: True)
+            return msg, c.fenced_drops
+
+        _sent, (msg, drops) = run_pair(comms, sender, receiver)
+        assert msg[:2] == ("__a2a__", 8)
+        assert msg[2][0] == "live" and bytes(msg[2][1]) == blob[::-1]
+        assert drops == 1
+    finally:
+        for c in comms:
+            c.close()
+
+
 def test_matching_epoch_frames_flow_normally(fence_transport):
     comms = PAIR_MAKERS[fence_transport]([1, 1], timeout=10.0)
     try:
