@@ -345,7 +345,10 @@ def _distributed_sort_run(ctx: NativeContext, records):
     del received
     merged = model.merge(parts)
     ctx.stats.note_resident(2 * model.footprint(merged))
-    ctx.stats.add_counter("internal_sort_sent_records", sum(lengths) // n_workers)
+    ctx.stats.add_counter("internal_sort_sent_records", sum(
+        positions[d + 1][rank] - positions[d][rank]
+        for d in range(n_workers) if d != rank
+    ))
     return merged
 
 

@@ -104,8 +104,8 @@ def generate_records(
     return make_records(keys, payloads)
 
 
-#: Above this share of tied neighbours the tie repair of
-#: :func:`sort_records` costs more than sorting stably in the first place.
+#: Above this share of tied neighbours a tie repair costs more than
+#: sorting stably in the first place.
 _TIE_REPAIR_MAX_SHARE = 0.125
 
 #: Field-free twin of :data:`NATIVE_DTYPE`: ``np.concatenate`` on it is a
@@ -120,23 +120,68 @@ def concat_records(parts: Sequence[np.ndarray]) -> np.ndarray:
     )
 
 
-def _stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
-    """The stable sorting permutation of ``keys``; None if already sorted."""
+def _tie_slots(tied: np.ndarray) -> np.ndarray:
+    """The slots in a group that ``tied`` joins (slot i + 1 tied to slot i)."""
+    in_group = np.zeros(len(tied) + 1, dtype=bool)
+    in_group[1:] = tied
+    in_group[:-1] |= tied
+    return np.flatnonzero(in_group)
+
+
+def _packed_order(keys: np.ndarray) -> Optional[np.ndarray]:
+    """The stable sorting permutation of ``keys`` (n >= 2) from one
+    in-place sort of ``u64`` words; None when prefixes tie too often.
+
+    Word i is ``((keys[i] - min) >> shift) << b | i`` with b the bits of
+    a position and ``shift`` what the key range needs beyond the other
+    64 - b, so the sorted words are the (key prefix, position) order and
+    their low b bits, masked in place, are the permutation.  With
+    ``shift == 0`` (any key range below 2^(64 - b)) that is exact.
+    Otherwise groups of equal prefixes are put in (key, position) order
+    afterwards — unless they join more than an eighth of the neighbours,
+    where the caller's fallback is cheaper.
+    """
     n = len(keys)
+    b = (n - 1).bit_length()
+    lo = keys.min()
+    shift = max(0, int(keys.max() - lo).bit_length() - (64 - b))
+    words = np.subtract(keys, lo, dtype=np.uint64)
+    if shift:
+        words >>= np.uint64(shift)
+    words <<= np.uint64(b)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    low_bits = np.uint64((1 << b) - 1)
+    tied = None
+    if shift:
+        # Neighbours share a prefix iff their words differ in the low bits only.
+        tied = np.bitwise_xor(words[1:], words[:-1]) <= low_bits
+        if np.count_nonzero(tied) > n * _TIE_REPAIR_MAX_SHARE:
+            return None
+    words &= low_bits
+    order = words.view(np.int64)
+    if tied is not None and tied.any():
+        slots = _tie_slots(tied)
+        members = order[slots]
+        # Members ascend in position inside each group and the groups in
+        # key, so a stable sort by key is the (key, position) order.
+        order[slots] = members[np.argsort(keys[members], kind="stable")]
+    return order
+
+
+def _argsort_order(keys: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of ``keys``: the default (unstable)
+    argsort with its tie groups repaired, or the stable argsort when more
+    than an eighth of the neighbours tie."""
     keys = np.ascontiguousarray(keys)
-    if n < 2 or bool(np.all(keys[:-1] <= keys[1:])):
-        return None
     order = np.argsort(keys)
     sorted_keys = keys[order]
     tied = sorted_keys[1:] == sorted_keys[:-1]
     n_tied = int(np.count_nonzero(tied))
-    if n_tied > n * _TIE_REPAIR_MAX_SHARE:
+    if n_tied > len(keys) * _TIE_REPAIR_MAX_SHARE:
         return np.argsort(keys, kind="stable")
     if n_tied:
-        in_group = np.zeros(n, dtype=bool)
-        in_group[1:] = tied
-        in_group[:-1] |= tied
-        slots = np.flatnonzero(in_group)
+        slots = _tie_slots(tied)
         members = order[slots]
         # Slots ascend and their keys with them, so ordering the members
         # by (key, input position) only permutes inside each tie group.
@@ -144,20 +189,28 @@ def _stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
     return order
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of ``keys`` (n >= 2)."""
+    order = _packed_order(keys)
+    return _argsort_order(keys) if order is None else order
+
+
 def sort_records(records: np.ndarray) -> np.ndarray:
     """Sort records by key, stable in input position (ties keep order).
 
     Always returns a fresh array.  Sorted input is only copied; anything
-    else is sorted with the default (SIMD where the CPU has it) argsort
-    of a contiguous key column and gathered once.  That sort is not
-    stable, so positions inside groups of equal keys are re-sorted
-    afterwards — or, when ties are common, the stable argsort is used
-    after all (its cost is what the fast path exists to avoid).
+    else is gathered once along the order :func:`_packed_order` reads
+    off one SIMD sort of (key prefix | position) words.  When more than
+    an eighth of the neighbours share a prefix it uses the default
+    argsort of the key column with a tie repair instead, or the stable
+    argsort when the keys themselves tie that often.
     """
-    # The key copies die with the helper's frame, before the gather
+    keys = records["key"]
+    if len(keys) < 2 or bool(np.all(keys[:-1] <= keys[1:])):
+        return records.copy()
+    # The helpers' temporaries die with their frames, before the gather
     # allocates the output: they never add to the sort's peak.
-    order = _stable_order(records["key"])
-    return records.copy() if order is None else np.take(records, order)
+    return np.take(records, _stable_order(keys))
 
 
 def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
@@ -168,9 +221,11 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
     passes parts in sequence order.  Like
     :func:`repro.records.arrays.merge_sorted_arrays` this is implemented
     as concatenate + stable sort (the paper explicitly allows replacing
-    batch merging by sorting of batches): timsort gallops over the
-    presorted parts, which on this record layout beats a
-    ``searchsorted``-scatter tournament 1.7-2x (see ROADMAP item 3).
+    batch merging by sorting of batches).  Two parts take the stable
+    argsort, whose timsort merges two runs in one galloping pass; three
+    or more take the packed-word order of :func:`sort_records`, which
+    there is faster than timsort's cascade of run merges (EXPERIMENTS.md,
+    "Packed-word sort kernel").
     """
     parts = [p for p in parts if len(p)]
     if not parts:
@@ -185,7 +240,10 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
         view.flags.writeable = False
         return view
     out = concat_records(parts)
-    return np.take(out, np.argsort(out["key"], kind="stable"))
+    keys = out["key"]
+    if len(parts) == 2:
+        return np.take(out, np.argsort(keys, kind="stable"))
+    return np.take(out, _stable_order(keys))
 
 
 def read_records(path: str, start: int, count: int) -> np.ndarray:

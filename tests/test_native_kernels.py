@@ -1,7 +1,10 @@
 """The native backend's two CPU kernels: ``sort_records`` and the merge.
 
-``sort_records`` must equal a stable argsort on every input shape and
-never touch its argument.  ``phases.merge`` is driven directly over a
+``sort_records`` and ``merge_record_arrays`` must equal a stable argsort
+on every input shape — through each path of the packed-word order:
+exact, tie-repaired, or declined to the argsort — and never touch their
+arguments; small end-to-end sorts keep pinned output bytes.
+``phases.merge`` is driven directly over a
 :class:`~repro.native.blockstore.FileBlockStore`: whatever the block
 size B, the batch size G (derived from M), the pipelining knobs and the
 way each segment is spread over its piece and slab files (the extent
@@ -10,6 +13,7 @@ merge of the segments in run order — the package's (key, run, position)
 tie rule — with exact byte conservation, for both record models.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SortConfig
-from repro.native import NativeJob
+from repro.native import NativeJob, NativeSorter, native_sort
 from repro.native.blockstore import FileBlockStore
 from repro.native.phases import (
     TAG_MERGE,
@@ -35,6 +39,7 @@ from repro.native.records import (
     NATIVE_DTYPE,
     RECORD_BYTES,
     VarlenBatch,
+    _packed_order,
     make_records,
     merge_record_arrays,
     resolve_model,
@@ -43,6 +48,7 @@ from repro.native.records import (
     write_varlen_file,
 )
 from repro.native.stats import WorkerStats
+from repro.testing import corpus
 
 # ------------------------------------------------------------ sort_records
 
@@ -56,13 +62,35 @@ def _numbered(keys):
     return make_records(keys, np.arange(len(keys), dtype=np.uint64))
 
 
+def _low_bit_ties(n, share, seed):
+    """``n`` keys spanning the whole u64 range, so the packed order keeps
+    only a prefix of each, whose prefix ties are ``share`` of the
+    neighbours: pairs equal above the low b = bit_length(n - 1) bits,
+    some of them equal in every bit."""
+    rng = np.random.default_rng(seed)
+    b = (n - 1).bit_length()
+    keys = rng.integers(0, 2**64, n, dtype=np.uint64)
+    keys[:2] = [0, 2**64 - 1]
+    m = int(n * share)
+    pick = rng.permutation(np.arange(2, n))[: 2 * m]
+    low = rng.integers(0, 2**b, m, dtype=np.uint64)
+    low[: m // 4] = 0
+    keys[pick[m:]] = keys[pick[:m]] ^ low
+    return keys
+
+
 _RNG = np.random.default_rng(20)
 _SORT_INPUTS = {
     "empty": _numbered([]),
     "single": _numbered([5]),
+    # Keys over the whole u64 range: the packed order keeps a prefix.
     "random": _numbered(_RNG.integers(0, 2**64, 4000, dtype=np.uint64)),
-    "few-ties": _numbered(_RNG.integers(0, 40000, 4000)),     # repaired
-    "dup-heavy": _numbered(_RNG.integers(0, 50, 4000)),       # stable fallback
+    "low-bit-ties": _numbered(_low_bit_ties(4000, 0.1, 1)),      # repaired
+    "low-bit-ties-many": _numbered(_low_bit_ties(4000, 0.3, 2)),  # argsort
+    "reverse-wide": _numbered(np.sort(_low_bit_ties(3000, 0.1, 3))[::-1]),
+    # Narrow keys: the packed order is exact, however many of them tie.
+    "few-ties": _numbered(_RNG.integers(0, 40000, 4000)),
+    "dup-heavy": _numbered(_RNG.integers(0, 50, 4000)),
     "all-equal": _numbered(np.full(300, 7)),
     "presorted": _numbered(np.sort(_RNG.integers(0, 900, 3000))),
     "reverse": _numbered(np.sort(_RNG.integers(0, 900, 3000))[::-1]),
@@ -92,15 +120,103 @@ def test_sort_records_equals_stable_argsort(name, read_only):
 )
 @settings(max_examples=150, deadline=None)
 def test_sort_records_is_stable_at_any_tie_share(keys, wide):
-    # ``wide`` spreads the keys out so that ties become rare enough for
-    # the repair path instead of the stable fallback.
+    # Narrow keys take the exact packed order.  ``wide`` spreads them over
+    # the whole u64 range and adds low-bit noise inside some groups of
+    # equal keys, so equal prefixes are repaired — or, past an eighth of
+    # the neighbours, handed to the argsort path.
     keys = np.asarray(keys, dtype=np.uint64)
     if wide:
-        keys = keys * np.uint64(1 << 20) + (
+        keys = keys * np.uint64(1 << 59) + (
             np.arange(len(keys), dtype=np.uint64) % np.uint64(7)
         ) * (keys % np.uint64(3))
     records = _numbered(keys)
     assert np.array_equal(sort_records(records), _stable_reference(records))
+
+
+@given(
+    n=st.integers(16, 2000),
+    share=st.sampled_from([0.02, 0.1, 0.2, 0.45]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_order_repairs_or_declines_low_bit_ties(n, share, seed):
+    """Keys wider than 2^(64 - b) that tie only in their low bits: up to
+    an eighth of tied neighbours are repaired in place, more make the
+    packed order decline and the argsort path take over."""
+    keys = _low_bit_ties(n, share, seed)
+    order = _packed_order(keys)
+    assert (order is None) == (share > 0.125)
+    if order is not None:
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    records = _numbered(keys)
+    assert np.array_equal(sort_records(records), _stable_reference(records))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 11])
+@pytest.mark.parametrize("plus_one", [0, 1], ids=["2^k", "2^k+1"])
+@pytest.mark.parametrize("wider", [0, 1], ids=["exact", "one-bit-over"])
+def test_packed_order_at_the_position_width_boundaries(k, plus_one, wider):
+    """n = 2^k and 2^k + 1 (where the position width b steps), keys
+    spanning 2^(64 - b) - 1 (the widest range kept whole: exact) or one
+    more (a one-bit prefix: keys 2 and 3 above the minimum tie)."""
+    n = 2**k + plus_one
+    b = (n - 1).bit_length()
+    span = 2 ** (64 - b) - 1 + wider
+    rng = np.random.default_rng(n)
+    lo = rng.integers(0, 2**64 - 1 - span, dtype=np.uint64, endpoint=True)
+    offsets = rng.integers(0, span, n, dtype=np.uint64, endpoint=True)
+    offsets[:2] = [span, 0]
+    if n >= 6:
+        offsets[2:4] = [3, 2]
+        offsets[-1] = offsets[-2]
+    keys = lo + offsets
+    want = np.argsort(keys, kind="stable")
+    order = _packed_order(keys)
+    assert order is not None or wider
+    assert order is None or np.array_equal(order, want)
+    records = _numbered(keys)
+    assert np.array_equal(sort_records(records), records[want])
+
+
+@st.composite
+def merge_part_cases(draw):
+    n_parts = draw(st.sampled_from([2, 3, 37]))
+    return {
+        "sizes": [draw(st.integers(0, 60)) for _ in range(n_parts)],
+        "kinds": [
+            draw(st.sampled_from(["plain", "strided", "read-only"]))
+            for _ in range(n_parts)
+        ],
+        "key_range": draw(st.sampled_from([1, 4, 30, 1000])),
+        "wide": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+@given(case=merge_part_cases())
+@settings(max_examples=80, deadline=None)
+def test_merge_record_arrays_is_stable_across_any_parts(case):
+    """2 parts (timsort), 3 and 37 (packed order), keys tied across parts
+    — narrow, or spread over the u64 range with low-bit noise so the
+    packed order repairs or declines — and parts that are strided views
+    or read-only."""
+    rng = np.random.default_rng(case["seed"])
+    parts, at = [], 0
+    for size, kind in zip(case["sizes"], case["kinds"]):
+        keys = np.sort(rng.integers(0, case["key_range"], size, dtype=np.uint64))
+        if case["wide"]:
+            keys = keys * np.uint64(2**54) + keys % np.uint64(2)
+        part = make_records(keys, np.arange(at, at + size, dtype=np.uint64))
+        at += size
+        if kind == "strided":
+            spaced = np.zeros(2 * size, dtype=NATIVE_DTYPE)
+            spaced[::2] = part
+            part = spaced[::2]
+        elif kind == "read-only":
+            part.flags.writeable = False
+        parts.append(part)
+    merged = merge_record_arrays(parts)
+    assert np.array_equal(merged, _stable_reference(np.concatenate(parts)))
 
 
 def test_merge_record_arrays_takes_strided_and_read_only_parts():
@@ -111,6 +227,56 @@ def test_merge_record_arrays_takes_strided_and_read_only_parts():
     merged = merge_record_arrays([strided, frozen])
     both = np.concatenate([strided, frozen])
     assert np.array_equal(merged, _stable_reference(both))
+
+
+# ------------------------------------------------------------ golden bytes
+
+#: sha256 over both ranks' output files of the sorts below (64 KiB per
+#: rank, M = 32 KiB, R = 7), recorded with the argsort + tie repair sort
+#: and the timsort merge: a new kernel must keep every output byte, tie
+#: order included, at either block size.
+_GOLDEN = {
+    "tie-heavy": "b2dcb1e2e9bb905155a3bd6e1bc63f77cfb569a5d1aa1d9f4ce874fd8b4b40af",
+    "uniform": "4b06d9b1aeadbc6ca109af1b323ffb19728bcd89bff031265e11f7dc8a36d32d",
+    "fig6-local-sorted":
+        "0f3b74ec36ac45ee02530db62e2239c09895260e5ab8187dff13e3a03cc80bba",
+}
+
+
+@pytest.mark.parametrize("block_kib", [1, 2])
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_fixed16_sort_output_is_pinned(tmp_path, name, block_kib):
+    """Tie-heavy: gensort's duplicate-heavy keys (3548 distinct among
+    8192), no randomization.  Uniform: randomized runs of full-range keys.
+    Fig. 6: locally sorted input, no randomization, pre-written."""
+    KiB = 1024
+    config = SortConfig(
+        data_per_node_bytes=64 * KiB,
+        memory_bytes=32 * KiB,
+        block_bytes=block_kib * KiB,
+        randomize=(name == "uniform"),
+        seed=3,
+    )
+    if name == "fig6-local-sorted":
+        n = config.data_per_node_bytes // RECORD_BYTES
+        corpus.write_native_inputs(str(tmp_path), [
+            corpus.generate("fig6_local_sorted", n, rank, 2, seed=3)
+            for rank in range(2)
+        ])
+        result = NativeSorter(NativeJob(
+            config=config, n_workers=2, spill_dir=str(tmp_path), generate=False,
+        )).run()
+    else:
+        result = native_sort(
+            config, n_workers=2, spill_dir=str(tmp_path),
+            skew=(name == "tie-heavy"),
+        )
+    assert result.validate().ok
+    digest = hashlib.sha256()
+    for meta in result.outputs:
+        with open(meta.path, "rb") as handle:
+            digest.update(handle.read())
+    assert digest.hexdigest() == _GOLDEN[name]
 
 
 # ------------------------------------------------------------ phases.merge

@@ -108,6 +108,28 @@ def test_no_randomize(tmp_path):
     ground_truth_check(result)
 
 
+def test_internal_sort_sent_records_counts_what_changed_rank(tmp_path):
+    """Each rank counts the records its run-formation exchange shipped to
+    peers, so the ranks' counts add up to every record whose piece lies
+    on another rank than its chunk.  Without randomization run r is the
+    r-th chunk of consecutive records on every rank, and rank d's piece is
+    the d-th exact quantile of the run in (key, rank, position) order."""
+    result = run_sort(tmp_path, n_workers=2, randomize=False)
+    job = result.job
+    n, chunk = job.records_per_worker, job.chunk_records
+    keys = record_keys(0, job.total_records, seed=job.config.seed).reshape(2, n)
+    changed = 0
+    for lo in range(0, n, chunk):
+        chunks = [np.sort(keys[rank, lo : lo + chunk]) for rank in range(2)]
+        source = np.repeat([0, 1], [len(c) for c in chunks])
+        run_order = np.argsort(np.concatenate(chunks), kind="stable")
+        dest = np.arange(len(source)) >= len(source) // 2
+        changed += int(np.count_nonzero(source[run_order] != dest))
+    sent = [w.counters["internal_sort_sent_records"] for w in result.stats.workers]
+    assert result.stats.n_runs > 1
+    assert 0 < min(sent) and sum(sent) == changed < job.total_records
+
+
 def test_deterministic_output(tmp_path):
     a = run_sort(tmp_path / "a", n_workers=2)
     b = run_sort(tmp_path / "b", n_workers=2)
