@@ -104,10 +104,6 @@ def generate_records(
     return make_records(keys, payloads)
 
 
-#: Above this share of tied neighbours a tie repair costs more than
-#: sorting stably in the first place.
-_TIE_REPAIR_MAX_SHARE = 0.125
-
 #: Field-free twin of :data:`NATIVE_DTYPE`: ``np.concatenate`` on it is a
 #: plain memcpy, on the structured dtype it promotes fields per part.
 _PLAIN_DTYPE = np.dtype(f"V{RECORD_BYTES}")
@@ -128,18 +124,19 @@ def _tie_slots(tied: np.ndarray) -> np.ndarray:
     return np.flatnonzero(in_group)
 
 
-def _packed_order(keys: np.ndarray) -> Optional[np.ndarray]:
+def _packed_order(keys: np.ndarray) -> np.ndarray:
     """The stable sorting permutation of ``keys`` (n >= 2) from one
-    in-place sort of ``u64`` words; None when prefixes tie too often.
+    in-place sort of ``u64`` words.
 
     Word i is ``((keys[i] - min) >> shift) << b | i`` with b the bits of
     a position and ``shift`` what the key range needs beyond the other
     64 - b, so the sorted words are the (key prefix, position) order and
     their low b bits, masked in place, are the permutation.  With
     ``shift == 0`` (any key range below 2^(64 - b)) that is exact.
-    Otherwise groups of equal prefixes are put in (key, position) order
-    afterwards — unless they join more than an eighth of the neighbours,
-    where the caller's fallback is cheaper.
+    Otherwise the members of groups of equal prefixes are ordered by this
+    same kernel on (group number, the ``shift`` bits the prefix dropped),
+    a key at most about b + shift bits wide: exact at the next level for
+    n up to 2^21, narrower at every level for any n below 2^32.
     """
     n = len(keys)
     b = (n - 1).bit_length()
@@ -156,43 +153,21 @@ def _packed_order(keys: np.ndarray) -> Optional[np.ndarray]:
     if shift:
         # Neighbours share a prefix iff their words differ in the low bits only.
         tied = np.bitwise_xor(words[1:], words[:-1]) <= low_bits
-        if np.count_nonzero(tied) > n * _TIE_REPAIR_MAX_SHARE:
-            return None
     words &= low_bits
     order = words.view(np.int64)
     if tied is not None and tied.any():
         slots = _tie_slots(tied)
         members = order[slots]
-        # Members ascend in position inside each group and the groups in
-        # key, so a stable sort by key is the (key, position) order.
-        order[slots] = members[np.argsort(keys[members], kind="stable")]
+        # Groups come in prefix order and members ascend in position
+        # inside each, so the stable order of their (group, dropped bits)
+        # keys is the (key, position) order.
+        first = np.ones(len(slots), dtype=bool)
+        first[1:] = ~tied[slots[1:] - 1]
+        sub = np.subtract(keys[members], lo, dtype=np.uint64)
+        sub &= np.uint64((1 << shift) - 1)
+        sub |= np.cumsum(first, dtype=np.uint64) << np.uint64(shift)
+        order[slots] = members[_packed_order(sub)]
     return order
-
-
-def _argsort_order(keys: np.ndarray) -> np.ndarray:
-    """The stable sorting permutation of ``keys``: the default (unstable)
-    argsort with its tie groups repaired, or the stable argsort when more
-    than an eighth of the neighbours tie."""
-    keys = np.ascontiguousarray(keys)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    tied = sorted_keys[1:] == sorted_keys[:-1]
-    n_tied = int(np.count_nonzero(tied))
-    if n_tied > len(keys) * _TIE_REPAIR_MAX_SHARE:
-        return np.argsort(keys, kind="stable")
-    if n_tied:
-        slots = _tie_slots(tied)
-        members = order[slots]
-        # Slots ascend and their keys with them, so ordering the members
-        # by (key, input position) only permutes inside each tie group.
-        order[slots] = members[np.lexsort((members, sorted_keys[slots]))]
-    return order
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The stable sorting permutation of ``keys`` (n >= 2)."""
-    order = _packed_order(keys)
-    return _argsort_order(keys) if order is None else order
 
 
 def sort_records(records: np.ndarray) -> np.ndarray:
@@ -200,17 +175,15 @@ def sort_records(records: np.ndarray) -> np.ndarray:
 
     Always returns a fresh array.  Sorted input is only copied; anything
     else is gathered once along the order :func:`_packed_order` reads
-    off one SIMD sort of (key prefix | position) words.  When more than
-    an eighth of the neighbours share a prefix it uses the default
-    argsort of the key column with a tie repair instead, or the stable
-    argsort when the keys themselves tie that often.
+    off one SIMD sort of (key prefix | position) words, and a second one
+    over the records whose prefixes tie, if any do.
     """
     keys = records["key"]
     if len(keys) < 2 or bool(np.all(keys[:-1] <= keys[1:])):
         return records.copy()
-    # The helpers' temporaries die with their frames, before the gather
+    # The helper's temporaries die with its frames, before the gather
     # allocates the output: they never add to the sort's peak.
-    return np.take(records, _stable_order(keys))
+    return np.take(records, _packed_order(keys))
 
 
 def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
@@ -243,7 +216,7 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
     keys = out["key"]
     if len(parts) == 2:
         return np.take(out, np.argsort(keys, kind="stable"))
-    return np.take(out, _stable_order(keys))
+    return np.take(out, _packed_order(keys))
 
 
 def read_records(path: str, start: int, count: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 ``sort_records`` and ``merge_record_arrays`` must equal a stable argsort
 on every input shape — through each path of the packed-word order:
-exact, tie-repaired, or declined to the argsort — and never touch their
-arguments; small end-to-end sorts keep pinned output bytes.
-``phases.merge`` is driven directly over a
+exact, or with its groups of tied prefixes ordered by another packed
+sort — and never touch their arguments; small end-to-end sorts keep
+pinned output bytes.  ``phases.merge`` is driven directly over a
 :class:`~repro.native.blockstore.FileBlockStore`: whatever the block
 size B, the batch size G (derived from M), the pipelining knobs and the
 way each segment is spread over its piece and slab files (the extent
@@ -79,6 +79,19 @@ def _low_bit_ties(n, share, seed):
     return keys
 
 
+def _prefix_groups(n, groups, seed):
+    """``n`` keys in ``groups`` clusters at random points of the u64
+    range, each 2^b wide: the packed order drops the low b bits, so a
+    cluster spans at most two prefixes."""
+    rng = np.random.default_rng(seed)
+    b = (n - 1).bit_length()
+    bases = rng.integers(0, 2**64 - 2**b, groups, dtype=np.uint64)
+    keys = bases[rng.integers(0, groups, n)]
+    keys += rng.integers(0, 2**b, n, dtype=np.uint64)
+    keys[0] = 2**64 - 1
+    return keys
+
+
 _RNG = np.random.default_rng(20)
 _SORT_INPUTS = {
     "empty": _numbered([]),
@@ -86,7 +99,8 @@ _SORT_INPUTS = {
     # Keys over the whole u64 range: the packed order keeps a prefix.
     "random": _numbered(_RNG.integers(0, 2**64, 4000, dtype=np.uint64)),
     "low-bit-ties": _numbered(_low_bit_ties(4000, 0.1, 1)),      # repaired
-    "low-bit-ties-many": _numbered(_low_bit_ties(4000, 0.3, 2)),  # argsort
+    "low-bit-ties-many": _numbered(_low_bit_ties(4000, 0.3, 2)),  # repaired
+    "prefix-groups": _numbered(_prefix_groups(4000, 3, 4)),      # repaired
     "reverse-wide": _numbered(np.sort(_low_bit_ties(3000, 0.1, 3))[::-1]),
     # Narrow keys: the packed order is exact, however many of them tie.
     "few-ties": _numbered(_RNG.integers(0, 40000, 4000)),
@@ -122,8 +136,7 @@ def test_sort_records_equals_stable_argsort(name, read_only):
 def test_sort_records_is_stable_at_any_tie_share(keys, wide):
     # Narrow keys take the exact packed order.  ``wide`` spreads them over
     # the whole u64 range and adds low-bit noise inside some groups of
-    # equal keys, so equal prefixes are repaired — or, past an eighth of
-    # the neighbours, handed to the argsort path.
+    # equal keys, so equal prefixes are repaired at any share of them.
     keys = np.asarray(keys, dtype=np.uint64)
     if wide:
         keys = keys * np.uint64(1 << 59) + (
@@ -139,17 +152,51 @@ def test_sort_records_is_stable_at_any_tie_share(keys, wide):
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=80, deadline=None)
-def test_packed_order_repairs_or_declines_low_bit_ties(n, share, seed):
-    """Keys wider than 2^(64 - b) that tie only in their low bits: up to
-    an eighth of tied neighbours are repaired in place, more make the
-    packed order decline and the argsort path take over."""
+def test_packed_order_repairs_low_bit_ties(n, share, seed):
+    """Keys wider than 2^(64 - b) that tie only in their low bits, pairs
+    of them joining from 2 % to 45 % of the neighbours."""
     keys = _low_bit_ties(n, share, seed)
-    order = _packed_order(keys)
-    assert (order is None) == (share > 0.125)
-    if order is not None:
-        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(_packed_order(keys), np.argsort(keys, kind="stable"))
     records = _numbered(keys)
     assert np.array_equal(sort_records(records), _stable_reference(records))
+
+
+@given(
+    n=st.integers(2, 3000),
+    groups=st.integers(1, 64),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_order_sorts_large_prefix_groups(n, groups, seed):
+    """Clusters of keys narrower than the bits the prefix drops, spread
+    over the u64 range: whole clusters share a prefix, so the second
+    packed sort orders most of the records, duplicates among them."""
+    keys = _prefix_groups(n, groups, seed)
+    assert np.array_equal(_packed_order(keys), np.argsort(keys, kind="stable"))
+
+
+def test_packed_order_recurses_until_exact(monkeypatch):
+    """Past 2^21 keys the second pass can itself keep only a prefix:
+    2^20 + 3 pairs of keys sharing a 42-bit prefix over the whole u64
+    range give 2^20 + 2 groups of 22 dropped bits, a 43-bit key for
+    2^21 + 4 records, so its one tied pair takes a third pass."""
+    widths = []
+
+    def spy(keys):
+        b = (len(keys) - 1).bit_length()
+        widths.append(int(keys.max() - keys.min()).bit_length() + b)
+        return packed_order(keys)
+
+    packed_order = _packed_order
+    monkeypatch.setattr("repro.native.records._packed_order", spy)
+    rng = np.random.default_rng(3)
+    pairs = 2**20 + 3
+    prefixes = rng.integers(0, 2**42, pairs, dtype=np.uint64) << np.uint64(22)
+    keys = np.repeat(prefixes, 2) | rng.integers(0, 2**22, 2 * pairs, dtype=np.uint64)
+    keys[:2] = [0, 2**64 - 1]
+    rng.shuffle(keys)
+    assert np.array_equal(spy(keys), np.argsort(keys, kind="stable"))
+    assert len(widths) == 3 and widths[1] > 64   # the second pass was inexact
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 11])
@@ -171,9 +218,7 @@ def test_packed_order_at_the_position_width_boundaries(k, plus_one, wider):
         offsets[-1] = offsets[-2]
     keys = lo + offsets
     want = np.argsort(keys, kind="stable")
-    order = _packed_order(keys)
-    assert order is not None or wider
-    assert order is None or np.array_equal(order, want)
+    assert np.array_equal(_packed_order(keys), want)
     records = _numbered(keys)
     assert np.array_equal(sort_records(records), records[want])
 
@@ -198,7 +243,7 @@ def merge_part_cases(draw):
 def test_merge_record_arrays_is_stable_across_any_parts(case):
     """2 parts (timsort), 3 and 37 (packed order), keys tied across parts
     — narrow, or spread over the u64 range with low-bit noise so the
-    packed order repairs or declines — and parts that are strided views
+    packed order repairs prefix ties — and parts that are strided views
     or read-only."""
     rng = np.random.default_rng(case["seed"])
     parts, at = [], 0
