@@ -373,6 +373,7 @@ def run_native(args, config: SortConfig) -> int:
             "wire_recv": p["wire_recv"],
             "wire_volume": p["wire_volume"],
             "collectives": p["collectives"],
+            "minor_faults": p["minor_faults"],
         }
         for phase, p in report["phases"].items()
     }

@@ -8,7 +8,9 @@ from .multiway_selection import (
     multiway_select,
     multiway_select_bisect,
     sample_initial_positions,
+    sample_windows,
     select_bisect_coroutine,
+    select_in_windows,
     select_coroutine,
 )
 
@@ -20,7 +22,9 @@ __all__ = [
     "multiway_select",
     "multiway_select_bisect",
     "sample_initial_positions",
+    "sample_windows",
     "select_bisect_coroutine",
+    "select_in_windows",
     "select_coroutine",
     "replacement_selection_runs",
     "run_length_stats",

@@ -38,6 +38,8 @@ __all__ = [
     "select_coroutine",
     "multiway_select",
     "sample_initial_positions",
+    "sample_windows",
+    "select_in_windows",
 ]
 
 
@@ -386,3 +388,75 @@ def sample_initial_positions(
             pos = 0 if c == 0 else (c - 1) * sample_every
             positions[j] = min(pos, int(lengths[j]))
     return positions, sample_every
+
+
+def sample_windows(
+    samples: Sequence[Sequence],
+    sample_every: int,
+    ranks: Sequence[int],
+    lengths: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per target rank, a window per sequence that holds the exact split.
+
+    ``samples[j]`` holds every ``sample_every``-th key (u64 or NUL-padded
+    ``S{w}``) of sorted sequence ``j``.  Returns ``(lo, hi)`` of shape
+    ``(len(ranks), len(samples))`` with ``lo[d] <= p <= hi[d]`` for the
+    exact split ``p`` of ``ranks[d]`` (:func:`multiway_select`'s).
+
+    In (key, sequence, position) order over the samples, ``c`` earlier
+    samples of sequence ``j`` put at least ``(c - 1)·K + 1`` and at most
+    ``c·K`` of its elements before a sample (exactly ``c·K`` for its own
+    sequence).  The last sample whose upper bound is below the rank lies
+    left of the split with everything before it (``lo``); the first whose
+    lower bound reaches the rank lies right of it with everything after
+    it (``hi``).  Fewer than P samples lie between the two, so one rank's
+    windows span fewer than 2P sample gaps together.
+    """
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    n_seqs = len(samples)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    lo = np.zeros((len(ranks), n_seqs), dtype=np.int64)
+    hi = np.tile(lengths, (len(ranks), 1))
+    if not any(len(s) for s in samples):
+        return lo, hi
+    keys = np.concatenate([np.asarray(s) for s in samples if len(s)])
+    seqs = np.repeat(np.arange(n_seqs), [len(s) for s in samples])
+    # Concatenated in (sequence, position) order: a stable sort of the
+    # keys gives the (key, sequence, position) order.
+    at = seqs[np.argsort(keys, kind="stable"), None] == np.arange(n_seqs)
+    upto = np.cumsum(at, axis=0)  # samples of each sequence up to q
+    before = upto - at  # ... and strictly before q
+    left = np.where(upto > 0, (upto - 1) * sample_every + 1, 0)
+    upper = np.minimum(before * sample_every, lengths).sum(axis=1)
+    lower = left.sum(axis=1) - 1
+    qa = np.searchsorted(upper, ranks, side="left") - 1
+    qb = np.searchsorted(lower, ranks, side="left")
+    lo[qa >= 0] = left[qa[qa >= 0]]
+    has_b = qb < len(keys)
+    hi[has_b] = np.minimum(before[qb[has_b]] * sample_every, lengths)
+    return lo, hi
+
+
+def select_in_windows(
+    windows: Sequence[np.ndarray], lo: Sequence[int], rank: int
+) -> List[int]:
+    """The exact split of ``rank`` from windows known to contain it.
+
+    ``windows[j]`` is sequence ``j``'s ``keys[lo[j] : lo[j] +
+    len(windows[j])]`` (as from :func:`sample_windows`).  The split takes
+    the first ``rank - sum(lo)`` window elements in (key, sequence,
+    position) order: :func:`multiway_select`'s partition, for u64 and
+    ``S{w}`` keys alike.
+    """
+    lo = [int(x) for x in lo]
+    sizes = [len(w) for w in windows]
+    need = rank - sum(lo)
+    if not 0 <= need <= sum(sizes):
+        raise ValueError(f"rank {rank} is outside the windows")
+    keys = np.concatenate([np.asarray(w) for w in windows])
+    seqs = np.repeat(np.arange(len(windows)), sizes)
+    taken = seqs[np.argsort(keys, kind="stable")[:need]]
+    counts = np.bincount(taken, minlength=len(windows))
+    return [a + int(c) for a, c in zip(lo, counts)]

@@ -87,16 +87,20 @@ def warm_start_from_samples(
     return out, sample_every
 
 
-def _run_samples(runs: List[DistributedRun]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Global (keys, positions) sample arrays per run, stitched from pieces."""
+def _run_samples(
+    runs: List[DistributedRun], decode=np.asarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Global (keys, positions) sample arrays per run, stitched from pieces
+    (``decode`` turns a piece's ``sample_keys`` into its key sequence)."""
     out = []
     for run in runs:
         keys_parts, pos_parts = [], []
         for n, piece in enumerate(run.pieces):
-            if len(piece.sample_keys) == 0:
+            sample = decode(piece.sample_keys)
+            if len(sample) == 0:
                 continue
-            keys_parts.append(piece.sample_keys)
-            local = np.arange(len(piece.sample_keys), dtype=np.int64) * piece.sample_every
+            keys_parts.append(np.asarray(sample))
+            local = np.arange(len(sample), dtype=np.int64) * piece.sample_every
             pos_parts.append(local + run.offsets[n])
         if keys_parts:
             out.append((np.concatenate(keys_parts), np.concatenate(pos_parts)))

@@ -4,7 +4,7 @@ This module plays the role :mod:`repro.cluster.mpi` plays for the
 simulator — collectives and point-to-point transfers between PEs — but
 over real :mod:`multiprocessing` pipes between real processes on one
 host.  All protocol logic (collectives, stash-aware receives, the
-chunked exchange, the probe service, the sender thread) lives in
+chunked exchange, the sender thread) lives in
 :class:`repro.native.comm_api.MeshComm`; :class:`PipeComm` contributes
 only the pipe-specific channel primitives.  :class:`repro.net.tcp.TcpComm`
 is the multi-host sibling over the same core.

@@ -11,8 +11,8 @@ unchanged over either.  This module pins that surface down:
 * :class:`MeshComm` is the shared implementation of everything *above*
   the transport: the sender thread, the stash, the collectives (among
   them the one-round in-memory ``alltoall``), the chunked disk-streaming
-  exchange, the probe service, and the wire accounting.  A
-  transport subclasses it and provides exactly two primitives —
+  exchange and the wire accounting.  A transport subclasses it and
+  provides exactly two primitives —
   :meth:`MeshComm._transmit` (push one message to one peer) and
   :meth:`MeshComm._poll_once` (pull whatever arrived into the stash).
 
@@ -193,13 +193,6 @@ class Comm(Protocol):
         outgoing: Iterable[Tuple[int, tuple]],
         on_chunk: Callable[[int, tuple], None],
     ) -> None: ...
-
-    def selection_round(
-        self,
-        coroutine,
-        local_lookup: Callable[[int], int],
-        owner_of: Callable[[int], int],
-    ): ...
 
     def set_phase(self, phase: str) -> None: ...
 
@@ -687,79 +680,3 @@ class MeshComm:
                 break
         self.flush()
         self.barrier()
-
-    # -- probe service (distributed multiway selection) -----------------------
-
-    def selection_round(
-        self,
-        coroutine,
-        local_lookup: Callable[[int], int],
-        owner_of: Callable[[int], int],
-    ):
-        """Drive a selection coroutine whose probes may live on peers.
-
-        ``coroutine`` yields ``(sequence, position)`` probe requests (the
-        contract of :func:`repro.algos.multiway_selection.select_coroutine`).
-        ``owner_of(seq)`` maps a sequence index to the worker holding it;
-        ``local_lookup(pos)`` answers probes against *this* worker's own
-        sequence.  Every worker must call this exactly once per round:
-        the call keeps answering peers' probes until all of them have
-        finished their own selection, so the collective as a whole cannot
-        starve.  Returns the coroutine's :class:`SelectionResult`.
-        """
-        self._check_open()
-        self._epoch += 1
-        epoch = self._epoch
-        peers = set(self.peers)
-        done_from = set()
-        probe_seq = 0
-
-        def serve(peer: int, msg: tuple) -> bool:
-            """Handle one protocol message; True when it was consumed."""
-            kind = msg[0]
-            if kind == "__prb__" and msg[1] == epoch:
-                self.post(peer, ("__prr__", epoch, msg[2], local_lookup(msg[3])))
-                return True
-            if kind == "__prd__" and msg[1] == epoch:
-                done_from.add(peer)
-                return True
-            return False
-
-        def pump(reply_id: Optional[int]) -> Optional[int]:
-            """Process one message; returns a probe reply if it matches."""
-            def match(p, m):
-                return m[0] in ("__prb__", "__prd__", "__prr__") and m[1] == epoch
-
-            peer, msg = self.recv_match(match)
-            if msg[0] == "__prr__":
-                if reply_id is None or msg[2] != reply_id:
-                    raise CommError(
-                        f"rank {self.rank}: unexpected probe reply {msg[2]}"
-                    )
-                return msg[3]
-            serve(peer, msg)
-            return None
-
-        result = None
-        try:
-            request = next(coroutine)
-            while True:
-                seq, pos = request
-                worker = owner_of(seq)
-                if worker == self.rank:
-                    request = coroutine.send(local_lookup(pos))
-                    continue
-                probe_seq += 1
-                self.post(worker, ("__prb__", epoch, probe_seq, pos))
-                key = None
-                while key is None:
-                    key = pump(probe_seq)
-                request = coroutine.send(key)
-        except StopIteration as stop:
-            result = stop.value
-        # Own selection finished: tell everyone, keep serving until all done.
-        for peer in peers:
-            self.post(peer, ("__prd__", epoch))
-        while done_from != peers:
-            pump(None)
-        return result

@@ -7,8 +7,8 @@ and reuses its backend-agnostic kernels:
 native phase           simulator twin                       shared kernels
 =====================  ===================================  =========================
 :func:`run_formation`  ``core.run_formation`` +             ``algos.multiway_selection
-                       ``core.internal_sort``               .select_coroutine``,
-                                                            ``sample_initial_positions``
+                       ``core.internal_sort``               .sample_windows``,
+                                                            ``select_in_windows``
 :func:`selection`      ``core.selection_phase``             ``select_coroutine``,
                                                             ``select_bisect_coroutine``,
                                                             ``warm_start_from_samples``,
@@ -43,7 +43,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algos.multiway_selection import select_bisect_coroutine, select_coroutine
+from ..algos.multiway_selection import (
+    sample_windows,
+    select_bisect_coroutine,
+    select_coroutine,
+    select_in_windows,
+)
 from .blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
@@ -58,6 +63,7 @@ __all__ = [
     "OutputMeta",
     "generate_input",
     "run_formation",
+    "exact_splits",
     "restore_runs",
     "verify_restored_pieces",
     "selection",
@@ -280,16 +286,46 @@ def _put(wb: Optional[WriteBehind], nbytes: int, write, *args) -> None:
         wb.defer(write, *args, nbytes=nbytes)
 
 
+def exact_splits(comm: Comm, keys, samples, lengths: Sequence[int],
+                 sample_every: int) -> Tuple[List[List[int]], int]:
+    """The exact splits of one run at the P quantiles, in one collective.
+
+    ``keys`` is this rank's sorted key column, ``samples[j]`` every K-th
+    key of rank j's and ``lengths[j]`` its length.  Every rank bounds each
+    split d·n/P to a window per rank (:func:`sample_windows`), one
+    allgather ships each rank's own window keys, and every rank selects
+    all P−1 splits from them, identically.  Returns the (P+1) × P matrix
+    (row d: where rank d's slice starts in each rank's keys) and the
+    number of keys this rank shipped.
+    """
+    n_workers = len(lengths)
+    total = sum(lengths)
+    targets = [d * total // n_workers for d in range(1, n_workers)]
+    lo, hi = sample_windows(samples, sample_every, targets, lengths)
+    mine = [
+        np.ascontiguousarray(keys[a:b])
+        for a, b in zip(lo[:, comm.rank], hi[:, comm.rank])
+    ]
+    windows = comm.allgather(mine)
+    positions = [[0] * n_workers]
+    for d, target in enumerate(targets):
+        positions.append(
+            select_in_windows([w[d] for w in windows], lo[d], target)
+        )
+    positions.append(list(lengths))
+    return positions, sum(len(w) for w in mine)
+
+
 def _distributed_sort_run(ctx: NativeContext, records):
     """Globally sort one run; returns this rank's exact-quantile piece.
 
     The native execution of ``core.internal_sort.distributed_sort_run``:
     local sort (already done by the caller), exact splitting at the P
-    quantiles via the paper's probe-based multiway selection running
-    *between* the worker processes, a one-round all-to-all of the
-    in-memory slices, and a final P-way batch merge.  Four collective
-    epochs per run: the fused length, key-width and sample allgather,
-    the selection round, the positions allgather and the all-to-all.
+    quantiles from the samples and one key-window allgather
+    (:func:`exact_splits`), a one-round all-to-all of the in-memory
+    slices, and a final P-way batch merge.  Three collective epochs per
+    run: the fused length and sample allgather, the window allgather
+    and the all-to-all.
     """
     job, comm, rank, model = ctx.job, ctx.comm, ctx.rank, ctx.model
     n_workers = job.n_workers
@@ -297,30 +333,16 @@ def _distributed_sort_run(ctx: NativeContext, records):
         return records
 
     # One allgather carries what every rank needs before selecting: the
-    # lengths, the widest key (the strings' probe width) and the samples
-    # for the Appendix B warm start.
+    # lengths and the samples that bound the splits (Appendix B).
     keys = model.keys(records)
     sample = model.encode_keys(keys[:: job.sample_every], ctx.stats, "rf_sample")
-    gathered = comm.allgather(
-        (len(records), model.max_key_bytes(records), sample)
+    gathered = comm.allgather((len(records), sample))
+    lengths: List[int] = [n for n, _s in gathered]
+    samples = [model.decode_keys(s) for _n, s in gathered]
+    positions, shipped = exact_splits(
+        comm, keys, samples, lengths, job.sample_every
     )
-    lengths: List[int] = [n for n, _kb, _s in gathered]
-    samples = [model.decode_keys(s) for _n, _kb, s in gathered]
-    lookup = model.local_probe(records, max(kb for _n, kb, _s in gathered))
-    target = rank * sum(lengths) // n_workers
-    init_pos, init_step = model.sample_start(
-        samples, job.sample_every, target, lengths
-    )
-    gen = select_coroutine(
-        lengths, target, init_positions=init_pos, init_step=init_step
-    )
-    result = comm.selection_round(
-        gen, local_lookup=lookup, owner_of=lambda seq: seq
-    )
-    ctx.stats.add_counter("internal_selection_touches", result.touches)
-
-    positions: List[List[int]] = comm.allgather(result.positions)
-    positions.append(list(lengths))
+    ctx.stats.add_counter("internal_selection_window_keys", shipped)
 
     # Slice [positions[d][rank], positions[d+1][rank]) goes to rank d as
     # one message.  Fixed16 wires are views of ``records`` (so counting
@@ -339,7 +361,7 @@ def _distributed_sort_run(ctx: NativeContext, records):
         + sum(len(w) for w in wires)
         + sum(len(buf) for d, buf in enumerate(received) if d != rank)
     )
-    del records, keys, lookup, wires  # the chunk's memory is no longer needed
+    del records, keys, wires  # the chunk's memory is no longer needed
 
     parts = [model.decode(buf) for buf in received]
     del received

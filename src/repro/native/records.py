@@ -23,7 +23,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algos.multiway_selection import sample_initial_positions
 from ..core.selection_phase import _run_samples, warm_start_from_samples
 from ..records.element import ELEM_PAPER_16B, KEY_DTYPE
 from ..workloads.gensort import record_keys
@@ -1002,10 +1001,10 @@ class RecordModel:
       size of a record range), ``probe_cache``;
     * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
       a sorted key sequence, ``bytes_view`` of a part as written;
-    * selection — ``sample_start`` and ``run_sample_start`` (the Appendix
-      B warm starts), ``local_probe`` and ``probe_key`` (a key as the
-      integer the shared selection kernel compares; ``local_probe`` takes
-      the widest key of all ranks' parts, ``max_key_bytes``);
+    * selection (the external phase's; run formation needs only ``keys``
+      and the wire methods) — ``run_sample_start`` (the Appendix B warm
+      start) and ``probe_key`` (a key as the integer the shared selection
+      kernel compares, at a width above every piece's ``max_key_bytes``);
     * all-to-all slabs — ``slab_byte_bases``, and ``slab_index`` /
       ``note_arrival`` / ``seal_slab`` for a slab's record boundaries.
 
@@ -1027,6 +1026,13 @@ class RecordModel:
 
     def output_keys(self, path: str):
         raise NotImplementedError
+
+    def run_sample_start(self, runs, target, lengths, every):
+        """The Appendix B warm start from the runs' samples, stitched
+        across the rank-ordered pieces in (key, run, position) order."""
+        return warm_start_from_samples(
+            _run_samples(runs, self.decode_keys), target, lengths, every
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RecordModel {self.name}>"
@@ -1136,16 +1142,6 @@ class Fixed16Model(RecordModel):
         return np.asarray(wire)
 
     # -- selection
-    def sample_start(self, samples, every, target, lengths):
-        return sample_initial_positions(samples, every, target, lengths)
-
-    def run_sample_start(self, runs, target, lengths, every):
-        return warm_start_from_samples(_run_samples(runs), target, lengths, every)
-
-    def local_probe(self, part, max_key_bytes):
-        keys = part["key"]
-        return lambda pos: int(keys[pos])
-
     def probe_key(self, runs):
         return int
 
@@ -1282,51 +1278,6 @@ class StringModel(RecordModel):
         return lcp_decode_keys(wire)
 
     # -- selection
-    def sample_start(self, samples, every, target, lengths):
-        """Pure-Python port of ``sample_initial_positions`` for bytes keys.
-
-        ``samples[j][i]`` is the key at position ``i * every`` of
-        sequence ``j``; ties sort by (key, sequence, sample index),
-        matching the numpy ``lexsort`` of the fixed kernel.
-        """
-        n_seqs = len(samples)
-        total = sum(len(s) for s in samples)
-        if total == 0 or target == 0:
-            return [0] * n_seqs, every
-        triples = sorted(
-            (key, j, i) for j, seq in enumerate(samples) for i, key in enumerate(seq)
-        )
-        counts = [0] * n_seqs
-        for _key, j, _i in triples[: min(target // every, total - 1) + 1]:
-            counts[j] += 1
-        return [
-            min(0 if c == 0 else (c - 1) * every, int(lengths[j]))
-            for j, c in enumerate(counts)
-        ], every
-
-    def run_sample_start(self, runs, target, lengths, every):
-        """Pure-Python port of ``warm_start_from_samples`` for bytes keys:
-        the runs' (key, run, global position) samples, stitched across
-        the rank-ordered pieces."""
-        n_runs = len(runs)
-        triples = sorted(
-            (key, r, i * piece.sample_every + run.offsets[n])
-            for r, run in enumerate(runs)
-            for n, piece in enumerate(run.pieces)
-            for i, key in enumerate(self.decode_keys(piece.sample_keys))
-        )
-        if target <= 0 or not triples:
-            return [0] * n_runs, every
-        last: Dict[int, int] = {}
-        for _key, r, pos in triples[: min(target // every, len(triples) - 1) + 1]:
-            last[r] = pos
-        return [min(last.get(r, 0), int(lengths[r])) for r in range(n_runs)], every
-
-    def local_probe(self, part, max_key_bytes):
-        column = part.column
-        width = max_key_bytes + 1
-        return lambda pos: embed_key(column[pos], width)
-
     def probe_key(self, runs):
         width = 1 + max(
             (p.max_key_bytes for run in runs for p in run.pieces), default=0

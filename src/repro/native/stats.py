@@ -42,8 +42,8 @@ class WorkerStats:
     io_stall_s: Dict[str, float] = field(default_factory=dict)
     #: Free-form counters (probe reads, cache hits, runs formed, ...).
     counters: Dict[str, float] = field(default_factory=dict)
-    #: Phase -> collective epochs entered (allgathers, barriers,
-    #: selection rounds, exchanges; the same on every rank).
+    #: Phase -> collective epochs entered (allgathers, all-to-alls,
+    #: barriers, exchanges; the same on every rank).
     collectives: Dict[str, int] = field(default_factory=dict)
     #: Bytes pushed through / pulled from the interconnect mesh.
     comm_bytes_sent: int = 0
@@ -67,6 +67,9 @@ class WorkerStats:
     peak_resident_bytes: int = 0
     #: OS-reported peak RSS in bytes (0 when unavailable).
     max_rss_bytes: int = 0
+    #: Phase -> minor page faults the process took during the phase
+    #: (``ru_minflt`` delta; 0 when unavailable).
+    minor_faults: Dict[str, int] = field(default_factory=dict)
 
     def add_counter(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
@@ -264,6 +267,10 @@ class NativeStats:
                         (w.collectives.get(phase, 0) for w in self.workers),
                         default=0,
                     ),
+                    "minor_faults": max(
+                        (w.minor_faults.get(phase, 0) for w in self.workers),
+                        default=0,
+                    ),
                 }
                 for phase in self.phases
             },
@@ -278,6 +285,7 @@ class NativeStats:
                     "io_stall_s": dict(w.io_stall_s),
                     "counters": dict(w.counters),
                     "collectives": dict(w.collectives),
+                    "minor_faults": dict(w.minor_faults),
                     "comm_bytes_sent": w.comm_bytes_sent,
                     "comm_bytes_received": w.comm_bytes_received,
                     "comm_wire_sent": dict(w.comm_wire_sent),
@@ -353,21 +361,34 @@ def max_rss_bytes() -> int:
         return 0
 
 
+def minor_faults() -> int:
+    """Minor page faults of the calling process so far (0 when unsupported)."""
+    try:
+        import resource
+
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    except ImportError:  # pragma: no cover - non-POSIX fallback
+        return 0
+
+
 @dataclass
 class PhaseClock:
     """Context manager recording one phase's wall time into WorkerStats,
-    and the collective epochs ``comm`` entered meanwhile."""
+    the collective epochs ``comm`` entered and the minor page faults the
+    process took meanwhile."""
 
     stats: WorkerStats
     phase: str
     comm: object
     _start: Optional[float] = None
     _epochs: int = 0
+    _faults: int = 0
 
     def __enter__(self) -> "PhaseClock":
         import time
 
         self._epochs = self.comm.collectives
+        self._faults = minor_faults()
         self._start = time.monotonic()
         return self
 
@@ -381,4 +402,8 @@ class PhaseClock:
         self.stats.collectives[self.phase] = (
             self.stats.collectives.get(self.phase, 0)
             + self.comm.collectives - self._epochs
+        )
+        self.stats.minor_faults[self.phase] = (
+            self.stats.minor_faults.get(self.phase, 0)
+            + minor_faults() - self._faults
         )

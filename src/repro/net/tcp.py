@@ -3,7 +3,7 @@
 :class:`TcpComm` is the multi-host sibling of
 :class:`repro.native.comm.PipeComm`: the same
 :class:`~repro.native.comm_api.MeshComm` core (collectives, stash,
-chunked exchange, probe service, sender thread), with the two channel
+chunked exchange, sender thread), with the two channel
 primitives implemented over a full mesh of connected TCP sockets (built
 by :func:`repro.net.rendezvous.join_mesh`) and the framing of
 :mod:`repro.net.framing`.

@@ -283,33 +283,44 @@ def test_close_after_comm_error_reaps_sender_thread(transport):
     assert leaked == []
 
 
-def test_selection_round_matches_across_transports(transport):
-    """The probe service is transport-blind: same splits either way."""
+def test_window_allgather_splits_exactly(mesh3):
+    """Run formation's key-window allgather is transport-blind: one
+    collective epoch per split, and every rank ends with the same exact
+    P-quantile splits — the ones multiway selection finds over the full
+    arrays — for u64 keys and for NUL-padded ``S{w}`` keys alike."""
     import numpy as np
 
-    from repro.algos.multiway_selection import select_coroutine
+    from repro.algos.multiway_selection import multiway_select
+    from repro.native.phases import exact_splits
 
     rng = np.random.default_rng(11)
-    n, per = 3, 24
-    arrays = [np.sort(rng.integers(0, 10**6, per, dtype=np.uint64)) for _ in range(n)]
+    every, n = 4, 3
+    u64 = [
+        np.sort(rng.integers(0, 50, size, dtype=np.uint64))
+        for size in (40, 23, 0)
+    ]
+    # Decimal strings of the same numbers sort in another order.
+    strs = [np.sort(a.astype("S2") + b"k") for a in u64]
+    embedded = [[int.from_bytes(bytes(k).ljust(4, b"\0"), "big") for k in a]
+                for a in strs]
+    lengths = [len(a) for a in u64]
+    total = sum(lengths)
 
-    comms = MAKERS[transport](n)
-    try:
+    for arrays, ints in ((u64, u64), (strs, embedded)):
         def body(c):
-            lengths = [per] * n
-            target = c.rank * (n * per) // n
-            keys = arrays[c.rank]
-            gen = select_coroutine(lengths, target)
-            result = c.selection_round(
-                gen,
-                local_lookup=lambda pos: int(keys[pos]),
-                owner_of=lambda seq: seq,
+            epochs = c.collectives
+            positions, shipped = exact_splits(
+                c, arrays[c.rank], [a[::every] for a in arrays], lengths, every
             )
-            return result.positions
+            return positions, shipped, c.collectives - epochs
 
-        results = run_all(comms, body)
-        for rank, positions in enumerate(results):
-            assert sum(positions) == rank * (n * per) // n
-    finally:
-        for c in comms:
-            c.close()
+        results = run_all(mesh3, body)
+        expected = [[0] * n] + [
+            multiway_select(ints, d * total // n).positions
+            for d in range(1, n)
+        ] + [lengths]
+        for positions, _shipped, epochs in results:
+            assert positions == expected
+            assert epochs == 1
+        assert results[0][1] > 0
+        assert results[2][1] == 0  # the empty rank ships nothing

@@ -51,6 +51,25 @@ def test_summary_counts_wins_by_each_metrics_direction():
     )
 
 
+def test_bootstrap_ci_brackets_the_median_ratio_and_is_seeded():
+    base = [100, 90, 120, 105, 98, 130, 101, 87, 115, 108]
+    change = [121, 110, 139, 118, 125, 150, 119, 96, 140, 131]
+    ratio = compare.statistics.median(change) / compare.statistics.median(base)
+    lo, hi = compare.bootstrap_ratio_ci(base, change)
+    assert lo < ratio < hi
+    assert 1.0 < lo and hi < 1.4
+    assert compare.bootstrap_ratio_ci(base, change) == (lo, hi)
+    assert compare.bootstrap_ratio_ci(base, change, seed=1) != (lo, hi)
+    narrow = compare.bootstrap_ratio_ci(base, change, level=0.5)
+    assert lo <= narrow[0] <= narrow[1] <= hi
+    # A constant ratio has no spread, and an A/A comparison centres on 1.
+    assert compare.bootstrap_ratio_ci(base, [1.5 * b for b in base]) == (
+        pytest.approx(1.5), pytest.approx(1.5))
+    assert compare.bootstrap_ratio_ci(base, base) == (1.0, 1.0)
+    assert compare.summarize([_pair(b, c) for b, c in zip(base, change)],
+                             SPECS[:1])[0]["ci"] == (lo, hi)
+
+
 def test_exact_counters_must_agree_in_every_pair():
     pairs = [_pair(1, 2), _pair(1, 2)]
     assert compare.exact_in_every_pair(pairs)
@@ -68,5 +87,6 @@ def test_table_is_one_markdown_row_per_metric():
     assert [row.split("|")[1].strip() for row in rows] == [
         "`sort_mb_s`", "`peak_rss_mib`"
     ]
-    assert rows[0].endswith("| 2/2 | 1.148 | 0.5 |")       # 120.5 / 105
+    # 120.5 / 105; resampled pairs give 1.1, 1.148 or 1.2.
+    assert rows[0].endswith("| 2/2 | 1.148 | [1.100, 1.200] | 0.5 |")
     assert "I/O and wire ratios identical in every pair: True" in text

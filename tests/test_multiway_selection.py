@@ -9,7 +9,9 @@ from repro.algos import (
     multiway_select,
     multiway_select_bisect,
     sample_initial_positions,
+    sample_windows,
     select_coroutine,
+    select_in_windows,
 )
 from repro.records import KEY_DTYPE, exact_multiway_partition
 
@@ -163,6 +165,80 @@ def test_warm_start_zero_rank():
 def test_warm_start_invalid_sample_every():
     with pytest.raises(ValueError):
         sample_initial_positions([np.array([1])], 0, 1, [2])
+
+
+# ------------------------------------------- sample windows (run formation)
+
+
+def _window_case_keys(shape, lengths, data):
+    """Sorted u64 key sequences of the given shape and lengths."""
+    n_seqs = len(lengths)
+    if shape == "equal":
+        return [np.full(n, 7, dtype=KEY_DTYPE) for n in lengths]
+    if shape == "staircase":
+        # Fig. 6: every sequence rises in duplicate plateaus, the
+        # sequences interleaved step by step.
+        plateau = data.draw(st.integers(1, 9), label="plateau")
+        return [
+            (np.arange(n, dtype=KEY_DTYPE) // KEY_DTYPE(plateau))
+            * KEY_DTYPE(n_seqs) + KEY_DTYPE(j)
+            for j, n in enumerate(lengths)
+        ]
+    high = data.draw(st.sampled_from([3, 1000, 2**64 - 1]), label="high")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return [np.sort(rng.integers(0, high, n, dtype=KEY_DTYPE)) for n in lengths]
+
+
+def _as_strings(seqs):
+    """The keys as NUL-padded ``S{w}`` columns of varying widths (hex
+    digits, so NUL-free), re-sorted, with their order-preserving ints."""
+    strs = [
+        np.sort(np.array([format(int(k), "x").encode() for k in s],
+                         dtype=f"S{17 if len(s) else 1}"))
+        for s in seqs
+    ]
+    ints = [[int.from_bytes(bytes(k).ljust(17, b"\0"), "big") for k in s]
+            for s in strs]
+    return strs, ints
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([1, 2, 7, 64]),
+    st.sampled_from(["random", "equal", "staircase"]),
+    st.sampled_from(["u64", "S"]),
+    st.data(),
+)
+def test_sample_windows_hold_the_exact_split(n_seqs, every, shape, kind, data):
+    """For every rank t in 0..n the windows hold the exact split, span at
+    most 2·P·K keys together (so each one does too), and the selection
+    inside them is ``multiway_select`` over the full arrays (the u64
+    embedding for ``S{w}`` keys)."""
+    lengths = data.draw(
+        st.lists(st.integers(0, 90), min_size=n_seqs, max_size=n_seqs),
+        label="lengths",
+    )
+    seqs = _window_case_keys(shape, lengths, data)
+    ints = seqs
+    if kind == "S":
+        seqs, ints = _as_strings(seqs)
+    total = sum(lengths)
+    ranks = list(range(total + 1))
+    lo, hi = sample_windows([s[::every] for s in seqs], every, ranks, lengths)
+    assert lo.shape == hi.shape == (total + 1, n_seqs)
+    assert np.all((hi - lo).sum(axis=1) <= 2 * n_seqs * every)
+    for t in ranks:
+        exact = multiway_select(ints, t).positions
+        assert np.all(lo[t] <= exact) and np.all(np.array(exact) <= hi[t])
+        windows = [s[a:b] for s, a, b in zip(seqs, lo[t], hi[t])]
+        assert select_in_windows(windows, lo[t], t) == exact
+
+
+def test_select_in_windows_rejects_windows_without_the_split():
+    seqs = sorted_seqs([list(range(10)), list(range(10))])
+    with pytest.raises(ValueError):
+        select_in_windows([s[6:8] for s in seqs], [6, 6], 5)
 
 
 # --------------------------------------------------------- bisection variant

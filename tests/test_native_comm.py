@@ -8,10 +8,8 @@ or processes, and threads keep the tests fast and debuggable).
 import multiprocessing as mp
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
-from repro.algos.multiway_selection import select_coroutine
 from repro.native.comm import CommTimeout, PipeComm
 
 
@@ -120,42 +118,6 @@ def test_exchange_bounds_pending_sends():
 
         marks = run_all(comms, body)
         assert all(m <= PENDING_SENDS for m in marks)
-    finally:
-        close_all(comms)
-
-
-def test_selection_round_finds_global_quantile():
-    """The probe service reproduces the known exact selection result."""
-    rng = np.random.default_rng(3)
-    n, per = 3, 40
-    arrays = [np.sort(rng.integers(0, 10**6, per, dtype=np.uint64)) for _ in range(n)]
-    merged = np.sort(np.concatenate(arrays))
-
-    comms = make_comms(n)
-    try:
-        def body(c):
-            lengths = [per] * n
-            target = c.rank * (n * per) // n
-            keys = arrays[c.rank]
-            gen = select_coroutine(lengths, target)
-            result = c.selection_round(
-                gen,
-                local_lookup=lambda pos: int(keys[pos]),
-                owner_of=lambda seq: seq,
-            )
-            return result.positions
-
-        results = run_all(comms, body)
-        for rank, positions in enumerate(results):
-            target = rank * (n * per) // n
-            assert sum(positions) == target
-            chosen = np.sort(
-                np.concatenate(
-                    [arrays[s][: positions[s]] for s in range(n)]
-                    or [np.empty(0, np.uint64)]
-                )
-            )
-            assert np.array_equal(chosen, merged[:target])
     finally:
         close_all(comms)
 

@@ -194,20 +194,20 @@ class _Mailbox:
 
 @pytest.mark.parametrize("records", ["fixed16", "string"])
 @pytest.mark.parametrize("n_workers", [2, 3])
-def test_run_formation_is_four_collectives_and_one_message_per_peer(
+def test_run_formation_is_three_collectives_and_no_probes(
     tmp_path, n_workers, records
 ):
-    """Each run costs exactly four collective epochs — the fused length,
-    key-width and sample allgather, the selection round, the positions
-    allgather and the all-to-all — and sends each peer one data message.
+    """Each run costs exactly three collective epochs — the fused length
+    and sample allgather, the key-window allgather and the all-to-all —
+    sends each peer one data message, and sends no selection probes.
 
     The phase adds c = 3 epochs once: the allreduce of the run count, the
     allgather of the piece metadata and the barrier closing the phase (a
-    fresh, unjournaled job has no resume allgather).  The chunked
-    exchange this replaces cost 6 per run (7 for strings, whose probe
-    width was a separate allreduce) and ceil(slice / B) + 2 messages per
-    run and peer.  The ranks run as threads over a real pipe mesh, so the
-    posts can be counted."""
+    fresh, unjournaled job has no resume allgather).  The probe-driven
+    selection this replaces cost 4 epochs per run plus a chain of
+    synchronous probe round trips; the chunked exchange before it cost 6
+    per run and ceil(slice / B) + 2 messages per run and peer.  The ranks
+    run as threads over a real pipe mesh, so the posts can be counted."""
     job = NativeJob(
         config=native_config(), n_workers=n_workers,
         spill_dir=str(tmp_path), records=records, timeout=60,
@@ -234,13 +234,15 @@ def test_run_formation_is_four_collectives_and_one_message_per_peer(
         status, stats, _meta, _checksum, n_runs = box.obj
         assert status == "ok", box.obj
         assert n_runs > 2
-        assert stats.collectives["run_formation"] == 4 * n_runs + 3
+        assert stats.collectives["run_formation"] == 3 * n_runs + 3
         for peer in comm.peers:
             assert comm.posted[("run_formation", "__a2a__", peer)] == n_runs
         assert not [
             key for key in comm.posted
-            if key[0] == "run_formation" and key[1] in ("__xch__", "__xeof__")
+            if key[0] == "run_formation"
+            and key[1] in ("__xch__", "__xeof__", "__prb__", "__prr__", "__prd__")
         ]
+        assert stats.counters["internal_selection_window_keys"] > 0
 
 
 def test_cleanup_removes_spill_dir(tmp_path):
@@ -351,6 +353,27 @@ def test_cli_native_json(tmp_path, capsys):
     for phase in ("run_formation", "selection", "all_to_all", "merge"):
         assert report["phases"][phase]["wall"] >= 0.0
         assert "io_bytes" in report["phases"][phase]
+
+
+def test_cli_native_json_reports_minor_faults(tmp_path, capsys):
+    """Every phase reports the minor page faults its slowest rank took
+    (``ru_minflt`` delta), and each worker its own per phase."""
+    from repro.__main__ import main
+
+    code = main([
+        "--backend", "native", "--nodes", "2",
+        "--spill-dir", str(tmp_path), "--json",
+        "--data-mib", "0.125", "--memory-mib", "0.046875",
+        "--block-mib", "0.001953125",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    for phase in ("run_formation", "selection", "all_to_all", "merge"):
+        faults = report["phases"][phase]["minor_faults"]
+        assert isinstance(faults, int) and faults >= 0
+        assert faults == max(
+            w["minor_faults"][phase] for w in report["per_worker"]
+        )
 
 
 def test_cli_native_requires_spill_dir(capsys):

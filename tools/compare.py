@@ -11,8 +11,10 @@ on both sides alike.  Each run's own end-to-end metrics are read from its
 final JSON line.  Prints one EXPERIMENTS.md-style row per end-to-end
 metric of BENCHMARK.json — the median and quartiles of each side, the
 pairs the change won (by the metric's direction; ties count for
-neither), the ratio of the medians and a two-sided sign-test p — and
-whether the I/O and wire ratios were identical in every pair.  The
+neither), the ratio of the medians with its seeded 95 % bootstrap
+confidence interval (pairs resampled with replacement) and a two-sided
+sign-test p — and whether the I/O and wire ratios were identical in
+every pair.  The
 temporary tree is removed on exit.  Nothing under ``benchmarks/suite/``
 is edited.
 """
@@ -23,12 +25,13 @@ import argparse
 import json
 import math
 import os
+import random
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -36,6 +39,9 @@ SUITE = os.path.join("benchmarks", "suite", "run.py")
 #: Counters that repeat exactly for a given seed: equal in every pair
 #: unless the change moved them.
 EXACT = ("io_bytes_per_input_byte", "wire_bytes_per_input_byte")
+#: Bootstrap resamples behind each confidence interval, and their seed.
+RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -45,6 +51,33 @@ def sign_test_p(wins: int, losses: int) -> float:
         return 1.0
     tail = sum(math.comb(n, k) for k in range(max(wins, losses), n + 1))
     return min(1.0, 2 * tail / 2**n)
+
+
+def bootstrap_ratio_ci(base: Sequence[float], change: Sequence[float],
+                       level: float = 0.95, resamples: int = RESAMPLES,
+                       seed: int = BOOTSTRAP_SEED) -> Tuple[float, float]:
+    """Percentile bootstrap interval of ``median(change) / median(base)``.
+
+    Each resample draws ``len(base)`` pairs with replacement, keeping the
+    two sides of a pair together as the pairing does; resamples whose
+    base median is 0 are left out.  Seeded, so the same pairs always give
+    the same interval.
+    """
+    rng = random.Random(seed)
+    n = len(base)
+    ratios = []
+    for _ in range(resamples):
+        picks = [rng.randrange(n) for _ in range(n)]
+        base_median = statistics.median(base[i] for i in picks)
+        if base_median:
+            ratios.append(statistics.median(change[i] for i in picks)
+                          / base_median)
+    if not ratios:
+        return math.nan, math.nan
+    ratios.sort()
+    tail = (1 - level) / 2
+    return (ratios[int(tail * (len(ratios) - 1))],
+            ratios[math.ceil((1 - tail) * (len(ratios) - 1))])
 
 
 def _spread(values: Sequence[float]) -> str:
@@ -59,7 +92,8 @@ def _spread(values: Sequence[float]) -> str:
 def summarize(pairs: List[Dict[str, Dict[str, float]]], specs: List[dict]
               ) -> List[dict]:
     """One row per metric of ``specs`` from ``pairs`` of ``{"base": metrics,
-    "change": metrics}``: medians and quartiles, wins, ratio, sign test."""
+    "change": metrics}``: medians and quartiles, wins, ratio with its
+    bootstrap interval, sign test."""
     rows = []
     for spec in specs:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -75,6 +109,7 @@ def summarize(pairs: List[Dict[str, Dict[str, float]]], specs: List[dict]
             "wins": wins,
             "pairs": len(pairs),
             "ratio": statistics.median(change) / base_median if base_median else math.nan,
+            "ci": bootstrap_ratio_ci(base, change),
             "p": sign_test_p(wins, losses),
         })
     return rows
@@ -92,14 +127,15 @@ def format_table(workload: str, rev: str, rows: List[dict], exact: bool,
         f"base = {rev}",
         "",
         "| metric | base median [q1, q3] | change median [q1, q3] | change "
-        "better | ratio | sign-test p |",
-        "|---|---|---|---|---|---|",
+        "better | ratio | ratio 95 % CI | sign-test p |",
+        "|---|---|---|---|---|---|---|",
     ]
     for row in rows:
+        lo, hi = row["ci"]
         lines.append(
             f"| `{row['metric']}` | {row['base']} | {row['change']} | "
             f"{row['wins']}/{row['pairs']} | {row['ratio']:.3f} | "
-            f"{row['p']:.3g} |"
+            f"[{lo:.3f}, {hi:.3f}] | {row['p']:.3g} |"
         )
     lines += ["", f"I/O and wire ratios identical in every pair: {exact}"]
     return "\n".join(lines)
