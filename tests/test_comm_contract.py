@@ -283,9 +283,9 @@ def test_close_after_comm_error_reaps_sender_thread(transport):
     assert leaked == []
 
 
-def test_window_allgather_splits_exactly(mesh3):
-    """Run formation's key-window allgather is transport-blind: one
-    collective epoch per split, and every rank ends with the same exact
+def test_selection_round_matches_across_transports(mesh3):
+    """Run formation's selection round — one key-window allgather — is
+    transport-blind: one collective epoch, and every rank ends with the same exact
     P-quantile splits — the ones multiway selection finds over the full
     arrays — for u64 keys and for NUL-padded ``S{w}`` keys alike."""
     import numpy as np

@@ -8,9 +8,11 @@ or processes, and threads keep the tests fast and debuggable).
 import multiprocessing as mp
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.native.comm import CommTimeout, PipeComm
+from repro.native.phases import exact_splits
 
 
 def make_comms(n, timeout=30.0):
@@ -118,6 +120,37 @@ def test_exchange_bounds_pending_sends():
 
         marks = run_all(comms, body)
         assert all(m <= PENDING_SENDS for m in marks)
+    finally:
+        close_all(comms)
+
+
+def test_selection_round_finds_global_quantile():
+    """The key-window allgather reproduces the known exact selection result."""
+    rng = np.random.default_rng(3)
+    n, per, every = 3, 40, 4
+    arrays = [np.sort(rng.integers(0, 10**6, per, dtype=np.uint64)) for _ in range(n)]
+    merged = np.sort(np.concatenate(arrays))
+
+    comms = make_comms(n)
+    try:
+        def body(c):
+            positions, _shipped = exact_splits(
+                c, arrays[c.rank], [a[::every] for a in arrays], [per] * n, every
+            )
+            return positions
+
+        results = run_all(comms, body)
+        for positions in results:
+            assert positions == results[0]
+            for rank in range(n):
+                target = rank * (n * per) // n
+                assert sum(positions[rank]) == target
+                chosen = np.sort(
+                    np.concatenate(
+                        [arrays[s][: positions[rank][s]] for s in range(n)]
+                    )
+                )
+                assert np.array_equal(chosen, merged[:target])
     finally:
         close_all(comms)
 
