@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--selection", choices=("sampled", "basic", "bisect"),
-        default="sampled", help="multiway-selection strategy",
+        default="sampled",
+        help="multiway-selection strategy (sim backend only)",
     )
     parser.add_argument("--seed", type=int, default=12345)
     parser.add_argument(

@@ -414,29 +414,48 @@ def sample_windows(
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    k = sample_every
     n_seqs = len(samples)
     lengths = np.asarray(lengths, dtype=np.int64)
     ranks = np.asarray(ranks, dtype=np.int64)
     lo = np.zeros((len(ranks), n_seqs), dtype=np.int64)
     hi = np.tile(lengths, (len(ranks), 1))
-    if not any(len(s) for s in samples):
+    sizes = [len(s) for s in samples]
+    if not any(sizes):
         return lo, hi
     keys = np.concatenate([np.asarray(s) for s in samples if len(s)])
-    seqs = np.repeat(np.arange(n_seqs), [len(s) for s in samples])
     # Concatenated in (sequence, position) order: a stable sort of the
-    # keys gives the (key, sequence, position) order.
-    at = seqs[np.argsort(keys, kind="stable"), None] == np.arange(n_seqs)
-    upto = np.cumsum(at, axis=0)  # samples of each sequence up to q
-    before = upto - at  # ... and strictly before q
-    left = np.where(upto > 0, (upto - 1) * sample_every + 1, 0)
-    upper = np.minimum(before * sample_every, lengths).sum(axis=1)
-    lower = left.sum(axis=1) - 1
+    # keys gives the (key, sequence, position) order, in which each
+    # sequence's samples keep their own order.
+    order = np.argsort(keys, kind="stable")
+    seqs = np.repeat(np.arange(n_seqs), sizes)[order]
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = (np.arange(len(keys)) - starts)[order]  # index in its sequence
+    # Each sample raises the lower bound on what lies before it by 1 (the
+    # first of its sequence) or K, and the upper bound on what lies before
+    # the next sample of its sequence by the records of its gap.  Prefix
+    # sums of both keep memory O(samples): a samples × sequences table
+    # does not fit phase 2's R·P sequences.
+    n = lengths[seqs]
+    gap = np.minimum((idx + 1) * k, n) - np.minimum(idx * k, n)
+    upper = np.cumsum(gap) - gap
+    lower = np.cumsum(np.where(idx == 0, 1, k)) - 1
     qa = np.searchsorted(upper, ranks, side="left") - 1
     qb = np.searchsorted(lower, ranks, side="left")
-    lo[qa >= 0] = left[qa[qa >= 0]]
-    has_b = qb < len(keys)
-    hi[has_b] = np.minimum(before[qb[has_b]] * sample_every, lengths)
+    for d, (a, b) in enumerate(zip(qa, qb)):
+        if a >= 0:
+            upto = np.bincount(seqs[: a + 1], minlength=n_seqs)
+            lo[d] = np.where(upto > 0, (upto - 1) * k + 1, 0)
+        if b < len(keys):
+            before = np.bincount(seqs[:b], minlength=n_seqs)
+            hi[d] = np.minimum(before * k, lengths)
     return lo, hi
+
+
+#: Window keys :func:`select_in_windows` still has in play when it stops
+#: narrowing and sorts them: small enough that no sort buffer outgrows a
+#: block of keys.
+_SORT_WINDOW_KEYS = 1024
 
 
 def select_in_windows(
@@ -448,15 +467,40 @@ def select_in_windows(
     len(windows[j])]`` (as from :func:`sample_windows`).  The split takes
     the first ``rank - sum(lo)`` window elements in (key, sequence,
     position) order: :func:`multiway_select`'s partition, for u64 and
-    ``S{w}`` keys alike.
+    ``S{w}`` keys alike.  The windows are sorted, so weighted-median
+    pivots narrow each to a range ``[a, b)`` (everything before ``a``
+    taken, nothing from ``b`` on) without concatenating them; the few
+    keys left are sorted at the end.
     """
     lo = [int(x) for x in lo]
-    sizes = [len(w) for w in windows]
     need = rank - sum(lo)
-    if not 0 <= need <= sum(sizes):
+    if not 0 <= need <= sum(len(w) for w in windows):
         raise ValueError(f"rank {rank} is outside the windows")
-    keys = np.concatenate([np.asarray(w) for w in windows])
-    seqs = np.repeat(np.arange(len(windows)), sizes)
-    taken = seqs[np.argsort(keys, kind="stable")[:need]]
+    a = [0] * len(windows)
+    b = [len(w) for w in windows]
+    while sum(b) - sum(a) > _SORT_WINDOW_KEYS:
+        mids = sorted(
+            (windows[j][(a[j] + b[j]) // 2].item(), j)
+            for j in range(len(windows)) if a[j] < b[j]
+        )
+        weights = np.cumsum([b[j] - a[j] for _key, j in mids])
+        key, s = mids[int(np.searchsorted(weights, weights[-1] / 2))]
+        m = (a[s] + b[s]) // 2
+        # Elements of each window before the pivot (key, s, m).
+        before = [
+            m if j == s else
+            int(np.searchsorted(w, key, "right" if j < s else "left"))
+            for j, w in enumerate(windows)
+        ]
+        if sum(before) < need:  # the pivot is taken, and all before it
+            a = before
+            a[s] = m + 1
+        else:
+            b = before
+    keys = np.concatenate(
+        [np.asarray(w[i:k]) for w, i, k in zip(windows, a, b)]
+    )
+    seqs = np.repeat(np.arange(len(windows)), np.subtract(b, a))
+    taken = seqs[np.argsort(keys, kind="stable")[: need - sum(a)]]
     counts = np.bincount(taken, minlength=len(windows))
-    return [a + int(c) for a, c in zip(lo, counts)]
+    return [x + i + int(c) for x, i, c in zip(lo, a, counts)]

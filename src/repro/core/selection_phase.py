@@ -88,15 +88,14 @@ def warm_start_from_samples(
 
 
 def _run_samples(
-    runs: List[DistributedRun], decode=np.asarray
+    runs: List[DistributedRun],
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Global (keys, positions) sample arrays per run, stitched from pieces
-    (``decode`` turns a piece's ``sample_keys`` into its key sequence)."""
+    """Global (keys, positions) sample arrays per run, stitched from pieces."""
     out = []
     for run in runs:
         keys_parts, pos_parts = [], []
         for n, piece in enumerate(run.pieces):
-            sample = decode(piece.sample_keys)
+            sample = piece.sample_keys
             if len(sample) == 0:
                 continue
             keys_parts.append(np.asarray(sample))

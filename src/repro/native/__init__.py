@@ -5,7 +5,7 @@ performance model, this package *executes* it: worker processes are the
 PEs, a spill directory is the disk farm, the interconnect is either a
 multiprocessing pipe mesh or real TCP sockets (:mod:`repro.net`), and
 every phase moves real 16-byte records with ``numpy``.  The phase logic
-is shared — the probe coroutines, warm starts, splitter matrices and
+is shared — the sample-bounded selection windows, splitter matrices and
 merge semantics are imported from :mod:`repro.algos` and
 :mod:`repro.core`, so the native backend is an execution of the same
 algorithm, not a reimplementation.

@@ -53,7 +53,6 @@ __all__ = [
     "RecordAppender",
     "SequentialReader",
     "VarlenAppender",
-    "VarlenProbeCache",
     "purge_namespace",
 ]
 
@@ -370,7 +369,7 @@ class FileBlockStore:
             pass
         self._invalidate_varlen_index(path)
 
-    # -- probe reads (multiway selection) -------------------------------------
+    # -- probe reads (probe-driven multiway selection) -------------------------
 
     def probe_cache(self, capacity_blocks: int) -> "ProbeCache":
         return ProbeCache(self, capacity_blocks)
@@ -514,17 +513,16 @@ class FileBlockStore:
         with open(path, "wb") as handle:
             handle.truncate(nbytes)
 
-    def varlen_probe_cache(self, capacity_blocks: int) -> "VarlenProbeCache":
-        return VarlenProbeCache(self, capacity_blocks)
-
 
 class ProbeCache:
-    """Block-granular key reads with an LRU — the selection phase's cache.
+    """Block-granular key reads with an LRU, for probe-driven selection.
 
     Mirrors the simulator's use of :class:`repro.em.cache.LRUCache` in
     :mod:`repro.core.selection_phase`: a probe at record position ``pos``
     of a piece file faults in the whole surrounding block once, and the
-    paper's ``R log B`` re-touches hit the cache.
+    paper's ``R log B`` re-touches hit the cache.  The native phases
+    select from key windows instead and do not use it; the benchmark
+    suite's block-store probe measures its hit ratio.
     """
 
     def __init__(self, store: FileBlockStore, capacity_blocks: int):
@@ -614,40 +612,6 @@ class VarlenAppender:
             offsets.tofile(handle)
         self.store.charge_write(self.tag + INDEX_TAG_SUFFIX, offsets.nbytes)
         self.store._invalidate_varlen_index(self.path)
-
-
-class VarlenProbeCache:
-    """Block-granular *string* key reads with an LRU (cf. ProbeCache).
-
-    A cached block is its key column.  Returns the raw byte key; the
-    selection driver embeds it into the order-preserving integer form
-    the shared multiway-selection kernel compares (see
-    ``records.embed_key``).
-    """
-
-    def __init__(self, store: FileBlockStore, capacity_blocks: int):
-        self.store = store
-        self.cache = LRUCache(max(1, capacity_blocks))
-        self.block_reads = 0
-
-    @property
-    def hits(self) -> int:
-        return self.cache.hits
-
-    def key_at(self, path: str, pos: int, tag: str) -> bytes:
-        block_idx = pos // self.store.block_records
-        cached = self.cache.get((path, block_idx))
-        if cached is None:
-            batch = self.store.read_varlen_range(
-                path,
-                block_idx * self.store.block_records,
-                self.store.block_records,
-                tag,
-            )
-            cached = batch.column
-            self.cache.put((path, block_idx), cached)
-            self.block_reads += 1
-        return bytes(cached[pos - block_idx * self.store.block_records])
 
 
 class SequentialReader:

@@ -184,6 +184,8 @@ class Comm(Protocol):
 
     def allgather(self, obj) -> List: ...
 
+    def allgather_parts(self, parts: Sequence) -> List[List]: ...
+
     def alltoall(self, parts: Sequence) -> List: ...
 
     def allreduce(self, value, op: Callable) -> object: ...
@@ -568,6 +570,32 @@ class MeshComm:
     def allgather(self, obj) -> List:
         """Everyone contributes ``obj``; everyone gets the rank-ordered list."""
         return self._round("__ag__", [obj] * self.n_workers)
+
+    def allgather_parts(self, parts: Sequence) -> List[List]:
+        """:meth:`allgather` of a list, one message per part.
+
+        Everyone gets every rank's list, in rank order, in one epoch.
+        The parts travel and arrive one by one, so no send or receive
+        buffer holds a whole list: for block-sized key arrays the memory
+        high-water stays a block's, not the list's.
+        """
+        self._epoch += 1
+        epoch = self._epoch
+        parts = list(parts)
+        out: List[List] = [[] for _ in range(self.n_workers)]
+        out[self.rank] = parts
+        for peer in self.peers:
+            for part in parts or [None]:
+                self.post(peer, ("__agp__", epoch, len(parts), part))
+        for peer in self.peers:
+            def match(p, m, peer=peer):
+                return p == peer and m[0] == "__agp__" and m[1] == epoch
+            _p, (_tag, _epoch, count, part) = self.recv_match(match)
+            got = [part] if count else []
+            while len(got) < count:
+                got.append(self.recv_match(match)[1][3])
+            out[peer] = got
+        return out
 
     def alltoall(self, parts: Sequence) -> List:
         """Personalized all-to-all in one round: ``parts[d]`` goes to rank d.

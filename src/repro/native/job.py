@@ -14,8 +14,11 @@ interprets the same fields literally:
     phase's peak);
 ``block_bytes``
     the unit of every file read/write and of every pipe chunk;
-``selection`` / ``sample_every`` / ``randomize`` / ``seed``
-    exactly as in the simulator.
+``sample_every`` / ``randomize`` / ``seed``
+    exactly as in the simulator;
+``selection``
+    the simulator's alone: native phase 2 always selects from the
+    sample-bounded key windows of the pieces (``phases.selection``).
 
 ``n_runs`` therefore lands at about ``3·N/M`` — the price of honoring M
 as a *process* budget rather than a bare data volume.
@@ -154,8 +157,6 @@ class NativeJob:
             )
         if self.records_per_worker < 1:
             raise ConfigError("data_per_node_bytes holds no whole record")
-        if self.config.selection not in ("sampled", "basic", "bisect"):
-            raise ConfigError(f"unknown selection strategy {self.config.selection!r}")
         if self.prefetch_blocks < 0:
             raise ConfigError(
                 f"prefetch_blocks must be >= 0, got {self.prefetch_blocks}"
@@ -336,14 +337,6 @@ class NativeJob:
         return max(1, int(k) if k is not None else self.block_records)
 
     @property
-    def selection_cache_blocks(self) -> int:
-        """Probe-cache capacity: the configured LRU, bounded by memory."""
-        by_memory = max(
-            4, self.memory_bytes // (4 * self.block_records * RECORD_BYTES)
-        )
-        return int(min(self.config.selection_cache_blocks, by_memory))
-
-    @property
     def ring_bytes(self) -> int:
         """Shm ring data capacity in bytes (transport default when unset)."""
         if self.shm_ring_kib is not None:
@@ -386,7 +379,6 @@ class NativeJob:
             "chunk_records": self.chunk_records,
             "n_runs": self.n_runs,
             "sample_every": self.sample_every,
-            "selection": self.config.selection,
             "randomize": self.config.randomize,
             "seed": self.config.seed,
             "skew": self.skew,

@@ -9,10 +9,9 @@ native phase           simulator twin                       shared kernels
 :func:`run_formation`  ``core.run_formation`` +             ``algos.multiway_selection
                        ``core.internal_sort``               .sample_windows``,
                                                             ``select_in_windows``
-:func:`selection`      ``core.selection_phase``             ``select_coroutine``,
-                                                            ``select_bisect_coroutine``,
-                                                            ``warm_start_from_samples``,
-                                                            ``em.cache.LRUCache``
+:func:`selection`      ``core.selection_phase``             the same two, over the
+                                                            R·P pieces (both phases
+                                                            call :func:`exact_splits`)
 :func:`all_to_all`     ``core.all_to_all``                  (layout arithmetic only)
 :func:`merge`          ``core.merge_phase``                 prediction sequence of
                                                             ``em.prefetch``
@@ -26,8 +25,8 @@ sent it, see :class:`SegmentLayout` — and the canonical balanced output
 after phase 4.
 
 The phases are written once for every record format: whatever depends on
-the format (reading and writing parts, sorting and merging them, the
-wire encoding, the selection probe key, the checksum) is a method of the
+the format (reading and writing parts, sorting and merging them, their
+keys, the wire encoding, the checksum) is a method of the
 job's :class:`~repro.native.records.RecordModel`, ``ctx.model``.
 Positions, splitters, segment layouts, read units and the merge's guide
 are record counts for both models; bytes appear only where the model
@@ -43,12 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algos.multiway_selection import (
-    sample_windows,
-    select_bisect_coroutine,
-    select_coroutine,
-    select_in_windows,
-)
+from ..algos.multiway_selection import sample_windows, select_in_windows
 from .blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
@@ -116,12 +110,10 @@ class NativeContext:
 class PieceMeta:
     """Descriptor of one worker's on-disk piece of one run.
 
-    Attribute-compatible with the simulator's ``LocalRunPiece`` where the
-    selection-phase helpers care (``sample_keys``, ``sample_every``,
-    ``n_keys``), so ``core.selection_phase`` logic applies unchanged.
-    ``sample_keys`` is in the record model's ``encode_keys`` form (a key
-    array for fixed16, LCP front-coded bytes for strings);
-    ``max_key_bytes`` is the widest key of the piece.
+    ``sample_keys`` holds every ``sample_every``-th key of the piece (the
+    sample phase 2 bounds its splits with), in the record model's
+    ``encode_keys`` form: a key array for fixed16, LCP front-coded bytes
+    for strings.
     """
 
     run: int
@@ -129,11 +121,6 @@ class PieceMeta:
     n_records: int
     sample_keys: object
     sample_every: int
-    max_key_bytes: int = 0
-
-    @property
-    def n_keys(self) -> int:
-        return self.n_records
 
 
 class NativeRun:
@@ -286,32 +273,49 @@ def _put(wb: Optional[WriteBehind], nbytes: int, write, *args) -> None:
         wb.defer(write, *args, nbytes=nbytes)
 
 
-def exact_splits(comm: Comm, keys, samples, lengths: Sequence[int],
-                 sample_every: int) -> Tuple[List[List[int]], int]:
-    """The exact splits of one run at the P quantiles, in one collective.
+def exact_splits(
+    comm: Comm, samples, lengths: Sequence[int], sample_every: int,
+    owner: Sequence[int], window,
+) -> Tuple[List[List[int]], int]:
+    """The exact P-quantile splits of sorted sequences, in one collective.
 
-    ``keys`` is this rank's sorted key column, ``samples[j]`` every K-th
-    key of rank j's and ``lengths[j]`` its length.  Every rank bounds each
-    split d·n/P to a window per rank (:func:`sample_windows`), one
-    allgather ships each rank's own window keys, and every rank selects
-    all P−1 splits from them, identically.  Returns the (P+1) × P matrix
-    (row d: where rank d's slice starts in each rank's keys) and the
-    number of keys this rank shipped.
+    Rank ``owner[j]`` holds sequence ``j`` and answers ``window(j, a, b)``
+    with its keys ``[a, b)``; every rank knows ``samples[j]`` (every K-th
+    key of sequence ``j``) and ``lengths[j]``.  Every rank bounds each
+    split d·n/P to a window per sequence (:func:`sample_windows`), one
+    allgather ships each rank's windows of its own sequences, and every
+    rank selects all P−1 splits from them, identically.  A window is
+    read and shipped one sample gap (K keys) at a time
+    (:meth:`~repro.native.comm_api.MeshComm.allgather_parts`), so no
+    buffer outgrows K records however many windows there are.  Returns
+    the (P+1) × S matrix (row d: where rank d's part starts in each
+    sequence) and the number of keys this rank shipped.
     """
-    n_workers = len(lengths)
+    n_workers = comm.n_workers
     total = sum(lengths)
     targets = [d * total // n_workers for d in range(1, n_workers)]
     lo, hi = sample_windows(samples, sample_every, targets, lengths)
-    mine = [
-        np.ascontiguousarray(keys[a:b])
-        for a, b in zip(lo[:, comm.rank], hi[:, comm.rank])
+    # Per target, the window pieces (sequence, start, stop) in order.
+    cuts = [
+        [(j, s, min(s + sample_every, int(hi[d, j])))
+         for j in range(len(lengths))
+         for s in range(int(lo[d, j]), int(hi[d, j]), sample_every)]
+        for d in range(len(targets))
     ]
-    windows = comm.allgather(mine)
-    positions = [[0] * n_workers]
+    mine = [
+        np.ascontiguousarray(window(j, a, b))
+        for row in cuts for j, a, b in row if owner[j] == comm.rank
+    ]
+    # Every rank's pieces arrive in the order it cut them.
+    arrivals = [iter(parts) for parts in comm.allgather_parts(mine)]
+    positions = [[0] * len(lengths)]
     for d, target in enumerate(targets):
-        positions.append(
-            select_in_windows([w[d] for w in windows], lo[d], target)
-        )
+        keys = [next(arrivals[owner[j]]) for j, _a, _b in cuts[d]]
+        split = [int(x) for x in lo[d]]
+        taken = select_in_windows(keys, [0] * len(keys), target - sum(split))
+        for (j, _a, _b), count in zip(cuts[d], taken):
+            split[j] += count
+        positions.append(split)
     positions.append(list(lengths))
     return positions, sum(len(w) for w in mine)
 
@@ -340,7 +344,8 @@ def _distributed_sort_run(ctx: NativeContext, records):
     lengths: List[int] = [n for n, _s in gathered]
     samples = [model.decode_keys(s) for _n, s in gathered]
     positions, shipped = exact_splits(
-        comm, keys, samples, lengths, job.sample_every
+        comm, samples, lengths, job.sample_every, range(n_workers),
+        lambda _j, a, b: keys[a:b],
     )
     ctx.stats.add_counter("internal_selection_window_keys", shipped)
 
@@ -382,8 +387,8 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
     the previous piece's write — the paper's overlapping of run formation
     I/O with internal work.  The buffer is flushed (and any deferred
     write error raised here) *before* the piece metadata is allgathered:
-    peers read the piece files during selection, so a piece must be
-    durable before its existence is announced.
+    selection reads the piece files, so a piece must be durable before
+    its existence is announced.
     """
     job, comm, store, model = ctx.job, ctx.comm, ctx.store, ctx.model
     chunks = _chunk_schedule(ctx)
@@ -457,7 +462,6 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                     n_records=len(piece),
                     sample_keys=sample,
                     sample_every=job.sample_every,
-                    max_key_bytes=model.max_key_bytes(piece),
                 )
             )
             if journal is not None:
@@ -501,60 +505,41 @@ TAG_SEL = "selection"
 
 
 def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
-    """Phase 2: exact splitters for this rank; returns the full matrix.
+    """Phase 2: the exact (P+1) × R splitter matrix, in one collective.
 
-    Probes are answered by block reads against the piece *files* of any
-    worker — the spill directory is the shared medium, so a remote probe
-    is a real disk access exactly as in the paper, and the LRU cache
-    removes the ``R log B`` re-touches.  Returns ``splits`` with P+1
-    rows: row i is where rank i's output starts in every run, row P holds
-    the run lengths.
+    The sample-initialised selection of Appendix B over the R·P pieces,
+    run as :func:`exact_splits`: the piece samples every rank received
+    with the run-formation metadata bound each split i·N/P to a window
+    per piece, each rank reads the windows of its *own* pieces (no other
+    rank's file is opened), one allgather ships them, and every rank
+    selects all P−1 splits locally.  Pieces are taken in (run, rank)
+    order, so their (key, run, rank, position) order is the runs' (key,
+    run, position) order and a run's split is the sum of its pieces'.
+    Row i of the result is where rank i's output starts in every run,
+    row P holds the run lengths.
     """
-    job, comm, store, model = ctx.job, ctx.comm, ctx.store, ctx.model
-    lengths = [run.n_records for run in runs]
-    total = sum(lengths)
-    target = ctx.rank * total // job.n_workers
+    job, store, model = ctx.job, ctx.store, ctx.model
+    n_workers = job.n_workers
+    pieces = [piece for run in runs for piece in run.pieces]
 
-    if job.config.selection == "sampled":
-        init_pos, init_step = model.run_sample_start(
-            runs, target, lengths, job.sample_every
-        )
-        gen = select_coroutine(
-            lengths, target, init_positions=init_pos, init_step=init_step
-        )
-    elif job.config.selection == "basic":
-        gen = select_coroutine(lengths, target)
-    else:
-        gen = select_bisect_coroutine(lengths, target)
+    def window(j: int, lo: int, hi: int):
+        path = store.piece_path(pieces[j].run)
+        return model.keys(model.read_range(store, path, lo, hi - lo, TAG_SEL))
 
-    cache = model.probe_cache(store, job.selection_cache_blocks)
-    probe_key = model.probe_key(runs)
-    try:
-        request = next(gen)
-        while True:
-            r, gpos = request
-            owner, lpos = runs[r].locate(gpos)
-            if owner != ctx.rank:
-                ctx.stats.add_counter("selection_remote_probes")
-            key = cache.key_at(store.piece_path(r, owner), lpos, TAG_SEL)
-            request = gen.send(probe_key(key))
-    except StopIteration as stop:
-        result = stop.value
-
-    ctx.stats.add_counter("selection_touches", result.touches)
-    ctx.stats.add_counter("selection_block_reads", cache.block_reads)
-    ctx.stats.add_counter("selection_cache_hits", cache.hits)
-    ctx.stats.add_counter(
-        "selection_fixup_swaps", getattr(result, "fixup_swaps", 0)
+    positions, shipped = exact_splits(
+        ctx.comm, [model.decode_keys(p.sample_keys) for p in pieces],
+        [p.n_records for p in pieces], job.sample_every,
+        [p.rank for p in pieces], window,
     )
-
-    all_positions: List[List[int]] = comm.allgather(list(result.positions))
-    splits = [list(p) for p in all_positions]
-    splits.append(list(lengths))
+    ctx.stats.add_counter("selection_window_keys", shipped)
+    splits = [
+        [sum(row[r * n_workers : (r + 1) * n_workers]) for r in range(len(runs))]
+        for row in positions
+    ]
     if ctx.journal is not None:
         # The full matrix is deterministic and identical on every rank;
-        # journaling it locally makes the phase restorable without any
-        # re-probing (zero I/O on resume).
+        # journaling it locally makes the phase restorable without
+        # reading a window again (zero I/O on resume).
         ctx.journal.selection_done(splits)
     return splits
 

@@ -23,7 +23,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.selection_phase import _run_samples, warm_start_from_samples
 from ..records.element import ELEM_PAPER_16B, KEY_DTYPE
 from ..workloads.gensort import record_keys
 
@@ -54,8 +53,6 @@ __all__ = [
     "resolve_string_family",
     "generate_string_batch",
     "string_checksum",
-    "embed_key",
-    "unembed_key",
     "lcp_encode_keys",
     "lcp_decode_keys",
     "lcp_encode_batch",
@@ -270,12 +267,8 @@ def keys_of(records: np.ndarray) -> np.ndarray:
 #     u32 key_len | key bytes (key_len) | u64 payload
 #
 # Keys are arbitrary NUL-free byte strings (empty allowed); ordering is
-# plain byte-lexicographic, which for NUL-free keys coincides with the
-# order of their big-endian zero-padded integer embedding (``embed_key``)
-# — that is what lets the existing exact-rank multiway selection kernel,
-# which compares integer probe replies, rank strings without change.
-# The payload stays a u64 record index so the conformance permutation
-# and round-trip checks carry over unchanged.
+# plain byte-lexicographic.  The payload stays a u64 record index so the
+# conformance permutation and round-trip checks carry over unchanged.
 #
 # In memory a batch also holds its keys as one *column*: a NUL-padded
 # fixed-width ``np.dtype(f"S{w}")`` array, w = max key length + 1.  The
@@ -376,7 +369,7 @@ def _joined_keys(keys: Sequence[bytes]) -> bytes:
             f"string keys must be bytes, got {type(bad).__name__}"
         ) from None
     if b"\x00" in joined:
-        raise ValueError("string keys must be NUL-free (ordering embedding)")
+        raise ValueError("string keys must be NUL-free (NUL-padded key column)")
     return joined
 
 
@@ -617,29 +610,6 @@ def merge_varlen_batches(parts: List[VarlenBatch]) -> VarlenBatch:
     if len(parts) == 1:
         return parts[0]
     return VarlenBatch.concat(parts).sort()
-
-
-# -- integer embedding for the selection kernel -----------------------------
-
-
-def embed_key(key: bytes, width: int) -> int:
-    """Embed a NUL-free key into an int preserving lexicographic order.
-
-    Right-pads with NUL to ``width`` bytes and reads big-endian, so for
-    any two NUL-free keys shorter than ``width``,
-    ``embed_key(a) < embed_key(b)`` iff ``a < b``.  ``width`` must
-    exceed every key length in play (agreed globally via allreduce) —
-    the pad byte sorts strictly below any real key byte, which is why
-    keys must be NUL-free.
-    """
-    if len(key) >= width:
-        raise ValueError(f"key of {len(key)} bytes needs width > {len(key)}")
-    return int.from_bytes(key.ljust(width, b"\x00"), "big")
-
-
-def unembed_key(value: int, width: int) -> bytes:
-    """Invert :func:`embed_key` (diagnostics only)."""
-    return value.to_bytes(width, "big").rstrip(b"\x00")
 
 
 # -- LCP front coding -------------------------------------------------------
@@ -992,21 +962,21 @@ class RecordModel:
     * parts — ``generate``, ``sort``, ``concat``, ``merge`` (stable in
       list order), ``slice``, ``copy``, ``keys``, ``key_at``,
       ``first_keys``, ``cut`` (a buffer at a key, ``side`` as in
-      ``searchsorted``), ``is_sorted``, ``checksum``, ``max_key_bytes``,
-      ``footprint`` (the bytes a part holds in memory, for the resident
-      accounting: its records, plus the key column for strings);
+      ``searchsorted``), ``is_sorted``, ``checksum``, ``footprint`` (the
+      bytes a part holds in memory, for the resident accounting: its
+      records, plus the key column for strings);
     * files (through a :class:`~repro.native.blockstore.FileBlockStore`) —
       ``read_blocks``, ``read_range``, ``fetch`` (uncharged, for reader
       threads), ``write_file``, ``appender``, ``range_nbytes`` (the byte
-      size of a record range), ``probe_cache``;
+      size of a record range);
     * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
       a sorted key sequence, ``bytes_view`` of a part as written;
-    * selection (the external phase's; run formation needs only ``keys``
-      and the wire methods) — ``run_sample_start`` (the Appendix B warm
-      start) and ``probe_key`` (a key as the integer the shared selection
-      kernel compares, at a width above every piece's ``max_key_bytes``);
     * all-to-all slabs — ``slab_byte_bases``, and ``slab_index`` /
       ``note_arrival`` / ``seal_slab`` for a slab's record boundaries.
+
+    Both window selections need no method of their own: they read a
+    window with ``read_range``, take its ``keys`` and compare them as
+    numpy keys (u64 or ``S{w}``), the samples via ``decode_keys``.
 
     ``name`` is the job-spec / CLI token; ``varlen`` says whether files
     carry an ``.idx`` record-boundary sidecar (job validation reads it,
@@ -1026,13 +996,6 @@ class RecordModel:
 
     def output_keys(self, path: str):
         raise NotImplementedError
-
-    def run_sample_start(self, runs, target, lengths, every):
-        """The Appendix B warm start from the runs' samples, stitched
-        across the rank-ordered pieces in (key, run, position) order."""
-        return warm_start_from_samples(
-            _run_samples(runs, self.decode_keys), target, lengths, every
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RecordModel {self.name}>"
@@ -1097,9 +1060,6 @@ class Fixed16Model(RecordModel):
         with np.errstate(over="ignore"):
             return (acc + int(np.add.reduce(part["key"]))) & _U64_MASK
 
-    def max_key_bytes(self, part) -> int:
-        return np.dtype(KEY_DTYPE).itemsize
-
     def footprint(self, part) -> int:
         return part.nbytes
 
@@ -1122,9 +1082,6 @@ class Fixed16Model(RecordModel):
     def range_nbytes(self, store, path, lo, hi, tag) -> int:
         return (hi - lo) * RECORD_BYTES
 
-    def probe_cache(self, store, capacity_blocks):
-        return store.probe_cache(capacity_blocks)
-
     # -- wire
     def encode(self, part, stats=None, phase=""):
         return bytes_view(part)
@@ -1140,10 +1097,6 @@ class Fixed16Model(RecordModel):
 
     def decode_keys(self, wire):
         return np.asarray(wire)
-
-    # -- selection
-    def probe_key(self, runs):
-        return int
 
     # -- all-to-all slabs
     def slab_byte_bases(self, comm, sizes, rank, slab_base):
@@ -1169,8 +1122,7 @@ class StringModel(RecordModel):
     sequence that crosses the wire — samples, run formation's slices and
     all-to-all chunks — travels LCP front-coded per *Communication-Efficient
     String Sorting* (Bingmann, Sanders, Schimek), with the trimmed bytes counted
-    (:func:`_count_lcp`); the shared integer selection kernel compares
-    keys through :func:`embed_key` at a globally agreed width.
+    (:func:`_count_lcp`).
     """
 
     name = "string"
@@ -1223,9 +1175,6 @@ class StringModel(RecordModel):
         if the part has none: the sort that follows needs it anyway)."""
         return _checksum(part.column.tolist(), part.payloads(), acc)
 
-    def max_key_bytes(self, part) -> int:
-        return part.max_key_len()
-
     def footprint(self, part) -> int:
         """The records plus the key column they hold or will hold, n·w
         bytes more (w = max key length + 1)."""
@@ -1252,9 +1201,6 @@ class StringModel(RecordModel):
         offsets = store.varlen_offsets(path, tag)
         return int(offsets[hi] - offsets[lo])
 
-    def probe_cache(self, store, capacity_blocks):
-        return store.varlen_probe_cache(capacity_blocks)
-
     # -- wire
     def encode(self, part, stats=None, phase=""):
         wire, saved = lcp_encode_batch(part)
@@ -1276,13 +1222,6 @@ class StringModel(RecordModel):
 
     def decode_keys(self, wire):
         return lcp_decode_keys(wire)
-
-    # -- selection
-    def probe_key(self, runs):
-        width = 1 + max(
-            (p.max_key_bytes for run in runs for p in run.pieces), default=0
-        )
-        return lambda key: embed_key(key, width)
 
     # -- all-to-all slabs
     def slab_byte_bases(self, comm, sizes, rank, slab_base):

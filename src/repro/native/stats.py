@@ -40,7 +40,7 @@ class WorkerStats:
     #: Background pipeline threads never count here — their I/O time is
     #: the overlap the pipelined path exists to create.
     io_stall_s: Dict[str, float] = field(default_factory=dict)
-    #: Free-form counters (probe reads, cache hits, runs formed, ...).
+    #: Free-form counters (window keys shipped, runs formed, ...).
     counters: Dict[str, float] = field(default_factory=dict)
     #: Phase -> collective epochs entered (allgathers, all-to-alls,
     #: barriers, exchanges; the same on every rank).

@@ -143,11 +143,12 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
             if global_done >= 1:
                 runs = restore_runs(ctx, resume)
                 if rank in getattr(job, "suspect_ranks", ()) and global_done <= 2:
-                    # Pieces are still being read by peers (selection
-                    # probes, the all-to-all's sends): a suspect rank
-                    # must prove its retained blocks survived the
-                    # failure.  Past a2a_done only the rank itself reads
-                    # them, and a resume there re-reads nothing.
+                    # Pieces are still to be read and shipped to peers
+                    # (selection windows, the all-to-all's sends): a
+                    # suspect rank must prove its retained blocks
+                    # survived the failure.  Past a2a_done only the
+                    # merge reads them, and a resume there re-reads
+                    # nothing.
                     verify_restored_pieces(
                         ctx,
                         [resume.rf_runs[r] for r in range(len(resume.rf_runs))],

@@ -81,7 +81,6 @@ SPEC_FIELDS = {
     "seed": (int, 42),
     "skew": (bool, False),
     "randomize": (bool, True),
-    "selection": (str, "sampled"),
     "sample_every": (int, None),
     "timeout": (float, 120.0),
     "transport": (str, "pipe"),
@@ -103,7 +102,6 @@ SPEC_FIELDS = {
 #: one host: per-job meshes are pipe pairs or shm rings, never sockets.
 SPEC_CHOICES = {
     "transport": ("pipe", "shm"),
-    "selection": ("sampled", "basic", "bisect"),
     "records": ("fixed16", "string"),
     "algo": ("canonical", "striped"),
 }
@@ -191,7 +189,6 @@ def build_native_job(spec: dict, spill_dir: str) -> NativeJob:
             block_bytes=spec["block_kib"] * KiB,
             seed=spec["seed"],
             randomize=spec["randomize"],
-            selection=spec["selection"],
             sample_every=spec["sample_every"],
         )
         return NativeJob(

@@ -119,6 +119,19 @@ def test_barrier_and_allgather(mesh3):
     assert results[0][1] == [(0, 1), (1, 1), (2, 1)]
 
 
+def test_allgather_parts_gathers_every_list_in_one_epoch(mesh3):
+    """Rank r contributes r parts (rank 0 none); every rank gets every
+    list, in rank order, in one epoch."""
+    def body(c):
+        epochs = c.collectives
+        got = c.allgather_parts([(c.rank, i) for i in range(c.rank)])
+        return got, c.collectives - epochs
+
+    for got, epochs in run_all(mesh3, body):
+        assert got == [[], [(1, 0)], [(2, 0), (2, 1)]]
+        assert epochs == 1
+
+
 def test_collectives_reject_stale_epochs(mesh2):
     """A parked message from an old epoch never satisfies a collective."""
     stale_epoch = 4090
@@ -310,7 +323,8 @@ def test_selection_round_matches_across_transports(mesh3):
         def body(c):
             epochs = c.collectives
             positions, shipped = exact_splits(
-                c, arrays[c.rank], [a[::every] for a in arrays], lengths, every
+                c, [a[::every] for a in arrays], lengths, every, range(n),
+                lambda _j, lo, hi: arrays[c.rank][lo:hi],
             )
             return positions, shipped, c.collectives - epochs
 
@@ -324,3 +338,106 @@ def test_selection_round_matches_across_transports(mesh3):
             assert epochs == 1
         assert results[0][1] > 0
         assert results[2][1] == 0  # the empty rank ships nothing
+
+
+@pytest.mark.parametrize("records", ["fixed16", "string"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_phase2_reads_only_own_pieces(transport, tmp_path, n, records):
+    """Native phase 2 needs nothing shared on disk: with every rank's
+    store rooted in its own directory (a peer's piece file does not
+    exist there), ``phases.selection`` still takes one collective epoch
+    and every rank ends with the exact splitter matrix — the one
+    multiway selection finds over the concatenated runs.  Duplicate-heavy
+    keys tie across piece and run boundaries, one piece is empty, and
+    string keys are decimal numbers, whose byte order is not their
+    numeric order."""
+    import numpy as np
+
+    from repro.algos.multiway_selection import multiway_select
+    from repro.core.config import SortConfig
+    from repro.native.blockstore import FileBlockStore
+    from repro.native.job import NativeJob
+    from repro.native.phases import (
+        NativeContext, NativeRun, PieceMeta, selection,
+    )
+    from repro.native.records import VarlenBatch, make_records
+    from repro.native.stats import WorkerStats
+
+    every = 4
+    job = NativeJob(
+        config=SortConfig(
+            data_per_node_bytes=64 * 1024, memory_bytes=32 * 1024,
+            block_bytes=8 * 16, sample_every=every, seed=3,
+        ),
+        n_workers=n, spill_dir=str(tmp_path), records=records,
+    )
+    model = job.model
+    rng = np.random.default_rng(17 + n)
+    values = [np.sort(rng.integers(0, 12, size)) for size in (61, 37, 50)]
+    if records == "string":
+        runs_keys = [np.sort(v.astype(bytes)) for v in values]
+        width = 1 + max(len(k) for keys in runs_keys for k in keys)
+        ints = [[int.from_bytes(bytes(k).ljust(width, b"\0"), "big")
+                 for k in keys] for keys in runs_keys]
+
+        def part(keys, ids):
+            return VarlenBatch.build([bytes(k) for k in keys], ids)
+    else:
+        runs_keys = [v.astype(np.uint64) for v in values]
+        ints = runs_keys
+        part = make_records
+    # Piece j of run r is the j-th slice of the sorted run; run 1's piece
+    # of rank 1 is empty.
+    bounds = [
+        [0, *sorted(rng.integers(0, len(k) + 1, n - 1)), len(k)]
+        for k in runs_keys
+    ]
+    bounds[1][1] = bounds[1][2] = bounds[1][1 if n > 2 else 2]
+
+    pieces, metas = {}, []
+    for r, keys in enumerate(runs_keys):
+        row = []
+        for j in range(n):
+            lo, hi = bounds[r][j], bounds[r][j + 1]
+            piece = part(keys[lo:hi], np.arange(lo, hi, dtype=np.uint64))
+            pieces[r, j] = piece
+            row.append(PieceMeta(
+                run=r, rank=j, n_records=hi - lo,
+                sample_keys=model.encode_keys(model.keys(piece)[::every]),
+                sample_every=every,
+            ))
+        metas.append(row)
+
+    def body(c):
+        store = FileBlockStore(
+            str(tmp_path / f"rank{c.rank}"), rank=c.rank,
+            block_records=job.block_records,
+        )
+        for r in range(len(runs_keys)):
+            model.write_file(store, store.piece_path(r), pieces[r, c.rank], "w")
+        with pytest.raises(FileNotFoundError):
+            open(store.piece_path(0, (c.rank + 1) % n), "rb")
+        ctx = NativeContext(
+            rank=c.rank, job=job, comm=c, store=store,
+            stats=WorkerStats(rank=c.rank),
+        )
+        runs = [NativeRun(r, row) for r, row in enumerate(metas)]
+        epochs = c.collectives
+        splits = selection(ctx, runs)
+        return splits, c.collectives - epochs, ctx.stats.counters
+
+    lengths = [len(k) for k in runs_keys]
+    total = sum(lengths)
+    expected = [[0] * len(lengths)] + [
+        multiway_select(ints, d * total // n).positions for d in range(1, n)
+    ] + [lengths]
+    comms = MAKERS[transport](n, timeout=10.0)
+    try:
+        results = run_all(comms, body)
+    finally:
+        for c in comms:
+            c.close()
+    for splits, epochs, _counters in results:
+        assert splits == expected
+        assert epochs == 1
+    assert sum(c["selection_window_keys"] for _s, _e, c in results) > 0

@@ -135,7 +135,8 @@ def test_selection_round_finds_global_quantile():
     try:
         def body(c):
             positions, _shipped = exact_splits(
-                c, arrays[c.rank], [a[::every] for a in arrays], [per] * n, every
+                c, [a[::every] for a in arrays], [per] * n, every, range(n),
+                lambda _j, lo, hi: arrays[c.rank][lo:hi],
             )
             return positions
 

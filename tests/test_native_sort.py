@@ -207,7 +207,10 @@ def test_run_formation_is_three_collectives_and_no_probes(
     selection this replaces cost 4 epochs per run plus a chain of
     synchronous probe round trips; the chunked exchange before it cost 6
     per run and ceil(slice / B) + 2 messages per run and peer.  The ranks
-    run as threads over a real pipe mesh, so the posts can be counted."""
+    run as threads over a real pipe mesh, so the posts can be counted.
+
+    Phase 2 is the same primitive over the R·P pieces: one key-window
+    allgather, plus the barrier closing the phase."""
     job = NativeJob(
         config=native_config(), n_workers=n_workers,
         spill_dir=str(tmp_path), records=records, timeout=60,
@@ -243,6 +246,8 @@ def test_run_formation_is_three_collectives_and_no_probes(
             and key[1] in ("__xch__", "__xeof__", "__prb__", "__prr__", "__prd__")
         ]
         assert stats.counters["internal_selection_window_keys"] > 0
+        assert stats.collectives["selection"] == 1 + 1
+        assert stats.counters["selection_window_keys"] > 0
 
 
 def test_cleanup_removes_spill_dir(tmp_path):

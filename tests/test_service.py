@@ -369,10 +369,9 @@ class TestSpecRejectionMessages:
             {"transport": "tcp"}, "spec field 'transport'='tcp'",
             "'pipe', 'shm'",
         )
-        self.check(
-            {"selection": "bogus"}, "spec field 'selection'='bogus'",
-            "'sampled', 'basic', 'bisect'",
-        )
+        # Native phase 2 has one strategy, so the simulator's selection
+        # knob is no spec field.
+        self.check({"selection": "sampled"}, "unknown spec field 'selection'")
         self.check(
             {"records": "f32"}, "spec field 'records'='f32'",
             "'fixed16', 'string'",
@@ -470,7 +469,8 @@ class TestAdmissionControl:
                     dict(SMALL, n_workers=3),  # pool too small
                     dict(SMALL, memory_mib=16.0),  # over the memory budget
                     dict(SMALL, bogus_knob=1),  # unknown key
-                    dict(SMALL, selection="psychic"),  # bad value
+                    dict(SMALL, selection="sampled"),  # no longer a spec key
+                    dict(SMALL, records="f32"),  # bad value
                     dict(SMALL, pending_sends=0),  # out-of-range knob
                 ),
                 start=1,

@@ -4,8 +4,8 @@ The end-to-end string sorts live in the conformance tiers
 (tests/test_conformance_quick.py runs a quick-matrix slice of string
 twins every commit; the full matrix runs nightly).  This file covers the
 units underneath: :class:`~repro.native.records.VarlenBatch`, the LCP
-front-coding codecs, the order-preserving integer embedding, the block
-store's byte-addressed varlen I/O, and the job-level validation gates.
+front-coding codecs, the block store's byte-addressed varlen I/O, and
+the job-level validation gates.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.native.records import (
     RECORD_BYTES,
     VarlenBatch,
     bytes_view,
-    embed_key,
     generate_string_batch,
     lcp_decode_batch,
     lcp_decode_keys,
@@ -35,7 +34,6 @@ from repro.native.records import (
     string_key_from_u64,
     STRING_FAMILIES,
     logline_key_from_u64,
-    unembed_key,
     url_key_from_u64,
     varlen_index_path,
     write_varlen_file,
@@ -162,18 +160,6 @@ def test_lcp_batch_codec_roundtrip_and_identity():
     assert np.array_equal(back.payloads(), srt.payloads())
 
 
-def test_embed_key_preserves_order():
-    keys = sorted([b"", b"a", b"aa", b"ab", b"b", b"ba", string_key_from_u64(5)])
-    width = max(len(k) for k in keys) + 1
-    embedded = [embed_key(k, width) for k in keys]
-    assert embedded == sorted(embedded)
-    assert len(set(embedded)) == len(keys)
-    for k, e in zip(keys, embedded):
-        assert unembed_key(e, width) == k
-    with pytest.raises(ValueError):
-        embed_key(b"toolong", len(b"toolong"))
-
-
 def test_string_key_map_is_order_and_duplicate_preserving():
     values = [0, 1, 1, 22, 23, 2**64 - 1, 7, 7]
     keys = [string_key_from_u64(v) for v in values]
@@ -297,18 +283,6 @@ def test_varlen_appender_streams(store):
     assert appender.n_records == 30
     appender.close()
     assert read_varlen_file(path).keys() == batch.keys()
-
-
-def test_varlen_probe_cache_hits(store):
-    batch = straddling_batch(32).sort()
-    path = store.piece_path(0)
-    store.write_varlen_file(path, batch, "w")
-    cache = store.varlen_probe_cache(capacity_blocks=2)
-    keys = batch.keys()
-    assert cache.key_at(path, 9, "sel") == keys[9]
-    assert cache.key_at(path, 10, "sel") == keys[10]  # same block: a hit
-    assert cache.hits == 1
-    assert cache.block_reads == 1
 
 
 # ---------------------------------------------------------------- job gates
