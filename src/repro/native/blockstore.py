@@ -21,7 +21,8 @@ Fixed16 files are flat arrays of :data:`~repro.native.records.NATIVE_DTYPE`
 records; string files are byte streams of varlen records plus an
 ``.idx`` sidecar of record-boundary offsets (a slab's boundaries are
 rebuilt in memory by the all-to-all instead, see
-:meth:`FileBlockStore.set_varlen_offsets`).
+:meth:`FileBlockStore.set_varlen_offsets`, and written to its ``.idx``
+only when the job journals).
 
 When the store is built with a ``namespace`` (the sort service gives
 every job ``<job-id>-<fingerprint>``), each name above is prefixed
@@ -35,7 +36,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import zlib
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -328,26 +328,10 @@ class FileBlockStore:
         """Create ``path`` sized for ``n_records`` (sparse where supported).
 
         Idempotent on size: a file already at exactly the target size is
-        left untouched, so a resumed all-to-all keeps the slab bytes
-        delivered before the restart instead of zeroing them.
+        left untouched, so a restarted all-to-all rewrites its slab in
+        place instead of re-creating it.
         """
         self.preallocate_bytes(path, n_records * RECORD_BYTES)
-
-    def verify_block_crcs(self, path: str, crcs, tag: str = "recovery"):
-        """Compare each block of ``path`` against expected CRC-32s.
-
-        Returns the list of mismatching block indices (a short read
-        counts as a mismatch).  Used by suspect ranks on resume to prove
-        their retained piece files survived the failure intact — bounded
-        work on the suspects only, never a pass over the data.
-        """
-        bad = []
-        for idx, want in enumerate(crcs):
-            block = self.read_block(path, idx, tag)
-            have = zlib.crc32(memoryview(np.ascontiguousarray(block)).cast("B"))
-            if have != int(want):
-                bad.append(idx)
-        return bad
 
     def remove(self, path: str) -> None:
         """Remove a spill file; **idempotent** by contract.
@@ -403,6 +387,15 @@ class FileBlockStore:
         (the all-to-all rebuilds a slab's as its chunks land)."""
         with self._idx_lock:
             self._varlen_idx[path] = offsets
+
+    def write_varlen_index(self, path: str, offsets: np.ndarray, tag: str) -> None:
+        """Write ``path``'s record boundaries as its ``.idx`` and fsync it
+        (a journaled slab, whose boundaries must outlive the process)."""
+        with open(varlen_index_path(path), "wb") as handle:
+            offsets.tofile(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self.charge_write(tag + INDEX_TAG_SUFFIX, offsets.nbytes)
 
     def _invalidate_varlen_index(self, path: str) -> None:
         with self._idx_lock:

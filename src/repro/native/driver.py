@@ -676,7 +676,6 @@ def native_sort(
     records: str = "fixed16",
     algo: str = "canonical",
     shm_ring_kib: "int | None" = None,
-    a2a_checkpoint_chunks: int = 8,
 ) -> NativeSortResult:
     """Convenience one-call native sort (generate, sort, return result).
 
@@ -703,6 +702,5 @@ def native_sort(
         records=records,
         algo=algo,
         shm_ring_kib=shm_ring_kib,
-        a2a_checkpoint_chunks=a2a_checkpoint_chunks,
     )
     return NativeSorter(job).run()

@@ -111,9 +111,6 @@ class NativeJob:
     #: CRC-verify their retained piece blocks against the manifest
     #: before resuming (bounded, o(N) work).
     suspect_ranks: tuple = ()
-    #: All-to-all watermark cadence: journal delivered-chunk marks every
-    #: this many chunk arrivals (only while write-behind is off).
-    a2a_checkpoint_chunks: int = 8
     #: Best-effort removal of the spill directory when the job aborts
     #: for good (all restarts exhausted).  Off by default: a populated
     #: spill dir is evidence, and chaos tests assert on its contents.
@@ -203,11 +200,6 @@ class NativeJob:
                 "epoch > 0 (resume) requires checkpointing "
                 "(checkpoint=True or max_restarts > 0)"
             )
-        if self.a2a_checkpoint_chunks < 1:
-            raise ConfigError(
-                "a2a_checkpoint_chunks must be >= 1, got "
-                f"{self.a2a_checkpoint_chunks}"
-            )
         if not 0 <= self.job_tag < 2**32:
             raise ConfigError(
                 f"job_tag must fit a u32, got {self.job_tag}"
@@ -226,20 +218,6 @@ class NativeJob:
                 f"unknown record model {self.records!r}; choose from "
                 f"{tuple(sorted(MODELS))}"
             )
-        if self.varlen:
-            # Follow-ups tracked in ROADMAP: the recovery manifest
-            # journals u64 keys, and the chaos write gate is
-            # slot-addressed.
-            if self.checkpointing or self.epoch > 0:
-                raise ConfigError(
-                    "records='string' does not support checkpoint/resume "
-                    "yet: the recovery manifest carries u64 keys"
-                )
-            if self.chaos is not None:
-                raise ConfigError(
-                    "records='string' does not support chaos injection "
-                    "yet: the chaos write gate is slot-addressed"
-                )
         from .algos import ALGORITHMS
 
         if self.algo not in ALGORITHMS:
@@ -247,10 +225,10 @@ class NativeJob:
                 f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}"
             )
         if self.algo != "canonical":
-            # The new backends run the paper's fixed element only, and
-            # (like the string model before them) the recovery journal,
-            # the pipelined I/O layer and the chaos write gate are
-            # canonical-phase-addressed today (ROADMAP follow-ups).
+            # Striped runs the paper's fixed element only, and the
+            # recovery journal and the pipelined I/O layer live in the
+            # canonical phases (chaos needs neither: the store's write
+            # gate and the worker's kill points serve every backend).
             if self.varlen:
                 raise ConfigError(
                     f"algo={self.algo!r} only supports records='fixed16' yet"
@@ -262,10 +240,6 @@ class NativeJob:
             if self.pipelined:
                 raise ConfigError(
                     f"algo={self.algo!r} does not support pipelined I/O yet"
-                )
-            if self.chaos is not None:
-                raise ConfigError(
-                    f"algo={self.algo!r} does not support chaos injection yet"
                 )
         merge_working = (self.n_runs * 2 + 4) * self.block_records * RECORD_BYTES
         if merge_working > self.memory_bytes + self.chunk_records * RECORD_BYTES:

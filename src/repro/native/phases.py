@@ -35,7 +35,6 @@ reports them.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -59,6 +58,8 @@ __all__ = [
     "run_formation",
     "exact_splits",
     "restore_runs",
+    "block_crcs",
+    "damaged_blocks",
     "verify_restored_pieces",
     "selection",
     "Extent",
@@ -88,7 +89,8 @@ class NativeContext:
     input_checksum: int = 0
     #: Recovery journal (:class:`repro.recovery.manifest.RankJournal`)
     #: when the job checkpoints; phases append durable records to it at
-    #: their boundaries and at intra-phase watermarks.
+    #: their boundaries (and run formation once per run), every key as
+    #: the model's ``key_to_json``.
     journal: Optional[object] = None
     #: Replayed manifest state (:class:`~repro.recovery.manifest.ResumeState`)
     #: when resuming an epoch > 0 attempt; None on a fresh run.
@@ -190,22 +192,49 @@ TAG_RF = "run_formation"
 TAG_RECOVERY = "recovery"
 
 
-def _block_crcs(records: np.ndarray, block_records: int) -> List[int]:
-    """CRC-32 of each block of an in-memory record array."""
-    view = memoryview(np.ascontiguousarray(records)).cast("B")
-    step = block_records * RECORD_BYTES
+def block_crcs(model: RecordModel, part, block_records: int) -> List[int]:
+    """CRC-32 of each block of a part, over its bytes as written."""
     return [
-        zlib.crc32(view[s : s + step]) for s in range(0, len(view), step)
-    ] if len(view) else []
+        zlib.crc32(model.bytes_view(model.slice(part, s, s + block_records)))
+        for s in range(0, len(part), block_records)
+    ]
 
 
-def _meta_from_record(rec: dict, rank: int) -> PieceMeta:
-    """Rebuild a PieceMeta from its manifest ``rf_run`` record."""
+def damaged_blocks(
+    model: RecordModel, store: FileBlockStore, path: str, crcs: Sequence[int]
+) -> List[int]:
+    """Indices of the blocks of ``path`` whose CRC-32 is not ``crcs``'s.
+
+    Each block is read on its own under the recovery tag; a short or
+    failed read counts as damage.
+    """
+    block = store.block_records
+    bad = []
+    for idx, want in enumerate(crcs):
+        try:
+            part = model.read_range(store, path, idx * block, block, TAG_RECOVERY)
+        except OSError:
+            bad.append(idx)
+            continue
+        if block_crcs(model, part, block) != [want]:
+            bad.append(idx)
+    return bad
+
+
+def _restore_piece(ctx: NativeContext, rec: dict) -> PieceMeta:
+    """Rebuild a PieceMeta from its manifest ``rf_run`` record, and the
+    piece's block-first keys into ``ctx.piece_first_keys``."""
+    model = ctx.model
+    ctx.piece_first_keys.append(
+        [model.key_from_json(k) for k in rec["first_keys"]]
+    )
     return PieceMeta(
         run=int(rec["run"]),
-        rank=rank,
+        rank=ctx.rank,
         n_records=int(rec["n"]),
-        sample_keys=np.asarray(rec["samples"], dtype=np.uint64),
+        sample_keys=model.encode_keys(
+            [model.key_from_json(k) for k in rec["samples"]]
+        ),
         sample_every=int(rec["every"]),
     )
 
@@ -219,7 +248,7 @@ def verify_restored_pieces(ctx: NativeContext, run_records: List[dict]) -> None:
     checked = 0
     for rec in run_records:
         path = ctx.store.piece_path(rec["run"])
-        bad = ctx.store.verify_block_crcs(path, rec["crcs"], tag=TAG_RECOVERY)
+        bad = damaged_blocks(ctx.model, ctx.store, path, rec["crcs"])
         checked += len(rec["crcs"])
         if bad:
             raise IOError(
@@ -239,11 +268,13 @@ def restore_runs(ctx: NativeContext, resume) -> List[NativeRun]:
     the only communication is the same metadata allgather a fresh run
     formation ends with.
     """
-    recs = [resume.rf_runs[r] for r in range(len(resume.rf_runs))]
-    metas = [_meta_from_record(rec, ctx.rank) for rec in recs]
+    ctx.piece_first_keys = []
+    metas = [
+        _restore_piece(ctx, resume.rf_runs[r])
+        for r in range(len(resume.rf_runs))
+    ]
     all_metas: List[List[PieceMeta]] = ctx.comm.allgather(metas)
     ctx.input_checksum = resume.rf_checksum
-    ctx.piece_first_keys = [list(rec["first_keys"]) for rec in recs]
     ctx.stats.add_counter("recovery_phases_restored")
     ctx.stats.add_counter("recovery_rf_blocks_reread", 0.0)
     return [
@@ -417,10 +448,9 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
     run_records: List[dict] = []
     ctx.piece_first_keys = []
     for r in range(k):
-        metas.append(_meta_from_record(restored[r], ctx.rank))
+        metas.append(_restore_piece(ctx, restored[r]))
         run_records.append(restored[r])
         ctx.input_checksum = restored[r]["checksum"]
-        ctx.piece_first_keys.append(list(restored[r]["first_keys"]))
     if k:
         ctx.stats.add_counter("recovery_runs_restored", float(k))
         if ctx.rank in getattr(job, "suspect_ranks", ()):
@@ -468,10 +498,13 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                 rec = {
                     "run": r,
                     "n": len(piece),
-                    "samples": [int(s) for s in sample],
+                    "samples": [
+                        model.key_to_json(k)
+                        for k in model.keys(piece)[:: job.sample_every].tolist()
+                    ],
                     "every": job.sample_every,
-                    "crcs": _block_crcs(piece, job.block_records),
-                    "first_keys": first_keys,
+                    "crcs": block_crcs(model, piece, job.block_records),
+                    "first_keys": [model.key_to_json(k) for k in first_keys],
                     "checksum": ctx.input_checksum,
                 }
                 run_records.append(rec)
@@ -703,6 +736,11 @@ def all_to_all(
     sequence of this phase, so :func:`sequential_fetch_order` applies);
     with ``job.write_behind_blocks > 0`` the positioned slab writes are
     deferred to a writer thread and flushed before the phase ends.
+
+    A journaling job records the extent table and the guide once the
+    slabs are sealed (``a2a_done``).  An attempt that dies mid-exchange
+    restarts the phase at its boundary: the pieces are untouched and the
+    chunks land again at the same offsets of the same slabs.
     """
     job, comm, store, rank, model = ctx.job, ctx.comm, ctx.store, ctx.rank, ctx.model
     n_workers = job.n_workers
@@ -727,72 +765,33 @@ def all_to_all(
     ]
     byte_base = model.slab_byte_bases(comm, sizes, rank, slab_base)
 
-    # Resume bookkeeping: the contiguous chunk count already delivered
-    # per (run, sender) channel, agreed across all ranks so every sender
-    # can skip exactly the chunks its receiver durably holds.  The
-    # allgather runs whenever a journal exists (it is a no-op list of
-    # empties on a fresh epoch), keeping the collective schedule
-    # identical on every rank.
-    journal = ctx.journal
-    marks: Dict[Tuple[int, int], int] = {}
-    #: Per run, slab record position -> key of the record there, for the
-    #: positions where a read unit of the slab starts.
-    slab_keys: List[Dict[int, object]] = [dict() for _ in runs]
-    if journal is not None and job.epoch > 0 and ctx.resume is not None:
-        marks = dict(ctx.resume.a2a_marks)
-        for (r, pos), key in ctx.resume.a2a_first_keys.items():
-            if r < len(slab_keys):
-                slab_keys[r][pos] = key
-    all_marks: Optional[List[Dict[Tuple[int, int], int]]] = None
-    if journal is not None:
-        gathered = comm.allgather([[r, s, c] for (r, s), c in marks.items()])
-        all_marks = [
-            {(r, s): c for r, s, c in entry} for entry in gathered
-        ]
-    held = sum(
-        min(chunks * block, slab_base[r][sender + 1] - slab_base[r][sender])
-        for (r, sender), chunks in marks.items()
-    )
-
     handles: Dict[int, object] = {}
     slab_index: Dict[int, object] = {}
     for r, layout in enumerate(layouts):
         if layout.lower + layout.upper:
             path = store.slab_path(r)
-            # preallocate is size-idempotent: on resume the bytes
-            # delivered before the restart survive in place.
+            # preallocate is size-idempotent: a restarted exchange
+            # rewrites every chunk in place.
             store.preallocate_bytes(path, byte_base[r][-1])
             handles[r] = open(path, "r+b")
             slab_index[r] = model.slab_index(layout.lower + layout.upper)
 
     # The exact (run, piece-offset, count) read sequence of the send
     # stream, precomputed so a prefetcher can run ahead of the pipes.
-    # Chunks a receiver already journaled are dropped here — the chunk
-    # index k keeps its fresh-run numbering, so every surviving arrival
-    # lands at the same absolute offset it would have on a clean run.
     #: (dest, run, k, piece-local start, count, byte offset in channel)
     send_plan: List[Tuple[int, int, int, int, int, int]] = []
-    skipped = 0
     for r, run in enumerate(runs):
         for dest in range(n_workers):
             if dest == rank:
                 continue
             lo, hi = piece_slice(run, splits, r, rank, dest)
             for chunk_k, s in enumerate(range(lo, hi, block)):
-                if (
-                    all_marks is not None
-                    and chunk_k < all_marks[dest].get((r, rank), 0)
-                ):
-                    skipped += 1
-                    continue
                 byte_off = model.range_nbytes(
                     store, store.piece_path(r), lo, s, TAG_A2A
                 )
                 send_plan.append(
                     (dest, r, chunk_k, s, min(block, hi - s), byte_off)
                 )
-    if skipped:
-        ctx.stats.add_counter("recovery_chunks_skipped", float(skipped))
 
     prefetcher: Optional[Prefetcher] = None
     if job.prefetch_blocks > 0 and send_plan:
@@ -812,9 +811,6 @@ def all_to_all(
             store, TAG_A2A, max(job.write_behind_bytes, 1), stats=ctx.stats
         )
 
-    # The chunk index k of each send rides in the plan (see above), so
-    # the receiver's offset arithmetic is identical whether or not a
-    # prefix of the stream was skipped on resume.
     sent_bytes = 0
 
     def outgoing():
@@ -835,25 +831,14 @@ def all_to_all(
     # each chunk lands at a known record offset of the slab, so every
     # read-unit start it covers (the slab's block grid, plus the first
     # record from a higher rank) yields that unit's first key.
-    # ``slab_keys`` was preloaded above with keys journaled before a
-    # restart (their chunks are skipped and never re-arrive).
+    #: Per run, slab record position -> key of the record there, for the
+    #: positions where a read unit of the slab starts.
+    slab_keys: List[Dict[int, object]] = [dict() for _ in runs]
     chaos = getattr(job, "chaos", None)
     chunk_hook = getattr(chaos, "on_a2a_chunk", None)
-    watermark_every = max(1, int(getattr(job, "a2a_checkpoint_chunks", 8)))
-    new_keys: Dict[Tuple[int, int], object] = {}
     arrivals = 0
     received = 0
     received_bytes = 0
-
-    def flush_watermark() -> None:
-        # Durability order matters: slab bytes first, then the marks
-        # that claim them.  A crash between the two only under-claims —
-        # the unclaimed chunks are simply re-sent and rewritten in place.
-        for handle in handles.values():
-            handle.flush()
-            os.fsync(handle.fileno())
-        journal.a2a_mark(marks, new_keys)
-        new_keys.clear()
 
     def on_chunk(peer: int, payload: tuple) -> None:
         nonlocal arrivals, received, received_bytes
@@ -866,10 +851,7 @@ def all_to_all(
         if offset <= layouts[r].lower < offset + n_recs:
             starts.append(layouts[r].lower)
         for pos in starts:
-            key = model.key_at(part, pos - offset)
-            slab_keys[r][pos] = key
-            if journal is not None:
-                new_keys[(r, pos)] = key
+            slab_keys[r][pos] = model.key_at(part, pos - offset)
         byte_pos = byte_base[r][peer] + byte_off
         model.note_arrival(slab_index[r], offset, byte_pos, part)
         view = model.bytes_view(part)
@@ -879,16 +861,6 @@ def all_to_all(
         arrivals += 1
         received += n_recs
         received_bytes += part.nbytes
-        if journal is not None:
-            # Per-channel FIFO + ascending k per (run, dest) make k+1 the
-            # contiguous delivered count for this channel.
-            marks[(r, peer)] = max(marks.get((r, peer), 0), k + 1)
-            # Intra-phase watermarks need the bytes on disk before the
-            # marks; under write-behind the writes are still in flight,
-            # so watermarking is disabled and resume falls back to the
-            # phase boundary (documented in docs/RECOVERY.md).
-            if wb is None and arrivals % watermark_every == 0:
-                flush_watermark()
         if chunk_hook is not None:
             chunk_hook(rank, arrivals)
 
@@ -904,8 +876,10 @@ def all_to_all(
             wb.close(raise_error=False)
         for handle in handles.values():
             handle.close()
+    journal = ctx.journal
     for r, index in slab_index.items():
-        model.seal_slab(store, store.slab_path(r), index, byte_base[r][-1])
+        model.seal_slab(store, store.slab_path(r), index, byte_base[r][-1],
+                        TAG_A2A, durable=journal is not None)
 
     # The volume identities, checked on every run, not only under the
     # conformance harness: everything this rank's spans need is either
@@ -914,12 +888,12 @@ def all_to_all(
     moved_in = sum(layout.lower + layout.upper for layout in layouts)
     read = store.bytes_read.get(TAG_A2A, 0) - read_before
     written = store.bytes_written.get(TAG_A2A, 0) - written_before
-    if held + received != moved_in or read != sent_bytes or written != received_bytes:
+    if received != moved_in or read != sent_bytes or written != received_bytes:
         raise AssertionError(
             f"rank {rank}: all-to-all volume identity broken: received "
-            f"{received} (+{held} held from before a restart) of {moved_in} "
-            f"records due; read {read} bytes for {sent_bytes} sent, wrote "
-            f"{written} bytes for {received_bytes} received"
+            f"{received} of {moved_in} records due; read {read} bytes for "
+            f"{sent_bytes} sent, wrote {written} bytes for {received_bytes} "
+            "received"
         )
     ctx.stats.add_counter(
         "a2a_kept_bytes", float(sum(run_sizes[rank] for run_sizes in sizes))
@@ -946,7 +920,9 @@ def all_to_all(
         first_keys.append(keys)
 
     if journal is not None:
-        journal.a2a_done(layouts, first_keys)
+        journal.a2a_done(layouts, [
+            [model.key_to_json(k) for k in keys] for keys in first_keys
+        ])
 
     ctx.stats.note_resident(
         (2 + 4 + job.prefetch_blocks + job.write_behind_blocks)
@@ -1185,8 +1161,8 @@ def merge(
             "rank": meta.rank,
             "path": meta.path,
             "n_records": meta.n_records,
-            "first_key": meta.first_key,
-            "last_key": meta.last_key,
+            "first_key": model.key_to_json(meta.first_key),
+            "last_key": model.key_to_json(meta.last_key),
             "checksum": meta.checksum,
             "sorted_ok": meta.sorted_ok,
         })

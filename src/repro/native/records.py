@@ -971,6 +971,8 @@ class RecordModel:
       size of a record range);
     * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
       a sorted key sequence, ``bytes_view`` of a part as written;
+    * journal — ``key_to_json``/``key_from_json`` a key (or ``None``) as
+      the recovery manifest stores it;
     * all-to-all slabs — ``slab_byte_bases``, and ``slab_index`` /
       ``note_arrival`` / ``seal_slab`` for a slab's record boundaries.
 
@@ -1093,10 +1095,17 @@ class Fixed16Model(RecordModel):
         return bytes_view(part)
 
     def encode_keys(self, keys, stats=None, phase=""):
-        return np.ascontiguousarray(keys)
+        return np.ascontiguousarray(keys, dtype=np.uint64)
 
     def decode_keys(self, wire):
         return np.asarray(wire)
+
+    # -- journal
+    def key_to_json(self, key):
+        return None if key is None else int(key)
+
+    def key_from_json(self, value):
+        return None if value is None else int(value)
 
     # -- all-to-all slabs
     def slab_byte_bases(self, comm, sizes, rank, slab_base):
@@ -1110,7 +1119,7 @@ class Fixed16Model(RecordModel):
     def note_arrival(self, index, pos, byte_pos, part) -> None:
         pass
 
-    def seal_slab(self, store, path, index, nbytes) -> None:
+    def seal_slab(self, store, path, index, nbytes, tag, durable) -> None:
         pass
 
 
@@ -1118,7 +1127,8 @@ class StringModel(RecordModel):
     """Length-prefixed variable records with byte-string keys.
 
     Files carry an ``.idx`` sidecar of record-boundary byte offsets (a
-    slab's is rebuilt in memory as its chunks land); every sorted key
+    slab's is rebuilt in memory as its chunks land, and written only when
+    the job journals); every sorted key
     sequence that crosses the wire — samples, run formation's slices and
     all-to-all chunks — travels LCP front-coded per *Communication-Efficient
     String Sorting* (Bingmann, Sanders, Schimek), with the trimmed bytes counted
@@ -1223,6 +1233,14 @@ class StringModel(RecordModel):
     def decode_keys(self, wire):
         return lcp_decode_keys(wire)
 
+    # -- journal
+    def key_to_json(self, key):
+        """Hex: keys are NUL-free bytes, which JSON has no type for."""
+        return None if key is None else bytes(key).hex()
+
+    def key_from_json(self, value):
+        return None if value is None else bytes.fromhex(value)
+
     # -- all-to-all slabs
     def slab_byte_bases(self, comm, sizes, rank, slab_base):
         """Per run, where each sender's bytes start in the slab.  Byte
@@ -1248,9 +1266,11 @@ class StringModel(RecordModel):
     def note_arrival(self, index, pos, byte_pos, part) -> None:
         index[pos + 1 : pos + 1 + len(part)] = byte_pos + part.offsets[1:]
 
-    def seal_slab(self, store, path, index, nbytes) -> None:
+    def seal_slab(self, store, path, index, nbytes, tag, durable) -> None:
         """Check the rebuilt boundaries cover the slab, then hand them to
-        the store: the merge reads the slab through them, no ``.idx``."""
+        the store: the merge reads the slab through them.  Only a
+        ``durable`` (journaled) slab also gets its ``.idx``, fsynced, for
+        a resumed merge that no longer holds them in memory."""
         if (
             bool(np.any(index < 0))
             or int(index[-1]) != nbytes
@@ -1260,6 +1280,8 @@ class StringModel(RecordModel):
                 f"{path}: slab boundary reconstruction incomplete "
                 f"({int(index[-1])} of {nbytes} bytes claimed)"
             )
+        if durable:
+            store.write_varlen_index(path, index, tag)
         store.set_varlen_offsets(path, index)
 
 

@@ -232,7 +232,6 @@ class NativeStats:
             "phases_restored": self.counter_total("recovery_phases_restored"),
             "runs_restored": self.counter_total("recovery_runs_restored"),
             "rf_blocks_reread": self.counter_total("recovery_rf_blocks_reread"),
-            "chunks_skipped": self.counter_total("recovery_chunks_skipped"),
             "crc_blocks_verified": self.counter_total(
                 "recovery_crc_blocks_verified"
             ),
@@ -342,7 +341,6 @@ class NativeStats:
                 f"{'s' if self.restarts != 1 else ''}: "
                 f"{rec['phases_restored']:.0f} phase restores, "
                 f"{rec['rf_blocks_reread']:.0f} run-formation blocks re-read, "
-                f"{rec['chunks_skipped']:.0f} exchange chunks skipped, "
                 f"{rec['fenced_frames']:.0f} stale frames fenced"
             )
         return "\n".join(lines)

@@ -74,8 +74,8 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
     # from the backend registry (see native/algos): canonical's phases
     # (one implementation, the record model is the job's) or the
     # striped backend.  Job validation guarantees only registered
-    # combinations arrive here, and that non-canonical and varlen jobs
-    # never reach the checkpoint/resume branches below.
+    # combinations arrive here, and that non-canonical jobs never reach
+    # the checkpoint/resume branches below.
     algorithm = resolve_algorithm(
         getattr(job, "algo", "canonical"), getattr(job, "records", "fixed16")
     )
@@ -179,7 +179,8 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                     for r, row in enumerate(resume.a2a_layout)
                 ]
                 first_keys = [
-                    list(keys) for keys in resume.a2a_unit_first_keys
+                    [ctx.model.key_from_json(k) for k in keys]
+                    for keys in resume.a2a_unit_first_keys
                 ]
                 stats.add_counter("recovery_phases_restored")
             else:
@@ -198,6 +199,8 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 resume is not None and resume.merge_meta is not None
             ):
                 out_meta = OutputMeta(**resume.merge_meta)
+                out_meta.first_key = ctx.model.key_from_json(out_meta.first_key)
+                out_meta.last_key = ctx.model.key_from_json(out_meta.last_key)
                 stats.add_counter("recovery_phases_restored")
                 # merge_done is journaled *before* the teardown, so a
                 # crash in between leaves pieces and slabs behind.

@@ -8,7 +8,7 @@ This package supplies the durable state machinery:
 * :mod:`repro.recovery.manifest` — the per-rank manifest journal each
   worker writes into its spill directory (fsynced JSON records: job
   fingerprint, completed phases, run inventory with block CRCs, chosen
-  splitters, all-to-all chunk watermarks, merge output offset) and the
+  splitters, segment extent table, merge output offset) and the
   :class:`~repro.recovery.manifest.ResumeState` a restarted worker
   rebuilds from it;
 * :mod:`repro.recovery.supervisor` — the driver-side restart policy:

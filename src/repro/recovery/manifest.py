@@ -3,10 +3,11 @@
 Each native worker appends fsynced JSON records to
 ``manifest_<rank>.jsonl`` inside its spill directory.  The journal is a
 write-ahead log of *completed deterministic facts*: which phases
-finished, the run inventory (with per-block CRCs and first keys of the
-locally stored piece files), the chosen splitters, the all-to-all chunk
-watermarks per (run, sender) channel, the segment extent table, and the
-merge output offset.  A record is always
+finished, the run inventory (with per-block CRCs, samples and first
+keys of the locally stored piece files), the chosen splitters, the
+segment extent table with the merge's guide keys, and the merge output
+offset.  An interrupted phase restarts at its boundary (run formation
+at its first run not every rank finished).  A record is always
 written *before* the barrier that lets peers advance past the same
 point, so the invariant holds: if any rank passed the barrier after
 phase X, every rank has durably recorded X.
@@ -18,15 +19,20 @@ silently dropped; corruption anywhere else raises
 a digest of every input that shapes the deterministic computation — so
 a stale manifest from a different job can never poison a resume
 (:class:`ManifestMismatch`).
+
+The journal does not know what a key is: every key field holds the
+JSON value of the job's record model
+(:meth:`~repro.native.records.RecordModel.key_to_json` — an int for
+fixed16, hex for strings), stored and replayed as is.
 """
 
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 #: Phase indices used for the "highest completed phase" agreement.
 PHASE_INDEX = {
@@ -51,7 +57,9 @@ def job_fingerprint(job) -> str:
 
     Execution knobs (transport, timeouts, pipelining depth, pending
     sends) are deliberately excluded: they change *how* the job runs,
-    never *what* it computes, so a resume may legally alter them.
+    never *what* it computes, so a resume may legally alter them.  So
+    is ``config.selection``, which only the simulator reads.  The record
+    model is included: it decides what every journaled key means.
     """
     config = job.config
     ident = {
@@ -63,8 +71,8 @@ def job_fingerprint(job) -> str:
         "memory_bytes": None if config.memory_bytes is None else int(config.memory_bytes),
         "block_bytes": int(config.block_bytes),
         "randomize": bool(config.randomize),
-        "selection": str(config.selection),
         "seed": int(config.seed),
+        "records": str(job.records),
         "sample_every": int(job.sample_every),
     }
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
@@ -76,24 +84,12 @@ def _run_record(rec: dict) -> dict:
     return {
         "run": int(rec["run"]),
         "n": int(rec["n"]),
-        "samples": [int(s) for s in rec["samples"]],
+        "samples": list(rec["samples"]),
         "every": int(rec["every"]),
         "crcs": [int(c) for c in rec["crcs"]],
-        "first_keys": [int(k) for k in rec["first_keys"]],
+        "first_keys": list(rec["first_keys"]),
         "checksum": int(rec.get("checksum", 0)),
     }
-
-
-def _encode_pairs(pairs: Dict[Tuple[int, int], int]) -> Dict[str, int]:
-    return {f"{a}:{b}": int(v) for (a, b), v in pairs.items()}
-
-
-def _decode_pairs(enc: Dict[str, int]) -> Dict[Tuple[int, int], int]:
-    out = {}
-    for key, value in enc.items():
-        a, b = key.split(":")
-        out[(int(a), int(b))] = int(value)
-    return out
 
 
 @dataclass
@@ -111,16 +107,12 @@ class ResumeState:
     rf_done: bool = False
     rf_checksum: int = 0
     selection_splits: Optional[List[List[int]]] = None
-    #: (run, sender) -> contiguous chunk count already received.
-    a2a_marks: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    #: (run, slab record position) -> key, harvested before the crash.
-    a2a_first_keys: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: Per run ``[lower, keep_start, kept, upper]`` — the extent table
     #: (``repro.native.phases.SegmentLayout``) of this rank's segments.
     a2a_layout: Optional[List[List[int]]] = None
     #: Per run, the first key of every merge read unit (None = unknown,
     #: re-probed by the merge under its index tag).
-    a2a_unit_first_keys: Optional[List[List[Optional[int]]]] = None
+    a2a_unit_first_keys: Optional[List[list]] = None
     merge_records_out: int = 0
     merge_meta: Optional[dict] = None
 
@@ -171,17 +163,12 @@ class ResumeState:
                 state.selection_splits = [
                     [int(x) for x in row] for row in rec["splits"]
                 ]
-            elif kind == "a2a_mark":
-                # Marks are cumulative snapshots; keys are deltas.
-                state.a2a_marks = _decode_pairs(rec["marks"])
-                state.a2a_first_keys.update(_decode_pairs(rec["keys"]))
             elif kind == "a2a_done":
                 state.a2a_layout = [
                     [int(x) for x in row] for row in rec["layout"]
                 ]
                 state.a2a_unit_first_keys = [
-                    [None if k is None else int(k) for k in run_keys]
-                    for run_keys in rec["first_keys"]
+                    list(run_keys) for run_keys in rec["first_keys"]
                 ]
             elif kind == "merge_mark":
                 state.merge_records_out = int(rec["records"])
@@ -190,12 +177,8 @@ class ResumeState:
                     "rank": int(rec["rank"]),
                     "path": rec["path"],
                     "n_records": int(rec["n_records"]),
-                    "first_key": (
-                        None if rec["first_key"] is None else int(rec["first_key"])
-                    ),
-                    "last_key": (
-                        None if rec["last_key"] is None else int(rec["last_key"])
-                    ),
+                    "first_key": rec["first_key"],
+                    "last_key": rec["last_key"],
                     "checksum": int(rec["checksum"]),
                     "sorted_ok": bool(rec["sorted_ok"]),
                 }
@@ -252,22 +235,11 @@ class RankJournal:
             "splits": [[int(x) for x in row] for row in splits],
         })
 
-    def a2a_mark(self, marks: Dict[Tuple[int, int], int],
-                 new_keys: Dict[Tuple[int, int], int]) -> None:
-        self.append({
-            "t": "a2a_mark",
-            "marks": _encode_pairs(marks),
-            "keys": _encode_pairs(new_keys),
-        })
-
     def a2a_done(self, layout, unit_first_keys) -> None:
         self.append({
             "t": "a2a_done",
             "layout": [[int(x) for x in row] for row in layout],
-            "first_keys": [
-                [None if k is None else int(k) for k in run_keys]
-                for run_keys in unit_first_keys
-            ],
+            "first_keys": [list(run_keys) for run_keys in unit_first_keys],
         })
 
     def merge_mark(self, records_out: int) -> None:
@@ -277,12 +249,8 @@ class RankJournal:
         self.append({
             "t": "merge", "rank": int(meta["rank"]), "path": meta["path"],
             "n_records": int(meta["n_records"]),
-            "first_key": (
-                None if meta["first_key"] is None else int(meta["first_key"])
-            ),
-            "last_key": (
-                None if meta["last_key"] is None else int(meta["last_key"])
-            ),
+            "first_key": meta["first_key"],
+            "last_key": meta["last_key"],
             "checksum": int(meta["checksum"]),
             "sorted_ok": bool(meta["sorted_ok"]),
         })

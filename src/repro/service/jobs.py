@@ -89,7 +89,6 @@ SPEC_FIELDS = {
     "write_behind_blocks": (int, 0),
     "max_restarts": (int, 0),
     "checkpoint": (bool, False),
-    "a2a_checkpoint_chunks": (int, 8),
     "cleanup_on_abort": (bool, False),
     "records": (str, "fixed16"),
     "algo": (str, "canonical"),
@@ -119,7 +118,6 @@ _SPEC_MINIMUMS = {
     "prefetch_blocks": 0,
     "write_behind_blocks": 0,
     "max_restarts": 0,
-    "a2a_checkpoint_chunks": 1,
     "sample_every": 1,
     "shm_ring_kib": 1,
 }
@@ -204,7 +202,6 @@ def build_native_job(spec: dict, spill_dir: str) -> NativeJob:
             chaos=spec["chaos"],
             max_restarts=spec["max_restarts"],
             checkpoint=spec["checkpoint"],
-            a2a_checkpoint_chunks=spec["a2a_checkpoint_chunks"],
             cleanup_on_abort=spec["cleanup_on_abort"],
             records=spec["records"],
             algo=spec["algo"],

@@ -92,7 +92,7 @@ class ChaosSpec:
     #: ``os._exit`` at this fault point ("before:selection", ...).
     kill_at: Optional[str] = None
     #: ``os._exit`` after this many all-to-all chunk arrivals — a death
-    #: *inside* the exchange, between watermark checkpoints.
+    #: *inside* the exchange (a resume restarts it at its boundary).
     kill_after_a2a_chunks: Optional[int] = None
 
     # -- result-pipe corruption ------------------------------------------------
@@ -253,6 +253,7 @@ def run_chaos_case(
     transport: str = "pipe",
     recover: bool = False,
     max_restarts: int = 1,
+    records: str = "fixed16",
 ) -> dict:
     """One native sort with ``spec`` injected; the contract is *fail fast*.
 
@@ -286,6 +287,7 @@ def run_chaos_case(
             write_behind_blocks=write_behind_blocks,
             transport=transport,
             max_restarts=max_restarts,
+            records=records,
         )
 
     rb = 16
@@ -304,6 +306,7 @@ def run_chaos_case(
         chaos=spec,
         prefetch_blocks=prefetch_blocks,
         write_behind_blocks=write_behind_blocks,
+        records=records,
     )
     terminal = _is_terminal(spec)
     start = time.monotonic()
@@ -419,6 +422,7 @@ def _run_recovery_case(
     write_behind_blocks: int,
     transport: str,
     max_restarts: int,
+    records: str,
 ) -> dict:
     """Differential recovery twin: chaos + restarts vs an undisturbed run.
 
@@ -433,7 +437,7 @@ def _run_recovery_case(
     what changes rank — next to nothing on randomized input.  That case
     therefore sorts the paper's Figure 6 input (locally sorted, no
     randomization), where about half of the data really moves, so the
-    kill lands mid-stream and the watermark replay-skip is exercised.
+    kill lands mid-stream and the resume restarts a half-done exchange.
     """
     import filecmp
 
@@ -461,7 +465,7 @@ def _run_recovery_case(
                     "fig6_local_sorted", n_per_rank, rank, n_workers, 7
                 )
                 for rank in range(n_workers)
-            ])
+            ], records=records)
         return NativeJob(
             config=config,
             n_workers=n_workers,
@@ -473,9 +477,7 @@ def _run_recovery_case(
             prefetch_blocks=prefetch_blocks,
             write_behind_blocks=write_behind_blocks,
             max_restarts=restarts,
-            # Tight watermark cadence so a mid-exchange death leaves
-            # durable chunk marks behind (the replay-skip path).
-            a2a_checkpoint_chunks=2,
+            records=records,
         )
 
     verdict = {
@@ -540,9 +542,8 @@ def sweep_specs(
     # must fail fast on every peer and leave no torn output files.
     specs.append(ChaosSpec(rank=0, sever_comm_at="before:all_to_all"))
     if recover:
-        # A death *between* watermark checkpoints inside the exchange,
-        # and a wedged (not just severed) mesh: the two hard resume
-        # shapes beyond plain boundary kills.
+        # A death inside the exchange, and a wedged (not just severed)
+        # mesh: the two hard resume shapes beyond plain boundary kills.
         specs.append(ChaosSpec(rank=0, kill_after_a2a_chunks=3))
         specs.append(ChaosSpec(rank=0, wedge_comm_at="before:all_to_all"))
     if pipelined and not recover:
@@ -565,6 +566,7 @@ def run_chaos_sweep(
     transport: str = "pipe",
     recover: bool = False,
     keep_failures_dir: Optional[str] = None,
+    records: str = "fixed16",
 ) -> List[dict]:
     """Kill one worker at every phase boundary; every run must fail fast.
 
@@ -585,6 +587,8 @@ def run_chaos_sweep(
     agree bitwise with an undisturbed twin.  A failing case's spill
     directory (manifests included) is copied under ``keep_failures_dir``
     together with its verdict, as a reproducer artifact.
+
+    ``records="string"`` sweeps the same faults over a string-model job.
     """
     import json
     import shutil
@@ -616,10 +620,13 @@ def run_chaos_sweep(
                 budget=budget,
                 transport=transport,
                 recover=recover,
+                records=records,
                 **pipe_kw,
             )
             if pipelined:
                 verdict["fault"] += " [pipelined]"
+            if records != "fixed16":
+                verdict["fault"] += f" [{records}]"
             if transport != "pipe":
                 verdict["fault"] += f" [{transport}]"
             if shm_before is not None:

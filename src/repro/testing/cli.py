@@ -72,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strings", action="store_true",
         help="additionally run native-only string twins of every matrix "
         "case (variable-length records via the order-preserving u64-to-"
-        "string map, LCP-compressed splitters, decoded sorted() oracle)",
+        "string map, LCP-compressed splitters, decoded sorted() oracle; "
+        "with --recover, string recovery twins too), and sweep a string "
+        "job as well under --chaos",
     )
     parser.add_argument(
         "--algo", choices=("canonical", "striped"), default="canonical",
@@ -239,7 +241,6 @@ def main(argv: List[str] = None) -> int:
                         if "native" in s.backends
                         and not s.pipelined
                         and not s.recover
-                        and s.records == "fixed16"
                     ]
                 )
             )
@@ -255,19 +256,14 @@ def main(argv: List[str] = None) -> int:
             )
         if args.strings and specs:
             # Native-only string twins over every transport (and, with
-            # --pipelined, every pipelined case) already in the list: the
-            # identical corpus keys, mapped through the order-preserving
-            # u64-to-string embedding, sorted as variable-length records
-            # against an independent decoded sorted() oracle.
+            # --pipelined / --recover, every pipelined / recovery case)
+            # already in the list: the identical corpus keys, mapped
+            # through the order-preserving u64-to-string embedding,
+            # sorted as variable-length records against an independent
+            # decoded sorted() oracle.
             specs.extend(
                 differential.string_variants(
-                    [
-                        s for s in specs
-                        if "native" in s.backends
-                        and not s.recover
-                        and s.records == "fixed16"
-                        and s.algo == "canonical"
-                    ]
+                    [s for s in specs if "native" in s.backends]
                 )
             )
         if specs:
@@ -315,17 +311,20 @@ def main(argv: List[str] = None) -> int:
             if args.keep_failures:
                 os.makedirs(args.keep_failures, exist_ok=True)
             verdicts = []
+            record_models = ["fixed16"] + (["string"] if args.strings else [])
             for transport in transports:
-                verdicts.extend(
-                    chaos.run_chaos_sweep(
-                        spill_root, budget=args.chaos_budget,
-                        pipelined=args.pipelined,
-                        transport=transport,
-                        recover=args.recover,
-                        keep_failures_dir=args.keep_failures,
-                        job_timeout=6.0 if args.recover else 15.0,
+                for records in record_models:
+                    verdicts.extend(
+                        chaos.run_chaos_sweep(
+                            spill_root, budget=args.chaos_budget,
+                            pipelined=args.pipelined,
+                            transport=transport,
+                            recover=args.recover,
+                            keep_failures_dir=args.keep_failures,
+                            job_timeout=6.0 if args.recover else 15.0,
+                            records=records,
+                        )
                     )
-                )
             bad = [v for v in verdicts if not v["ok"]]
             for v in verdicts:
                 flag = "ok  " if v["ok"] else "FAIL"

@@ -170,24 +170,35 @@ def generate(name: str, n: int, rank: int, n_ranks: int, seed: int) -> np.ndarra
     return keys
 
 
-def write_native_inputs(spill_dir: str, parts) -> None:
-    """Pre-write ``input_<rank>.dat`` (fixed16) for a ``generate=False`` job.
+def write_native_inputs(spill_dir: str, parts, records: str = "fixed16") -> None:
+    """Pre-write ``input_<rank>.dat`` for a ``generate=False`` job.
 
     ``parts[rank]`` are that rank's keys; the payload is the global
     input index, so an output record can be traced back to the exact
-    input permutation.
+    input permutation.  ``records="string"`` writes varlen files whose
+    keys are the order-preserving
+    :func:`~repro.native.records.string_key_from_u64` images.
     """
     import os
 
-    from ..native.records import make_records
+    from ..native.records import (
+        VarlenBatch,
+        make_records,
+        string_key_from_u64,
+        write_varlen_file,
+    )
 
     os.makedirs(spill_dir, exist_ok=True)
     first = 0
     for rank, keys in enumerate(parts):
         payloads = np.arange(first, first + len(keys), dtype=np.uint64)
-        make_records(keys, payloads).tofile(
-            os.path.join(spill_dir, f"input_{rank}.dat")
-        )
+        path = os.path.join(spill_dir, f"input_{rank}.dat")
+        if records == "string":
+            write_varlen_file(path, VarlenBatch.build(
+                [string_key_from_u64(int(k)) for k in keys], payloads
+            ))
+        else:
+            make_records(keys, payloads).tofile(path)
         first += len(keys)
 
 

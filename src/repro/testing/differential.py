@@ -211,14 +211,8 @@ class CaseSpec:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.records not in ("fixed16", "string"):
             raise ValueError(f"unknown record model {self.records!r}")
-        if self.records != "fixed16":
-            if "sim" in self.backends:
-                raise ValueError("string cases run the native backend only")
-            if self.recover:
-                raise ValueError(
-                    "string cases do not support recovery yet (NativeJob "
-                    "rejects checkpointing for strings)"
-                )
+        if self.records != "fixed16" and "sim" in self.backends:
+            raise ValueError("string cases run the native backend only")
         from ..native.records import STRING_FAMILIES
 
         if self.string_family not in STRING_FAMILIES:
@@ -469,13 +463,13 @@ def string_variants(
     Twins cycle deterministically through ``families`` (synthetic hex,
     URL-like, log-line), so any slice of three or more specs covers all
     the corpus's string shapes without multiplying the case count.
-    Pipelined specs get pipelined string twins: both record models run
-    the same phase code, read-ahead and write-behind included.
+    Pipelined specs get pipelined string twins, and recovery specs
+    string recovery twins: both record models run the same phase code,
+    read-ahead, write-behind and the recovery journal included.
     """
     eligible = [
         spec for spec in specs
-        if not spec.recover
-        and spec.records == "fixed16" and spec.algo == "canonical"
+        if spec.records == "fixed16" and spec.algo == "canonical"
     ]
     return [
         replace(
@@ -568,6 +562,37 @@ def _compare_to_oracle(
     return issues
 
 
+def _recovery_chaos(spec: CaseSpec):
+    """A recovery twin's fault: rank 0 killed at the run-formation
+    boundary (None for every other case)."""
+    if not spec.recover:
+        return None
+    from .chaos import ChaosSpec
+
+    return ChaosSpec(rank=0, kill_at="after:run_formation")
+
+
+def _check_recovered(spec: CaseSpec, sort) -> List[str]:
+    """A recovery twin burned exactly its one restart and re-read no
+    run-formation block (either record model)."""
+    if not spec.recover:
+        return []
+    issues: List[str] = []
+    rec = sort.stats.recovery_dict()
+    if sort.stats.restarts != 1:
+        issues.append(
+            f"native recover: expected exactly 1 restart, got "
+            f"{sort.stats.restarts} (the kill never fired?)"
+        )
+    if rec["rf_blocks_reread"] != 0:
+        issues.append(
+            f"native recover: {rec['rf_blocks_reread']:.0f} "
+            "run-formation blocks re-read on resume; the o(N) "
+            "recovery bound requires 0 for a boundary kill"
+        )
+    return issues
+
+
 def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult:
     """One case through the native backend, checked against the oracle."""
     from ..native import NativeJob, NativeSorter
@@ -589,11 +614,6 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
         # Pre-write the inputs: payload = global input index, so the
         # output can be traced back to the exact input permutation.
         corpus.write_native_inputs(spill, parts)
-        chaos = None
-        if spec.recover:
-            from .chaos import ChaosSpec
-
-            chaos = ChaosSpec(rank=0, kill_at="after:run_formation")
         job = NativeJob(
             config=_config_for(spec),
             n_workers=spec.n_workers,
@@ -603,25 +623,12 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
             transport=spec.transport,
             prefetch_blocks=4 if spec.pipelined else 0,
             write_behind_blocks=4 if spec.pipelined else 0,
-            chaos=chaos,
+            chaos=_recovery_chaos(spec),
             max_restarts=1 if spec.recover else 0,
             algo=spec.algo,
         )
         sort = NativeSorter(job).run()
-
-        if spec.recover:
-            rec = sort.stats.recovery_dict()
-            if sort.stats.restarts != 1:
-                result.divergences.append(
-                    f"native recover: expected exactly 1 restart, got "
-                    f"{sort.stats.restarts} (the kill never fired?)"
-                )
-            if rec["rf_blocks_reread"] != 0:
-                result.divergences.append(
-                    f"native recover: {rec['rf_blocks_reread']:.0f} "
-                    "run-formation blocks re-read on resume; the o(N) "
-                    "recovery bound requires 0 for a boundary kill"
-                )
+        result.divergences.extend(_check_recovered(spec, sort))
 
         result.checksum = sort.input_checksum
         if sort.input_checksum != want_checksum:
@@ -739,9 +746,12 @@ def _run_native_string_case(
             transport=spec.transport,
             prefetch_blocks=4 if spec.pipelined else 0,
             write_behind_blocks=4 if spec.pipelined else 0,
+            chaos=_recovery_chaos(spec),
+            max_restarts=1 if spec.recover else 0,
             records="string",
         )
         sort = NativeSorter(job).run()
+        result.divergences.extend(_check_recovered(spec, sort))
 
         result.checksum = sort.input_checksum
         if sort.input_checksum != want_checksum:
@@ -804,7 +814,7 @@ def _run_native_string_case(
         result.divergences.extend(_check_canonical_conservation(
             sort.stats, nbytes,
             int(sort.stats.counter_total("a2a_raw_bytes")),
-            "the encoded volume", skip_run_formation=False,
+            "the encoded volume", skip_run_formation=spec.recover,
         ))
 
         # The LCP identity: per family, wire == raw + overhead - trimmed
@@ -827,7 +837,13 @@ def _run_native_string_case(
                     f"overhead {sums['overhead']:.0f} - trimmed "
                     f"{sums['trimmed']:.0f}"
                 )
-        if spec.n_workers > 1 and total > 1 and trimmed_total <= 0:
+        # A recovery twin reports its resumed epoch only, whose run
+        # formation came from the journal: its sample and slice wire
+        # counters are not there to compress anything.
+        if (
+            spec.n_workers > 1 and total > 1 and not spec.recover
+            and trimmed_total <= 0
+        ):
             result.divergences.append(
                 "native str: LCP compression trimmed 0 bytes across every "
                 "phase — front coding is not engaging"

@@ -25,7 +25,8 @@ from repro.native.blockstore import FileBlockStore
 from repro.native.comm import PipeComm
 from repro.native.comm_api import CommTimeout
 from repro.native.job import NativeJob
-from repro.native.records import RECORD_BYTES
+from repro.native.phases import block_crcs, damaged_blocks
+from repro.native.records import RECORD_BYTES, resolve_model
 from repro.net.framing import KIND_MSG, encode_frame, recv_frame, send_frame
 from repro.net.rendezvous import connect_with_backoff
 from repro.net.tcp import TcpComm
@@ -65,7 +66,9 @@ def test_fingerprint_is_stable_across_execution_knobs(tmp_path):
         dc_replace(base, pending_sends=2),
         dc_replace(base, prefetch_blocks=2),
         dc_replace(base, max_restarts=3, epoch=1, suspect_ranks=(0,)),
-        dc_replace(base, a2a_checkpoint_chunks=1),
+        # Native phase 2 selects from key windows whatever the config's
+        # selection says; only the simulator reads it.
+        dc_replace(base, config=dc_replace(base.config, selection="exact")),
     ):
         assert job_fingerprint(variant) == fp
 
@@ -77,6 +80,9 @@ def test_fingerprint_changes_with_the_computation(tmp_path):
     assert job_fingerprint(dc_replace(base, n_workers=3)) != fp
     other_seed = dc_replace(base, config=dc_replace(base.config, seed=8))
     assert job_fingerprint(other_seed) != fp
+    # Same sizes and seed, other record model: every journaled key means
+    # something else, so a resume must refuse the manifest.
+    assert job_fingerprint(dc_replace(base, records="string")) != fp
 
 
 def test_fingerprint_tolerates_derived_sample_every(tmp_path):
@@ -104,7 +110,6 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
     j.rf_run_done(run)
     j.rf_done([run], checksum=42)
     j.selection_done([[10, 20], [30, 40]])
-    j.a2a_mark({(0, 1): 3}, {(0, 0): 99})
     # Run 1's kept range starts inside a block: its first unit's key is
     # unknown (None) and must survive the roundtrip as None.
     j.a2a_done([[0, 0, 60, 4], [2, 5, 62, 0]], [[5, 6, 8], [7, None, 8]])
@@ -119,12 +124,33 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
     assert state.rf_runs[0]["crcs"] == [111, 222]
     assert state.rf_runs[0]["first_keys"] == [1, 33]
     assert state.selection_splits == [[10, 20], [30, 40]]
-    assert state.a2a_marks == {(0, 1): 3}
-    assert state.a2a_first_keys == {(0, 0): 99}
     assert state.a2a_layout == [[0, 0, 60, 4], [2, 5, 62, 0]]
     assert state.a2a_unit_first_keys == [[5, 6, 8], [7, None, 8]]
     assert state.merge_records_out == 32
     assert state.merge_meta["n_records"] == 128
+
+    # The journal stores each key as its model's JSON value, opaquely:
+    # string keys travel as hex, high bytes (>= 0x80) included.
+    model = resolve_model("string")
+    keys = [b"a", b"\x80\xff", b"zz\x7f\x81", None]
+    as_json = [model.key_to_json(k) for k in keys]
+    j = journal_for(tmp_path, rank=1)
+    j.begin_epoch(0)
+    run = {"run": 0, "n": 3, "samples": as_json[:3], "every": 1,
+           "crcs": [5], "first_keys": as_json[:1], "checksum": 1}
+    j.rf_run_done(run)
+    j.a2a_done([[0, 0, 3, 0]], [as_json])
+    j.merge_done({"rank": 0, "path": "out", "n_records": 3,
+                  "first_key": as_json[0], "last_key": as_json[2],
+                  "checksum": 1, "sorted_ok": True})
+    j.close()
+
+    state = j.load_resume()
+    decode = model.key_from_json
+    assert [decode(k) for k in state.rf_runs[0]["samples"]] == keys[:3]
+    assert [decode(k) for k in state.a2a_unit_first_keys[0]] == keys
+    assert decode(state.merge_meta["first_key"]) == keys[0]
+    assert decode(state.merge_meta["last_key"]) == keys[2]
 
 
 def test_journal_merge_meta_preserves_none_keys(tmp_path):
@@ -410,8 +436,8 @@ def test_preallocate_is_idempotent_on_size(tmp_path):
     payload = bytes(range(64))
     with open(path, "r+b") as handle:
         handle.write(payload)
-    # Same size: the delivered bytes survive (a resumed all-to-all must
-    # keep pre-restart chunks).
+    # Same size: the bytes survive (a restarted all-to-all rewrites its
+    # slab in place).
     store.preallocate(path, 8)
     assert open(path, "rb").read(64) == payload
     # Different size: the file is re-created empty.
@@ -423,6 +449,7 @@ def test_preallocate_is_idempotent_on_size(tmp_path):
 def test_verify_block_crcs_flags_only_damaged_blocks(tmp_path):
     import zlib
 
+    model = resolve_model("fixed16")
     store = FileBlockStore(str(tmp_path), rank=0, block_records=4)
     path = os.path.join(str(tmp_path), "piece.dat")
     rng = np.random.default_rng(3)
@@ -434,11 +461,12 @@ def test_verify_block_crcs_flags_only_damaged_blocks(tmp_path):
         zlib.crc32(memoryview(np.ascontiguousarray(b)).cast("B"))
         for b in blocks
     ]
-    assert store.verify_block_crcs(path, crcs) == []
+    assert block_crcs(model, records, 4) == crcs
+    assert damaged_blocks(model, store, path, crcs) == []
     # Damage one byte inside block 1.
     with open(path, "r+b") as handle:
         handle.seek(4 * RECORD_BYTES + 3)
         byte = handle.read(1)
         handle.seek(4 * RECORD_BYTES + 3)
         handle.write(bytes([byte[0] ^ 0xFF]))
-    assert store.verify_block_crcs(path, crcs) == [1]
+    assert damaged_blocks(model, store, path, crcs) == [1]

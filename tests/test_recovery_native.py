@@ -65,17 +65,15 @@ def test_boundary_kill_recovers_bitwise(tmp_path):
     assert rec["crc_blocks_verified"] > 0
 
 
-def test_mid_exchange_kill_skips_delivered_chunks(tmp_path):
-    """A death *inside* all-to-all replays only undelivered chunk ranges."""
+def test_mid_exchange_kill_resumes_at_the_exchange_boundary(tmp_path):
+    """A death *inside* all-to-all restarts the exchange at its boundary:
+    the pieces are untouched, so no run-formation block is read again."""
     verdict = run_chaos_case(
         ChaosSpec(rank=0, kill_after_a2a_chunks=3),
         str(tmp_path), job_timeout=6.0, recover=True,
     )
     rec = assert_recovered(verdict)
     assert rec["rf_blocks_reread"] == 0
-    # The watermark journal made pre-crash deliveries durable; the
-    # resumed exchange skipped them rather than resending.
-    assert rec["chunks_skipped"] > 0
 
 
 def test_kill_between_a2a_done_and_merge_rereads_nothing(tmp_path):
@@ -119,6 +117,63 @@ def test_kill_between_a2a_done_and_merge_rereads_nothing(tmp_path):
     ).run()
     for a, b in zip(result.outputs, clean.outputs):
         assert open(a.path, "rb").read() == open(b.path, "rb").read()
+
+
+# ------------------------------------------------------------- string model
+
+
+@pytest.mark.parametrize(
+    "point", ["after:run_formation", "before:all_to_all", "after:merge"]
+)
+def test_string_kill_recovers_bitwise(tmp_path, point):
+    """String jobs journal their keys as hex and resume like fixed16."""
+    verdict = run_chaos_case(
+        ChaosSpec(rank=0, kill_at=point),
+        str(tmp_path), job_timeout=6.0, recover=True, records="string",
+    )
+    rec = assert_recovered(verdict)
+    assert rec["rf_blocks_reread"] == 0
+
+
+def test_string_kill_before_merge_reads_only_the_merge_input(tmp_path):
+    """Past ``a2a_done`` a string slab is read through the ``.idx`` the
+    all-to-all persisted: the resumed attempt reads data under the merge
+    tags only (``merge:index:index`` is the boundary index behind a
+    first-key probe), and its output matches an undisturbed twin's."""
+    job = recovery_job(
+        tmp_path, ChaosSpec(rank=0, kill_at="before:merge"), records="string",
+    )
+    result = NativeSorter(job).run()
+    assert result.validate().ok
+    assert result.stats.restarts == 1
+    assert result.stats.recovery_dict()["rf_blocks_reread"] == 0
+    for w in result.stats.workers:
+        assert set(w.bytes_read) <= {"merge", "merge:index", "merge:index:index"}
+    assert result.stats.workers[0].bytes_read["merge"] > 0  # the victim merges
+
+    clean = NativeSorter(
+        recovery_job(tmp_path / "clean", None, max_restarts=0, records="string")
+    ).run()
+    for a, b in zip(result.outputs, clean.outputs):
+        assert open(a.path, "rb").read() == open(b.path, "rb").read()
+
+
+def test_string_enospc_inside_run_formation_resumes_mid_phase(tmp_path):
+    """A torn disk-full write of rank 0's second piece: the resume keeps
+    the runs every rank journaled (``rf_run``) and redoes the rest."""
+    from repro.native.records import resolve_model
+
+    n_per_rank = 512
+    input_bytes = resolve_model("string").generate(0, n_per_rank, 7, False).nbytes
+    # 4 runs of ~a quarter of the input each: past the input and the
+    # first piece, inside the second.
+    spec = ChaosSpec(rank=0, enospc_after_bytes=input_bytes * 3 // 2)
+    verdict = run_chaos_case(
+        spec, str(tmp_path), n_per_rank=n_per_rank, job_timeout=6.0,
+        recover=True, records="string",
+    )
+    rec = assert_recovered(verdict)
+    assert rec["runs_restored"] > 0
 
 
 def test_severed_mesh_recovers(tmp_path):
@@ -289,6 +344,15 @@ def test_conformance_recover_case_matches_oracle(tmp_path):
         recover=True,
     )
     result = differential.run_native_case(spec, workdir=str(tmp_path))
+    assert result.ok, result.divergences
+
+
+def test_string_recovery_twin_matches_the_decoded_oracle(tmp_path):
+    base = differential.CaseSpec(entry="uniform", sizing="single_run")
+    (twin,) = differential.string_variants(differential.recovery_variants([base]))
+    assert twin.recover and twin.records == "string"
+    assert differential.CaseSpec.from_token(twin.to_token()) == twin
+    result = differential.run_native_case(twin, workdir=str(tmp_path))
     assert result.ok, result.divergences
 
 

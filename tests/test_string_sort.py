@@ -317,15 +317,15 @@ def test_job_rejects_unknown_model(tmp_path):
         _string_job(tmp_path, records="elastic")
 
 
-def test_string_job_rejects_unsupported_features(tmp_path):
-    with pytest.raises(ConfigError, match="checkpoint"):
-        _string_job(tmp_path, checkpoint=True)
-    with pytest.raises(ConfigError, match="checkpoint"):
-        _string_job(tmp_path, max_restarts=1)
+def test_string_job_accepts_checkpoint_and_chaos(tmp_path):
+    # The journal holds keys as the model's JSON values and the chaos
+    # write gate counts bytes, so neither is gated by record model.
     from repro.testing.chaos import ChaosSpec
 
-    with pytest.raises(ConfigError, match="chaos"):
-        _string_job(tmp_path, chaos=ChaosSpec(rank=0, kill_at="before:merge"))
+    assert _string_job(tmp_path, checkpoint=True).checkpointing
+    assert _string_job(tmp_path, max_restarts=1).checkpointing
+    spec = ChaosSpec(rank=0, kill_at="before:merge")
+    assert _string_job(tmp_path, chaos=spec).chaos is spec
 
 
 def test_service_spec_carries_records(tmp_path):
