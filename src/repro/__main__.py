@@ -42,6 +42,7 @@ import numpy as np
 from . import (
     CanonicalMergeSort,
     Cluster,
+    ConfigError,
     ExternalSampleSort,
     GlobalStripedMergeSort,
     MiB,
@@ -301,7 +302,6 @@ def run_sim(args, config: SortConfig) -> int:
 
 
 def run_native(args, config: SortConfig) -> int:
-    from .core.config import ConfigError
     from .native import NativeJob, NativeSorter
     from .native.driver import NativeSortError
 
@@ -473,7 +473,11 @@ def main(argv=None) -> int:
     )
     if args.backend == "native":
         return run_native(args, config)
-    return run_sim(args, config)
+    try:
+        return run_sim(args, config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """The comm contract of the native backend, and its transport-agnostic core.
 
-Two transports carry CANONICALMERGESORT's interconnect traffic today —
+Three transports carry CANONICALMERGESORT's interconnect traffic today —
 :class:`repro.native.comm.PipeComm` (a full mesh of ``multiprocessing``
-pipes, single host) and :class:`repro.net.tcp.TcpComm` (a full mesh of
-TCP sockets, any host) — and :mod:`repro.native.phases` must run
-unchanged over either.  This module pins that surface down:
+pipes, single host), :class:`repro.native.shm.ShmComm` (shared-memory
+rings, single host) and :class:`repro.net.tcp.TcpComm` (a full mesh of
+TCP sockets, any host); :func:`repro.native.transport.open_comm` picks
+one for a job — and :mod:`repro.native.phases` must run unchanged over
+any of them.  This module pins that surface down:
 
 * :class:`Comm` is the typed :class:`~typing.Protocol` every transport
   satisfies (the contract is spelled out in its docstring);

@@ -2,22 +2,26 @@
 
 The native counterpart of :class:`repro.core.canonical.CanonicalMergeSort`'s
 top-level ``sort``: it owns process lifecycle and failure handling, while
-all sorting happens inside :mod:`repro.native.worker`.  Two transports
-(``job.transport``):
+all sorting happens inside :mod:`repro.native.worker`.  Three transports
+(``job.transport``), two ways to start the PEs:
 
-* ``"pipe"`` — the driver builds one duplex pipe per worker pair (the
-  full mesh the simulator's ``cluster.mpi`` models), plus one result
-  pipe per worker for stats and error reporting;
+* ``"pipe"`` and ``"shm"`` — the driver builds the same-host mesh (one
+  duplex pipe, or one pair of shared-memory rings, per worker pair;
+  :func:`repro.native.transport.local_mesh`), forks one worker per rank
+  with its endpoints, and gives each a result pipe for stats and error
+  reporting;
 * ``"tcp"`` — the driver opens a rendezvous endpoint
   (:class:`repro.net.rendezvous.Coordinator`), the workers dial in,
   receive the job and the peer table, and build their own socket mesh.
-  The rendezvous connections double as the result channels.  With
+  The rendezvous connections double as the result channels
+  (:class:`repro.net.rendezvous.ResultChannel`).  With
   ``job.spawn_workers=False`` no processes are spawned at all — the
   driver waits for externally launched ``python -m repro worker`` PEs
   (other terminals, other hosts).
 
-Failure handling is transport-blind: a worker that reports an error, a
-torn or wedged result message, or a death without a report all raise
+Failure handling is transport-blind — one collector reads every result
+channel: a worker that reports an error, a torn or wedged result
+message, or a death without a report all raise
 :class:`NativeSortError` well inside the timeout.  When the job
 checkpoints (``max_restarts > 0`` or ``checkpoint=True``) the failure
 instead feeds a supervisor loop (see :mod:`repro.recovery`): the driver
@@ -38,15 +42,14 @@ from dataclasses import dataclass, replace as dc_replace
 from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..core.config import SortConfig
 from ..workloads.validation import ValidationReport
 from .comm_api import DEFAULT_PENDING_SENDS
 from .job import NativeJob
 from .phases import OutputMeta
 from .stats import NativeStats, WorkerStats
-from .worker import shm_worker_main, tcp_worker_main, worker_main
+from .transport import local_mesh
+from .worker import tcp_worker_main, worker_main
 
 __all__ = [
     "NativeSorter",
@@ -54,6 +57,7 @@ __all__ = [
     "NativeSortError",
     "native_sort",
     "assemble_result",
+    "check_result_payload",
 ]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -107,11 +111,10 @@ def _cleanup_spill(job: NativeJob) -> None:
     wholesale; namespaced jobs share it and remove only their prefix,
     so an abort can never delete a concurrent job's blocks.
     """
-    namespace = getattr(job, "spill_namespace", "")
-    if namespace:
+    if job.spill_namespace:
         from .blockstore import purge_namespace
 
-        purge_namespace(job.spill_dir, namespace)
+        purge_namespace(job.spill_dir, job.spill_namespace)
     else:
         shutil.rmtree(job.spill_dir, ignore_errors=True)
 
@@ -128,6 +131,33 @@ class NativeSortError(RuntimeError):
     def __init__(self, message: str, rank: Optional[int] = None):
         super().__init__(message)
         self.rank = rank
+
+
+def check_result_payload(rank: int, payload) -> tuple:
+    """Return rank ``rank``'s ``("ok", ...)`` report, or raise.
+
+    An ``("error", rank, traceback)`` report raises the worker's own
+    failure; anything else that is not a well-shaped report raises as
+    malformed.  The driver's collector and the service's result routing
+    both apply it to what a worker sent.
+    """
+    if (
+        not isinstance(payload, tuple)
+        or not payload
+        or payload[0] not in ("ok", "error")
+        or (payload[0] == "ok" and len(payload) != 5)
+        or (payload[0] == "error" and len(payload) != 3)
+    ):
+        raise NativeSortError(
+            f"worker {rank} sent a malformed result: {payload!r}",
+            rank=rank,
+        )
+    if payload[0] == "error":
+        raise NativeSortError(
+            f"worker {payload[1]} failed:\n{payload[2]}",
+            rank=int(payload[1]),
+        )
+    return payload
 
 
 @dataclass
@@ -215,21 +245,6 @@ class NativeSorter:
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
 
-    # -- wiring ---------------------------------------------------------------
-
-    def _build_mesh(self):
-        """One duplex pipe per worker pair: conns[i][j] is i's end to j."""
-        P = self.job.n_workers
-        conns: List[Dict[int, object]] = [dict() for _ in range(P)]
-        for i in range(P):
-            for j in range(i + 1, P):
-                end_i, end_j = self._ctx.Pipe(duplex=True)
-                conns[i][j] = end_i
-                conns[j][i] = end_j
-        return conns
-
-    # -- execution ------------------------------------------------------------
-
     def run(self) -> NativeSortResult:
         """Run the job, supervising restarts when it checkpoints.
 
@@ -244,21 +259,24 @@ class NativeSorter:
 
         job = self.job
         os.makedirs(job.spill_dir, exist_ok=True)
-        policy = RestartPolicy(getattr(job, "max_restarts", 0))
+        policy = RestartPolicy(job.max_restarts)
         attempt = job
         while True:
             try:
-                result = self._run_attempt(attempt)
+                if attempt.transport == "tcp":
+                    result = self._run_tcp(attempt)
+                else:
+                    result = self._run_local(attempt)
             except NativeSortError as exc:
-                epoch = int(getattr(attempt, "epoch", 0))
-                if getattr(job, "checkpointing", False) and policy.record_failure(
-                    epoch, getattr(exc, "rank", None), str(exc)
+                epoch = attempt.epoch
+                if job.checkpointing and policy.record_failure(
+                    epoch, exc.rank, str(exc)
                 ):
                     attempt = dc_replace(
                         job, epoch=epoch + 1, suspect_ranks=policy.suspects()
                     )
                     continue
-                if getattr(job, "cleanup_on_abort", False):
+                if job.cleanup_on_abort:
                     # Best effort only: the job is lost either way, and
                     # chaos tests that *want* the wreckage leave this off.
                     _cleanup_spill(job)
@@ -267,95 +285,66 @@ class NativeSorter:
             result.stats.recovery_events = policy.to_dicts()
             return result
 
-    def _run_attempt(self, job: NativeJob) -> NativeSortResult:
-        if job.transport == "tcp":
-            return self._run_tcp(job)
-        if job.transport == "shm":
-            return self._run_shm(job)
-        return self._run_pipe(job)
+    def _spawn(self, rank: int, target, *args, **kwargs):
+        proc = self._ctx.Process(
+            target=target, args=(rank, *args), kwargs=kwargs,
+            name=f"native-pe-{rank}",
+        )
+        proc.start()
+        return proc
 
-    def _run_pipe(self, job: NativeJob) -> NativeSortResult:
-        mesh = self._build_mesh()
+    def _run_local(self, job: NativeJob) -> NativeSortResult:
+        """Same-host execution over a pipe or shm mesh, one result pipe
+        per worker.
+
+        The driver owns the mesh: whatever happens to the attempt —
+        success, a chaos ``SIGKILL`` mid-phase, a timeout — the
+        ``finally`` releases it after the workers are reaped, so
+        ``/dev/shm`` never accumulates leftovers.
+        """
+        mesh = local_mesh(self._ctx, job)
         result_pipes = [self._ctx.Pipe(duplex=False) for _ in range(job.n_workers)]
-
-        procs = []
+        procs: List = []
         start = time.monotonic()
-        for rank in range(job.n_workers):
-            proc = self._ctx.Process(
-                target=worker_main,
-                args=(rank, job, mesh[rank], result_pipes[rank][1]),
-                name=f"native-pe-{rank}",
-            )
-            proc.start()
-            procs.append(proc)
-        # The parent's copies of the worker-side pipe ends must close so
-        # a dead worker turns into EOF, not a silent hang.
-        for rank in range(job.n_workers):
-            for conn in mesh[rank].values():
-                conn.close()
-            result_pipes[rank][1].close()
-
         try:
-            results = self._collect(procs, [rp[0] for rp in result_pipes])
+            for rank in range(job.n_workers):
+                procs.append(self._spawn(
+                    rank, worker_main, job, mesh.endpoints[rank],
+                    result_pipes[rank][1],
+                ))
+            # The parent's copies of the worker-side ends must close so
+            # a dead worker turns into EOF, not a silent hang.
+            mesh.close_parent_ends()
+            for _reader, writer in result_pipes:
+                writer.close()
+            results = self._collect(procs, [r for r, _w in result_pipes])
         finally:
             self._reap(procs)
-            for rp in result_pipes:
-                rp[0].close()
-        return self._assemble(job, results, time.monotonic() - start)
-
-    def _run_shm(self, job: NativeJob) -> NativeSortResult:
-        """Same-host execution over shared-memory ring buffers.
-
-        The driver owns the segment names: whatever happens to the
-        attempt — success, a chaos ``SIGKILL`` mid-phase, a timeout —
-        the ``finally`` unlinks every ring after the workers are
-        reaped, so ``/dev/shm`` never accumulates leftovers.
-        """
-        from .shm import create_shm_mesh
-
-        mesh = create_shm_mesh(
-            self._ctx, job.n_workers, ring_bytes=job.ring_bytes,
-            job_tag=getattr(job, "job_tag", 0),
-        )
-        result_pipes = [self._ctx.Pipe(duplex=False) for _ in range(job.n_workers)]
-
-        procs = []
-        start = time.monotonic()
-        try:
-            for rank in range(job.n_workers):
-                proc = self._ctx.Process(
-                    target=shm_worker_main,
-                    args=(rank, job, mesh.channels[rank], result_pipes[rank][1]),
-                    name=f"native-pe-{rank}",
-                )
-                proc.start()
-                procs.append(proc)
-            # Close the parent's doorbell/result copies so a dead worker
-            # turns into EOF for its peers, not a silent hang.
-            mesh.close_parent_ends()
-            for rank in range(job.n_workers):
-                result_pipes[rank][1].close()
-            try:
-                results = self._collect(procs, [rp[0] for rp in result_pipes])
-            finally:
-                self._reap(procs)
-                for rp in result_pipes:
-                    rp[0].close()
-        finally:
-            mesh.unlink()
-        return self._assemble(job, results, time.monotonic() - start)
+            for reader, _writer in result_pipes:
+                reader.close()
+            mesh.release()
+        return assemble_result(job, results, time.monotonic() - start)
 
     def _run_tcp(self, job: NativeJob) -> NativeSortResult:
         """Rendezvous-based execution over the socket transport."""
-        from ..net.rendezvous import Coordinator, parse_hostport
+        from ..net.rendezvous import Coordinator, ResultChannel, parse_hostport
 
         host, port = parse_hostport(job.listen)
         coordinator = Coordinator(job.n_workers, host=host, port=port)
         procs: List = []
-        conns: Dict[int, object] = {}
+        channels: List[ResultChannel] = []
         start = time.monotonic()
         try:
-            if not job.spawn_workers:
+            if job.spawn_workers:
+                # Spawned workers take the identical path an external
+                # ``repro worker`` process takes — job over the wire —
+                # so loopback CI exercises the multi-host handshake.
+                for rank in range(job.n_workers):
+                    procs.append(self._spawn(
+                        rank, tcp_worker_main, coordinator.addr,
+                        connect_timeout=job.timeout + 30.0,
+                    ))
+            else:
                 # External PEs need the endpoint to dial; port may be
                 # ephemeral, so announce the bound address.
                 print(
@@ -366,19 +355,6 @@ class NativeSorter:
                     f"--rank <0..{job.n_workers - 1}>",
                     file=sys.stderr,
                 )
-            if job.spawn_workers:
-                # Spawned workers take the identical path an external
-                # ``repro worker`` process takes — job over the wire —
-                # so loopback CI exercises the multi-host handshake.
-                for rank in range(job.n_workers):
-                    proc = self._ctx.Process(
-                        target=tcp_worker_main,
-                        args=(rank, coordinator.addr),
-                        kwargs={"connect_timeout": job.timeout + 30.0},
-                        name=f"native-pe-{rank}",
-                    )
-                    proc.start()
-                    procs.append(proc)
 
             def health() -> None:
                 for rank, proc in enumerate(procs):
@@ -391,42 +367,41 @@ class NativeSorter:
 
             deadline = time.monotonic() + job.timeout + 30.0
             try:
-                conns = coordinator.wait_for_workers(
+                socks = coordinator.wait_for_workers(
                     job, deadline, health=health if procs else None
                 )
             except NativeSortError:
                 raise
             except Exception as exc:
                 raise NativeSortError(f"rendezvous failed: {exc}") from exc
-            results = self._collect_tcp(procs, conns)
+            channels = [ResultChannel(socks[r]) for r in range(job.n_workers)]
+            results = self._collect(procs, channels)
         finally:
             self._reap(procs)
-            for sock in conns.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            for channel in channels:
+                channel.close()
             coordinator.close()
-        return self._assemble(job, results, time.monotonic() - start)
-
-    def _assemble(
-        self, job: NativeJob, results: List[tuple], total_time: float
-    ) -> NativeSortResult:
-        return assemble_result(job, results, total_time)
+        return assemble_result(job, results, time.monotonic() - start)
 
     def _collect(self, procs, conns) -> List[tuple]:
         """Wait for every worker's result; fail fast on error or death.
 
-        Hardened against the ways a worker can die *unhelpfully*:
+        ``conns[rank]`` is rank's result channel — a pipe end, or a
+        :class:`~repro.net.rendezvous.ResultChannel` over its rendezvous
+        socket; both offer ``fileno`` / ``poll`` / ``recv``.  Hardened
+        against the ways a worker can die *unhelpfully*:
 
         * **death without EOF** — under the fork start method sibling
           workers inherit each other's pipe write-ends, so a dead
           worker's result pipe never signals EOF while any sibling
           lives.  The wait therefore includes each pending worker's
           process *sentinel*: death wakes the driver immediately.
+          Externally launched workers (``procs`` empty) have none; a
+          dead one surfaces as EOF on its socket, which TCP delivers on
+          process death.
         * **torn / wedged result message** — a worker killed mid-send
-          can leave a partial frame in the pipe; a bare ``recv`` would
-          block forever on it.  Every ``recv`` runs under
+          can leave a partial frame behind; a bare ``recv`` would block
+          forever on it.  Every ``recv`` runs under
           :data:`RESULT_RECV_TIMEOUT` (see :meth:`_recv_result`).
         """
         deadline = time.monotonic() + self.job.timeout + 30.0
@@ -435,28 +410,31 @@ class NativeSorter:
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                alive = [r for r in sorted(pending) if procs[r].is_alive()]
+                alive = (
+                    [r for r in sorted(pending) if procs[r].is_alive()]
+                    if procs else "external"
+                )
                 raise NativeSortError(
                     f"timed out waiting for workers {sorted(pending)} "
                     f"(still alive: {alive})"
                 )
             by_conn = {id(c): r for r, c in pending.items()}
-            sentinels = {procs[r].sentinel: r for r in pending}
+            sentinels = [procs[r].sentinel for r in pending] if procs else []
             ready = conn_wait(
-                list(pending.values()) + list(sentinels),
+                list(pending.values()) + sentinels,
                 timeout=min(1.0, remaining),
             )
             # Results first: a worker that reported and exited promptly
-            # trips both its pipe and its sentinel — that is a success.
+            # trips both its channel and its sentinel — that is a success.
             got_result = False
             for obj in ready:
                 rank = by_conn.get(id(obj))
                 if rank is None or rank not in pending:
                     continue
-                results.append(self._recv_result(procs[rank], obj, rank))
+                results.append(self._recv_result(procs, obj, rank))
                 del pending[rank]
                 got_result = True
-            if got_result:
+            if got_result or not procs:
                 continue
             for rank in list(pending):
                 proc = procs[rank]
@@ -466,7 +444,7 @@ class NativeSorter:
                 if conn.poll(0):
                     # Death after (or during) the send: drain what there
                     # is — _recv_result turns a torn frame into an error.
-                    results.append(self._recv_result(proc, conn, rank))
+                    results.append(self._recv_result(procs, conn, rank))
                     del pending[rank]
                 else:
                     raise NativeSortError(
@@ -476,13 +454,14 @@ class NativeSorter:
                     )
         return results
 
-    def _recv_result(self, proc, conn, rank: int) -> tuple:
-        """One result-pipe ``recv`` that cannot hang the driver.
+    def _recv_result(self, procs, conn, rank: int) -> tuple:
+        """One result ``recv`` that cannot hang the driver.
 
         The receive runs in a helper thread bounded by
         :data:`RESULT_RECV_TIMEOUT`; a worker that died after sending
-        only part of a message (or a corrupt frame) surfaces as a
-        :class:`NativeSortError` naming the worker and its exit code.
+        only part of a message, a corrupt frame or a close before any
+        result surfaces as a :class:`NativeSortError` naming the worker
+        and its exit code.
         """
         box: Dict[str, object] = {}
 
@@ -492,6 +471,12 @@ class NativeSorter:
             except BaseException as exc:  # EOF, OSError, UnpicklingError...
                 box["exc"] = exc
 
+        def status() -> str:
+            if not procs:
+                return "external"
+            proc = procs[rank]
+            return "alive" if proc.is_alive() else f"exit code {proc.exitcode}"
+
         thread = threading.Thread(
             target=_target, name=f"native-result-recv-{rank}", daemon=True
         )
@@ -499,153 +484,17 @@ class NativeSorter:
         thread.join(RESULT_RECV_TIMEOUT)
         if thread.is_alive():
             raise NativeSortError(
-                f"worker {rank} result pipe wedged: a partial message "
-                f"arrived but never completed (worker "
-                f"{'alive' if proc.is_alive() else f'exit code {proc.exitcode}'})",
+                f"worker {rank} result channel wedged: a partial message "
+                f"arrived but never completed (worker {status()})",
                 rank=rank,
             )
         if "exc" in box:
             raise NativeSortError(
                 f"worker {rank} result unreadable: {box['exc']!r} "
-                f"(exit code {proc.exitcode})",
+                f"(worker {status()})",
                 rank=rank,
             )
-        return self._check_result_payload(rank, box["payload"])
-
-    def _collect_tcp(self, procs, conns) -> List[tuple]:
-        """TCP twin of :meth:`_collect`: result sockets + process sentinels.
-
-        With externally launched workers (``procs`` empty) there are no
-        sentinels to watch — a dead worker surfaces as EOF on its result
-        socket instead (TCP closes connections on process death, unlike
-        the fork-shared pipe write-ends that motivate the sentinels).
-        """
-        import select as _select
-
-        deadline = time.monotonic() + self.job.timeout + 30.0
-        pending = dict(conns)
-        results: List[tuple] = []
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                alive = (
-                    [r for r in sorted(pending) if procs[r].is_alive()]
-                    if procs
-                    else "external"
-                )
-                raise NativeSortError(
-                    f"timed out waiting for workers {sorted(pending)} "
-                    f"(still alive: {alive})"
-                )
-            by_sock = {id(s): r for r, s in pending.items()}
-            sentinels = {procs[r].sentinel: r for r in pending} if procs else {}
-            ready = conn_wait(
-                list(pending.values()) + list(sentinels),
-                timeout=min(1.0, remaining),
-            )
-            got_result = False
-            for obj in ready:
-                rank = by_sock.get(id(obj))
-                if rank is None or rank not in pending:
-                    continue
-                results.append(
-                    self._recv_result_tcp(
-                        procs[rank] if procs else None, obj, rank
-                    )
-                )
-                del pending[rank]
-                got_result = True
-            if got_result:
-                continue
-            for rank in list(pending):
-                if not procs or procs[rank].is_alive():
-                    continue
-                sock = pending[rank]
-                readable, _, _ = _select.select([sock], [], [], 0)
-                if readable:
-                    results.append(
-                        self._recv_result_tcp(procs[rank], sock, rank)
-                    )
-                    del pending[rank]
-                else:
-                    raise NativeSortError(
-                        f"worker {rank} died (exit code {procs[rank].exitcode}) "
-                        "without reporting a result",
-                        rank=rank,
-                    )
-        return results
-
-    def _recv_result_tcp(self, proc, sock, rank: int) -> tuple:
-        """One framed result receive that cannot hang the driver.
-
-        The socket timeout replaces :meth:`_recv_result`'s helper
-        thread: a torn frame, garbage bytes, an unfinished message or a
-        silent close all become a :class:`NativeSortError` naming the
-        worker within :data:`RESULT_RECV_TIMEOUT`.
-        """
-        from ..net.framing import KIND_GOODBYE, KIND_RESULT, recv_frame
-        from .comm_api import CommError, CommTimeout
-
-        def status() -> str:
-            if proc is None:
-                return "external"
-            return "alive" if proc.is_alive() else f"exit code {proc.exitcode}"
-
-        sock.settimeout(RESULT_RECV_TIMEOUT)
-        try:
-            frame = recv_frame(sock)
-        except CommTimeout:
-            raise NativeSortError(
-                f"worker {rank} result channel wedged: a partial message "
-                f"arrived but never completed (worker {status()})",
-                rank=rank,
-            ) from None
-        except CommError as exc:
-            raise NativeSortError(
-                f"worker {rank} result unreadable: {exc} (worker {status()})",
-                rank=rank,
-            ) from exc
-        if frame is None:
-            raise NativeSortError(
-                f"worker {rank} closed its result channel without "
-                f"reporting a result (worker {status()})",
-                rank=rank,
-            )
-        kind, payload, _epoch, _fence, _nbytes = frame
-        if kind == KIND_GOODBYE:
-            # A deliberate close is still not a result: a worker that
-            # says GOODBYE on its result channel has abandoned the job.
-            raise NativeSortError(
-                f"worker {rank} closed its result channel deliberately "
-                f"(GOODBYE) without reporting a result (worker {status()})",
-                rank=rank,
-            )
-        if kind != KIND_RESULT:
-            raise NativeSortError(
-                f"worker {rank} sent frame kind {kind} on the result channel",
-                rank=rank,
-            )
-        return self._check_result_payload(rank, payload)
-
-    @staticmethod
-    def _check_result_payload(rank: int, payload) -> tuple:
-        if (
-            not isinstance(payload, tuple)
-            or not payload
-            or payload[0] not in ("ok", "error")
-            or (payload[0] == "ok" and len(payload) != 5)
-            or (payload[0] == "error" and len(payload) != 3)
-        ):
-            raise NativeSortError(
-                f"worker {rank} sent a malformed result: {payload!r}",
-                rank=rank,
-            )
-        if payload[0] == "error":
-            raise NativeSortError(
-                f"worker {payload[1]} failed:\n{payload[2]}",
-                rank=int(payload[1]),
-            )
-        return payload
+        return check_result_payload(rank, box["payload"])
 
     @staticmethod
     def _reap(procs) -> None:

@@ -8,15 +8,15 @@ data of its output file back to the driver over a dedicated result
 channel.  Any exception is caught and shipped to the driver as a
 formatted traceback so a crashed PE never hangs the job.
 
-Two entry points share one body (:func:`_run_phases`):
-
-* :func:`worker_main` — the pipe transport: the driver spawned this
-  process and handed it pre-connected pipe ends and a result pipe;
-* :func:`tcp_worker_main` — the TCP transport: the process (spawned by
-  the driver *or* launched independently via ``python -m repro worker``)
-  dials the rendezvous coordinator, receives the job and the peer table
-  over the wire, builds the socket mesh, and reports on the rendezvous
-  connection itself.
+One entry point, :func:`worker_main`, serves every PE: the driver's
+spawned pipe and shm workers, the warm pool's persistent workers (one
+call per dispatched job) and :func:`tcp_worker_main`, which first dials
+the rendezvous coordinator — the process may be spawned by the driver
+*or* launched independently via ``python -m repro worker`` — receives
+the job and the peer table over the wire, builds the socket mesh, and
+reports on the rendezvous connection itself.  Which comm the endpoints
+become is :func:`repro.native.transport.open_comm`'s decision alone; the
+four phases run in :func:`_run_phases`.
 
 Fault-injection hook points (``job.chaos``, see
 :mod:`repro.testing.chaos`) bracket every phase: a chaos spec may kill
@@ -33,7 +33,6 @@ from typing import Dict, Optional, Tuple
 
 from .algos import resolve_algorithm
 from .blockstore import FileBlockStore
-from .comm import PipeComm
 from .comm_api import Comm
 from .job import NativeJob
 from .phases import (
@@ -45,6 +44,7 @@ from .phases import (
     verify_restored_pieces,
 )
 from .stats import PhaseClock, WorkerStats, max_rss_bytes
+from .transport import open_comm
 
 __all__ = ["worker_main", "tcp_worker_main"]
 
@@ -53,18 +53,16 @@ def _chaos_point(
     job: NativeJob, rank: int, point: str, result_conn, comm=None
 ) -> None:
     """Fire the fault-injection hook, if a chaos spec rides on the job."""
-    chaos = getattr(job, "chaos", None)
-    if chaos is not None:
-        chaos.at_point(rank, point, result_conn=result_conn, comm=comm)
+    if job.chaos is not None:
+        job.chaos.at_point(rank, point, result_conn=result_conn, comm=comm)
 
 
 def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 persistent: bool = False) -> None:
     """The four phases over an established mesh; reports, never raises.
 
-    ``persistent`` is the warm-pool mode: the comm and the result
-    channel outlive this job (the pool worker resets the comm itself and
-    keeps its control pipe), so the final teardown skips both.
+    ``persistent``: the comm and the result channel outlive this call
+    (the caller closes them), so the final teardown skips both.
     """
 
     def at(point: str) -> None:
@@ -76,9 +74,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
     # striped backend.  Job validation guarantees only registered
     # combinations arrive here, and that non-canonical jobs never reach
     # the checkpoint/resume branches below.
-    algorithm = resolve_algorithm(
-        getattr(job, "algo", "canonical"), getattr(job, "records", "fixed16")
-    )
+    algorithm = resolve_algorithm(job.algo, job.records)
     fn_generate, fn_run_formation, fn_selection, fn_all_to_all, fn_merge = (
         algorithm.phase_fns
     )
@@ -86,15 +82,15 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
     journal = None
     try:
         stats = WorkerStats(rank=rank)
-        chaos = getattr(job, "chaos", None)
-        epoch = int(getattr(job, "epoch", 0))
+        chaos = job.chaos
+        epoch = job.epoch
         if chaos is not None and hasattr(chaos, "set_epoch"):
             # Fault specs fire on one attempt only (fire_epoch); a
             # resumed epoch must not re-trip the fault that killed it.
             chaos.set_epoch(epoch)
         store = FileBlockStore(
             job.spill_dir, rank, job.block_records, chaos=chaos,
-            namespace=getattr(job, "spill_namespace", ""),
+            namespace=job.spill_namespace,
         )
         # I/O stall attribution: store ops on *this* thread count as
         # per-phase stall; background pipeline threads' ops do not.
@@ -110,7 +106,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         # overshoots what any rank can restore.
         resume = None
         global_done = -1
-        if getattr(job, "checkpointing", False):
+        if job.checkpointing:
             from ..recovery.manifest import RankJournal, job_fingerprint
 
             journal = RankJournal(
@@ -142,7 +138,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         with PhaseClock(stats, "run_formation", comm):
             if global_done >= 1:
                 runs = restore_runs(ctx, resume)
-                if rank in getattr(job, "suspect_ranks", ()) and global_done <= 2:
+                if rank in job.suspect_ranks and global_done <= 2:
                     # Pieces are still to be read and shipped to peers
                     # (selection windows, the all-to-all's sends): a
                     # suspect rank must prove its retained blocks
@@ -255,58 +251,35 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 pass
 
 
-def worker_main(rank: int, job: NativeJob, peer_conns: Dict, result_conn) -> None:
-    """Run rank ``rank`` of ``job`` over pipes; report ("ok"/"error", ...)."""
-    try:
-        comm = PipeComm(
-            rank,
-            job.n_workers,
-            peer_conns,
-            timeout=job.timeout,
-            chaos=getattr(job, "chaos", None),
-            pending_sends=getattr(job, "pending_sends", 4),
-            job_epoch=getattr(job, "epoch", 0),
-            job_tag=getattr(job, "job_tag", 0),
-        )
-    except Exception:
-        try:
-            result_conn.send(("error", rank, traceback.format_exc()))
-            result_conn.close()
-        except Exception:
-            pass
-        return
-    _run_phases(rank, job, comm, result_conn)
-
-
-def shm_worker_main(
-    rank: int, job: NativeJob, channels: Dict, result_conn
+def worker_main(
+    rank: int,
+    job: NativeJob,
+    endpoints: Dict,
+    result_conn,
+    interrupt=None,
+    interrupt_tag: int = 0,
 ) -> None:
-    """Run rank ``rank`` of ``job`` over shared-memory rings.
+    """Run rank ``rank`` of ``job`` over ``endpoints``; report to ``result_conn``.
 
-    ``channels`` maps peer rank to a
-    :class:`~repro.native.shm.ShmChannelSpec`; the comm attaches every
-    ring by name (the driver created the segments before forking).
+    The one entry point of every PE, whatever started it and whatever
+    the transport: ``endpoints`` are this rank's pipe ends, ring specs
+    or mesh sockets (see :func:`~repro.native.transport.open_comm`).  A
+    comm that cannot be opened is reported like any other failure, and
+    the endpoints are closed — a pool worker lives on to serve the next
+    job.
     """
-    from .shm import ShmComm
-
     try:
-        comm = ShmComm(
-            rank,
-            job.n_workers,
-            channels,
-            timeout=job.timeout,
-            chaos=getattr(job, "chaos", None),
-            pending_sends=getattr(job, "pending_sends", 4),
-            job_epoch=getattr(job, "epoch", 0),
-            job_tag=getattr(job, "job_tag", 0),
-            own_channel_ends=True,
-        )
+        comm = open_comm(rank, job, endpoints, interrupt, interrupt_tag)
     except Exception:
         try:
             result_conn.send(("error", rank, traceback.format_exc()))
-            result_conn.close()
         except Exception:
             pass
+        for end in (*endpoints.values(), result_conn):
+            try:
+                end.close()
+            except Exception:
+                pass
         return
     _run_phases(rank, job, comm, result_conn)
 
@@ -317,7 +290,7 @@ def tcp_worker_main(
     connect_timeout: float = 60.0,
     job: Optional[NativeJob] = None,
 ) -> None:
-    """Run rank ``rank`` over TCP: rendezvous, mesh up, sort, report.
+    """Run rank ``rank`` over TCP: rendezvous, then :func:`worker_main`.
 
     ``connect`` is the coordinator's ``(host, port)``.  With ``job=None``
     (always, today — even driver-spawned workers fetch the job over the
@@ -326,7 +299,6 @@ def tcp_worker_main(
     the ``python -m repro worker`` CLI.
     """
     from ..net.rendezvous import ResultChannel, join_mesh
-    from ..net.tcp import TcpComm
 
     try:
         job, coord_sock, socks = join_mesh(
@@ -337,24 +309,4 @@ def tcp_worker_main(
         # (missing rank / dead sentinel); a CLI user sees the traceback.
         traceback.print_exc()
         raise SystemExit(1)
-    result_conn = ResultChannel(coord_sock)
-    try:
-        comm = TcpComm(
-            rank,
-            job.n_workers,
-            socks,
-            timeout=job.timeout,
-            pending_sends=getattr(job, "pending_sends", 4),
-            chaos=getattr(job, "chaos", None),
-            heartbeat_s=getattr(job, "heartbeat_s", 5.0),
-            job_epoch=getattr(job, "epoch", 0),
-            job_tag=getattr(job, "job_tag", 0),
-        )
-    except Exception:
-        try:
-            result_conn.send(("error", rank, traceback.format_exc()))
-            result_conn.close()
-        except Exception:
-            pass
-        return
-    _run_phases(rank, job, comm, result_conn)
+    worker_main(rank, job, socks, ResultChannel(coord_sock))

@@ -26,21 +26,24 @@ everything:
 
 The coordinator connection stays open after rendezvous and becomes the
 worker's **result channel** (:class:`ResultChannel`) — the TCP
-equivalent of the pipe a native worker reports its stats or traceback
-on, with the same object surface so the driver's fail-fast collection
-and the chaos harness's torn/wedged-result faults apply unchanged.
+equivalent of the pipe a same-host worker reports its stats or
+traceback on, with the same object surface on both ends, so the
+driver's one fail-fast result collector and the chaos harness's
+torn/wedged-result faults apply unchanged.
 """
 
 from __future__ import annotations
 
 import random
+import select
 import socket
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..native.comm_api import CommError, CommTimeout, pack_fence
 from ..recovery.manifest import job_fingerprint
 from .framing import (
+    KIND_GOODBYE,
     KIND_HELLO,
     KIND_MESH,
     KIND_RESULT,
@@ -398,16 +401,22 @@ def join_mesh(
 
 
 class ResultChannel:
-    """The worker's report pipe, over the rendezvous socket.
+    """A worker's result channel, over its rendezvous socket.
 
-    Mirrors the :class:`multiprocessing.connection.Connection` surface
-    the pipe-transport worker reports on (``send`` / ``send_bytes`` /
-    ``fileno`` / ``close``), so :func:`repro.native.worker._run_phases`
-    and the chaos result-corruption faults are transport-blind:
-    ``send_bytes`` of a truncated pickle arrives as a well-formed frame
-    of garbage (the driver's unpickle rejects it), and a chaos write of
-    raw junk via ``fileno`` tears the frame stream itself (the driver's
-    header parse rejects it).
+    Mirrors the :class:`multiprocessing.connection.Connection` surface of
+    the result pipe a same-host worker reports on, on both ends:
+
+    * the worker's half (``send`` / ``send_bytes`` / ``fileno`` /
+      ``close``) keeps :func:`repro.native.worker._run_phases` and the
+      chaos result-corruption faults transport-blind: ``send_bytes`` of
+      a truncated pickle arrives as a well-formed frame of garbage, and
+      a chaos write of raw junk via ``fileno`` tears the frame stream
+      itself;
+    * the driver's half (``fileno`` / ``poll`` / ``recv``) lets the
+      driver's one result collector wait on it next to pipes and process
+      sentinels.  ``recv`` does the frame checks: a close — silent or
+      with GOODBYE — before any result raises :class:`EOFError`, a torn
+      frame or a frame of another kind raises :class:`CommError`.
     """
 
     def __init__(self, sock: socket.socket):
@@ -421,6 +430,28 @@ class ResultChannel:
 
     def fileno(self) -> int:
         return self._sock.fileno()
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        readable, _, _ = select.select([self._sock], [], [], timeout)
+        return bool(readable)
+
+    def recv(self):
+        frame = recv_frame(self._sock)
+        if frame is None:
+            raise EOFError(
+                "closed its result channel without reporting a result"
+            )
+        kind, payload = frame[0], frame[1]
+        if kind == KIND_GOODBYE:
+            # A deliberate close is still not a result: a worker that
+            # says GOODBYE on its result channel has abandoned the job.
+            raise EOFError(
+                "closed its result channel deliberately (GOODBYE) "
+                "without reporting a result"
+            )
+        if kind != KIND_RESULT:
+            raise CommError(f"frame kind {kind} on the result channel")
+        return payload
 
     def close(self) -> None:
         try:

@@ -51,7 +51,11 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional, Set
 
 from ..native.blockstore import purge_namespace
-from ..native.driver import assemble_result
+from ..native.driver import (
+    NativeSortError,
+    assemble_result,
+    check_result_payload,
+)
 from ..recovery.supervisor import RestartPolicy
 from .jobs import (
     ADMITTED,
@@ -389,22 +393,10 @@ class SortService:
         if attempt is None or rank is None or rank not in attempt.outstanding:
             return  # late report from an attempt already torn down
         attempt.outstanding.discard(rank)
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 5
-            and payload[0] == "ok"
-        ):
-            attempt.results[rank] = payload
-        elif (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and payload[0] == "error"
-        ):
-            self._fail_attempt(attempt, int(payload[1]), str(payload[2]))
-        else:
-            self._fail_attempt(
-                attempt, rank, f"malformed result: {payload!r}"
-            )
+        try:
+            attempt.results[rank] = check_result_payload(rank, payload)
+        except NativeSortError as exc:
+            self._fail_attempt(attempt, exc.rank, str(exc))
         if not attempt.outstanding:
             self._finalize_attempt(attempt)
 
@@ -582,7 +574,7 @@ class SortService:
             self.stats.done += 1
         elif state == FAILED:
             self.stats.failed += 1
-            if getattr(job.job, "cleanup_on_abort", False):
+            if job.job.cleanup_on_abort:
                 purge_namespace(self.spill_root, job.namespace)
         else:
             self.stats.cancelled += 1

@@ -5,20 +5,22 @@ processes per sort and throw them away.  The service instead keeps a
 pool of *persistent* workers, each owning two long-lived channels back
 to the scheduler:
 
-* a duplex **control pipe** — carries ``("run", seq, job, rank, conns)``
+* a duplex **control pipe** — carries ``("run", seq, job, rank, endpoints)``
   dispatches down and ``("result", seq, payload)`` reports up, where
   ``payload`` is exactly the tuple a single-shot worker would have sent
   on its result pipe;
 * a one-way **interrupt pipe** — the scheduler drops a dispatch
   sequence number in to abort the matching job mid-phase (cancel, peer
-  failure, deadline); the worker's :class:`~repro.native.comm.PipeComm`
-  polls it between messages and raises
-  :class:`~repro.native.comm_api.JobInterrupted`.
+  failure, deadline); the worker's comm polls it between messages and
+  raises :class:`~repro.native.comm_api.JobInterrupted`.
 
-The mesh is **fresh per job**: the scheduler builds one duplex pipe per
-worker pair at dispatch time and ships each worker its ends *through*
-the control pipe (``multiprocessing``'s connection reduction carries
-the fds), then closes its own copies.  Reusing mesh pipes across jobs
+The mesh is **fresh per job**: at dispatch time the scheduler builds
+the job's pipe pairs or shm rings with the one-shot driver's own
+:func:`~repro.native.transport.local_mesh`, ships each worker its
+endpoints *through* the control pipe (``multiprocessing``'s connection
+reduction carries the fds), then closes its own copies; each worker
+opens its comm through the one PE entry point,
+:func:`~repro.native.worker.worker_main`.  Reusing mesh pipes across jobs
 would let one job's stale bytes corrupt the next; fresh pipes plus the
 (job, epoch) wire fence make cross-job delivery structurally
 impossible.  What *is* reused — the point of the pool — is the warm
@@ -34,13 +36,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..native.comm import PipeComm
 from ..native.job import NativeJob
-from ..native.worker import _run_phases
+from ..native.transport import LocalMesh, local_mesh
+from ..native.worker import worker_main
 
 __all__ = ["WarmPool", "WorkerHandle", "pool_worker_main"]
 
@@ -54,7 +55,7 @@ MSG_RESULT = "result"
 class _ResultProxy:
     """Adapts the shared control pipe to the worker result-channel shape.
 
-    :func:`~repro.native.worker._run_phases` reports through an object
+    :func:`~repro.native.worker.worker_main` reports through an object
     with ``send``; this proxy tags each report with the dispatch
     sequence number so the scheduler can route it to the right attempt.
     ``close`` is a no-op — the control pipe outlives the job.  The
@@ -80,70 +81,14 @@ class _ResultProxy:
         pass
 
 
-def _serve_one(seq, job, job_rank, conns, ctrl, interrupt) -> None:
-    """Run one dispatched job on this pool worker, then reset to idle.
-
-    The comm is built over the *fresh* per-job mesh pipes; the interrupt
-    channel is armed with this dispatch's sequence number, so a stale
-    interrupt for an earlier job drains harmlessly.  Whatever happens —
-    success, error report, interrupt — the mesh pipes are closed before
-    returning to the command loop; the control and interrupt channels
-    persist.
-    """
-    proxy = _ResultProxy(ctrl, seq)
-    try:
-        if getattr(job, "transport", "pipe") == "shm":
-            from ..native.shm import ShmComm
-
-            comm = ShmComm(
-                job_rank,
-                job.n_workers,
-                conns,
-                timeout=job.timeout,
-                chaos=getattr(job, "chaos", None),
-                pending_sends=getattr(job, "pending_sends", 4),
-                job_epoch=getattr(job, "epoch", 0),
-                job_tag=getattr(job, "job_tag", 0),
-                interrupt=interrupt,
-                interrupt_tag=seq,
-                own_channel_ends=True,
-            )
-        else:
-            comm = PipeComm(
-                job_rank,
-                job.n_workers,
-                conns,
-                timeout=job.timeout,
-                chaos=getattr(job, "chaos", None),
-                pending_sends=getattr(job, "pending_sends", 4),
-                job_epoch=getattr(job, "epoch", 0),
-                job_tag=getattr(job, "job_tag", 0),
-                interrupt=interrupt,
-                interrupt_tag=seq,
-            )
-    except Exception:
-        try:
-            proxy.send(("error", job_rank, traceback.format_exc()))
-        except Exception:
-            pass
-        for conn in conns.values():
-            try:
-                conn.close()
-            except Exception:
-                pass
-        return
-    try:
-        _run_phases(job_rank, job, comm, proxy, persistent=True)
-    finally:
-        try:
-            comm.close()
-        except Exception:
-            pass
-
-
 def pool_worker_main(worker_id: int, ctrl, interrupt) -> None:
     """Persistent pool-worker loop: serve dispatches until told to stop.
 
+    Each dispatch runs through the one PE entry point,
+    :func:`~repro.native.worker.worker_main`, with the interrupt channel
+    armed with the dispatch's sequence number (a stale interrupt for an
+    earlier job drains harmlessly); it closes the per-job mesh whatever
+    the outcome, while the control and interrupt channels persist.
     Exits on an explicit ``("stop",)``, on control-pipe EOF (the service
     died), or via ``os._exit`` from an injected chaos kill inside a job.
     """
@@ -157,8 +102,11 @@ def pool_worker_main(worker_id: int, ctrl, interrupt) -> None:
         if cmd[0] == CMD_STOP:
             return
         if cmd[0] == CMD_RUN:
-            _seq, job, job_rank, conns = cmd[1], cmd[2], cmd[3], cmd[4]
-            _serve_one(_seq, job, job_rank, conns, ctrl, interrupt)
+            seq, job, job_rank, endpoints = cmd[1:5]
+            worker_main(
+                job_rank, job, endpoints, _ResultProxy(ctrl, seq),
+                interrupt, seq,
+            )
 
 
 @dataclass
@@ -214,11 +162,11 @@ class WarmPool:
         self.size = size
         self._next_worker_id = 0
         self.respawns = 0
-        #: Live shm meshes by dispatch seq: the scheduler owns the
-        #: segment names and unlinks them when the attempt finalizes
-        #: (success, failure, or service shutdown) — the no-/dev/shm-leak
+        #: Live meshes by dispatch seq: the scheduler owns shm segment
+        #: names and unlinks them when the attempt finalizes (success,
+        #: failure, or service shutdown) — the no-/dev/shm-leak
         #: guarantee for pool jobs.
-        self._shm_meshes: Dict[int, object] = {}
+        self._meshes: Dict[int, LocalMesh] = {}
         # Start the resource tracker *before* forking any worker: a pool
         # PE that later attaches a shm ring must inherit this process's
         # tracker (registrations are then idempotent set-adds and the
@@ -264,62 +212,34 @@ class WarmPool:
         and closes the scheduler's copies of every mesh end — after
         which a worker death propagates to its peers as pipe EOF.
         """
-        P = job.n_workers
-        if len(handles) != P:
-            raise ValueError(f"job wants {P} workers, got {len(handles)}")
-        if getattr(job, "transport", "pipe") == "shm":
-            from ..native.shm import DEFAULT_RING_BYTES, create_shm_mesh
-
-            mesh = create_shm_mesh(
-                self._ctx, P,
-                ring_bytes=getattr(job, "ring_bytes", DEFAULT_RING_BYTES),
-                job_tag=getattr(job, "job_tag", 0),
+        if len(handles) != job.n_workers:
+            raise ValueError(
+                f"job wants {job.n_workers} workers, got {len(handles)}"
             )
-            # Registered before the sends: whatever happens mid-dispatch,
-            # release_mesh(seq) can always unlink the segments.
-            self._shm_meshes[seq] = mesh
-            try:
-                for rank, handle in enumerate(handles):
-                    # The channel specs ride the control pipe like pipe
-                    # ends do: the doorbell fds via connection reduction,
-                    # the ring segments by name (attached in the worker).
-                    handle.ctrl.send(
-                        (CMD_RUN, seq, job, rank, mesh.channels[rank])
-                    )
-                    handle.mark_busy(seq, job_id, rank)
-            finally:
-                mesh.close_parent_ends()
-            return
-        conns: List[Dict[int, object]] = [dict() for _ in range(P)]
-        for i in range(P):
-            for j in range(i + 1, P):
-                end_i, end_j = self._ctx.Pipe(duplex=True)
-                conns[i][j] = end_i
-                conns[j][i] = end_j
+        mesh = local_mesh(self._ctx, job)
+        # Registered before the sends: whatever happens mid-dispatch,
+        # release_mesh(seq) can always unlink the segments.
+        self._meshes[seq] = mesh
         try:
             for rank, handle in enumerate(handles):
-                handle.ctrl.send((CMD_RUN, seq, job, rank, conns[rank]))
+                # The endpoints ride the control pipe: pipe ends and ring
+                # doorbells via connection reduction, ring segments by
+                # name (attached in the worker).
+                handle.ctrl.send((CMD_RUN, seq, job, rank, mesh.endpoints[rank]))
                 handle.mark_busy(seq, job_id, rank)
         finally:
-            for per_rank in conns:
-                for conn in per_rank.values():
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+            mesh.close_parent_ends()
 
     def release_mesh(self, seq: int) -> None:
-        """Unlink the shm mesh of dispatch ``seq``, if it had one.
+        """Release the mesh of dispatch ``seq`` (shm: unlink the rings).
 
         Idempotent, called from the single attempt-finalization point in
-        the scheduler; a pipe-transport dispatch is a no-op.  POSIX keeps
-        the memory alive for workers still attached (a straggler rank
-        finishing an already-failed attempt), so unlinking at finalize is
-        always safe.
+        the scheduler; a straggler rank finishing an already-failed
+        attempt keeps its mapping (see :meth:`LocalMesh.release`).
         """
-        mesh = self._shm_meshes.pop(seq, None)
+        mesh = self._meshes.pop(seq, None)
         if mesh is not None:
-            mesh.unlink()
+            mesh.release()
 
     def interrupt(self, handle: WorkerHandle, seq: int) -> None:
         """Ask ``handle`` to abort dispatch ``seq`` (best effort)."""
@@ -344,7 +264,7 @@ class WarmPool:
 
     def stop(self) -> None:
         """Tear the pool down: interrupt, stop, escalate to SIGKILL."""
-        for seq in list(self._shm_meshes):
+        for seq in list(self._meshes):
             self.release_mesh(seq)
         for handle in self.handles:
             if handle.busy_seq is not None:

@@ -70,15 +70,25 @@ def test_kill_nonzero_rank_named_in_error(tmp_path):
     assert_fails_fast(job, match="worker 1")
 
 
-def test_wedged_result_pipe_does_not_hang_driver(tmp_path):
+# One result collector reads every transport's result channel: the pipe
+# and shm workers' result pipes and the tcp workers' rendezvous sockets.
+@pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
+def test_wedged_result_pipe_does_not_hang_driver(tmp_path, transport):
     # The worker writes a frame header promising 1 MiB and dies: a naive
     # driver blocks forever inside Connection.recv.
-    job = chaos_job(tmp_path, ChaosSpec(rank=0, wedged_result_at="before:report"))
+    job = chaos_job(
+        tmp_path, ChaosSpec(rank=0, wedged_result_at="before:report"),
+        transport=transport,
+    )
     assert_fails_fast(job, match="worker 0")
 
 
-def test_torn_result_pickle_is_an_error_not_a_crash(tmp_path):
-    job = chaos_job(tmp_path, ChaosSpec(rank=0, torn_result_at="before:report"))
+@pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
+def test_torn_result_pickle_is_an_error_not_a_crash(tmp_path, transport):
+    job = chaos_job(
+        tmp_path, ChaosSpec(rank=0, torn_result_at="before:report"),
+        transport=transport,
+    )
     assert_fails_fast(job, match="worker 0")
 
 

@@ -61,6 +61,14 @@ def test_cli_selection_strategy(capsys):
     ) == 0
 
 
+def test_cli_infeasible_sim_config_is_a_config_error(capsys):
+    # Default 96 MiB of data over 8 MiB of memory: R = 12 runs exceed the
+    # 8 memory blocks per node.  The sim path reports it like the native
+    # path does (exit 2, one line), not as a traceback.
+    assert _cli("--nodes", "2", "--memory-mib", "8") == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_cli_parser_rejects_unknown_algorithm():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--algorithm", "bogosort"])

@@ -6,10 +6,15 @@ Walks every ``repro`` module, lists the symbols each module exports via
 public APIs::
 
     python tools/gen_api_doc.py
+
+``--check`` writes nothing: it exits 1 (and prints the diff) when
+docs/API.md differs from what it would write — the CI drift check.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import os
@@ -39,7 +44,13 @@ def walk_modules():
             print(f"skipping {info.name}: {exc}", file=sys.stderr)
 
 
-def main() -> None:
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 if docs/API.md is out of date instead of writing it",
+    )
+    args = parser.parse_args()
     lines = [
         "# API reference (generated)",
         "",
@@ -71,11 +82,31 @@ def main() -> None:
                 desc = f"(instance of `{type(obj).__name__}`) — {first_line(obj)}"
             lines.append(f"* **`{symbol}`** {desc}")
         lines.append("")
-    out = os.path.join(os.path.dirname(__file__), "..", "docs", "API.md")
+    out = os.path.normpath(
+        os.path.join(os.path.dirname(__file__), "..", "docs", "API.md")
+    )
+    text = "\n".join(lines) + "\n"
+    if args.check:
+        try:
+            with open(out) as handle:
+                current = handle.read()
+        except FileNotFoundError:
+            current = ""
+        if current == text:
+            print(f"{out} is up to date")
+            return 0
+        sys.stdout.writelines(difflib.unified_diff(
+            current.splitlines(keepends=True), text.splitlines(keepends=True),
+            fromfile=out, tofile="generated",
+        ))
+        print(f"{out} is out of date: run python tools/gen_api_doc.py",
+              file=sys.stderr)
+        return 1
     with open(out, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    print(f"wrote {os.path.normpath(out)} ({len(lines)} lines)")
+        handle.write(text)
+    print(f"wrote {out} ({len(lines)} lines)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
