@@ -110,6 +110,17 @@ def _pread_exact(fh, dst: memoryview, offset: int, path: str) -> None:
         done += got
 
 
+def _records_into(out: Optional[np.ndarray], n: int) -> np.ndarray:
+    """A destination for ``n`` records: fresh, or the front of ``out``."""
+    if out is None:
+        return np.empty(n, dtype=NATIVE_DTYPE)
+    if out.dtype != NATIVE_DTYPE or out.ndim != 1 or not out.flags["C_CONTIGUOUS"]:
+        raise ValueError("out must be a contiguous 1-D record array")
+    if len(out) < n:
+        raise ValueError(f"out holds {len(out)} records, {n} are needed")
+    return out[:n]
+
+
 class FileBlockStore:
     """One worker's view of the spill directory, with tagged I/O accounting."""
 
@@ -201,19 +212,21 @@ class FileBlockStore:
 
     # -- record I/O -----------------------------------------------------------
 
-    def read_range(self, path: str, start: int, count: int, tag: str) -> np.ndarray:
+    def read_range(
+        self, path: str, start: int, count: int, tag: str,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Read ``count`` records at record offset ``start`` (fewer where
-        the file ends first) with one positioned read."""
+        the file ends first) with one positioned read — into the front of
+        ``out`` when given (``ValueError`` if it is too small)."""
         t0 = time.monotonic()
         with open(path, "rb", buffering=0) as fh:
             in_file = os.fstat(fh.fileno()).st_size // RECORD_BYTES
-            out = np.empty(
-                max(0, min(count, in_file - start)), dtype=NATIVE_DTYPE
-            )
-            _pread_exact(fh, out.view(np.uint8).data, start * RECORD_BYTES, path)
+            dest = _records_into(out, max(0, min(count, in_file - start)))
+            _pread_exact(fh, dest.view(np.uint8).data, start * RECORD_BYTES, path)
         self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_read(tag, out.nbytes)
-        return out
+        self.charge_read(tag, dest.nbytes)
+        return dest
 
     def read_block(self, path: str, block_idx: int, tag: str) -> np.ndarray:
         """Read one fixed-size block (the last block may be short)."""
@@ -221,21 +234,25 @@ class FileBlockStore:
             path, block_idx * self.block_records, self.block_records, tag
         )
 
-    def read_blocks(self, path: str, block_ids, tag: str) -> np.ndarray:
+    def read_blocks(
+        self, path: str, block_ids, tag: str, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Scatter-read whole blocks into one contiguous record array.
 
         The zero-copy sibling of per-block :meth:`read_block` +
-        ``np.concatenate``: the destination array is allocated once and
-        each maximal run of consecutive block IDs becomes a single
-        positioned read straight into its slice (``os.preadv`` where the
-        platform has it), so run formation fills its sort buffer without
-        intermediate per-block arrays.  ``block_ids`` may arrive in any
-        order (the schedule is shuffled); the file's last block may be
-        short and can sit anywhere in the list.
+        ``np.concatenate``: the destination array is allocated once — or
+        is the front of ``out``, run formation's reused chunk buffer
+        (``ValueError`` if it is too small) — and each maximal run of
+        consecutive block IDs becomes a single positioned read straight
+        into its slice (``os.preadv`` where the platform has it), so run
+        formation fills its sort buffer without intermediate per-block
+        arrays.  ``block_ids`` may arrive in any order (the schedule is
+        shuffled); the file's last block may be short and can sit
+        anywhere in the list.
         """
         ids = list(block_ids)
         if not ids:
-            return np.empty(0, dtype=NATIVE_DTYPE)
+            return _records_into(out, 0)
         t0 = time.monotonic()
         bs = self.block_records
         file_records = os.path.getsize(path) // RECORD_BYTES
@@ -249,8 +266,8 @@ class FileBlockStore:
                 f"(file has {n_blocks} blocks of {bs} records)"
             )
         counts = [min(bs, file_records - b * bs) for b in ids]
-        out = np.empty(sum(counts), dtype=NATIVE_DTYPE)
-        mv = out.view(np.uint8).data
+        dest = _records_into(out, sum(counts))
+        mv = dest.view(np.uint8).data
         with open(path, "rb", buffering=0) as fh:
             filled = 0
             i = 0
@@ -273,7 +290,7 @@ class FileBlockStore:
                 filled += nbytes
                 i = j
         self._charge_stall(tag, time.monotonic() - t0)
-        return out
+        return dest
 
     def _write_gate(self, handle, path: str, nbytes: int):
         """Consult the chaos spec before a write of ``nbytes``.

@@ -31,7 +31,11 @@ Design notes
   one :func:`repro.net.framing.split_raw_nested` peels for the TCP and
   shm frames) travels as a raw ``send_bytes`` message right behind the
   pickled rest, so pipes, sockets and rings all deliver a run's slice
-  without serializing it.
+  without serializing it.  The receiver reads that message's length
+  header itself and ``os.readv``-s the body straight into its
+  destination — an ``alltoall`` landing slot when one is registered —
+  instead of ``Connection.recv_bytes``, which assembles the body in a
+  ``BytesIO`` and copies it out again.
 
 * **Stash-aware receives.**  A fast peer may already be sending its next
   phase's traffic while a slow peer still owes this phase's message.
@@ -42,6 +46,8 @@ Design notes
 
 from __future__ import annotations
 
+import os
+import struct
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Dict, Optional
 
@@ -53,6 +59,7 @@ from .comm_api import (
     CommTimeout,
     JobInterrupted,
     MeshComm,
+    message_epoch,
 )
 
 __all__ = [
@@ -172,7 +179,9 @@ class PipeComm(MeshComm):
                 # The raw payload is read even for a frame about to be
                 # fenced off: it is part of the same message, and leaving
                 # it in the pipe would desynchronize the stream.
-                payload = None if nested is None else conn.recv_bytes()
+                payload = None
+                if nested is not None:
+                    payload = self._recv_payload(conn, peer, fence, msg, nested)
             except EOFError as exc:
                 raise CommError(
                     f"rank {self.rank}: peer {peer} closed its pipe"
@@ -187,6 +196,20 @@ class PipeComm(MeshComm):
             self._stash_message(peer, msg)
             got = True
         return got
+
+    def _recv_payload(self, conn: Connection, peer: int, fence: int, msg,
+                      nested: bool):
+        """Read the raw ``send_bytes`` message behind ``msg``: into its
+        landing slot when it is a fenced-in ``alltoall`` part with one,
+        else into a fresh ``bytearray``."""
+        fd = conn.fileno()
+        (size,) = struct.unpack("!i", _read_exact(fd, bytearray(4)))
+        if size == -1:  # Connection's header for bodies past 2 GiB
+            (size,) = struct.unpack("!Q", _read_exact(fd, bytearray(8)))
+        slot = None
+        if fence == self.wire_fence and not nested:
+            slot = self._landing_slot(peer, message_epoch(msg), size)
+        return _read_exact(fd, bytearray(size) if slot is None else slot)
 
     def _close_transport(self) -> None:
         # Closing the pipe ends here is what reaps a sender thread still
@@ -205,3 +228,15 @@ class PipeComm(MeshComm):
                 conn.close()
             except OSError:
                 pass
+
+
+def _read_exact(fd: int, buf):
+    """Fill ``buf`` from the pipe ``fd``; returns ``buf``.  EOF first is
+    an ``EOFError``, as it is for ``Connection.recv``."""
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError("pipe closed mid-message")
+        view = view[got:]
+    return buf

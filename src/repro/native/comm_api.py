@@ -188,7 +188,9 @@ class Comm(Protocol):
 
     def allgather_parts(self, parts: Sequence) -> List[List]: ...
 
-    def alltoall(self, parts: Sequence) -> List: ...
+    def alltoall(
+        self, parts: Sequence, into: Optional[Sequence] = None
+    ) -> List: ...
 
     def allreduce(self, value, op: Callable) -> object: ...
 
@@ -262,6 +264,9 @@ class MeshComm:
         #: Stale frames dropped by the (job, epoch) fence (recovery counter).
         self.fenced_drops = 0
         self._epoch = 0
+        #: While an ``alltoall(into=...)`` runs: its epoch, and per peer
+        #: the buffer that peer's part lands in (see :meth:`_landing_slot`).
+        self._slots: Optional[Tuple[int, Dict[int, memoryview]]] = None
         #: Messages received but not yet consumed, per peer, in order.
         self._stash: Dict[int, deque] = {p: deque() for p in self.peers}
         self._sendq: "queue.Queue" = queue.Queue()
@@ -370,6 +375,29 @@ class MeshComm:
         """Fire the receive-poll fault hook (subclasses call per poll)."""
         if self.chaos is not None:
             self.chaos.on_recv_poll(self.rank)
+
+    def _landing_slot(
+        self, peer: int, epoch: int, nbytes: int
+    ) -> Optional[memoryview]:
+        """Where ``peer``'s ``nbytes``-byte payload tagged ``epoch`` lands.
+
+        Transports call this for a frame that passed the (job, epoch)
+        fence, after its header and before its payload: when an
+        ``alltoall(into=...)`` registered a slot for the peer, the payload
+        is read straight into it and reattached as the slot itself.
+        ``None`` means no slot: read into a fresh buffer.  A payload of
+        another size than its slot is a :class:`CommError`, never a
+        truncation.  Each slot takes one payload.
+        """
+        if self._slots is None or self._slots[0] != epoch:
+            return None
+        slot = self._slots[1].pop(peer, None)
+        if slot is not None and nbytes != len(slot):
+            raise CommError(
+                f"rank {self.rank}: peer {peer} sent a {nbytes}-byte part "
+                f"for a {len(slot)}-byte slot"
+            )
+        return slot
 
     def _stash_message(self, peer: int, msg: tuple) -> None:
         """Account and park one arrived message (subclasses call this)."""
@@ -599,7 +627,9 @@ class MeshComm:
             out[peer] = got
         return out
 
-    def alltoall(self, parts: Sequence) -> List:
+    def alltoall(
+        self, parts: Sequence, into: Optional[Sequence] = None
+    ) -> List:
         """Personalized all-to-all in one round: ``parts[d]`` goes to rank d.
 
         Returns the part every rank addressed to this one, in rank order;
@@ -610,6 +640,19 @@ class MeshComm:
         keeps a fast peer's next collective apart.  Nothing bounds the
         bytes in flight, so this is for data the caller already holds in
         memory; disk-backed streams go through :meth:`exchange`.
+
+        With ``into`` — one writable buffer per rank, each exactly as
+        large as the bytes-like part that rank sends here — the parts
+        land in those buffers and ``into`` is returned.  The own part is
+        copied into its slot; transports that can (pipe, tcp) read a
+        peer's payload straight into its slot, and a payload that was
+        received some other way (shm, or early, before the slot existed)
+        is copied into it.  A part of another size is a
+        :class:`CommError`.
+
+        The call returns without a flush: the sender thread may still
+        hold ``parts``, so the caller must :meth:`flush` before it
+        writes into their memory again.
         """
         if len(parts) != self.n_workers:
             raise ValueError(
@@ -618,7 +661,35 @@ class MeshComm:
         est = payload_bytes(parts[self.rank])
         if est:
             self.local_bytes[self._phase] = self.local_bytes.get(self._phase, 0) + est
-        return self._round("__a2a__", parts)
+        if into is None:
+            return self._round("__a2a__", parts)
+        if len(into) != self.n_workers:
+            raise ValueError(
+                f"alltoall needs {self.n_workers} slots, got {len(into)}"
+            )
+        slots = [memoryview(buf).cast("B") for buf in into]
+        own = memoryview(parts[self.rank]).cast("B")
+        if len(own) != len(slots[self.rank]):
+            raise ValueError(
+                f"own part of {len(own)} bytes for a "
+                f"{len(slots[self.rank])}-byte slot"
+            )
+        slots[self.rank][:] = own
+        self._slots = (self._epoch + 1, {p: slots[p] for p in self.peers})
+        try:
+            got = self._round("__a2a__", parts)
+        finally:
+            self._slots = None
+        for peer in self.peers:
+            if got[peer] is not slots[peer]:
+                buf = memoryview(got[peer]).cast("B")
+                if len(buf) != len(slots[peer]):
+                    raise CommError(
+                        f"rank {self.rank}: peer {peer} sent a {len(buf)}-"
+                        f"byte part for a {len(slots[peer])}-byte slot"
+                    )
+                slots[peer][:] = buf
+        return list(into)
 
     def allreduce(self, value, op: Callable) -> object:
         """Reduce ``value`` over all workers with binary ``op``."""

@@ -9,9 +9,9 @@ interprets the same fields literally:
     real bytes of 16-byte records generated and sorted per worker;
 ``memory_bytes``
     the per-worker record-memory budget M.  Run formation keeps its
-    working set within M by sizing one run chunk at M/3 (chunk + sorted
-    permutation + received exchange slice — three live copies at the
-    phase's peak);
+    working set within M by sizing one run chunk at M/3 (chunk, sorted
+    copy and merged piece — the three record buffers of the fixed set
+    every run reuses, see ``records.RecordBuffers``);
 ``block_bytes``
     the unit of every file read/write and of every pipe chunk;
 ``sample_every`` / ``randomize`` / ``seed``
@@ -40,8 +40,8 @@ __all__ = ["NativeJob", "SORT_WORKING_COPIES", "TRANSPORTS"]
 #: Interconnect substrates the driver can wire up (see docs/TRANSPORT.md).
 TRANSPORTS = ("pipe", "tcp", "shm")
 
-#: Live record-array copies at run formation's memory peak (input chunk,
-#: sorted copy during the permutation, received exchange slice).
+#: Live record-array copies at run formation's memory peak (the fixed
+#: set's chunk, sorted and piece buffers).
 SORT_WORKING_COPIES = 3
 
 #: Fallback per-worker memory when the config leaves it to the machine

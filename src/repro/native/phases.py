@@ -46,7 +46,7 @@ from .blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
 from .pipeline import Prefetcher, WriteBehind, sequential_fetch_order
-from .records import RECORD_BYTES, RecordModel
+from .records import RECORD_BYTES, RecordBuffers, RecordModel
 from .stats import WorkerStats
 
 __all__ = [
@@ -99,6 +99,15 @@ class NativeContext:
     #: Run formation holds each piece in memory when it writes it, so the
     #: merge's guide over the ranges that never leave the piece is free.
     piece_first_keys: List[list] = field(default_factory=list)
+    #: The fixed buffer set (:class:`~repro.native.records.RecordBuffers`,
+    #: ``chunk_records`` each) every run and every merge round reuses;
+    #: allocated once, on first use (:meth:`buffers`).
+    _buffers: Optional[RecordBuffers] = None
+
+    def buffers(self) -> RecordBuffers:
+        if self._buffers is None:
+            self._buffers = self.model.buffers(self.job.chunk_records)
+        return self._buffers
 
     @property
     def model(self) -> RecordModel:
@@ -351,6 +360,14 @@ def exact_splits(
     return positions, sum(len(w) for w in mine)
 
 
+def _outside(bufs: RecordBuffers, model: RecordModel, parts=(), raw=()) -> int:
+    """Bytes of ``parts`` (model parts) and ``raw`` (bytes-likes) that do
+    not live in the fixed buffer set — what a step holds beyond it."""
+    return sum(model.footprint(p) for p in parts if not bufs.holds(p)) + sum(
+        len(b) for b in raw if not bufs.holds(b)
+    )
+
+
 def _distributed_sort_run(ctx: NativeContext, records):
     """Globally sort one run; returns this rank's exact-quantile piece.
 
@@ -361,8 +378,17 @@ def _distributed_sort_run(ctx: NativeContext, records):
     slices, and a final P-way batch merge.  Three collective epochs per
     run: the fused length and sample allgather, the window allgather
     and the all-to-all.
+
+    The exact splits fix every incoming slice's size, so each lands
+    straight in its slot of the chunk buffer (``model.landing_slots``),
+    back to back in rank order: the merge's concatenation, with nothing
+    left to copy.  The merge gathers into the piece buffer.  Each rank's
+    share of a run is at most ``ceil(total / P)`` records, and no rank
+    reads more than ``chunk_records``, so a run formation piece always
+    fits (a striped merge round may not, and then allocates).
     """
     job, comm, rank, model = ctx.job, ctx.comm, ctx.rank, ctx.model
+    bufs = ctx.buffers()
     n_workers = job.n_workers
     if n_workers == 1:
         return records
@@ -381,9 +407,9 @@ def _distributed_sort_run(ctx: NativeContext, records):
     ctx.stats.add_counter("internal_selection_window_keys", shipped)
 
     # Slice [positions[d][rank], positions[d+1][rank]) goes to rank d as
-    # one message.  Fixed16 wires are views of ``records`` (so counting
-    # them resident is an upper bound); the sender thread holds them
-    # until they are on the wire.
+    # one message.  Fixed16 wires are views of ``records``; the sender
+    # thread holds them until they are on the wire, so the caller
+    # flushes before it sorts into that buffer again.
     wires = [
         model.encode(
             model.slice(records, positions[d][rank], positions[d + 1][rank]),
@@ -391,18 +417,19 @@ def _distributed_sort_run(ctx: NativeContext, records):
         )
         for d in range(n_workers)
     ]
-    received = comm.alltoall(wires)
+    counts = [positions[rank + 1][d] - positions[rank][d] for d in range(n_workers)]
+    received = comm.alltoall(wires, into=model.landing_slots(bufs, counts))
     ctx.stats.note_resident(
-        model.footprint(records)
-        + sum(len(w) for w in wires)
-        + sum(len(buf) for d, buf in enumerate(received) if d != rank)
+        bufs.nbytes + _outside(bufs, model, [records], wires + [
+            buf for d, buf in enumerate(received) if d != rank
+        ])
     )
-    del records, keys, wires  # the chunk's memory is no longer needed
+    del records, keys, wires
 
     parts = [model.decode(buf) for buf in received]
     del received
-    merged = model.merge(parts)
-    ctx.stats.note_resident(2 * model.footprint(merged))
+    merged = model.merge(parts, out=_fit(bufs.piece, 0, sum(counts)), scratch=bufs)
+    ctx.stats.note_resident(bufs.nbytes + 2 * _outside(bufs, model, [merged]))
     ctx.stats.add_counter("internal_sort_sent_records", sum(
         positions[d + 1][rank] - positions[d][rank]
         for d in range(n_workers) if d != rank
@@ -453,9 +480,10 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
         ctx.input_checksum = restored[r]["checksum"]
     if k:
         ctx.stats.add_counter("recovery_runs_restored", float(k))
-        if ctx.rank in getattr(job, "suspect_ranks", ()):
+        if ctx.rank in job.suspect_ranks:
             verify_restored_pieces(ctx, run_records)
 
+    bufs = ctx.buffers()
     wb: Optional[WriteBehind] = None
     if job.write_behind_blocks > 0:
         wb = WriteBehind(
@@ -465,21 +493,31 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
         for r in range(k, n_runs):
             block_ids = chunks[r] if r < len(chunks) else []
             # Scatter read: every block lands directly in its slice of
-            # the chunk's sort buffer (no per-block arrays, no
-            # concatenate) — one coalesced positioned read per run of
-            # consecutive block IDs.
-            records = model.read_blocks(store, input_path, block_ids, TAG_RF)
+            # the chunk buffer (no per-block arrays, no concatenate) —
+            # one coalesced positioned read per run of consecutive block
+            # IDs.
+            records = model.read_blocks(
+                store, input_path, block_ids, TAG_RF, out=bufs.chunk
+            )
             ctx.add_checksum(records)
             ctx.stats.note_resident(
-                2 * model.footprint(records) + (wb.queued_bytes() if wb else 0)
+                bufs.nbytes + 2 * _outside(bufs, model, [records])
+                + (wb.queued_bytes() if wb else 0)
             )
-            records = model.sort(records)
+            # The previous run's slices may still be on the wire as views
+            # of the sorted buffer: they must be out before it is written,
+            # which the sort's gather does only once the order is known.
+            records = model.sort(records, out=bufs.sorted, scratch=bufs,
+                                 before_write=comm.flush)
 
             piece = _distributed_sort_run(ctx, records)
             del records
 
             _put(wb, piece.nbytes, model.write_file, store,
                  store.piece_path(r), piece, TAG_RF)
+            if wb is not None:
+                # The writer owns the piece's buffer now.
+                bufs.release(piece)
             # A copy, not a view: the piece must be free before the next
             # run's chunk is read.
             sample = model.encode_keys(model.keys(piece)[:: job.sample_every])
@@ -834,8 +872,7 @@ def all_to_all(
     #: Per run, slab record position -> key of the record there, for the
     #: positions where a read unit of the slab starts.
     slab_keys: List[Dict[int, object]] = [dict() for _ in runs]
-    chaos = getattr(job, "chaos", None)
-    chunk_hook = getattr(chaos, "on_a2a_chunk", None)
+    chunk_hook = None if job.chaos is None else job.chaos.on_a2a_chunk
     arrivals = 0
     received = 0
     received_bytes = 0
@@ -953,8 +990,18 @@ def _coalesce(units: Sequence[Extent]) -> List[Extent]:
     return spans
 
 
-def _read_exactly(model: RecordModel, store: FileBlockStore, span: Extent):
-    records = model.read_range(store, span.path, span.start, span.count, TAG_MERGE)
+def _fit(buf, at: int, n: int):
+    """``buf[at:]`` when ``n`` records fit there, else ``None`` (the
+    kernel allocates instead)."""
+    return buf[at:] if at + n <= len(buf) else None
+
+
+def _read_exactly(
+    model: RecordModel, store: FileBlockStore, span: Extent, out=None
+):
+    records = model.read_range(
+        store, span.path, span.start, span.count, TAG_MERGE, out=out
+    )
     if len(records) != span.count:
         raise IOError(
             f"{span.path}: short read at record {span.start} "
@@ -988,11 +1035,17 @@ def merge(
     in its last loaded unit, because that unit's own triple already
     sorted below ``(k*, r*, u*)``.
 
-    G is ``piece_blocks - R`` (at least one): batch plus carry never
-    exceed the M/3 chunk run formation sorts.  Verification happens in
-    stream: sortedness, count, first/last key and the model's checksum
-    are computed as the output is written.  Keys are the model's, so
-    both record models get the same merge and the same tie order.
+    G is ``piece_blocks - R`` (at least one): batch plus carry fit the
+    M/3 chunk run formation sorts, so a round runs on run formation's
+    fixed buffer set.  A round's units are read into the ``sorted``
+    buffer (the stage), each run's carry copied in front of its fresh
+    units; the emitted cuts are concatenated in ``chunk`` and gathered
+    into ``piece``; the carries then wait in ``chunk`` for the next
+    round's stage.  (Where R outgrows G the stage can overflow; what
+    does not fit is allocated.)  Verification happens in stream:
+    sortedness, count, first/last key and the model's checksum are
+    computed as the output is written.  Keys are the model's, so both
+    record models get the same merge and the same tie order.
 
     A first key the caller does not know (``None``; all of them when
     ``first_keys`` is omitted) is probed with a single-record read under
@@ -1008,6 +1061,7 @@ def merge(
     Both layers are bitwise-transparent.
     """
     job, store, rank, model = ctx.job, ctx.store, ctx.rank, ctx.model
+    bufs = ctx.buffers()
     block = job.block_records
     units = [read_units(extents, block) for extents in segments]
     guide = []
@@ -1077,38 +1131,55 @@ def merge(
                 store, TAG_MERGE, job.write_behind_bytes, stats=ctx.stats
             )
 
-        #: Loaded but not yet emittable records, per run (non-empty only).
+        #: Loaded but not yet emittable records, per run (non-empty only);
+        #: between rounds they wait in the chunk buffer.
         carry: Dict[int, object] = {}
+        stage = bufs.sorted
         for lo in range(0, len(guide), per_round):
             hi = min(lo + per_round, len(guide))
-            fresh: Dict[int, list] = {}
-            if prefetcher is not None:
-                for idx in range(lo, hi):
-                    fresh.setdefault(guide[idx][1], []).append(
-                        prefetcher.get(idx)
-                    )
-            else:
-                # First keys ascend within a run, so a run's units of
-                # this batch are consecutive: one coalesced read per
-                # extent they touch.
-                wanted: Dict[int, List[int]] = {}
-                for _key, r, u in guide[lo:hi]:
-                    wanted.setdefault(r, []).append(u)
-                for r, ids in wanted.items():
-                    fresh[r] = [
-                        _read_exactly(model, store, span)
-                        for span in _coalesce(units[r][ids[0] : ids[-1] + 1])
-                    ]
+            # First keys ascend within a run, so a run's units of this
+            # batch are consecutive: one coalesced read per extent they
+            # touch, straight into the stage behind the run's carry.
+            wanted: Dict[int, List[int]] = {}
+            for idx in range(lo, hi):
+                wanted.setdefault(guide[idx][1], []).append(idx)
 
             bound = guide[hi] if hi < len(guide) else None
-            parts = []
+            parts, tails = [], []
             held = 0
-            for r in sorted(carry.keys() | fresh.keys()):
-                pieces = fresh.get(r, [])
+            at = 0
+            for r in sorted(carry.keys() | wanted.keys()):
+                start = at
+                pieces = []
+                placed = True  # every piece landed in the stage so far
                 if r in carry:
-                    pieces = [carry.pop(r)] + pieces
-                buf = model.concat(pieces)
-                held += model.footprint(buf)
+                    kept = carry.pop(r)
+                    dest = _fit(stage, at, len(kept))
+                    placed = placed and dest is not None
+                    pieces.append(model.copy(kept, out=dest))
+                    at += len(kept)
+                ids = wanted.get(r, [])
+                if prefetcher is not None:
+                    for idx in ids:
+                        unit = prefetcher.get(idx)
+                        dest = _fit(stage, at, len(unit))
+                        placed = placed and dest is not None
+                        pieces.append(
+                            unit if dest is None else model.copy(unit, out=dest)
+                        )
+                        at += len(unit)
+                elif ids:
+                    first, last = guide[ids[0]][2], guide[ids[-1]][2]
+                    for span in _coalesce(units[r][first : last + 1]):
+                        dest = _fit(stage, at, span.count)
+                        placed = placed and dest is not None
+                        pieces.append(_read_exactly(model, store, span, dest))
+                        at += span.count
+                if placed:
+                    buf = model.slice(stage, start, at)
+                else:
+                    buf = model.concat(pieces)
+                    held += model.footprint(buf)
                 cut = len(buf)
                 if bound is not None:
                     # The carry lies in the last loaded block: only that
@@ -1120,18 +1191,27 @@ def merge(
                 if cut:
                     parts.append(model.slice(buf, 0, cut))
                 if cut < len(buf):
-                    # Copy out of a freshly loaded batch so the carry
-                    # pins at most its own block, not the batch.
-                    tail = model.slice(buf, cut, len(buf))
-                    carry[r] = model.copy(tail) if r in fresh else tail
-            batch = model.merge(parts)
+                    tails.append((r, model.slice(buf, cut, len(buf))))
+            n = sum(len(p) for p in parts)
+            batch = model.merge(parts, out=_fit(bufs.piece, 0, n), scratch=bufs)
+            # The chunk is free again: the carries wait there, out of the
+            # stage the next round overwrites.  A carry pins at most its
+            # own block, never the batch it was cut from.
+            at = 0
+            for r, tail in tails:
+                carry[r] = model.copy(tail, out=_fit(bufs.chunk, at, len(tail)))
+                at += len(tail)
             ctx.stats.note_resident(
-                held
-                + 2 * model.footprint(batch)
+                bufs.nbytes
+                + held
+                + 2 * _outside(bufs, model, [batch])
                 + (prefetcher.buffered_bytes() if prefetcher else 0)
                 + (wb.queued_bytes() if wb else 0)
             )
             emit(batch)
+            if wb is not None:
+                # The writer owns the batch's buffer now.
+                bufs.release(batch)
 
         if wb is not None:
             wb.close()  # flush before the output file is closed

@@ -29,6 +29,7 @@ from ..workloads.gensort import record_keys
 __all__ = [
     "NATIVE_DTYPE",
     "RECORD_BYTES",
+    "RecordBuffers",
     "make_records",
     "generate_records",
     "sort_records",
@@ -120,7 +121,119 @@ def _tie_slots(tied: np.ndarray) -> np.ndarray:
     return np.flatnonzero(in_group)
 
 
-def _packed_order(keys: np.ndarray) -> np.ndarray:
+class RecordBuffers:
+    """A fixed set of fixed16 working buffers, allocated once per job.
+
+    The paper's memory model is one budget M reused run after run, not a
+    stream of fresh allocations: every buffer here holds ``capacity``
+    records (run formation's M/3 chunk) and is reused by every run and
+    every merge round, so steady-state sorting takes no page faults.
+
+    * ``chunk`` — what a read lands in and, once its records are sorted
+      out of it, where a merge's parts lie back to back (the exchange's
+      landing slots); :func:`merge_record_arrays` concatenates into it;
+    * ``sorted`` — a sort's output (the exchange sends views of it);
+    * ``piece`` — a merge's output;
+    * ``words`` — the packed-word order's ``u64`` words;
+    * ``ramp`` — the positions ``0 .. capacity-1`` the words are built
+      from, filled once;
+    * ``probe`` — a small ``u64`` block the tie scan works through.
+
+    ``RecordBuffers(0)`` is the empty set of a record model whose kernels
+    allocate instead (strings).
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self.chunk = np.empty(self.capacity, dtype=NATIVE_DTYPE)
+        self.sorted = np.empty(self.capacity, dtype=NATIVE_DTYPE)
+        self.piece = np.empty(self.capacity, dtype=NATIVE_DTYPE)
+        self.words = np.empty(self.capacity, dtype=np.uint64)
+        self.ramp = np.arange(self.capacity, dtype=np.uint64)
+        self.probe = np.empty(min(self.capacity, _PROBE_WORDS), dtype=np.uint64)
+
+    def _arrays(self) -> List[np.ndarray]:
+        return [self.chunk, self.sorted, self.piece, self.words, self.ramp,
+                self.probe]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the set holds, counted once however often it is reused."""
+        return sum(a.nbytes for a in self._arrays())
+
+    def holds(self, buf) -> bool:
+        """Whether ``buf`` (an array or a bytes-like) lies in the set."""
+        if not isinstance(buf, np.ndarray):
+            try:
+                buf = np.frombuffer(buf, dtype=np.uint8)
+            except (TypeError, ValueError):
+                return False
+        return any(np.may_share_memory(a, buf) for a in self._arrays())
+
+    def release(self, part) -> None:
+        """Hand the buffer ``part`` lies in to another owner (a
+        write-behind thread): the set takes a fresh replacement."""
+        for name in ("chunk", "sorted", "piece"):
+            if np.may_share_memory(getattr(self, name), part):
+                setattr(self, name, np.empty(self.capacity, dtype=NATIVE_DTYPE))
+
+
+#: Words of :attr:`RecordBuffers.probe`: the tie scan's block.
+_PROBE_WORDS = 1 << 15
+
+
+def _destination(out: np.ndarray, n: int, *inputs) -> np.ndarray:
+    """``out[:n]`` after checking ``out`` can take ``n`` records of the
+    inputs without aliasing any of them."""
+    if out.dtype != NATIVE_DTYPE or out.ndim != 1 or not out.flags["C_CONTIGUOUS"]:
+        raise ValueError("out must be a contiguous 1-D record array")
+    if len(out) < n:
+        raise ValueError(f"out holds {len(out)} records, {n} are needed")
+    dest = out[:n]
+    if any(np.may_share_memory(dest, x) for x in inputs):
+        raise ValueError("out overlaps an input")
+    return dest
+
+
+def _fitting(scratch: Optional[RecordBuffers], n: int) -> Optional[RecordBuffers]:
+    """``scratch`` if it holds ``n`` records, else None: a kernel handed
+    a set too small for its input allocates instead."""
+    return scratch if scratch is not None and scratch.capacity >= n else None
+
+
+def _ascending(keys: np.ndarray, scratch: Optional[RecordBuffers]) -> bool:
+    """Whether ``keys`` never descend (the comparisons land in the
+    scratch's words, viewed as bools, when there is a scratch)."""
+    if scratch is None:
+        return bool(np.all(keys[:-1] <= keys[1:]))
+    le = np.less_equal(keys[:-1], keys[1:],
+                       out=scratch.words.view(bool)[: len(keys) - 1])
+    return bool(le.all())
+
+
+def _prefix_ties(
+    words: np.ndarray, low_bits, probe: Optional[np.ndarray]
+) -> bool:
+    """Whether two neighbours of the sorted ``words`` share a prefix,
+    checked a block at a time through ``probe`` (a fresh one if None)."""
+    if probe is None:
+        probe = np.empty(min(len(words), _PROBE_WORDS), dtype=np.uint64)
+    step = len(probe)
+    last = len(words) - 1
+    for lo in range(0, last, step):
+        hi = min(last, lo + step)
+        gaps = np.bitwise_xor(words[lo + 1 : hi + 1], words[lo:hi],
+                              out=probe[: hi - lo])
+        if gaps.min() <= low_bits:
+            return True
+    return False
+
+
+def _packed_order(
+    keys: np.ndarray,
+    scratch: Optional[RecordBuffers] = None,
+    stable: bool = False,
+) -> np.ndarray:
     """The stable sorting permutation of ``keys`` (n >= 2) from one
     in-place sort of ``u64`` words.
 
@@ -133,25 +246,37 @@ def _packed_order(keys: np.ndarray) -> np.ndarray:
     same kernel on (group number, the ``shift`` bits the prefix dropped),
     a key at most about b + shift bits wide: exact at the next level for
     n up to 2^21, narrower at every level for any n below 2^32.
+
+    With a ``scratch`` the words are its ``words`` (the permutation comes
+    back as their ``int64`` view) and only prefix ties allocate.
+    ``stable`` sorts the words with timsort, which merges presorted runs
+    (two merge parts) faster than the default sort does.
     """
     n = len(keys)
     b = (n - 1).bit_length()
     lo = keys.min()
     shift = max(0, int(keys.max() - lo).bit_length() - (64 - b))
-    words = np.subtract(keys, lo, dtype=np.uint64)
+    if scratch is None:
+        words = np.subtract(keys, lo, dtype=np.uint64)
+        ramp = np.arange(n, dtype=np.uint64)
+    else:
+        words = np.subtract(keys, lo, dtype=np.uint64, out=scratch.words[:n])
+        ramp = scratch.ramp[:n]
     if shift:
         words >>= np.uint64(shift)
     words <<= np.uint64(b)
-    words |= np.arange(n, dtype=np.uint64)
-    words.sort()
+    words |= ramp
+    words.sort(kind="stable" if stable else None)
     low_bits = np.uint64((1 << b) - 1)
     tied = None
-    if shift:
+    if shift and _prefix_ties(
+        words, low_bits, None if scratch is None else scratch.probe
+    ):
         # Neighbours share a prefix iff their words differ in the low bits only.
         tied = np.bitwise_xor(words[1:], words[:-1]) <= low_bits
     words &= low_bits
     order = words.view(np.int64)
-    if tied is not None and tied.any():
+    if tied is not None:
         slots = _tie_slots(tied)
         members = order[slots]
         # Groups come in prefix order and members ascend in position
@@ -166,23 +291,83 @@ def _packed_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def sort_records(records: np.ndarray) -> np.ndarray:
+def _gather(records, order, out):
+    """``records[order]``, into ``out`` when given.  ``mode="clip"``:
+    the default ``"raise"`` buffers the whole output internally."""
+    if out is None:
+        return np.take(records, order)
+    return np.take(records, order, out=out, mode="clip")
+
+
+def sort_records(
+    records: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[RecordBuffers] = None,
+    before_write: Optional[Callable[[], None]] = None,
+) -> np.ndarray:
     """Sort records by key, stable in input position (ties keep order).
 
-    Always returns a fresh array.  Sorted input is only copied; anything
-    else is gathered once along the order :func:`_packed_order` reads
-    off one SIMD sort of (key prefix | position) words, and a second one
-    over the records whose prefixes tie, if any do.
+    Returns a fresh array, or ``out[:n]`` when ``out`` is given (it must
+    hold n records and not overlap ``records``; ``ValueError``
+    otherwise).  Sorted input is only copied; anything else is gathered
+    once along the order :func:`_packed_order` reads off one SIMD sort of
+    (key prefix | position) words — the ``scratch``'s, when given and
+    large enough — and a second one over the records whose prefixes tie,
+    if any do.  ``before_write`` is called once the order is known, just
+    before ``out`` is first written: run formation waits there for the
+    sends still reading it.
     """
     keys = records["key"]
-    if len(keys) < 2 or bool(np.all(keys[:-1] <= keys[1:])):
+    scratch = _fitting(scratch, len(keys))
+    dest = None if out is None else _destination(out, len(keys), records)
+    order = None
+    if len(keys) >= 2 and not _ascending(keys, scratch):
+        # Without a scratch the helper's temporaries die with its frames,
+        # before the gather allocates the output: they never add to the
+        # sort's peak.
+        order = _packed_order(keys, scratch)
+    if before_write is not None:
+        before_write()
+    if order is not None:
+        return _gather(records, order, dest)
+    if dest is None:
         return records.copy()
-    # The helper's temporaries die with its frames, before the gather
-    # allocates the output: they never add to the sort's peak.
-    return np.take(records, _packed_order(keys))
+    _copy_records(dest, records)
+    return dest
 
 
-def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
+def _copy_records(dest: np.ndarray, src: np.ndarray) -> None:
+    """``dest[...] = src`` as a plain copy: field by field, a structured
+    assignment is an order of magnitude slower."""
+    dest.view(_PLAIN_DTYPE)[...] = src.view(_PLAIN_DTYPE)
+
+
+def _concat_into(parts: Sequence[np.ndarray], buf: np.ndarray) -> np.ndarray:
+    """Lay ``parts`` back to back at the front of ``buf``; a part already
+    at its place (an exchange slot) is not copied.  Parts that lie in
+    ``buf`` itself must come in address order: each moves only down."""
+    n = sum(len(p) for p in parts)
+    if len(buf) < n:
+        raise ValueError(f"concat buffer holds {len(buf)} records, {n} are needed")
+    at = 0
+    for part in parts:
+        dest = buf[at : at + len(part)]
+        in_place = (
+            np.may_share_memory(part, dest)
+            and part.ctypes.data == dest.ctypes.data
+            and part.strides == dest.strides
+        )
+        if not in_place:
+            _copy_records(dest, part)
+        at += len(part)
+    return buf[:n]
+
+
+def merge_record_arrays(
+    parts: List[np.ndarray],
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[RecordBuffers] = None,
+) -> np.ndarray:
     """Merge key-sorted record arrays into one key-sorted array.
 
     Stable across parts in list order, which realizes the package's
@@ -190,16 +375,30 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
     passes parts in sequence order.  Like
     :func:`repro.records.arrays.merge_sorted_arrays` this is implemented
     as concatenate + stable sort (the paper explicitly allows replacing
-    batch merging by sorting of batches).  Two parts take the stable
-    argsort, whose timsort merges two runs in one galloping pass; three
-    or more take the packed-word order of :func:`sort_records`, which
-    there is faster than timsort's cascade of run merges (EXPERIMENTS.md,
-    "Packed-word sort kernel").
+    batch merging by sorting of batches): the packed-word order of
+    :func:`sort_records`, whose words two parts sort with timsort — one
+    galloping merge of two runs — and three or more with the default
+    sort, faster there than timsort's cascade of run merges
+    (EXPERIMENTS.md, "Packed-word sort kernel").
+
+    With ``out`` the merge lands in ``out[:n]`` (``ValueError`` if it is
+    too small or overlaps a part); with a ``scratch`` large enough, the
+    parts are concatenated in its ``chunk`` — parts already lying there
+    back to back are not copied — and ordered in its words, so the
+    merge allocates nothing.
     """
     parts = [p for p in parts if len(p)]
-    if not parts:
+    scratch = _fitting(scratch, sum(len(p) for p in parts))
+    dest = None
+    if out is not None:
+        dest = _destination(out, sum(len(p) for p in parts), *parts)
+        if len(parts) < 2:
+            if parts:
+                _copy_records(dest, parts[0])
+            return dest
+    elif not parts:
         return np.empty(0, dtype=NATIVE_DTYPE)
-    if len(parts) == 1:
+    elif len(parts) == 1:
         # A read-only view, not the caller's array: downstream code is
         # free to mutate the merge result in place, and on the
         # single-part fast path that used to silently corrupt the
@@ -208,11 +407,14 @@ def merge_record_arrays(parts: List[np.ndarray]) -> np.ndarray:
         view = parts[0].view()
         view.flags.writeable = False
         return view
-    out = concat_records(parts)
-    keys = out["key"]
-    if len(parts) == 2:
-        return np.take(out, np.argsort(keys, kind="stable"))
-    return np.take(out, _packed_order(keys))
+    if scratch is None:
+        whole = concat_records(parts)
+    else:
+        whole = _concat_into(parts, scratch.chunk)
+        if dest is not None and np.may_share_memory(whole, dest):
+            raise ValueError("out overlaps the concat buffer")
+    order = _packed_order(whole["key"], scratch, stable=len(parts) == 2)
+    return _gather(whole, order, dest)
 
 
 def read_records(path: str, start: int, count: int) -> np.ndarray:
@@ -965,12 +1167,18 @@ class RecordModel:
       ``searchsorted``), ``is_sorted``, ``checksum``, ``footprint`` (the
       bytes a part holds in memory, for the resident accounting: its
       records, plus the key column for strings);
+    * memory — ``buffers(capacity)``, the model's fixed
+      :class:`RecordBuffers` set; ``sort``, ``merge``, ``copy``,
+      ``read_blocks`` and ``read_range`` take an ``out`` (and the
+      kernels a ``scratch``) from it.  Fixed16 lands every result
+      there; strings get an empty set and ignore both;
     * files (through a :class:`~repro.native.blockstore.FileBlockStore`) —
       ``read_blocks``, ``read_range``, ``fetch`` (uncharged, for reader
       threads), ``write_file``, ``appender``, ``range_nbytes`` (the byte
       size of a record range);
     * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
-      a sorted key sequence, ``bytes_view`` of a part as written;
+      a sorted key sequence, ``bytes_view`` of a part as written,
+      ``landing_slots`` (where an exchange's slices land, or ``None``);
     * journal — ``key_to_json``/``key_from_json`` a key (or ``None``) as
       the recovery manifest stores it;
     * all-to-all slabs — ``slab_byte_bases``, and ``slab_index`` /
@@ -1024,20 +1232,30 @@ class Fixed16Model(RecordModel):
     def generate(self, start, count, seed, skew):
         return generate_records(start, count, seed=seed, skew=skew)
 
-    def sort(self, part):
-        return sort_records(part)
+    def buffers(self, capacity):
+        return RecordBuffers(capacity)
+
+    def sort(self, part, out=None, scratch=None, before_write=None):
+        return sort_records(part, out=out, scratch=scratch,
+                            before_write=before_write)
 
     def concat(self, parts):
         return parts[0] if len(parts) == 1 else concat_records(parts)
 
-    def merge(self, parts):
-        return merge_record_arrays(parts)
+    def merge(self, parts, out=None, scratch=None):
+        return merge_record_arrays(parts, out=out, scratch=scratch)
 
     def slice(self, part, lo, hi):
         return part[lo:hi]
 
-    def copy(self, part):
-        return part.copy()
+    def copy(self, part, out=None):
+        if out is None:
+            return part.copy()
+        if len(out) < len(part):
+            raise ValueError(f"out holds {len(out)} records, {len(part)} are needed")
+        dest = out[: len(part)]
+        _copy_records(dest, part)
+        return dest
 
     def keys(self, part):
         return part["key"]
@@ -1066,11 +1284,11 @@ class Fixed16Model(RecordModel):
         return part.nbytes
 
     # -- files
-    def read_blocks(self, store, path, block_ids, tag):
-        return store.read_blocks(path, block_ids, tag)
+    def read_blocks(self, store, path, block_ids, tag, out=None):
+        return store.read_blocks(path, block_ids, tag, out=out)
 
-    def read_range(self, store, path, start, count, tag):
-        return store.read_range(path, start, count, tag)
+    def read_range(self, store, path, start, count, tag, out=None):
+        return store.read_range(path, start, count, tag, out=out)
 
     def fetch(self, store, path, start, count, tag):
         return read_records(path, start, count)
@@ -1090,6 +1308,16 @@ class Fixed16Model(RecordModel):
 
     def decode(self, buf):
         return records_from_bytes(buf)
+
+    def landing_slots(self, buffers, counts):
+        """Where each rank's slice of ``counts[d]`` records lands: back to
+        back in the chunk buffer, in rank order — the merge's concat.
+        ``None`` if they outgrow it (striped's merge rounds can)."""
+        if sum(counts) > buffers.capacity:
+            return None
+        mv = bytes_view(buffers.chunk)
+        bounds = np.cumsum([0] + list(counts)) * RECORD_BYTES
+        return [mv[int(a) : int(b)] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def bytes_view(self, part):
         return bytes_view(part)
@@ -1148,19 +1376,24 @@ class StringModel(RecordModel):
     def generate(self, start, count, seed, skew):
         return generate_string_batch(start, count, seed=seed, skew=skew)
 
-    def sort(self, part):
+    # Strings keep allocating kernels: their set is empty and every
+    # ``out`` / ``scratch`` argument below is ignored.
+    def buffers(self, capacity):
+        return RecordBuffers(0)
+
+    def sort(self, part, out=None, scratch=None, before_write=None):
         return part.sort()
 
     def concat(self, parts):
         return VarlenBatch.concat(parts)
 
-    def merge(self, parts):
+    def merge(self, parts, out=None, scratch=None):
         return merge_varlen_batches(parts)
 
     def slice(self, part, lo, hi):
         return part.slice(lo, hi)
 
-    def copy(self, part):
+    def copy(self, part, out=None):
         column = None if part._column is None else part._column.copy()
         return VarlenBatch(np.array(part.data), part.offsets.copy(), column)
 
@@ -1191,10 +1424,10 @@ class StringModel(RecordModel):
         return part.nbytes + len(part) * (part.max_key_len() + 1)
 
     # -- files
-    def read_blocks(self, store, path, block_ids, tag):
+    def read_blocks(self, store, path, block_ids, tag, out=None):
         return store.read_varlen_blocks(path, block_ids, tag)
 
-    def read_range(self, store, path, start, count, tag):
+    def read_range(self, store, path, start, count, tag, out=None):
         return store.read_varlen_range(path, start, count, tag)
 
     def fetch(self, store, path, start, count, tag):
@@ -1220,6 +1453,10 @@ class StringModel(RecordModel):
 
     def decode(self, buf):
         return lcp_decode_batch(buf)
+
+    def landing_slots(self, buffers, counts):
+        """None: a front-coded slice's size is not its record count's."""
+        return None
 
     def bytes_view(self, part):
         return part.bytes_view()

@@ -28,9 +28,10 @@ Three paths share this layout:
   as the raw payload (``FLAG_RAW``).  The send side pushes header, meta
   and the caller's buffer with one gather write (``sendmsg``), so record
   bytes are never copied into a concatenation; the receive side reads
-  the payload straight into a preallocated ``bytearray`` and reattaches
-  it as the tuple's last element (``np.frombuffer`` accepts it without a
-  copy).  Exchange traffic arrives one level down —
+  the payload straight into a preallocated ``bytearray`` — or into the
+  buffer its ``into`` callback names, an ``alltoall`` landing slot — and
+  reattaches it as the tuple's last element (``np.frombuffer`` accepts
+  it without a copy).  Exchange traffic arrives one level down —
   ``("__xch__", epoch, ("a2a", ..., buf))`` — so the splitter also peels
   a buffer that ends the message's *last nested tuple* and marks the
   frame ``FLAG_NESTED`` so the receive side reattaches it at the right
@@ -73,7 +74,7 @@ import pickle
 import socket
 import struct
 import zlib
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..native.comm_api import CommError, CommTimeout, message_epoch
 
@@ -325,11 +326,15 @@ def _recv_exact(
 
 def recv_frame(
     sock: socket.socket,
+    into: Optional[Callable[[int, int, int], Optional[memoryview]]] = None,
 ) -> Optional[Tuple[int, object, int, int, int]]:
     """Receive one frame: ``(kind, msg, epoch, fence, total_bytes)``.
 
     ``None`` means the peer closed the connection cleanly at a frame
-    boundary.  Any mid-frame EOF, bad magic, implausible length, CRC
+    boundary.  ``into(epoch, fence, payload_len)`` may name the buffer a
+    MSG frame's outer RAW payload is read into (``None``: a fresh
+    ``bytearray``); that buffer is what the message then carries, and
+    the CRC covers it as it would the fresh one.  Any mid-frame EOF, bad magic, implausible length, CRC
     mismatch, undecodable meta or epoch/tag disagreement raises
     :class:`CommError`; a receive timeout raises :class:`CommTimeout`.
     The composite fence — ``(job << 8) | epoch_byte``, see
@@ -364,9 +369,12 @@ def recv_frame(
     meta = bytearray(meta_len)
     _recv_exact(sock, memoryview(meta), "meta")
     want_crc = zlib.crc32(meta)
-    payload: Optional[bytearray] = None
+    payload = None
     if flags & FLAG_RAW:
-        payload = bytearray(payload_len)
+        if into is not None and kind == KIND_MSG and not flags & FLAG_NESTED:
+            payload = into(epoch, fence, payload_len)
+        if payload is None:
+            payload = bytearray(payload_len)
         _recv_exact(sock, memoryview(payload), "payload")
         want_crc = zlib.crc32(payload, want_crc)
     if want_crc != crc:

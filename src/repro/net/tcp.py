@@ -132,8 +132,14 @@ class TcpComm(MeshComm):
             # that sent a header and then stopped is wedged, and must
             # surface as CommTimeout, not block forever.
             sock.settimeout(self.timeout)
+
+            def into(epoch, fence, nbytes, peer=peer):
+                if fence != self.wire_fence:
+                    return None  # stale: drained into a fresh buffer
+                return self._landing_slot(peer, epoch, nbytes)
+
             try:
-                frame = recv_frame(sock)
+                frame = recv_frame(sock, into)
             except CommTimeout as exc:
                 raise CommTimeout(
                     f"rank {self.rank}: peer {peer} wedged mid-frame: {exc}"

@@ -20,8 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.native.comm import PipeComm
-from repro.native.comm_api import Comm, CommError, CommTimeout, MeshComm
+from repro.native.comm_api import (
+    Comm,
+    CommError,
+    CommTimeout,
+    MeshComm,
+    pack_fence,
+)
 from repro.native.shm import ShmComm, create_shm_mesh
+from repro.net.framing import KIND_MSG, send_frame
 from repro.net.tcp import TcpComm
 
 
@@ -223,6 +230,88 @@ def test_alltoall_delivers_one_part_per_peer_in_rank_order(mesh3):
         assert got == [bytes(parts[(src, rank)]) for src in range(3)]
         assert epochs == 1
         assert posted == ["__a2a__", "__a2a__", "__ag__", "__ag__"]
+
+
+def test_alltoall_into_lands_every_part_in_its_slot(mesh3):
+    """``into``: one buffer per rank, each the size of what that rank
+    sends here.  The parts land in them (read straight in on pipe and
+    tcp, copied on shm) and ``into`` itself comes back."""
+    big = bytes(range(256)) * (3 * 2**12)
+    parts = {
+        (0, 1): b"", (0, 2): memoryview(big),
+        (1, 0): b"\x01" * 300, (1, 2): memoryview(b"\x01\x02" * 700),
+        (2, 0): memoryview(bytearray(b"\x02\x00" * 300)), (2, 1): big,
+    }
+    for r in range(3):
+        parts[(r, r)] = bytes([r]) * 10
+
+    def body(c):
+        into = [bytearray(len(parts[(src, c.rank)])) for src in range(3)]
+        got = c.alltoall([parts[(c.rank, d)] for d in range(3)], into=into)
+        c.barrier()
+        return got is not into and all(g is i for g, i in zip(got, into)), into
+
+    for rank, (same, into) in enumerate(run_all(mesh3, body)):
+        assert same
+        assert [bytes(b) for b in into] == [
+            bytes(parts[(src, rank)]) for src in range(3)
+        ]
+
+
+def test_alltoall_into_rejects_a_part_of_the_wrong_size(mesh2):
+    """A part larger or smaller than its slot is a CommError on every
+    transport, never a truncated or half-filled slot."""
+    def body(c):
+        sends = [b"a" * 8, b"b" * 10] if c.rank == 0 else [b"c" * 6, b"d" * 8]
+        try:
+            c.alltoall(sends, into=[bytearray(8), bytearray(8)])
+        except CommError as exc:
+            return exc
+        return None
+
+    assert all(isinstance(err, CommError) for err in run_all(mesh2, body))
+
+
+def _stale_mesh(transport):
+    """A 2-rank mesh of restart attempt 1, plus a way to push a frame
+    of attempt 0 from rank 0 to rank 1."""
+    if transport == "pipe":
+        a, b = mp.Pipe(duplex=True)
+        comms = [PipeComm(0, 2, {1: a}, timeout=0.5, job_epoch=1),
+                 PipeComm(1, 2, {0: b}, timeout=0.5, job_epoch=1)]
+
+        def stale(msg, payload):
+            a.send((pack_fence(0, 0), msg, False))
+            a.send_bytes(payload)
+    else:
+        a, b = socket.socketpair()
+        comms = [TcpComm(0, 2, {1: a}, timeout=0.5, job_epoch=1),
+                 TcpComm(1, 2, {0: b}, timeout=0.5, job_epoch=1)]
+
+        def stale(msg, payload):
+            send_frame(a, KIND_MSG, msg + (memoryview(payload),),
+                       fence=pack_fence(0, 0))
+    return comms, stale
+
+
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+def test_stale_frame_never_lands_in_a_registered_slot(transport):
+    """A fenced-off frame of a dead attempt, tagged with the very epoch
+    whose slot is registered, is drained — the stream stays in step —
+    and leaves the slot untouched."""
+    comms, stale = _stale_mesh(transport)
+    try:
+        stale(("__a2a__", 1), b"\xff" * 8)
+        slot = bytearray(8)
+        with pytest.raises(CommTimeout):  # rank 0 never takes part
+            comms[1].alltoall([b"", b"own"], into=[slot, bytearray(3)])
+        assert slot == bytearray(8)
+        assert comms[1].fenced_drops == 1
+        comms[0].post(1, ("after", 0))
+        assert comms[1].recv_match(lambda p, m: m[0] == "after")[1] == ("after", 0)
+    finally:
+        for c in comms:
+            c.close()
 
 
 def test_alltoall_rejects_a_wrong_part_count(mesh2):

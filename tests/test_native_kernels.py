@@ -38,6 +38,7 @@ from repro.native.phases import (
 from repro.native.records import (
     NATIVE_DTYPE,
     RECORD_BYTES,
+    RecordBuffers,
     VarlenBatch,
     _packed_order,
     make_records,
@@ -272,6 +273,97 @@ def test_merge_record_arrays_takes_strided_and_read_only_parts():
     merged = merge_record_arrays([strided, frozen])
     both = np.concatenate([strided, frozen])
     assert np.array_equal(merged, _stable_reference(both))
+
+
+# ------------------------------------------- out= paths: the fixed buffers
+
+
+def _lands_in(result, out):
+    """``result`` is the front of ``out`` (a zero-length one included)."""
+    return result.ctypes.data == out.ctypes.data and len(result) <= len(out)
+
+
+def _sorted_parts(records, k=3):
+    return [sort_records(p) for p in np.array_split(records, k)]
+
+
+@pytest.mark.parametrize("name", sorted(_SORT_INPUTS))
+@pytest.mark.parametrize("scratch", [False, True], ids=["alloc", "scratch"])
+def test_sort_records_into_out_equals_the_allocating_path(name, scratch):
+    records = _SORT_INPUTS[name]
+    n = len(records)
+    bufs = RecordBuffers(n + 2) if scratch else None
+    out = np.empty(n + 2, dtype=NATIVE_DTYPE)
+
+    got = sort_records(records, out=out, scratch=bufs)
+
+    assert np.array_equal(got, sort_records(records))
+    assert _lands_in(got, out) and not np.shares_memory(got, records)
+    if n:
+        with pytest.raises(ValueError):
+            sort_records(records, out=np.empty(n - 1, dtype=NATIVE_DTYPE))
+
+
+@pytest.mark.parametrize("name", sorted(_SORT_INPUTS))
+@pytest.mark.parametrize("scratch", [False, True], ids=["alloc", "scratch"])
+def test_merge_record_arrays_into_out_equals_the_allocating_path(name, scratch):
+    parts = _sorted_parts(_SORT_INPUTS[name])
+    n = sum(len(p) for p in parts)
+    bufs = RecordBuffers(n) if scratch else None
+    out = np.empty(n, dtype=NATIVE_DTYPE)
+
+    got = merge_record_arrays(parts, out=out, scratch=bufs)
+
+    assert np.array_equal(got, merge_record_arrays(parts))
+    assert _lands_in(got, out)
+    assert not any(np.shares_memory(got, p) for p in parts)
+    if n:
+        with pytest.raises(ValueError):
+            merge_record_arrays(parts, out=out[: n - 1], scratch=bufs)
+
+
+def test_merge_takes_parts_already_in_place_without_copying():
+    """Parts that lie back to back at the front of the scratch's chunk —
+    an exchange's landing slots — are merged where they lie."""
+    parts = _sorted_parts(_SORT_INPUTS["random"], 4)
+    bufs = RecordBuffers(4000)
+    bounds = np.cumsum([0] + [len(p) for p in parts])
+    for p, a in zip(parts, bounds):
+        bufs.chunk[a : a + len(p)] = p
+    bufs.chunk.flags.writeable = False  # any copy into it would raise
+    slots = [bufs.chunk[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    got = merge_record_arrays(slots, out=bufs.piece, scratch=bufs)
+
+    assert np.array_equal(got, merge_record_arrays(parts))
+    assert _lands_in(got, bufs.piece)
+
+
+@pytest.mark.parametrize("name", sorted(_SORT_INPUTS))
+def test_block_reads_into_out_equal_the_allocating_path(tmp_path, name):
+    records = np.ascontiguousarray(_SORT_INPUTS[name])
+    path = str(tmp_path / "input.dat")
+    records.tofile(path)
+    store = FileBlockStore(str(tmp_path), rank=0, block_records=7)
+    n_blocks = -(-len(records) // 7)
+    ids = list(np.random.default_rng(1).permutation(n_blocks))
+    out = np.empty(len(records) + 5, dtype=NATIVE_DTYPE)
+
+    got = store.read_blocks(path, ids, "t", out=out)
+    assert np.array_equal(got, store.read_blocks(path, ids, "t"))
+    assert _lands_in(got, out) and not np.shares_memory(got, records)
+
+    start = len(records) // 3
+    got = store.read_range(path, start, 50, "t", out=out)
+    assert np.array_equal(got, store.read_range(path, start, 50, "t"))
+    assert _lands_in(got, out)
+
+    if len(records) > 1:
+        short = np.empty(len(records) - 1, dtype=NATIVE_DTYPE)
+        with pytest.raises(ValueError):
+            store.read_blocks(path, ids, "t", out=short)
+        with pytest.raises(ValueError):
+            store.read_range(path, 0, len(records), "t", out=short)
 
 
 # ------------------------------------------------------------ golden bytes

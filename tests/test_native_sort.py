@@ -5,9 +5,12 @@ it), but every configuration still crosses all four phases, multiple
 runs, and the full pipe mesh.
 """
 
+import hashlib
 import json
+import mmap
 import multiprocessing as mp
 import os
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +20,7 @@ import pytest
 from repro.core.config import ConfigError, SortConfig
 from repro.native import NativeJob, NativeSorter, NativeSortError, native_sort
 from repro.native.comm import PipeComm
-from repro.native.records import NATIVE_DTYPE
+from repro.native.records import NATIVE_DTYPE, generate_records
 from repro.native.worker import _run_phases
 from repro.workloads.gensort import record_keys
 from repro.workloads.validation import validate_output
@@ -360,6 +363,73 @@ def test_cli_native_json(tmp_path, capsys):
     for phase in ("run_formation", "selection", "all_to_all", "merge"):
         assert report["phases"][phase]["wall"] >= 0.0
         assert "io_bytes" in report["phases"][phase]
+
+
+def _oracle_sha(job):
+    """SHA-256 of the whole input sorted by key: every output's bytes in
+    rank order must hash the same (uniform keys never tie)."""
+    records = generate_records(0, job.total_records, seed=job.config.seed)
+    return hashlib.sha256(
+        records[np.argsort(records["key"], kind="stable")].tobytes()
+    ).hexdigest()
+
+
+def _output_sha(result):
+    digest = hashlib.sha256()
+    for rank in range(result.job.n_workers):
+        digest.update(result.output_records(rank).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "transport, write_behind",
+    [("pipe", 0), ("tcp", 0), ("pipe", 1)],
+    ids=["pipe", "tcp", "pipe-write-behind"],
+)
+def test_lagging_sender_never_sends_a_reused_buffer(
+    tmp_path, monkeypatch, transport, write_behind
+):
+    """Run formation's all-to-all returns while the sender thread still
+    holds views of the sorted buffer, and the next run sorts into that
+    same buffer.  Hold rank 0's sender back on every part it ships: only
+    the flush before the next sort keeps the next run's records out of
+    the parts still queued."""
+    from repro.native.comm_api import MeshComm
+
+    cls = PipeComm
+    if transport == "tcp":
+        from repro.net.tcp import TcpComm as cls
+    transmit = cls._transmit
+
+    def lagging(self: MeshComm, peer, msg):
+        if self.rank == 0 and msg[0] == "__a2a__":
+            time.sleep(0.05)
+        transmit(self, peer, msg)
+
+    monkeypatch.setattr(cls, "_transmit", lagging)
+    result = native_sort(
+        native_config(), n_workers=2, spill_dir=str(tmp_path), timeout=120,
+        transport=transport, pending_sends=1,
+        write_behind_blocks=write_behind,
+    )
+    assert result.stats.n_runs >= 4
+    assert result.validate().ok
+    assert _output_sha(result) == _oracle_sha(result.job)
+
+
+def test_run_formation_faults_at_most_once_per_input_page(tmp_path):
+    """The fixed buffer set: run formation's minor page faults stay below
+    one per page of a rank's input.  Fresh per-run arrays cost about
+    three, so a new per-run allocation of chunk size fails this."""
+    result = native_sort(
+        SortConfig(data_per_node_bytes=16 * 2**20, memory_bytes=2 * 2**20,
+                   block_bytes=16 * KiB, seed=42),
+        n_workers=2, spill_dir=str(tmp_path), timeout=120,
+    )
+    assert result.stats.n_runs >= 8
+    pages = result.job.records_per_worker * 16 // mmap.PAGESIZE
+    for worker in result.stats.to_dict()["per_worker"]:
+        assert worker["minor_faults"]["run_formation"] <= pages
 
 
 def test_cli_native_json_reports_minor_faults(tmp_path, capsys):
