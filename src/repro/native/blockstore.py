@@ -45,6 +45,7 @@ from .records import (
     NATIVE_DTYPE,
     RECORD_BYTES,
     VarlenBatch,
+    _destination,
     varlen_index_path,
 )
 
@@ -114,11 +115,7 @@ def _records_into(out: Optional[np.ndarray], n: int) -> np.ndarray:
     """A destination for ``n`` records: fresh, or the front of ``out``."""
     if out is None:
         return np.empty(n, dtype=NATIVE_DTYPE)
-    if out.dtype != NATIVE_DTYPE or out.ndim != 1 or not out.flags["C_CONTIGUOUS"]:
-        raise ValueError("out must be a contiguous 1-D record array")
-    if len(out) < n:
-        raise ValueError(f"out holds {len(out)} records, {n} are needed")
-    return out[:n]
+    return _destination(out, n)
 
 
 class FileBlockStore:

@@ -99,14 +99,21 @@ class NativeContext:
     #: Run formation holds each piece in memory when it writes it, so the
     #: merge's guide over the ranges that never leave the piece is free.
     piece_first_keys: List[list] = field(default_factory=list)
-    #: The fixed buffer set (:class:`~repro.native.records.RecordBuffers`,
-    #: ``chunk_records`` each) every run and every merge round reuses;
-    #: allocated once, on first use (:meth:`buffers`).
+    #: The fixed buffer set (:class:`~repro.native.records.RecordBuffers`)
+    #: every run and every merge round reuses; allocated once, on first
+    #: use (:meth:`buffers`).
     _buffers: Optional[RecordBuffers] = None
 
     def buffers(self) -> RecordBuffers:
+        """The fixed set, ``chunk_records`` each — or the rank's share of
+        the input when that is smaller: no run's read or piece and no
+        merge round holds more, and a small job with a large M must not
+        fault in M-sized buffers."""
         if self._buffers is None:
-            self._buffers = self.model.buffers(self.job.chunk_records)
+            job = self.job
+            self._buffers = self.model.buffers(
+                min(job.chunk_records, job.records_per_worker)
+            )
         return self._buffers
 
     @property
@@ -518,8 +525,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             if wb is not None:
                 # The writer owns the piece's buffer now.
                 bufs.release(piece)
-            # A copy, not a view: the piece must be free before the next
-            # run's chunk is read.
+            # encode_keys copies: the piece's buffer is reused next run.
             sample = model.encode_keys(model.keys(piece)[:: job.sample_every])
             first_keys = model.first_keys(piece, job.block_records)
             ctx.piece_first_keys.append(first_keys)
@@ -1143,6 +1149,11 @@ def merge(
             wanted: Dict[int, List[int]] = {}
             for idx in range(lo, hi):
                 wanted.setdefault(guide[idx][1], []).append(idx)
+            # Prefetched units are taken in guide order, the order the
+            # schedule was planned for, and placed run by run below.
+            fetched = {}
+            if prefetcher is not None:
+                fetched = {idx: prefetcher.get(idx) for idx in range(lo, hi)}
 
             bound = guide[hi] if hi < len(guide) else None
             parts, tails = [], []
@@ -1161,7 +1172,7 @@ def merge(
                 ids = wanted.get(r, [])
                 if prefetcher is not None:
                     for idx in ids:
-                        unit = prefetcher.get(idx)
+                        unit = fetched.pop(idx)
                         dest = _fit(stage, at, len(unit))
                         placed = placed and dest is not None
                         pieces.append(

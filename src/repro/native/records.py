@@ -183,15 +183,16 @@ _PROBE_WORDS = 1 << 15
 
 
 def _destination(out: np.ndarray, n: int, *inputs) -> np.ndarray:
-    """``out[:n]`` after checking ``out`` can take ``n`` records of the
-    inputs without aliasing any of them."""
-    if out.dtype != NATIVE_DTYPE or out.ndim != 1 or not out.flags["C_CONTIGUOUS"]:
+    """``out[:n]`` after checking ``out`` can take ``n`` records without
+    aliasing any of ``inputs``: the one contract of every ``out=``."""
+    if out.dtype != NATIVE_DTYPE or out.ndim != 1 or not out.flags.c_contiguous:
         raise ValueError("out must be a contiguous 1-D record array")
     if len(out) < n:
         raise ValueError(f"out holds {len(out)} records, {n} are needed")
     dest = out[:n]
-    if any(np.may_share_memory(dest, x) for x in inputs):
-        raise ValueError("out overlaps an input")
+    for x in inputs:
+        if np.may_share_memory(dest, x):
+            raise ValueError("out overlaps an input")
     return dest
 
 
@@ -1177,7 +1178,8 @@ class RecordModel:
       threads), ``write_file``, ``appender``, ``range_nbytes`` (the byte
       size of a record range);
     * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
-      a sorted key sequence, ``bytes_view`` of a part as written,
+      a sorted key sequence (``encode_keys`` never returns a view of its
+      input), ``bytes_view`` of a part as written,
       ``landing_slots`` (where an exchange's slices land, or ``None``);
     * journal — ``key_to_json``/``key_from_json`` a key (or ``None``) as
       the recovery manifest stores it;
@@ -1251,9 +1253,7 @@ class Fixed16Model(RecordModel):
     def copy(self, part, out=None):
         if out is None:
             return part.copy()
-        if len(out) < len(part):
-            raise ValueError(f"out holds {len(out)} records, {len(part)} are needed")
-        dest = out[: len(part)]
+        dest = _destination(out, len(part))
         _copy_records(dest, part)
         return dest
 
@@ -1323,7 +1323,9 @@ class Fixed16Model(RecordModel):
         return bytes_view(part)
 
     def encode_keys(self, keys, stats=None, phase=""):
-        return np.ascontiguousarray(keys, dtype=np.uint64)
+        # Always a copy: a one-key slice of a reused buffer is contiguous,
+        # and ascontiguousarray would hand back a view of it.
+        return np.array(keys, dtype=np.uint64)
 
     def decode_keys(self, wire):
         return np.asarray(wire)

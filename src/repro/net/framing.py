@@ -334,8 +334,9 @@ def recv_frame(
     boundary.  ``into(epoch, fence, payload_len)`` may name the buffer a
     MSG frame's outer RAW payload is read into (``None``: a fresh
     ``bytearray``); that buffer is what the message then carries, and
-    the CRC covers it as it would the fresh one.  Any mid-frame EOF, bad magic, implausible length, CRC
-    mismatch, undecodable meta or epoch/tag disagreement raises
+    the CRC covers it as it would the fresh one.  Any mid-frame EOF,
+    bad magic, implausible length, CRC mismatch, undecodable meta or
+    epoch/tag disagreement raises
     :class:`CommError`; a receive timeout raises :class:`CommTimeout`.
     The composite fence — ``(job << 8) | epoch_byte``, see
     :func:`~repro.native.comm_api.pack_fence` — is returned raw:

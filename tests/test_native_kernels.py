@@ -339,6 +339,19 @@ def test_merge_takes_parts_already_in_place_without_copying():
     assert _lands_in(got, bufs.piece)
 
 
+@pytest.mark.parametrize("every", [1, 3, 10**6])
+def test_fixed16_encode_keys_never_views_the_records(every):
+    """A piece's sample outlives its buffer, which the next run reuses:
+    encoded keys are a copy even when the slice holds one key (numpy
+    counts any one-element array as contiguous)."""
+    model = resolve_model("fixed16")
+    piece = sort_records(_SORT_INPUTS["random"])
+    for part in (piece, piece[:1]):
+        sample = model.encode_keys(model.keys(part)[::every])
+        assert not np.shares_memory(sample, part)
+        assert np.array_equal(sample, part["key"][::every])
+
+
 @pytest.mark.parametrize("name", sorted(_SORT_INPUTS))
 def test_block_reads_into_out_equal_the_allocating_path(tmp_path, name):
     records = np.ascontiguousarray(_SORT_INPUTS[name])

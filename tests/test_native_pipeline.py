@@ -274,6 +274,28 @@ def run_native(tmp_path, name, **knobs):
 
 
 @pytest.mark.parametrize("records", ["fixed16", "string"])
+def test_merge_takes_prefetched_units_in_schedule_order(tmp_path, records):
+    """A merge round of 24 units through a 4-unit prefetch pool: the
+    merge must take them in guide order, the order the schedule was
+    planned for, or the pool fills with units it does not want yet and
+    every further one is a direct read on the merge's thread."""
+    cfg = SortConfig(
+        data_per_node_bytes=512 * KiB,
+        memory_bytes=192 * KiB,
+        block_bytes=2 * KiB,
+        seed=42,
+    )
+    result = native_sort(
+        cfg, n_workers=2, spill_dir=str(tmp_path), timeout=120,
+        records=records, prefetch_blocks=4,
+    )
+    assert result.validate().ok
+    stats = result.stats
+    assert stats.counter_total("merge_prefetch_fetched") > 0
+    assert stats.counter_total("merge_prefetch_direct") == 0
+
+
+@pytest.mark.parametrize("records", ["fixed16", "string"])
 def test_pipelined_sort_is_bitwise_invisible(tmp_path, records):
     sync = run_native(tmp_path, "sync", records=records)
     pipe = run_native(

@@ -417,6 +417,37 @@ def test_lagging_sender_never_sends_a_reused_buffer(
     assert _output_sha(result) == _oracle_sha(result.job)
 
 
+def test_samples_sparser_than_a_piece_survive_the_next_run(
+    tmp_path, monkeypatch
+):
+    """With ``sample_every`` past a piece's length each piece's sample is
+    its first key alone.  It must be a copy: without write-behind the
+    next run's merge gathers into the same piece buffer, and the merge
+    phase's splits read the samples only after the last run.  Equal
+    pieces of uniform keys split right even from wrong samples, so the
+    selection also checks every own piece's sample against its file."""
+    from repro.native import phases
+
+    exact_splits = phases.exact_splits
+
+    def checked(comm, samples, lengths, sample_every, owner, window):
+        if len(samples) > comm.n_workers:  # the selection's R·P pieces
+            for j, sample in enumerate(samples):
+                if owner[j] == comm.rank:
+                    assert list(sample) == list(window(j, 0, 1)), j
+        return exact_splits(comm, samples, lengths, sample_every, owner,
+                            window)
+
+    monkeypatch.setattr(phases, "exact_splits", checked)
+    result = native_sort(
+        native_config(sample_every=4096), n_workers=2,
+        spill_dir=str(tmp_path), timeout=120, write_behind_blocks=0,
+    )
+    assert result.stats.n_runs >= 3
+    assert result.validate().ok
+    assert _output_sha(result) == _oracle_sha(result.job)
+
+
 def test_run_formation_faults_at_most_once_per_input_page(tmp_path):
     """The fixed buffer set: run formation's minor page faults stay below
     one per page of a rank's input.  Fresh per-run arrays cost about
