@@ -577,7 +577,10 @@ class VarlenAppender:
     The string model's counterpart of :class:`RecordAppender`: input
     generation and the merge emit batches as they go; the record-boundary
     offsets accumulate in memory and land in the ``.idx`` sidecar when
-    the file is complete.
+    the file is complete.  A batch in column form (what sorts and merges
+    make) is assembled into record bytes here, by its ``bytes_view``:
+    the one place run formation's pieces and the merge's output become
+    bytes.
     """
 
     def __init__(self, store: FileBlockStore, path: str, tag: str):

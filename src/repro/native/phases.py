@@ -210,6 +210,9 @@ TAG_RECOVERY = "recovery"
 
 def block_crcs(model: RecordModel, part, block_records: int) -> List[int]:
     """CRC-32 of each block of a part, over its bytes as written."""
+    # A string part in column form assembles its bytes here, once: the
+    # blocks below are then views of them.
+    model.bytes_view(part)
     return [
         zlib.crc32(model.bytes_view(model.slice(part, s, s + block_records)))
         for s in range(0, len(part), block_records)
@@ -416,25 +419,33 @@ def _distributed_sort_run(ctx: NativeContext, records):
     # Slice [positions[d][rank], positions[d+1][rank]) goes to rank d as
     # one message.  Fixed16 wires are views of ``records``; the sender
     # thread holds them until they are on the wire, so the caller
-    # flushes before it sorts into that buffer again.
+    # flushes before it sorts into that buffer again.  Without landing
+    # slots the own slice never takes the wire form: it is delivered,
+    # and merged, as the part it is (strings skip the LCP codec).
+    counts = [positions[rank + 1][d] - positions[rank][d] for d in range(n_workers)]
+    slots = model.landing_slots(bufs, counts)
+    own = model.slice(records, positions[rank][rank], positions[rank + 1][rank])
     wires = [
-        model.encode(
+        own if d == rank and slots is None else model.encode(
             model.slice(records, positions[d][rank], positions[d + 1][rank]),
             ctx.stats, "rf_xchg",
         )
         for d in range(n_workers)
     ]
-    counts = [positions[rank + 1][d] - positions[rank][d] for d in range(n_workers)]
-    received = comm.alltoall(wires, into=model.landing_slots(bufs, counts))
+    received = comm.alltoall(wires, into=slots)
+    peers = [d for d in range(n_workers) if d != rank]
     ctx.stats.note_resident(
-        bufs.nbytes + _outside(bufs, model, [records], wires + [
-            buf for d, buf in enumerate(received) if d != rank
+        bufs.nbytes + _outside(bufs, model, [records], [
+            buf for d in peers for buf in (wires[d], received[d])
         ])
     )
     del records, keys, wires
 
-    parts = [model.decode(buf) for buf in received]
-    del received
+    parts = [
+        own if d == rank and slots is None else model.decode(buf)
+        for d, buf in enumerate(received)
+    ]
+    del received, own
     merged = model.merge(parts, out=_fit(bufs.piece, 0, sum(counts)), scratch=bufs)
     ctx.stats.note_resident(bufs.nbytes + 2 * _outside(bufs, model, [merged]))
     ctx.stats.add_counter("internal_sort_sent_records", sum(

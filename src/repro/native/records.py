@@ -474,10 +474,13 @@ def keys_of(records: np.ndarray) -> np.ndarray:
 # conformance permutation and round-trip checks carry over unchanged.
 #
 # In memory a batch also holds its keys as one *column*: a NUL-padded
-# fixed-width ``np.dtype(f"S{w}")`` array, w = max key length + 1.  The
-# same NUL-freeness makes numpy's order on that column the byte order of
-# the keys, so sorting, merging, cutting and LCP coding a batch are
-# whole-column numpy operations, never loops over Python ``bytes``.
+# fixed-width ``np.dtype(f"S{w}")`` array, w the multiple of 8 past the
+# longest key.  The same NUL-freeness makes the order of that column the
+# byte order of the keys, so sorting, merging, cutting and LCP coding a
+# batch are whole-column numpy operations, never loops over Python
+# ``bytes``.  A batch that a kernel made (sort, merge, LCP decode) holds
+# only columns — keys, key lengths, payloads — and assembles its record
+# bytes once, when they leave memory (:meth:`VarlenBatch.bytes_view`).
 # ---------------------------------------------------------------------------
 
 #: Bytes of the per-record length prefix (u32 key length).
@@ -493,9 +496,16 @@ _U64_MASK = (1 << 64) - 1
 
 _U32 = struct.Struct("<I")
 
-#: Bytes of rows one step of the column build and of ``take`` handles:
-#: their gathers and masks stay this small however large the batch.
+#: Rows the record/column conversions handle at a time: their
+#: temporaries are a few ``u64`` vectors this long, however large the
+#: batch and however long its keys.
+_BLOCK_ROWS = 1 << 13
+
+#: Bytes of key column :meth:`VarlenBatch.keys` decodes at a time.
 _BLOCK_BYTES = 1 << 16
+
+#: ``_BYTE_MASKS[k]``: the ``u64`` that keeps the low (first) k bytes.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _prefix_mask(lengths: np.ndarray, width: int) -> np.ndarray:
@@ -516,12 +526,6 @@ def _suffix_mask(lcp: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray
     return mask
 
 
-def _row_blocks(n: int, width: int) -> Iterable[Tuple[int, int]]:
-    """``(lo, hi)`` row ranges of about :data:`_BLOCK_BYTES` each."""
-    step = max(1, _BLOCK_BYTES // max(1, width))
-    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
-
-
 def _windows(data: np.ndarray, width: int) -> np.ndarray:
     """Every ``width``-byte window of the contiguous ``data`` as one view:
     row i is ``data[i : i + width]``, and writes go through to ``data``."""
@@ -529,37 +533,98 @@ def _windows(data: np.ndarray, width: int) -> np.ndarray:
                       buffer=data, strides=(1, 1))
 
 
-def _rows(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """``data[s : s + width]`` for every ``s`` in ``starts`` as one
-    ``(n, width)`` gather; bytes past the end of ``data`` read as NUL."""
-    n = len(starts)
-    if not n:
-        return np.zeros((0, width), dtype=np.uint8)
-    over = starts > data.nbytes - width
-    if not over.any():
-        return _windows(data, width)[starts]
-    # Windows that run past the end (the last few records) come from a
-    # NUL-padded copy of the data's tail, less than two rows long.
-    base = int(starts[over].min())
-    tail = np.zeros(data.nbytes - base + width, dtype=np.uint8)
-    tail[: data.nbytes - base] = data[base:]
-    rows = np.empty((n, width), dtype=np.uint8)
-    if not over.all():
-        rows[~over] = _windows(data, width)[starts[~over]]
-    rows[over] = _windows(tail, width)[starts[over] - base]
+# Record bytes and key columns convert into each other a ``u64`` word at
+# a time, one word position of every key per numpy operation: a key at
+# an arbitrary byte offset is read as two aligned stream words shifted
+# together, and written as one word shifted across two.  Words are
+# little-endian: a byte's place in the stream is its place in the word.
+
+
+def _stream_words(data: np.ndarray, slack: int) -> np.ndarray:
+    """The bytes of ``data`` as ``u64`` words, NUL-padded, plus ``slack``
+    zero words: any word read at a byte inside ``data`` is in range."""
+    words = np.zeros(-(-data.nbytes // 8) + slack, dtype=np.uint64)
+    words.view(np.uint8)[: data.nbytes] = data
+    return words
+
+
+def _shifts(at: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(word, bits, 64 - bits)`` of the byte offsets ``at``: the stream
+    word each lies in and its bit offset there."""
+    bits = ((at & 7) * 8).astype(np.uint64)
+    return at >> 3, bits, 64 - bits
+
+
+def _row_blocks(n: int, step: int) -> Iterable[Tuple[int, int]]:
+    """``(lo, hi)`` ranges of ``step`` of the n rows each."""
+    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
+
+
+def _narrowed(rows, reach: np.ndarray, *per_row: np.ndarray) -> list:
+    """``rows`` (a slice or row indices) and the ``per_row`` arrays, cut
+    to the rows ``reach`` marks."""
+    if isinstance(rows, slice):
+        rows = np.arange(rows.start, rows.stop)
+    return [x[reach] for x in (rows, *per_row)]
+
+
+def _read_columns(
+    data: np.ndarray, key_at: np.ndarray, lengths: np.ndarray,
+    payload_at: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The key column of the keys at bytes ``key_at[i]`` of ``data``,
+    ``lengths[i]`` bytes each — ``S{w}``, w the multiple of 8 past the
+    longest, every key NUL-padded — and the ``u64`` at each byte of
+    ``payload_at`` (None without it).  Once fewer than half the keys
+    reach a word, only those are read on: a few long keys cost their own
+    bytes, not every key's padding."""
+    n = len(lengths)
+    count = (int(lengths.max()) if n else 0) // 8 + 1
+    words = np.zeros((n, count), dtype=np.uint64)
+    payloads = None if payload_at is None else np.empty(n, dtype=np.uint64)
+    for lo, hi in _row_blocks(n, _BLOCK_ROWS):
+        base = int(key_at[lo])
+        end = int(key_at[hi - 1] + lengths[hi - 1])
+        if payload_at is not None:
+            end = max(end, int(payload_at[hi - 1]) + VARLEN_PAYLOAD_BYTES)
+        stream = _stream_words(data[base:end], count + 1)
+        first, bits, anti = _shifts(key_at[lo:hi] - base)
+        sizes = lengths[lo:hi]
+        rows = slice(lo, hi)
+        low = stream[first]
+        for j in range(count):
+            reach = sizes > 8 * j
+            if 2 * np.count_nonzero(reach) < len(sizes):
+                rows, first, bits, anti, sizes, low = _narrowed(
+                    rows, reach, first, bits, anti, sizes, low)
+                if not len(sizes):
+                    break
+            high = stream[j + 1 :][first]
+            word = low >> bits
+            word |= high << anti
+            if 8 * (j + 1) > int(sizes.min()):
+                # Keep the bytes of the key, not what follows it.
+                word &= _BYTE_MASKS[np.clip(sizes - 8 * j, 0, 8)]
+            words[:, j][rows] = word
+            low = high
+        if payloads is not None:
+            first, bits, anti = _shifts(payload_at[lo:hi] - base)
+            payloads[lo:hi] = stream[first] >> bits
+            payloads[lo:hi] |= stream[first + 1] << anti
+    return words.view(f"S{8 * count}").ravel(), payloads
+
+
+def _byte_rows(column: np.ndarray) -> np.ndarray:
+    """The ``S{w}`` column as ``(n, 8·ceil(w/8))`` bytes, NUL-padded (a
+    view when w is a multiple of 8)."""
+    column = np.ascontiguousarray(column)
+    n, width = len(column), column.dtype.itemsize
+    rows = column.view(np.uint8).reshape(n, width)
+    if width % 8:
+        padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+        padded[:, :width] = rows
+        rows = padded
     return rows
-
-
-def _key_column(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The NUL-padded ``S{w}`` key column of the records in ``data``."""
-    lengths = np.diff(offsets) - _RECORD_OVERHEAD
-    width = int(lengths.max()) + 1 if len(lengths) else 1
-    starts = offsets[:-1] + VARLEN_HEADER_BYTES
-    column = np.empty((len(lengths), width), dtype=np.uint8)
-    for lo, hi in _row_blocks(len(lengths), width):
-        rows = _rows(data, starts[lo:hi], width)
-        np.multiply(rows, _prefix_mask(lengths[lo:hi], width), out=column[lo:hi])
-    return column.view(f"S{width}").ravel()
 
 
 def _joined_keys(keys: Sequence[bytes]) -> bytes:
@@ -576,57 +641,170 @@ def _joined_keys(keys: Sequence[bytes]) -> bytes:
     return joined
 
 
+def _place(stream: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """OR the ``u64`` ``values`` into the word ``stream`` at the byte
+    offsets ``at`` (no two of them in one word)."""
+    word, bits, anti = _shifts(at)
+    stream[word] |= values << bits
+    stream[word + 1] |= values >> anti
+
+
 def _assemble(
-    keys: np.ndarray, lengths: np.ndarray, payloads: np.ndarray
+    column: np.ndarray, lengths: np.ndarray, payloads: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Records from the concatenated key bytes, the key lengths and the
-    payloads: ``(data, offsets)``.  Headers and payloads are placed with
-    one fixed-width scatter each, the key bytes with one masked copy."""
+    """Records from the key column, the key lengths and the payloads:
+    ``(data, offsets)``.
+
+    Each key's words are shifted to its offset and stored into a zeroed
+    word stream, only the words that hold key bytes: no two keys share a
+    word (a payload and a header, 12 bytes, lie between them), so every
+    store lands once, in any order.  The headers and payloads are then
+    ORed into the bytes left NUL for them, after all the keys: a key's
+    first word may hold the previous record's payload.
+    """
     n = len(lengths)
-    if len(payloads) != n:
-        raise ValueError(f"{n} keys vs {len(payloads)} payloads")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths + _RECORD_OVERHEAD, out=offsets[1:])
-    data = np.empty(int(offsets[-1]), dtype=np.uint8)
-    if n:
-        is_key = np.ones(len(data), dtype=bool)
-        for width, at, values in (
-            (VARLEN_HEADER_BYTES, offsets[:-1], lengths.astype("<u4")),
-            (VARLEN_PAYLOAD_BYTES, offsets[1:] - VARLEN_PAYLOAD_BYTES,
-             payloads.astype("<u8")),
-        ):
-            _windows(data, width)[at] = values.view(np.uint8).reshape(n, width)
-            _windows(is_key.view(np.uint8), width)[at] = 0
-        data[is_key] = keys
-    return data, offsets
+    if not n:
+        return np.empty(0, dtype=np.uint8), offsets
+    keys = _byte_rows(column).view("<u8")
+    count = keys.shape[1]
+    stream = np.zeros(-(-int(offsets[-1]) // 8) + 1, dtype=np.uint64)
+    blocks = list(_row_blocks(n, _BLOCK_ROWS))
+    for lo, hi in blocks:
+        at = offsets[lo:hi] + VARLEN_HEADER_BYTES
+        first, bits, anti = _shifts(at)
+        # How many words of its offset's grid a key has bytes in.
+        spans = ((at & 7) + lengths[lo:hi] + 7) >> 3
+        for j in range(count + 1):
+            reach = spans > j
+            if reach.all():
+                rows, word_at, up, down = slice(lo, hi), first, bits, anti
+            else:
+                some = np.flatnonzero(reach)
+                if not len(some):
+                    break
+                rows, word_at, up, down = (
+                    lo + some, first[some], bits[some], anti[some])
+            word = keys[:, j][rows] << up if j < count else (
+                keys[:, j - 1][rows] >> down)
+            if 0 < j < count:
+                word |= keys[:, j - 1][rows] >> down
+            stream[j:][word_at] = word
+    payloads = np.asarray(payloads, dtype=np.uint64)
+    for lo, hi in blocks:
+        _place(stream, offsets[lo:hi], lengths[lo:hi].astype(np.uint64))
+        _place(stream, offsets[lo + 1 : hi + 1] - VARLEN_PAYLOAD_BYTES,
+               payloads[lo:hi])
+    return stream.view(np.uint8)[: offsets[-1]], offsets
+
+
+def _column_words(column: np.ndarray) -> Callable[..., np.ndarray]:
+    """``word(j, rows=None)``: the big-endian 8-byte word ``j`` of every
+    key of the ``S{w}`` column (of ``rows`` only, when given) as native
+    ``u64`` — the numeric order of the words is the byte order."""
+    words = _byte_rows(column).view(">u8")
+
+    def word(j: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        column = words[:, j]
+        return (column if rows is None else column[rows]).astype(np.uint64)
+
+    return word
+
+
+def _words_ascend(word, n_words: int, first: np.ndarray) -> bool:
+    """Whether keys whose first words are ``first`` (never descending)
+    never descend in their later words either: the column is sorted."""
+    open_pairs = first[1:] == first[:-1]
+    for j in range(1, n_words):
+        if not open_pairs.any():
+            break
+        w = word(j)
+        if np.any((w[1:] < w[:-1]) & open_pairs):
+            return False
+        open_pairs &= w[1:] == w[:-1]
+    return True
+
+
+def _column_order(column: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of an ``S{w}`` key column, from
+    :func:`_packed_order` over its big-endian 8-byte words (MSD).
+
+    Pass 1 orders every key by its first word.  Each later pass takes the
+    groups still tied on all words so far and orders their members by
+    (group, next word): one stable packed sort by the word, one by the
+    group number.  It stops when the words run out or no group has two
+    members.  NUL padding orders keys as bytes because keys are NUL-free,
+    and equal words keep position order, so ties come out in (key,
+    position) order.  A pass whose members already ascend in their words
+    inside every group sorts nothing, and a column already sorted (all
+    keys equal, say) is found by comparing neighbours' words alone.
+    """
+    n = len(column)
+    n_words = -(-column.dtype.itemsize // 8)
+    word = _column_words(column)
+    first_word = word(0)
+    order = np.arange(n)
+    ascending = n < 2 or _ascending(first_word, None)
+    if ascending and _words_ascend(word, n_words, first_word):
+        return order
+    if not ascending:
+        order = _packed_order(first_word)
+        first_word = first_word[order]
+    tied = first_word[1:] == first_word[:-1]
+    slots = _tie_slots(tied)
+    first = np.ones(len(slots), dtype=bool)
+    first[1:] = ~tied[slots[1:] - 1]
+    for j in range(1, n_words):
+        if not len(slots):
+            break
+        members = order[slots]
+        w = word(j, members)
+        # Members ascend in position inside each group, so where the word
+        # never descends inside a group the order stands as it is.
+        descends = w[1:] < w[:-1]
+        descends &= ~first[1:]
+        if descends.any():
+            by_word = _packed_order(w)
+            group = np.cumsum(first, dtype=np.uint64)
+            perm = by_word[_packed_order(group[by_word])]
+            order[slots] = members[perm]
+            w = w[perm]
+        tied = w[1:] == w[:-1]
+        tied &= ~first[1:]
+        keep = _tie_slots(tied)
+        slots = slots[keep]
+        first = np.ones(len(keep), dtype=bool)
+        first[1:] = ~tied[keep[1:] - 1]
+    return order
 
 
 class VarlenBatch:
-    """A contiguous batch of length-prefixed variable records.
+    """A batch of length-prefixed variable records.
 
-    Backed by one ``uint8`` data array plus an ``int64`` offset array of
-    ``n + 1`` record-boundary byte offsets (``offsets[0] == 0``,
-    ``offsets[-1] == data.nbytes``) — the varlen analogue of a
-    structured record array.  ``bytes_view`` stays zero-copy, and
-    ``slice`` is a view of the data (only the small offset vector is
-    rebased), so the exchange hot path keeps the no-intermediate-copy
-    property of the fixed model.
+    Two forms, either or both present:
 
-    ``column`` is the NUL-padded ``S{w}`` key column: one vectorised
-    gather builds it the first time a kernel asks, and ``slice``,
-    ``take``, ``concat`` and the merge carry it along instead of
-    building it again.  It costs n·w bytes beside the data.
+    * bytes — one ``uint8`` data array plus an ``int64`` offset array of
+      ``n + 1`` record-boundary byte offsets (``offsets[0] == 0``,
+      ``offsets[-1] == data.nbytes``), the varlen analogue of a structured
+      record array: what reads, parsing and the constructor give;
+    * columns — the NUL-padded ``S{w}`` key ``column``, the ``int64`` key
+      ``lengths`` and the ``u64`` ``payloads()``: what a kernel makes
+      (:meth:`take`, so sorts and merges, and LCP decoding).
+
+    Each form is derived from the other on first use and kept: the
+    column with one vectorised gather of the data, the bytes with one
+    assembly of the columns (:meth:`bytes_view`, at a file or journal
+    write).  ``slice`` keeps views of whichever parts are present, and
+    ``take``, ``concat`` and the merge carry columns, never record bytes,
+    so sort → exchange → merge assembles each record once.  The column
+    costs n·w bytes beside the data.
     """
 
-    __slots__ = ("data", "offsets", "_mv", "_column")
+    __slots__ = ("_data", "_offsets", "_column", "_lengths", "_payloads")
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        offsets: np.ndarray,
-        column: Optional[np.ndarray] = None,
-    ):
-        data = np.asarray(data, dtype=np.uint8)
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        data = np.ascontiguousarray(data, dtype=np.uint8)
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0:
             raise ValueError("offsets must be 1-D with offsets[0] == 0")
@@ -639,46 +817,72 @@ class VarlenBatch:
                 f"offsets end at {int(offsets[-1])} but data holds "
                 f"{data.nbytes} bytes"
             )
-        self.data = data
-        self.offsets = offsets
-        self._mv = memoryview(np.ascontiguousarray(data)).cast("B")
-        self._column = column
+        self._data = data
+        self._offsets = offsets
+        self._column = None
+        self._lengths = None
+        self._payloads = None
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def from_columns(
+        cls, column: np.ndarray, lengths: np.ndarray, payloads: np.ndarray
+    ) -> "VarlenBatch":
+        """A batch of the keys in ``column`` (``lengths`` bytes each) and
+        the ``payloads``, in column form: no record bytes until asked."""
+        if not len(column) == len(lengths) == len(payloads):
+            raise ValueError(
+                f"{len(column)} keys, {len(lengths)} lengths and "
+                f"{len(payloads)} payloads"
+            )
+        batch = cls.__new__(cls)
+        batch._data = batch._offsets = None
+        batch._column = column
+        batch._lengths = np.asarray(lengths, dtype=np.int64)
+        batch._payloads = np.asarray(payloads, dtype=np.uint64)
+        return batch
 
     @classmethod
     def build(
         cls, keys: Sequence[bytes], payloads: Iterable[int]
     ) -> "VarlenBatch":
         """Encode parallel key/payload sequences into a batch."""
-        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        n = len(keys)
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=n)
         key_bytes = np.frombuffer(_joined_keys(keys), dtype=np.uint8)
         if not isinstance(payloads, np.ndarray):
-            payloads = np.fromiter(payloads, dtype=np.uint64, count=len(lengths))
-        return cls(*_assemble(key_bytes, lengths, payloads))
+            payloads = np.fromiter(payloads, dtype=np.uint64, count=n)
+        starts = np.zeros(n, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        column, _none = _read_columns(key_bytes, starts, lengths)
+        return cls.from_columns(column, lengths, payloads)
 
     @classmethod
     def empty(cls) -> "VarlenBatch":
-        return cls(np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64),
-                   np.empty(0, dtype="S1"))
+        return cls.from_columns(np.empty(0, dtype="S8"), [], [])
 
     @classmethod
     def concat(cls, parts: Sequence["VarlenBatch"]) -> "VarlenBatch":
-        """Concatenate batches in list order (no reordering)."""
+        """Concatenate batches in list order (no reordering): their
+        columns when every part has its column, else their bytes."""
         parts = [p for p in parts if len(p)]
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
+        if all(p._column is not None for p in parts):
+            # Widths may differ: numpy pads the narrower parts with NUL.
+            return cls.from_columns(
+                np.concatenate([p._column for p in parts]),
+                np.concatenate([p.lengths for p in parts]),
+                np.concatenate([p.payloads() for p in parts]),
+            )
         data = np.concatenate([p.data for p in parts])
         sizes = np.concatenate([np.diff(p.offsets) for p in parts])
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        column = None
-        if all(p._column is not None for p in parts):
-            # Widths may differ: numpy pads the narrower parts with NUL.
-            column = np.concatenate([p._column for p in parts])
-        return cls(data, offsets, column)
+        return cls(data, offsets)
 
     @classmethod
     def from_bytes(cls, buf) -> "VarlenBatch":
@@ -706,27 +910,54 @@ class VarlenBatch:
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        if self._offsets is not None:
+            return len(self._offsets) - 1
+        return len(self._lengths)
 
     @property
     def nbytes(self) -> int:
         return int(self.offsets[-1])
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """The ``n + 1`` record-boundary byte offsets (from the key
+        lengths in column form; no record bytes needed)."""
+        if self._offsets is None:
+            offsets = np.zeros(len(self._lengths) + 1, dtype=np.int64)
+            np.cumsum(self._lengths + _RECORD_OVERHEAD, out=offsets[1:])
+            self._offsets = offsets
+        return self._offsets
+
+    @property
+    def data(self) -> np.ndarray:
+        """The record bytes, assembled from the columns on first use."""
+        if self._data is None:
+            data, offsets = _assemble(
+                self._column, self._lengths, self._payloads
+            )
+            # Offsets first: a thread that sees the data sees its bounds.
+            self._offsets = offsets
+            self._data = data
+        return self._data
+
     def bytes_view(self) -> memoryview:
-        """Zero-copy byte view of the whole batch (wire/disk form)."""
-        return self._mv[: self.nbytes]
+        """Byte view of the whole batch (wire/disk form): zero-copy in
+        byte form, one assembly of the columns otherwise."""
+        return memoryview(self.data)
 
     @property
     def column(self) -> np.ndarray:
         """The NUL-padded ``S{w}`` key column (built on first use)."""
         if self._column is None:
-            self._column = _key_column(self.data, self.offsets)
+            self._unpack()
         return self._column
 
     @property
     def lengths(self) -> np.ndarray:
         """The key lengths, ``int64``."""
-        return np.diff(self.offsets) - _RECORD_OVERHEAD
+        if self._lengths is None:
+            self._lengths = np.diff(self._offsets) - _RECORD_OVERHEAD
+        return self._lengths
 
     def key_at(self, i: int) -> bytes:
         return bytes(self.column[i])
@@ -738,16 +969,26 @@ class VarlenBatch:
         them."""
         if self._column is not None:
             return self._column.tolist()
-        step = max(1, _BLOCK_BYTES // (self.max_key_len() + 1))
         keys: List[bytes] = []
-        for lo in range(0, len(self), step):
-            keys += _key_column(self.data, self.offsets[lo : lo + step + 1]).tolist()
+        step = max(1, _BLOCK_BYTES // (self.max_key_len() + 1))
+        for lo, hi in _row_blocks(len(self), step):
+            keys += self.slice(lo, hi).column.tolist()
         return keys
 
     def payloads(self) -> np.ndarray:
         """The ``u64`` payload column."""
-        ends = self.offsets[1:] - VARLEN_PAYLOAD_BYTES
-        return _rows(self.data, ends, VARLEN_PAYLOAD_BYTES).view("<u8").ravel()
+        if self._payloads is None:
+            self._unpack()
+        return self._payloads
+
+    def _unpack(self) -> None:
+        """Derive the key column and the payloads from the record bytes."""
+        offsets = self._offsets
+        self._column, self._payloads = _read_columns(
+            self._data, offsets[:-1] + VARLEN_HEADER_BYTES,
+            np.diff(offsets) - _RECORD_OVERHEAD,
+            offsets[1:] - VARLEN_PAYLOAD_BYTES,
+        )
 
     def max_key_len(self) -> int:
         return int(self.lengths.max()) if len(self) else 0
@@ -755,39 +996,38 @@ class VarlenBatch:
     # -- slicing / reordering ---------------------------------------------
 
     def slice(self, start: int, stop: int) -> "VarlenBatch":
-        """Records ``start .. stop-1`` as a zero-copy view of the data."""
+        """Records ``start .. stop-1``: views of the data and of every
+        column present (only the small offset vector is rebased)."""
         n = len(self)
         start = max(0, min(start, n))
         stop = max(start, min(stop, n))
-        lo = int(self.offsets[start])
-        hi = int(self.offsets[stop])
-        column = None if self._column is None else self._column[start:stop]
-        return VarlenBatch(
-            self.data[lo:hi], self.offsets[start : stop + 1] - lo, column
-        )
+        part = VarlenBatch.__new__(VarlenBatch)
+        part._data = part._offsets = None
+        if self._offsets is not None:
+            lo = int(self._offsets[start])
+            part._offsets = self._offsets[start : stop + 1] - lo
+            if self._data is not None:
+                part._data = self._data[lo : int(self._offsets[stop])]
+        for name in ("_column", "_lengths", "_payloads"):
+            whole = getattr(self, name)
+            setattr(part, name, None if whole is None else whole[start:stop])
+        return part
 
     def take(self, order: Sequence[int]) -> "VarlenBatch":
-        """A new batch with records permuted into ``order``: every record
-        gathered as a row as wide as the widest, masked to its size."""
+        """A new batch, in column form, with the records permuted into
+        ``order``: a gather of the key column, lengths and payloads."""
         order = np.asarray(order, dtype=np.intp)
-        sizes = np.diff(self.offsets)[order]
-        starts = self.offsets[:-1][order]
-        offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        data = np.empty(int(offsets[-1]), dtype=np.uint8)
-        width = int(sizes.max()) if len(order) else 0
-        for lo, hi in _row_blocks(len(order), width):
-            rows = _rows(self.data, starts[lo:hi], width)
-            data[offsets[lo] : offsets[hi]] = rows[
-                _prefix_mask(sizes[lo:hi], width)
-            ]
-        column = None if self._column is None else self._column[order]
-        return VarlenBatch(data, offsets, column)
+        return VarlenBatch.from_columns(
+            self.column[order], self.lengths[order], self.payloads()[order]
+        )
 
     def sort(self) -> "VarlenBatch":
-        """Byte-lexicographic key sort, stable in input position: one
-        stable argsort of the key column and one gather."""
-        return self.take(np.argsort(self.column, kind="stable"))
+        """Byte-lexicographic key sort, stable in input position: the
+        packed-word order of the key column (:func:`_column_order`) and
+        one gather of the columns."""
+        if len(self) < 2:
+            return self
+        return self.take(_column_order(self.column))
 
 
 def make_varlen_batch(
@@ -807,7 +1047,8 @@ def merge_varlen_batches(parts: List[VarlenBatch]) -> VarlenBatch:
 
     Same concatenate-then-stable-sort strategy (and the same canonical
     (key, sequence, position) tie-break realization) as
-    :func:`merge_record_arrays`, on the concatenated key column.
+    :func:`merge_record_arrays`: the packed-word order of the
+    concatenated key column, gathered in column form.
     """
     parts = [p for p in parts if len(p)]
     if len(parts) == 1:
@@ -903,7 +1144,9 @@ def _lcp_decode(buf, with_payloads: bool):
     suffixes = np.frombuffer(mv, dtype=np.uint8, count=n_suffix, offset=head)
     if np.count_nonzero(suffixes) != n_suffix:
         raise ValueError("lcp block: NUL byte in a key")
-    width = int(lengths.max()) + 1 if n else 1
+    # A multiple of 8 wide, as every key column: the packed order and the
+    # record assembly read it a word at a time without padding it first.
+    width = (int(lengths.max()) if n else 0) // 8 * 8 + 8
     rows = np.zeros((n, width), dtype=np.uint8)
     rows[_suffix_mask(lcp, lengths, width)] = suffixes
     # Column j: a key with lcp > j holds the byte of the key above it.  A
@@ -935,7 +1178,10 @@ def lcp_encode_keys(keys) -> Tuple[bytes, int]:
         keys = list(keys)
         _joined_keys(keys)
         keys = np.array(keys, dtype=f"S{max(map(len, keys), default=0) + 1}")
-    return _lcp_encode(keys, np.char.str_len(keys).astype(np.int64))
+    column = np.ascontiguousarray(keys)
+    rows = column.view(np.uint8).reshape(len(column), column.dtype.itemsize)
+    # Keys are NUL-free: a key's length is its row's non-NUL byte count.
+    return _lcp_encode(column, np.count_nonzero(rows, axis=1).astype(np.int64))
 
 
 def lcp_decode_keys(buf) -> List[bytes]:
@@ -957,16 +1203,16 @@ def lcp_encode_batch(batch: VarlenBatch) -> Tuple[bytes, int]:
 
 
 def lcp_decode_batch(buf) -> VarlenBatch:
-    """Decode :func:`lcp_encode_batch` output (with its key column).
+    """Decode :func:`lcp_encode_batch` output into a column-form batch.
+
+    The record bytes are assembled only if the batch is written.
 
     Malformed input raises ``ValueError``.
     """
     rows, lengths, payloads = _lcp_decode(buf, with_payloads=True)
-    width = rows.shape[1]
-    data, offsets = _assemble(
-        rows[_prefix_mask(lengths, width)], lengths, payloads
+    return VarlenBatch.from_columns(
+        rows.view(f"S{rows.shape[1]}").ravel(), lengths, payloads
     )
-    return VarlenBatch(data, offsets, rows.view(f"S{width}").ravel())
 
 
 # -- string workload + checksum ---------------------------------------------
@@ -1396,8 +1642,11 @@ class StringModel(RecordModel):
         return part.slice(lo, hi)
 
     def copy(self, part, out=None):
-        column = None if part._column is None else part._column.copy()
-        return VarlenBatch(np.array(part.data), part.offsets.copy(), column)
+        dup = VarlenBatch.__new__(VarlenBatch)
+        for name in VarlenBatch.__slots__:
+            value = getattr(part, name)
+            setattr(dup, name, None if value is None else value.copy())
+        return dup
 
     def keys(self, part):
         return part.column

@@ -531,10 +531,22 @@ def _run_recovery_case(
     return verdict
 
 
+def _case_input_bytes(records: str, n_per_rank: int = 512) -> int:
+    """Bytes of rank 0's input in a :func:`run_chaos_case` job (its
+    default size and seed) under the record model ``records``."""
+    from ..native.records import resolve_model
+
+    return resolve_model(records).generate(0, n_per_rank, 7, False).nbytes
+
+
 def sweep_specs(
-    points=None, pipelined: bool = False, recover: bool = False
+    points=None, pipelined: bool = False, recover: bool = False,
+    records: str = "fixed16",
 ) -> List[ChaosSpec]:
-    """The faults :func:`run_chaos_sweep` injects, one case each."""
+    """The faults :func:`run_chaos_sweep` injects, one case each.
+
+    ``records`` is the jobs' record model: the disk-full threshold of the
+    pipelined sweep sits past that model's input."""
     points = kill_points() if points is None else list(points)
     specs = [ChaosSpec(rank=0, kill_at=point) for point in points]
     # One connection severed mid-protocol: the all-to-all is where the
@@ -548,10 +560,13 @@ def sweep_specs(
         specs.append(ChaosSpec(rank=0, wedge_comm_at="before:all_to_all"))
     if pipelined and not recover:
         # Torn disk-full write, deferred into the writer thread: the
-        # threshold sits past the 8 KiB input (written synchronously
-        # during generate), so the failing write is a run-formation
-        # piece spill — executed by the write-behind thread.
-        specs.append(ChaosSpec(rank=0, enospc_after_bytes=9000))
+        # threshold sits 808 bytes past the input (written synchronously
+        # during generate; 8 KiB for fixed16, about 20 KiB for strings),
+        # so the failing write is a run-formation piece spill — executed
+        # by the write-behind thread.
+        specs.append(ChaosSpec(
+            rank=0, enospc_after_bytes=_case_input_bytes(records) + 808
+        ))
     return specs
 
 
@@ -597,7 +612,8 @@ def run_chaos_sweep(
     pipe_kw = (
         {"prefetch_blocks": 4, "write_behind_blocks": 4} if pipelined else {}
     )
-    specs = sweep_specs(points, pipelined=pipelined, recover=recover)
+    specs = sweep_specs(points, pipelined=pipelined, recover=recover,
+                        records=records)
     verdicts = []
     for i, spec in enumerate(specs):
         if progress is not None:

@@ -203,6 +203,23 @@ def test_enospc_inside_write_behind_thread_fails_fast(tmp_path):
     assert "ENOSPC" in str(err) or "spill device full" in str(err)
 
 
+@pytest.mark.parametrize("records", ["fixed16", "string"])
+def test_pipelined_sweep_enospc_fires_in_the_run_formation_writer(
+    tmp_path, records
+):
+    """The pipelined sweep's disk-full case clears the model's input
+    (written during generate) and tears a piece spill on the
+    write-behind thread, for either record model."""
+    spec = sweep_specs([], pipelined=True, records=records)[-1]
+    assert spec.enospc_after_bytes is not None
+    verdict = run_chaos_case(spec, str(tmp_path), prefetch_blocks=4,
+                             write_behind_blocks=4, records=records)
+    assert verdict["ok"], verdict
+    assert "in run_formation" in verdict["outcome"], verdict["outcome"]
+    assert "in _write_loop" in verdict["outcome"], verdict["outcome"]
+    assert "piece" in verdict["outcome"], verdict["outcome"]
+
+
 @pytest.mark.parametrize(
     "spec",
     [ChaosSpec(rank=0, kill_at="before:merge"),

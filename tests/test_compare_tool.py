@@ -1,6 +1,7 @@
 """``tools/compare.py``'s summary of paired benchmark runs, on canned numbers."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -90,3 +91,55 @@ def test_table_is_one_markdown_row_per_metric():
     # 120.5 / 105; resampled pairs give 1.1, 1.148 or 1.2.
     assert rows[0].endswith("| 2/2 | 1.148 | [1.100, 1.200] | 0.5 |")
     assert "I/O and wire ratios identical in every pair: True" in text
+
+
+def _result_line(correct=True, **values):
+    return json.dumps({
+        "correct": correct, "attempted": 4, "failed": 0 if correct else 1,
+        "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()},
+    })
+
+
+def test_parse_result_reads_the_last_line_and_refuses_failures():
+    out = "\n".join([
+        "== strings-2x2m  trace=1  attempted=4 failed=0 failed_share=0",
+        "  native.phases.merge_s   0.05 s",
+        _result_line(**{"native.phases.merge_s": 0.05,
+                        "native.phases.run_formation_s": 0.16}),
+    ])
+    assert compare.parse_result(out) == {
+        "native.phases.merge_s": 0.05, "native.phases.run_formation_s": 0.16,
+    }
+    with pytest.raises(ValueError, match="1 failed"):
+        compare.parse_result(_result_line(correct=False, sort_mb_s=1.0))
+    with pytest.raises(ValueError):
+        compare.parse_result("")
+    with pytest.raises(ValueError):
+        compare.parse_result("Traceback (most recent call last):")
+
+
+def test_traced_phases_add_rows_beside_the_end_to_end_ones():
+    phases = {f"native.phases.{p}_s": 0.0
+              for p in ("run_formation", "selection", "all_to_all", "merge")}
+    pairs = []
+    for base_rf, change_rf in ((0.16, 0.08), (0.17, 0.09), (0.15, 0.10)):
+        pair = _pair(20.0, 30.0)
+        for side, rf in (("base", base_rf), ("change", change_rf)):
+            pair[side].update(phases)
+            pair[side]["native.phases.run_formation_s"] = rf
+        pairs.append(pair)
+    specs = compare.phase_specs(pairs)
+    assert [s["name"] for s in specs] == list(phases)
+    assert compare.phase_specs([_pair(1, 2)]) == []  # untraced: no rows
+    text = compare.format_table("strings-2x2m", "HEAD~1",
+                                compare.summarize(pairs, SPECS + specs),
+                                compare.exact_in_every_pair(pairs), "1–3")
+    rows = {line.split("|")[1].strip(): line for line in text.splitlines()
+            if line.startswith("| `")}
+    assert list(rows) == ["`sort_mb_s`", "`peak_rss_mib`"] + [
+        f"`{name}`" for name in phases
+    ]
+    # Lower seconds win; the quartiles of each side are printed.
+    assert "| 0.16 [0.15, 0.17] | 0.09 [0.08, 0.1] | 3/3 | 0.562 |" in (
+        rows["`native.phases.run_formation_s`"]
+    )

@@ -6,12 +6,14 @@ front coder that lays its fields out in the wire's sections — and lives
 only here.  Every :class:`~repro.native.records.StringModel` kernel must
 agree with it on NUL-free keys of every awkward shape: empty keys, a
 key of several KiB among short ones, prefix pairs, ``0xff`` bytes,
-all-equal keys, and batches of zero or one record.  Malformed LCP input
-must raise, never decode to a shorter key, and a tie-heavy end-to-end
-string sort must keep its pinned output bytes.
+all-equal keys, keys that tie on whole 8-byte words and differ (or end)
+at a word boundary, and batches of zero or one record.  Malformed LCP
+input must raise, never decode to a shorter key, and two tie-heavy
+end-to-end string sorts must keep their pinned output bytes.
 """
 
 import hashlib
+import os
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SortConfig
-from repro.native import native_sort
+from repro.native import NativeJob, NativeSorter, native_sort, records
 from repro.native.records import (
     VarlenBatch,
     lcp_decode_batch,
@@ -31,7 +33,10 @@ from repro.native.records import (
     merge_varlen_batches,
     resolve_model,
     string_checksum,
+    url_key_from_u64,
+    write_varlen_file,
 )
+from repro.workloads.gensort import record_keys
 
 MODEL = resolve_model("string")
 KiB = 1024
@@ -104,12 +109,20 @@ def raw(part):
 #: catch a signed byte comparison.
 _BYTES = st.sampled_from([0x01, 0x61, 0x62, 0x7F, 0x80, 0xFF])
 _SHORT = st.lists(_BYTES, max_size=5).map(bytes)
+#: 6-26 bytes behind a shared ``https://``, the rest over three bytes:
+#: keys that tie on whole 8-byte words and differ at any byte of the
+#: next one, or run out exactly at a word boundary.
+_WORDY = st.tuples(
+    st.integers(6, 26),
+    st.lists(st.sampled_from([0x61, 0x62, 0xFF]), min_size=18, max_size=18),
+).map(lambda cut_tail: (b"https://" + bytes(cut_tail[1]))[: cut_tail[0]])
 _LONG = b"\x61" * (4 * KiB) + b"\x62"
 
 
 @st.composite
 def key_lists(draw, max_size=30):
-    keys = draw(st.lists(_SHORT, max_size=max_size))
+    keys = draw(st.lists(draw(st.sampled_from([_SHORT, _WORDY])),
+                         max_size=max_size))
     if keys and draw(st.integers(0, 4)) == 0:
         keys = [keys[0]] * len(keys)  # all equal
     if draw(st.integers(0, 5)) == 0:
@@ -126,6 +139,12 @@ _SHAPES = [
     [b"\xff", b"\xff\xff", b"\x01", b"\x80", b"\x7f"],
     [b"dup"] * 6,
     [b"b", _LONG, b"a", b"", _LONG[:-1]],
+    # Equal in bytes 0-7, different at byte 8.
+    [b"abcdefgh\xff", b"abcdefghb", b"abcdefgh\x01", b"abcdefgh", b"abcdefgha"],
+    # Exactly one and two words, next to their one-byte extensions.
+    [b"0123456789abcdef\x01", b"01234567\xff", b"0123456789abcdef",
+     b"01234567", b"01234567\x01", b"0123456789abcdef"],
+    [b"https://example.com/same"] * 5,
 ]
 
 
@@ -186,6 +205,27 @@ def test_cut_matches_bisect(keys, probe, lo):
     for key in probes:
         assert MODEL.cut(part, key, "left", lo) == bisect_left(srt, key, lo)
         assert MODEL.cut(part, key, "right", lo) == bisect_right(srt, key, lo)
+
+
+def test_record_bytes_and_columns_convert_across_blocks():
+    """More records than one conversion block, of every length mod 8, a
+    few long keys among them: the bytes assembled from the columns are
+    the row-wise encoding, and the columns read back from those bytes
+    are the keys and payloads again."""
+    n = 3 * records._BLOCK_ROWS + 5
+    keys = [bytes([0x61 + i % 7]) * (i % 41) for i in range(n)]
+    for i in (7, n // 2, n - 1):
+        keys[i] = b"\x80" * (1000 + i % 9)
+    payloads = [(i * 0x9E3779B97F4A7C15) & _MASK for i in range(n)]
+    want = b"".join(
+        struct.pack("<I", len(k)) + k + struct.pack("<Q", p)
+        for k, p in zip(keys, payloads)
+    )
+    built = VarlenBatch.build(keys, payloads)
+    assert raw(built) == want
+    parsed = VarlenBatch.from_bytes(want)
+    assert parsed.keys() == keys
+    assert payloads_of(parsed) == payloads
 
 
 @given(keys=key_lists(), acc=st.integers(0, _MASK))
@@ -303,6 +343,15 @@ def test_nul_in_a_suffix_raises(codec):
 _GOLDEN = "985c80f03044dcaafb8e5b2321ba33fe147c5d5a46d553c43b2cbba90fa85ced"
 
 
+def _digest(outputs):
+    digest = hashlib.sha256()
+    for meta in outputs:
+        for path in (meta.path, meta.path + ".idx"):
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("block_kib", [1, 2])
 def test_tie_heavy_string_sort_output_is_pinned(tmp_path, block_kib):
     result = native_sort(
@@ -319,9 +368,40 @@ def test_tie_heavy_string_sort_output_is_pinned(tmp_path, block_kib):
         records="string",
     )
     assert result.validate().ok
-    digest = hashlib.sha256()
-    for meta in result.outputs:
-        for path in (meta.path, meta.path + ".idx"):
-            with open(path, "rb") as handle:
-                digest.update(handle.read())
-    assert digest.hexdigest() == _GOLDEN
+    assert _digest(result.outputs) == _GOLDEN
+
+
+#: The same digest for a sort whose keys all share their first word:
+#: url-family keys (``https://`` + base-26 host and path) of the skewed
+#: distribution, whose small values also share the next two words, so
+#: every key is ordered past word 0 and most ties run to the last word.
+_GOLDEN_URL = "5e9664b469f5824c1e990943fded7245d7b26db9c3ab3b1cd9a51d4a4dc97f83"
+
+
+@pytest.mark.parametrize("block_kib", [1, 2])
+def test_shared_first_word_string_sort_output_is_pinned(tmp_path, block_kib):
+    n_workers, per_rank = 2, 4096
+    values = record_keys(0, n_workers * per_rank, seed=3, skew=True)
+    keys = [url_key_from_u64(int(v)) for v in values]
+    assert {k[:8] for k in keys} == {b"https://"}
+    whole = VarlenBatch.build(keys, range(len(keys)))
+    for rank in range(n_workers):
+        write_varlen_file(
+            os.path.join(tmp_path, f"input_{rank}.dat"),
+            whole.slice(rank * per_rank, (rank + 1) * per_rank),
+        )
+    result = NativeSorter(NativeJob(
+        config=SortConfig(
+            data_per_node_bytes=per_rank * 16,
+            memory_bytes=32 * KiB,
+            block_bytes=block_kib * KiB,
+            randomize=False,
+            seed=3,
+        ),
+        n_workers=n_workers,
+        spill_dir=str(tmp_path),
+        generate=False,
+        records="string",
+    )).run()
+    assert result.validate().ok
+    assert _digest(result.outputs) == _GOLDEN_URL

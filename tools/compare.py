@@ -2,6 +2,7 @@
 """Paired A/B of the benchmark suite: a git revision against this tree.
 
     python3 tools/compare.py REV --workload W --pairs N [--seconds S] [--seed-base K]
+                             [--trace]
 
 Exports REV's committed files (``git archive``, local only) into a
 temporary directory, then runs ``benchmarks/suite/run.py --workload W
@@ -14,9 +15,11 @@ pairs the change won (by the metric's direction; ties count for
 neither), the ratio of the medians with its seeded 95 % bootstrap
 confidence interval (pairs resampled with replacement) and a two-sided
 sign-test p — and whether the I/O and wire ratios were identical in
-every pair.  The
-temporary tree is removed on exit.  Nothing under ``benchmarks/suite/``
-is edited.
+every pair.  With ``--trace`` each side of a pair also runs once with
+``--trace 1``, and the table gains a row per phase
+(``native.phases.<phase>_s``, the slowest rank's seconds) from those
+runs, so one compare also says which phase moved.  The temporary tree is
+removed on exit.  Nothing under ``benchmarks/suite/`` is edited.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ EXACT = ("io_bytes_per_input_byte", "wire_bytes_per_input_byte")
 #: Bootstrap resamples behind each confidence interval, and their seed.
 RESAMPLES = 2000
 BOOTSTRAP_SEED = 0
+#: The per-phase rows ``--trace`` adds (seconds, lower is better).
+PHASES = [{"name": f"native.phases.{phase}_s", "better": "lower"}
+          for phase in ("run_formation", "selection", "all_to_all", "merge")]
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -141,23 +147,39 @@ def format_table(workload: str, rev: str, rows: List[dict], exact: bool,
     return "\n".join(lines)
 
 
-def _run_suite(tree: str, workload: str, seed: int, seconds: float,
-               spill_root: str) -> Dict[str, float]:
-    """One untraced suite run from ``tree``; its end-to-end metric values."""
-    cmd = [sys.executable, os.path.join(tree, SUITE), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-           "--spill-root", spill_root]
-    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, ValueError):
-        raise SystemExit(f"{tree}: run exited {proc.returncode} without a "
-                         f"result:\n{proc.stdout[-2000:]}") from None
+def parse_result(stdout: str) -> Dict[str, float]:
+    """The metric values of a suite run from its output, whose last line
+    is the result object; ``ValueError`` if there is none, or if the run
+    reports failed operations."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("no result line")
+    result = json.loads(lines[-1])
     if not result["correct"]:
-        raise SystemExit(f"{tree}: seed {seed}: {result['failed']} failed "
-                         f"operations:\n{proc.stdout[-2000:]}")
+        raise ValueError(f"{result['failed']} failed operations")
     return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def phase_specs(pairs: List[Dict[str, Dict[str, float]]]) -> List[dict]:
+    """The :data:`PHASES` rows every side of every pair has a value for
+    (a workload without native phases has none)."""
+    return [spec for spec in PHASES
+            if all(spec["name"] in side for pair in pairs
+                   for side in pair.values())]
+
+
+def _run_suite(tree: str, workload: str, seed: int, seconds: float,
+               spill_root: str, trace: int = 0) -> Dict[str, float]:
+    """One suite run from ``tree``; its metric values."""
+    cmd = [sys.executable, os.path.join(tree, SUITE), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace), "--spill-root", spill_root]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as exc:
+        raise SystemExit(f"{tree}: seed {seed}: run exited {proc.returncode}: "
+                         f"{exc}:\n{proc.stdout[-2000:]}") from None
 
 
 def _export(rev: str, into: str) -> None:
@@ -181,6 +203,8 @@ def main() -> int:
                         default=float(contract["run_seconds"]))
     parser.add_argument("--seed-base", type=int, default=1000,
                         help="pair i runs seed SEED_BASE + i on both sides")
+    parser.add_argument("--trace", action="store_true",
+                        help="also run each side traced and add per-phase rows")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -198,6 +222,13 @@ def main() -> int:
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             pair = {side: _run_suite(trees[side], args.workload, seed,
                                      args.seconds, spill) for side in order}
+            if args.trace:
+                for side in order:
+                    traced = _run_suite(trees[side], args.workload, seed,
+                                        args.seconds, spill, trace=1)
+                    pair[side].update((spec["name"], traced[spec["name"]])
+                                      for spec in PHASES
+                                      if spec["name"] in traced)
             pairs.append(pair)
             print(f"# pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
                   f"sort_mb_s base {pair['base']['sort_mb_s']:.4g} change "
@@ -205,8 +236,8 @@ def main() -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     seeds = f"{args.seed_base}–{args.seed_base + args.pairs - 1}"
-    print(format_table(args.workload, args.rev,
-                       summarize(pairs, contract["end_to_end"]),
+    specs = contract["end_to_end"] + phase_specs(pairs)
+    print(format_table(args.workload, args.rev, summarize(pairs, specs),
                        exact_in_every_pair(pairs), seeds))
     return 0
 
