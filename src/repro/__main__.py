@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from . import (
 
 ALGORITHMS = ("canonical", "striped", "nowsort", "samplesort")
 
-#: Native backend registry names (repro.native.algos); a separate axis
+#: Native backend names (repro.native.algos.ALGORITHMS); a separate axis
 #: from the sim-only ``--algorithm`` above.
 NATIVE_ALGORITHMS = ("canonical", "striped")
 
@@ -198,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_dict(config: SortConfig, nodes: int) -> dict:
+def _config_dict(config: SortConfig, nodes: int, algorithm: str) -> dict:
     return {
+        "algorithm": algorithm,
         "n_nodes": nodes,
         "data_per_node_bytes": config.data_per_node_bytes,
         "memory_bytes": config.memory_bytes,
@@ -211,9 +213,39 @@ def _config_dict(config: SortConfig, nodes: int) -> dict:
     }
 
 
-def _emit(args, report: dict) -> None:
+def _report(args, stats, config: dict, vreport, unit: str,
+            sections: Sequence[str] = ()) -> int:
+    """Print the summary, any extra ``sections`` and the validation
+    verdict, and emit the ``--json`` report.
+
+    One path for both backends: the report is ``stats.to_dict()`` plus
+    the job's config, the workload, the total I/O volume and the
+    validation verdict.  Returns the exit code (1 when validation
+    failed).
+    """
+    say = (lambda *a, **k: None) if args.json else print
+    for text in (stats.summary(), *sections):
+        say()
+        say(text)
+    report = stats.to_dict()
+    report["config"] = config
+    report["config"]["workload"] = args.workload
+    report["io_bytes"] = stats.total_io_bytes
+    code = 0
+    if vreport is not None:
+        report["validation"] = {"ok": vreport.ok, "issues": vreport.issues,
+                                "total_keys": vreport.total_keys}
+        if not vreport.ok:
+            say("\nVALIDATION FAILED:")
+            for issue in vreport.issues:
+                say(f"  - {issue}")
+            code = 1
+        else:
+            say(f"\noutput valid ({vreport.total_keys} {unit}, "
+                f"checksum {vreport.checksum:#018x})")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
+    return code
 
 
 def run_sim(args, config: SortConfig) -> int:
@@ -255,50 +287,17 @@ def run_sim(args, config: SortConfig) -> int:
         outputs = result.output_keys(em)
         balanced = False
 
-    say()
-    say(result.stats.summary())
+    sections = []
     if args.timeline:
-        say()
-        say(result.stats.timeline())
+        sections.append(result.stats.timeline())
     if tracer is not None:
-        say()
-        say(tracer.utilization_table())
-
-    stats_dict = result.stats.to_dict()
-    report = {
-        "backend": "sim",
-        "algorithm": args.algorithm,
-        "workload": args.workload,
-        "config": _config_dict(config, args.nodes),
-        "total_time": stats_dict["total_time_simulated"],
-        "total_time_scaled": stats_dict["total_time_scaled"],
-        "phases": {
-            phase: {
-                "wall": p["wall_max"],
-                "wall_scaled": p["wall_scaled"],
-                "io_bytes": p["bytes"],
-            }
-            for phase, p in stats_dict["phases"].items()
-        },
-        "io_bytes": sum(p["bytes"] for p in stats_dict["phases"].values()),
-        "network_bytes": stats_dict["network_bytes"],
-    }
-
-    code = 0
+        sections.append(tracer.utilization_table())
+    vreport = None
     if before is not None:
         vreport = validate_output(before, outputs, balanced=balanced)
-        report["validation"] = {"ok": vreport.ok, "issues": vreport.issues,
-                                "total_keys": vreport.total_keys}
-        if not vreport.ok:
-            say("\nVALIDATION FAILED:")
-            for issue in vreport.issues:
-                say(f"  - {issue}")
-            code = 1
-        else:
-            say(f"\noutput valid ({vreport.total_keys} keys, "
-                f"checksum {vreport.checksum:#018x})")
-    _emit(args, report)
-    return code
+    return _report(args, result.stats,
+                   _config_dict(config, args.nodes, args.algorithm),
+                   vreport, "keys", sections)
 
 
 def run_native(args, config: SortConfig) -> int:
@@ -356,47 +355,12 @@ def run_native(args, config: SortConfig) -> int:
     except NativeSortError as exc:
         print(f"native sort failed: {exc}", file=sys.stderr)
         return 1
-    say()
-    say(result.stats.summary())
-
-    report = result.stats.to_dict()
-    report["config"] = job.describe()
-    report["config"]["workload"] = args.workload
-    report["io_bytes"] = result.stats.total_io_bytes
-    report["phases"] = {
-        phase: {
-            "wall": p["wall_max"],
-            "io_bytes": p["bytes"],
-            "throughput_mb_s": p["throughput_mb_s"],
-            "stall_s": p["stall_s"],
-            "overlap_ratio": p["overlap_ratio"],
-            "wire_sent": p["wire_sent"],
-            "wire_recv": p["wire_recv"],
-            "wire_volume": p["wire_volume"],
-            "collectives": p["collectives"],
-            "minor_faults": p["minor_faults"],
-        }
-        for phase, p in report["phases"].items()
-    }
-
-    code = 0
-    if not args.skip_validation:
-        vreport = result.validate()
-        report["validation"] = {"ok": vreport.ok, "issues": vreport.issues,
-                                "total_keys": vreport.total_keys}
-        if not vreport.ok:
-            say("\nVALIDATION FAILED:")
-            for issue in vreport.issues:
-                say(f"  - {issue}")
-            code = 1
-        else:
-            say(f"\noutput valid ({vreport.total_keys} records, "
-                f"checksum {vreport.checksum:#018x})")
+    vreport = None if args.skip_validation else result.validate()
+    code = _report(args, result.stats, job.describe(), vreport, "records")
     if not args.keep_spill:
         result.cleanup()
     else:
         say(f"\noutputs kept: {args.spill_dir}/output_<rank>.dat")
-    _emit(args, report)
     return code
 
 

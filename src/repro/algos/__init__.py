@@ -1,7 +1,5 @@
-"""Core algorithms: loser-tree merging and exact multiway selection."""
+"""Core algorithms: exact multiway selection and replacement selection."""
 
-from .losertree import LoserTree
-from .multiway_merge import merge_arrays, merge_iterables
 from .replacement_selection import replacement_selection_runs, run_length_stats
 from .multiway_selection import (
     SelectionResult,
@@ -15,9 +13,6 @@ from .multiway_selection import (
 )
 
 __all__ = [
-    "LoserTree",
-    "merge_arrays",
-    "merge_iterables",
     "SelectionResult",
     "multiway_select",
     "multiway_select_bisect",

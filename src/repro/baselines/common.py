@@ -120,7 +120,7 @@ def distribute_by_splitters(
             )
             groups = [merged]
         else:
-            stats.add_counter(rank, "baseline_spilled_waves")
+            stats.workers[rank].add_counter("baseline_spilled_waves")
             groups = pieces
         for grp in groups:
             writer = StreamBlockWriter(store, tag, outstanding, max_out)
@@ -129,7 +129,7 @@ def distribute_by_splitters(
             runs.append(writer.blocks)
     for ev in outstanding:
         yield ev
-    stats.add_counter(rank, "baseline_received_keys", received_keys)
+    stats.workers[rank].add_counter("baseline_received_keys", received_keys)
     return runs, received_keys
 
 
@@ -162,7 +162,7 @@ def local_external_merge(
             )
         runs = merged_runs
         passes += 1
-    stats.add_counter(rank, "baseline_merge_passes", passes)
+    stats.workers[rank].add_counter("baseline_merge_passes", passes)
     if not runs:
         return LocalRunPiece(rank, [], [], np.empty(0, np.uint64), np.empty(0, np.uint64), 1)
     seg = runs[0]

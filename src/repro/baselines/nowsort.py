@@ -26,7 +26,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..core.config import SortConfig
-from ..core.stats import PhaseTimer, SortStats
+from ..core.stats import PhaseClock, SortStats
 from ..em.context import ExternalMemory
 from ..em.file import LocalRunPiece
 from .common import distribute_by_splitters, local_external_merge
@@ -89,11 +89,6 @@ class NowSort:
         cluster = self.cluster
         config = self.config
         stats = SortStats(config, cluster.n_nodes)
-        stats.phases = (
-            ["sample", "distribute", "merge"]
-            if self.splitter_mode == "sampled"
-            else ["distribute", "merge"]
-        )
         bucket_sizes = [0] * cluster.n_nodes
 
         def pe_main(rank: int, cluster: Cluster):
@@ -101,7 +96,7 @@ class NowSort:
             yield comm.barrier(rank)
 
             if self.splitter_mode == "sampled":
-                timer = PhaseTimer(stats, rank, "sample", cluster.sim)
+                timer = PhaseClock(stats.workers[rank], "sample", sim=cluster.sim)
                 splitters = yield from sampled_splitters(
                     rank, cluster, em, config, stats, inputs[rank], tag="sample"
                 )
@@ -110,7 +105,7 @@ class NowSort:
             else:
                 splitters = uniform_splitters(cluster.n_nodes)
 
-            timer = PhaseTimer(stats, rank, "distribute", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "distribute", sim=cluster.sim)
             runs, received = yield from distribute_by_splitters(
                 rank, cluster, em, config, stats, inputs[rank], splitters, "distribute"
             )
@@ -118,7 +113,7 @@ class NowSort:
             bucket_sizes[rank] = received
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "merge", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "merge", sim=cluster.sim)
             piece = yield from local_external_merge(
                 rank, cluster, em, config, stats, runs
             )

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..core.config import SortConfig
-from ..core.stats import PhaseTimer, SortStats
+from ..core.stats import PhaseClock, SortStats
 from ..em.context import ExternalMemory
 from .common import distribute_by_splitters, local_external_merge
 from .nowsort import NowSortResult
@@ -47,14 +47,13 @@ class ExternalSampleSort:
         cluster = self.cluster
         config = self.config
         stats = SortStats(config, cluster.n_nodes)
-        stats.phases = ["sample", "distribute", "merge"]
         bucket_sizes = [0] * cluster.n_nodes
 
         def pe_main(rank: int, cluster: Cluster):
             comm = cluster.comm
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "sample", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "sample", sim=cluster.sim)
             splitters = yield from sampled_splitters(
                 rank,
                 cluster,
@@ -68,7 +67,7 @@ class ExternalSampleSort:
             timer.stop()
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "distribute", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "distribute", sim=cluster.sim)
             runs, received = yield from distribute_by_splitters(
                 rank, cluster, em, config, stats, inputs[rank], splitters, "distribute"
             )
@@ -76,7 +75,7 @@ class ExternalSampleSort:
             bucket_sizes[rank] = received
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "merge", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "merge", sim=cluster.sim)
             piece = yield from local_external_merge(
                 rank, cluster, em, config, stats, runs
             )

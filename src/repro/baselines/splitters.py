@@ -71,5 +71,5 @@ def sampled_splitters(
         pool[min(len(pool) - 1, (i * len(pool)) // n_nodes)]
         for i in range(1, n_nodes)
     ]
-    stats.add_counter(rank, "baseline_sample_keys", len(local_sample))
+    stats.workers[rank].add_counter("baseline_sample_keys", len(local_sample))
     return np.asarray(picks, dtype=np.uint64)

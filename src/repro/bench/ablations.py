@@ -452,7 +452,7 @@ def straggler_ablation(quick: bool = True) -> FigureResult:
             inject_disk_slowdown(cluster, node=0, disk=0, factor=factor)
         result = CanonicalMergeSort(cluster, config).sort(em, inputs)
         validate_output(before, result.output_keys(em)).raise_if_failed()
-        walls = [result.stats.per_node[r]["merge"].wall for r in range(n_nodes)]
+        walls = [pe.walls["merge"] for pe in result.stats.workers]
         rows.append(
             {
                 "fault": label,

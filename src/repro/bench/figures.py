@@ -91,14 +91,14 @@ def fig3(quick: bool = True) -> FigureResult:
     for rank in range(n_nodes):
         row = {"PE": rank}
         for phase in _PHASES:
-            st = stats.per_node[rank][phase]
-            row[f"{phase} wall [s]"] = stats.scaled_seconds(st.wall, phase)
-            row[f"{phase} io [s]"] = stats.scaled_seconds(st.io, phase)
+            pe = stats.workers[rank]
+            row[f"{phase} wall [s]"] = stats.scaled_seconds(pe.walls[phase], phase)
+            row[f"{phase} io [s]"] = stats.scaled_seconds(pe.io_s[phase], phase)
         rows.append(row)
     header = ["PE"]
     for phase in _PHASES:
         header += [f"{phase} wall [s]", f"{phase} io [s]"]
-    walls = [stats.per_node[r]["merge"].wall for r in range(n_nodes)]
+    walls = [pe.walls["merge"] for pe in stats.workers]
     rf_wall = stats.wall_max("run_formation")
     rf_io = stats.io_max("run_formation")
     notes = [

@@ -100,9 +100,9 @@ def minutesort(quick: bool = True, budget_seconds: float = 60.0) -> FigureResult
     n_nodes, spec = _nodes_and_spec(quick)
 
     def time_for(total_bytes: float) -> float:
-        per_node = total_bytes / PAPER_NODES
-        downscale = max(1.0, per_node / (96 * 8 * MiB))  # ~96 blocks/node
-        config = sortbench_config(per_node, downscale=downscale)
+        node_bytes = total_bytes / PAPER_NODES
+        downscale = max(1.0, node_bytes / (96 * 8 * MiB))  # ~96 blocks/node
+        config = sortbench_config(node_bytes, downscale=downscale)
         record = run_canonical(n_nodes, "gensort", config=config, spec=spec)
         return record.total_seconds
 
@@ -142,9 +142,9 @@ def minutesort(quick: bool = True, budget_seconds: float = 60.0) -> FigureResult
 def terabytesort(quick: bool = True) -> FigureResult:
     """TerabyteSort: time to sort 10^12 bytes (rendered obsolete in 2009)."""
     n_nodes, spec = _nodes_and_spec(quick)
-    per_node = 1e12 / PAPER_NODES
-    downscale = max(1.0, per_node / (96 * 8 * MiB))
-    config = sortbench_config(per_node, downscale=downscale)
+    node_bytes = 1e12 / PAPER_NODES
+    downscale = max(1.0, node_bytes / (96 * 8 * MiB))
+    config = sortbench_config(node_bytes, downscale=downscale)
     record = run_canonical(n_nodes, "gensort", config=config, spec=spec)
     seconds = record.total_seconds
     rows = [

@@ -15,7 +15,7 @@ from .pipeline import (
 )
 from .run_formation import run_formation
 from .selection_phase import selection_phase, warm_start_from_samples
-from .stats import PhaseStat, PhaseTimer, SortStats
+from .stats import PhaseClock, SortStats, WorkerStats
 
 __all__ = [
     "CanonicalMergeSort",
@@ -24,8 +24,8 @@ __all__ = [
     "ConfigError",
     "PHASES",
     "SortStats",
-    "PhaseStat",
-    "PhaseTimer",
+    "WorkerStats",
+    "PhaseClock",
     "run_formation",
     "selection_phase",
     "warm_start_from_samples",

@@ -121,8 +121,8 @@ def all_to_all_phase(
     budget = max(be, int(config.alltoall_mem_fraction * config.piece_keys(cluster.spec)))
     my_k = max(1, math.ceil(max(total_send, total_recv) / budget))
     k = yield comm.allreduce(me, my_k, max)
-    stats.add_counter(me, "alltoall_subops", k)
-    stats.add_counter(me, "alltoall_sent_keys", total_send)
+    stats.workers[me].add_counter("alltoall_subops", k)
+    stats.workers[me].add_counter("alltoall_sent_keys", total_send)
 
     # ---- block classification ---------------------------------------------------
     # kept_full[r]: indices of piece blocks fully inside the keep range.
@@ -208,7 +208,7 @@ def all_to_all_phase(
         bid = store.allocate()
         seg = SegmentBlock(bid, len(part), int(part[0]))
         outstanding.append(store.write(bid, part, tag=TAG))
-        stats.add_counter(me, "alltoall_partial_blocks")
+        stats.workers[me].add_counter("alltoall_partial_blocks")
         if s < a:  # the block straddles the *head* of my range
             head_part[r].append(seg)
         else:
@@ -347,5 +347,5 @@ def all_to_all_phase(
                     seg.extend(writer.blocks)
         segments.append(seg)
     partials = sum(w.partial_blocks for w in writers.values())
-    stats.add_counter(me, "alltoall_recv_partial_blocks", partials)
+    stats.workers[me].add_counter("alltoall_recv_partial_blocks", partials)
     return segments

@@ -27,7 +27,7 @@ from .config import SortConfig
 from .merge_phase import merge_phase
 from .run_formation import run_formation
 from .selection_phase import selection_phase
-from .stats import PhaseTimer, SortStats
+from .stats import PhaseClock, SortStats
 
 __all__ = ["CanonicalMergeSort", "SortResult"]
 
@@ -98,7 +98,7 @@ class CanonicalMergeSort:
                 n_runs_holder[0] = 1
                 return output
 
-            timer = PhaseTimer(stats, rank, "run_formation", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "run_formation", sim=cluster.sim)
             runs = yield from run_formation(
                 rank, cluster, em, config, stats, inputs[rank]
             )
@@ -106,21 +106,21 @@ class CanonicalMergeSort:
             n_runs_holder[0] = len(runs)
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "selection", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "selection", sim=cluster.sim)
             splits = yield from selection_phase(
                 rank, cluster, em, config, stats, runs
             )
             timer.stop()
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "all_to_all", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "all_to_all", sim=cluster.sim)
             segments = yield from all_to_all_phase(
                 rank, cluster, em, config, stats, runs, splits
             )
             timer.stop()
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "merge", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "merge", sim=cluster.sim)
             output = yield from merge_phase(
                 rank, cluster, em, config, stats, segments
             )
@@ -130,11 +130,10 @@ class CanonicalMergeSort:
         started = cluster.sim.now
         output = cluster.run_spmd(pe_main)
         stats.total_time = cluster.sim.now - started
-        if n_runs_holder[0] == 1:
-            stats.phases = ["run_formation", "merge"]
+        stats.n_runs = n_runs_holder[0]
         stats.collect_io(cluster)
         for rank in range(cluster.n_nodes):
-            stats.peak_blocks[rank] = em.store(rank).peak_blocks
+            stats.workers[rank].peak_blocks = em.store(rank).peak_blocks
         return SortResult(
             config=config,
             n_nodes=cluster.n_nodes,
@@ -162,7 +161,7 @@ class CanonicalMergeSort:
         store = em.store(rank)
         comm = cluster.comm
 
-        timer = PhaseTimer(stats, rank, "run_formation", cluster.sim)
+        timer = PhaseClock(stats.workers[rank], "run_formation", sim=cluster.sim)
         depth = config.resolved_write_buffers(cluster.spec)
         arrays = []
         inflight = []
@@ -191,7 +190,7 @@ class CanonicalMergeSort:
         timer.stop()
         yield comm.barrier(rank)
 
-        timer = PhaseTimer(stats, rank, "merge", cluster.sim)
+        timer = PhaseClock(stats.workers[rank], "merge", sim=cluster.sim)
         piece_keys = yield from distributed_sort_run(
             rank, cluster, config, stats, local, "merge", presorted=True
         )

@@ -97,5 +97,5 @@ def distributed_sort_run(
         elem_bytes=config.element.elem_bytes,
         tag=tag,
     )
-    stats.add_counter(rank, "internal_sort_sent_keys", sum(len(s) for i, s in enumerate(send) if i != rank))
+    stats.workers[rank].add_counter("internal_sort_sent_keys", sum(len(s) for i, s in enumerate(send) if i != rank))
     return merged

@@ -210,7 +210,7 @@ def merge_phase(
             f"merge conservation violated on node {rank}: "
             f"emitted {emitted} of {total_keys} keys"
         )
-    stats.add_counter(rank, "merge_output_keys", emitted)
+    stats.workers[rank].add_counter("merge_output_keys", emitted)
 
     if writer is None:
         return LocalRunPiece(

@@ -35,7 +35,7 @@ from .config import SortConfig
 from .internal_sort import distributed_sort_run
 from .merge_phase import merge_phase
 from .selection_phase import selection_phase
-from .stats import PhaseTimer, SortStats
+from .stats import PhaseClock, SortStats
 
 __all__ = [
     "BlockSource",
@@ -181,7 +181,7 @@ def _pipelined_run_formation(
         DistributedRun(r, [all_pieces[n][r] for n in range(cluster.n_nodes)])
         for r in range(n_runs)
     ]
-    stats.add_counter(rank, "runs_formed", len(pieces))
+    stats.workers[rank].add_counter("runs_formed", len(pieces))
     return runs
 
 
@@ -222,7 +222,7 @@ class PipelinedMergeSort:
             comm = cluster.comm
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "run_formation", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "run_formation", sim=cluster.sim)
             runs = yield from _pipelined_run_formation(
                 rank, cluster, em, config, stats, sources[rank]
             )
@@ -230,21 +230,21 @@ class PipelinedMergeSort:
             n_runs_holder[0] = len(runs)
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "selection", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "selection", sim=cluster.sim)
             splits = yield from selection_phase(
                 rank, cluster, em, config, stats, runs
             )
             timer.stop()
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "all_to_all", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "all_to_all", sim=cluster.sim)
             segments = yield from all_to_all_phase(
                 rank, cluster, em, config, stats, runs, splits
             )
             timer.stop()
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "merge", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "merge", sim=cluster.sim)
             yield from merge_phase(
                 rank, cluster, em, config, stats, segments, sink=sinks[rank]
             )

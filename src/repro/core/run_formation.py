@@ -152,7 +152,7 @@ def run_formation(
     for proc in write_procs:
         pieces.append((yield proc))
 
-    stats.add_counter(rank, "runs_formed", len(pieces))
+    stats.workers[rank].add_counter("runs_formed", len(pieces))
 
     # Exchange piece descriptors so every rank can build the global runs.
     all_pieces = yield comm.allgather(

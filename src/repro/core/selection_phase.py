@@ -163,16 +163,16 @@ def selection_phase(
                     me, bid, tag=TAG, active_nodes=n_nodes
                 )
                 cache.put(bid, arr)
-                stats.add_counter(me, "selection_block_reads")
+                stats.workers[me].add_counter("selection_block_reads")
                 if bid.node != me:
-                    stats.add_counter(me, "selection_remote_reads")
+                    stats.workers[me].add_counter("selection_remote_reads")
             req = gen.send(int(arr[within]))
     except StopIteration as stop:
         result = stop.value
 
-    stats.add_counter(me, "selection_touches", result.touches)
-    stats.add_counter(me, "selection_cache_hits", cache.hits)
-    stats.add_counter(me, "selection_fixup_swaps", getattr(result, "fixup_swaps", 0))
+    stats.workers[me].add_counter("selection_touches", result.touches)
+    stats.workers[me].add_counter("selection_cache_hits", cache.hits)
+    stats.workers[me].add_counter("selection_fixup_swaps", getattr(result, "fixup_swaps", 0))
 
     # Share the boundaries: "After communicating the splitter positions to
     # PEs i and i−1, every PE knows the elements it has to merge" — the

@@ -40,7 +40,7 @@ from ..em.writebuffer import SegmentBlock
 from .config import SortConfig
 from .internal_sort import distributed_sort_run
 from .run_formation import _chunk_schedule, _read_chunk
-from .stats import PhaseTimer, SortStats
+from .stats import PhaseClock, SortStats
 
 __all__ = ["GlobalStripedMergeSort", "StripedSortResult", "StripedRun"]
 
@@ -109,7 +109,6 @@ class GlobalStripedMergeSort:
         cluster = self.cluster
         config = self.config
         stats = SortStats(config, cluster.n_nodes)
-        stats.phases = ["run_formation", "merge"]
         shared: dict = {}
 
         def pe_main(rank: int, cluster: Cluster):
@@ -119,12 +118,12 @@ class GlobalStripedMergeSort:
             alloc = _StripeAllocator(em, cluster.n_nodes, cluster.spec.disks_per_node)
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "run_formation", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "run_formation", sim=cluster.sim)
             runs = yield from self._run_formation(rank, em, stats, inputs[rank], alloc)
             timer.stop()
             yield comm.barrier(rank)
 
-            timer = PhaseTimer(stats, rank, "merge", cluster.sim)
+            timer = PhaseClock(stats.workers[rank], "merge", sim=cluster.sim)
             passes = 0
             while len(runs) > 1:
                 groups = [
@@ -149,7 +148,8 @@ class GlobalStripedMergeSort:
         cluster.run_spmd(pe_main)
         stats.total_time = cluster.sim.now - started
         stats.collect_io(cluster)
-        n_runs = int(stats.counters[0].get("n_runs", 0))
+        n_runs = int(stats.workers[0].counters.get("n_runs", 0))
+        stats.n_runs = n_runs
         return StripedSortResult(
             config=config,
             n_nodes=cluster.n_nodes,
@@ -180,7 +180,7 @@ class GlobalStripedMergeSort:
             runs.append(run)
         # Remember R for the result (rank 0 only; all ranks agree).
         if rank == 0:
-            stats.add_counter(0, "n_runs", n_runs)
+            stats.workers[0].add_counter("n_runs", n_runs)
         return runs
 
     # -- striped writing ------------------------------------------------------------

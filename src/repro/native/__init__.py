@@ -25,7 +25,7 @@ from .driver import NativeSortError, NativeSortResult, NativeSorter, native_sort
 from .job import TRANSPORTS, NativeJob
 from .pipeline import Prefetcher, WriteBehind
 from .records import NATIVE_DTYPE, RECORD_BYTES
-from .stats import NativeStats, WorkerStats
+from ..core.stats import WorkerStats
 
 __all__ = [
     "ALGORITHMS",
@@ -37,7 +37,6 @@ __all__ = [
     "NativeSorter",
     "NativeSortResult",
     "NativeSortError",
-    "NativeStats",
     "WorkerStats",
     "Prefetcher",
     "WriteBehind",

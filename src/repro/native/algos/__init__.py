@@ -1,73 +1,42 @@
-"""Pluggable native sort algorithms (the backend bake-off registry).
+"""Native sort algorithms: the phase module each backend name runs.
 
-Two registered backends sort the same jobs to the same canonical
-balanced output, so the driver and the conformance harness can compare
-them head to head (ROADMAP item 4; paper Section III):
+Two backends sort the same jobs to the same canonical balanced output,
+so the driver and the conformance harness can compare them head to head
+(paper Section III):
 
 ``canonical``
-    CANONICALMERGESORT — the paper's algorithm, the default, and the
-    only backend for the string record model.  Its phases live in
-    :mod:`repro.native.phases`, one implementation for both record
-    models (:class:`~repro.native.records.RecordModel`).
+    CANONICALMERGESORT — the paper's algorithm and the default.  Its
+    phases live in :mod:`repro.native.phases`, one implementation for
+    both record models (:class:`~repro.native.records.RecordModel`).
 ``striped``
     Mergesort with global striping (:mod:`.striped`): locally sorted
     runs striped block-wise over all PEs, merge by collective batch
     re-sort — communication in both passes, which is the amplification
-    the paper's algorithm avoids.
+    the paper's algorithm avoids.  It generates its input with
+    canonical's ``generate_input``, so both sort the identical input.
 
-Workers dispatch through :func:`resolve_algorithm`; job validation
-(:class:`~repro.native.job.NativeJob`) guarantees only registered
-(algo, records) pairs reach it.
+Each module exposes the five phase functions the worker drives
+(:func:`repro.native.worker._run_phases`), all sharing one
+:class:`~repro.native.phases.NativeContext`: ``generate_input(ctx)``,
+``run_formation(ctx) -> runs``, ``selection(ctx, runs) -> splits``,
+``all_to_all(ctx, runs, splits) -> (segments, aux)`` and
+``merge(ctx, segments, aux) -> OutputMeta``.  The values threaded
+between phases belong to the backend; the worker reads only
+``len(runs)`` and the final :class:`~repro.native.phases.OutputMeta`.
+Job validation (:class:`~repro.native.job.NativeJob`) guarantees only
+known names, and striped only on the features it supports, reach the
+worker.
 """
 
 from __future__ import annotations
 
-from ...core.config import ConfigError
-from .base import Algorithm
-from .canonical import CANONICAL_FIXED16, CANONICAL_STRING
-from . import striped as _striped
-from .. import phases as _phases
+from .. import phases
+from . import striped
 
-__all__ = ["ALGORITHMS", "Algorithm", "resolve_algorithm"]
+__all__ = ["ALGORITHMS", "PHASE_MODULES"]
 
-#: Registered backend names, in documentation order.
-ALGORITHMS = ("canonical", "striped")
+#: Backend name -> the module whose phase functions the worker runs.
+PHASE_MODULES = {"canonical": phases, "striped": striped}
 
-STRIPED_FIXED16 = Algorithm(
-    name="striped",
-    records="fixed16",
-    generate_input=_phases.generate_input,
-    run_formation=_striped.run_formation,
-    selection=_striped.selection,
-    all_to_all=_striped.all_to_all,
-    merge=_striped.merge,
-    wire_profile="striped",
-)
-
-_REGISTRY = {
-    (alg.name, alg.records): alg
-    for alg in (
-        CANONICAL_FIXED16,
-        CANONICAL_STRING,
-        STRIPED_FIXED16,
-    )
-}
-
-
-def resolve_algorithm(algo: str, records: str = "fixed16") -> Algorithm:
-    """The registered backend for ``(algo, records)``.
-
-    Raises :class:`~repro.core.config.ConfigError` for unknown names or
-    unsupported combinations (today: the string model only runs
-    canonical).
-    """
-    if algo not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {algo!r}; choose from {ALGORITHMS}"
-        )
-    try:
-        return _REGISTRY[(algo, records)]
-    except KeyError:
-        raise ConfigError(
-            f"algorithm {algo!r} does not support records={records!r} yet"
-        ) from None
+#: Backend names, in documentation order.
+ALGORITHMS = tuple(PHASE_MODULES)

@@ -67,6 +67,7 @@ from ..phases import (
     OutputMeta,
     _chunk_schedule,
     _distributed_sort_run,
+    generate_input,
 )
 from ..pipeline import plan_fetch_order
 from ..records import (
@@ -76,7 +77,14 @@ from ..records import (
     sort_records,
 )
 
-__all__ = ["StripedRun", "run_formation", "selection", "all_to_all", "merge"]
+__all__ = [
+    "StripedRun",
+    "generate_input",
+    "run_formation",
+    "selection",
+    "all_to_all",
+    "merge",
+]
 
 
 class StripedRun:

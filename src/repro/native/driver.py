@@ -43,11 +43,11 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional
 
 from ..core.config import SortConfig
+from ..core.stats import SortStats, WorkerStats
 from ..workloads.validation import ValidationReport
 from .comm_api import DEFAULT_PENDING_SENDS
 from .job import NativeJob
 from .phases import OutputMeta
-from .stats import NativeStats, WorkerStats
 from .transport import local_mesh
 from .worker import tcp_worker_main, worker_main
 
@@ -89,16 +89,14 @@ def assemble_result(
         n_runs = max(n_runs, worker_runs)
     outputs.sort(key=lambda m: m.rank)
 
-    native_stats = NativeStats(
-        workers,
-        total_time=total_time,
-        n_runs=n_runs,
-        total_records=job.total_records,
-        record_bytes=job.record_bytes,
-    )
+    stats = SortStats(workers=workers)
+    stats.total_time = total_time
+    stats.n_runs = n_runs
+    stats.total_records = job.total_records
+    stats.record_bytes = job.record_bytes
     return NativeSortResult(
         job=job,
-        stats=native_stats,
+        stats=stats,
         outputs=outputs,
         input_checksum=input_checksum,
     )
@@ -165,7 +163,7 @@ class NativeSortResult:
     """Outcome of one native sort (files still on disk until cleanup)."""
 
     job: NativeJob
-    stats: NativeStats
+    stats: SortStats
     outputs: List[OutputMeta]
     #: Order-independent sum of all input keys, accumulated by the
     #: workers while they streamed the input during run formation.

@@ -225,21 +225,24 @@ class NativeJob:
                 f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}"
             )
         if self.algo != "canonical":
-            # Striped runs the paper's fixed element only, and the
-            # recovery journal and the pipelined I/O layer live in the
-            # canonical phases (chaos needs neither: the store's write
-            # gate and the worker's kill points serve every backend).
+            # On purpose, striped stays a fixed16-only, synchronous,
+            # unjournaled Section III baseline: its stripe writes and its
+            # output placement address files by record offset, which a
+            # varlen file does not have, and the recovery journal and
+            # the pipelined I/O layer live in the canonical phases
+            # (chaos needs neither: the store's write gate and the
+            # worker's kill points serve every backend).
             if self.varlen:
                 raise ConfigError(
-                    f"algo={self.algo!r} only supports records='fixed16' yet"
+                    f"algo={self.algo!r} only supports records='fixed16'"
                 )
             if self.checkpointing or self.epoch > 0:
                 raise ConfigError(
-                    f"algo={self.algo!r} does not support checkpoint/resume yet"
+                    f"algo={self.algo!r} does not support checkpoint/resume"
                 )
             if self.pipelined:
                 raise ConfigError(
-                    f"algo={self.algo!r} does not support pipelined I/O yet"
+                    f"algo={self.algo!r} does not support pipelined I/O"
                 )
         merge_working = (self.n_runs * 2 + 4) * self.block_records * RECORD_BYTES
         if merge_working > self.memory_bytes + self.chunk_records * RECORD_BYTES:

@@ -42,12 +42,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..algos.multiway_selection import sample_windows, select_in_windows
+from ..core.stats import WorkerStats
 from .blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
 from .pipeline import Prefetcher, WriteBehind, sequential_fetch_order
 from .records import RECORD_BYTES, RecordBuffers, RecordModel
-from .stats import WorkerStats
 
 __all__ = [
     "NativeContext",

@@ -31,7 +31,8 @@ import os
 import traceback
 from typing import Dict, Optional, Tuple
 
-from .algos import resolve_algorithm
+from ..core.stats import PhaseClock, WorkerStats, max_rss_bytes
+from .algos import PHASE_MODULES
 from .blockstore import FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
@@ -43,7 +44,6 @@ from .phases import (
     restore_runs,
     verify_restored_pieces,
 )
-from .stats import PhaseClock, WorkerStats, max_rss_bytes
 from .transport import open_comm
 
 __all__ = ["worker_main", "tcp_worker_main"]
@@ -68,16 +68,12 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
     def at(point: str) -> None:
         _chaos_point(job, rank, point, result_conn, comm=comm)
 
-    # The (algorithm, record model) pair picks the phase implementations
-    # from the backend registry (see native/algos): canonical's phases
-    # (one implementation, the record model is the job's) or the
-    # striped backend.  Job validation guarantees only registered
-    # combinations arrive here, and that non-canonical jobs never reach
-    # the checkpoint/resume branches below.
-    algorithm = resolve_algorithm(job.algo, job.records)
-    fn_generate, fn_run_formation, fn_selection, fn_all_to_all, fn_merge = (
-        algorithm.phase_fns
-    )
+    # The job's algorithm names the phase module (see native/algos):
+    # canonical's phases (one implementation, the record model is the
+    # job's) or the striped backend.  Job validation guarantees that
+    # striped jobs are fixed16 and never reach the checkpoint/resume
+    # branches below.
+    algo = PHASE_MODULES[job.algo]
 
     journal = None
     try:
@@ -126,8 +122,8 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
         ):
             comm.set_phase("generate")
             at("before:generate")
-            with PhaseClock(stats, "generate", comm):
-                fn_generate(ctx)
+            with PhaseClock(stats, "generate", comm=comm):
+                algo.generate_input(ctx)
                 if journal is not None:
                     journal.generate_done()
                 comm.barrier()
@@ -135,7 +131,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
 
         comm.set_phase("run_formation")
         at("before:run_formation")
-        with PhaseClock(stats, "run_formation", comm):
+        with PhaseClock(stats, "run_formation", comm=comm):
             if global_done >= 1:
                 runs = restore_runs(ctx, resume)
                 if rank in job.suspect_ranks and global_done <= 2:
@@ -150,22 +146,22 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                         [resume.rf_runs[r] for r in range(len(resume.rf_runs))],
                     )
             else:
-                runs = fn_run_formation(ctx)
+                runs = algo.run_formation(ctx)
             comm.barrier()
         at("after:run_formation")
         comm.set_phase("selection")
         at("before:selection")
-        with PhaseClock(stats, "selection", comm):
+        with PhaseClock(stats, "selection", comm=comm):
             if global_done >= 2:
                 splits = [list(row) for row in resume.selection_splits]
                 stats.add_counter("recovery_phases_restored")
             else:
-                splits = fn_selection(ctx, runs)
+                splits = algo.selection(ctx, runs)
             comm.barrier()
         at("after:selection")
         comm.set_phase("all_to_all")
         at("before:all_to_all")
-        with PhaseClock(stats, "all_to_all", comm):
+        with PhaseClock(stats, "all_to_all", comm=comm):
             if global_done >= 3:
                 # The extent table and the guide come straight from the
                 # journal; pieces and slabs stay where they are — they
@@ -180,12 +176,12 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 ]
                 stats.add_counter("recovery_phases_restored")
             else:
-                segments, first_keys = fn_all_to_all(ctx, runs, splits)
+                segments, first_keys = algo.all_to_all(ctx, runs, splits)
             comm.barrier()
         at("after:all_to_all")
         comm.set_phase("merge")
         at("before:merge")
-        with PhaseClock(stats, "merge", comm):
+        with PhaseClock(stats, "merge", comm=comm):
             # Merge is the one phase restored *per-rank* rather than by
             # the global minimum: it does no communication, and a rank
             # that ran ahead, finished its merge and reclaimed its
@@ -202,7 +198,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 # crash in between leaves pieces and slabs behind.
                 reclaim_segments(store, len(runs))
             else:
-                out_meta = fn_merge(ctx, segments, first_keys)
+                out_meta = algo.merge(ctx, segments, first_keys)
             comm.barrier()
         at("after:merge")
 

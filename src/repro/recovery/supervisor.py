@@ -4,7 +4,7 @@ The :class:`~repro.native.driver.NativeSorter` supervisor loop consults
 a :class:`RestartPolicy` after each failed attempt.  The policy records
 the failure (epoch, suspect rank, first line of the error) and answers
 one question: may we try again?  The accumulated
-:class:`RestartEvent` log rides into ``NativeStats`` so ``--json``
+:class:`RestartEvent` log rides into ``SortStats`` so ``--json``
 reports show exactly what the job survived.
 """
 

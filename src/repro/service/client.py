@@ -107,7 +107,7 @@ class SortClient:
 
         The reply carries ``job`` (final snapshot) and, for a DONE job,
         ``result`` with validation, output-file metadata and the sort's
-        :class:`~repro.native.stats.NativeStats` dict.
+        :class:`~repro.core.stats.SortStats` dict.
         """
         return self._call(
             {"cmd": "result", "id": job_id, "timeout": timeout},

@@ -1,7 +1,7 @@
 """Service-level statistics: the scheduler's own counters.
 
 Per-job sort statistics stay where they always were
-(:class:`~repro.native.stats.NativeStats` on each finished job's
+(:class:`~repro.core.stats.SortStats` on each finished job's
 result); this module aggregates what only the *service* can see —
 queue behaviour, admission waits, pool utilization, restarts and
 respawns — into one JSON-safe snapshot surfaced by the ``stats``

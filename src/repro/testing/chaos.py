@@ -45,8 +45,8 @@ __all__ = [
     "run_service_chaos",
 ]
 
-#: Native phase names, in execution order (mirrors
-#: ``repro.native.stats.NATIVE_PHASES`` without importing it).
+#: Native phase names, in execution order (the phases the native
+#: worker times: ``"generate"`` plus ``repro.core.config.PHASES``).
 _NATIVE_PHASES = ("generate", "run_formation", "selection", "all_to_all", "merge")
 
 #: Every phase-boundary fault point, in execution order.

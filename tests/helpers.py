@@ -41,3 +41,20 @@ def run_small_sort(kind: str = "random", n_nodes: int = 4, **config_overrides):
     before = input_keys(em, inputs)
     result = CanonicalMergeSort(cl, cfg).sort(em, inputs)
     return cl, cfg, em, before, result
+
+
+def assert_suite_digest_keys(stats: dict) -> None:
+    """``stats`` (a native ``SortStats.to_dict()``) carries every key
+    ``benchmarks/suite/workloads.py::_digest`` reads, for one-shot runs
+    and service job results alike."""
+    from repro.core.config import PHASES
+
+    for phase in PHASES:
+        assert {"wall_max", "wall_avg", "bytes", "stall_s", "wire_sent"} <= set(
+            stats["phases"][phase]
+        ), phase
+    assert stats["network_bytes"] > 0
+    assert stats["n_runs"] >= 1
+    for worker in stats["per_worker"]:
+        assert {"max_rss_bytes", "walls"} <= set(worker)
+        assert worker["max_rss_bytes"] > 0

@@ -1,21 +1,22 @@
-"""The algorithm registry and its job-validation gates.
+"""The native algorithm map and its job-validation gates.
 
-The bake-off registry (:mod:`repro.native.algos`) is the seam between
-job specs and phase implementations: these tests pin its resolution
-rules — unknown names and unsupported (algo, records) pairs fail
-loudly with ConfigError, every registered backend exposes the full
-five-phase strategy — and the :class:`~repro.native.job.NativeJob`
-gates that keep unsupported feature combinations away from the
-non-canonical backends.
+:data:`repro.native.algos.PHASE_MODULES` is the seam between job specs
+and phase implementations: these tests pin that every backend name
+maps to a module with the full five-phase interface — and the
+:class:`~repro.native.job.NativeJob` gates that keep striped, on
+purpose, a fixed16-only, synchronous, unjournaled baseline.
 """
 
 import pytest
 
 from repro.core.config import ConfigError, SortConfig
-from repro.native import ALGORITHMS, NativeJob
-from repro.native.algos import Algorithm, resolve_algorithm
+from repro.native import ALGORITHMS, NativeJob, phases
+from repro.native.algos import PHASE_MODULES
 from repro.native.records import RECORD_BYTES
 from repro.testing.chaos import ChaosSpec
+
+PHASE_FNS = ("generate_input", "run_formation", "selection", "all_to_all",
+             "merge")
 
 
 def _job(tmp_path, **overrides):
@@ -34,46 +35,37 @@ def _job(tmp_path, **overrides):
     return NativeJob(**base)
 
 
-# ------------------------------------------------------------ the registry
+# ------------------------------------------------------------ the map
 
 
 def test_registry_names_are_the_public_tuple():
     assert ALGORITHMS == ("canonical", "striped")
+    assert tuple(PHASE_MODULES) == ALGORITHMS
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_every_backend_resolves_with_full_phase_strategy(algo):
-    alg = resolve_algorithm(algo, "fixed16")
-    assert isinstance(alg, Algorithm)
-    assert alg.name == algo and alg.records == "fixed16"
-    fns = alg.phase_fns
-    assert len(fns) == 5 and all(callable(fn) for fn in fns)
+    module = PHASE_MODULES[algo]
+    assert all(callable(getattr(module, name)) for name in PHASE_FNS)
 
 
-def test_unknown_algorithm_name_is_a_config_error():
+def test_unknown_algorithm_name_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="unknown algorithm 'quicksort'"):
-        resolve_algorithm("quicksort")
+        _job(tmp_path, algo="quicksort")
 
 
 @pytest.mark.parametrize("algo", ["striped"])
-def test_string_model_only_runs_canonical(algo):
-    with pytest.raises(ConfigError, match="does not support records='string'"):
-        resolve_algorithm(algo, "string")
-    assert resolve_algorithm("canonical", "string").records == "string"
+def test_string_model_only_runs_canonical(tmp_path, algo):
+    with pytest.raises(ConfigError, match="only supports records='fixed16'"):
+        _job(tmp_path, algo=algo, records="string")
+    assert _job(tmp_path, algo="canonical", records="string").varlen
 
 
 def test_backends_share_the_canonical_generate_phase():
-    # All fixed16 backends sort the identical generated input: phase 0
-    # is shared, so differences can only come from the sort itself.
-    gens = {resolve_algorithm(a, "fixed16").generate_input for a in ALGORITHMS}
-    assert len(gens) == 1
-
-
-def test_wire_profiles_diverge_where_the_paper_says():
-    # Striped pays communication in both passes (its own conservation
-    # profile); canonical keeps its exact N*16 wire accounting.
-    assert resolve_algorithm("striped").wire_profile == "striped"
-    assert resolve_algorithm("canonical").wire_profile == "canonical"
+    # Both backends sort the identical generated input: phase 0 is
+    # shared, so differences can only come from the sort itself.
+    gens = {PHASE_MODULES[a].generate_input for a in ALGORITHMS}
+    assert gens == {phases.generate_input}
 
 
 # ----------------------------------------------------- NativeJob gating

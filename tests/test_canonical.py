@@ -111,7 +111,7 @@ def test_in_place_peak_space_bounded():
     _cl, cfg, em, _b, result = run_small_sort("worstcase", n_nodes=4,
                                               randomize=False)
     for rank in range(4):
-        assert result.stats.peak_blocks[rank] <= 2.1 * cfg.blocks_per_node + 8
+        assert result.stats.workers[rank].peak_blocks <= 2.1 * cfg.blocks_per_node + 8
 
 
 def test_single_run_fast_path_two_ios_per_block():

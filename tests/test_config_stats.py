@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ConfigError, MiB, PAPER_MACHINE, SortConfig
-from repro.core.stats import PhaseTimer, SortStats
+from repro.core.stats import PhaseClock, SortStats
 from repro.sim import Simulator
 
 from tests.helpers import small_config
@@ -98,12 +98,13 @@ def test_phase_timer_records_wall():
     sim = Simulator()
 
     def body():
-        timer = PhaseTimer(stats, 0, "merge", sim)
+        clock = PhaseClock(stats.workers[0], "merge", sim=sim)
         yield sim.timeout(3.0)
-        timer.stop()
+        clock.stop()
 
     sim.run_process(body())
-    assert stats.per_node[0]["merge"].wall == 3.0
+    assert stats.workers[0].walls["merge"] == 3.0
+    assert stats.intervals == [(0, "merge", 0.0, 3.0)]
     assert stats.wall_max("merge") == 3.0
     assert stats.wall_avg("merge") == 1.5
 
@@ -112,10 +113,10 @@ def test_phase_timer_double_stop_rejected():
     cfg = small_config()
     stats = SortStats(cfg, 1)
     sim = Simulator()
-    timer = PhaseTimer(stats, 0, "merge", sim)
-    timer.stop()
+    clock = PhaseClock(stats.workers[0], "merge", sim=sim)
+    clock.stop()
     with pytest.raises(RuntimeError):
-        timer.stop()
+        clock.stop()
 
 
 def test_scaling_exempts_selection():
@@ -144,10 +145,10 @@ def test_scaled_total_is_sum_of_phase_maxima():
 def test_counters_accumulate_and_total():
     cfg = small_config()
     stats = SortStats(cfg, 2)
-    stats.add_counter(0, "x", 2)
-    stats.add_counter(0, "x", 3)
-    stats.add_counter(1, "x", 1)
-    assert stats.counters[0]["x"] == 5
+    stats.workers[0].add_counter("x", 2)
+    stats.workers[0].add_counter("x", 3)
+    stats.workers[1].add_counter("x", 1)
+    assert stats.workers[0].counters["x"] == 5
     assert stats.counter_total("x") == 6
     assert stats.counter_total("missing") == 0
 
@@ -162,6 +163,7 @@ def test_dynamic_phase_registration():
 def test_summary_renders():
     cfg = small_config()
     stats = SortStats(cfg, 1)
+    stats.record_wall(0, "run_formation", 12.0)
     stats.total_time = 12.0
     text = stats.summary()
     assert "P=1" in text
@@ -173,9 +175,9 @@ def test_stats_to_dict_and_json(tmp_path):
 
     _cl, _cfg, _em, _b, result = run_small_sort("random", n_nodes=2)
     snap = result.stats.to_dict()
-    assert snap["n_nodes"] == 2
+    assert snap["n_workers"] == 2
     assert set(snap["phases"]) >= {"run_formation", "merge"}
-    assert len(snap["per_node"]) == 2
+    assert len(snap["per_worker"]) == 2
     assert snap["total_time_scaled"] > 0
     path = result.stats.save_json(str(tmp_path / "stats.json"))
     import json
@@ -183,3 +185,44 @@ def test_stats_to_dict_and_json(tmp_path):
     with open(path) as handle:
         loaded = json.load(handle)
     assert loaded["phases"]["merge"]["bytes"] > 0
+
+
+def test_phase_some_ranks_never_recorded_reads_as_zero():
+    stats = SortStats(small_config(), 2)
+    stats.record_wall(0, "sample", 1.0)
+    assert stats.wall_max("sample") == 1.0
+    assert stats.wall_avg("sample") == 0.5
+    assert stats.phases == ["sample"]
+    assert "sample" in stats.summary()
+    assert stats.to_dict()["phases"]["sample"]["wall_max"] == 1.0
+
+
+# ------------------------------------------- the contract the suite reads
+
+
+def test_native_to_dict_carries_every_key_the_suite_reads(tmp_path):
+    import json
+    import pickle
+
+    from repro.native import native_sort
+    from repro.native.stats import WorkerStats
+    from tests.helpers import assert_suite_digest_keys
+
+    result = native_sort(
+        SortConfig(data_per_node_bytes=128 * 1024, memory_bytes=48 * 1024,
+                   block_bytes=2048, seed=3),
+        n_workers=2, spill_dir=str(tmp_path), timeout=120,
+    )
+    assert result.validate().ok
+    # The service ships the same dict as JSON.
+    stats = json.loads(json.dumps(result.stats.to_dict()))
+    result.cleanup()
+    assert_suite_digest_keys(stats)
+    assert stats["n_runs"] >= 2
+    assert len(stats["per_worker"]) == 2
+    # benchmarks/suite/probes.py builds a record by hand and reads its
+    # counters; workers pickle theirs to the driver.
+    record = WorkerStats(rank=1)
+    assert record.counters == {}
+    record.add_counter("probe_prefetch_direct")
+    assert pickle.loads(pickle.dumps(record)) == record

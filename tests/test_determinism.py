@@ -30,7 +30,9 @@ def test_harness_runs_bit_identical():
     for phase in a.stats.phases:
         assert a.stats.wall_max(phase) == b.stats.wall_max(phase)
         assert a.stats.phase_bytes(phase) == b.stats.phase_bytes(phase)
-    assert a.stats.counters == b.stats.counters
+    assert [w.counters for w in a.stats.workers] == [
+        w.counters for w in b.stats.workers
+    ]
 
 
 def test_different_seeds_differ():
@@ -45,10 +47,10 @@ def test_per_node_stats_reproducible():
     _cl, _cfg, em2, _b, r2 = run_small_sort("skewed", n_nodes=3, seed=77)
     for rank in range(3):
         for phase in r1.stats.phases:
-            s1 = r1.stats.per_node[rank][phase]
-            s2 = r2.stats.per_node[rank][phase]
-            assert s1.wall == s2.wall
-            assert s1.io == s2.io
+            s1 = r1.stats.workers[rank]
+            s2 = r2.stats.workers[rank]
+            assert s1.walls[phase] == s2.walls[phase]
+            assert s1.io_s[phase] == s2.io_s[phase]
     for a, b in zip(r1.output_keys(em1), r2.output_keys(em2)):
         assert np.array_equal(a, b)
 

@@ -84,7 +84,7 @@ def test_zero_capacity_selection_cache_still_correct():
 def test_tiny_alltoall_memory_forces_many_subops():
     cfg = small_config(alltoall_mem_fraction=0.05, randomize=False)
     result = sort_ok(cfg, kind="worstcase", n_nodes=4)
-    assert result.stats.counters[0]["alltoall_subops"] >= 4
+    assert result.stats.workers[0].counters["alltoall_subops"] >= 4
 
 
 def test_single_prefetch_buffer():

@@ -47,7 +47,7 @@ def test_disk_slowdown_creates_straggler():
     )
     assert faulty.stats.total_time > 1.2 * healthy.stats.total_time
     # The straggler is node 1: its merge wall time exceeds the others'.
-    merge_walls = [faulty.stats.per_node[r]["merge"].wall for r in range(4)]
+    merge_walls = [pe.walls["merge"] for pe in faulty.stats.workers]
     assert merge_walls[1] == max(merge_walls)
     assert merge_walls[1] > 1.5 * min(merge_walls)
 
@@ -104,7 +104,7 @@ def test_fault_on_every_disk_of_one_node():
 
     _cl, result, report = run_with_faults(kill_node_io)
     assert report.ok
-    walls = [result.stats.per_node[r]["merge"].wall for r in range(4)]
+    walls = [pe.walls["merge"] for pe in result.stats.workers]
     assert walls[0] == max(walls)
 
 

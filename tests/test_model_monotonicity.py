@@ -72,7 +72,7 @@ def test_io_time_bounded_by_wall_time():
     result = CanonicalMergeSort(cluster, cfg).sort(em, inputs)
     for rank in range(3):
         for phase in result.stats.phases:
-            stat = result.stats.per_node[rank][phase]
+            io = result.stats.workers[rank].io_s[phase]
             # The busiest disk of a phase cannot be busy longer than the
             # phase ran (plus async writes draining into the next phase).
-            assert stat.io <= result.stats.total_time + 1e-9
+            assert io <= result.stats.total_time + 1e-9

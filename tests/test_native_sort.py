@@ -288,20 +288,12 @@ def test_worker_failure_surfaces_as_sort_error(tmp_path, monkeypatch):
 
     if "fork" not in mp.get_all_start_methods():
         pytest.skip("needs fork so children inherit the monkeypatch")
-    import dataclasses
-
-    import repro.native.worker as worker_mod
-    from repro.native.algos import resolve_algorithm
+    from repro.native import phases
 
     def boom(ctx):
         raise RuntimeError("injected failure")
 
-    def resolve_boom(algo, records="fixed16"):
-        return dataclasses.replace(
-            resolve_algorithm(algo, records), run_formation=boom
-        )
-
-    monkeypatch.setattr(worker_mod, "resolve_algorithm", resolve_boom)
+    monkeypatch.setattr(phases, "run_formation", boom)
     job = NativeJob(
         config=native_config(), n_workers=2, spill_dir=str(tmp_path), timeout=60
     )
@@ -361,8 +353,8 @@ def test_cli_native_json(tmp_path, capsys):
     assert report["config"]["n_workers"] == 2
     assert report["io_bytes"] > 0
     for phase in ("run_formation", "selection", "all_to_all", "merge"):
-        assert report["phases"][phase]["wall"] >= 0.0
-        assert "io_bytes" in report["phases"][phase]
+        assert report["phases"][phase]["wall_max"] >= 0.0
+        assert "bytes" in report["phases"][phase]
 
 
 def _oracle_sha(job):

@@ -37,6 +37,7 @@ from repro.net.framing import (
 from repro.service import JobRejected, SortClient, SortService
 from repro.service.jobs import build_native_job
 from repro.testing.chaos import ChaosSpec
+from tests.helpers import assert_suite_digest_keys
 
 KiB = 1024
 
@@ -647,6 +648,7 @@ class TestControlPlane:
                 assert reply["job"]["state"] == "DONE"
                 result = reply["result"]
                 assert result["validation"]["total_keys"] == 16384
+                assert_suite_digest_keys(result["stats"])
                 assert len(result["outputs"]) == 2
                 assert all(
                     os.path.exists(o["path"]) for o in result["outputs"]

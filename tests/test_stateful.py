@@ -5,8 +5,6 @@ trivially-correct Python model; any divergence or invariant violation is
 shrunk to a minimal reproduction.
 """
 
-import heapq
-
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ from hypothesis.stateful import (
 )
 
 from repro import Cluster, MiB
-from repro.algos import LoserTree
 from repro.em import ExternalMemory, LRUCache
 from repro.sim import Pool, Simulator
 
@@ -111,56 +108,6 @@ class LRUCacheMachine(RuleBasedStateMachine):
 TestLRUCache = LRUCacheMachine.TestCase
 TestLRUCache.settings = settings(max_examples=40, deadline=None,
                                  stateful_step_count=50)
-
-
-class LoserTreeMachine(RuleBasedStateMachine):
-    """k-way merging against heapq over random per-source streams."""
-
-    K = 4
-
-    def __init__(self):
-        super().__init__()
-        self.tree = LoserTree(self.K)
-        self.next_values = [0] * self.K  # monotone per source
-        self.armed = [False] * self.K
-        self.exhausted = [False] * self.K
-        self.model = []  # heap of (key, source)
-
-    @rule(source=st.integers(0, K - 1), gap=st.integers(0, 5))
-    def push(self, source, gap):
-        if self.armed[source] or self.exhausted[source]:
-            return
-        self.next_values[source] += gap
-        key = self.next_values[source]
-        self.tree.push(source, key)
-        heapq.heappush(self.model, (key, source))
-        self.armed[source] = True
-
-    @rule(source=st.integers(0, K - 1))
-    def exhaust(self, source):
-        if self.armed[source] or self.exhausted[source]:
-            return
-        self.tree.exhaust(source)
-        self.exhausted[source] = True
-
-    @precondition(lambda self: all(a or e for a, e in
-                                   zip(self.armed, self.exhausted)))
-    @rule()
-    def pop_matches_model(self):
-        got = self.tree.pop_winner()
-        if not self.model:
-            assert got is None
-            return
-        want = heapq.heappop(self.model)
-        assert got is not None
-        src, key, _value = got
-        assert (key, src) == want
-        self.armed[src] = False
-
-
-TestLoserTree = LoserTreeMachine.TestCase
-TestLoserTree.settings = settings(max_examples=40, deadline=None,
-                                  stateful_step_count=60)
 
 
 def test_pool_never_oversubscribes_under_random_traffic():
