@@ -635,6 +635,8 @@ class MeshComm:
         Returns the part every rank addressed to this one, in rank order;
         the own part is delivered locally (and counted in
         :attr:`local_bytes`, as :meth:`exchange` counts self-deliveries).
+        It may be any object: one that is not bytes-like (a record array
+        or batch never put in wire form) counts its ``nbytes``.
         One epoch and exactly one message per peer: no end-of-stream
         markers, no flush and no closing barrier — the epoch tag alone
         keeps a fast peer's next collective apart.  Nothing bounds the
@@ -658,7 +660,8 @@ class MeshComm:
             raise ValueError(
                 f"alltoall needs {self.n_workers} parts, got {len(parts)}"
             )
-        est = payload_bytes(parts[self.rank])
+        own = parts[self.rank]
+        est = payload_bytes(own) or int(getattr(own, "nbytes", 0))
         if est:
             self.local_bytes[self._phase] = self.local_bytes.get(self._phase, 0) + est
         if into is None:
@@ -668,7 +671,7 @@ class MeshComm:
                 f"alltoall needs {self.n_workers} slots, got {len(into)}"
             )
         slots = [memoryview(buf).cast("B") for buf in into]
-        own = memoryview(parts[self.rank]).cast("B")
+        own = memoryview(own).cast("B")
         if len(own) != len(slots[self.rank]):
             raise ValueError(
                 f"own part of {len(own)} bytes for a "

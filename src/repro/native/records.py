@@ -18,7 +18,6 @@ it back.
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -963,10 +962,9 @@ class VarlenBatch:
         return bytes(self.column[i])
 
     def keys(self) -> List[bytes]:
-        """All keys as Python ``bytes`` (for tests, oracles and
-        :func:`string_checksum`; no phase calls it).  Without a column in
-        place this decodes a block of rows at a time and keeps none of
-        them."""
+        """All keys as Python ``bytes`` (for tests and oracles; no phase
+        calls it).  Without a column in place this decodes a block of
+        rows at a time and keeps none of them."""
         if self._column is not None:
             return self._column.tolist()
         keys: List[bytes] = []
@@ -1317,26 +1315,57 @@ def generate_string_batch(
     return VarlenBatch.build(keys, payloads)
 
 
+#: The checksum's per-record state starts at ``_mix(length ^ salt)``:
+#: the mix keeps 0 fixed, and an empty key must not add 0.
+_CHECKSUM_SALT = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of every ``u64`` of ``x``, in place: a
+    multiply-xorshift bijection in which every input bit moves about
+    half the output bits."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX_MULTIPLIERS[0]
+    x ^= x >> np.uint64(27)
+    x *= _MIX_MULTIPLIERS[1]
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def string_checksum(batch: VarlenBatch, acc: int = 0) -> int:
-    """Order-independent checksum over (key, payload) pairs, mod 2^64.
+    """Order-independent checksum over (key, payload) records, mod 2^64.
 
     The varlen analogue of the gensort input checksum: summable across
     batches and workers in any order, so the merge phase can prove the
     output multiset equals the input multiset without a global gather.
-    Each record adds ``crc32(key) * 0x9E3779B1 + payload + 1``; the sum
-    is one ``u64`` reduction.
+    Each record adds ``mix(h ^ payload)``, where ``h`` starts at
+    ``mix(length ^ salt)`` and takes in the key's little-endian ``u64``
+    words in order, ``h = mix(h ^ word)`` — only the words that hold key
+    bytes, so neither the column's width nor the batch's form or cut
+    changes the value.  It is computed one word position at a time over
+    the key column (built and kept if the batch has none), each step
+    narrowed to the keys that reach the word: no Python per record.
     """
-    return _checksum(batch.keys(), batch.payloads(), acc)
-
-
-def _checksum(keys: List[bytes], payloads: np.ndarray, acc: int) -> int:
-    """:func:`string_checksum` of the records with these keys and payloads."""
-    if not keys:
+    lengths = batch.lengths
+    if not len(lengths):
         return acc
-    crcs = np.fromiter(map(zlib.crc32, keys), dtype=np.uint64, count=len(keys))
-    with np.errstate(over="ignore"):
-        terms = crcs * np.uint64(0x9E3779B1) + payloads + np.uint64(1)
-        return (acc + int(np.add.reduce(terms, dtype=np.uint64))) & _U64_MASK
+    words = _byte_rows(batch.column).view("<u8")
+    h = lengths.astype(np.uint64)
+    h ^= _CHECKSUM_SALT
+    _mix(h)
+    rows = slice(None)  # the rows whose keys reach word j
+    for j in range(words.shape[1]):
+        if not np.all(lengths[rows] > 8 * j):
+            rows = np.flatnonzero(lengths > 8 * j)
+            if not len(rows):
+                break
+        state = h[rows]
+        state ^= words[rows, j]
+        h[rows] = _mix(state)
+    h ^= batch.payloads()
+    _mix(h)
+    return (acc + int(np.add.reduce(h, dtype=np.uint64))) & _U64_MASK
 
 
 # -- varlen files -----------------------------------------------------------
@@ -1665,9 +1694,9 @@ class StringModel(RecordModel):
         return bool(np.all(column[:-1] <= column[1:]))
 
     def checksum(self, part, acc=0) -> int:
-        """:func:`string_checksum`, hashed off the key column (built here
-        if the part has none: the sort that follows needs it anyway)."""
-        return _checksum(part.column.tolist(), part.payloads(), acc)
+        """:func:`string_checksum`, off the part's key column (built here
+        and kept if the part has none: the sort that follows needs it)."""
+        return string_checksum(part, acc)
 
     def footprint(self, part) -> int:
         """The records plus the key column they hold or will hold, n·w

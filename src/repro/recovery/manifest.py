@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 #: Phase indices used for the "highest completed phase" agreement.
 PHASE_INDEX = {

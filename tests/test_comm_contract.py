@@ -17,6 +17,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.native.comm import PipeComm
@@ -230,6 +231,26 @@ def test_alltoall_delivers_one_part_per_peer_in_rank_order(mesh3):
         assert got == [bytes(parts[(src, rank)]) for src in range(3)]
         assert epochs == 1
         assert posted == ["__a2a__", "__a2a__", "__ag__", "__ag__"]
+
+
+def test_alltoall_counts_its_own_record_part_as_local_bytes(mesh2):
+    """The own part is delivered as the object it is.  A record array
+    (never put in wire form) still counts its ``nbytes`` in
+    ``local_bytes``, as a bytes-like own part counts its length: the
+    striped merge's volume bound adds them to the wire."""
+    def body(c):
+        c.set_phase("merge")
+        own = np.arange(5, dtype=np.uint64)
+        got = c.alltoall([own if d == c.rank else b"xyz" for d in range(2)])
+        c.barrier()
+        c.set_phase("run_formation")
+        c.alltoall([b"own!" if d == c.rank else b"" for d in range(2)])
+        c.barrier()
+        return got[c.rank] is own, dict(c.local_bytes)
+
+    for same, local in run_all(mesh2, body):
+        assert same
+        assert local == {"merge": 40, "run_formation": 4}
 
 
 def test_alltoall_into_lands_every_part_in_its_slot(mesh3):

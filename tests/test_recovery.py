@@ -198,6 +198,35 @@ def test_foreign_fingerprint_is_refused(tmp_path):
         stale.load_resume()
 
 
+def test_a_version_3_journal_is_refused(tmp_path, monkeypatch):
+    """Version 4 changed the string checksum that ``rf_run`` and
+    ``rf_done`` carry: a journal written at version 3 is refused by a
+    version-4 resume, and nothing of it is replayed."""
+    from repro.recovery import manifest
+
+    assert manifest.MANIFEST_VERSION == 4
+    job = dc_replace(make_job(tmp_path), records="string")
+    with monkeypatch.context() as patch:
+        patch.setattr(manifest, "MANIFEST_VERSION", 3)
+        old = journal_for(tmp_path, fingerprint=job_fingerprint(job))
+    run = {"run": 0, "n": 3, "samples": ["61"], "every": 3, "crcs": [5],
+           "first_keys": ["61"], "checksum": 12345}
+    old.begin_epoch(0)
+    old.generate_done()
+    old.rf_run_done(run)
+    old.rf_done([run], checksum=12345)
+    old.close()
+    with open(old.path) as handle:
+        written = handle.read()
+
+    resume = journal_for(tmp_path, fingerprint=job_fingerprint(job))
+    assert resume.fingerprint != old.fingerprint
+    with pytest.raises(ManifestMismatch, match="refusing"):
+        resume.load_resume()
+    with open(old.path) as handle:
+        assert handle.read() == written
+
+
 def test_missing_manifest_resumes_as_none(tmp_path):
     assert journal_for(tmp_path).load_resume() is None
 

@@ -1,7 +1,7 @@
 """The string model's columnar kernels against a pure-Python reference.
 
 The reference below is the row-wise formulation — ``sorted()`` over
-Python ``bytes``, ``bisect``, a per-key CRC loop and a key-by-key LCP
+Python ``bytes``, ``bisect``, a per-record hash loop and a key-by-key LCP
 front coder that lays its fields out in the wire's sections — and lives
 only here.  Every :class:`~repro.native.records.StringModel` kernel must
 agree with it on NUL-free keys of every awkward shape: empty keys, a
@@ -15,9 +15,9 @@ end-to-end string sorts must keep their pinned output bytes.
 import hashlib
 import os
 import struct
-import zlib
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,9 +49,24 @@ def ref_order(keys):
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
+def _ref_mix(z):
+    """The splitmix64 finalizer on one Python int."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
 def ref_checksum(keys, payloads, acc=0):
+    """Each record adds mix(h ^ payload); h starts at mix(len ^ salt)
+    and takes in the key's little-endian u64 words, h = mix(h ^ word)."""
     for key, payload in zip(keys, payloads):
-        acc = (acc + zlib.crc32(key) * 0x9E3779B1 + payload + 1) & _MASK
+        h = _ref_mix(len(key) ^ 0x9E3779B97F4A7C15)
+        padded = key + b"\x00" * (-len(key) % 8)
+        for (word,) in struct.iter_unpack("<Q", padded):
+            h = _ref_mix(h ^ word)
+        acc = (acc + _ref_mix(h ^ payload)) & _MASK
     return acc
 
 
@@ -236,6 +251,40 @@ def test_checksum_matches_the_row_wise_sum(keys, acc):
     part = VarlenBatch.build(keys, payloads)
     assert string_checksum(part, acc) == ref_checksum(keys, payloads, acc)
     assert MODEL.checksum(part, acc) == string_checksum(part, acc)
+
+
+@given(keys=key_lists())
+@with_shapes()
+@settings(max_examples=100, deadline=None)
+def test_checksum_ignores_column_width_form_and_cuts(keys):
+    """One value for the same records whether the column is 8 bytes or
+    4 KiB wide, in bytes or column form, and however the batch is cut
+    into parts that accumulate it."""
+    payloads = list(range(7, 7 + len(keys)))
+    want = ref_checksum(keys, payloads)
+    lengths = [len(k) for k in keys]
+    for width in (8, 4 * KiB):
+        if all(n <= width for n in lengths):
+            column = np.array(keys, dtype=f"S{width}")
+            part = VarlenBatch.from_columns(column, lengths, payloads)
+            assert string_checksum(part) == want
+    part = VarlenBatch.build(keys, payloads)
+    assert string_checksum(VarlenBatch.from_bytes(raw(part))) == want
+    for cut in range(len(keys) + 1):
+        parsed = VarlenBatch.from_bytes(raw(part))
+        acc = string_checksum(parsed.slice(0, cut))
+        assert string_checksum(part.slice(cut, len(keys)), acc) == want
+
+
+def test_checksum_binds_words_and_payloads_to_their_records():
+    """Moving a word from one key to another, or swapping two payloads,
+    changes the value: the sum is over whole records, not over fields."""
+    keys = [b"AAAAAAAABBBBBBBB", b"CCCCCCCC"]
+    base = string_checksum(VarlenBatch.build(keys, [1, 2]))
+    moved = [b"AAAAAAAA", b"BBBBBBBBCCCCCCCC"]
+    assert string_checksum(VarlenBatch.build(moved, [1, 2])) != base
+    assert string_checksum(VarlenBatch.build(keys, [2, 1])) != base
+    assert base == ref_checksum(keys, [1, 2])
 
 
 @given(keys=key_lists())
