@@ -292,6 +292,10 @@ class SortStats:
         nothing to itself): ``wire_volume("all_to_all") +
         counter_total("a2a_kept_bytes") == total_bytes`` for fixed
         records, and ``phase_bytes("all_to_all")`` is twice it.
+
+        String run formation mixes units here: peers' slices count their
+        LCP-encoded wire bytes, the own slice (which skips the codec)
+        its raw record bytes — build no volume identity on that figure.
         """
         return self.wire_sent(phase) + self.local_bytes(phase)
 

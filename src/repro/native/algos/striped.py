@@ -72,6 +72,7 @@ from ..phases import (
 from ..pipeline import plan_fetch_order
 from ..records import (
     NATIVE_DTYPE,
+    RECORD_BYTES,
     bytes_view,
     records_from_bytes,
     sort_records,
@@ -170,7 +171,7 @@ def run_formation(ctx: NativeContext) -> List[StripedRun]:
                     mine += min(block, length - b * block)
             if mine:
                 path = store.piece_path(g)
-                store.preallocate(path, mine)
+                store.preallocate(path, mine * RECORD_BYTES)
                 handles[g] = open(path, "r+b")
 
         def outgoing():
@@ -184,7 +185,7 @@ def run_formation(ctx: NativeContext) -> List[StripedRun]:
             kind, g, b, buf = payload
             assert kind == "stw"
             harvested.setdefault(g, {})[b] = struct.unpack_from("<Q", buf, 0)[0]
-            offset = (b // n_workers) * block
+            offset = (b // n_workers) * block * RECORD_BYTES
             store.write_at(handles[g], offset, buf, TAG_RF)
 
         comm.exchange(outgoing(), on_chunk)
@@ -292,7 +293,7 @@ def merge(
     out_lo, out_hi = out_bounds[rank], out_bounds[rank + 1]
 
     out_path = store.output_path()
-    store.preallocate(out_path, out_hi - out_lo)
+    store.preallocate(out_path, (out_hi - out_lo) * RECORD_BYTES)
     out_handle = open(out_path, "r+b")
 
     spans: List[Tuple[int, int, int, int, bool]] = []
@@ -304,7 +305,9 @@ def merge(
         assert kind == "out"
         arrived = records_from_bytes(buf)
         keys = arrived["key"]
-        store.write_at(out_handle, gpos - out_lo, buf, TAG_MERGE)
+        store.write_at(
+            out_handle, (gpos - out_lo) * RECORD_BYTES, buf, TAG_MERGE
+        )
         ok = len(keys) < 2 or bool(np.all(keys[:-1] <= keys[1:]))
         with np.errstate(over="ignore"):
             checksum = (checksum + int(np.add.reduce(keys))) & _MASK

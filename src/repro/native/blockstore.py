@@ -2,10 +2,10 @@
 
 The simulator's :class:`~repro.em.blockmanager.BlockStore` hands out
 block IDs and charges a performance model; this store hands out *files*
-in a spill directory and moves real bytes with ``numpy`` ``fromfile`` /
-``tofile``.  The same accounting hooks exist — every read and write is
-tagged with the phase that issued it, so the per-phase I/O volumes the
-paper's figures are built from fall out of a real run too.
+in a spill directory and moves real bytes.  The same accounting hooks
+exist — every read and write is tagged with the phase that issued it, so
+the per-phase I/O volumes the paper's figures are built from fall out of
+a real run too.
 
 Layout of one sort's spill directory::
 
@@ -17,12 +17,18 @@ Layout of one sort's spill directory::
     output_<rank>.dat           phase-4 output: the rank's sorted slice
     manifest_<rank>.jsonl       recovery journal (when checkpointing)
 
-Fixed16 files are flat arrays of :data:`~repro.native.records.NATIVE_DTYPE`
-records; string files are byte streams of varlen records plus an
-``.idx`` sidecar of record-boundary offsets (a slab's boundaries are
-rebuilt in memory by the all-to-all instead, see
-:meth:`FileBlockStore.set_varlen_offsets`, and written to its ``.idx``
-only when the job journals).
+The store is byte-addressed and knows one path per operation: a
+coalescing positioned read into the caller's buffer, a chaos-gated write
+(whole file, append, or at a byte offset), a preallocation, and a cache
+of ``.idx`` record-boundary sidecars.  Which bytes records ``[a, b)``
+occupy, and how read bytes become a part, is the job's
+:class:`~repro.native.records.RecordModel`'s to say: a fixed16 record
+sits at ``16·i`` (no index), a string record at the boundary its file's
+``.idx`` holds — or, for a slab, the boundaries the all-to-all rebuilt in
+memory (:meth:`FileBlockStore.set_index`; written to the slab's ``.idx``
+only when the job journals).  Index I/O is charged under
+``tag + INDEX_TAG_SUFFIX``, so the per-phase data byte counters stay
+exactly conserved.
 
 When the store is built with a ``namespace`` (the sort service gives
 every job ``<job-id>-<fingerprint>``), each name above is prefixed
@@ -36,24 +42,16 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..em.cache import LRUCache
-from .records import (
-    NATIVE_DTYPE,
-    RECORD_BYTES,
-    VarlenBatch,
-    _destination,
-    varlen_index_path,
-)
+from .records import MODELS, RecordModel, varlen_index_path
 
 __all__ = [
+    "Appender",
     "FileBlockStore",
-    "RecordAppender",
-    "SequentialReader",
-    "VarlenAppender",
     "purge_namespace",
 ]
 
@@ -111,23 +109,22 @@ def _pread_exact(fh, dst: memoryview, offset: int, path: str) -> None:
         done += got
 
 
-def _records_into(out: Optional[np.ndarray], n: int) -> np.ndarray:
-    """A destination for ``n`` records: fresh, or the front of ``out``."""
-    if out is None:
-        return np.empty(n, dtype=NATIVE_DTYPE)
-    return _destination(out, n)
-
-
 class FileBlockStore:
-    """One worker's view of the spill directory, with tagged I/O accounting."""
+    """One worker's view of the spill directory, with tagged I/O accounting.
+
+    ``model`` is the job's record model (fixed16 when omitted): it maps
+    record positions to byte offsets and read bytes to parts; the store
+    moves the bytes.
+    """
 
     def __init__(self, root: str, rank: int, block_records: int, chaos=None,
-                 namespace: str = ""):
+                 namespace: str = "", model: Optional[RecordModel] = None):
         if block_records < 1:
             raise ValueError(f"block_records must be >= 1, got {block_records}")
         self.root = str(root)
         self.rank = rank
         self.block_records = block_records
+        self.model = MODELS["fixed16"] if model is None else model
         #: Job namespace: a non-empty value prefixes every file name so
         #: concurrent jobs can share ``root`` without collisions.
         self.namespace = str(namespace)
@@ -147,7 +144,7 @@ class FileBlockStore:
         #: Serializes ``.idx`` loads so two reader threads never charge
         #: the same index twice.
         self._idx_lock = threading.Lock()
-        self._varlen_idx: Dict[str, np.ndarray] = {}
+        self._index: Dict[str, np.ndarray] = {}
         self._stats = None
         self._main_thread: Optional[int] = None
 
@@ -207,145 +204,167 @@ class FileBlockStore:
         ):
             self._stats.add_stall(tag, seconds)
 
-    # -- record I/O -----------------------------------------------------------
+    # -- reads ----------------------------------------------------------------
 
-    def read_range(
-        self, path: str, start: int, count: int, tag: str,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def _read(self, path: str, bounds, ranges: Sequence[Tuple[int, int]],
+              out, tag: Optional[str]):
+        """Records ``[a, b)`` of every range, back to back in one buffer:
+        one positioned read per range, each charged to ``tag`` (none
+        when ``tag`` is None).  ``bounds[i]`` is record ``i``'s byte
+        offset; the model supplies the buffer and makes it a part."""
+        spans = []
+        n_records = nbytes = 0
+        for a, b in ranges:
+            lo, hi = int(bounds[a]), int(bounds[b])
+            spans.append((lo, hi))
+            n_records += b - a
+            nbytes += hi - lo
+        buf = self.model.landing(out, n_records, nbytes)
+        mv = buf.view(np.uint8).data
+        filled = 0
+        if spans:
+            with open(path, "rb", buffering=0) as fh:
+                for lo, hi in spans:
+                    _pread_exact(fh, mv[filled : filled + hi - lo], lo, path)
+                    if tag is not None:
+                        self.charge_read(tag, hi - lo)
+                    filled += hi - lo
+        return self.model.part_of(buf, bounds, ranges)
+
+    def _range(self, path: str, start: int, count: int, tag: str):
+        """``path``'s boundaries and the one range ``count`` records from
+        ``start`` (fewer where the file ends first)."""
+        bounds = self.model.boundaries(self, path, tag)
+        n = len(bounds) - 1
+        if not 0 <= start <= n:
+            raise ValueError(f"{path}: record start {start} out of range 0..{n}")
+        return bounds, [(start, min(start + count, n))]
+
+    def read_range(self, path: str, start: int, count: int, tag: str, out=None):
         """Read ``count`` records at record offset ``start`` (fewer where
-        the file ends first) with one positioned read — into the front of
-        ``out`` when given (``ValueError`` if it is too small)."""
+        the file ends first) with one positioned read — fixed16 records
+        into the front of ``out`` when given (``ValueError`` if it is too
+        small)."""
+        bounds, ranges = self._range(path, start, count, tag)
         t0 = time.monotonic()
-        with open(path, "rb", buffering=0) as fh:
-            in_file = os.fstat(fh.fileno()).st_size // RECORD_BYTES
-            dest = _records_into(out, max(0, min(count, in_file - start)))
-            _pread_exact(fh, dest.view(np.uint8).data, start * RECORD_BYTES, path)
+        part = self._read(path, bounds, ranges, out, tag)
         self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_read(tag, dest.nbytes)
-        return dest
+        return part
 
-    def read_block(self, path: str, block_idx: int, tag: str) -> np.ndarray:
+    def fetch(self, path: str, start: int, count: int, tag: str):
+        """:meth:`read_range` without accounting, for the prefetcher's
+        reader threads: the consumer charges the bytes when it takes
+        them (an ``.idx`` load is still charged, once, under ``tag``)."""
+        return self._read(path, *self._range(path, start, count, tag), None, None)
+
+    def read_block(self, path: str, block_idx: int, tag: str):
         """Read one fixed-size block (the last block may be short)."""
         return self.read_range(
             path, block_idx * self.block_records, self.block_records, tag
         )
 
-    def read_blocks(
-        self, path: str, block_ids, tag: str, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Scatter-read whole blocks into one contiguous record array.
+    def read_blocks(self, path: str, block_ids, tag: str, out=None):
+        """Scatter-read whole blocks into one contiguous part.
 
-        The zero-copy sibling of per-block :meth:`read_block` +
-        ``np.concatenate``: the destination array is allocated once — or
-        is the front of ``out``, run formation's reused chunk buffer
-        (``ValueError`` if it is too small) — and each maximal run of
-        consecutive block IDs becomes a single positioned read straight
-        into its slice (``os.preadv`` where the platform has it), so run
-        formation fills its sort buffer without intermediate per-block
-        arrays.  ``block_ids`` may arrive in any order (the schedule is
+        The zero-copy sibling of per-block :meth:`read_block` plus a
+        concatenation: the destination is allocated once — or, for
+        fixed16, is the front of ``out``, run formation's reused chunk
+        buffer (``ValueError`` if it is too small) — and each maximal run
+        of consecutive block IDs becomes a single positioned read
+        straight into its slice (``os.preadv`` where the platform has
+        it).  ``block_ids`` may arrive in any order (the schedule is
         shuffled); the file's last block may be short and can sit
-        anywhere in the list.
+        anywhere in the list; an ID outside the file raises
+        ``ValueError``.
         """
         ids = list(block_ids)
         if not ids:
-            return _records_into(out, 0)
+            return self._read(path, None, [], out, tag)
+        bounds = self.model.boundaries(self, path, tag)
         t0 = time.monotonic()
+        n = len(bounds) - 1
         bs = self.block_records
-        file_records = os.path.getsize(path) // RECORD_BYTES
-        n_blocks = (file_records + bs - 1) // bs
+        n_blocks = (n + bs - 1) // bs
         bad = [b for b in ids if b < 0 or b >= n_blocks]
         if bad:
             # A clamped-to-zero read here would silently return a short
-            # array and corrupt whatever schedule asked for the block.
+            # part and corrupt whatever schedule asked for the block.
             raise ValueError(
                 f"{path}: block id {bad[0]} out of range "
                 f"(file has {n_blocks} blocks of {bs} records)"
             )
-        counts = [min(bs, file_records - b * bs) for b in ids]
-        dest = _records_into(out, sum(counts))
-        mv = dest.view(np.uint8).data
-        with open(path, "rb", buffering=0) as fh:
-            filled = 0
-            i = 0
-            while i < len(ids):
-                # Coalesce: consecutive *full* blocks extend one read.
-                j = i + 1
-                nbytes = counts[i] * RECORD_BYTES
-                while (
-                    j < len(ids)
-                    and ids[j] == ids[j - 1] + 1
-                    and counts[j - 1] == bs
-                ):
-                    nbytes += counts[j] * RECORD_BYTES
-                    j += 1
-                _pread_exact(
-                    fh, mv[filled : filled + nbytes],
-                    ids[i] * bs * RECORD_BYTES, path,
-                )
-                self.charge_read(tag, nbytes)
-                filled += nbytes
-                i = j
+        ranges: List[Tuple[int, int]] = []
+        for b in ids:
+            a, e = b * bs, min(n, b * bs + bs)
+            if ranges and ranges[-1][1] == a:
+                # Coalesce: a block right behind a full one extends its read.
+                ranges[-1] = (ranges[-1][0], e)
+            else:
+                ranges.append((a, e))
+        part = self._read(path, bounds, ranges, out, tag)
         self._charge_stall(tag, time.monotonic() - t0)
-        return dest
+        return part
 
-    def _write_gate(self, handle, path: str, nbytes: int):
-        """Consult the chaos spec before a write of ``nbytes``.
+    def nbytes(self, path: str, lo: int, hi: int, tag: str) -> int:
+        """The byte size of records ``[lo, hi)`` of ``path``."""
+        bounds = self.model.boundaries(self, path, tag)
+        return int(bounds[hi]) - int(bounds[lo])
 
-        Returns ``None`` to proceed normally; on an injected disk-full
-        fault, writes the torn prefix the spec dictates and raises.
+    # -- writes ---------------------------------------------------------------
+
+    def _write(self, handle, payload, tag: str) -> None:
+        """The one chaos-gated write: ``payload`` at ``handle``'s position.
+
+        On an injected disk-full fault, writes the torn prefix the chaos
+        spec dictates and raises its ENOSPC error.
         """
-        if self.chaos is None:
-            return None
-        clip = self.chaos.clip_write(self.rank, nbytes)
-        return clip
-
-    def write_file(self, path: str, records: np.ndarray, tag: str) -> None:
-        """Write a whole record array with ``tofile`` (atomic per call)."""
         t0 = time.monotonic()
-        with open(path, "wb") as handle:
-            clip = self._write_gate(handle, path, records.nbytes)
+        nbytes = len(payload)
+        if self.chaos is not None:
+            clip = self.chaos.clip_write(self.rank, nbytes)
             if clip is not None:
-                handle.write(records.tobytes()[:clip])
-                raise self.chaos.enospc_error(path)
-            records.tofile(handle)
-        self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_write(tag, records.nbytes)
-
-    def append_records(self, handle, records: np.ndarray, tag: str) -> None:
-        """Append records to an open binary file handle."""
-        t0 = time.monotonic()
-        clip = self._write_gate(handle, getattr(handle, "name", "?"), records.nbytes)
-        if clip is not None:
-            handle.write(records.tobytes()[:clip])
-            raise self.chaos.enospc_error(getattr(handle, "name", "?"))
-        records.tofile(handle)
-        self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_write(tag, records.nbytes)
-
-    def record_appender(self, path: str, tag: str) -> "RecordAppender":
-        return RecordAppender(self, path, tag)
-
-    def write_at(self, handle, record_offset: int, payload: bytes, tag: str) -> None:
-        """Place a raw record chunk at a known record offset (phase 3)."""
-        t0 = time.monotonic()
-        handle.seek(record_offset * RECORD_BYTES)
-        clip = self._write_gate(handle, getattr(handle, "name", "?"), len(payload))
-        if clip is not None:
-            handle.write(payload[:clip])
-            raise self.chaos.enospc_error(getattr(handle, "name", "?"))
+                handle.write(bytes(payload[:clip]))
+                raise self.chaos.enospc_error(getattr(handle, "name", "?"))
         handle.write(payload)
         self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_write(tag, len(payload))
+        self.charge_write(tag, nbytes)
 
-    def preallocate(self, path: str, n_records: int) -> None:
-        """Create ``path`` sized for ``n_records`` (sparse where supported).
+    def write_file(self, path: str, part, tag: str) -> None:
+        """Write a whole part as ``path`` (plus its ``.idx`` where the
+        model has one)."""
+        with open(path, "wb") as handle:
+            self._write(handle, self.model.bytes_view(part), tag)
+        index = self.model.index_of(part)
+        if index is not None:
+            self.write_index(path, index, tag)
+
+    def append_records(self, handle, part, tag: str) -> None:
+        """Append a part's bytes to an open binary file handle."""
+        self._write(handle, self.model.bytes_view(part), tag)
+
+    def appender(self, path: str, tag: str) -> "Appender":
+        return Appender(self, path, tag)
+
+    def write_at(self, handle, byte_offset: int, payload, tag: str) -> None:
+        """Place a raw chunk at a known byte offset (the all-to-all's
+        slabs, striped's pieces and output)."""
+        handle.seek(byte_offset)
+        self._write(handle, payload, tag)
+
+    def preallocate(self, path: str, nbytes: int) -> None:
+        """Create ``path`` sized ``nbytes`` (sparse where supported).
 
         Idempotent on size: a file already at exactly the target size is
         left untouched, so a restarted all-to-all rewrites its slab in
         place instead of re-creating it.
         """
-        self.preallocate_bytes(path, n_records * RECORD_BYTES)
+        try:
+            if os.path.getsize(path) == nbytes:
+                return
+        except OSError:
+            pass
+        with open(path, "wb") as handle:
+            handle.truncate(nbytes)
 
     def remove(self, path: str) -> None:
         """Remove a spill file; **idempotent** by contract.
@@ -365,26 +384,21 @@ class FileBlockStore:
             os.remove(varlen_index_path(path))
         except FileNotFoundError:
             pass
-        self._invalidate_varlen_index(path)
-
-    # -- probe reads (probe-driven multiway selection) -------------------------
-
-    def probe_cache(self, capacity_blocks: int) -> "ProbeCache":
-        return ProbeCache(self, capacity_blocks)
-
-    # -- variable-length record I/O -------------------------------------------
-    #
-    # Varlen files are byte streams plus a ``<path>.idx`` sidecar of
-    # ``int64`` record-boundary offsets (see records.write_varlen_file),
-    # so "block b" still means "records [b*B, (b+1)*B)" — only addressed
-    # by byte offsets from the index instead of ``b * RECORD_BYTES``.
-    # Index I/O is charged under ``tag + INDEX_TAG_SUFFIX`` to keep the
-    # per-phase data byte counters exactly conserved.
-
-    def varlen_offsets(self, path: str, tag: str) -> np.ndarray:
-        """The record-boundary offsets of a varlen file (cached)."""
         with self._idx_lock:
-            offsets = self._varlen_idx.get(path)
+            self._index.pop(path, None)
+
+    # -- record-boundary index ------------------------------------------------
+    #
+    # The ``n + 1`` ``int64`` byte offsets of a file's record boundaries,
+    # for a model whose records vary in size: kept in ``<path>.idx`` (see
+    # records.write_varlen_file), or in memory only for a slab the
+    # all-to-all rebuilt.
+
+    def index(self, path: str, tag: str) -> np.ndarray:
+        """``path``'s record boundaries: from memory, or loaded once from
+        its ``.idx`` and charged under ``tag + INDEX_TAG_SUFFIX``."""
+        with self._idx_lock:
+            offsets = self._index.get(path)
             if offsets is not None:
                 return offsets
             t0 = time.monotonic()
@@ -393,132 +407,34 @@ class FileBlockStore:
             self.charge_read(tag + INDEX_TAG_SUFFIX, offsets.nbytes)
             if len(offsets) < 1 or offsets[0] != 0:
                 raise ValueError(f"{varlen_index_path(path)}: malformed index")
-            self._varlen_idx[path] = offsets
+            self._index[path] = offsets
         return offsets
 
-    def set_varlen_offsets(self, path: str, offsets: np.ndarray) -> None:
+    def set_index(self, path: str, offsets: np.ndarray) -> None:
         """Serve ``path``'s record boundaries from memory, not an ``.idx``
         (the all-to-all rebuilds a slab's as its chunks land)."""
         with self._idx_lock:
-            self._varlen_idx[path] = offsets
+            self._index[path] = offsets
 
-    def write_varlen_index(self, path: str, offsets: np.ndarray, tag: str) -> None:
-        """Write ``path``'s record boundaries as its ``.idx`` and fsync it
-        (a journaled slab, whose boundaries must outlive the process)."""
+    def write_index(self, path: str, offsets: np.ndarray, tag: str,
+                    fsync: bool = False) -> None:
+        """Write ``path``'s record boundaries as its ``.idx``, charged
+        under ``tag + INDEX_TAG_SUFFIX`` and fsynced when asked (a
+        journaled slab, whose boundaries must outlive the process).  The
+        file is the truth from now on: a cached copy is dropped."""
         with open(varlen_index_path(path), "wb") as handle:
             offsets.tofile(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         self.charge_write(tag + INDEX_TAG_SUFFIX, offsets.nbytes)
-
-    def _invalidate_varlen_index(self, path: str) -> None:
         with self._idx_lock:
-            self._varlen_idx.pop(path, None)
+            self._index.pop(path, None)
 
-    def varlen_record_count(self, path: str, tag: str) -> int:
-        return len(self.varlen_offsets(path, tag)) - 1
+    # -- probe reads (probe-driven multiway selection) -------------------------
 
-    def read_varlen_range(
-        self,
-        path: str,
-        start: int,
-        count: int,
-        tag: str,
-        offsets: Optional[np.ndarray] = None,
-    ) -> VarlenBatch:
-        """Read ``count`` records at record offset ``start`` (one pread).
-
-        ``offsets`` overrides the sidecar index — the merge phase reads
-        slab files whose boundaries it already holds in memory (the
-        all-to-all rebuilt them from the arrivals), so slabs need no
-        ``.idx`` on disk, and kept piece ranges through a slice of the
-        piece's index.
-        """
-        if offsets is None:
-            offsets = self.varlen_offsets(path, tag)
-        n = len(offsets) - 1
-        if start < 0 or start > n:
-            raise ValueError(f"{path}: record start {start} out of range 0..{n}")
-        stop = min(start + count, n)
-        lo = int(offsets[start])
-        hi = int(offsets[stop])
-        nbytes = hi - lo
-        t0 = time.monotonic()
-        out = np.empty(nbytes, dtype=np.uint8)
-        with open(path, "rb", buffering=0) as fh:
-            _pread_exact(fh, out.data, lo, path)
-        self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_read(tag, nbytes)
-        return VarlenBatch(out, offsets[start : stop + 1] - lo)
-
-    def read_varlen_blocks(self, path: str, block_ids, tag: str) -> VarlenBatch:
-        """Scatter-read whole varlen blocks (cf. :meth:`read_blocks`).
-
-        The same contract: maximal runs of consecutive block IDs
-        coalesce into one positioned read, the last block may be short,
-        and an out-of-range ID raises ``ValueError``.
-        """
-        ids = list(block_ids)
-        if not ids:
-            return VarlenBatch.empty()
-        offsets = self.varlen_offsets(path, tag)
-        n = len(offsets) - 1
-        bs = self.block_records
-        n_blocks = (n + bs - 1) // bs
-        bad = [b for b in ids if b < 0 or b >= n_blocks]
-        if bad:
-            raise ValueError(
-                f"{path}: block id {bad[0]} out of range "
-                f"(file has {n_blocks} blocks of {bs} records)"
-            )
-        parts = []
-        i = 0
-        while i < len(ids):
-            j = i + 1
-            while j < len(ids) and ids[j] == ids[j - 1] + 1:
-                j += 1
-            start = ids[i] * bs
-            stop = min(ids[j - 1] * bs + bs, n)
-            parts.append(
-                self.read_varlen_range(
-                    path, start, stop - start, tag, offsets=offsets
-                )
-            )
-            i = j
-        return VarlenBatch.concat(parts)
-
-    def write_varlen_file(self, path: str, batch: VarlenBatch, tag: str) -> None:
-        """Write a batch as ``path`` + ``path.idx``, with accounting."""
-        appender = self.varlen_appender(path, tag)
-        appender.append(batch)
-        appender.close()
-
-    def varlen_appender(self, path: str, tag: str) -> "VarlenAppender":
-        return VarlenAppender(self, path, tag)
-
-    def write_at_bytes(
-        self, handle, byte_offset: int, payload, tag: str
-    ) -> None:
-        """Place a raw byte chunk at a known byte offset (string phase 3)."""
-        t0 = time.monotonic()
-        handle.seek(byte_offset)
-        clip = self._write_gate(handle, getattr(handle, "name", "?"), len(payload))
-        if clip is not None:
-            handle.write(bytes(payload)[:clip])
-            raise self.chaos.enospc_error(getattr(handle, "name", "?"))
-        handle.write(payload)
-        self._charge_stall(tag, time.monotonic() - t0)
-        self.charge_write(tag, len(payload))
-
-    def preallocate_bytes(self, path: str, nbytes: int) -> None:
-        """Byte-sized :meth:`preallocate` (same size-idempotence contract)."""
-        try:
-            if os.path.getsize(path) == nbytes:
-                return
-        except OSError:
-            pass
-        with open(path, "wb") as handle:
-            handle.truncate(nbytes)
+    def probe_cache(self, capacity_blocks: int) -> "ProbeCache":
+        return ProbeCache(self, capacity_blocks)
 
 
 class ProbeCache:
@@ -553,32 +469,14 @@ class ProbeCache:
         return int(cached[pos - block_idx * self.store.block_records])
 
 
-class RecordAppender:
-    """Stream-append fixed record arrays to one file (cf. VarlenAppender).
+class Appender:
+    """Stream-append parts to one file.
 
-    Input generation and the merge emit their output through this.
-    """
-
-    def __init__(self, store: FileBlockStore, path: str, tag: str):
-        self.store = store
-        self.tag = tag
-        self._handle = open(path, "wb")
-
-    def append(self, records: np.ndarray) -> None:
-        self.store.append_records(self._handle, records, self.tag)
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-class VarlenAppender:
-    """Stream-append varlen batches to one file, writing the index on close.
-
-    The string model's counterpart of :class:`RecordAppender`: input
-    generation and the merge emit batches as they go; the record-boundary
-    offsets accumulate in memory and land in the ``.idx`` sidecar when
-    the file is complete.  A batch in column form (what sorts and merges
-    make) is assembled into record bytes here, by its ``bytes_view``:
+    Input generation and the merge emit their output through this.  For
+    a model whose files carry an ``.idx`` the record boundaries
+    accumulate in memory and land in the sidecar when the file is
+    complete.  A string part in column form (what sorts and merges make)
+    is assembled into record bytes here, by the model's ``bytes_view``:
     the one place run formation's pieces and the merge's output become
     bytes.
     """
@@ -588,76 +486,21 @@ class VarlenAppender:
         self.path = path
         self.tag = tag
         self._handle = open(path, "wb")
-        #: Per appended batch, its record ends in file byte offsets.
-        self._offsets = [np.zeros(1, dtype=np.int64)]
+        #: Per appended part, its record ends in file byte offsets.
+        self._ends = [np.zeros(1, dtype=np.int64)] if store.model.varlen else None
         self._total = 0
-        self._n_records = 0
         self._closed = False
 
-    @property
-    def n_records(self) -> int:
-        return self._n_records
-
-    def append(self, batch: VarlenBatch) -> None:
-        mv = batch.bytes_view()
-        t0 = time.monotonic()
-        clip = self.store._write_gate(self._handle, self.path, len(mv))
-        if clip is not None:
-            self._handle.write(bytes(mv)[:clip])
-            raise self.store.chaos.enospc_error(self.path)
-        self._handle.write(mv)
-        self.store._charge_stall(self.tag, time.monotonic() - t0)
-        self.store.charge_write(self.tag, len(mv))
-        self._offsets.append(batch.offsets[1:] + self._total)
-        self._total += len(mv)
-        self._n_records += len(batch)
+    def append(self, part) -> None:
+        self.store.append_records(self._handle, part, self.tag)
+        if self._ends is not None:
+            self._ends.append(self.store.model.index_of(part)[1:] + self._total)
+        self._total += part.nbytes
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self._handle.close()
-        offsets = np.concatenate(self._offsets)
-        with open(varlen_index_path(self.path), "wb") as handle:
-            offsets.tofile(handle)
-        self.store.charge_write(self.tag + INDEX_TAG_SUFFIX, offsets.nbytes)
-        self.store._invalidate_varlen_index(self.path)
-
-
-class SequentialReader:
-    """Stream a record file block by block (the merge phase's run reader)."""
-
-    def __init__(self, store: FileBlockStore, path: str, tag: str,
-                 n_records: Optional[int] = None):
-        self.store = store
-        self.path = path
-        self.tag = tag
-        from .records import record_count
-
-        self.n_records = record_count(path) if n_records is None else n_records
-        self.pos = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= self.n_records
-
-    def next_block(self) -> Optional[np.ndarray]:
-        """The next block of records, or None at end of file."""
-        if self.exhausted:
-            return None
-        count = min(self.store.block_records, self.n_records - self.pos)
-        out = self.store.read_range(self.path, self.pos, count, self.tag)
-        if len(out) != count:
-            raise IOError(
-                f"{self.path}: short read at record {self.pos} "
-                f"({len(out)} of {count})"
-            )
-        self.pos += count
-        return out
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        while True:
-            block = self.next_block()
-            if block is None:
-                return
-            yield block
+        if self._ends is not None:
+            self.store.write_index(self.path, np.concatenate(self._ends), self.tag)

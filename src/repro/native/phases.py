@@ -25,11 +25,12 @@ sent it, see :class:`SegmentLayout` — and the canonical balanced output
 after phase 4.
 
 The phases are written once for every record format: whatever depends on
-the format (reading and writing parts, sorting and merging them, their
-keys, the wire encoding, the checksum) is a method of the
-job's :class:`~repro.native.records.RecordModel`, ``ctx.model``.
+the format (sorting and merging parts, their keys, the wire encoding,
+the checksum) is a method of the job's
+:class:`~repro.native.records.RecordModel`, ``ctx.model``, and parts
+are read and written through ``ctx.store``, built with the same model.
 Positions, splitters, segment layouts, read units and the merge's guide
-are record counts for both models; bytes appear only where the model
+are record counts for both models; bytes appear only where the store
 reports them.
 """
 
@@ -189,7 +190,7 @@ def generate_input(ctx: NativeContext) -> None:
     start = job.worker_start(ctx.rank)
     n = job.records_per_worker
     batch = max(job.block_records, job.chunk_records)
-    out = model.appender(ctx.store, ctx.store.input_path(), "generate")
+    out = ctx.store.appender(ctx.store.input_path(), "generate")
     try:
         for s in range(0, n, batch):
             out.append(model.generate(
@@ -231,7 +232,7 @@ def damaged_blocks(
     bad = []
     for idx, want in enumerate(crcs):
         try:
-            part = model.read_range(store, path, idx * block, block, TAG_RECOVERY)
+            part = store.read_range(path, idx * block, block, TAG_RECOVERY)
         except OSError:
             bad.append(idx)
             continue
@@ -514,8 +515,8 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             # the chunk buffer (no per-block arrays, no concatenate) —
             # one coalesced positioned read per run of consecutive block
             # IDs.
-            records = model.read_blocks(
-                store, input_path, block_ids, TAG_RF, out=bufs.chunk
+            records = store.read_blocks(
+                input_path, block_ids, TAG_RF, out=bufs.chunk
             )
             ctx.add_checksum(records)
             ctx.stats.note_resident(
@@ -531,7 +532,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
             piece = _distributed_sort_run(ctx, records)
             del records
 
-            _put(wb, piece.nbytes, model.write_file, store,
+            _put(wb, piece.nbytes, store.write_file,
                  store.piece_path(r), piece, TAG_RF)
             if wb is not None:
                 # The writer owns the piece's buffer now.
@@ -612,7 +613,7 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
 
     def window(j: int, lo: int, hi: int):
         path = store.piece_path(pieces[j].run)
-        return model.keys(model.read_range(store, path, lo, hi - lo, TAG_SEL))
+        return model.keys(store.read_range(path, lo, hi - lo, TAG_SEL))
 
     positions, shipped = exact_splits(
         ctx.comm, [model.decode_keys(p.sample_keys) for p in pieces],
@@ -810,8 +811,8 @@ def all_to_all(
     layouts, slab_base = segment_layouts(runs, splits, rank)
     sizes = [
         [
-            model.range_nbytes(
-                store, store.piece_path(r),
+            store.nbytes(
+                store.piece_path(r),
                 *piece_slice(run, splits, r, rank, dest), TAG_A2A,
             )
             for dest in range(n_workers)
@@ -827,7 +828,7 @@ def all_to_all(
             path = store.slab_path(r)
             # preallocate is size-idempotent: a restarted exchange
             # rewrites every chunk in place.
-            store.preallocate_bytes(path, byte_base[r][-1])
+            store.preallocate(path, byte_base[r][-1])
             handles[r] = open(path, "r+b")
             slab_index[r] = model.slab_index(layout.lower + layout.upper)
 
@@ -841,9 +842,7 @@ def all_to_all(
                 continue
             lo, hi = piece_slice(run, splits, r, rank, dest)
             for chunk_k, s in enumerate(range(lo, hi, block)):
-                byte_off = model.range_nbytes(
-                    store, store.piece_path(r), lo, s, TAG_A2A
-                )
+                byte_off = store.nbytes(store.piece_path(r), lo, s, TAG_A2A)
                 send_plan.append(
                     (dest, r, chunk_k, s, min(block, hi - s), byte_off)
                 )
@@ -857,7 +856,6 @@ def all_to_all(
                 [r for _d, r, _k, _s, _c, _b in send_plan], job.prefetch_blocks
             ),
             TAG_A2A, job.prefetch_blocks, stats=ctx.stats,
-            fetch=lambda path, s, count: model.fetch(store, path, s, count, TAG_A2A),
         )
 
     wb: Optional[WriteBehind] = None
@@ -874,9 +872,7 @@ def all_to_all(
             if prefetcher is not None:
                 chunk = prefetcher.get(idx)
             else:
-                chunk = model.read_range(
-                    store, store.piece_path(r), s, count, TAG_A2A
-                )
+                chunk = store.read_range(store.piece_path(r), s, count, TAG_A2A)
             sent_bytes += chunk.nbytes
             ctx.stats.note_resident(2 * model.footprint(chunk))
             yield dest, ("a2a", r, chunk_k, byte_off,
@@ -909,8 +905,7 @@ def all_to_all(
         byte_pos = byte_base[r][peer] + byte_off
         model.note_arrival(slab_index[r], offset, byte_pos, part)
         view = model.bytes_view(part)
-        _put(wb, len(view), store.write_at_bytes, handles[r], byte_pos, view,
-             TAG_A2A)
+        _put(wb, len(view), store.write_at, handles[r], byte_pos, view, TAG_A2A)
         ctx.stats.note_resident(2 * model.footprint(part))
         arrivals += 1
         received += n_recs
@@ -1013,11 +1008,9 @@ def _fit(buf, at: int, n: int):
     return buf[at:] if at + n <= len(buf) else None
 
 
-def _read_exactly(
-    model: RecordModel, store: FileBlockStore, span: Extent, out=None
-):
-    records = model.read_range(
-        store, span.path, span.start, span.count, TAG_MERGE, out=out
+def _read_exactly(store: FileBlockStore, span: Extent, out=None):
+    records = store.read_range(
+        span.path, span.start, span.count, TAG_MERGE, out=out
     )
     if len(records) != span.count:
         raise IOError(
@@ -1086,8 +1079,8 @@ def merge(
         for u, (path, start, _count) in enumerate(run_units):
             key = first_keys[r][u] if first_keys is not None else None
             if key is None:
-                key = model.key_at(model.read_range(
-                    store, path, start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
+                key = model.key_at(store.read_range(
+                    path, start, 1, TAG_MERGE + INDEX_TAG_SUFFIX
                 ), 0)
             guide.append((key, r, u))
     guide.sort()
@@ -1131,7 +1124,7 @@ def merge(
             journal.merge_mark(count)
             marked = count
 
-    out = model.appender(store, out_path, TAG_MERGE)
+    out = store.appender(out_path, TAG_MERGE)
     try:
         if job.prefetch_blocks > 0 and guide:
             prefetcher = Prefetcher(
@@ -1141,7 +1134,6 @@ def merge(
                     [r for _key, r, _u in guide], job.prefetch_blocks
                 ),
                 TAG_MERGE, job.prefetch_blocks, stats=ctx.stats,
-                fetch=lambda path, s, n: model.fetch(store, path, s, n, TAG_MERGE),
             )
         if job.write_behind_blocks > 0:
             wb = WriteBehind(
@@ -1195,7 +1187,7 @@ def merge(
                     for span in _coalesce(units[r][first : last + 1]):
                         dest = _fit(stage, at, span.count)
                         placed = placed and dest is not None
-                        pieces.append(_read_exactly(model, store, span, dest))
+                        pieces.append(_read_exactly(store, span, dest))
                         at += span.count
                 if placed:
                     buf = model.slice(stage, start, at)

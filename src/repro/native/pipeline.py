@@ -41,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..em.prefetch import optimal_prefetch_schedule, prediction_order
-from .records import read_records
 
 __all__ = [
     "Prefetcher",
@@ -96,9 +95,9 @@ class Prefetcher:
     At most ``budget_blocks`` requests are in flight or fetched-but-
     unconsumed at any time.  :meth:`get` hands the consumer request ``i``,
     charging the read to ``store`` *on the consuming thread* and
-    recording the wait as stall time in ``stats``.  ``fetch(path, start,
-    count)`` reads a request without accounting (default: fixed16
-    records; the phases pass their record model's ``fetch``).
+    recording the wait as stall time in ``stats``.  The reader threads
+    read through the store's uncharged ``fetch``, so a request comes
+    back as a part of the store's record model.
     """
 
     def __init__(
@@ -110,7 +109,6 @@ class Prefetcher:
         budget_blocks: int,
         stats=None,
         n_threads: Optional[int] = None,
-        fetch: Optional[Callable] = None,
     ):
         if budget_blocks < 1:
             raise ValueError(f"budget_blocks must be >= 1, got {budget_blocks}")
@@ -121,7 +119,6 @@ class Prefetcher:
         self.tag = tag
         self.budget = budget_blocks
         self.stats = stats
-        self._fetch = fetch or read_records
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._order = list(fetch_order)
@@ -187,7 +184,7 @@ class Prefetcher:
 
     def _read(self, idx: int):
         path, start, count = self.requests[idx]
-        block = self._fetch(path, start, count)
+        block = self.store.fetch(path, start, count, self.tag)
         if len(block) != count:
             raise IOError(
                 f"{path}: short read at record {start} "
@@ -323,9 +320,9 @@ class WriteBehind:
         self.defer(self.store.append_records, handle, records, self.tag,
                    nbytes=records.nbytes)
 
-    def write_at(self, handle, record_offset: int, payload: bytes) -> None:
-        """Deferred ``store.write_at(handle, record_offset, payload, tag)``."""
-        self.defer(self.store.write_at, handle, record_offset, payload,
+    def write_at(self, handle, byte_offset: int, payload: bytes) -> None:
+        """Deferred ``store.write_at(handle, byte_offset, payload, tag)``."""
+        self.defer(self.store.write_at, handle, byte_offset, payload,
                    self.tag, nbytes=len(payload))
 
     def write_file(self, path: str, records: np.ndarray) -> None:

@@ -1,8 +1,8 @@
 """Native on-disk record format and its numpy kernels.
 
 The native backend moves *real bytes*: records are fixed-size binary
-structs written with ``ndarray.tofile`` and read back with
-``numpy.fromfile``.  The layout mirrors the paper's 16-byte element
+structs, written and read back as raw bytes by the block store
+(:mod:`repro.native.blockstore`).  The layout mirrors the paper's 16-byte element
 (:data:`repro.records.element.ELEM_PAPER_16B`): a little-endian 64-bit
 key followed by a 64-bit payload.  The payload carries the gensort-style
 record index, so a sorted output file can be traced back to the exact
@@ -17,6 +17,7 @@ it back.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -34,8 +35,6 @@ __all__ = [
     "sort_records",
     "concat_records",
     "merge_record_arrays",
-    "read_records",
-    "record_count",
     "records_from_bytes",
     "bytes_view",
     "keys_of",
@@ -58,7 +57,6 @@ __all__ = [
     "lcp_encode_batch",
     "lcp_decode_batch",
     "read_varlen_file",
-    "read_varlen_records",
     "write_varlen_file",
     "RecordModel",
     "Fixed16Model",
@@ -415,23 +413,6 @@ def merge_record_arrays(
             raise ValueError("out overlaps the concat buffer")
     order = _packed_order(whole["key"], scratch, stable=len(parts) == 2)
     return _gather(whole, order, dest)
-
-
-def read_records(path: str, start: int, count: int) -> np.ndarray:
-    """Read ``count`` records from ``path`` beginning at record ``start``."""
-    with open(path, "rb") as handle:
-        handle.seek(start * RECORD_BYTES)
-        return np.fromfile(handle, dtype=NATIVE_DTYPE, count=count)
-
-
-def record_count(path: str) -> int:
-    """Number of whole records stored in ``path``."""
-    import os
-
-    size = os.path.getsize(path)
-    if size % RECORD_BYTES:
-        raise ValueError(f"{path}: {size} bytes is not a whole number of records")
-    return size // RECORD_BYTES
 
 
 def records_from_bytes(buf: bytes) -> np.ndarray:
@@ -1392,20 +1373,6 @@ def read_varlen_file(path: str) -> VarlenBatch:
     return VarlenBatch(data, offsets)
 
 
-def read_varlen_records(
-    path: str, start: int, count: int, offsets: np.ndarray
-) -> VarlenBatch:
-    """Read ``count`` varlen records at record ``start``, no accounting.
-
-    ``offsets`` are the file's record boundaries (cf. :func:`read_records`).
-    """
-    lo, hi = int(offsets[start]), int(offsets[start + count])
-    with open(path, "rb") as handle:
-        handle.seek(lo)
-        data = np.fromfile(handle, dtype=np.uint8, count=hi - lo)
-    return VarlenBatch(data, offsets[start : start + count + 1] - lo)
-
-
 def _count_lcp(stats, phase: str, raw: int, wire: int, overhead: int,
                trimmed: int) -> None:
     """Accumulate the provable LCP volume identity of one wire chunk::
@@ -1444,14 +1411,19 @@ class RecordModel:
       bytes a part holds in memory, for the resident accounting: its
       records, plus the key column for strings);
     * memory — ``buffers(capacity)``, the model's fixed
-      :class:`RecordBuffers` set; ``sort``, ``merge``, ``copy``,
-      ``read_blocks`` and ``read_range`` take an ``out`` (and the
-      kernels a ``scratch``) from it.  Fixed16 lands every result
-      there; strings get an empty set and ignore both;
-    * files (through a :class:`~repro.native.blockstore.FileBlockStore`) —
-      ``read_blocks``, ``read_range``, ``fetch`` (uncharged, for reader
-      threads), ``write_file``, ``appender``, ``range_nbytes`` (the byte
-      size of a record range);
+      :class:`RecordBuffers` set; ``sort``, ``merge``, ``copy`` and the
+      block store's reads take an ``out`` (and the kernels a
+      ``scratch``) from it.  Fixed16 lands every result there; strings
+      get an empty set and ignore both;
+    * files — the :class:`~repro.native.blockstore.FileBlockStore` moves
+      byte extents; the model maps records to bytes:
+      ``boundaries(store, path, tag)`` (record ``i`` of ``path`` starts
+      at byte ``boundaries[i]``: ``16·i`` for fixed16, the ``.idx``
+      array for strings), ``index_of`` (a part's boundaries as an
+      ``.idx`` stores them, ``None`` for a model without one),
+      ``landing`` (the buffer a read of ``n`` records, ``nbytes``
+      bytes, lands in: the front of ``out`` for fixed16) and
+      ``part_of`` (the records of a read's ranges, as a part);
     * wire — ``encode``/``decode`` a chunk, ``encode_keys``/``decode_keys``
       a sorted key sequence (``encode_keys`` never returns a view of its
       input), ``bytes_view`` of a part as written,
@@ -1462,16 +1434,16 @@ class RecordModel:
       ``note_arrival`` / ``seal_slab`` for a slab's record boundaries.
 
     Both window selections need no method of their own: they read a
-    window with ``read_range``, take its ``keys`` and compare them as
-    numpy keys (u64 or ``S{w}``), the samples via ``decode_keys``.
+    window with the store's ``read_range``, take its ``keys`` and compare
+    them as numpy keys (u64 or ``S{w}``), the samples via ``decode_keys``.
 
     ``name`` is the job-spec / CLI token; ``varlen`` says whether files
-    carry an ``.idx`` record-boundary sidecar (job validation reads it,
-    the phases do not); ``nominal_bytes`` is the per-record figure used
-    for *sizing* (memory budgets, block sizing, records-per-worker) — for
-    the string model it is the same 16 bytes, so a given ``--data-mib``
-    sorts the same record count under either model and sizing-sensitive
-    invariants stay comparable.
+    carry an ``.idx`` record-boundary sidecar (job validation and the
+    store's appender read it, the phases do not); ``nominal_bytes`` is
+    the per-record figure used for *sizing* (memory budgets, block
+    sizing, records-per-worker) — for the string model it is the same
+    16 bytes, so a given ``--data-mib`` sorts the same record count under
+    either model and sizing-sensitive invariants stay comparable.
     """
 
     name: str = "abstract"
@@ -1559,23 +1531,20 @@ class Fixed16Model(RecordModel):
         return part.nbytes
 
     # -- files
-    def read_blocks(self, store, path, block_ids, tag, out=None):
-        return store.read_blocks(path, block_ids, tag, out=out)
+    def boundaries(self, store, path, tag):
+        """``16·i``, up to the file's last whole record: no index."""
+        return range(0, os.stat(path).st_size + 1, RECORD_BYTES)
 
-    def read_range(self, store, path, start, count, tag, out=None):
-        return store.read_range(path, start, count, tag, out=out)
+    def index_of(self, part):
+        return None
 
-    def fetch(self, store, path, start, count, tag):
-        return read_records(path, start, count)
+    def landing(self, out, n_records, nbytes):
+        if out is None:
+            return np.empty(n_records, dtype=NATIVE_DTYPE)
+        return _destination(out, n_records)
 
-    def write_file(self, store, path, part, tag):
-        store.write_file(path, part, tag)
-
-    def appender(self, store, path, tag):
-        return store.record_appender(path, tag)
-
-    def range_nbytes(self, store, path, lo, hi, tag) -> int:
-        return (hi - lo) * RECORD_BYTES
+    def part_of(self, buf, bounds, ranges):
+        return buf
 
     # -- wire
     def encode(self, part, stats=None, phase=""):
@@ -1704,25 +1673,24 @@ class StringModel(RecordModel):
         return part.nbytes + len(part) * (part.max_key_len() + 1)
 
     # -- files
-    def read_blocks(self, store, path, block_ids, tag, out=None):
-        return store.read_varlen_blocks(path, block_ids, tag)
+    def boundaries(self, store, path, tag):
+        return store.index(path, tag)
 
-    def read_range(self, store, path, start, count, tag, out=None):
-        return store.read_varlen_range(path, start, count, tag)
+    def index_of(self, part):
+        return part.offsets
 
-    def fetch(self, store, path, start, count, tag):
-        offsets = store.varlen_offsets(path, tag)
-        return read_varlen_records(path, start, count, offsets)
+    def landing(self, out, n_records, nbytes):
+        return np.empty(nbytes, dtype=np.uint8)
 
-    def write_file(self, store, path, part, tag):
-        store.write_varlen_file(path, part, tag)
-
-    def appender(self, store, path, tag):
-        return store.varlen_appender(path, tag)
-
-    def range_nbytes(self, store, path, lo, hi, tag) -> int:
-        offsets = store.varlen_offsets(path, tag)
-        return int(offsets[hi] - offsets[lo])
+    def part_of(self, buf, bounds, ranges):
+        """The ranges' records, read back to back into ``buf``: their
+        boundaries, rebased onto it."""
+        ends, at = [np.zeros(1, dtype=np.int64)], 0
+        for a, b in ranges:
+            lo = int(bounds[a])
+            ends.append(bounds[a + 1 : b + 1] + (at - lo))
+            at += int(bounds[b]) - lo
+        return VarlenBatch(buf, np.concatenate(ends))
 
     # -- wire
     def encode(self, part, stats=None, phase=""):
@@ -1798,8 +1766,8 @@ class StringModel(RecordModel):
                 f"({int(index[-1])} of {nbytes} bytes claimed)"
             )
         if durable:
-            store.write_varlen_index(path, index, tag)
-        store.set_varlen_offsets(path, index)
+            store.write_index(path, index, tag, fsync=True)
+        store.set_index(path, index)
 
 
 MODELS = {"fixed16": Fixed16Model(), "string": StringModel()}

@@ -86,7 +86,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
             chaos.set_epoch(epoch)
         store = FileBlockStore(
             job.spill_dir, rank, job.block_records, chaos=chaos,
-            namespace=job.spill_namespace,
+            namespace=job.spill_namespace, model=job.model,
         )
         # I/O stall attribution: store ops on *this* thread count as
         # per-phase stall; background pipeline threads' ops do not.

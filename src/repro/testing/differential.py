@@ -25,7 +25,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -593,27 +593,138 @@ def _check_recovered(spec: CaseSpec, sort) -> List[str]:
     return issues
 
 
-def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult:
-    """One case through the native backend, checked against the oracle."""
-    from ..native import NativeJob, NativeSorter
-    from ..native.records import NATIVE_DTYPE, RECORD_BYTES
+class _NativeInput(NamedTuple):
+    """One record model's input to a native case, and its oracle."""
 
-    if spec.records != "fixed16":
-        return _run_native_string_case(spec, workdir=workdir)
+    #: Prefix of the case's divergence messages.
+    label: str
+    #: The key of every global input index (the payloads' targets).
+    keys: np.ndarray
+    #: The order-independent input checksum the sort must stream.
+    checksum: int
+    #: The conserved volume, in the model's bytes, and its name.
+    nbytes: int
+    volume: str
+    #: Writes ``input_<rank>.dat`` (payload = global input index).
+    write: Callable[[str], None]
+    #: (sort result, output parts in rank order) -> divergences from
+    #: the oracle.
+    compare: Callable[[object, list], List[str]]
+    #: A part's ``u64`` payload column.
+    payloads: Callable[[object], np.ndarray]
+    #: Sort stats -> the all-to-all's shipped volume, in model bytes.
+    shipped: Callable[[object], int]
+
+
+def _fixed16_input(spec: CaseSpec, parts) -> _NativeInput:
+    """The corpus keys as 16-byte records; the oracle is ``np.sort`` cut
+    at the canonical ``i*N/P`` boundaries."""
+    from ..native.records import RECORD_BYTES
+
+    keys = np.concatenate(parts)
+    expect = oracle.expected_outputs(parts)
+    return _NativeInput(
+        label="native",
+        keys=keys,
+        checksum=oracle.multiset_checksum(keys),
+        nbytes=len(keys) * RECORD_BYTES,
+        volume=f"N*{RECORD_BYTES}",
+        write=lambda spill: corpus.write_native_inputs(spill, parts),
+        compare=lambda sort, _outs: _compare_to_oracle(
+            sort.output_keys(), expect, "native"),
+        payloads=lambda part: part["payload"],
+        shipped=lambda stats: stats.wire_sent("all_to_all"),
+    )
+
+
+def _string_input(spec: CaseSpec, parts) -> _NativeInput:
+    """The corpus keys mapped through the case's string family — an
+    order- and duplicate-preserving u64-to-bytes embedding from
+    :data:`~repro.native.records.STRING_FAMILIES`; the oracle is an
+    independent Python ``sorted()`` of the decoded byte strings cut at
+    the canonical ``i*N/P`` boundaries.  The volume is the *encoded*
+    bytes (length prefix + key + payload; the ``:index``-tagged sidecar
+    I/O is bookkept separately), and the all-to-all's shipped volume is
+    the senders' raw-byte counter, not the LCP-coded wire."""
+    from ..native.records import (
+        VarlenBatch,
+        resolve_string_family,
+        string_checksum,
+        write_varlen_file,
+    )
+
+    key_map = resolve_string_family(spec.string_family)
+    keys_in = [key_map(int(v)) for part in parts for v in part]
+    total = len(keys_in)
+    n = spec.sizing_obj.n_per_rank
+    batch = VarlenBatch.build(keys_in, range(total))
+
+    def write(spill: str) -> None:
+        for rank in range(spec.n_workers):
+            write_varlen_file(os.path.join(spill, f"input_{rank}.dat"),
+                              batch.slice(rank * n, rank * n + n))
+
+    bounds = [i * total // spec.n_workers for i in range(spec.n_workers + 1)]
+    return _NativeInput(
+        label="native str",
+        keys=np.array(keys_in),
+        checksum=string_checksum(batch),
+        nbytes=batch.nbytes,
+        volume="the encoded volume",
+        write=write,
+        compare=lambda _sort, outs: _compare_to_sorted(
+            [o.keys() for o in outs], sorted(keys_in), bounds),
+        payloads=lambda part: part.payloads(),
+        shipped=lambda stats: int(stats.counter_total("a2a_raw_bytes")),
+    )
+
+
+def _compare_to_sorted(
+    outputs: Sequence[List[bytes]], expect: List[bytes], bounds: List[int]
+) -> List[str]:
+    """Per-rank comparison of decoded keys against the sorted() oracle."""
+    issues: List[str] = []
+    for rank, got in enumerate(outputs):
+        want = expect[bounds[rank] : bounds[rank + 1]]
+        if len(got) != len(want):
+            issues.append(
+                f"native str: rank {rank} holds {len(got)} records, "
+                f"canonical share is {len(want)}"
+            )
+        elif got != want:
+            bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            issues.append(
+                f"native str: rank {rank} diverges from the decoded "
+                f"sorted() oracle at record {bad}: got {got[bad]!r}, "
+                f"want {want[bad]!r}"
+            )
+    return issues
+
+
+def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult:
+    """One case through the native backend, checked against the oracle.
+
+    The oracle is the record model's own (:func:`_fixed16_input`,
+    :func:`_string_input`); both models share the rest: the input files,
+    the job, the recovery checks, ``validate()``, the payload permutation
+    and round trip, and the conservation identities; string cases also
+    balance the LCP wire counters.
+    """
+    from ..native import NativeJob, NativeSorter
 
     parts = spec.input_parts()
-    expect = oracle.expected_outputs(parts)
-    want_checksum = oracle.multiset_checksum(np.concatenate(parts))
-    n = spec.sizing_obj.n_per_rank
-    total = n * spec.n_workers
+    data = (_fixed16_input if spec.records == "fixed16" else _string_input)(
+        spec, parts
+    )
+    label = data.label
+    total = spec.sizing_obj.n_per_rank * spec.n_workers
     result = CaseResult(spec=spec, backend="native", total_records=total)
 
     own_dir = workdir is None
     spill = workdir or tempfile.mkdtemp(prefix="repro-conf-")
     try:
-        # Pre-write the inputs: payload = global input index, so the
-        # output can be traced back to the exact input permutation.
-        corpus.write_native_inputs(spill, parts)
+        os.makedirs(spill, exist_ok=True)
+        data.write(spill)
         job = NativeJob(
             config=_config_for(spec),
             n_workers=spec.n_workers,
@@ -626,58 +737,61 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
             chaos=_recovery_chaos(spec),
             max_restarts=1 if spec.recover else 0,
             algo=spec.algo,
+            records=spec.records,
         )
         sort = NativeSorter(job).run()
         result.divergences.extend(_check_recovered(spec, sort))
 
         result.checksum = sort.input_checksum
-        if sort.input_checksum != want_checksum:
+        if sort.input_checksum != data.checksum:
             result.divergences.append(
-                f"native: streamed input checksum {sort.input_checksum:#x} "
-                f"!= oracle {want_checksum:#x}"
+                f"{label}: streamed input checksum {sort.input_checksum:#x} "
+                f"!= oracle {data.checksum:#x}"
             )
         report = sort.validate()
         if not report.ok:
-            result.divergences.extend(f"native validate: {i}" for i in report.issues)
-        result.divergences.extend(
-            _compare_to_oracle(sort.output_keys(), expect, "native")
-        )
+            result.divergences.extend(
+                f"{label} validate: {i}" for i in report.issues
+            )
+        outs = [sort.output_records(rank) for rank in range(spec.n_workers)]
+        result.divergences.extend(data.compare(sort, outs))
 
         # Payload integrity: the output must be a permutation of the
         # input, pair-exact.
-        keys_in = np.concatenate(parts)
-        recs = [
-            np.fromfile(meta.path, dtype=NATIVE_DTYPE) for meta in sort.outputs
-        ]
-        payloads = np.concatenate([r["payload"] for r in recs]) if recs else []
+        payloads = np.concatenate([data.payloads(o) for o in outs])
         if len(payloads) == total:
-            if not np.array_equal(np.sort(payloads), np.arange(total, dtype=np.uint64)):
+            if not np.array_equal(
+                np.sort(payloads), np.arange(total, dtype=np.uint64)
+            ):
                 result.divergences.append(
-                    "native: output payloads are not a permutation of the "
-                    "global input indices"
+                    f"{label}: output payloads are not a permutation of "
+                    "the global input indices"
                 )
-            else:
-                out_keys = np.concatenate([r["key"] for r in recs])
-                if not np.array_equal(keys_in[payloads], out_keys):
-                    result.divergences.append(
-                        "native: some output record's (key, payload) pair "
-                        "does not round-trip to the input"
-                    )
+            elif not np.array_equal(
+                data.keys[payloads],
+                np.concatenate([job.model.keys(o) for o in outs]),
+            ):
+                result.divergences.append(
+                    f"{label}: some output record's (key, payload) pair "
+                    "does not round-trip to the input"
+                )
 
         # Conservation, summed over the workers: two passes of exactly
-        # N·record_bytes plus what the all-to-all shipped.  The striped
-        # backend asserts its own profile (two exchanges, empty
+        # the input volume plus what the all-to-all shipped (the
+        # ``:index`` sidecars are charged under their own tags).  The
+        # striped backend asserts its own profile (two exchanges, empty
         # all-to-all slot).
-        nbytes = total * RECORD_BYTES
         if spec.algo == "striped":
             result.divergences.extend(
-                _check_striped_conservation(sort.stats.workers, nbytes)
+                _check_striped_conservation(sort.stats.workers, data.nbytes)
             )
         else:
             result.divergences.extend(_check_canonical_conservation(
-                sort.stats, nbytes, sort.stats.wire_sent("all_to_all"),
-                f"N*{RECORD_BYTES}", skip_run_formation=spec.recover,
+                sort.stats, data.nbytes, data.shipped(sort.stats),
+                data.volume, skip_run_formation=spec.recover,
             ))
+        if job.model.varlen:
+            result.divergences.extend(_check_lcp_identity(spec, sort, total))
     finally:
         if own_dir:
             shutil.rmtree(spill, ignore_errors=True)
@@ -689,169 +803,40 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
 _LCP_FAMILIES = ("rf_sample", "rf_xchg", "a2a")
 
 
-def _run_native_string_case(
-    spec: CaseSpec, workdir: Optional[str] = None
-) -> CaseResult:
-    """One *string-model* case through the native backend.
-
-    The corpus keys are mapped through the case's string family — an
-    order- and duplicate-preserving u64-to-bytes embedding from
-    :data:`~repro.native.records.STRING_FAMILIES`; the oracle is an
-    independent Python ``sorted()`` of the decoded byte strings cut at
-    the canonical ``i*N/P`` boundaries.  Conservation is
-    checked in *encoded* bytes (length prefix + key + payload; the
-    ``:index``-tagged sidecar I/O is bookkept separately), and the LCP
-    wire counters must balance their volume identity exactly.
-    """
-    from ..native import NativeJob, NativeSorter
-    from ..native.records import (
-        VarlenBatch,
-        resolve_string_family,
-        string_checksum,
-        write_varlen_file,
-    )
-
-    parts = spec.input_parts()
-    n = spec.sizing_obj.n_per_rank
-    total = n * spec.n_workers
-    result = CaseResult(spec=spec, backend="native", total_records=total)
-
-    key_map = resolve_string_family(spec.string_family)
-    keys_in: List[bytes] = [
-        key_map(int(v)) for part in parts for v in part
-    ]
-    input_batch = VarlenBatch.build(keys_in, range(total))
-    want_checksum = string_checksum(input_batch)
-    nbytes = input_batch.nbytes  # conserved volume, in encoded bytes
-    expect = sorted(keys_in)
-    bounds = [i * total // spec.n_workers for i in range(spec.n_workers + 1)]
-
-    own_dir = workdir is None
-    spill = workdir or tempfile.mkdtemp(prefix="repro-conf-")
-    try:
-        os.makedirs(spill, exist_ok=True)
-        # Pre-write the inputs: payload = global input index, so the
-        # output can be traced back to the exact input permutation.
-        for rank in range(spec.n_workers):
-            write_varlen_file(
-                os.path.join(spill, f"input_{rank}.dat"),
-                input_batch.slice(rank * n, rank * n + n),
+def _check_lcp_identity(spec: CaseSpec, sort, total: int) -> List[str]:
+    """Per family, wire == raw + overhead - trimmed (it is linear, so it
+    survives summing over workers), and the corpus keys of every family
+    must actually compress somewhere."""
+    issues: List[str] = []
+    trimmed_total = 0
+    for fam in _LCP_FAMILIES:
+        sums = {
+            kind: sum(
+                w.counters.get(f"{fam}_{kind}_bytes", 0)
+                for w in sort.stats.workers
             )
-        job = NativeJob(
-            config=_config_for(spec),
-            n_workers=spec.n_workers,
-            spill_dir=spill,
-            generate=False,
-            timeout=120.0,
-            transport=spec.transport,
-            prefetch_blocks=4 if spec.pipelined else 0,
-            write_behind_blocks=4 if spec.pipelined else 0,
-            chaos=_recovery_chaos(spec),
-            max_restarts=1 if spec.recover else 0,
-            records="string",
+            for kind in ("raw", "wire", "overhead", "trimmed")
+        }
+        trimmed_total += sums["trimmed"]
+        if sums["wire"] != sums["raw"] + sums["overhead"] - sums["trimmed"]:
+            issues.append(
+                f"native str: LCP volume identity broken for {fam}: "
+                f"wire {sums['wire']:.0f} != raw {sums['raw']:.0f} + "
+                f"overhead {sums['overhead']:.0f} - trimmed "
+                f"{sums['trimmed']:.0f}"
+            )
+    # A recovery twin reports its resumed epoch only, whose run
+    # formation came from the journal: its sample and slice wire
+    # counters are not there to compress anything.
+    if (
+        spec.n_workers > 1 and total > 1 and not spec.recover
+        and trimmed_total <= 0
+    ):
+        issues.append(
+            "native str: LCP compression trimmed 0 bytes across every "
+            "phase — front coding is not engaging"
         )
-        sort = NativeSorter(job).run()
-        result.divergences.extend(_check_recovered(spec, sort))
-
-        result.checksum = sort.input_checksum
-        if sort.input_checksum != want_checksum:
-            result.divergences.append(
-                f"native str: streamed input checksum "
-                f"{sort.input_checksum:#x} != oracle {want_checksum:#x}"
-            )
-        report = sort.validate()
-        if not report.ok:
-            result.divergences.extend(
-                f"native str validate: {i}" for i in report.issues
-            )
-
-        # Byte-identical per-rank comparison against the decoded oracle.
-        out_batches = [
-            sort.output_records(rank) for rank in range(spec.n_workers)
-        ]
-        for rank, batch in enumerate(out_batches):
-            got = batch.keys()
-            want = expect[bounds[rank] : bounds[rank + 1]]
-            if len(got) != len(want):
-                result.divergences.append(
-                    f"native str: rank {rank} holds {len(got)} records, "
-                    f"canonical share is {len(want)}"
-                )
-            elif got != want:
-                bad = next(
-                    i for i, (g, w) in enumerate(zip(got, want)) if g != w
-                )
-                result.divergences.append(
-                    f"native str: rank {rank} diverges from the decoded "
-                    f"sorted() oracle at record {bad}: got {got[bad]!r}, "
-                    f"want {want[bad]!r}"
-                )
-
-        # Payload integrity: a permutation of the global input indices,
-        # and every (key, payload) pair round-trips to the input.
-        payloads = [int(p) for b in out_batches for p in b.payloads()]
-        if len(payloads) == total:
-            if sorted(payloads) != list(range(total)):
-                result.divergences.append(
-                    "native str: output payloads are not a permutation of "
-                    "the global input indices"
-                )
-            else:
-                out_keys = [k for b in out_batches for k in b.keys()]
-                if any(
-                    keys_in[p] != k for p, k in zip(payloads, out_keys)
-                ):
-                    result.divergences.append(
-                        "native str: some output record's (key, payload) "
-                        "pair does not round-trip to the input"
-                    )
-
-        # Conservation, in encoded bytes: the offset-index sidecars are
-        # charged under their own ":index" tags, so the conserved phase
-        # tags must still move exactly the input's encoded volume (the
-        # wire is LCP-coded, so what the all-to-all shipped is the
-        # senders' raw-byte counter, not the wire volume).
-        result.divergences.extend(_check_canonical_conservation(
-            sort.stats, nbytes,
-            int(sort.stats.counter_total("a2a_raw_bytes")),
-            "the encoded volume", skip_run_formation=spec.recover,
-        ))
-
-        # The LCP identity: per family, wire == raw + overhead - trimmed
-        # (it is linear, so it survives summing over workers), and the
-        # corpus keys of every family must actually compress somewhere.
-        trimmed_total = 0
-        for fam in _LCP_FAMILIES:
-            sums = {
-                kind: sum(
-                    w.counters.get(f"{fam}_{kind}_bytes", 0)
-                    for w in sort.stats.workers
-                )
-                for kind in ("raw", "wire", "overhead", "trimmed")
-            }
-            trimmed_total += sums["trimmed"]
-            if sums["wire"] != sums["raw"] + sums["overhead"] - sums["trimmed"]:
-                result.divergences.append(
-                    f"native str: LCP volume identity broken for {fam}: "
-                    f"wire {sums['wire']:.0f} != raw {sums['raw']:.0f} + "
-                    f"overhead {sums['overhead']:.0f} - trimmed "
-                    f"{sums['trimmed']:.0f}"
-                )
-        # A recovery twin reports its resumed epoch only, whose run
-        # formation came from the journal: its sample and slice wire
-        # counters are not there to compress anything.
-        if (
-            spec.n_workers > 1 and total > 1 and not spec.recover
-            and trimmed_total <= 0
-        ):
-            result.divergences.append(
-                "native str: LCP compression trimmed 0 bytes across every "
-                "phase — front coding is not engaging"
-            )
-    finally:
-        if own_dir:
-            shutil.rmtree(spill, ignore_errors=True)
-    return result
+    return issues
 
 
 def run_sim_case(spec: CaseSpec) -> CaseResult:

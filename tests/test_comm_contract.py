@@ -521,10 +521,10 @@ def test_phase2_reads_only_own_pieces(transport, tmp_path, n, records):
     def body(c):
         store = FileBlockStore(
             str(tmp_path / f"rank{c.rank}"), rank=c.rank,
-            block_records=job.block_records,
+            block_records=job.block_records, model=model,
         )
         for r in range(len(runs_keys)):
-            model.write_file(store, store.piece_path(r), pieces[r, c.rank], "w")
+            store.write_file(store.piece_path(r), pieces[r, c.rank], "w")
         with pytest.raises(FileNotFoundError):
             open(store.piece_path(0, (c.rank + 1) % n), "rb")
         ctx = NativeContext(

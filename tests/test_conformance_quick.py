@@ -99,6 +99,27 @@ def test_quick_matrix_string_twin(spec, tmp_path):
         )
 
 
+# Pipelined string twins: the string path through Prefetcher and
+# WriteBehind (read-ahead of varlen extents, deferred slab writes and
+# appends), against the same decoded sorted() oracle.
+PIPE_STR_QUICK = differential.string_variants(
+    differential.pipelined_variants(QUICK[:3])
+)
+
+
+@pytest.mark.parametrize(
+    "spec", PIPE_STR_QUICK, ids=[s.to_token() for s in PIPE_STR_QUICK]
+)
+def test_quick_matrix_pipelined_string_twin(spec, tmp_path):
+    assert spec.records == "string" and spec.pipelined
+    for result in differential.run_case(spec, workdir=str(tmp_path / "spill")):
+        assert result.ok, (
+            f"[{result.backend}] {spec.to_token()} diverged:\n  "
+            + "\n  ".join(result.divergences)
+            + f"\nreplay: {spec.replay_command()}"
+        )
+
+
 def test_string_token_round_trips():
     spec = differential.CaseSpec(
         "uniform", "base", n_workers=2, seed=5,

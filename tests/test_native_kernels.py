@@ -499,7 +499,7 @@ def _lay_out(store, model, r, seg, layout, tail=0):
         # The all-to-all leaves every segment file's record boundaries in
         # the store's memory; the merge itself reads no ``.idx``.
         for path in paths:
-            store.varlen_offsets(path, "setup")
+            store.index(path, "setup")
     extents = layout.extents(store, r)
     # Slab units and kept units on the piece's block grid come for free;
     # a kept range starting inside a block leaves its first key unknown.
@@ -520,7 +520,8 @@ def _run_merge(spill, segments, block, piece_blocks, harvested=True,
     )
     model = job.model
     assert job.n_runs == len(segments) and job.piece_blocks == piece_blocks
-    store = FileBlockStore(str(spill), rank=rank, block_records=block)
+    store = FileBlockStore(str(spill), rank=rank, block_records=block,
+                           model=model)
     stats = WorkerStats(rank=rank)
     store.attach_stats(stats)
     layouts = layouts or [_whole(seg) for seg in segments]

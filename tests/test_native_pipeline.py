@@ -152,10 +152,10 @@ def test_write_behind_write_file_and_write_at(tmp_path):
     whole = make_records(np.arange(8, dtype=np.uint64))
     patch = make_records(np.arange(100, 104, dtype=np.uint64))
     dest = tmp_path / "seg.dat"
-    store.preallocate(str(dest), 8)
+    store.preallocate(str(dest), 8 * RECORD_BYTES)
     with open(dest, "r+b") as handle, WriteBehind(store, TAG, 4 * KiB) as wb:
         wb.write_file(str(tmp_path / "piece.dat"), whole)
-        wb.write_at(handle, 4, patch.tobytes())
+        wb.write_at(handle, 4 * RECORD_BYTES, patch.tobytes())
     assert np.array_equal(
         np.fromfile(str(tmp_path / "piece.dat"), dtype=NATIVE_DTYPE), whole
     )

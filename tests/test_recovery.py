@@ -461,16 +461,16 @@ def test_dial_deadline_names_the_coordinator_and_address():
 def test_preallocate_is_idempotent_on_size(tmp_path):
     store = FileBlockStore(str(tmp_path), rank=0, block_records=4)
     path = os.path.join(str(tmp_path), "seg.dat")
-    store.preallocate(path, 8)
+    store.preallocate(path, 8 * RECORD_BYTES)
     payload = bytes(range(64))
     with open(path, "r+b") as handle:
         handle.write(payload)
     # Same size: the bytes survive (a restarted all-to-all rewrites its
     # slab in place).
-    store.preallocate(path, 8)
+    store.preallocate(path, 8 * RECORD_BYTES)
     assert open(path, "rb").read(64) == payload
     # Different size: the file is re-created empty.
-    store.preallocate(path, 16)
+    store.preallocate(path, 16 * RECORD_BYTES)
     assert os.path.getsize(path) == 16 * RECORD_BYTES
     assert open(path, "rb").read(64) == b"\x00" * 64
 

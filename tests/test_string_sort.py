@@ -1,18 +1,18 @@
-"""Variable-length (string) record model: batches, codecs, store, job.
+"""Variable-length (string) record model: batches, codecs, job.
 
 The end-to-end string sorts live in the conformance tiers
 (tests/test_conformance_quick.py runs a quick-matrix slice of string
 twins every commit; the full matrix runs nightly).  This file covers the
 units underneath: :class:`~repro.native.records.VarlenBatch`, the LCP
-front-coding codecs, the block store's byte-addressed varlen I/O, and
-the job-level validation gates.
+front-coding codecs and the job-level validation gates (the block
+store's contract is tests/test_native_blockstore.py's, run against
+both record models).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import ConfigError, SortConfig
-from repro.native.blockstore import INDEX_TAG_SUFFIX, FileBlockStore
 from repro.native.job import NativeJob
 from repro.native.records import (
     RECORD_BYTES,
@@ -26,7 +26,6 @@ from repro.native.records import (
     make_records,
     merge_record_arrays,
     merge_varlen_batches,
-    read_varlen_file,
     records_from_bytes,
     resolve_model,
     resolve_string_family,
@@ -35,8 +34,6 @@ from repro.native.records import (
     STRING_FAMILIES,
     logline_key_from_u64,
     url_key_from_u64,
-    varlen_index_path,
-    write_varlen_file,
 )
 
 KiB = 1024
@@ -199,90 +196,6 @@ def test_string_checksum_order_independent():
         batch.slice(25, 50))) == string_checksum(batch)
     other = VarlenBatch.build([b"x"], [1])
     assert string_checksum(other) != string_checksum(batch)
-
-
-# -------------------------------------------------------------- block store
-
-
-@pytest.fixture
-def store(tmp_path):
-    return FileBlockStore(str(tmp_path), rank=0, block_records=8)
-
-
-def straddling_batch(n=60):
-    """Key lengths 0..n-1: record byte extents never align with the
-    8-record block grid, so every block read starts and ends mid-file at
-    an odd byte offset."""
-    return VarlenBatch.build(
-        [b"k" * (i % 37) for i in range(n)], range(n)
-    )
-
-
-def test_varlen_file_roundtrip_and_sidecar(store, tmp_path):
-    batch = straddling_batch()
-    path = store.input_path()
-    store.write_varlen_file(path, batch, "run_formation")
-    import os
-
-    assert os.path.exists(varlen_index_path(path))
-    assert store.varlen_record_count(path, "run_formation") == len(batch)
-    back = store.read_varlen_range(path, 0, len(batch), "run_formation")
-    assert back.keys() == batch.keys()
-    # Index I/O is charged under its own tag: the data tag must carry
-    # exactly the encoded volume (byte conservation).
-    assert store.bytes_read["run_formation"] == batch.nbytes
-    assert store.bytes_written["run_formation"] == batch.nbytes
-    assert store.bytes_read["run_formation" + INDEX_TAG_SUFFIX] > 0
-    store.remove(path)
-    assert not os.path.exists(varlen_index_path(path))
-
-
-def test_varlen_block_reads_match_range_reads(store):
-    batch = straddling_batch()
-    path = store.input_path()
-    store.write_varlen_file(path, batch, "w")
-    # 60 records / 8 per block = 8 blocks, last one short.
-    whole = store.read_varlen_blocks(path, [0, 1, 2, 3, 4, 5, 6, 7], "r")
-    assert whole.keys() == batch.keys()
-    scattered = store.read_varlen_blocks(path, [7, 2, 3, 0], "r")
-    want = (
-        batch.slice(56, 60).keys() + batch.slice(16, 32).keys()
-        + batch.slice(0, 8).keys()
-    )
-    assert scattered.keys() == want
-
-
-def test_varlen_block_read_out_of_range_names_block(store):
-    batch = straddling_batch(20)  # 3 blocks
-    path = store.input_path()
-    store.write_varlen_file(path, batch, "w")
-    with pytest.raises(ValueError, match="block id 3"):
-        store.read_varlen_blocks(path, [0, 3], "r")
-    with pytest.raises(ValueError):
-        store.read_varlen_range(path, 21, 1, "r")
-
-
-def test_fixed_block_read_out_of_range_names_block(store):
-    recs = make_records(
-        np.arange(20, dtype=np.uint64), np.arange(20, dtype=np.uint64)
-    )
-    path = store.input_path()
-    store.write_file(path, recs, "w")
-    with pytest.raises(ValueError, match="block id 5"):
-        store.read_blocks(path, [1, 5], "r")
-    with pytest.raises(ValueError, match="block id -1"):
-        store.read_blocks(path, [-1], "r")
-
-
-def test_varlen_appender_streams(store):
-    batch = straddling_batch(30)
-    path = store.piece_path(0)
-    appender = store.varlen_appender(path, "w")
-    appender.append(batch.slice(0, 11))
-    appender.append(batch.slice(11, 30))
-    assert appender.n_records == 30
-    appender.close()
-    assert read_varlen_file(path).keys() == batch.keys()
 
 
 # ---------------------------------------------------------------- job gates
