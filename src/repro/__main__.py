@@ -190,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="native sort backend: the paper's canonical pipeline or the "
         "globally striped mergesort (see docs/NATIVE.md)",
     )
-    parser.add_argument(
-        "--shm-ring-kib", type=int, default=None, metavar="KIB",
-        help="shm transport: data capacity of each directed ring buffer "
-        "in KiB (default 1024; rejected for pipe/tcp jobs — see "
-        "docs/TRANSPORT.md)",
-    )
     return parser
 
 
@@ -338,7 +332,6 @@ def run_native(args, config: SortConfig) -> int:
             cleanup_on_abort=not args.keep_spill,
             records=args.records,
             algo=args.algo,
-            shm_ring_kib=args.shm_ring_kib,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -164,13 +164,11 @@ def local_external_merge(
         passes += 1
     stats.workers[rank].add_counter("baseline_merge_passes", passes)
     if not runs:
-        return LocalRunPiece(rank, [], [], np.empty(0, np.uint64), np.empty(0, np.uint64), 1)
+        return LocalRunPiece(rank, [], [], np.empty(0, np.uint64))
     seg = runs[0]
     return LocalRunPiece(
         node=rank,
         blocks=[b.bid for b in seg],
         counts=[b.count for b in seg],
         first_keys=np.asarray([b.first_key for b in seg], dtype=np.uint64),
-        sample_keys=np.empty(0, np.uint64),
-        sample_every=1,
     )

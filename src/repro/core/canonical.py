@@ -198,7 +198,6 @@ class CanonicalMergeSort:
             store,
             piece_keys,
             tag="merge",
-            sample_every=config.resolved_sample_every,
             max_outstanding=depth,
         )
         timer.stop()

@@ -60,9 +60,6 @@ class SortConfig:
     block_elems: int = 64
     #: Shuffle local input block IDs before forming runs (paper §IV).
     randomize: bool = True
-    #: Keep every K-th element of each run piece as an in-memory sample;
-    #: None = one sample per block (the K = B choice of Appendix B).
-    sample_every: Optional[int] = None
     #: LRU capacity (blocks) of the multiway-selection cache.
     selection_cache_blocks: int = 64
     #: Selection strategy: "sampled" (paper's optimized §IV-A), "basic"
@@ -120,11 +117,6 @@ class SortConfig:
     def n_runs(self, spec: MachineSpec) -> int:
         """The paper's R = ceil(N / M)."""
         return max(1, math.ceil(self.blocks_per_node / self.piece_blocks(spec)))
-
-    @property
-    def resolved_sample_every(self) -> int:
-        """Effective sampling period K (defaults to one sample per block)."""
-        return self.sample_every if self.sample_every is not None else self.block_elems
 
     def resolved_prefetch_buffers(self, spec: MachineSpec) -> int:
         return (

@@ -64,9 +64,8 @@ def distributed_sort_run(
     # 2. Exact splitting.  Communication charge: every rank contributes a
     # sample of its sequence (one key per block) plus the selection's
     # coordination traffic.
-    sample_every = config.resolved_sample_every
     sample_bytes = config.keys_to_bytes(
-        math.ceil(max(1, len(local_sorted)) / sample_every)
+        math.ceil(max(1, len(local_sorted)) / config.block_elems)
     )
     gathered = yield comm.allgather(rank, local_sorted, nbytes=sample_bytes)
     total = sum(len(g) for g in gathered)

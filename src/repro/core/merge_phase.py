@@ -96,7 +96,7 @@ def merge_phase(
             flat.append(blk)
             owner_run.append(r)
     if not flat:
-        return LocalRunPiece(rank, [], [], np.empty(0, np.uint64), np.empty(0, np.uint64), 1)
+        return LocalRunPiece(rank, [], [], np.empty(0, np.uint64))
 
     index_in_run = []
     seen = [0] * n_runs
@@ -213,9 +213,7 @@ def merge_phase(
     stats.workers[rank].add_counter("merge_output_keys", emitted)
 
     if writer is None:
-        return LocalRunPiece(
-            rank, [], [], np.empty(0, np.uint64), np.empty(0, np.uint64), 1
-        )
+        return LocalRunPiece(rank, [], [], np.empty(0, np.uint64))
     out_blocks = [sb.bid for sb in writer.blocks]
     out_counts = [sb.count for sb in writer.blocks]
     out_firsts = np.asarray([sb.first_key for sb in writer.blocks], dtype=np.uint64)
@@ -224,6 +222,4 @@ def merge_phase(
         blocks=out_blocks,
         counts=out_counts,
         first_keys=out_firsts,
-        sample_keys=np.empty(0, np.uint64),
-        sample_every=max(1, config.resolved_sample_every),
     )

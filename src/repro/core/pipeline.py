@@ -170,7 +170,6 @@ def _pipelined_run_formation(
             store,
             piece_keys_sorted,
             tag=tag,
-            sample_every=config.resolved_sample_every,
             max_outstanding=depth,
         )
         pieces.append(piece)

@@ -141,7 +141,6 @@ def run_formation(
             store,
             piece_keys,
             tag=TAG,
-            sample_every=config.resolved_sample_every,
             max_outstanding=depth,
         )
         if config.overlap:

@@ -10,8 +10,9 @@ optimizations are all here:
   the runs — a worst case of O(R·P·log M) requests to a single disk is
   what the optimization avoids);
 * **sampling** — the every-K-th-element sample collected during run
-  formation initializes the splitter positions, shrinking the search to
-  one sample gap per run (Appendix B);
+  formation (K = B: the pieces' block-first keys) initializes the
+  splitter positions, shrinking the search to one sample gap per run
+  (Appendix B);
 * **caching** — an LRU over the most recently accessed blocks eliminates
   the ``R log B`` final accesses of each selection.
 
@@ -88,18 +89,19 @@ def warm_start_from_samples(
 
 
 def _run_samples(
-    runs: List[DistributedRun],
+    runs: List[DistributedRun], block_elems: int,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Global (keys, positions) sample arrays per run, stitched from pieces."""
+    """Global (keys, positions) sample arrays per run, stitched from the
+    pieces' block-first keys (the sample at K = B)."""
     out = []
     for run in runs:
         keys_parts, pos_parts = [], []
         for n, piece in enumerate(run.pieces):
-            sample = piece.sample_keys
+            sample = piece.first_keys
             if len(sample) == 0:
                 continue
             keys_parts.append(np.asarray(sample))
-            local = np.arange(len(sample), dtype=np.int64) * piece.sample_every
+            local = np.arange(len(sample), dtype=np.int64) * block_elems
             pos_parts.append(local + run.offsets[n])
         if keys_parts:
             out.append((np.concatenate(keys_parts), np.concatenate(pos_parts)))
@@ -129,9 +131,9 @@ def selection_phase(
     target = me * total // n_nodes
 
     # The sample lives in every node's memory after one gather (its wire
-    # cost — one key per K elements — is charged here once).
+    # cost — one key per block — is charged here once).
     local_sample_keys = sum(
-        len(run.pieces[me].sample_keys) for run in runs
+        len(run.pieces[me].first_keys) for run in runs
     )
     yield comm.allgather(
         me, None, nbytes=config.keys_to_bytes(local_sample_keys)
@@ -139,7 +141,8 @@ def selection_phase(
 
     if config.selection == "sampled":
         init_pos, init_step = warm_start_from_samples(
-            _run_samples(runs), target, lengths, config.resolved_sample_every
+            _run_samples(runs, config.block_elems), target, lengths,
+            config.block_elems,
         )
         gen = select_coroutine(lengths, target, init_positions=init_pos, init_step=init_step)
     elif config.selection == "basic":

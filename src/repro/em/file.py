@@ -2,11 +2,12 @@
 
 Run formation (paper Section IV, phase one) leaves each node with one
 *local piece* of every global run: a sorted sequence of blocks on the
-node's own disks, plus an in-memory sample of every K-th element and the
-first key of every block (the *prediction sequence* entries of
-Section III).  A :class:`DistributedRun` stitches the P pieces into one
-globally sorted sequence with global-position indexing — the view the
-multiway-selection phase operates on.
+node's own disks, plus the first key of every block in memory: both the
+*prediction sequence* entries of Section III and the sample of every K-th
+element at K = B that the multiway selection starts from (Appendix B).
+A :class:`DistributedRun` stitches the P pieces into one globally sorted
+sequence with global-position indexing — the view the multiway-selection
+phase operates on.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ class LocalRunPiece:
         blocks: List[BID],
         counts: List[int],
         first_keys: np.ndarray,
-        sample_keys: np.ndarray,
-        sample_every: int,
     ):
         if len(blocks) != len(counts) or len(blocks) != len(first_keys):
             raise ValueError("blocks/counts/first_keys length mismatch")
@@ -42,8 +41,6 @@ class LocalRunPiece:
         self.blocks = blocks
         self.counts = counts
         self.first_keys = first_keys
-        self.sample_keys = sample_keys
-        self.sample_every = sample_every
         self.n_keys = sum(counts)
         # Prefix sums for position->block lookup.
         self._starts: List[int] = []
@@ -110,7 +107,6 @@ def write_piece(
     store: BlockStore,
     keys: np.ndarray,
     tag: str,
-    sample_every: int,
     max_outstanding: Optional[int] = None,
     check_sorted: bool = False,
 ) -> Generator:
@@ -120,13 +116,11 @@ def write_piece(
     node's disks and written asynchronously with a bounded number of
     outstanding requests (the write-buffer blocks of the paper's
     Section III).  Returns the :class:`LocalRunPiece`, including the block
-    first-key prediction entries and the every-K-th-element sample used by
-    the scalable multiway selection (Appendix B).
+    first-key prediction entries, which are also the sample the scalable
+    multiway selection starts from (Appendix B, K = B).
     """
     if check_sorted and not is_sorted(keys):
         raise ValueError("write_piece expects sorted keys")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     be = store.block_elems
     if max_outstanding is None:
         max_outstanding = 2 * len(store.node.disks)
@@ -145,14 +139,11 @@ def write_piece(
             yield outstanding.pop(0)
     for ev in outstanding:
         yield ev
-    sample = keys[::sample_every].copy() if len(keys) else keys[:0]
     return LocalRunPiece(
         node=store.node.node_id,
         blocks=blocks,
         counts=counts,
         first_keys=np.asarray(firsts, dtype=KEY_DTYPE),
-        sample_keys=sample,
-        sample_every=sample_every,
     )
 
 

@@ -421,7 +421,9 @@ class FileBlockStore:
         """Write ``path``'s record boundaries as its ``.idx``, charged
         under ``tag + INDEX_TAG_SUFFIX`` and fsynced when asked (a
         journaled slab, whose boundaries must outlive the process).  The
-        file is the truth from now on: a cached copy is dropped."""
+        array written is the cached copy from now on, so a later read of
+        ``path`` in this process loads nothing: the caller hands it over
+        and must not change it."""
         with open(varlen_index_path(path), "wb") as handle:
             offsets.tofile(handle)
             if fsync:
@@ -429,7 +431,7 @@ class FileBlockStore:
                 os.fsync(handle.fileno())
         self.charge_write(tag + INDEX_TAG_SUFFIX, offsets.nbytes)
         with self._idx_lock:
-            self._index.pop(path, None)
+            self._index[path] = offsets
 
     # -- probe reads (probe-driven multiway selection) -------------------------
 

@@ -522,7 +522,6 @@ def native_sort(
     checkpoint: bool = False,
     records: str = "fixed16",
     algo: str = "canonical",
-    shm_ring_kib: "int | None" = None,
 ) -> NativeSortResult:
     """Convenience one-call native sort (generate, sort, return result).
 
@@ -548,6 +547,5 @@ def native_sort(
         checkpoint=checkpoint,
         records=records,
         algo=algo,
-        shm_ring_kib=shm_ring_kib,
     )
     return NativeSorter(job).run()

@@ -14,8 +14,9 @@ interprets the same fields literally:
     every run reuses, see ``records.RecordBuffers``);
 ``block_bytes``
     the unit of every file read/write and of every pipe chunk;
-``sample_every`` / ``randomize`` / ``seed``
-    exactly as in the simulator;
+``randomize`` / ``seed``
+    exactly as in the simulator (the sample of Appendix B is always the
+    block-first keys, K = B, as the simulator's);
 ``selection``
     the simulator's alone: native phase 2 always selects from the
     sample-bounded key windows of the pieces (``phases.selection``).
@@ -77,8 +78,6 @@ class NativeJob:
     #: waits for externally launched ``python -m repro worker`` PEs to
     #: connect to the rendezvous endpoint instead.
     spawn_workers: bool = True
-    #: TCP only: sender-idle seconds between heartbeat frames.
-    heartbeat_s: float = 5.0
     #: Read-ahead budget W in blocks (0 = synchronous reads).  When > 0,
     #: the merge and all-to-all phases fetch blocks on background threads
     #: in the order of the paper's optimal prefetch schedule (Appendix A),
@@ -136,13 +135,6 @@ class NativeJob:
     #: Section III's baseline).  See docs/NATIVE.md for the decision
     #: matrix; both backends produce the identical canonical output.
     algo: str = "canonical"
-    #: Shared-memory transport only: data capacity of each directed ring
-    #: in KiB.  ``None`` keeps the transport default
-    #: (:data:`~repro.native.shm.DEFAULT_RING_BYTES`).  Messages larger
-    #: than the ring stream through in pieces, so any positive size is
-    #: correct — smaller rings just park the producer more often (see
-    #: docs/TRANSPORT.md).
-    shm_ring_kib: Optional[int] = None
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -166,24 +158,12 @@ class NativeJob:
             raise ConfigError(
                 f"unknown transport {self.transport!r}; choose from {TRANSPORTS}"
             )
-        if self.shm_ring_kib is not None:
-            if self.shm_ring_kib < 1:
-                raise ConfigError(
-                    f"shm_ring_kib must be >= 1, got {self.shm_ring_kib}"
-                )
-            if self.transport != "shm":
-                raise ConfigError(
-                    "shm_ring_kib only applies to transport='shm', "
-                    f"got transport={self.transport!r}"
-                )
         if self.timeout <= 0:
             raise ConfigError(f"timeout must be > 0, got {self.timeout}")
         if self.pending_sends < 1:
             raise ConfigError(
                 f"pending_sends must be >= 1, got {self.pending_sends}"
             )
-        if self.heartbeat_s <= 0:
-            raise ConfigError(f"heartbeat_s must be > 0, got {self.heartbeat_s}")
         if not self.spawn_workers and self.transport != "tcp":
             raise ConfigError(
                 "spawn_workers=False (externally launched PEs) requires "
@@ -308,21 +288,6 @@ class NativeJob:
         return max(1, math.ceil(self.input_blocks / self.piece_blocks))
 
     @property
-    def sample_every(self) -> int:
-        """Sampling period K in records (default: one sample per block)."""
-        k = self.config.sample_every
-        return max(1, int(k) if k is not None else self.block_records)
-
-    @property
-    def ring_bytes(self) -> int:
-        """Shm ring data capacity in bytes (transport default when unset)."""
-        if self.shm_ring_kib is not None:
-            return self.shm_ring_kib * 1024
-        from .shm import DEFAULT_RING_BYTES
-
-        return DEFAULT_RING_BYTES
-
-    @property
     def checkpointing(self) -> bool:
         """Whether workers journal manifests for phase-boundary resume."""
         return self.checkpoint or self.max_restarts > 0
@@ -355,7 +320,6 @@ class NativeJob:
             "block_records": self.block_records,
             "chunk_records": self.chunk_records,
             "n_runs": self.n_runs,
-            "sample_every": self.sample_every,
             "randomize": self.config.randomize,
             "seed": self.config.seed,
             "skew": self.skew,
@@ -372,5 +336,4 @@ class NativeJob:
             "spill_namespace": self.spill_namespace,
             "records": self.records,
             "algo": self.algo,
-            "shm_ring_kib": self.shm_ring_kib,
         }

@@ -37,7 +37,7 @@ reports them.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,10 +96,6 @@ class NativeContext:
     #: Replayed manifest state (:class:`~repro.recovery.manifest.ResumeState`)
     #: when resuming an epoch > 0 attempt; None on a fresh run.
     resume: Optional[object] = None
-    #: Per run, the first key of every block of this rank's piece file.
-    #: Run formation holds each piece in memory when it writes it, so the
-    #: merge's guide over the ranges that never leave the piece is free.
-    piece_first_keys: List[list] = field(default_factory=list)
     #: The fixed buffer set (:class:`~repro.native.records.RecordBuffers`)
     #: every run and every merge round reuses; allocated once, on first
     #: use (:meth:`buffers`).
@@ -129,17 +125,19 @@ class NativeContext:
 class PieceMeta:
     """Descriptor of one worker's on-disk piece of one run.
 
-    ``sample_keys`` holds every ``sample_every``-th key of the piece (the
-    sample phase 2 bounds its splits with), in the record model's
-    ``encode_keys`` form: a key array for fixed16, LCP front-coded bytes
-    for strings.
+    ``first_keys`` holds the first key of every block of the piece, in
+    the record model's ``encode_keys`` form: a key array for fixed16, LCP
+    front-coded bytes for strings.  The one list serves as both of the
+    paper's per-block key lists: Appendix B's sample of every K-th key at
+    K = B, which bounds phase 2's splits, and Appendix A's prediction
+    sequence, the merge's guide over the ranges that never leave the
+    piece.
     """
 
     run: int
     rank: int
     n_records: int
-    sample_keys: object
-    sample_every: int
+    first_keys: object
 
 
 class NativeRun:
@@ -242,20 +240,15 @@ def damaged_blocks(
 
 
 def _restore_piece(ctx: NativeContext, rec: dict) -> PieceMeta:
-    """Rebuild a PieceMeta from its manifest ``rf_run`` record, and the
-    piece's block-first keys into ``ctx.piece_first_keys``."""
+    """Rebuild a PieceMeta from its manifest ``rf_run`` record."""
     model = ctx.model
-    ctx.piece_first_keys.append(
-        [model.key_from_json(k) for k in rec["first_keys"]]
-    )
     return PieceMeta(
         run=int(rec["run"]),
         rank=ctx.rank,
         n_records=int(rec["n"]),
-        sample_keys=model.encode_keys(
-            [model.key_from_json(k) for k in rec["samples"]]
+        first_keys=model.encode_keys(
+            [model.key_from_json(k) for k in rec["first_keys"]]
         ),
-        sample_every=int(rec["every"]),
     )
 
 
@@ -288,7 +281,6 @@ def restore_runs(ctx: NativeContext, resume) -> List[NativeRun]:
     the only communication is the same metadata allgather a fresh run
     formation ends with.
     """
-    ctx.piece_first_keys = []
     metas = [
         _restore_piece(ctx, resume.rf_runs[r])
         for r in range(len(resume.rf_runs))
@@ -405,14 +397,16 @@ def _distributed_sort_run(ctx: NativeContext, records):
         return records
 
     # One allgather carries what every rank needs before selecting: the
-    # lengths and the samples that bound the splits (Appendix B).
+    # lengths and the samples that bound the splits (Appendix B, K = B).
     keys = model.keys(records)
-    sample = model.encode_keys(keys[:: job.sample_every], ctx.stats, "rf_sample")
+    sample = model.encode_keys(
+        keys[:: job.block_records], ctx.stats, "rf_sample"
+    )
     gathered = comm.allgather((len(records), sample))
     lengths: List[int] = [n for n, _s in gathered]
     samples = [model.decode_keys(s) for _n, s in gathered]
     positions, shipped = exact_splits(
-        comm, samples, lengths, job.sample_every, range(n_workers),
+        comm, samples, lengths, job.block_records, range(n_workers),
         lambda _j, a, b: keys[a:b],
     )
     ctx.stats.add_counter("internal_selection_window_keys", shipped)
@@ -481,18 +475,16 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
     restored: Dict[int, dict] = {}
     k = 0
     if journal is not None and job.epoch > 0:
+        own = 0
         if ctx.resume is not None:
             restored = ctx.resume.rf_runs
-        own = 0
-        while own in restored:
-            own += 1
+            own = ctx.resume.contiguous_rf_runs()
         k = min(comm.allgather(own))
         reread = sum(len(chunks[r]) for r in range(k, min(own, len(chunks))))
         ctx.stats.add_counter("recovery_rf_blocks_reread", float(reread))
 
     metas: List[PieceMeta] = []
     run_records: List[dict] = []
-    ctx.piece_first_keys = []
     for r in range(k):
         metas.append(_restore_piece(ctx, restored[r]))
         run_records.append(restored[r])
@@ -538,29 +530,23 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                 # The writer owns the piece's buffer now.
                 bufs.release(piece)
             # encode_keys copies: the piece's buffer is reused next run.
-            sample = model.encode_keys(model.keys(piece)[:: job.sample_every])
-            first_keys = model.first_keys(piece, job.block_records)
-            ctx.piece_first_keys.append(first_keys)
+            first_keys = model.keys(piece)[:: job.block_records]
             metas.append(
                 PieceMeta(
                     run=r,
                     rank=ctx.rank,
                     n_records=len(piece),
-                    sample_keys=sample,
-                    sample_every=job.sample_every,
+                    first_keys=model.encode_keys(first_keys),
                 )
             )
             if journal is not None:
                 rec = {
                     "run": r,
                     "n": len(piece),
-                    "samples": [
-                        model.key_to_json(k)
-                        for k in model.keys(piece)[:: job.sample_every].tolist()
-                    ],
-                    "every": job.sample_every,
                     "crcs": block_crcs(model, piece, job.block_records),
-                    "first_keys": [model.key_to_json(k) for k in first_keys],
+                    "first_keys": [
+                        model.key_to_json(k) for k in first_keys.tolist()
+                    ],
                     "checksum": ctx.input_checksum,
                 }
                 run_records.append(rec)
@@ -597,11 +583,11 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
     """Phase 2: the exact (P+1) × R splitter matrix, in one collective.
 
     The sample-initialised selection of Appendix B over the R·P pieces,
-    run as :func:`exact_splits`: the piece samples every rank received
-    with the run-formation metadata bound each split i·N/P to a window
-    per piece, each rank reads the windows of its *own* pieces (no other
-    rank's file is opened), one allgather ships them, and every rank
-    selects all P−1 splits locally.  Pieces are taken in (run, rank)
+    run as :func:`exact_splits`: the pieces' block-first keys (the sample
+    at K = B) every rank received with the run-formation metadata bound
+    each split i·N/P to a window per piece, each rank reads the windows
+    of its *own* pieces (no other rank's file is opened), one allgather
+    ships them, and every rank selects all P−1 splits locally.  Pieces are taken in (run, rank)
     order, so their (key, run, rank, position) order is the runs' (key,
     run, position) order and a run's split is the sum of its pieces'.
     Row i of the result is where rank i's output starts in every run,
@@ -616,8 +602,8 @@ def selection(ctx: NativeContext, runs: List[NativeRun]) -> List[List[int]]:
         return model.keys(store.read_range(path, lo, hi - lo, TAG_SEL))
 
     positions, shipped = exact_splits(
-        ctx.comm, [model.decode_keys(p.sample_keys) for p in pieces],
-        [p.n_records for p in pieces], job.sample_every,
+        ctx.comm, [model.decode_keys(p.first_keys) for p in pieces],
+        [p.n_records for p in pieces], job.block_records,
         [p.rank for p in pieces], window,
     )
     ctx.stats.add_counter("selection_window_keys", shipped)
@@ -952,7 +938,7 @@ def all_to_all(
     first_keys: List[List[Optional[object]]] = []
     for r, extents in enumerate(segments):
         slab = store.slab_path(r)
-        piece_keys = ctx.piece_first_keys[r]
+        piece_keys = model.decode_keys(runs[r].pieces[rank].first_keys)
         keys: List[Optional[object]] = []
         for path, start, _count in read_units(extents, block):
             if path == slab:

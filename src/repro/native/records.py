@@ -1405,11 +1405,11 @@ class RecordModel:
     The interface, by concern:
 
     * parts — ``generate``, ``sort``, ``concat``, ``merge`` (stable in
-      list order), ``slice``, ``copy``, ``keys``, ``key_at``,
-      ``first_keys``, ``cut`` (a buffer at a key, ``side`` as in
-      ``searchsorted``), ``is_sorted``, ``checksum``, ``footprint`` (the
-      bytes a part holds in memory, for the resident accounting: its
-      records, plus the key column for strings);
+      list order), ``slice``, ``copy``, ``keys``, ``key_at``, ``cut`` (a
+      buffer at a key, ``side`` as in ``searchsorted``), ``is_sorted``,
+      ``checksum``, ``footprint`` (the bytes a part holds in memory, for
+      the resident accounting: its records, plus the key column for
+      strings);
     * memory — ``buffers(capacity)``, the model's fixed
       :class:`RecordBuffers` set; ``sort``, ``merge``, ``copy`` and the
       block store's reads take an ``out`` (and the kernels a
@@ -1509,9 +1509,6 @@ class Fixed16Model(RecordModel):
 
     def key_at(self, part, i) -> int:
         return int(part["key"][i])
-
-    def first_keys(self, part, every) -> List[int]:
-        return part["key"][::every].tolist()
 
     def cut(self, part, key, side, lo=0) -> int:
         return lo + int(np.searchsorted(part["key"][lo:], key, side=side))
@@ -1652,9 +1649,6 @@ class StringModel(RecordModel):
     def key_at(self, part, i) -> bytes:
         return part.key_at(i)
 
-    def first_keys(self, part, every) -> List[bytes]:
-        return part.column[::every].tolist()
-
     def cut(self, part, key, side, lo=0) -> int:
         return lo + int(np.searchsorted(part.column[lo:], key, side=side))
 
@@ -1767,7 +1761,8 @@ class StringModel(RecordModel):
             )
         if durable:
             store.write_index(path, index, tag, fsync=True)
-        store.set_index(path, index)
+        else:
+            store.set_index(path, index)
 
 
 MODELS = {"fixed16": Fixed16Model(), "string": StringModel()}

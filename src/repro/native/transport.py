@@ -59,12 +59,15 @@ class LocalMesh:
 def local_mesh(ctx, job: NativeJob) -> LocalMesh:
     """Build ``job``'s pipe pairs or shm rings with ``ctx`` (pipe or shm)."""
     if job.transport == "shm":
-        from .shm import create_shm_mesh
+        from . import shm
 
-        shm = create_shm_mesh(
-            ctx, job.n_workers, ring_bytes=job.ring_bytes, job_tag=job.job_tag
+        # The ring size is read here, at call time, so a test can shrink
+        # the module constant.
+        mesh = shm.create_shm_mesh(
+            ctx, job.n_workers, ring_bytes=shm.DEFAULT_RING_BYTES,
+            job_tag=job.job_tag,
         )
-        return LocalMesh(shm.channels, shm)
+        return LocalMesh(mesh.channels, mesh)
     endpoints: List[Dict[int, object]] = [dict() for _ in range(job.n_workers)]
     for i in range(job.n_workers):
         for j in range(i + 1, job.n_workers):
@@ -95,10 +98,7 @@ def open_comm(
     if job.transport == "tcp":
         from ..net.tcp import TcpComm
 
-        return TcpComm(
-            rank, job.n_workers, endpoints, heartbeat_s=job.heartbeat_s,
-            **common,
-        )
+        return TcpComm(rank, job.n_workers, endpoints, **common)
     if job.transport == "shm":
         from .shm import ShmComm
 

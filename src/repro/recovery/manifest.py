@@ -3,8 +3,8 @@
 Each native worker appends fsynced JSON records to
 ``manifest_<rank>.jsonl`` inside its spill directory.  The journal is a
 write-ahead log of *completed deterministic facts*: which phases
-finished, the run inventory (with per-block CRCs, samples and first
-keys of the locally stored piece files), the chosen splitters, the
+finished, the run inventory (with the per-block CRCs and first keys
+of the locally stored piece files), the chosen splitters, the
 segment extent table with the merge's guide keys, and the merge output
 offset.  An interrupted phase restarts at its boundary (run formation
 at its first run not every rank finished).  A record is always
@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 #: Phase indices used for the "highest completed phase" agreement.
 PHASE_INDEX = {
@@ -73,7 +73,6 @@ def job_fingerprint(job) -> str:
         "randomize": bool(config.randomize),
         "seed": int(config.seed),
         "records": str(job.records),
-        "sample_every": int(job.sample_every),
     }
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -84,8 +83,6 @@ def _run_record(rec: dict) -> dict:
     return {
         "run": int(rec["run"]),
         "n": int(rec["n"]),
-        "samples": list(rec["samples"]),
-        "every": int(rec["every"]),
         "crcs": [int(c) for c in rec["crcs"]],
         "first_keys": list(rec["first_keys"]),
         "checksum": int(rec.get("checksum", 0)),
@@ -99,10 +96,10 @@ class ResumeState:
     fingerprint: Optional[str] = None
     last_epoch: int = 0
     generate_done: bool = False
-    #: run_id -> {"n", "samples", "every", "crcs", "first_keys",
-    #: "checksum"} for runs whose piece file is durably on disk
-    #: (mid-run-formation resume); ``first_keys`` are the piece's
-    #: block-first keys, the merge's guide over the ranges it keeps.
+    #: run_id -> {"n", "crcs", "first_keys", "checksum"} for runs whose
+    #: piece file is durably on disk (mid-run-formation resume);
+    #: ``first_keys`` are the piece's block-first keys: phase 2's sample
+    #: and the merge's guide over the ranges it keeps.
     rf_runs: Dict[int, dict] = field(default_factory=dict)
     rf_done: bool = False
     rf_checksum: int = 0

@@ -156,11 +156,6 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         "--transport", choices=("pipe", "shm"), default=None,
         help="per-job mesh substrate (default: service default, 'pipe')",
     )
-    parser.add_argument(
-        "--shm-ring-kib", type=int, default=None, metavar="KIB",
-        help="shm transport: per-channel ring capacity "
-        "(see docs/TRANSPORT.md)",
-    )
 
 
 def _spec_from_args(args) -> dict:
@@ -182,8 +177,6 @@ def _spec_from_args(args) -> dict:
         spec["block_kib"] = args.block_kib
     if args.transport is not None:
         spec["transport"] = args.transport
-    if args.shm_ring_kib is not None:
-        spec["shm_ring_kib"] = args.shm_ring_kib
     return spec
 
 

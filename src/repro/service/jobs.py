@@ -81,7 +81,6 @@ SPEC_FIELDS = {
     "seed": (int, 42),
     "skew": (bool, False),
     "randomize": (bool, True),
-    "sample_every": (int, None),
     "timeout": (float, 120.0),
     "transport": (str, "pipe"),
     "pending_sends": (int, 4),
@@ -92,7 +91,6 @@ SPEC_FIELDS = {
     "cleanup_on_abort": (bool, False),
     "records": (str, "fixed16"),
     "algo": (str, "canonical"),
-    "shm_ring_kib": (int, None),
     "chaos": (object, None),
 }
 
@@ -118,8 +116,6 @@ _SPEC_MINIMUMS = {
     "prefetch_blocks": 0,
     "write_behind_blocks": 0,
     "max_restarts": 0,
-    "sample_every": 1,
-    "shm_ring_kib": 1,
 }
 
 
@@ -174,12 +170,6 @@ def build_native_job(spec: dict, spill_dir: str) -> NativeJob:
                 raise _reject(key, value, "must be > 0")
         elif value < floor:
             raise _reject(key, value, f"must be >= {floor}")
-    if spec["shm_ring_kib"] is not None and spec["transport"] != "shm":
-        raise _reject(
-            "shm_ring_kib", spec["shm_ring_kib"],
-            f"only applies to transport='shm', got "
-            f"transport={spec['transport']!r}",
-        )
     try:
         config = SortConfig(
             data_per_node_bytes=spec["data_mib"] * MiB,
@@ -187,7 +177,6 @@ def build_native_job(spec: dict, spill_dir: str) -> NativeJob:
             block_bytes=spec["block_kib"] * KiB,
             seed=spec["seed"],
             randomize=spec["randomize"],
-            sample_every=spec["sample_every"],
         )
         return NativeJob(
             config=config,
@@ -205,7 +194,6 @@ def build_native_job(spec: dict, spill_dir: str) -> NativeJob:
             cleanup_on_abort=spec["cleanup_on_abort"],
             records=spec["records"],
             algo=spec["algo"],
-            shm_ring_kib=spec["shm_ring_kib"],
         )
     except ConfigError as exc:
         # Feasibility and cross-field constraints the native layer owns

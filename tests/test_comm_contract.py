@@ -473,11 +473,11 @@ def test_phase2_reads_only_own_pieces(transport, tmp_path, n, records):
     from repro.native.records import VarlenBatch, make_records
     from repro.native.stats import WorkerStats
 
-    every = 4
+    block = 4
     job = NativeJob(
         config=SortConfig(
             data_per_node_bytes=64 * 1024, memory_bytes=32 * 1024,
-            block_bytes=8 * 16, sample_every=every, seed=3,
+            block_bytes=block * 16, seed=3,
         ),
         n_workers=n, spill_dir=str(tmp_path), records=records,
     )
@@ -513,8 +513,7 @@ def test_phase2_reads_only_own_pieces(transport, tmp_path, n, records):
             pieces[r, j] = piece
             row.append(PieceMeta(
                 run=r, rank=j, n_records=hi - lo,
-                sample_keys=model.encode_keys(model.keys(piece)[::every]),
-                sample_every=every,
+                first_keys=model.encode_keys(model.keys(piece)[::block]),
             ))
         metas.append(row)
 

@@ -49,12 +49,6 @@ def test_memory_defaults_to_machine_spec():
     assert cfg.resolve_memory_bytes(PAPER_MACHINE) == PAPER_MACHINE.usable_ram
 
 
-def test_sample_every_defaults_to_block():
-    cfg = SortConfig(block_elems=48)
-    assert cfg.resolved_sample_every == 48
-    assert cfg.with_overrides(sample_every=5).resolved_sample_every == 5
-
-
 def test_validate_rejects_too_many_runs():
     cfg = SortConfig(
         data_per_node_bytes=1000 * MiB,

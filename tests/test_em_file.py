@@ -13,9 +13,9 @@ def setup(n_nodes=1, block_elems=8):
     return cluster, em
 
 
-def write_keys(cluster, store, keys, sample_every=4):
+def write_keys(cluster, store, keys):
     def body():
-        piece = yield from write_piece(store, keys, tag="t", sample_every=sample_every)
+        piece = yield from write_piece(store, keys, tag="t")
         return piece
 
     return cluster.sim.run_process(body())
@@ -28,7 +28,6 @@ def test_write_piece_layout_and_metadata():
     assert piece.n_keys == 20
     assert piece.counts == [8, 8, 4]
     assert list(piece.first_keys) == [0, 8, 16]
-    assert np.array_equal(piece.sample_keys, keys[::4])
     contents = np.concatenate([em.store(0).peek(b) for b in piece.blocks])
     assert np.array_equal(contents, keys)
 
@@ -45,19 +44,7 @@ def test_write_piece_rejects_unsorted_when_checked():
     keys = np.array([3, 1, 2], dtype=np.uint64)
 
     def body():
-        yield from write_piece(em.store(0), keys, tag="t", sample_every=2,
-                               check_sorted=True)
-
-    with pytest.raises(Exception):
-        cluster.sim.run_process(body())
-
-
-def test_write_piece_invalid_sample_every():
-    cluster, em = setup()
-
-    def body():
-        yield from write_piece(em.store(0), np.arange(4, dtype=np.uint64),
-                               tag="t", sample_every=0)
+        yield from write_piece(em.store(0), keys, tag="t", check_sorted=True)
 
     with pytest.raises(Exception):
         cluster.sim.run_process(body())
@@ -147,6 +134,4 @@ def test_piece_metadata_mismatch_rejected():
             blocks=[],
             counts=[1],
             first_keys=np.empty(0, np.uint64),
-            sample_keys=np.empty(0, np.uint64),
-            sample_every=1,
         )

@@ -181,7 +181,9 @@ def test_write_at_places_chunks_exactly(tmp_path, records="fixed16"):
 
 def test_index_bytes_charged_under_index_tag_only(tmp_path, records="fixed16"):
     """Record bytes stay exactly conserved under the data tags; a
-    model's .idx is charged under ``tag:index``, once per load."""
+    model's .idx is charged under ``tag:index``, once per load.  The
+    store that wrote an .idx keeps the array it wrote and loads nothing;
+    another store over the same file (another process) loads it once."""
     store = model_store(tmp_path, records)
     model = store.model
     part = some_part(model, 20)
@@ -194,7 +196,11 @@ def test_index_bytes_charged_under_index_tag_only(tmp_path, records="fixed16"):
         "w": part.nbytes, **({"w:index": index_bytes} if index_bytes else {})
     }
     data = sum(model.slice(part, a, b).nbytes for a, b in ((16, 20), (0, 8), (3, 12)))
-    assert store.bytes_read == {
+    assert store.bytes_read == {"r": data}
+    other = model_store(tmp_path, records)
+    other.read_blocks(path, [2, 0], "r")
+    other.read_range(path, 3, 9, "r")
+    assert other.bytes_read == {
         "r": data, **({"r:index": index_bytes} if index_bytes else {})
     }
 

@@ -758,7 +758,7 @@ def _inventory(lengths, n_workers):
             PieceMeta(
                 run=r, rank=j,
                 n_records=(j + 1) * n // n_workers - j * n // n_workers,
-                sample_keys=np.empty(0, dtype=np.uint64), sample_every=1,
+                first_keys=np.empty(0, dtype=np.uint64),
             )
             for j in range(n_workers)
         ])

@@ -412,12 +412,15 @@ def test_lagging_sender_never_sends_a_reused_buffer(
 def test_samples_sparser_than_a_piece_survive_the_next_run(
     tmp_path, monkeypatch
 ):
-    """With ``sample_every`` past a piece's length each piece's sample is
-    its first key alone.  It must be a copy: without write-behind the
-    next run's merge gathers into the same piece buffer, and the merge
-    phase's splits read the samples only after the last run.  Equal
-    pieces of uniform keys split right even from wrong samples, so the
-    selection also checks every own piece's sample against its file."""
+    """A piece's sample is its block-first keys (K = B), so pieces of
+    as few blocks as the job allows give samples of as few keys: here
+    two, the smallest at R >= 3 (the merge's buffer gate asks for
+    2R + 4 blocks of M plus one chunk, which one-block chunks never
+    give).  The sample must be a copy: without write-behind the next
+    run's merge gathers into the same piece buffer, and the selection
+    reads the samples only after the last run.  Equal pieces of uniform
+    keys split right even from wrong samples, so the selection also
+    checks every own piece's sample against its file."""
     from repro.native import phases
 
     exact_splits = phases.exact_splits
@@ -426,18 +429,40 @@ def test_samples_sparser_than_a_piece_survive_the_next_run(
         if len(samples) > comm.n_workers:  # the selection's R·P pieces
             for j, sample in enumerate(samples):
                 if owner[j] == comm.rank:
-                    assert list(sample) == list(window(j, 0, 1)), j
+                    keys = window(j, 0, lengths[j])[::sample_every]
+                    assert list(sample) == list(keys), j
         return exact_splits(comm, samples, lengths, sample_every, owner,
                             window)
 
     monkeypatch.setattr(phases, "exact_splits", checked)
+    # 2 KiB blocks, M = 8 blocks (two-block chunks), 6 input blocks.
     result = native_sort(
-        native_config(sample_every=4096), n_workers=2,
-        spill_dir=str(tmp_path), timeout=120, write_behind_blocks=0,
+        native_config(data_per_node_bytes=12 * KiB, memory_bytes=16 * KiB),
+        n_workers=2, spill_dir=str(tmp_path), timeout=120,
+        write_behind_blocks=0,
     )
+    assert result.job.piece_blocks == 2
     assert result.stats.n_runs >= 3
     assert result.validate().ok
     assert _output_sha(result) == _oracle_sha(result.job)
+
+
+def test_string_phases_read_back_no_index_they_wrote(tmp_path):
+    """Run formation reads the input that generate wrote, and the
+    selection the pieces run formation wrote, in the same worker
+    process: the store keeps every ``.idx`` array it wrote, so neither
+    phase loads a record-boundary index from disk."""
+    result = native_sort(
+        native_config(data_per_node_bytes=1024 * KiB, memory_bytes=512 * KiB,
+                      block_bytes=16 * KiB),
+        n_workers=2, spill_dir=str(tmp_path), timeout=120, records="string",
+    )
+    assert result.stats.n_runs >= 2
+    assert result.validate().ok
+    for worker in result.stats.workers:
+        assert worker.bytes_read.get("run_formation:index", 0) == 0
+        assert worker.bytes_read.get("selection:index", 0) == 0
+        assert worker.bytes_read["selection"] > 0
 
 
 def test_run_formation_faults_at_most_once_per_input_page(tmp_path):

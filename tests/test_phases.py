@@ -130,11 +130,12 @@ def test_run_formation_pieces_balanced():
 
 
 def test_run_formation_samples_every_k():
+    # The sample is the pieces' block-first keys: K = B.
     ctx = _run_phases(upto="run_formation")
     cfg = ctx["config"]
     for run in ctx["runs"][0]:
         for piece in run.pieces:
-            assert len(piece.sample_keys) == -(-piece.n_keys // cfg.resolved_sample_every)
+            assert len(piece.first_keys) == -(-piece.n_keys // cfg.block_elems)
 
 
 def test_run_formation_randomization_changes_runs():

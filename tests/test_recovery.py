@@ -85,14 +85,6 @@ def test_fingerprint_changes_with_the_computation(tmp_path):
     assert job_fingerprint(dc_replace(base, records="string")) != fp
 
 
-def test_fingerprint_tolerates_derived_sample_every(tmp_path):
-    # config.sample_every defaults to None (derived: one per block); the
-    # fingerprint must use the derived value, not crash on None.
-    job = make_job(tmp_path)
-    assert job.config.sample_every is None
-    assert len(job_fingerprint(job)) == 16
-
-
 # -- rank journal -------------------------------------------------------------
 
 
@@ -105,8 +97,8 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
     j = journal_for(tmp_path)
     j.begin_epoch(0)
     j.generate_done()
-    run = {"run": 0, "n": 64, "samples": [1, 2], "every": 16,
-           "crcs": [111, 222], "first_keys": [1, 33], "checksum": 42}
+    run = {"run": 0, "n": 64, "crcs": [111, 222], "first_keys": [1, 33],
+           "checksum": 42}
     j.rf_run_done(run)
     j.rf_done([run], checksum=42)
     j.selection_done([[10, 20], [30, 40]])
@@ -136,8 +128,8 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
     as_json = [model.key_to_json(k) for k in keys]
     j = journal_for(tmp_path, rank=1)
     j.begin_epoch(0)
-    run = {"run": 0, "n": 3, "samples": as_json[:3], "every": 1,
-           "crcs": [5], "first_keys": as_json[:1], "checksum": 1}
+    run = {"run": 0, "n": 3, "crcs": [5], "first_keys": as_json[:3],
+           "checksum": 1}
     j.rf_run_done(run)
     j.a2a_done([[0, 0, 3, 0]], [as_json])
     j.merge_done({"rank": 0, "path": "out", "n_records": 3,
@@ -147,7 +139,7 @@ def test_journal_roundtrip_restores_every_phase(tmp_path):
 
     state = j.load_resume()
     decode = model.key_from_json
-    assert [decode(k) for k in state.rf_runs[0]["samples"]] == keys[:3]
+    assert [decode(k) for k in state.rf_runs[0]["first_keys"]] == keys[:3]
     assert [decode(k) for k in state.a2a_unit_first_keys[0]] == keys
     assert decode(state.merge_meta["first_key"]) == keys[0]
     assert decode(state.merge_meta["last_key"]) == keys[2]
@@ -198,23 +190,21 @@ def test_foreign_fingerprint_is_refused(tmp_path):
         stale.load_resume()
 
 
-def test_a_version_3_journal_is_refused(tmp_path, monkeypatch):
-    """Version 4 changed the string checksum that ``rf_run`` and
-    ``rf_done`` carry: a journal written at version 3 is refused by a
-    version-4 resume, and nothing of it is replayed."""
+def _assert_old_journal_refused(tmp_path, monkeypatch, version, run):
+    """Write a string job's journal as version ``version`` did, with
+    ``run`` in its ``rf_run`` and ``rf_done`` records as they were, and
+    check that a resume at the current version refuses it untouched."""
     from repro.recovery import manifest
 
-    assert manifest.MANIFEST_VERSION == 4
+    assert manifest.MANIFEST_VERSION == 5
     job = dc_replace(make_job(tmp_path), records="string")
     with monkeypatch.context() as patch:
-        patch.setattr(manifest, "MANIFEST_VERSION", 3)
+        patch.setattr(manifest, "MANIFEST_VERSION", version)
         old = journal_for(tmp_path, fingerprint=job_fingerprint(job))
-    run = {"run": 0, "n": 3, "samples": ["61"], "every": 3, "crcs": [5],
-           "first_keys": ["61"], "checksum": 12345}
     old.begin_epoch(0)
     old.generate_done()
-    old.rf_run_done(run)
-    old.rf_done([run], checksum=12345)
+    old.append({"t": "rf_run", **run})
+    old.append({"t": "rf_done", "checksum": run["checksum"], "runs": [run]})
     old.close()
     with open(old.path) as handle:
         written = handle.read()
@@ -225,6 +215,28 @@ def test_a_version_3_journal_is_refused(tmp_path, monkeypatch):
         resume.load_resume()
     with open(old.path) as handle:
         assert handle.read() == written
+
+
+def test_a_version_3_journal_is_refused(tmp_path, monkeypatch):
+    """Version 4 changed the string checksum that ``rf_run`` and
+    ``rf_done`` carry: a journal written at version 3 is refused by any
+    later resume, and nothing of it is replayed."""
+    _assert_old_journal_refused(tmp_path, monkeypatch, 3, {
+        "run": 0, "n": 3, "samples": ["61"], "every": 3, "crcs": [5],
+        "first_keys": ["61"], "checksum": 12345,
+    })
+
+
+def test_a_version_4_journal_is_refused(tmp_path, monkeypatch):
+    """Version 5 dropped the ``samples`` / ``every`` fields of ``rf_run``
+    and ``rf_done``: the piece's block-first keys are its sample (K = B).
+    A version-4 journal, with both lists, is refused, and nothing of it
+    is replayed."""
+    _assert_old_journal_refused(tmp_path, monkeypatch, 4, {
+        "run": 0, "n": 40, "samples": ["61", "62", "63"], "every": 16,
+        "crcs": [5, 6, 7], "first_keys": ["61", "62", "63"],
+        "checksum": 12345,
+    })
 
 
 def test_missing_manifest_resumes_as_none(tmp_path):

@@ -390,21 +390,17 @@ class TestSpecRejectionMessages:
         self.check(
             {"pending_sends": 0}, "spec field 'pending_sends'=0", ">= 1"
         )
-        self.check(
-            {"sample_every": 0}, "spec field 'sample_every'=0", ">= 1"
-        )
 
-    def test_cross_field_shm_ring_requires_shm(self):
+    def test_retired_knobs_are_unknown_fields(self):
+        # The sample is the block-first keys (K = B) and the shm ring
+        # size is a transport constant: neither is a spec field, on any
+        # transport.
+        self.check({"sample_every": 4}, "unknown spec field 'sample_every'")
+        self.check({"shm_ring_kib": 64}, "unknown spec field 'shm_ring_kib'")
         self.check(
-            {"shm_ring_kib": 64}, "spec field 'shm_ring_kib'=64",
-            "transport='shm'",
+            {"transport": "shm", "shm_ring_kib": 64},
+            "unknown spec field 'shm_ring_kib'",
         )
-        # And on shm it passes through to the job.
-        job = build_native_job(
-            {"transport": "shm", "shm_ring_kib": 64}, "/tmp"
-        )
-        assert job.shm_ring_kib == 64
-        assert job.ring_bytes == 64 * 1024
 
     def test_unknown_field_lists_accepted_keys(self):
         self.check({"warp": 9}, "unknown spec field 'warp'")

@@ -127,21 +127,35 @@ def test_cli_shm_json_is_valid(tmp_path, capsys):
     kept = sum(w["counters"]["a2a_kept_bytes"] for w in report["per_worker"])
     assert report["phases"]["all_to_all"]["wire_volume"] + kept == n_bytes
 
-# ---------------------------------------------------- ring-capacity knob
+# ---------------------------------------------------------- ring capacity
 
 
-def test_ring_capacity_is_tunable_and_bitwise_invisible(tmp_path):
+def test_ring_capacity_is_tunable_and_bitwise_invisible(tmp_path, monkeypatch):
     """A 1 KiB ring (smaller than most messages) still sorts correctly:
-    the producer streams oversized messages through in pieces, so the
-    capacity knob can be swept freely by the ablation driver."""
+    the producer streams oversized messages through in pieces, so any
+    positive ``DEFAULT_RING_BYTES`` is correct.  The driver's mesh reads
+    the constant when it builds the rings, so patching it here reaches
+    every ring of the job."""
+    from repro.native import shm
+
+    built = []
+    create = shm.create_shm_mesh
+
+    def recording(*args, ring_bytes, **kwargs):
+        built.append(ring_bytes)
+        return create(*args, ring_bytes=ring_bytes, **kwargs)
+
+    monkeypatch.setattr(shm, "create_shm_mesh", recording)
+    monkeypatch.setattr(shm, "DEFAULT_RING_BYTES", 1 * KiB)
     tiny = native_sort(
         native_config(),
         n_workers=2,
         spill_dir=str(tmp_path / "tiny"),
         timeout=120,
         transport="shm",
-        shm_ring_kib=1,
     )
+    monkeypatch.undo()
+    assert built == [1 * KiB]
     assert tiny.validate().ok, tiny.validate().issues
     default = native_sort(
         native_config(),
@@ -154,30 +168,3 @@ def test_ring_capacity_is_tunable_and_bitwise_invisible(tmp_path):
         m.checksum for m in default.outputs
     ]
 
-
-def test_ring_capacity_validation():
-    from repro.core.config import ConfigError
-    from repro.native.job import NativeJob
-    from repro.native.shm import DEFAULT_RING_BYTES
-
-    job = NativeJob(
-        config=native_config(), n_workers=2, spill_dir="/tmp",
-        transport="shm", shm_ring_kib=64,
-    )
-    assert job.ring_bytes == 64 * KiB
-    assert job.describe()["shm_ring_kib"] == 64
-    unset = NativeJob(
-        config=native_config(), n_workers=2, spill_dir="/tmp",
-        transport="shm",
-    )
-    assert unset.ring_bytes == DEFAULT_RING_BYTES
-    with pytest.raises(ConfigError, match="shm_ring_kib must be >= 1"):
-        NativeJob(
-            config=native_config(), n_workers=2, spill_dir="/tmp",
-            transport="shm", shm_ring_kib=0,
-        )
-    with pytest.raises(ConfigError, match="only applies to transport='shm'"):
-        NativeJob(
-            config=native_config(), n_workers=2, spill_dir="/tmp",
-            transport="pipe", shm_ring_kib=64,
-        )
