@@ -4,10 +4,11 @@ This module plays the role :mod:`repro.cluster.mpi` plays for the
 simulator — collectives and point-to-point transfers between PEs — but
 over real :mod:`multiprocessing` pipes between real processes on one
 host.  All protocol logic (collectives, stash-aware receives, the
-chunked exchange, the sender thread) lives in
+chunked exchange, the sender thread, the frame codec) lives in
 :class:`repro.native.comm_api.MeshComm`; :class:`PipeComm` contributes
-only the pipe-specific channel primitives.  :class:`repro.net.tcp.TcpComm`
-is the multi-host sibling over the same core.
+only the byte channel: a file descriptor per peer.
+:class:`repro.net.tcp.TcpComm` is the multi-host sibling over sockets,
+which are file descriptors too.
 
 Design notes
 ------------
@@ -17,25 +18,23 @@ Design notes
   message can never overtake it, so phases separated by collectives need
   no global sequencing, only per-message epoch tags as a safety check.
 
-* **A single sender thread per worker.**  ``Connection.send`` blocks when
-  the OS pipe fills; if every worker blocked sending into a full pipe
-  while its own inbox backed up, the mesh would deadlock.  All sends are
-  therefore executed by a background thread fed from a queue, and the
-  main thread is always free to drain incoming traffic.  The bulk
-  exchange additionally keeps the queue short (``pending_sends``,
-  default :data:`PENDING_SENDS`) so the amount of record data parked in
-  user space stays bounded — the external-memory discipline extends to
-  the interconnect.
+* **A single sender thread per worker.**  A write blocks when the OS
+  pipe fills; if every worker blocked sending into a full pipe while its
+  own inbox backed up, the mesh would deadlock.  All sends are therefore
+  executed by a background thread fed from a queue, and the main thread
+  is always free to drain incoming traffic.  The bulk exchange
+  additionally keeps the queue short (``pending_sends``, default
+  :data:`~repro.native.comm_api.DEFAULT_PENDING_SENDS`) so the amount of
+  record data parked in user space stays bounded — the external-memory
+  discipline extends to the interconnect.
 
-* **Record bytes are never pickled.**  A message's trailing buffer (the
-  one :func:`repro.net.framing.split_raw_nested` peels for the TCP and
-  shm frames) travels as a raw ``send_bytes`` message right behind the
-  pickled rest, so pipes, sockets and rings all deliver a run's slice
-  without serializing it.  The receiver reads that message's length
-  header itself and ``os.readv``-s the body straight into its
-  destination — an ``alltoall`` landing slot when one is registered —
-  instead of ``Connection.recv_bytes``, which assembles the body in a
-  ``BytesIO`` and copies it out again.
+* **Frames straight onto the fd.**  Each message is one
+  :mod:`repro.net.framing` frame, gather-written with ``os.writev``
+  from the caller's memory, record bytes included, and read back with
+  ``os.readv`` — a payload straight into its ``alltoall`` landing slot
+  when one is registered.  ``multiprocessing``'s own message layer is
+  never used.  Each read waits at most the comm timeout, so a peer that
+  stops mid-frame is a :class:`CommTimeout`, not a hang.
 
 * **Stash-aware receives.**  A fast peer may already be sending its next
   phase's traffic while a slow peer still owes this phase's message.
@@ -47,11 +46,11 @@ Design notes
 from __future__ import annotations
 
 import os
-import struct
-from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Dict, Optional
+import select
+from multiprocessing.connection import Connection
+from typing import Dict, List, Optional
 
-from ..net.framing import reattach_payload, split_raw_nested
+from ..net.framing import write_parts
 from .comm_api import (
     DEFAULT_PENDING_SENDS,
     DEFAULT_TIMEOUT,
@@ -59,7 +58,6 @@ from .comm_api import (
     CommTimeout,
     JobInterrupted,
     MeshComm,
-    message_epoch,
 )
 
 __all__ = [
@@ -68,16 +66,16 @@ __all__ = [
     "CommTimeout",
     "JobInterrupted",
     "DEFAULT_TIMEOUT",
-    "PENDING_SENDS",
 ]
-
-#: Backwards-compatible name for the default exchange backpressure bound
-#: (now per-job via ``NativeJob.pending_sends``).
-PENDING_SENDS = DEFAULT_PENDING_SENDS
 
 
 class PipeComm(MeshComm):
-    """Point-to-point and collective communication over a pipe mesh."""
+    """Point-to-point and collective communication over a pipe mesh.
+
+    ``conns`` maps every peer to this rank's end of their channel: any
+    connected stream with a ``fileno()`` and a ``close()`` (a duplex
+    ``multiprocessing`` pipe end here, a socket for :class:`TcpComm`).
+    """
 
     def __init__(
         self,
@@ -93,15 +91,19 @@ class PipeComm(MeshComm):
         interrupt_tag: int = 0,
     ):
         self.conns = conns
-        #: Service interrupt channel: the warm pool hands each worker a
-        #: pipe the scheduler writes dispatch tags into to abort the job
-        #: currently running (cancel, or a peer rank failed).  Checked
-        #: at every poll and every phase boundary; a matching tag raises
-        #: :class:`JobInterrupted`.  Tags for *other* dispatches (a
-        #: cancel that raced the job's own completion) are drained and
-        #: ignored.
-        self._interrupt = interrupt
-        self._interrupt_tag = int(interrupt_tag)
+        self._fds = {p: c.fileno() for p, c in conns.items()}
+        #: One poll set per peer (a frame read waits on its peer alone)
+        #: and one over every peer plus the interrupt channel.
+        self._pollers = {}
+        self._any = select.poll()
+        self._peer_of = {}
+        for peer, fd in self._fds.items():
+            self._pollers[peer] = select.poll()
+            self._pollers[peer].register(fd, select.POLLIN)
+            self._any.register(fd, select.POLLIN)
+            self._peer_of[fd] = peer
+        if interrupt is not None:
+            self._any.register(interrupt.fileno(), select.POLLIN)
         super().__init__(
             rank,
             n_workers,
@@ -111,132 +113,50 @@ class PipeComm(MeshComm):
             chaos=chaos,
             job_epoch=job_epoch,
             job_tag=job_tag,
+            interrupt=interrupt,
+            interrupt_tag=interrupt_tag,
         )
-        self._start_sender()
 
-    # -- channel primitives ---------------------------------------------------
+    # -- byte channel ---------------------------------------------------------
 
-    def _transmit(self, peer: int, msg: tuple) -> None:
-        # Pipes have no frame header, so the composite (job, epoch)
-        # fence wraps the pickled part of the message: (fence, meta,
-        # nested).  Record bytes never go through pickle: the buffer the
-        # TCP and shm framing would peel off follows as one raw
-        # ``send_bytes`` message (zero-copy from the caller's memory),
-        # and ``nested`` — None when there is none — says where the
-        # receiver reattaches it.  Both writes happen in this one call,
-        # so a wedge (which stops the sender between calls) can never
-        # split a message from its payload.
-        meta, payload, nested = split_raw_nested(msg)
-        conn = self.conns[peer]
-        conn.send((self.wire_fence, meta, None if payload is None else nested))
-        if payload is not None:
-            conn.send_bytes(payload)
+    def _write(self, peer: int, parts: list) -> None:
+        # fileno() raises once the end is closed, so a sender thread that
+        # outlives close() fails instead of writing to a reused fd number.
+        fd = self.conns[peer].fileno()
+        write_parts(lambda views: os.writev(fd, views), parts)
 
-    def _check_interrupt(self) -> None:
-        if self._interrupt is None:
-            return
-        while self._interrupt.poll(0):
-            try:
-                tag = self._interrupt.recv()
-            except (EOFError, OSError) as exc:
-                raise JobInterrupted(
-                    f"rank {self.rank}: interrupt channel closed "
-                    "(service shut down)"
-                ) from exc
-            if tag == self._interrupt_tag:
-                raise JobInterrupted(
-                    f"rank {self.rank}: job interrupted by the service"
-                )
+    def _read_into(self, peer: int, view: memoryview) -> int:
+        if not self._pollers[peer].poll(self.timeout * 1000):
+            raise TimeoutError(f"nothing from peer {peer} for {self.timeout}s")
+        return os.readv(self._fds[peer], [view])
 
-    def set_phase(self, phase: str) -> None:
-        # Phase boundaries are the one place a 1-worker job (no peers,
-        # so no polls) is guaranteed to pass through; checking here
-        # bounds how long a cancel can go unnoticed on any pool worker.
-        self._check_interrupt()
-        super().set_phase(phase)
+    def _ready_peers(self, timeout: float) -> List[int]:
+        if not self._peer_of and self._interrupt is None:
+            return []
+        return [self._peer_of[fd] for fd, _ev in self._any.poll(timeout * 1000)
+                if fd in self._peer_of]
 
-    def _poll_once(self, block_timeout: float) -> bool:
-        """Pull every immediately available message into the stash."""
-        self._check_interrupt()
-        wait_on = list(self.conns.values())
-        if self._interrupt is not None:
-            wait_on.append(self._interrupt)
-        if not wait_on:
-            return False
-        self._chaos_poll()
-        ready = conn_wait(wait_on, timeout=block_timeout)
-        if not ready:
-            return False
-        by_conn = {id(c): p for p, c in self.conns.items()}
-        got = False
-        for conn in ready:
-            if self._interrupt is not None and conn is self._interrupt:
-                self._check_interrupt()
-                continue
-            peer = by_conn[id(conn)]
-            try:
-                fence, msg, nested = conn.recv()
-                # The raw payload is read even for a frame about to be
-                # fenced off: it is part of the same message, and leaving
-                # it in the pipe would desynchronize the stream.
-                payload = None
-                if nested is not None:
-                    payload = self._recv_payload(conn, peer, fence, msg, nested)
-            except EOFError as exc:
-                raise CommError(
-                    f"rank {self.rank}: peer {peer} closed its pipe"
-                ) from exc
-            if fence != self.wire_fence:
-                # A stale frame from a pre-restart epoch — or another
-                # job's dispatch on a warm pool: fence it off.
-                self.fenced_drops += 1
-                continue
-            if payload is not None:
-                msg = reattach_payload(msg, payload, nested)
-            self._stash_message(peer, msg)
-            got = True
-        return got
+    def _drop_channel(self, peer: int) -> None:
+        fd = self._fds.pop(peer)
+        self._any.unregister(fd)
+        del self._peer_of[fd], self._pollers[peer]
+        try:
+            self.conns.pop(peer).close()
+        except OSError:
+            pass
 
-    def _recv_payload(self, conn: Connection, peer: int, fence: int, msg,
-                      nested: bool):
-        """Read the raw ``send_bytes`` message behind ``msg``: into its
-        landing slot when it is a fenced-in ``alltoall`` part with one,
-        else into a fresh ``bytearray``."""
-        fd = conn.fileno()
-        (size,) = struct.unpack("!i", _read_exact(fd, bytearray(4)))
-        if size == -1:  # Connection's header for bodies past 2 GiB
-            (size,) = struct.unpack("!Q", _read_exact(fd, bytearray(8)))
-        slot = None
-        if fence == self.wire_fence and not nested:
-            slot = self._landing_slot(peer, message_epoch(msg), size)
-        return _read_exact(fd, bytearray(size) if slot is None else slot)
+    # -- lifecycle ------------------------------------------------------------
 
     def _close_transport(self) -> None:
         # Closing the pipe ends here is what reaps a sender thread still
-        # blocked in Connection.send to a peer that stopped draining (a
-        # collective raised mid-exchange): its write fails immediately
-        # and the thread exits instead of leaking with the fds pinned.
+        # blocked writing to a peer that stopped draining (a collective
+        # raised mid-exchange): its write fails once the peer's end is
+        # closed too, and the thread exits instead of leaking with the
+        # fds pinned.
         for conn in self.conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
 
-    def _sever_transport(self) -> None:
-        for conn in self.conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-def _read_exact(fd: int, buf):
-    """Fill ``buf`` from the pipe ``fd``; returns ``buf``.  EOF first is
-    an ``EOFError``, as it is for ``Connection.recv``."""
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError("pipe closed mid-message")
-        view = view[got:]
-    return buf
+    _sever_transport = _close_transport

@@ -13,10 +13,13 @@ any of them.  This module pins that surface down:
 * :class:`MeshComm` is the shared implementation of everything *above*
   the transport: the sender thread, the stash, the collectives (among
   them the one-round in-memory ``alltoall``), the chunked disk-streaming
-  exchange and the wire accounting.  A transport subclasses it and
-  provides exactly two primitives —
-  :meth:`MeshComm._transmit` (push one message to one peer) and
-  :meth:`MeshComm._poll_once` (pull whatever arrived into the stash).
+  exchange, the wire accounting, the service interrupt, and the one
+  message format — every message is a :mod:`repro.net.framing` frame,
+  encoded once and decoded once here.  A transport subclasses it and
+  provides only its byte channel: :meth:`MeshComm._write` (gather-write
+  one frame's parts to a peer), :meth:`MeshComm._read_into` (read what
+  a peer sent, within the comm timeout) and :meth:`MeshComm._ready_peers`
+  (wait until some peer's channel is readable).
 
 The contract
 ------------
@@ -208,19 +211,28 @@ class Comm(Protocol):
 class MeshComm:
     """Everything above the transport: collectives, stash, accounting.
 
-    Subclasses provide the channel primitives:
+    Every message travels as one :mod:`repro.net.framing` frame, with
+    ``FLAG_CRC`` exactly when the class sets :attr:`frame_crc`.
+    Subclasses provide the byte channel:
 
-    * :meth:`_transmit` — synchronously push one message to one peer
-      (called only from the sender thread; may block);
-    * :meth:`_poll_once` — pull every immediately available message into
-      the stash via :meth:`_stash_message`, waiting at most
-      ``block_timeout`` seconds for the first one;
+    * :meth:`_write` — gather-write a frame's parts to one peer (called
+      from the sender thread; may block);
+    * :meth:`_read_into` — read at least one byte from a peer into a
+      view, 0 at EOF; ``TimeoutError`` when nothing arrives within
+      :attr:`timeout`;
+    * :meth:`_ready_peers` — wait at most ``timeout`` seconds until some
+      peer's channel is readable (data or EOF), waking early for the
+      service interrupt channel too;
 
-    plus optional lifecycle hooks (``_close_transport``,
-    ``_sever_transport``, ``_wedge_transport``, ``_on_send_idle``,
-    ``_idle_seconds``, ``_timeout_context``).  The subclass must call
-    :meth:`_start_sender` once its channels are usable.
+    plus optional hooks (``_drop_channel``, ``_on_frame``,
+    ``_close_transport``, ``_sever_transport``, ``_wedge_transport``,
+    ``_on_send_idle``, ``_idle_seconds``, ``_timeout_context``).  The
+    subclass sets its channels up before calling ``__init__``, which
+    starts the sender thread.
     """
+
+    #: Whether frames carry (and must carry) a CRC: the socket transport's.
+    frame_crc = False
 
     def __init__(
         self,
@@ -232,6 +244,8 @@ class MeshComm:
         chaos=None,
         job_epoch: int = 0,
         job_tag: int = 0,
+        interrupt=None,
+        interrupt_tag: int = 0,
     ):
         peers = sorted(peers)
         if peers != [p for p in range(n_workers) if p != rank]:
@@ -263,6 +277,18 @@ class MeshComm:
         self.wire_fence = pack_fence(self.job_tag, self.job_epoch)
         #: Stale frames dropped by the (job, epoch) fence (recovery counter).
         self.fenced_drops = 0
+        #: Service interrupt channel: the warm pool hands each worker a
+        #: pipe the scheduler writes dispatch tags into to abort the job
+        #: currently running (cancel, or a peer rank failed).  Checked
+        #: at every poll and every phase boundary; a matching tag raises
+        #: :class:`JobInterrupted`.  Tags for *other* dispatches (a
+        #: cancel that raced the job's own completion) are drained and
+        #: ignored.
+        self._interrupt = interrupt
+        self._interrupt_tag = int(interrupt_tag)
+        #: Peers that announced a deliberate close (GOODBYE): their later
+        #: EOF is a normal shutdown, not a dead PE.
+        self._peer_goodbye = set()
         self._epoch = 0
         #: While an ``alltoall(into=...)`` runs: its epoch, and per peer
         #: the buffer that peer's part lands in (see :meth:`_landing_slot`).
@@ -292,6 +318,7 @@ class MeshComm:
         #: Peer -> payload bytes sent to / received from that peer.
         self.peer_sent: Dict[int, int] = {p: 0 for p in self.peers}
         self.peer_recv: Dict[int, int] = {p: 0 for p in self.peers}
+        self._start_sender()
 
     #: Best-effort bounds used by :meth:`shutdown`.  Class attributes so
     #: the wedged-sender teardown tests can shrink them instead of
@@ -301,11 +328,20 @@ class MeshComm:
 
     # -- transport primitives (subclass responsibilities) ---------------------
 
-    def _transmit(self, peer: int, msg: tuple) -> None:
+    def _write(self, peer: int, parts: list) -> None:
         raise NotImplementedError
 
-    def _poll_once(self, block_timeout: float) -> bool:
+    def _read_into(self, peer: int, view: memoryview) -> int:
         raise NotImplementedError
+
+    def _ready_peers(self, timeout: float) -> List[int]:
+        raise NotImplementedError
+
+    def _drop_channel(self, peer: int) -> None:
+        """Forget a peer that said GOODBYE and then closed (default: none)."""
+
+    def _on_frame(self, peer: int, nbytes: int) -> None:
+        """A frame of ``nbytes`` arrived from ``peer`` (default: nothing)."""
 
     def _close_transport(self) -> None:
         """Release transport resources at :meth:`close` (default: none)."""
@@ -371,18 +407,100 @@ class MeshComm:
                 f"rank {self.rank}: connection severed (chaos)"
             )
 
-    def _chaos_poll(self) -> None:
-        """Fire the receive-poll fault hook (subclasses call per poll)."""
+    def _transmit(self, peer: int, msg: tuple) -> None:
+        """Frame ``msg`` and push it to ``peer`` (sender thread only)."""
+        self._write(peer, frame_parts(
+            KIND_MSG, msg, fence=self.wire_fence, crc=self.frame_crc
+        ))
+
+    def _check_interrupt(self) -> None:
+        if self._interrupt is None:
+            return
+        while self._interrupt.poll(0):
+            try:
+                tag = self._interrupt.recv()
+            except (EOFError, OSError) as exc:
+                raise JobInterrupted(
+                    f"rank {self.rank}: interrupt channel closed "
+                    "(service shut down)"
+                ) from exc
+            if tag == self._interrupt_tag:
+                raise JobInterrupted(
+                    f"rank {self.rank}: job interrupted by the service"
+                )
+
+    def _poll_once(self, block_timeout: float) -> bool:
+        """Read one frame from every peer whose channel turns readable
+        within ``block_timeout`` seconds; True if any was stashed."""
+        self._check_interrupt()
         if self.chaos is not None:
             self.chaos.on_recv_poll(self.rank)
+        got = False
+        for peer in self._ready_peers(max(0.0, block_timeout)):
+            got = self._recv_frame(peer) or got
+        return got
+
+    def _recv_frame(self, peer: int) -> bool:
+        """Read and decode one frame from ``peer``; True if it was stashed.
+
+        The one receive path of every transport: a MSG payload lands in
+        its ``alltoall`` slot, a frame of another (job, epoch) is read
+        whole and dropped, HEARTBEAT and GOODBYE are consumed here, and
+        EOF is a dead PE unless the peer said GOODBYE first.
+        """
+        def into(epoch, fence, nbytes):
+            if fence != self.wire_fence:
+                return None  # stale: drained into a fresh buffer
+            return self._landing_slot(peer, epoch, nbytes)
+
+        try:
+            frame = read_frame(
+                lambda view: self._read_into(peer, view), into,
+                crc=self.frame_crc,
+            )
+        except CommTimeout as exc:
+            raise CommTimeout(
+                f"rank {self.rank}: peer {peer} wedged mid-frame: {exc}"
+            ) from exc
+        except (CommError, OSError) as exc:
+            raise CommError(f"rank {self.rank}: peer {peer}: {exc}") from exc
+        if frame is None:
+            if peer in self._peer_goodbye:
+                # Announced shutdown: the peer finished its protocol and
+                # left; everything it sent preceded the GOODBYE (FIFO).
+                self._drop_channel(peer)
+                return False
+            raise CommError(
+                f"rank {self.rank}: peer {peer} closed its channel "
+                "mid-protocol (dead PE)"
+            )
+        kind, msg, _epoch, fence, nbytes = frame
+        self._on_frame(peer, nbytes)
+        if kind == KIND_GOODBYE:
+            self._peer_goodbye.add(peer)
+            return False
+        if kind == KIND_HEARTBEAT:
+            return False
+        if kind != KIND_MSG:
+            raise CommError(
+                f"rank {self.rank}: unexpected frame kind {kind} "
+                f"from peer {peer}"
+            )
+        if fence != self.wire_fence:
+            # A stale frame from a pre-restart epoch — or, on a warm
+            # service pool, from another job entirely: drop it.
+            self.fenced_drops += 1
+            return False
+        self._stash_message(peer, msg)
+        return True
 
     def _landing_slot(
         self, peer: int, epoch: int, nbytes: int
     ) -> Optional[memoryview]:
         """Where ``peer``'s ``nbytes``-byte payload tagged ``epoch`` lands.
 
-        Transports call this for a frame that passed the (job, epoch)
-        fence, after its header and before its payload: when an
+        Called for a frame that passed the (job, epoch) fence, after its
+        header and before its payload: when an
         ``alltoall(into=...)`` registered a slot for the peer, the payload
         is read straight into it and reattached as the slot itself.
         ``None`` means no slot: read into a fresh buffer.  A payload of
@@ -400,7 +518,7 @@ class MeshComm:
         return slot
 
     def _stash_message(self, peer: int, msg: tuple) -> None:
-        """Account and park one arrived message (subclasses call this)."""
+        """Account and park one arrived message."""
         est = payload_bytes(msg)
         if est:
             self.bytes_received += est
@@ -409,7 +527,13 @@ class MeshComm:
         self._stash[peer].append(msg)
 
     def set_phase(self, phase: str) -> None:
-        """Attribute subsequent wire traffic to ``phase`` (stats only)."""
+        """Attribute subsequent wire traffic to ``phase`` (stats only).
+
+        Phase boundaries are the one place a 1-worker job (no peers, so
+        no polls) is sure to pass, so the interrupt is checked here too:
+        that bounds how long a cancel can go unnoticed.
+        """
+        self._check_interrupt()
         self._phase = phase
 
     def post(self, peer: int, msg: tuple) -> None:
@@ -646,11 +770,9 @@ class MeshComm:
         With ``into`` — one writable buffer per rank, each exactly as
         large as the bytes-like part that rank sends here — the parts
         land in those buffers and ``into`` is returned.  The own part is
-        copied into its slot; transports that can (pipe, tcp) read a
-        peer's payload straight into its slot, and a payload that was
-        received some other way (shm, or early, before the slot existed)
-        is copied into it.  A part of another size is a
-        :class:`CommError`.
+        copied into its slot; a peer's payload is read straight into its
+        slot, and one that arrived early, before the slot existed, is
+        copied into it.  A part of another size is a :class:`CommError`.
 
         The call returns without a flush: the sender thread may still
         hold ``parts``, so the caller must :meth:`flush` before it
@@ -784,3 +906,14 @@ class MeshComm:
                 break
         self.flush()
         self.barrier()
+
+
+# Imported last: the package init of repro.net pulls in TcpComm, which
+# subclasses MeshComm, and framing itself imports this module's errors.
+from ..net.framing import (  # noqa: E402
+    KIND_GOODBYE,
+    KIND_HEARTBEAT,
+    KIND_MSG,
+    frame_parts,
+    read_frame,
+)

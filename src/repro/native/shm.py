@@ -2,12 +2,12 @@
 
 :class:`ShmComm` is the third :class:`~repro.native.comm_api.MeshComm`
 channel binding, next to :class:`~repro.native.comm.PipeComm` and
-:class:`~repro.net.tcp.TcpComm`.  Where a pipe pays a pickle plus two
-kernel copies per message and a socket pays framing plus the TCP stack,
-the shm transport moves record bytes through a
-:mod:`multiprocessing.shared_memory` segment: one single-producer /
-single-consumer byte ring per *directed* channel, written by the
-sender thread and drained by the receiver's poll loop.
+:class:`~repro.net.tcp.TcpComm`.  All three carry the same
+:mod:`repro.net.framing` frames, encoded and decoded by the core; where
+a pipe moves them through the kernel, the shm transport moves them
+through a :mod:`multiprocessing.shared_memory` segment: one
+single-producer / single-consumer byte ring per *directed* channel,
+written by the sender thread and read by the receiver's poll loop.
 
 Ring layout (one POSIX shm segment per directed channel)::
 
@@ -19,29 +19,13 @@ Ring layout (one POSIX shm segment per directed channel)::
     24      8     (pad to 32)
     32      cap   data          (byte ring; index = counter % cap)
 
-Messages are a framed byte stream inside the ring (the ring itself has
-no message boundaries, exactly like a TCP stream)::
-
-    offset  size  field
-    0       4     meta_len     (u32)
-    4       4     payload_len  (u64 worth fits in u32 rings; u32 here)
-    8       1     flags        (FLAG_RAW / FLAG_JSON / FLAG_NESTED,
-                                shared with repro.net.framing)
-    9       8     fence        (u64 composite (job, epoch) fence,
-                                pack_fence from comm_api)
-    17      ...   meta || payload
-
-* **Record chunks** reuse the framing layer's nested-raw split: the
-  protocol tuple minus its trailing buffer becomes ``meta`` and the
-  buffer itself is copied *once* from the sender's memoryview into the
-  ring, then *once* from the ring into a per-message buffer on the
-  receive side, where it is delivered as a ``memoryview`` slice —
-  no pickling of record bytes anywhere on the path.
-* **Control messages** (barriers, EOFs, probes) travel as tagged JSON
-  (``FLAG_JSON``) — msgpack-free, pickle-free.  Tuples round-trip
-  exactly via a ``{"t": [...]}`` tagging scheme.  Messages JSON cannot
-  express (numpy sample arrays in the selection allgather) fall back to
-  pickle, flagged by the absence of ``FLAG_JSON``.
+The ring is a byte stream without message boundaries, exactly like a
+pipe or a TCP stream, so the frames need no ring-specific header: the
+producer copies a frame's parts in (record bytes straight from the
+sender's memoryview), the consumer copies exactly what the frame reader
+asks for out — a payload straight into its ``alltoall`` landing slot
+when one is registered.  A frame larger than the ring flows through in
+pieces while the consumer drains.
 
 Wakeup is condition-based, never a spin: each ring carries two doorbell
 pipes.  The consumer parks on the *data* doorbell (a
@@ -57,7 +41,8 @@ Failure semantics match the siblings: a peer that dies or severs closes
 its doorbell fds, which the other side observes as EOF and raises
 :class:`CommError`; a *wedged* peer (stops draining, nothing closed)
 leaves the ring full and surfaces as :class:`CommTimeout` through the
-usual flush/exchange deadlines.
+usual flush/exchange deadlines, and one that stops mid-frame as a
+:class:`CommTimeout` of the frame read.
 
 Segment lifetime: whoever calls :func:`create_shm_mesh` owns the names
 and must call ``unlink()`` on the returned mesh once the job is over
@@ -69,9 +54,7 @@ what the chaos sweep's no-leaked-``/dev/shm`` assertion checks.
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 import struct
 import threading
 import time
@@ -81,21 +64,11 @@ from multiprocessing import shared_memory
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Dict, List, Optional
 
-from ..net.framing import (
-    FLAG_JSON,
-    FLAG_NESTED,
-    FLAG_RAW,
-    MAX_META_BYTES,
-    MAX_PAYLOAD_BYTES,
-    reattach_payload,
-    split_raw_nested,
-)
 from .comm_api import (
     DEFAULT_PENDING_SENDS,
     DEFAULT_TIMEOUT,
     CommError,
     CommTimeout,
-    JobInterrupted,
     MeshComm,
 )
 
@@ -118,10 +91,6 @@ _PROD_WAIT_OFF = 16
 _CONS_WAIT_OFF = 20
 _DATA_OFF = 32
 
-#: Per-message frame header inside the ring: meta_len, payload_len,
-#: flags, fence (the composite (job, epoch) fence from pack_fence).
-_FRAME = struct.Struct("<IIBQ")
-
 #: Default data capacity of one directed ring.  Sized to hold a few
 #: exchange chunks (a chunk is one memory-load / P, typically well under
 #: 256 KiB at bench sizings) so the producer rarely parks.
@@ -135,45 +104,6 @@ SHM_PREFIX = "rsort-"
 #: purely an upper bound on how late it notices sever/close/interrupt;
 #: actual wakeup is the doorbell, not the tick.
 _WAIT_TICK = 0.05
-
-
-class _NotJsonable(Exception):
-    """Raised by :func:`_jsonify` for objects JSON cannot carry."""
-
-
-def _jsonify(obj):
-    """Encode ``obj`` for JSON with exact tuple/list/dict round-trip.
-
-    Containers become tagged one-key dicts (``{"t": [...]}`` for
-    tuples, ``"l"`` lists, ``"d"`` dicts) so an allgathered
-    ``("ready", 3)`` comes back a tuple, not a list.  Anything else
-    non-scalar raises :class:`_NotJsonable` and the message falls back
-    to pickle.
-    """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, tuple):
-        return {"t": [_jsonify(x) for x in obj]}
-    if isinstance(obj, list):
-        return {"l": [_jsonify(x) for x in obj]}
-    if isinstance(obj, dict):
-        return {"d": [[_jsonify(k), _jsonify(v)] for k, v in obj.items()]}
-    raise _NotJsonable(type(obj).__name__)
-
-
-def _dejsonify(obj):
-    if isinstance(obj, dict):
-        if len(obj) != 1:
-            raise CommError(f"malformed tagged JSON message: {obj!r}")
-        tag, val = next(iter(obj.items()))
-        if tag == "t":
-            return tuple(_dejsonify(x) for x in val)
-        if tag == "l":
-            return [_dejsonify(x) for x in val]
-        if tag == "d":
-            return {_dejsonify(k): _dejsonify(v) for k, v in val}
-        raise CommError(f"unknown JSON tag {tag!r}")
-    return obj
 
 
 def list_shm_segments(prefix: str = SHM_PREFIX) -> List[str]:
@@ -307,6 +237,21 @@ def create_shm_mesh(
 # ------------------------------------------------------------ ring endpoints
 
 
+def _ring(doorbell: Connection) -> None:
+    """Ring a doorbell: one raw byte into its pipe."""
+    try:
+        os.write(doorbell.fileno(), b"!")
+    except (OSError, ValueError):
+        pass  # the other side is gone; its EOF surfaces on our waits
+
+
+def _swallow_rings(doorbell: Connection) -> None:
+    """Drain a doorbell's pending rings; EOFError once its ringer closed."""
+    while doorbell.poll(0):
+        if not os.read(doorbell.fileno(), 4096):
+            raise EOFError("doorbell closed")
+
+
 def _attach(spec: ShmRingSpec) -> shared_memory.SharedMemory:
     seg = shared_memory.SharedMemory(name=spec.name)
     if spec.untrack_on_attach:
@@ -346,12 +291,6 @@ class _RingProducer:
     def _cons_waiting(self) -> bool:
         return bool(struct.unpack_from("<I", self._buf, _CONS_WAIT_OFF)[0])
 
-    def _ring_doorbell(self) -> None:
-        try:
-            self._doorbell.send_bytes(b"!")
-        except (OSError, ValueError, BrokenPipeError):
-            pass  # the consumer is gone; its EOF surfaces on our waits
-
     def _wait_space(self, deadline: float, abort) -> None:
         """Park on the space doorbell until the consumer frees bytes."""
         struct.pack_into("<I", self._buf, _PROD_WAIT_OFF, 1)
@@ -366,8 +305,7 @@ class _RingProducer:
                 )
             try:
                 if self._space.poll(_WAIT_TICK):
-                    while self._space.poll(0):
-                        self._space.recv_bytes()
+                    _swallow_rings(self._space)
             except (EOFError, OSError) as exc:
                 raise CommError(
                     "peer closed its shm space doorbell (dead PE)"
@@ -384,8 +322,6 @@ class _RingProducer:
         """
         for part in parts:
             mv = memoryview(part)
-            if mv.ndim != 1 or mv.format != "B":
-                mv = mv.cast("B")
             off, n = 0, len(mv)
             while off < n:
                 free = self._free()
@@ -402,7 +338,7 @@ class _RingProducer:
                 struct.pack_into("<Q", self._buf, _TAIL_OFF, self._tail)
                 off += take
                 if self._cons_waiting():
-                    self._ring_doorbell()
+                    _ring(self._doorbell)
 
     def close(self) -> None:
         if self._closed:
@@ -431,13 +367,6 @@ class _RingConsumer:
         self.doorbell = spec.data_rd
         self._space = spec.space_wr
         self._head = struct.unpack_from("<Q", self._buf, _HEAD_OFF)[0]
-        # Frame-decoder state: header first, then the body.
-        self._frame = bytearray(_FRAME.size)
-        self._frame_fill = 0
-        self._body: Optional[bytearray] = None
-        self._body_fill = 0
-        self._meta_len = self._payload_len = self._flags = 0
-        self._fence = 0
         self.eof = False
         self._closed = False
 
@@ -448,11 +377,42 @@ class _RingConsumer:
         # A torn read of tail is too small (see _RingProducer._free).
         return max(0, self._tail() - self._head)
 
-    def mid_frame(self) -> bool:
-        return self._frame_fill > 0 or self._body is not None
-
     def set_waiting(self, flag: int) -> None:
         struct.pack_into("<I", self._buf, _CONS_WAIT_OFF, flag)
+
+    def clear_doorbell(self) -> None:
+        """Swallow pending rings; a closed doorbell marks the peer gone."""
+        try:
+            _swallow_rings(self.doorbell)
+        except (EOFError, OSError):
+            self.eof = True
+
+    def read_into(self, view: memoryview, timeout: float) -> int:
+        """Copy up to ``len(view)`` bytes out, waiting at most ``timeout``
+        seconds for the first; 0 once the producer is gone and the ring
+        is empty."""
+        deadline = None
+        while True:
+            n = min(self.avail(), len(view))
+            if n:
+                self._copy_out(view, n)
+                return n
+            if self.eof:
+                return 0
+            now = time.monotonic()
+            if deadline is None:
+                deadline = now + timeout
+            elif now > deadline:
+                raise TimeoutError(f"shm ring stayed empty for {timeout}s")
+            self.set_waiting(1)
+            try:
+                if not self.avail():  # re-check after raising the flag
+                    self.doorbell.poll(_WAIT_TICK)
+                    self.clear_doorbell()
+            except (EOFError, OSError):
+                self.eof = True
+            finally:
+                self.set_waiting(0)
 
     def _copy_out(self, dst: memoryview, n: int) -> None:
         pos = self._head % self.capacity
@@ -463,56 +423,7 @@ class _RingConsumer:
         self._head += n
         struct.pack_into("<Q", self._buf, _HEAD_OFF, self._head)
         if struct.unpack_from("<I", self._buf, _PROD_WAIT_OFF)[0]:
-            try:
-                self._space.send_bytes(b"!")
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-
-    def drain(self, deliver) -> bool:
-        """Consume every available byte; ``deliver`` completed frames."""
-        got = False
-        while True:
-            avail = self.avail()
-            if avail == 0:
-                return got
-            if self._body is None:
-                take = min(_FRAME.size - self._frame_fill, avail)
-                self._copy_out(
-                    memoryview(self._frame)[
-                        self._frame_fill:self._frame_fill + take
-                    ],
-                    take,
-                )
-                self._frame_fill += take
-                if self._frame_fill < _FRAME.size:
-                    continue
-                meta_len, payload_len, flags, fence = _FRAME.unpack(self._frame)
-                if meta_len > MAX_META_BYTES or payload_len > MAX_PAYLOAD_BYTES:
-                    raise CommError(
-                        f"implausible shm frame lengths (meta {meta_len}, "
-                        f"payload {payload_len}): ring corrupt"
-                    )
-                self._meta_len, self._payload_len = meta_len, payload_len
-                self._flags, self._fence = flags, fence
-                self._frame_fill = 0
-                self._body = bytearray(meta_len + payload_len)
-                self._body_fill = 0
-            take = min(len(self._body) - self._body_fill, self.avail())
-            if take:
-                self._copy_out(
-                    memoryview(self._body)[
-                        self._body_fill:self._body_fill + take
-                    ],
-                    take,
-                )
-                self._body_fill += take
-            if self._body_fill == len(self._body):
-                body, self._body = self._body, None
-                deliver(
-                    self._flags, self._fence, body,
-                    self._meta_len, self._payload_len,
-                )
-                got = True
+            _ring(self._space)
 
     def close(self) -> None:
         if self._closed:
@@ -551,8 +462,6 @@ class ShmComm(MeshComm):
         own_channel_ends: bool = False,
     ):
         self.channels = channels
-        self._interrupt = interrupt
-        self._interrupt_tag = int(interrupt_tag)
         self._closing = threading.Event()
         self._producers: Dict[int, _RingProducer] = {}
         self._consumers: Dict[int, _RingConsumer] = {}
@@ -588,159 +497,58 @@ class ShmComm(MeshComm):
             chaos=chaos,
             job_epoch=job_epoch,
             job_tag=job_tag,
+            interrupt=interrupt,
+            interrupt_tag=interrupt_tag,
         )
-        self._start_sender()
 
-    # -- channel primitives ---------------------------------------------------
+    # -- byte channel ---------------------------------------------------------
 
     def _abort_send(self) -> None:
         if self._closing.is_set() or self._severed:
             raise CommError(f"rank {self.rank}: shm transport closed")
 
-    def _transmit(self, peer: int, msg: tuple) -> None:
-        meta_msg, payload, nested = split_raw_nested(msg)
-        flags = 0
-        try:
-            meta = json.dumps(
-                _jsonify(meta_msg), separators=(",", ":")
-            ).encode("utf-8")
-            flags |= FLAG_JSON
-        except _NotJsonable:
-            meta = pickle.dumps(meta_msg, protocol=pickle.HIGHEST_PROTOCOL)
-        parts = [b"", meta]
-        payload_len = 0
-        if payload is not None:
-            flags |= FLAG_RAW | (FLAG_NESTED if nested else 0)
-            payload_len = len(payload)
-            parts.append(payload)
-        parts[0] = _FRAME.pack(len(meta), payload_len, flags, self.wire_fence)
+    def _write(self, peer: int, parts: list) -> None:
         self._producers[peer].write(
             parts, time.monotonic() + self.timeout, self._abort_send
         )
 
-    def _check_interrupt(self) -> None:
-        if self._interrupt is None:
-            return
-        while self._interrupt.poll(0):
-            try:
-                tag = self._interrupt.recv()
-            except (EOFError, OSError) as exc:
-                raise JobInterrupted(
-                    f"rank {self.rank}: interrupt channel closed "
-                    "(service shut down)"
-                ) from exc
-            if tag == self._interrupt_tag:
-                raise JobInterrupted(
-                    f"rank {self.rank}: job interrupted by the service"
-                )
+    def _read_into(self, peer: int, view: memoryview) -> int:
+        return self._consumers[peer].read_into(view, self.timeout)
 
-    def set_phase(self, phase: str) -> None:
-        # Mirrors PipeComm: the phase boundary is the one guaranteed
-        # passage point on a 1-worker pool job, bounding cancel latency.
-        self._check_interrupt()
-        super().set_phase(phase)
+    def _ready_peers(self, timeout: float) -> List[int]:
+        def ready():
+            return [p for p, c in self._consumers.items() if c.avail() or c.eof]
 
-    def _deliver(self, peer: int, flags: int, fence: int, body: bytearray,
-                 meta_len: int, payload_len: int) -> bool:
-        if fence != self.wire_fence:
-            # Stale bytes from a pre-restart epoch or another pool job.
-            self.fenced_drops += 1
-            return False
-        mv = memoryview(body)
-        try:
-            if flags & FLAG_JSON:
-                msg = _dejsonify(json.loads(bytes(mv[:meta_len]).decode("utf-8")))
-            else:
-                msg = pickle.loads(mv[:meta_len])
-        except CommError:
-            raise
-        except Exception as exc:
-            raise CommError(
-                f"rank {self.rank}: undecodable shm frame from peer "
-                f"{peer}: {exc!r}"
-            ) from exc
-        if flags & FLAG_RAW:
-            # The record buffer is delivered as a memoryview over this
-            # message's own heap buffer: one ring->heap copy total, no
-            # pickling, and downstream (np.frombuffer, unpack_from,
-            # file writes) consumes the view directly.
-            msg = reattach_payload(msg, mv[meta_len:], bool(flags & FLAG_NESTED))
-        self._stash_message(peer, msg)
-        return True
-
-    def _drain_rings(self) -> bool:
-        got = False
-        for peer, cons in self._consumers.items():
-            def deliver(flags, fence, body, meta_len, payload_len, _p=peer):
-                nonlocal got
-                if self._deliver(_p, flags, fence, body, meta_len, payload_len):
-                    got = True
-
-            cons.drain(deliver)
-        return got
-
-    def _raise_if_dead_peer(self) -> None:
-        for peer, cons in self._consumers.items():
-            if cons.eof and cons.avail() == 0 and not cons.mid_frame():
-                raise CommError(
-                    f"rank {self.rank}: peer {peer} closed its shm channel "
-                    "(dead PE)"
-                )
-
-    def _poll_once(self, block_timeout: float) -> bool:
-        self._check_interrupt()
-        self._chaos_poll()
-        if self._drain_rings():
-            return True
-        self._raise_if_dead_peer()
+        found = ready()
+        if found:
+            return found
         # Arm the wait flags, re-check, then park on the doorbells: the
         # producer only rings when cons_waiting is up, and the re-check
         # after raising the flag closes the lost-wakeup window.
-        for cons in self._consumers.values():
-            if not cons.eof:
-                cons.set_waiting(1)
+        live = [c for c in self._consumers.values() if not c.eof]
+        for cons in live:
+            cons.set_waiting(1)
         try:
-            if any(
-                cons.avail() for cons in self._consumers.values()
-            ):
-                return self._drain_rings()
-            wait_on = [
-                cons.doorbell
-                for cons in self._consumers.values()
-                if not cons.eof
-            ]
+            if any(cons.avail() for cons in live):
+                return ready()
+            waits = [cons.doorbell for cons in live]
             if self._interrupt is not None:
-                wait_on.append(self._interrupt)
-            if not wait_on:
-                return False
+                waits.append(self._interrupt)
+            if not waits:
+                return []
             try:
-                ready = conn_wait(wait_on, timeout=max(0.0, block_timeout))
+                rung = conn_wait(waits, timeout=timeout)
             except OSError as exc:
                 raise CommError(
                     f"rank {self.rank}: shm doorbell died: {exc!r}"
                 ) from exc
         finally:
-            for cons in self._consumers.values():
+            for cons in live:
                 cons.set_waiting(0)
-        if not ready:
-            return False
-        by_conn = {
-            id(cons.doorbell): cons for cons in self._consumers.values()
-        }
-        for conn in ready:
-            if self._interrupt is not None and conn is self._interrupt:
-                self._check_interrupt()
-                continue
-            cons = by_conn[id(conn)]
-            try:
-                while cons.doorbell.poll(0):
-                    cons.doorbell.recv_bytes()
-            except (EOFError, OSError):
-                cons.eof = True
-        if self._drain_rings():
-            return True
-        self._raise_if_dead_peer()
-        return False
+        for cons in live:
+            if cons.doorbell in rung:
+                cons.clear_doorbell()
+        return ready()
 
     # -- lifecycle / chaos ----------------------------------------------------
 
@@ -753,14 +561,12 @@ class ShmComm(MeshComm):
     def _close_transport(self) -> None:
         # Unblock a sender parked on a full ring first (it checks the
         # closing event every wait tick), then drop every endpoint.
+        # Without a goodbye, peers observe doorbell EOF at their next
+        # park, exactly like a died PE — which is what a sever is.
         self._closing.set()
         self._teardown_endpoints()
 
-    def _sever_transport(self) -> None:
-        # Close the doorbells without a goodbye: peers observe EOF at
-        # their next park, exactly like a died PE.
-        self._closing.set()
-        self._teardown_endpoints()
+    _sever_transport = _close_transport
 
     def _timeout_context(self) -> str:
         full = [

@@ -84,9 +84,9 @@ def open_comm(
 ) -> Comm:
     """Rank ``rank``'s comm over ``endpoints``, in its own process.
 
-    ``interrupt`` is the warm pool's abort channel (pipe and shm only):
-    a dispatch tag equal to ``interrupt_tag`` written into it aborts the
-    job with :class:`~repro.native.comm_api.JobInterrupted`.
+    ``interrupt`` is the warm pool's abort channel: a dispatch tag equal
+    to ``interrupt_tag`` written into it aborts the job with
+    :class:`~repro.native.comm_api.JobInterrupted`.
     """
     common = dict(
         timeout=job.timeout,
@@ -94,6 +94,8 @@ def open_comm(
         pending_sends=job.pending_sends,
         job_epoch=job.epoch,
         job_tag=job.job_tag,
+        interrupt=interrupt,
+        interrupt_tag=interrupt_tag,
     )
     if job.transport == "tcp":
         from ..net.tcp import TcpComm
@@ -105,10 +107,6 @@ def open_comm(
         # The specs arrived pickled, so this process holds both sides'
         # doorbell ends; owning them drops the peer's.
         return ShmComm(
-            rank, job.n_workers, endpoints, own_channel_ends=True,
-            interrupt=interrupt, interrupt_tag=interrupt_tag, **common,
+            rank, job.n_workers, endpoints, own_channel_ends=True, **common
         )
-    return PipeComm(
-        rank, job.n_workers, endpoints,
-        interrupt=interrupt, interrupt_tag=interrupt_tag, **common,
-    )
+    return PipeComm(rank, job.n_workers, endpoints, **common)

@@ -3,7 +3,8 @@
 The pieces, bottom up:
 
 * :mod:`repro.net.framing` — length-prefixed binary frames with epoch
-  tags, CRC integrity and zero-copy bulk paths;
+  tags and zero-copy bulk paths, the message format of every channel
+  (CRC-checked on sockets);
 * :mod:`repro.net.rendezvous` — the coordinator handshake that turns
   independently launched worker processes into a full TCP mesh, plus
   the retry/backoff dialing and the worker's result channel;

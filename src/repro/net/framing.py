@@ -1,7 +1,7 @@
-"""Length-prefixed binary framing for the TCP transport.
+"""The one wire format of every mesh channel: length-prefixed frames.
 
-A TCP stream has no message boundaries, so every message travels as one
-*frame*:
+Pipes, TCP sockets and shared-memory rings are byte streams without
+message boundaries, so every message travels as one *frame*:
 
 .. code-block:: text
 
@@ -9,25 +9,26 @@ A TCP stream has no message boundaries, so every message travels as one
     0       2     magic  "RS"
     2       1     version (2)
     3       1     kind    (MSG / HELLO / WELCOME / MESH / RESULT / ... / CTRL)
-    4       1     flags   (bit 0: RAW payload; bit 1: JSON meta)
+    4       1     flags   (bit 0 RAW payload; bit 1 JSON meta;
+                           bit 2 NESTED payload; bit 3 CRC)
     5       1     fence   (u8, epoch half of the (job, epoch) fence)
     6       4     job     (u32, job half of the (job, epoch) fence)
     10      4     epoch   (u32, collective epoch tag; 0 = untagged)
     14      4     meta_len    (u32, pickled — or JSON — message bytes)
     18      8     payload_len (u64, raw record bytes; 0 unless FLAG_RAW)
-    26      4     crc     (u32, CRC-32 over meta then payload)
+    26      4     crc     (u32; 0 unless FLAG_CRC)
     30      ...   meta || payload
 
 Three paths share this layout:
 
 * **Control messages** pickle the whole tuple into ``meta`` and carry no
   payload.
-* **Bulk record chunks** — an exchange message whose tuple ends in a
-  large bytes-like item — split off that item: the tuple *minus* the
-  trailing buffer is pickled into ``meta`` and the buffer itself rides
-  as the raw payload (``FLAG_RAW``).  The send side pushes header, meta
-  and the caller's buffer with one gather write (``sendmsg``), so record
-  bytes are never copied into a concatenation; the receive side reads
+* **Bulk record chunks** — a message whose tuple ends in a large
+  bytes-like item — split off that item: the tuple *minus* the trailing
+  buffer is pickled into ``meta`` and the buffer itself rides as the raw
+  payload (``FLAG_RAW``).  :func:`frame_parts` returns header, meta and
+  the caller's buffer as separate parts for one gather write, so record
+  bytes are never copied into a concatenation; :func:`read_frame` reads
   the payload straight into a preallocated ``bytearray`` — or into the
   buffer its ``into`` callback names, an ``alltoall`` landing slot — and
   reattaches it as the tuple's last element (``np.frombuffer`` accepts
@@ -35,8 +36,7 @@ Three paths share this layout:
   ``("__xch__", epoch, ("a2a", ..., buf))`` — so the splitter also peels
   a buffer that ends the message's *last nested tuple* and marks the
   frame ``FLAG_NESTED`` so the receive side reattaches it at the right
-  depth.  Without the nested case every all-to-all chunk would silently
-  fall back to a full pickle (a copy of every record byte).
+  depth.
 * **Service control-plane messages** (``FLAG_JSON``, normally with
   ``KIND_CTRL``) carry UTF-8 JSON in ``meta`` instead of a pickle —
   the sort service's client protocol, language-neutral and free of the
@@ -44,27 +44,31 @@ Three paths share this layout:
   with :func:`send_json_frame`; :func:`recv_frame` decodes them
   transparently.
 
+**CRC.**  A frame with ``FLAG_CRC`` carries a CRC-32 over its first 26
+header bytes, its meta and its payload, and every such frame is checked
+on receipt.  Socket frames always carry it (:func:`send_frame`,
+:func:`recv_frame` demands it); pipe and shm frames do not — the kernel
+or the shared mapping cannot flip bits, and a payload CRC costs about a
+third of a pipe's throughput.
+
 The **fence** is composite: the u8 ``fence`` byte carries the sender's
 *job epoch* (restart attempt number, modulo 256) and the u32 ``job``
 field carries its *job tag* (the sort service's numeric job identity; 0
 for single-shot runs).  :func:`~repro.native.comm_api.pack_fence`
 combines the two into one integer — ``(job << 8) | epoch`` — which is
-what the ``fence`` argument and return value below hold.  After a
-recovery restart the mesh is rebuilt, but a wedged pre-restart process
-can in principle still hold a socket and push stale MSG frames — and on
-a warm service pool a late frame could even belong to another *job*;
-the comm layer drops any MSG frame whose composite fence disagrees with
-its own (counted, never raised), so an epoch can never consume a dead
-epoch's traffic and a job can never consume another job's.  Handshake
-and result kinds carry the fence too, for observability, but only MSG
-is fenced.
+what the ``fence`` argument and return value below hold.  The frame
+layer returns it raw; :class:`~repro.native.comm_api.MeshComm` drops
+any MSG frame whose fence disagrees with its own (counted, never
+raised), so an epoch can never consume a dead epoch's traffic and a job
+can never consume another job's.
 
-Integrity: a wrong magic/version, an implausible length, a CRC mismatch,
-an undecodable pickle, or an epoch tag that disagrees with the decoded
-message all raise :class:`~repro.native.comm_api.CommError`; mid-frame
-EOF (a peer died while sending) does too.  A socket timeout mid-frame
-surfaces as :class:`~repro.native.comm_api.CommTimeout` — a wedged peer,
-not a dead one.  EOF *between* frames returns ``None`` (clean close).
+Integrity: a wrong magic/version, an unknown kind or flag, an
+implausible length, a CRC mismatch, an undecodable meta, or an epoch
+tag that disagrees with the decoded message all raise
+:class:`~repro.native.comm_api.CommError`; mid-frame EOF (a peer died
+while sending) does too.  A read that stalls mid-frame surfaces as
+:class:`~repro.native.comm_api.CommTimeout` — a wedged peer, not a dead
+one.  EOF *between* frames returns ``None`` (clean close).
 """
 
 from __future__ import annotations
@@ -85,8 +89,7 @@ __all__ = [
     "FLAG_RAW",
     "FLAG_JSON",
     "FLAG_NESTED",
-    "split_raw_nested",
-    "reattach_payload",
+    "FLAG_CRC",
     "KIND_MSG",
     "KIND_HELLO",
     "KIND_WELCOME",
@@ -98,10 +101,13 @@ __all__ = [
     "KIND_CTRL",
     "MAX_META_BYTES",
     "MAX_PAYLOAD_BYTES",
+    "frame_parts",
     "encode_frame",
+    "write_parts",
     "send_frame",
     "send_raw_frame",
     "send_json_frame",
+    "read_frame",
     "recv_frame",
 ]
 
@@ -109,6 +115,8 @@ MAGIC = b"RS"
 VERSION = 2
 
 FRAME_HEADER = struct.Struct("!2sBBBBIIIQI")
+#: The header minus its trailing crc field: what the CRC covers first.
+_CHECKED_HEADER = struct.Struct("!2sBBBBIIIQ")
 
 #: Frame kinds.  MSG carries comm traffic; HELLO/WELCOME/MESH belong to
 #: the rendezvous handshake; RESULT is the worker's report to the
@@ -137,6 +145,9 @@ FLAG_JSON = 0x02
 #: tuple (the exchange shape) rather than the outer tuple; the receive
 #: side must reattach it one level down.
 FLAG_NESTED = 0x04
+#: The crc field covers the header, meta and payload (every socket frame).
+FLAG_CRC = 0x08
+_FLAGS = FLAG_RAW | FLAG_JSON | FLAG_NESTED | FLAG_CRC
 
 #: Sanity bounds: a header claiming more than this is garbage (a torn
 #: stream or a non-frame peer), not a plausible message.
@@ -144,7 +155,7 @@ MAX_META_BYTES = 64 * 2**20
 MAX_PAYLOAD_BYTES = 4 * 2**30
 
 #: A trailing buffer at least this large takes the zero-copy RAW path;
-#: smaller ones aren't worth the second crc32 pass.
+#: smaller ones ride in the pickle.
 RAW_THRESHOLD = 256
 
 
@@ -152,10 +163,10 @@ def _split_raw(msg: tuple):
     """``(meta_tuple, payload)`` — peel a trailing buffer, if any.
 
     ``bytes``/``bytearray`` below :data:`RAW_THRESHOLD` stay in the
-    pickled meta (the RAW machinery is not worth 17 extra header bytes
-    for tiny control payloads); a ``memoryview`` is peeled at *any*
-    size — views exist only on the zero-copy hot path and can never be
-    pickled, so a short final chunk must still ride the RAW path.
+    pickled meta (the RAW machinery is not worth it for tiny control
+    payloads); a ``memoryview`` is peeled at *any* size — views exist
+    only on the zero-copy hot path and can never be pickled, so a short
+    final chunk must still ride the RAW path.
     """
     if isinstance(msg, tuple) and msg:
         tail = msg[-1]
@@ -167,12 +178,12 @@ def _split_raw(msg: tuple):
     return msg, None
 
 
-def split_raw_nested(msg: tuple):
+def _split_raw_nested(msg: tuple):
     """``(meta_msg, payload, nested)`` — peel a large trailing buffer.
 
     Checks the outer tuple first, then one level down (the exchange
     wrapper ``("__xch__", epoch, ("a2a", ..., buf))``); ``nested`` says
-    which case fired so :func:`reattach_payload` can undo the split.
+    which case fired so :func:`_reattach_payload` can undo the split.
     """
     meta, payload = _split_raw(msg)
     if payload is not None:
@@ -184,8 +195,8 @@ def split_raw_nested(msg: tuple):
     return msg, None, False
 
 
-def reattach_payload(msg: tuple, payload, nested: bool):
-    """Reattach a RAW ``payload`` where :func:`split_raw_nested` took it."""
+def _reattach_payload(msg: tuple, payload, nested: bool):
+    """Reattach a RAW ``payload`` where :func:`_split_raw_nested` took it."""
     if not isinstance(msg, tuple) or not msg:
         raise CommError("RAW frame whose meta is not a tuple")
     if nested:
@@ -195,17 +206,60 @@ def reattach_payload(msg: tuple, payload, nested: bool):
     return msg + (payload,)
 
 
-def _send_all(sock: socket.socket, parts) -> int:
-    """Gather-write ``parts`` (bytes-likes) fully; returns total bytes."""
+def _header(kind: int, flags: int, fence: int, epoch: int, meta,
+            payload=None) -> bytes:
+    """Pack a header; with ``FLAG_CRC`` in ``flags``, compute its crc."""
+    head = _CHECKED_HEADER.pack(
+        MAGIC, VERSION, kind, flags, fence & 0xFF, (fence >> 8) & 0xFFFFFFFF,
+        epoch, len(meta), 0 if payload is None else len(payload),
+    )
+    crc = 0
+    if flags & FLAG_CRC:
+        crc = zlib.crc32(meta, zlib.crc32(head))
+        if payload is not None:
+            crc = zlib.crc32(payload, crc)
+    return head + crc.to_bytes(4, "big")
+
+
+def frame_parts(kind: int, msg, epoch: Optional[int] = None, fence: int = 0,
+                crc: bool = True) -> list:
+    """One message as gather-write parts: header, meta and any payload.
+
+    ``epoch`` defaults to the message's own collective tag (see
+    :func:`~repro.native.comm_api.message_epoch`); ``fence`` is the
+    sender's composite (job, epoch) fence (see
+    :func:`~repro.native.comm_api.pack_fence`; a bare job epoch < 256
+    still works — its job half is simply 0).  The payload part is the
+    caller's own buffer, not a copy.
+    """
+    if epoch is None:
+        epoch = message_epoch(msg)
+    meta_msg, payload, nested = _split_raw_nested(msg)
+    meta = pickle.dumps(meta_msg, protocol=pickle.HIGHEST_PROTOCOL)
+    flags = FLAG_CRC if crc else 0
+    if payload is None:
+        return [_header(kind, flags, fence, epoch, meta), meta]
+    flags |= FLAG_RAW | (FLAG_NESTED if nested else 0)
+    payload = memoryview(payload).cast("B")
+    return [_header(kind, flags, fence, epoch, meta, payload), meta, payload]
+
+
+def encode_frame(kind: int, msg, epoch: Optional[int] = None,
+                 fence: int = 0, crc: bool = True) -> bytes:
+    """Encode a frame to bytes without sending it (tests and chaos)."""
+    return b"".join(frame_parts(kind, msg, epoch, fence, crc))
+
+
+def write_parts(send: Callable[[list], int], parts) -> int:
+    """Gather-write ``parts`` fully through ``send``; returns the bytes.
+
+    ``send`` is ``sock.sendmsg`` or ``os.writev`` bound to an fd; a
+    short write resumes where it stopped.
+    """
     views = [memoryview(p) for p in parts if len(p)]
     total = sum(len(v) for v in views)
-    if not views:
-        return 0
-    if not hasattr(sock, "sendmsg"):  # pragma: no cover - non-POSIX fallback
-        sock.sendall(b"".join(views))
-        return total
     while views:
-        n = sock.sendmsg(views)
+        n = send(views)
         while n:
             if n >= len(views[0]):
                 n -= len(views[0])
@@ -216,48 +270,16 @@ def _send_all(sock: socket.socket, parts) -> int:
     return total
 
 
-def _frame_parts(kind: int, msg, epoch: Optional[int], fence: int):
-    if epoch is None:
-        epoch = message_epoch(msg)
-    meta_msg, payload, nested = split_raw_nested(msg)
-    meta = pickle.dumps(meta_msg, protocol=pickle.HIGHEST_PROTOCOL)
-    flags = 0
-    payload_len = 0
-    crc = zlib.crc32(meta)
-    parts = [b"", meta]
-    if payload is not None:
-        flags |= FLAG_RAW | (FLAG_NESTED if nested else 0)
-        payload_len = len(payload)
-        crc = zlib.crc32(payload, crc)
-        parts.append(payload)
-    parts[0] = FRAME_HEADER.pack(
-        MAGIC, VERSION, kind, flags, fence & 0xFF, (fence >> 8) & 0xFFFFFFFF,
-        epoch, len(meta), payload_len, crc
-    )
-    return parts
-
-
 def send_frame(
     sock: socket.socket, kind: int, msg, epoch: Optional[int] = None,
     fence: int = 0
 ) -> int:
-    """Frame and send one message; returns bytes pushed to the socket.
+    """Frame one message, CRC included, and send it; returns the bytes.
 
-    ``epoch`` defaults to the message's own collective tag (see
-    :func:`~repro.native.comm_api.message_epoch`); ``fence`` is the
-    sender's composite (job, epoch) fence (see
-    :func:`~repro.native.comm_api.pack_fence`; a bare job epoch < 256
-    still works — its job half is simply 0).  Bulk chunks take the
-    gather-write RAW path — the record buffer goes from the caller's
-    memory to the kernel without an intermediate copy.
+    Bulk chunks go from the caller's memory to the kernel in one gather
+    write, without an intermediate copy.
     """
-    return _send_all(sock, _frame_parts(kind, msg, epoch, fence))
-
-
-def encode_frame(kind: int, msg, epoch: Optional[int] = None,
-                 fence: int = 0) -> bytes:
-    """Encode a frame to bytes without sending it (tests and chaos)."""
-    return b"".join(bytes(p) for p in _frame_parts(kind, msg, epoch, fence))
+    return write_parts(sock.sendmsg, frame_parts(kind, msg, epoch, fence))
 
 
 def send_raw_frame(
@@ -269,11 +291,8 @@ def send_raw_frame(
     bytes through an intact frame — the framing layer must pass them and
     the unpickling layer must reject them.
     """
-    header = FRAME_HEADER.pack(
-        MAGIC, VERSION, kind, 0, fence & 0xFF, (fence >> 8) & 0xFFFFFFFF,
-        0, len(meta), 0, zlib.crc32(meta)
-    )
-    return _send_all(sock, [header, meta])
+    header = _header(kind, FLAG_CRC, fence, 0, meta)
+    return write_parts(sock.sendmsg, [header, meta])
 
 
 def send_json_frame(
@@ -292,25 +311,21 @@ def send_json_frame(
             f"JSON control message of {len(meta)} bytes exceeds the "
             f"{MAX_META_BYTES}-byte frame bound"
         )
-    header = FRAME_HEADER.pack(
-        MAGIC, VERSION, kind, FLAG_JSON, fence & 0xFF,
-        (fence >> 8) & 0xFFFFFFFF, 0, len(meta), 0, zlib.crc32(meta)
-    )
-    return _send_all(sock, [header, meta])
+    header = _header(kind, FLAG_JSON | FLAG_CRC, fence, 0, meta)
+    return write_parts(sock.sendmsg, [header, meta])
 
 
-def _recv_exact(
-    sock: socket.socket, view: memoryview, what: str, allow_eof: bool = False
-) -> bool:
-    """Fill ``view`` from the socket; False on clean EOF at offset 0."""
+def _read_exact(read_into, view: memoryview, what: str,
+                allow_eof: bool = False) -> bool:
+    """Fill ``view`` through ``read_into``; False on clean EOF at offset 0."""
     got = 0
     n = len(view)
     while got < n:
         try:
-            k = sock.recv_into(view[got:])
-        except socket.timeout as exc:
+            k = read_into(view[got:])
+        except TimeoutError as exc:
             raise CommTimeout(
-                f"socket timed out mid-{what} ({got}/{n} bytes in): "
+                f"read timed out mid-{what} ({got}/{n} bytes in): "
                 "peer wedged"
             ) from exc
         if k == 0:
@@ -324,30 +339,48 @@ def _recv_exact(
     return True
 
 
-def recv_frame(
-    sock: socket.socket,
-    into: Optional[Callable[[int, int, int], Optional[memoryview]]] = None,
-) -> Optional[Tuple[int, object, int, int, int]]:
-    """Receive one frame: ``(kind, msg, epoch, fence, total_bytes)``.
+def _read_fresh(read_into, n: int) -> bytearray:
+    """A fresh ``n``-byte payload buffer, filled from the channel.
 
-    ``None`` means the peer closed the connection cleanly at a frame
-    boundary.  ``into(epoch, fence, payload_len)`` may name the buffer a
-    MSG frame's outer RAW payload is read into (``None``: a fresh
-    ``bytearray``); that buffer is what the message then carries, and
-    the CRC covers it as it would the fresh one.  Any mid-frame EOF,
-    bad magic, implausible length, CRC mismatch, undecodable meta or
-    epoch/tag disagreement raises
-    :class:`CommError`; a receive timeout raises :class:`CommTimeout`.
-    The composite fence — ``(job << 8) | epoch_byte``, see
-    :func:`~repro.native.comm_api.pack_fence` — is returned raw:
-    fencing policy (drop stale MSG frames) lives in the comm layer,
-    which knows its own (job, epoch) identity.
+    Past :data:`MAX_META_BYTES` the buffer doubles as bytes arrive, so
+    a corrupt length claims at most twice the memory the peer sent.
+    """
+    buf = bytearray(min(n, MAX_META_BYTES))
+    done = 0
+    while True:
+        _read_exact(read_into, memoryview(buf)[done:], "payload")
+        done = len(buf)
+        if done == n:
+            return buf
+        buf += bytes(min(n - done, done))
+
+
+def read_frame(
+    read_into: Callable[[memoryview], int],
+    into: Optional[Callable[[int, int, int], Optional[memoryview]]] = None,
+    crc: bool = False,
+) -> Optional[Tuple[int, object, int, int, int]]:
+    """Read one frame: ``(kind, msg, epoch, fence, total_bytes)``.
+
+    ``read_into(view)`` is the channel: it fills a prefix of ``view``
+    and returns its length (0 at EOF), raising ``TimeoutError`` when
+    the peer sends nothing for the channel's timeout.  ``None`` means
+    the peer closed cleanly at a frame boundary.  ``into(epoch, fence,
+    payload_len)`` may name the buffer a MSG frame's outer RAW payload
+    is read into (``None``: a fresh ``bytearray``); that buffer is what
+    the message then carries.  With ``crc`` the frame must carry
+    ``FLAG_CRC``; a frame that carries it is checked either way.  Any
+    mid-frame EOF, bad header, implausible length, CRC mismatch,
+    undecodable meta or epoch/tag disagreement raises
+    :class:`CommError`; a stall mid-frame raises :class:`CommTimeout`.
+    The composite fence is returned raw: fencing policy lives in the
+    comm layer, which knows its own (job, epoch) identity.
     """
     header = bytearray(FRAME_HEADER.size)
-    if not _recv_exact(sock, memoryview(header), "header", allow_eof=True):
+    if not _read_exact(read_into, memoryview(header), "header", allow_eof=True):
         return None
     (magic, version, kind, flags, fence_lo, job, epoch, meta_len,
-     payload_len, crc) = FRAME_HEADER.unpack(header)
+     payload_len, want) = FRAME_HEADER.unpack(header)
     fence = (job << 8) | fence_lo
     if magic != MAGIC or version != VERSION:
         raise CommError(
@@ -356,6 +389,8 @@ def recv_frame(
         )
     if kind not in _KINDS:
         raise CommError(f"unknown frame kind {kind}")
+    if flags & ~_FLAGS:
+        raise CommError(f"unknown frame flags {flags:#04x}")
     if meta_len > MAX_META_BYTES or payload_len > MAX_PAYLOAD_BYTES:
         raise CommError(
             f"implausible frame lengths (meta {meta_len}, payload "
@@ -367,38 +402,56 @@ def recv_frame(
         raise CommError("frame claims both JSON meta and a RAW payload")
     if flags & FLAG_NESTED and not flags & FLAG_RAW:
         raise CommError("frame claims a nested payload but FLAG_RAW is unset")
+    if want and not flags & FLAG_CRC:
+        raise CommError("frame carries a crc but FLAG_CRC is unset")
     meta = bytearray(meta_len)
-    _recv_exact(sock, memoryview(meta), "meta")
-    want_crc = zlib.crc32(meta)
+    _read_exact(read_into, memoryview(meta), "meta")
     payload = None
     if flags & FLAG_RAW:
         if into is not None and kind == KIND_MSG and not flags & FLAG_NESTED:
             payload = into(epoch, fence, payload_len)
         if payload is None:
-            payload = bytearray(payload_len)
-        _recv_exact(sock, memoryview(payload), "payload")
-        want_crc = zlib.crc32(payload, want_crc)
-    if want_crc != crc:
-        raise CommError(
-            f"frame CRC mismatch ({crc:#010x} claimed, {want_crc:#010x} "
-            "computed): bytes corrupted in flight"
-        )
+            payload = _read_fresh(read_into, payload_len)
+        else:
+            _read_exact(read_into, memoryview(payload), "payload")
+    if flags & FLAG_CRC:
+        got = zlib.crc32(meta, zlib.crc32(memoryview(header)[:-4]))
+        if payload is not None:
+            got = zlib.crc32(payload, got)
+        if got != want:
+            raise CommError(
+                f"frame CRC mismatch ({want:#010x} claimed, {got:#010x} "
+                "computed): bytes corrupted in flight"
+            )
+    elif crc:
+        raise CommError("frame lacks the CRC this channel demands")
     try:
         if flags & FLAG_JSON:
             msg = json.loads(bytes(meta).decode("utf-8"))
         else:
-            msg = pickle.loads(bytes(meta))
+            msg = pickle.loads(meta)
     except Exception as exc:
         raise CommError(f"undecodable frame meta: {exc!r}") from exc
     if payload is not None:
         # Reattach the record buffer without copying it: downstream
         # consumers (np.frombuffer, struct.unpack_from, file writes)
         # all accept a bytearray.
-        msg = reattach_payload(msg, payload, bool(flags & FLAG_NESTED))
+        msg = _reattach_payload(msg, payload, bool(flags & FLAG_NESTED))
     if kind == KIND_MSG and epoch != message_epoch(msg):
         raise CommError(
             f"frame epoch tag {epoch} disagrees with message epoch "
             f"{message_epoch(msg)}: stream out of step"
         )
-    total = FRAME_HEADER.size + meta_len + payload_len
-    return kind, msg, epoch, fence, total
+    return kind, msg, epoch, fence, FRAME_HEADER.size + meta_len + payload_len
+
+
+def recv_frame(
+    sock: socket.socket,
+    into: Optional[Callable[[int, int, int], Optional[memoryview]]] = None,
+) -> Optional[Tuple[int, object, int, int, int]]:
+    """:func:`read_frame` from a socket, whose frames must carry their CRC.
+
+    The socket's own timeout bounds each read: a peer that stops
+    mid-frame raises :class:`CommTimeout`.
+    """
+    return read_frame(sock.recv_into, into, crc=True)

@@ -1,12 +1,11 @@
 """TCP transport: CANONICALMERGESORT's interconnect over real sockets.
 
 :class:`TcpComm` is the multi-host sibling of
-:class:`repro.native.comm.PipeComm`: the same
-:class:`~repro.native.comm_api.MeshComm` core (collectives, stash,
-chunked exchange, sender thread), with the two channel
-primitives implemented over a full mesh of connected TCP sockets (built
-by :func:`repro.net.rendezvous.join_mesh`) and the framing of
-:mod:`repro.net.framing`.
+:class:`repro.native.comm.PipeComm`: a socket is a file descriptor too,
+so it is the same byte channel over a full mesh of connected TCP
+sockets (built by :func:`repro.net.rendezvous.join_mesh`), carrying the
+same :mod:`repro.net.framing` frames, which :class:`MeshComm` encodes
+and decodes.  Its frames carry a CRC (``FLAG_CRC``), a pipe's do not.
 
 Beyond the pipe transport it adds what a real network needs:
 
@@ -17,10 +16,8 @@ Beyond the pipe transport it adds what a real network needs:
   :class:`~repro.native.comm_api.CommTimeout` therefore names which
   peers have gone silent — distinguishing "the protocol is stuck" from
   "the peer is gone".
-* **Idle timeouts** — a peer that stops mid-frame (wedged socket, dead
-  NIC with the connection still open) trips the per-socket receive
-  timeout and surfaces as :class:`CommTimeout`; a closed connection
-  surfaces immediately as :class:`CommError`.  Never a hang.
+* **Announced closes** — :meth:`close` sends GOODBYE first, so a peer
+  tells a deliberate shutdown from a dead PE's silent EOF.
 * **True wire accounting** — ``socket_bytes_sent`` / ``_received``
   count every byte pushed to and pulled from the kernel, framing
   included, alongside the payload-estimate accounting of the core.
@@ -30,18 +27,12 @@ Beyond the pipe transport it adds what a real network needs:
 
 from __future__ import annotations
 
-import select
 import socket
 import time
 from typing import Dict
 
-from ..native.comm_api import (
-    DEFAULT_PENDING_SENDS,
-    DEFAULT_TIMEOUT,
-    CommError,
-    CommTimeout,
-    MeshComm,
-)
+from ..native.comm import PipeComm
+from ..native.comm_api import DEFAULT_PENDING_SENDS, DEFAULT_TIMEOUT
 from .framing import (
     FRAME_HEADER,
     KIND_GOODBYE,
@@ -49,8 +40,8 @@ from .framing import (
     KIND_MSG,
     MAGIC,
     VERSION,
-    recv_frame,
-    send_frame,
+    frame_parts,
+    write_parts,
 )
 
 __all__ = ["TcpComm", "DEFAULT_HEARTBEAT_S"]
@@ -59,8 +50,10 @@ __all__ = ["TcpComm", "DEFAULT_HEARTBEAT_S"]
 DEFAULT_HEARTBEAT_S = 5.0
 
 
-class TcpComm(MeshComm):
+class TcpComm(PipeComm):
     """Point-to-point and collective communication over a socket mesh."""
+
+    frame_crc = True
 
     def __init__(
         self,
@@ -73,121 +66,44 @@ class TcpComm(MeshComm):
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         job_epoch: int = 0,
         job_tag: int = 0,
+        interrupt=None,
+        interrupt_tag: int = 0,
     ):
         if heartbeat_s <= 0:
             raise ValueError(f"heartbeat_s must be > 0, got {heartbeat_s}")
         self.socks = socks
         self.heartbeat_s = heartbeat_s
-        super().__init__(
-            rank,
-            n_workers,
-            peers=list(socks),
-            timeout=timeout,
-            pending_sends=pending_sends,
-            chaos=chaos,
-            job_epoch=job_epoch,
-            job_tag=job_tag,
-        )
         for sock in socks.values():
             sock.settimeout(None)
         #: Monotonic timestamp of the last frame (any kind) per peer.
         self.last_heard: Dict[int, float] = {
-            p: time.monotonic() for p in self.peers
+            p: time.monotonic() for p in socks
         }
         #: Kernel-level byte counts, framing included (payload-estimate
         #: counts live on the MeshComm core).
         self.socket_bytes_sent = 0
         self.socket_bytes_received = 0
-        #: Peers that announced a deliberate close (GOODBYE): their later
-        #: EOF is a normal shutdown, not a dead PE.
-        self._peer_goodbye = set()
-        self._start_sender()
-
-    # -- channel primitives ---------------------------------------------------
-
-    def _transmit(self, peer: int, msg: tuple) -> None:
-        self.socket_bytes_sent += send_frame(
-            self.socks[peer], KIND_MSG, msg, fence=self.wire_fence
+        super().__init__(
+            rank,
+            n_workers,
+            socks,
+            timeout=timeout,
+            chaos=chaos,
+            pending_sends=pending_sends,
+            job_epoch=job_epoch,
+            job_tag=job_tag,
+            interrupt=interrupt,
+            interrupt_tag=interrupt_tag,
         )
 
-    def _poll_once(self, block_timeout: float) -> bool:
-        self._chaos_poll()
-        if not self.socks:
-            return False
-        try:
-            ready, _, _ = select.select(
-                list(self.socks.values()), [], [], max(0.0, block_timeout)
-            )
-        except (OSError, ValueError) as exc:
-            raise CommError(
-                f"rank {self.rank}: mesh socket died: {exc!r}"
-            ) from exc
-        if not ready:
-            return False
-        by_sock = {s: p for p, s in self.socks.items()}
-        got = False
-        for sock in ready:
-            peer = by_sock[sock]
-            # A readable socket still bounds each frame read: a peer
-            # that sent a header and then stopped is wedged, and must
-            # surface as CommTimeout, not block forever.
-            sock.settimeout(self.timeout)
+    # -- byte channel ---------------------------------------------------------
 
-            def into(epoch, fence, nbytes, peer=peer):
-                if fence != self.wire_fence:
-                    return None  # stale: drained into a fresh buffer
-                return self._landing_slot(peer, epoch, nbytes)
+    def _write(self, peer: int, parts: list) -> None:
+        self.socket_bytes_sent += write_parts(self.socks[peer].sendmsg, parts)
 
-            try:
-                frame = recv_frame(sock, into)
-            except CommTimeout as exc:
-                raise CommTimeout(
-                    f"rank {self.rank}: peer {peer} wedged mid-frame: {exc}"
-                ) from exc
-            except CommError as exc:
-                raise CommError(f"rank {self.rank}: peer {peer}: {exc}") from exc
-            finally:
-                try:
-                    sock.settimeout(None)
-                except OSError:
-                    pass
-            if frame is None:
-                if peer in self._peer_goodbye:
-                    # Announced shutdown: the peer finished its protocol
-                    # and left.  Drop the channel; anything we still
-                    # needed from it would already be in flight (TCP is
-                    # FIFO, so all its messages preceded the GOODBYE).
-                    del self.socks[peer]
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-                    continue
-                raise CommError(
-                    f"rank {self.rank}: peer {peer} closed the connection "
-                    "mid-protocol (dead PE)"
-                )
-            kind, msg, _epoch, fence, nbytes = frame
-            self.socket_bytes_received += nbytes
-            self.last_heard[peer] = time.monotonic()
-            if kind == KIND_GOODBYE:
-                self._peer_goodbye.add(peer)
-                continue
-            if kind == KIND_HEARTBEAT:
-                continue
-            if kind != KIND_MSG:
-                raise CommError(
-                    f"rank {self.rank}: unexpected frame kind {kind} "
-                    f"from peer {peer}"
-                )
-            if fence != self.wire_fence:
-                # Stale frame from a pre-restart epoch — or, on a warm
-                # service pool, from another job entirely: drop it.
-                self.fenced_drops += 1
-                continue
-            self._stash_message(peer, msg)
-            got = True
-        return got
+    def _on_frame(self, peer: int, nbytes: int) -> None:
+        self.socket_bytes_received += nbytes
+        self.last_heard[peer] = time.monotonic()
 
     # -- heartbeats -----------------------------------------------------------
 
@@ -197,9 +113,9 @@ class TcpComm(MeshComm):
     def _on_send_idle(self) -> None:
         if self._wedged or self._severed:
             return
-        for sock in list(self.socks.values()):
+        for peer in list(self.socks):
             try:
-                self.socket_bytes_sent += send_frame(sock, KIND_HEARTBEAT, None)
+                self._write(peer, frame_parts(KIND_HEARTBEAT, None))
             except OSError:
                 pass  # the receive side reports the dead peer cleanly
 
@@ -223,29 +139,19 @@ class TcpComm(MeshComm):
         # A peer that stopped draining may have left the socket buffer
         # full (with the sender thread wedged mid-write), so the goodbye
         # is time-bounded rather than blocking.
-        for sock in list(self.socks.values()):
+        for peer, sock in list(self.socks.items()):
             try:
                 sock.settimeout(1.0)
-                self.socket_bytes_sent += send_frame(sock, KIND_GOODBYE, None)
+                self._write(peer, frame_parts(KIND_GOODBYE, None))
             except OSError:
                 pass
-        for sock in list(self.socks.values()):
-            try:
-                # shutdown() — unlike close() — wakes a sender thread
-                # still blocked in sendmsg on this socket (its write
-                # fails with EPIPE), so shutdown's join can reap it.
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self.socks.clear()
+        self._sever_transport()
 
     def _sever_transport(self) -> None:
-        # No GOODBYE — a sever *is* the silent network loss peers must
-        # diagnose as a dead PE.
+        # No GOODBYE here — a sever *is* the silent network loss peers
+        # must diagnose as a dead PE.  shutdown() — unlike close() —
+        # wakes a sender thread still blocked in sendmsg on the socket
+        # (its write fails with EPIPE), so shutdown's join can reap it.
         for sock in list(self.socks.values()):
             try:
                 sock.shutdown(socket.SHUT_RDWR)

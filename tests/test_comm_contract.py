@@ -29,34 +29,35 @@ from repro.native.comm_api import (
     pack_fence,
 )
 from repro.native.shm import ShmComm, create_shm_mesh
-from repro.net.framing import KIND_MSG, send_frame
+from repro.net.framing import FRAME_HEADER, KIND_MSG, encode_frame
 from repro.net.tcp import TcpComm
 
 
-def make_pipe_comms(n, timeout=30.0):
+def make_pipe_comms(n, timeout=30.0, **kw):
     conns = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             a, b = mp.Pipe(duplex=True)
             conns[i][j] = a
             conns[j][i] = b
-    return [PipeComm(r, n, conns[r], timeout=timeout) for r in range(n)]
+    return [PipeComm(r, n, conns[r], timeout=timeout, **kw) for r in range(n)]
 
 
-def make_tcp_comms(n, timeout=30.0):
+def make_tcp_comms(n, timeout=30.0, **kw):
     socks = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             a, b = socket.socketpair()
             socks[i][j] = a
             socks[j][i] = b
-    return [TcpComm(r, n, socks[r], timeout=timeout) for r in range(n)]
+    return [TcpComm(r, n, socks[r], timeout=timeout, **kw) for r in range(n)]
 
 
-def make_shm_comms(n, timeout=30.0, ring_bytes=256 * 1024):
+def make_shm_comms(n, timeout=30.0, ring_bytes=256 * 1024, **kw):
     mesh = create_shm_mesh(mp.get_context(), n, ring_bytes=ring_bytes)
     comms = [
-        ShmComm(r, n, mesh.channels[r], timeout=timeout) for r in range(n)
+        ShmComm(r, n, mesh.channels[r], timeout=timeout, **kw)
+        for r in range(n)
     ]
     # Every endpoint has attached: the names can go right away (POSIX
     # keeps the memory alive until the last close), so even an aborted
@@ -295,27 +296,17 @@ def test_alltoall_into_rejects_a_part_of_the_wrong_size(mesh2):
 
 def _stale_mesh(transport):
     """A 2-rank mesh of restart attempt 1, plus a way to push a frame
-    of attempt 0 from rank 0 to rank 1."""
-    if transport == "pipe":
-        a, b = mp.Pipe(duplex=True)
-        comms = [PipeComm(0, 2, {1: a}, timeout=0.5, job_epoch=1),
-                 PipeComm(1, 2, {0: b}, timeout=0.5, job_epoch=1)]
+    of attempt 0 from rank 0 to rank 1: the frame's bytes go straight
+    onto rank 0's channel, the same way on every transport."""
+    comms = MAKERS[transport](2, timeout=0.5, job_epoch=1)
 
-        def stale(msg, payload):
-            a.send((pack_fence(0, 0), msg, False))
-            a.send_bytes(payload)
-    else:
-        a, b = socket.socketpair()
-        comms = [TcpComm(0, 2, {1: a}, timeout=0.5, job_epoch=1),
-                 TcpComm(1, 2, {0: b}, timeout=0.5, job_epoch=1)]
-
-        def stale(msg, payload):
-            send_frame(a, KIND_MSG, msg + (memoryview(payload),),
-                       fence=pack_fence(0, 0))
+    def stale(msg, payload):
+        comms[0]._write(1, [encode_frame(
+            KIND_MSG, msg + (memoryview(payload),), fence=pack_fence(0, 0)
+        )])
     return comms, stale
 
 
-@pytest.mark.parametrize("transport", ["pipe", "tcp"])
 def test_stale_frame_never_lands_in_a_registered_slot(transport):
     """A fenced-off frame of a dead attempt, tagged with the very epoch
     whose slot is registered, is drained — the stream stays in step —
@@ -330,6 +321,58 @@ def test_stale_frame_never_lands_in_a_registered_slot(transport):
         assert comms[1].fenced_drops == 1
         comms[0].post(1, ("after", 0))
         assert comms[1].recv_match(lambda p, m: m[0] == "after")[1] == ("after", 0)
+    finally:
+        for c in comms:
+            c.close()
+
+
+def _raised_by(fn, join_s=10.0):
+    """What ``fn()`` raised (None if nothing), run on a thread that must
+    finish within ``join_s``: a reader that blocks on a partial frame
+    fails the test instead of hanging it."""
+    out = []
+
+    def body():
+        try:
+            fn()
+        except BaseException as exc:
+            out.append(exc)
+        else:
+            out.append(None)
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(join_s)
+    assert not thread.is_alive(), "the reader blocked on a partial frame"
+    return out[0]
+
+
+def test_mid_frame_eof_is_a_torn_frame(transport):
+    """A peer that dies part-way through a frame is a CommError naming a
+    torn frame on every channel — never a hang, never a clean close."""
+    comms = MAKERS[transport](2, timeout=5.0)
+    try:
+        frame = encode_frame(KIND_MSG, ("hello", 1))
+        comms[0]._write(1, [frame[:FRAME_HEADER.size + 2]])
+        comms[0].sever()
+        err = _raised_by(lambda: comms[1].recv_match(lambda p, m: True))
+        assert isinstance(err, CommError) and "torn frame" in str(err)
+    finally:
+        for c in comms:
+            c.close()
+
+
+def test_wedged_sender_times_out_mid_frame(transport):
+    """A peer that stops after a frame's header (nothing closed) is a
+    CommTimeout of the frame read on every channel."""
+    comms = MAKERS[transport](2, timeout=0.3)
+    try:
+        frame = encode_frame(KIND_MSG, ("hello", 1))
+        comms[0]._write(1, [frame[:FRAME_HEADER.size]])
+        err = _raised_by(
+            lambda: comms[1].recv_match(lambda p, m: True, timeout=5.0)
+        )
+        assert isinstance(err, CommTimeout) and "wedged" in str(err)
     finally:
         for c in comms:
             c.close()

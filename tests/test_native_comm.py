@@ -102,7 +102,7 @@ def test_exchange_delivers_every_chunk_once():
 
 def test_exchange_bounds_pending_sends():
     """The producer is never advanced past the backpressure window."""
-    from repro.native.comm import PENDING_SENDS
+    from repro.native.comm_api import DEFAULT_PENDING_SENDS
 
     comms = make_comms(2)
     try:
@@ -119,7 +119,7 @@ def test_exchange_bounds_pending_sends():
             return high_water
 
         marks = run_all(comms, body)
-        assert all(m <= PENDING_SENDS for m in marks)
+        assert all(m <= DEFAULT_PENDING_SENDS for m in marks)
     finally:
         close_all(comms)
 

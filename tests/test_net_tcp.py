@@ -1,8 +1,9 @@
 """The TCP transport's own guarantees: framing, rendezvous, failure model.
 
 The contract tests (test_comm_contract.py) prove TcpComm behaves like any
-other ``Comm``; this file tests what only the socket transport has — the
-wire format's integrity checks, the coordinator handshake, backoff, and
+other ``Comm``; this file tests the wire format's integrity checks (the
+frame every channel carries, fuzzed through its one decoder) and what
+only the socket transport has — the coordinator handshake, backoff, and
 the three failure shapes (wedged peer, severed peer, announced GOODBYE).
 """
 
@@ -12,6 +13,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.native.comm_api import CommError, CommTimeout
 from repro.net.framing import (
@@ -22,7 +25,10 @@ from repro.net.framing import (
     KIND_RESULT,
     MAGIC,
     MAX_META_BYTES,
+    MAX_PAYLOAD_BYTES,
     VERSION,
+    encode_frame,
+    read_frame,
     recv_frame,
     send_frame,
     send_raw_frame,
@@ -179,6 +185,118 @@ def test_wedged_sender_times_out_mid_frame(pair):
     a.sendall(FRAME_HEADER.pack(MAGIC, VERSION, KIND_MSG, 0, 0, 0, 0, 1024, 0, 0))
     b.settimeout(0.2)
     with pytest.raises(CommTimeout, match="wedged"):
+        recv_frame(b)
+
+
+# -- the frame decoder under fuzzing ----------------------------------------
+#
+# Every channel (pipe, tcp, shm) feeds the one decoder, read_frame; here
+# it reads from memory, so nothing can block.  Corrupt input must end in
+# CommError (or None at a clean boundary), never another exception.
+
+
+class _MemoryChannel:
+    """``read_into`` over fixed bytes, at most ``step`` bytes per read."""
+
+    def __init__(self, data, step):
+        self._data = bytes(data)
+        self._pos = 0
+        self._step = step
+
+    def __call__(self, view):
+        n = min(len(view), len(self._data) - self._pos, self._step)
+        view[:n] = self._data[self._pos:self._pos + n]
+        self._pos += n
+        return n
+
+
+def _read_all(data, crc, step=1 << 20):
+    """Every frame in ``data`` until a clean end; CommError propagates."""
+    channel = _MemoryChannel(data, step)
+    frames = []
+    while True:
+        frame = read_frame(channel, crc=crc)
+        if frame is None:
+            return frames
+        frames.append(frame)
+
+
+_PAYLOAD = bytes(range(256)) * 3  # never holds b"RS\x02": no header in it
+
+
+@st.composite
+def _msg_frames(draw):
+    """A valid MSG frame of the three traffic shapes, with or without CRC."""
+    epoch = draw(st.integers(0, 2**32 - 1))
+    payload = memoryview(_PAYLOAD)[:draw(st.integers(1, len(_PAYLOAD)))]
+    msg = draw(st.sampled_from([
+        ("__ag__", epoch, ("ready", 3)),
+        ("__a2a__", epoch, payload),
+        ("__xch__", epoch, ("a2a", 1, 2, payload)),
+    ]))
+    crc = draw(st.booleans())
+    fence = draw(st.integers(0, 2**40 - 1))
+    return encode_frame(KIND_MSG, msg, fence=fence, crc=crc), crc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_msg_frames(), st.data())
+def test_fuzzed_frames_raise_comm_error_or_end_cleanly(frame_crc, data):
+    frame, crc = frame_crc
+    step = data.draw(st.integers(1, len(frame)))
+    assert len(_read_all(frame, crc, step)) == 1
+
+    # A truncation is a torn frame, except at the frame boundary.
+    cut = data.draw(st.integers(0, len(frame) - 1))
+    if cut == 0:
+        assert _read_all(frame[:cut], crc, step) == []
+    else:
+        with pytest.raises(CommError):
+            _read_all(frame[:cut], crc, step)
+
+    # A length lie desynchronises the stream: CommError, CRC or not.
+    field = data.draw(st.sampled_from(["meta", "payload"]))
+    start, size = (14, 4) if field == "meta" else (18, 8)
+    true_len = int.from_bytes(frame[start:start + size], "big")
+    lie = data.draw(st.one_of(
+        st.integers(0, len(frame) + 64),
+        st.just(MAX_META_BYTES + 1 if field == "meta" else MAX_PAYLOAD_BYTES + 1),
+    ).filter(lambda n: n != true_len))
+    lied = bytearray(frame)
+    lied[start:start + size] = lie.to_bytes(size, "big")
+    with pytest.raises(CommError):
+        _read_all(lied, crc, step)
+
+    # A flipped header byte: CommError, or (without a CRC to catch it) a
+    # frame that still decodes — never any other exception.
+    pos = data.draw(st.integers(0, FRAME_HEADER.size - 1))
+    flipped = bytearray(frame)
+    flipped[pos] ^= data.draw(st.integers(1, 255))
+    if crc:
+        with pytest.raises(CommError):
+            _read_all(flipped, crc, step)
+    else:
+        try:
+            _read_all(flipped, crc, step)
+        except CommError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_msg_frames().filter(lambda fc: fc[1]), st.data())
+def test_any_flipped_byte_of_a_crc_frame_is_a_comm_error(frame_crc, data):
+    frame, _crc = frame_crc
+    pos = data.draw(st.integers(0, len(frame) - 1))
+    flipped = bytearray(frame)
+    flipped[pos] ^= data.draw(st.integers(1, 255))
+    with pytest.raises(CommError):
+        _read_all(flipped, crc=True)
+
+
+def test_a_socket_frame_must_carry_its_crc(pair):
+    a, b = pair
+    a.sendall(encode_frame(KIND_MSG, ("hello", 1), crc=False))
+    with pytest.raises(CommError, match="lacks the CRC"):
         recv_frame(b)
 
 
