@@ -57,10 +57,6 @@ from . import (
 
 ALGORITHMS = ("canonical", "striped", "nowsort", "samplesort")
 
-#: Native backend names (repro.native.algos.ALGORITHMS); a separate axis
-#: from the sim-only ``--algorithm`` above.
-NATIVE_ALGORITHMS = ("canonical", "striped")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -185,11 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "length-prefixed byte-string keys with LCP-compressed splitters "
         "(see docs/NATIVE.md)",
     )
-    parser.add_argument(
-        "--algo", choices=NATIVE_ALGORITHMS, default="canonical",
-        help="native sort backend: the paper's canonical pipeline or the "
-        "globally striped mergesort (see docs/NATIVE.md)",
-    )
     return parser
 
 
@@ -243,10 +234,6 @@ def _report(args, stats, config: dict, vreport, unit: str,
 
 
 def run_sim(args, config: SortConfig) -> int:
-    if args.algo != "canonical":
-        print("--algo picks the native backend; the sim backend is driven "
-              "by --algorithm", file=sys.stderr)
-        return 2
     cluster = Cluster(args.nodes)
     tracer = None
     if args.utilization:
@@ -309,8 +296,8 @@ def run_native(args, config: SortConfig) -> int:
         )
         return 2
     if args.algorithm != "canonical":
-        print("--backend native only runs the canonical algorithm",
-              file=sys.stderr)
+        print("--backend native only runs the canonical algorithm; "
+              f"{args.algorithm!r} runs with --backend sim", file=sys.stderr)
         return 2
 
     say = (lambda *a, **k: None) if args.json else print
@@ -331,7 +318,6 @@ def run_native(args, config: SortConfig) -> int:
             checkpoint=args.checkpoint,
             cleanup_on_abort=not args.keep_spill,
             records=args.records,
-            algo=args.algo,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ Entry points:
 or ``python -m repro --backend native --spill-dir /tmp/sort``.
 """
 
-from .algos import ALGORITHMS
 from .comm_api import Comm, CommError, CommTimeout, MeshComm
 from .driver import NativeSortError, NativeSortResult, NativeSorter, native_sort
 from .job import TRANSPORTS, NativeJob
@@ -28,7 +27,6 @@ from .records import NATIVE_DTYPE, RECORD_BYTES
 from ..core.stats import WorkerStats
 
 __all__ = [
-    "ALGORITHMS",
     "Comm",
     "CommError",
     "CommTimeout",

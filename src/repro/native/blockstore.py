@@ -347,7 +347,7 @@ class FileBlockStore:
 
     def write_at(self, handle, byte_offset: int, payload, tag: str) -> None:
         """Place a raw chunk at a known byte offset (the all-to-all's
-        slabs, striped's pieces and output)."""
+        slabs)."""
         handle.seek(byte_offset)
         self._write(handle, payload, tag)
 

@@ -36,6 +36,11 @@ Design notes
   never used.  Each read waits at most the comm timeout, so a peer that
   stops mid-frame is a :class:`CommTimeout`, not a hang.
 
+* **Announced closes.**  ``close()`` sends each peer a GOODBYE before
+  closing its end, so a peer still inside a collective
+  this rank finished tells a deliberate shutdown from a dead PE's
+  silent EOF.  A chaos sever sends none.  :class:`TcpComm` shares this.
+
 * **Stash-aware receives.**  A fast peer may already be sending its next
   phase's traffic while a slow peer still owes this phase's message.
   :meth:`MeshComm.recv_match` parks non-matching messages per peer and
@@ -50,7 +55,7 @@ import select
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional
 
-from ..net.framing import write_parts
+from ..net.framing import KIND_GOODBYE, frame_parts, write_parts
 from .comm_api import (
     DEFAULT_PENDING_SENDS,
     DEFAULT_TIMEOUT,
@@ -148,15 +153,36 @@ class PipeComm(MeshComm):
     # -- lifecycle ------------------------------------------------------------
 
     def _close_transport(self) -> None:
-        # Closing the pipe ends here is what reaps a sender thread still
-        # blocked writing to a peer that stopped draining (a collective
-        # raised mid-exchange): its write fails once the peer's end is
-        # closed too, and the thread exits instead of leaking with the
-        # fds pinned.
+        # Announce the close first: at P > 2 a peer may still be inside
+        # the collective this rank just finished, and must tell this
+        # deliberate shutdown from a dead PE's silent EOF.  Only a sender
+        # thread that has stopped leaves every channel at a frame
+        # boundary; one still blocked mid-write means the protocol failed,
+        # and then peers see the EOF of a dead PE.
+        if self._sender is None or not self._sender.is_alive():
+            for peer in list(self.conns):
+                try:
+                    self._write_goodbye(peer)
+                except OSError:
+                    pass
+        self._sever_transport()
+
+    def _write_goodbye(self, peer: int) -> None:
+        """One GOODBYE frame to ``peer`` that never blocks: a peer that
+        stopped draining may have left the pipe full, and then the write
+        fails (a frame this small goes out in one piece or not at all)."""
+        os.set_blocking(self._fds[peer], False)
+        self._write(peer, frame_parts(KIND_GOODBYE, None))
+
+    def _sever_transport(self) -> None:
+        # No GOODBYE here: a sever *is* the silent loss peers must
+        # diagnose as a dead PE.  Closing the ends is also what reaps a
+        # sender thread still blocked writing to a peer that stopped
+        # draining (a collective raised mid-exchange): its write fails
+        # once the peer's end is closed too, and the thread exits
+        # instead of leaking with the fds pinned.
         for conn in self.conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
-
-    _sever_transport = _close_transport

@@ -320,7 +320,7 @@ class MeshComm:
         self.peer_recv: Dict[int, int] = {p: 0 for p in self.peers}
         self._start_sender()
 
-    #: Best-effort bounds used by :meth:`shutdown`.  Class attributes so
+    #: Best-effort bounds used by :meth:`close`.  Class attributes so
     #: the wedged-sender teardown tests can shrink them instead of
     #: waiting out three five-second joins.
     SHUTDOWN_FLUSH_TIMEOUT = 5.0
@@ -583,27 +583,15 @@ class MeshComm:
             )
 
     def close(self) -> None:
-        """Stop the sender thread (queued messages are flushed first)."""
-        self.shutdown(reuse=False)
+        """Flush queued messages, stop the sender thread, close the channels.
 
-    def shutdown(self, reuse: bool = False) -> None:
-        """Stop the sender thread; with ``reuse`` leave channels to the caller.
-
-        ``reuse=True`` is the warm-pool idle reset: flush best-effort,
-        stop and join the sender thread, and drop any parked messages —
-        but do *not* tear down the transport.  The caller owns the
-        channels (per-job pipes it will close itself, or sockets it will
-        hand to the next job); the comm object is finished either way.
-        A sender thread that refuses to die within the join timeout is
-        abandoned — it only references this job's channels, so once the
-        caller closes them its next write fails and it exits.
-
-        Without ``reuse``, a sender still blocked mid-transmit after the
-        join timeout (a collective raised while a peer stopped draining)
-        is *reaped*, not abandoned: closing the transport fails its
-        in-flight write, and a second join collects it.  Leaving it
-        parked forever would leak the thread and pin the channel fds for
-        the life of the process.
+        The flush and the join are best effort, bounded by the
+        ``SHUTDOWN_*_TIMEOUT`` class attributes.  A sender still blocked
+        mid-transmit after the join timeout (a collective raised while a
+        peer stopped draining) is *reaped*, not abandoned: closing the
+        transport fails its in-flight write, and a second join collects
+        it.  Leaving it parked forever would leak the thread and pin the
+        channel fds for the life of the process.
         """
         if not self._severed:
             try:
@@ -613,13 +601,9 @@ class MeshComm:
         self._sendq.put(None)
         if self._sender is not None:
             self._sender.join(timeout=self.SHUTDOWN_JOIN_TIMEOUT)
-        if reuse:
-            for dq in self._stash.values():
-                dq.clear()
-        else:
-            self._close_transport()
-            if self._sender is not None and self._sender.is_alive():
-                self._sender.join(timeout=self.SHUTDOWN_JOIN_TIMEOUT)
+        self._close_transport()
+        if self._sender is not None and self._sender.is_alive():
+            self._sender.join(timeout=self.SHUTDOWN_JOIN_TIMEOUT)
 
     # -- chaos hooks ----------------------------------------------------------
 

@@ -48,7 +48,7 @@ from ..workloads.validation import ValidationReport
 from .comm_api import DEFAULT_PENDING_SENDS
 from .job import NativeJob
 from .phases import OutputMeta
-from .transport import local_mesh
+from .transport import LocalMesh, local_mesh
 from .worker import tcp_worker_main, worker_main
 
 __all__ = [
@@ -115,6 +115,11 @@ def _cleanup_spill(job: NativeJob) -> None:
         purge_namespace(job.spill_dir, job.spill_namespace)
     else:
         shutil.rmtree(job.spill_dir, ignore_errors=True)
+
+
+def _local_worker(rank: int, mesh: LocalMesh, job: NativeJob, result_conn) -> None:
+    """A same-host PE: :func:`worker_main` over its own ends of ``mesh``."""
+    worker_main(rank, job, mesh.own_ends(rank), result_conn)
 
 
 class NativeSortError(RuntimeError):
@@ -307,8 +312,7 @@ class NativeSorter:
         try:
             for rank in range(job.n_workers):
                 procs.append(self._spawn(
-                    rank, worker_main, job, mesh.endpoints[rank],
-                    result_pipes[rank][1],
+                    rank, _local_worker, mesh, job, result_pipes[rank][1],
                 ))
             # The parent's copies of the worker-side ends must close so
             # a dead worker turns into EOF, not a silent hang.
@@ -521,7 +525,6 @@ def native_sort(
     max_restarts: int = 0,
     checkpoint: bool = False,
     records: str = "fixed16",
-    algo: str = "canonical",
 ) -> NativeSortResult:
     """Convenience one-call native sort (generate, sort, return result).
 
@@ -546,6 +549,5 @@ def native_sort(
         max_restarts=max_restarts,
         checkpoint=checkpoint,
         records=records,
-        algo=algo,
     )
     return NativeSorter(job).run()

@@ -130,10 +130,11 @@ class NativeJob:
     #: string model sizes itself by the same nominal 16 bytes/record, so
     #: a given data volume sorts the same record count either way.
     records: str = "fixed16"
-    #: Sort algorithm backend: ``"canonical"`` (CANONICALMERGESORT, the
-    #: default) or ``"striped"`` (mergesort with global striping — paper
-    #: Section III's baseline).  See docs/NATIVE.md for the decision
-    #: matrix; both backends produce the identical canonical output.
+    #: Sort algorithm: ``"canonical"`` (CANONICALMERGESORT) is the only
+    #: native one.  The field stays so callers that name it keep
+    #: working; the paper's Section III baseline, mergesort with global
+    #: striping, runs in the simulator (``--backend sim --algorithm
+    #: striped``).
     algo: str = "canonical"
 
     def __post_init__(self):
@@ -198,32 +199,12 @@ class NativeJob:
                 f"unknown record model {self.records!r}; choose from "
                 f"{tuple(sorted(MODELS))}"
             )
-        from .algos import ALGORITHMS
-
-        if self.algo not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}"
-            )
         if self.algo != "canonical":
-            # On purpose, striped stays a fixed16-only, synchronous,
-            # unjournaled Section III baseline: its stripe writes and its
-            # output placement address files by record offset, which a
-            # varlen file does not have, and the recovery journal and
-            # the pipelined I/O layer live in the canonical phases
-            # (chaos needs neither: the store's write gate and the
-            # worker's kill points serve every backend).
-            if self.varlen:
-                raise ConfigError(
-                    f"algo={self.algo!r} only supports records='fixed16'"
-                )
-            if self.checkpointing or self.epoch > 0:
-                raise ConfigError(
-                    f"algo={self.algo!r} does not support checkpoint/resume"
-                )
-            if self.pipelined:
-                raise ConfigError(
-                    f"algo={self.algo!r} does not support pipelined I/O"
-                )
+            raise ConfigError(
+                f"unknown algorithm {self.algo!r}: the native backend runs "
+                "'canonical' only; mergesort with global striping runs in "
+                "the simulator (--backend sim --algorithm striped)"
+            )
         merge_working = (self.n_runs * 2 + 4) * self.block_records * RECORD_BYTES
         if merge_working > self.memory_bytes + self.chunk_records * RECORD_BYTES:
             raise ConfigError(

@@ -387,8 +387,8 @@ def _distributed_sort_run(ctx: NativeContext, records):
     back to back in rank order: the merge's concatenation, with nothing
     left to copy.  The merge gathers into the piece buffer.  Each rank's
     share of a run is at most ``ceil(total / P)`` records, and no rank
-    reads more than ``chunk_records``, so a run formation piece always
-    fits (a striped merge round may not, and then allocates).
+    reads more than the buffers' capacity (``read_blocks`` refuses a
+    chunk that outgrows ``out``), so the share always fits.
     """
     job, comm, rank, model = ctx.job, ctx.comm, ctx.rank, ctx.model
     bufs = ctx.buffers()

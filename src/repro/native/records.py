@@ -1553,9 +1553,8 @@ class Fixed16Model(RecordModel):
     def landing_slots(self, buffers, counts):
         """Where each rank's slice of ``counts[d]`` records lands: back to
         back in the chunk buffer, in rank order — the merge's concat.
-        ``None`` if they outgrow it (striped's merge rounds can)."""
-        if sum(counts) > buffers.capacity:
-            return None
+        The slices are one rank's exact share of a run, which always fits
+        (see ``phases._distributed_sort_run``)."""
         mv = bytes_view(buffers.chunk)
         bounds = np.cumsum([0] + list(counts)) * RECORD_BYTES
         return [mv[int(a) : int(b)] for a, b in zip(bounds[:-1], bounds[1:])]

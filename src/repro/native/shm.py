@@ -165,12 +165,6 @@ class ShmMesh:
     names: List[str]
     _unlinked: bool = field(default=False, repr=False)
 
-    def close_parent_ends(self) -> None:
-        """Close the creator's doorbell copies (after workers spawned)."""
-        for per_rank in self.channels:
-            for chan in per_rank.values():
-                chan.close()
-
     def unlink(self) -> None:
         """Remove every segment name (idempotent; mappings stay valid)."""
         if self._unlinked:

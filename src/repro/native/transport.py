@@ -40,6 +40,24 @@ class LocalMesh:
     #: for pipes).
     shm: object = None
 
+    def own_ends(self, rank: int) -> Dict[int, object]:
+        """Rank ``rank``'s endpoints, in a worker forked after the mesh
+        was built.
+
+        A forked worker inherits every rank's pipe ends.  Each pipe end
+        belongs to one rank, so the worker closes the ends of the other
+        ranks: a peer that closes its end, or dies, is then EOF here at
+        once, not silence until the job timeout.  This is the pipe twin
+        of shm's ``own_channel_ends``; shm ring specs are shared between
+        the two ranks of a channel, so they stay open here.
+        """
+        if self.shm is None:
+            for other, per_rank in enumerate(self.endpoints):
+                if other != rank:
+                    for end in per_rank.values():
+                        end.close()
+        return self.endpoints[rank]
+
     def close_parent_ends(self) -> None:
         """Close the creator's copies once every worker holds its own, so
         a dead worker turns into EOF for its peers, not a silent hang."""

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import os
 import traceback
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.stats import PhaseClock, WorkerStats, max_rss_bytes
-from .algos import PHASE_MODULES
+from . import phases
 from .blockstore import FileBlockStore
 from .comm_api import Comm
 from .job import NativeJob
@@ -67,13 +67,6 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
 
     def at(point: str) -> None:
         _chaos_point(job, rank, point, result_conn, comm=comm)
-
-    # The job's algorithm names the phase module (see native/algos):
-    # canonical's phases (one implementation, the record model is the
-    # job's) or the striped backend.  Job validation guarantees that
-    # striped jobs are fixed16 and never reach the checkpoint/resume
-    # branches below.
-    algo = PHASE_MODULES[job.algo]
 
     journal = None
     try:
@@ -123,7 +116,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
             comm.set_phase("generate")
             at("before:generate")
             with PhaseClock(stats, "generate", comm=comm):
-                algo.generate_input(ctx)
+                phases.generate_input(ctx)
                 if journal is not None:
                     journal.generate_done()
                 comm.barrier()
@@ -146,7 +139,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                         [resume.rf_runs[r] for r in range(len(resume.rf_runs))],
                     )
             else:
-                runs = algo.run_formation(ctx)
+                runs = phases.run_formation(ctx)
             comm.barrier()
         at("after:run_formation")
         comm.set_phase("selection")
@@ -156,7 +149,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 splits = [list(row) for row in resume.selection_splits]
                 stats.add_counter("recovery_phases_restored")
             else:
-                splits = algo.selection(ctx, runs)
+                splits = phases.selection(ctx, runs)
             comm.barrier()
         at("after:selection")
         comm.set_phase("all_to_all")
@@ -176,7 +169,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 ]
                 stats.add_counter("recovery_phases_restored")
             else:
-                segments, first_keys = algo.all_to_all(ctx, runs, splits)
+                segments, first_keys = phases.all_to_all(ctx, runs, splits)
             comm.barrier()
         at("after:all_to_all")
         comm.set_phase("merge")
@@ -198,7 +191,7 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 # crash in between leaves pieces and slabs behind.
                 reclaim_segments(store, len(runs))
             else:
-                out_meta = algo.merge(ctx, segments, first_keys)
+                out_meta = phases.merge(ctx, segments, first_keys)
             comm.barrier()
         at("after:merge")
 
@@ -284,21 +277,19 @@ def tcp_worker_main(
     rank: int,
     connect: Tuple[str, int],
     connect_timeout: float = 60.0,
-    job: Optional[NativeJob] = None,
 ) -> None:
     """Run rank ``rank`` over TCP: rendezvous, then :func:`worker_main`.
 
-    ``connect`` is the coordinator's ``(host, port)``.  With ``job=None``
-    (always, today — even driver-spawned workers fetch the job over the
-    wire, so this path is identical for local and remote PEs) the job
-    arrives in the WELCOME.  Used both as a spawned-process target and by
-    the ``python -m repro worker`` CLI.
+    ``connect`` is the coordinator's ``(host, port)``.  The job arrives
+    over the wire in the WELCOME (or RESUME), so a driver-spawned worker
+    takes the same path as a remote one.  Used both as a spawned-process
+    target and by the ``python -m repro worker`` CLI.
     """
     from ..net.rendezvous import ResultChannel, join_mesh
 
     try:
         job, coord_sock, socks = join_mesh(
-            connect, rank, connect_timeout=connect_timeout, job=job
+            connect, rank, connect_timeout=connect_timeout
         )
     except Exception:
         # No channel to report on: the driver sees the rendezvous fail

@@ -6,17 +6,18 @@ everything:
 1. every worker opens its *own* ephemeral mesh listener, then dials the
    coordinator (with jittered exponential backoff — workers may start
    before the coordinator, or race its ``listen``);
-2. the worker sends ``HELLO(rank, (host, port), wants_job)`` announcing
+2. the worker sends ``HELLO(rank, (host, port))`` announcing
    its rank and where its mesh listener can be reached.  The advertised
    host is the address the coordinator connection uses locally, so it is
    reachable from the coordinator's side of the network by construction;
 3. once all ``n_workers`` ranks are present, the coordinator answers
    every worker with ``WELCOME(n_workers, table, job)`` — the full
-   rank → address table, plus the pickled job for workers launched bare
-   (``python -m repro worker`` sends ``wants_job=True``).  On a
-   recovery restart (``job.epoch > 0``) the reply is a ``RESUME`` frame
-   instead, carrying the same table and job plus the manifest digest
-   the rejoining worker's on-disk journal must match;
+   rank → address table, plus the pickled job (a worker never holds the
+   job before the handshake, spawned or launched bare as ``python -m
+   repro worker``).  On a recovery restart (``job.epoch > 0``) the
+   reply is a ``RESUME`` frame instead, carrying the same table and job
+   plus the manifest digest the rejoining worker's on-disk journal must
+   match;
 4. each worker builds the mesh with a deterministic tie-break: rank i
    **dials** every rank j > i (``MESH(i)`` announces the dialer) and
    **accepts** from every rank j < i.  Dial-all-then-accept-all cannot
@@ -183,7 +184,6 @@ class Coordinator:
         """
         conns: Dict[int, socket.socket] = {}
         table: Dict[int, Tuple[str, int]] = {}
-        wants_job: Dict[int, bool] = {}
         try:
             while len(conns) < self.n_workers:
                 if health is not None:
@@ -210,13 +210,13 @@ class Coordinator:
                     continue  # probe connection (port scan, health check)
                 kind, msg, _epoch, _fence, _n = frame
                 if kind != KIND_HELLO or not (
-                    isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "hello"
+                    isinstance(msg, tuple) and len(msg) == 3 and msg[0] == "hello"
                 ):
                     sock.close()
                     raise CommError(
                         f"rendezvous: expected HELLO, got kind {kind} {msg!r}"
                     )
-                _tag, rank, mesh_addr, wants = msg
+                _tag, rank, mesh_addr = msg
                 if not (isinstance(rank, int) and 0 <= rank < self.n_workers):
                     sock.close()
                     raise CommError(
@@ -230,10 +230,8 @@ class Coordinator:
                 sock.settimeout(None)
                 conns[rank] = sock
                 table[rank] = (str(mesh_addr[0]), int(mesh_addr[1]))
-                wants_job[rank] = bool(wants)
             epoch = int(getattr(job, "epoch", 0))
             for rank, sock in conns.items():
-                wire_job = job if wants_job[rank] else None
                 if epoch > 0:
                     # A rejoining worker gets a RESUME frame: the job
                     # plus the manifest digest it must find on disk.
@@ -244,7 +242,7 @@ class Coordinator:
                             "resume",
                             self.n_workers,
                             sorted(table.items()),
-                            wire_job,
+                            job,
                             epoch,
                             job_fingerprint(job),
                         ),
@@ -258,7 +256,7 @@ class Coordinator:
                             "welcome",
                             self.n_workers,
                             sorted(table.items()),
-                            wire_job,
+                            job,
                         ),
                     )
         except BaseException:
@@ -281,14 +279,11 @@ def join_mesh(
     connect: Tuple[str, int],
     rank: int,
     connect_timeout: float = 60.0,
-    job=None,
 ):
     """Worker side of the handshake: returns ``(job, coord_sock, socks)``.
 
     ``socks`` maps every peer rank to a connected, NODELAY mesh socket.
-    ``job`` may be passed by a spawning driver that already shares memory
-    with the worker; when ``None`` (the ``repro worker`` CLI) the job is
-    requested from — and delivered by — the coordinator in the WELCOME.
+    The job is the one the coordinator sends in the WELCOME or RESUME.
     """
     deadline = time.monotonic() + connect_timeout
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -304,7 +299,7 @@ def join_mesh(
         # one interface the coordinator's network is known to reach.
         adv_host = coord.getsockname()[0]
         send_frame(
-            coord, KIND_HELLO, ("hello", rank, (adv_host, listen_port), job is None)
+            coord, KIND_HELLO, ("hello", rank, (adv_host, listen_port))
         )
         coord.settimeout(max(1.0, deadline - time.monotonic()))
         frame = recv_frame(coord)
@@ -317,28 +312,25 @@ def join_mesh(
         if kind == KIND_WELCOME and (
             isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "welcome"
         ):
-            _tag, n_workers, table_items, wire_job = msg
+            _tag, n_workers, table_items, job = msg
         elif kind == KIND_RESUME and (
             isinstance(msg, tuple) and len(msg) == 6 and msg[0] == "resume"
         ):
             # A restart epoch: the coordinator re-admits us with the job
             # and the manifest digest our on-disk journal must match.
-            _tag, n_workers, table_items, wire_job, epoch, digest = msg
-            check_job = job if job is not None else wire_job
-            if check_job is not None and job_fingerprint(check_job) != digest:
+            _tag, n_workers, table_items, job, epoch, digest = msg
+            if job is not None and job_fingerprint(job) != digest:
                 raise CommError(
                     f"RESUME manifest digest {digest!r} does not match the "
-                    "job this worker holds; refusing to rejoin a different "
-                    "job's mesh"
+                    "job it carries; refusing to rejoin a different job's "
+                    "mesh"
                 )
         else:
             raise CommError(
                 f"expected WELCOME or RESUME, got kind {kind} {msg!r}"
             )
         if job is None:
-            job = wire_job
-        if job is None:
-            raise CommError("coordinator sent no job and none was provided")
+            raise CommError("coordinator sent no job")
         coord.settimeout(None)
         table = {int(r): (str(h), int(p)) for r, (h, p) in table_items}
 

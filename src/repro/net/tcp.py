@@ -16,8 +16,6 @@ Beyond the pipe transport it adds what a real network needs:
   :class:`~repro.native.comm_api.CommTimeout` therefore names which
   peers have gone silent — distinguishing "the protocol is stuck" from
   "the peer is gone".
-* **Announced closes** — :meth:`close` sends GOODBYE first, so a peer
-  tells a deliberate shutdown from a dead PE's silent EOF.
 * **True wire accounting** — ``socket_bytes_sent`` / ``_received``
   count every byte pushed to and pulled from the kernel, framing
   included, alongside the payload-estimate accounting of the core.
@@ -133,19 +131,11 @@ class TcpComm(PipeComm):
 
     # -- lifecycle / chaos ----------------------------------------------------
 
-    def _close_transport(self) -> None:
-        # Announce the close first: peers still mid-protocol must be able
-        # to tell this deliberate shutdown from a dead PE's silent EOF.
+    def _write_goodbye(self, peer: int) -> None:
         # A peer that stopped draining may have left the socket buffer
-        # full (with the sender thread wedged mid-write), so the goodbye
-        # is time-bounded rather than blocking.
-        for peer, sock in list(self.socks.items()):
-            try:
-                sock.settimeout(1.0)
-                self._write(peer, frame_parts(KIND_GOODBYE, None))
-            except OSError:
-                pass
-        self._sever_transport()
+        # full, so the goodbye is time-bounded rather than blocking.
+        self.socks[peer].settimeout(1.0)
+        self._write(peer, frame_parts(KIND_GOODBYE, None))
 
     def _sever_transport(self) -> None:
         # No GOODBYE here — a sever *is* the silent network loss peers

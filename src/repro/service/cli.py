@@ -149,10 +149,6 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         "records (see docs/NATIVE.md)",
     )
     parser.add_argument(
-        "--algo", choices=("canonical", "striped"), default="canonical",
-        help="native sort backend (see docs/NATIVE.md)",
-    )
-    parser.add_argument(
         "--transport", choices=("pipe", "shm"), default=None,
         help="per-job mesh substrate (default: service default, 'pipe')",
     )
@@ -170,7 +166,6 @@ def _spec_from_args(args) -> dict:
         "max_restarts": args.max_restarts,
         "cleanup_on_abort": args.cleanup_on_abort,
         "records": args.records,
-        "algo": args.algo,
     }
     # Unset flags stay out of the spec so the service defaults apply.
     if args.block_kib is not None:

@@ -90,7 +90,6 @@ SPEC_FIELDS = {
     "checkpoint": (bool, False),
     "cleanup_on_abort": (bool, False),
     "records": (str, "fixed16"),
-    "algo": (str, "canonical"),
     "chaos": (object, None),
 }
 
@@ -100,7 +99,6 @@ SPEC_FIELDS = {
 SPEC_CHOICES = {
     "transport": ("pipe", "shm"),
     "records": ("fixed16", "string"),
-    "algo": ("canonical", "striped"),
 }
 
 #: Numeric spec fields and their floors: (minimum, or None if the field
@@ -193,7 +191,6 @@ def build_native_job(spec: dict, spill_dir: str) -> NativeJob:
             checkpoint=spec["checkpoint"],
             cleanup_on_abort=spec["cleanup_on_abort"],
             records=spec["records"],
-            algo=spec["algo"],
         )
     except ConfigError as exc:
         # Feasibility and cross-field constraints the native layer owns

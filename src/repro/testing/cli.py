@@ -77,13 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         "job as well under --chaos",
     )
     parser.add_argument(
-        "--algo", choices=("canonical", "striped"), default="canonical",
-        help="native sort backend for matrix cases; 'striped' adds "
-        "native-only twins of every matrix case on that backend "
-        "(differentially tested byte-for-byte against the same np.sort "
-        "oracle)",
-    )
-    parser.add_argument(
         "--recover-smoke", action="store_true",
         help="run only the recovery smoke (one boundary kill + resume per "
         "transport); the fast push-time CI gate",
@@ -242,16 +235,6 @@ def main(argv: List[str] = None) -> int:
                         and not s.pipelined
                         and not s.recover
                     ]
-                )
-            )
-        if args.algo == "striped":
-            # Native-only backend twins over every transport already in
-            # the list: the identical workloads through the striped
-            # data path, against the same oracle (striped_variants skips
-            # the pipelined, recovery and string cases itself).
-            specs.extend(
-                differential.striped_variants(
-                    [s for s in specs if "native" in s.backends]
                 )
             )
         if args.strings and specs:

@@ -41,7 +41,6 @@ __all__ = [
     "tcp_variants",
     "recovery_variants",
     "string_variants",
-    "striped_variants",
     "run_case",
     "run_sim_case",
     "run_native_case",
@@ -50,10 +49,10 @@ __all__ = [
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-def _check_canonical_conservation(
+def _check_conservation(
     stats, nbytes: int, shipped: int, volume: str, skip_run_formation: bool
 ) -> List[str]:
-    """The canonical backend's conservation profile (either record model).
+    """The native sort's conservation profile (either record model).
 
     Two passes over the data plus what changes rank: run formation reads
     the input and writes the pieces, the merge reads the segments and
@@ -97,71 +96,6 @@ def _check_canonical_conservation(
     return issues
 
 
-def _check_striped_conservation(workers, nbytes: int) -> List[str]:
-    """The striped backend's own conservation profile.
-
-    Striping moves the data in *two* exchanges instead of canonical's
-    one: run formation stripe-writes every record exactly once (wire
-    volume exactly N·16), the merge re-sorts and places every record
-    (wire volume at least 2·N·16 — resends of not-yet-final records push
-    it higher), and the selection / all-to-all slots move nothing at
-    all.  Disk conservation still holds per pass: run formation and
-    merge each read and write exactly N·16 bytes.
-    """
-    issues: List[str] = []
-
-    def io(phase):
-        return (
-            sum(w.bytes_read.get(phase, 0) for w in workers),
-            sum(w.bytes_written.get(phase, 0) for w in workers),
-        )
-
-    def wire(phase):
-        return sum(
-            w.comm_wire_sent.get(phase, 0) + w.comm_local_bytes.get(phase, 0)
-            for w in workers
-        )
-
-    for phase in ("run_formation", "merge"):
-        got_r, got_w = io(phase)
-        if got_r != nbytes:
-            issues.append(
-                f"striped conservation: {phase} read {got_r} bytes, "
-                f"want exactly N*16 = {nbytes}"
-            )
-        if got_w != nbytes:
-            issues.append(
-                f"striped conservation: {phase} wrote {got_w} bytes, "
-                f"want exactly N*16 = {nbytes}"
-            )
-    for phase in ("selection", "all_to_all"):
-        got_r, got_w = io(phase)
-        if got_r or got_w:
-            issues.append(
-                f"striped conservation: {phase} moved {got_r}+{got_w} "
-                "bytes through the block store, want 0 (planning only)"
-            )
-        vol = wire(phase)
-        if vol:
-            issues.append(
-                f"striped conservation: {phase} wire volume {vol}, want 0"
-            )
-    vol = wire("run_formation")
-    if vol != nbytes:
-        issues.append(
-            f"striped conservation: run_formation wire volume {vol}, want "
-            f"exactly N*16 = {nbytes} (every record stripe-written once)"
-        )
-    vol = wire("merge")
-    if vol < 2 * nbytes:
-        issues.append(
-            f"striped conservation: merge wire volume {vol} < 2*N*16 = "
-            f"{2 * nbytes} (sort exchange + placement both move every "
-            "record — the amplification canonical avoids)"
-        )
-    return issues
-
-
 @dataclass(frozen=True)
 class CaseSpec:
     """One fully pinned conformance case (replayable from its token)."""
@@ -190,10 +124,6 @@ class CaseSpec:
     #: and sorts the variable-length records; the oracle becomes an
     #: independent Python ``sorted()`` of the decoded byte strings.
     records: str = "fixed16"
-    #: Native sort backend (:mod:`repro.native.algos`).  Every backend
-    #: must reproduce the oracle byte-identically; only the conservation
-    #: profile differs (striped asserts its own wire/IO bounds).
-    algo: str = "canonical"
     #: String workload family (:data:`~repro.native.records.STRING_FAMILIES`):
     #: ``"hex"`` is the synthetic hex-prefixed map, ``"url"`` and ``"log"``
     #: are the real-workload shapes (web-crawl URLs, timestamped log
@@ -225,22 +155,6 @@ class CaseSpec:
                 f"string family {self.string_family!r} requires "
                 'records="string"'
             )
-        if self.algo not in ("canonical", "striped"):
-            raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.algo != "canonical":
-            if "sim" in self.backends:
-                raise ValueError(
-                    "non-canonical algo cases run the native backend only"
-                )
-            if self.records != "fixed16":
-                raise ValueError(
-                    f"algo {self.algo!r} only supports fixed16 records yet"
-                )
-            if self.pipelined or self.recover:
-                raise ValueError(
-                    f"algo {self.algo!r} supports neither pipelined I/O "
-                    "nor recovery yet (NativeJob rejects both)"
-                )
 
     # -- replay tokens --------------------------------------------------------
 
@@ -261,8 +175,6 @@ class CaseSpec:
                 ":str" if self.string_family == "hex"
                 else f":str-{self.string_family}"
             )
-        if self.algo == "striped":
-            token += ":striped"
         return token
 
     @classmethod
@@ -273,7 +185,7 @@ class CaseSpec:
                 f"bad replay token {token!r}: want "
                 "entry:sizing:p<P>:s<seed>:rand|norand:selection"
                 "[:backends][:pipe][:tcp|:shm][:recover]"
-                "[:str|:str-url|:str-log][:striped]"
+                "[:str|:str-url|:str-log]"
             )
         entry, sizing, p, s, rand, selection = parts[:6]
         if not p.startswith("p") or not s.startswith("s"):
@@ -283,7 +195,6 @@ class CaseSpec:
         transport = "pipe"
         recover = False
         records = "fixed16"
-        algo = "canonical"
         string_family = "hex"
         for part in parts[6:]:
             if part == "pipe":
@@ -297,8 +208,6 @@ class CaseSpec:
             elif part.startswith("str-"):
                 records = "string"
                 string_family = part[len("str-"):]
-            elif part == "striped":
-                algo = "striped"
             else:
                 backends = tuple(part.split("+"))
         return cls(
@@ -313,7 +222,6 @@ class CaseSpec:
             transport=transport,
             recover=recover,
             records=records,
-            algo=algo,
             string_family=string_family,
         )
 
@@ -467,10 +375,7 @@ def string_variants(
     string recovery twins: both record models run the same phase code,
     read-ahead, write-behind and the recovery journal included.
     """
-    eligible = [
-        spec for spec in specs
-        if spec.records == "fixed16" and spec.algo == "canonical"
-    ]
+    eligible = [spec for spec in specs if spec.records == "fixed16"]
     return [
         replace(
             spec,
@@ -479,25 +384,6 @@ def string_variants(
             string_family=families[i % len(families)],
         )
         for i, spec in enumerate(eligible)
-    ]
-
-
-def striped_variants(specs: Sequence[CaseSpec]) -> List[CaseSpec]:
-    """Native-only striped-mergesort twins of ``specs``.
-
-    Each twin sorts the identical workload with the globally striped
-    backend (:mod:`repro.native.algos.striped`): runs striped block-wise
-    over all PEs, merge by collective batch re-sort.  The oracle
-    byte-comparison proves the striped data path converges to the same
-    canonical balanced output; the conservation check switches to the
-    striped wire profile (run-formation wire exactly N·16, merge wire at
-    least 2·N·16, the all-to-all slot empty).
-    """
-    return [
-        replace(spec, backends=("native",), algo="striped")
-        for spec in specs
-        if not spec.pipelined and not spec.recover
-        and spec.records == "fixed16" and spec.algo == "canonical"
     ]
 
 
@@ -736,7 +622,6 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
             write_behind_blocks=4 if spec.pipelined else 0,
             chaos=_recovery_chaos(spec),
             max_restarts=1 if spec.recover else 0,
-            algo=spec.algo,
             records=spec.records,
         )
         sort = NativeSorter(job).run()
@@ -778,18 +663,11 @@ def run_native_case(spec: CaseSpec, workdir: Optional[str] = None) -> CaseResult
 
         # Conservation, summed over the workers: two passes of exactly
         # the input volume plus what the all-to-all shipped (the
-        # ``:index`` sidecars are charged under their own tags).  The
-        # striped backend asserts its own profile (two exchanges, empty
-        # all-to-all slot).
-        if spec.algo == "striped":
-            result.divergences.extend(
-                _check_striped_conservation(sort.stats.workers, data.nbytes)
-            )
-        else:
-            result.divergences.extend(_check_canonical_conservation(
-                sort.stats, data.nbytes, data.shipped(sort.stats),
-                data.volume, skip_run_formation=spec.recover,
-            ))
+        # ``:index`` sidecars are charged under their own tags).
+        result.divergences.extend(_check_conservation(
+            sort.stats, data.nbytes, data.shipped(sort.stats),
+            data.volume, skip_run_formation=spec.recover,
+        ))
         if job.model.varlen:
             result.divergences.extend(_check_lcp_identity(spec, sort, total))
     finally:

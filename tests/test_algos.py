@@ -1,22 +1,17 @@
-"""The native algorithm map and its job-validation gates.
+"""The native backend's one algorithm and its ``NativeJob.algo`` pin.
 
-:data:`repro.native.algos.PHASE_MODULES` is the seam between job specs
-and phase implementations: these tests pin that every backend name
-maps to a module with the full five-phase interface — and the
-:class:`~repro.native.job.NativeJob` gates that keep striped, on
-purpose, a fixed16-only, synchronous, unjournaled baseline.
+The native backend runs CANONICALMERGESORT only; ``NativeJob.algo``
+stays so that callers naming it keep working, and accepts nothing
+else.  The paper's Section III baseline, mergesort with global
+striping, runs in the simulator (``--backend sim --algorithm striped``,
+``tests/test_cross_algorithm.py``).
 """
 
 import pytest
 
 from repro.core.config import ConfigError, SortConfig
-from repro.native import ALGORITHMS, NativeJob, phases
-from repro.native.algos import PHASE_MODULES
+from repro.native import NativeJob
 from repro.native.records import RECORD_BYTES
-from repro.testing.chaos import ChaosSpec
-
-PHASE_FNS = ("generate_input", "run_formation", "selection", "all_to_all",
-             "merge")
 
 
 def _job(tmp_path, **overrides):
@@ -35,40 +30,9 @@ def _job(tmp_path, **overrides):
     return NativeJob(**base)
 
 
-# ------------------------------------------------------------ the map
-
-
-def test_registry_names_are_the_public_tuple():
-    assert ALGORITHMS == ("canonical", "striped")
-    assert tuple(PHASE_MODULES) == ALGORITHMS
-
-
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_every_backend_resolves_with_full_phase_strategy(algo):
-    module = PHASE_MODULES[algo]
-    assert all(callable(getattr(module, name)) for name in PHASE_FNS)
-
-
 def test_unknown_algorithm_name_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="unknown algorithm 'quicksort'"):
         _job(tmp_path, algo="quicksort")
-
-
-@pytest.mark.parametrize("algo", ["striped"])
-def test_string_model_only_runs_canonical(tmp_path, algo):
-    with pytest.raises(ConfigError, match="only supports records='fixed16'"):
-        _job(tmp_path, algo=algo, records="string")
-    assert _job(tmp_path, algo="canonical", records="string").varlen
-
-
-def test_backends_share_the_canonical_generate_phase():
-    # Both backends sort the identical generated input: phase 0 is
-    # shared, so differences can only come from the sort itself.
-    gens = {PHASE_MODULES[a].generate_input for a in ALGORITHMS}
-    assert gens == {phases.generate_input}
-
-
-# ----------------------------------------------------- NativeJob gating
 
 
 def test_job_defaults_to_canonical(tmp_path):
@@ -77,34 +41,22 @@ def test_job_defaults_to_canonical(tmp_path):
     assert job.describe()["algo"] == "canonical"
 
 
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_job_accepts_every_registered_backend(tmp_path, algo):
-    assert _job(tmp_path, algo=algo).describe()["algo"] == algo
-
-
 def test_job_rejects_unknown_backend(tmp_path):
     with pytest.raises(ConfigError, match="unknown algorithm 'timsort'"):
         _job(tmp_path, algo="timsort")
 
 
-@pytest.mark.parametrize("algo", ["striped"])
-def test_noncanonical_gates(tmp_path, algo):
-    with pytest.raises(ConfigError, match="only supports records='fixed16'"):
-        _job(tmp_path, algo=algo, records="string")
-    with pytest.raises(ConfigError, match="checkpoint/resume"):
-        _job(tmp_path, algo=algo, checkpoint=True)
-    with pytest.raises(ConfigError, match="pipelined I/O"):
-        _job(tmp_path, algo=algo, prefetch_blocks=3, write_behind_blocks=2)
-    # Chaos is not gated: the store's write gate and the worker's kill
-    # points serve every backend.
-    spec = ChaosSpec(rank=0, kill_at="before:merge")
-    assert _job(tmp_path, algo=algo, chaos=spec).chaos is spec
+def test_striped_points_to_the_simulator(tmp_path):
+    with pytest.raises(ConfigError, match="--backend sim --algorithm striped"):
+        _job(tmp_path, algo="striped")
 
 
 def test_canonical_still_composes_with_gated_features(tmp_path):
-    # The gates above must not have tightened the default backend.
+    # Checkpointing, pipelined I/O and string records all run the one
+    # native algorithm.
     job = _job(
         tmp_path, algo="canonical",
         checkpoint=True, prefetch_blocks=3, write_behind_blocks=2,
     )
     assert job.checkpointing and job.pipelined
+    assert _job(tmp_path, algo="canonical", records="string").varlen

@@ -220,20 +220,6 @@ def test_pipelined_sweep_enospc_fires_in_the_run_formation_writer(
     assert "piece" in verdict["outcome"], verdict["outcome"]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [ChaosSpec(rank=0, kill_at="before:merge"),
-     ChaosSpec(rank=0, enospc_after_bytes=9000)],
-    ids=["kill", "enospc"],
-)
-def test_striped_faults_fail_fast(tmp_path, spec):
-    """The striped backend gets the same fault hooks as canonical: a
-    kill before its merge and a torn ENOSPC in its run formation fail
-    fast, naming the faulty rank."""
-    job = chaos_job(tmp_path, spec, algo="striped")
-    assert_fails_fast(job, match="worker 0")
-
-
 def test_kill_points_cover_every_phase_boundary():
     points = kill_points()
     for phase in ("run_formation", "selection", "all_to_all", "merge"):
@@ -263,15 +249,3 @@ def test_kill_any_rank_three_workers(tmp_path, rank):
         tmp_path, ChaosSpec(rank=rank, kill_at="before:selection"), n_workers=3
     )
     assert_fails_fast(job, match=f"worker {rank}")
-
-
-@pytest.mark.conformance
-def test_striped_severed_mesh_leaves_no_output(tmp_path):
-    """The sweep's no-torn-output contract, on the striped backend: a
-    mesh severed before the exchange kills the job before any merge."""
-    job = chaos_job(
-        tmp_path, ChaosSpec(rank=0, sever_comm_at="before:all_to_all"),
-        algo="striped", timeout=4.0,
-    )
-    assert_fails_fast(job, budget=20.0)
-    assert not list((tmp_path / "spill").glob("output_*.dat"))

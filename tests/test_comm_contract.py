@@ -237,8 +237,8 @@ def test_alltoall_delivers_one_part_per_peer_in_rank_order(mesh3):
 def test_alltoall_counts_its_own_record_part_as_local_bytes(mesh2):
     """The own part is delivered as the object it is.  A record array
     (never put in wire form) still counts its ``nbytes`` in
-    ``local_bytes``, as a bytes-like own part counts its length: the
-    striped merge's volume bound adds them to the wire."""
+    ``local_bytes``, as a bytes-like own part counts its length: a
+    phase's volume is its wire plus its local bytes."""
     def body(c):
         c.set_phase("merge")
         own = np.arange(5, dtype=np.uint64)
@@ -447,6 +447,39 @@ def test_close_after_comm_error_reaps_sender_thread(transport):
         if t not in before and t.is_alive() and not t.daemon
     ]
     assert leaked == []
+
+
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+def test_a_closed_peer_is_not_a_dead_one(transport):
+    """A rank that finished and closed said GOODBYE first: a peer still
+    waiting for a third rank drops its channel instead of reporting a
+    dead PE.  At P >= 3 this is every job's end, when one rank leaves
+    the final barrier while another is still in it."""
+    comms = MAKERS[transport](3, timeout=10.0)
+    closed = threading.Event()
+
+    def body(c):
+        if c.rank == 0:
+            for peer in (1, 2):
+                c.post(peer, ("done", 0))
+            c.close()
+            closed.set()
+            return None
+        assert closed.wait(10.0)
+        if c.rank == 2:
+            # Late enough that rank 1 reads rank 0's close first.
+            time.sleep(0.3)
+            c.post(1, ("late", 2))
+            return [c.recv_match(lambda p, m: p == 0)[1]]
+        return [c.recv_match(lambda p, m: p == src)[1] for src in (2, 0)]
+
+    try:
+        assert run_all(comms, body) == [
+            None, [("late", 2), ("done", 0)], [("done", 0)],
+        ]
+    finally:
+        for c in comms[1:]:
+            c.close()
 
 
 def test_selection_round_matches_across_transports(mesh3):

@@ -173,19 +173,6 @@ def test_string_divergence_is_actually_detected(tmp_path, monkeypatch):
     assert not result.ok
 
 
-def test_striped_all_ties_merge_moves_every_record_twice(tmp_path):
-    """All-tie keys hold every striped emission back to the last merge
-    round, whose re-sort outgrows the buffer set: each rank's own slice
-    then goes to the all-to-all as a record array, not as wire bytes.
-    It still counts as local bytes, so the merge volume reaches its
-    2·N·16 bound (it read 22528 of 32768 bytes when it did not)."""
-    spec = differential.CaseSpec.from_token(
-        "dup_all:base:p2:s42:rand:sampled:native:striped"
-    )
-    (result,) = differential.run_case(spec, workdir=str(tmp_path / "s"))
-    assert result.ok, result.divergences
-
-
 def test_quick_matrix_is_tier1_sized():
     # The matrix the CLI and this file share: <= 8 corpus pairs, plus
     # fig6 (no-randomization) variants of the flagged entries only.

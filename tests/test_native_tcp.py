@@ -133,11 +133,18 @@ def test_chaos_kill_over_tcp_fails_fast(tmp_path):
     assert verdict["ok"], verdict
 
 
-def test_chaos_sever_over_tcp_fails_fast_without_torn_outputs(tmp_path):
+@pytest.mark.parametrize("transport", ["pipe", "tcp", "shm"])
+def test_chaos_sever_fails_fast_without_torn_outputs(tmp_path, transport):
+    """A severed peer is EOF on every channel, well before the job
+    timeout: the budget is a small fraction of it.  A pipe worker that
+    kept the other ranks' inherited pipe ends open saw the sever only
+    at the timeout."""
     verdict = run_chaos_case(
         ChaosSpec(rank=0, sever_comm_at="before:all_to_all"),
         str(tmp_path / "spill"),
-        transport="tcp",
+        job_timeout=60.0,
+        budget=5.0,
+        transport=transport,
     )
     assert verdict["ok"], verdict
 

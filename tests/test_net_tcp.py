@@ -68,10 +68,10 @@ def _drain(sock, nbytes):
 
 def test_control_frame_roundtrip(pair):
     a, b = pair
-    sent = send_frame(a, KIND_HELLO, ("hello", 3, ("127.0.0.1", 9999), True))
+    sent = send_frame(a, KIND_HELLO, ("hello", 3, ("127.0.0.1", 9999)))
     kind, msg, epoch, _fence, total = recv_frame(b)
     assert kind == KIND_HELLO
-    assert msg == ("hello", 3, ("127.0.0.1", 9999), True)
+    assert msg == ("hello", 3, ("127.0.0.1", 9999))
     assert epoch == 0
     assert total == sent
 
@@ -409,7 +409,7 @@ def test_rendezvous_builds_a_full_mesh_and_delivers_the_job():
         assert not t.is_alive()
     for rank in range(n):
         job, greetings = results[rank]
-        assert job == job_sent  # bare workers asked for and got the job
+        assert job == job_sent  # every worker gets the job in the WELCOME
         assert greetings == {
             p: ("hi", p) for p in range(n) if p != rank
         }

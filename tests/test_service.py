@@ -322,37 +322,6 @@ class TestShmTransportJobs:
                 svc.submit(dict(SMALL, transport="tcp"))
 
 
-# ------------------------------------------------------------ algo backends
-
-
-class TestAlgoSpecs:
-    @pytest.mark.parametrize("algo", ["striped"])
-    def test_algo_spec_round_trips_through_submit(self, tmp_path, algo):
-        """An ``algo`` spec reaches the compiled job and the warm pool
-        runs that backend to the same bytes as a cold single-shot run."""
-        spec = dict(SMALL, algo=algo, label=algo)
-        oracle = single_shot(spec, tmp_path / "oracle")
-        with SortService(
-            pool_size=2, spill_root=str(tmp_path / "svc"), listen=None
-        ) as svc:
-            job = svc.wait(svc.submit(spec), timeout=120)
-            assert job.state == "DONE", job.error
-            assert job.job.algo == algo
-            assert job.result.validate().ok
-            assert output_bytes(job.job, job.result.outputs) == (
-                output_bytes(oracle.job, oracle.outputs)
-            )
-
-    def test_unknown_algo_is_rejected(self, tmp_path):
-        with SortService(
-            pool_size=2, spill_root=str(tmp_path), listen=None
-        ) as svc:
-            with pytest.raises(JobRejected):
-                svc.submit(dict(SMALL, algo="quicksort"))
-            # Rejections never occupy the queue.
-            assert svc.stats_snapshot()["jobs"]["submitted"] == 0
-
-
 # ------------------------------------------------- spec rejection messages
 
 
@@ -377,10 +346,6 @@ class TestSpecRejectionMessages:
             {"records": "f32"}, "spec field 'records'='f32'",
             "'fixed16', 'string'",
         )
-        self.check(
-            {"algo": "quantum"}, "spec field 'algo'='quantum'",
-            "'canonical', 'striped'",
-        )
 
     def test_numeric_fields_name_key_and_floor(self):
         self.check({"n_workers": 0}, "spec field 'n_workers'=0", ">= 1")
@@ -397,6 +362,8 @@ class TestSpecRejectionMessages:
         # transport.
         self.check({"sample_every": 4}, "unknown spec field 'sample_every'")
         self.check({"shm_ring_kib": 64}, "unknown spec field 'shm_ring_kib'")
+        # The native backend runs one algorithm: no spec field picks it.
+        self.check({"algo": "striped"}, "unknown spec field 'algo'")
         self.check(
             {"transport": "shm", "shm_ring_kib": 64},
             "unknown spec field 'shm_ring_kib'",
