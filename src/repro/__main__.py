@@ -61,6 +61,7 @@ ALGORITHMS = ("canonical", "striped", "nowsort", "samplesort")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
+        allow_abbrev=False,
         description="Run a distributed external sort: simulated cluster "
         "of the Rahn/Sanders/Singler paper, or native processes on real files.",
     )
@@ -356,6 +357,7 @@ def run_worker(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro worker",
+        allow_abbrev=False,
         description="Join a native TCP sort as one worker PE.",
     )
     parser.add_argument(

@@ -20,6 +20,7 @@ from . import EXPERIMENTS, write_report
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="demsort-bench",
+        allow_abbrev=False,
         description="Regenerate the paper's tables and figures on the "
         "simulated cluster.",
     )

@@ -62,6 +62,12 @@ __all__ = [
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
+#: How long the driver looks for a sibling that died without reporting
+#: once a worker has reported an error: a kill makes its peers fail on
+#: the dead channel, and the survivor's report can arrive before the
+#: dead worker's process sentinel fires.
+DEATH_GRACE_S = 1.0
+
 #: How long the driver will wait for the *rest* of a result message once
 #: its first bytes have arrived.  Results are small; if a complete
 #: message does not materialize in this window the worker died mid-send
@@ -404,7 +410,14 @@ class NativeSorter:
         * **torn / wedged result message** — a worker killed mid-send
           can leave a partial frame behind; a bare ``recv`` would block
           forever on it.  Every ``recv`` runs under
-          :data:`RESULT_RECV_TIMEOUT` (see :meth:`_recv_result`).
+          :data:`RESULT_RECV_TIMEOUT` (see :meth:`_read_result`).
+        * **collateral errors** — a dead worker's peers fail on its
+          channel and report that, sometimes before its sentinel fires.
+          An error report is therefore held for up to
+          :data:`DEATH_GRACE_S` while the other pending workers settle;
+          if one of them died without reporting, the failure names it,
+          with the report as the collateral it is (see
+          :meth:`_blame_silent_death`).
         """
         deadline = time.monotonic() + self.job.timeout + 30.0
         pending = dict(enumerate(conns))
@@ -433,8 +446,7 @@ class NativeSorter:
                 rank = by_conn.get(id(obj))
                 if rank is None or rank not in pending:
                     continue
-                results.append(self._recv_result(procs, obj, rank))
-                del pending[rank]
+                results.append(self._take(procs, pending, rank))
                 got_result = True
             if got_result or not procs:
                 continue
@@ -442,12 +454,10 @@ class NativeSorter:
                 proc = procs[rank]
                 if proc.is_alive():
                     continue
-                conn = pending[rank]
-                if conn.poll(0):
+                if pending[rank].poll(0):
                     # Death after (or during) the send: drain what there
-                    # is — _recv_result turns a torn frame into an error.
-                    results.append(self._recv_result(procs, conn, rank))
-                    del pending[rank]
+                    # is — _read_result turns a torn frame into an error.
+                    results.append(self._take(procs, pending, rank))
                 else:
                     raise NativeSortError(
                         f"worker {rank} died (exit code {proc.exitcode}) "
@@ -456,8 +466,60 @@ class NativeSorter:
                     )
         return results
 
-    def _recv_result(self, procs, conn, rank: int) -> tuple:
-        """One result ``recv`` that cannot hang the driver.
+    def _take(self, procs, pending, rank: int) -> tuple:
+        """Pop ``rank``'s result off ``pending`` and return its report.
+
+        A report of an error raises — naming the worker that died
+        without reporting instead, if one does within the grace
+        (:meth:`_blame_silent_death`).
+        """
+        payload = self._read_result(procs, pending.pop(rank), rank)
+        try:
+            return check_result_payload(rank, payload)
+        except NativeSortError as report:
+            self._blame_silent_death(procs, pending, report)
+            raise
+
+    def _blame_silent_death(self, procs, pending, report: NativeSortError):
+        """Raise for a pending worker that dies without a result within
+        :data:`DEATH_GRACE_S`; return once none can any more.
+
+        ``report`` is the error another worker reported.  The grace ends
+        early once every pending worker has exited.  A dead worker whose
+        channel holds a readable result reported and is not blamed; one
+        whose channel is empty, closed or torn died silently, and the
+        error names it, quoting ``report`` as collateral.
+        """
+        if not procs:
+            return
+        until = time.monotonic() + DEATH_GRACE_S
+        settled = set()
+        while True:
+            for rank, conn in pending.items():
+                proc = procs[rank]
+                if rank in settled or proc.is_alive():
+                    continue
+                settled.add(rank)
+                if conn.poll(0):
+                    try:
+                        self._read_result(procs, conn, rank)
+                        continue
+                    except NativeSortError:
+                        pass  # EOF or a torn frame: no report
+                raise NativeSortError(
+                    f"worker {rank} died (exit code {proc.exitcode}) without "
+                    f"reporting a result; collateral: {report}",
+                    rank=rank,
+                ) from report
+            alive = [procs[r].sentinel for r in pending if r not in settled]
+            left = until - time.monotonic()
+            if not alive or left <= 0:
+                return
+            conn_wait(alive, timeout=left)
+
+    def _read_result(self, procs, conn, rank: int):
+        """One result ``recv`` that cannot hang the driver; returns the
+        payload unchecked.
 
         The receive runs in a helper thread bounded by
         :data:`RESULT_RECV_TIMEOUT`; a worker that died after sending
@@ -496,7 +558,7 @@ class NativeSorter:
                 f"(worker {status()})",
                 rank=rank,
             )
-        return check_result_payload(rank, box["payload"])
+        return box["payload"]
 
     @staticmethod
     def _reap(procs) -> None:

@@ -9,9 +9,11 @@ interprets the same fields literally:
     real bytes of 16-byte records generated and sorted per worker;
 ``memory_bytes``
     the per-worker record-memory budget M.  Run formation keeps its
-    working set within M by sizing one run chunk at M/3 (chunk, sorted
-    copy and merged piece — the three record buffers of the fixed set
-    every run reuses, see ``records.RecordBuffers``);
+    working set within M by sizing one run chunk at M divided by the
+    record model's ``working_copies``: M/2 for fixed16, whose runs and
+    merge rounds work in the two record buffers of one reused set
+    (``records.RecordBuffers``), and M/3 for strings, whose kernels
+    allocate the input, the sorted copy and the merged piece per chunk;
 ``block_bytes``
     the unit of every file read/write and of every pipe chunk;
 ``randomize`` / ``seed``
@@ -21,8 +23,9 @@ interprets the same fields literally:
     the simulator's alone: native phase 2 always selects from the
     sample-bounded key windows of the pieces (``phases.selection``).
 
-``n_runs`` therefore lands at about ``3·N/M`` — the price of honoring M
-as a *process* budget rather than a bare data volume.
+``n_runs`` therefore lands at about ``2·N/M`` (fixed16) or ``3·N/M``
+(strings) — the price of honoring M as a *process* budget rather than a
+bare data volume.
 """
 
 from __future__ import annotations
@@ -36,14 +39,10 @@ from ..core.config import ConfigError, SortConfig
 from .comm_api import DEFAULT_PENDING_SENDS
 from .records import RECORD_BYTES
 
-__all__ = ["NativeJob", "SORT_WORKING_COPIES", "TRANSPORTS"]
+__all__ = ["NativeJob", "TRANSPORTS"]
 
 #: Interconnect substrates the driver can wire up (see docs/TRANSPORT.md).
 TRANSPORTS = ("pipe", "tcp", "shm")
-
-#: Live record-array copies at run formation's memory peak (the fixed
-#: set's chunk, sorted and piece buffers).
-SORT_WORKING_COPIES = 3
 
 #: Fallback per-worker memory when the config leaves it to the machine
 #: spec (the simulator would use the paper machine's RAM — meaningless
@@ -205,13 +204,21 @@ class NativeJob:
                 "'canonical' only; mergesort with global striping runs in "
                 "the simulator (--backend sim --algorithm striped)"
             )
-        merge_working = (self.n_runs * 2 + 4) * self.block_records * RECORD_BYTES
-        if merge_working > self.memory_bytes + self.chunk_records * RECORD_BYTES:
+        # A merge round stages what each run carries over (at most one
+        # block) and at least one fresh block, and sorts the stage into
+        # one chunk: the stage gets the other working copies.  For
+        # fixed16 that is the set's ``sorted`` buffer, so no round
+        # allocates.
+        merge_working = (self.n_runs + 1) * self.block_records * RECORD_BYTES
+        stage_bytes = (
+            (self.model.working_copies - 1) * self.chunk_records * RECORD_BYTES
+        )
+        if merge_working > stage_bytes:
             raise ConfigError(
-                f"merge phase needs ~{merge_working} B of buffers for "
-                f"R = {self.n_runs} runs but M = {self.memory_bytes:.0f}; "
-                "raise memory_bytes or block granularity (the paper's "
-                "N = O(M^2/(P B)) two-pass limit)"
+                f"merge phase stages ~{merge_working} B for "
+                f"R = {self.n_runs} runs but M = {self.memory_bytes:.0f} "
+                f"leaves it {stage_bytes} B; raise memory_bytes or block "
+                "granularity (the paper's N = O(M^2/(P B)) two-pass limit)"
             )
 
     # -- derived sizes (all in records unless noted) --------------------------
@@ -256,8 +263,9 @@ class NativeJob:
 
     @property
     def piece_blocks(self) -> int:
-        """Input blocks per run chunk: M / 3 worth of blocks, at least one."""
-        budget = self.memory_bytes // SORT_WORKING_COPIES
+        """Input blocks per run chunk: M / ``model.working_copies`` worth
+        of blocks, at least one."""
+        budget = self.memory_bytes // self.model.working_copies
         return max(1, int(budget) // (self.block_records * RECORD_BYTES))
 
     @property

@@ -385,10 +385,12 @@ def _distributed_sort_run(ctx: NativeContext, records):
     The exact splits fix every incoming slice's size, so each lands
     straight in its slot of the chunk buffer (``model.landing_slots``),
     back to back in rank order: the merge's concatenation, with nothing
-    left to copy.  The merge gathers into the piece buffer.  Each rank's
-    share of a run is at most ``ceil(total / P)`` records, and no rank
-    reads more than the buffers' capacity (``read_blocks`` refuses a
-    chunk that outgrows ``out``), so the share always fits.
+    left to copy.  The outgoing fixed16 slices are views of the sorted
+    buffer, so the sends are flushed before the merge gathers into it
+    (string slices are front-coded copies).  Each
+    rank's share of a run is at most ``ceil(total / P)`` records, and no
+    rank reads more than the buffers' capacity (``read_blocks`` refuses
+    a chunk that outgrows ``out``), so the share always fits.
     """
     job, comm, rank, model = ctx.job, ctx.comm, ctx.rank, ctx.model
     bufs = ctx.buffers()
@@ -413,8 +415,7 @@ def _distributed_sort_run(ctx: NativeContext, records):
 
     # Slice [positions[d][rank], positions[d+1][rank]) goes to rank d as
     # one message.  Fixed16 wires are views of ``records``; the sender
-    # thread holds them until they are on the wire, so the caller
-    # flushes before it sorts into that buffer again.  Without landing
+    # thread holds them until they are on the wire.  Without landing
     # slots the own slice never takes the wire form: it is delivered,
     # and merged, as the part it is (strings skip the LCP codec).
     counts = [positions[rank + 1][d] - positions[rank][d] for d in range(n_workers)]
@@ -428,6 +429,10 @@ def _distributed_sort_run(ctx: NativeContext, records):
         for d in range(n_workers)
     ]
     received = comm.alltoall(wires, into=slots)
+    if bufs.holds(records):
+        # The sends are views of ``records``, and the merge below
+        # gathers into its buffer.
+        comm.flush()
     peers = [d for d in range(n_workers) if d != rank]
     ctx.stats.note_resident(
         bufs.nbytes + _outside(bufs, model, [records], [
@@ -441,7 +446,8 @@ def _distributed_sort_run(ctx: NativeContext, records):
         for d, buf in enumerate(received)
     ]
     del received, own
-    merged = model.merge(parts, out=_fit(bufs.piece, 0, sum(counts)), scratch=bufs)
+    merged = model.merge(parts, out=_fit(bufs.sorted, 0, sum(counts)),
+                         scratch=bufs)
     ctx.stats.note_resident(bufs.nbytes + 2 * _outside(bufs, model, [merged]))
     ctx.stats.add_counter("internal_sort_sent_records", sum(
         positions[d + 1][rank] - positions[d][rank]
@@ -515,11 +521,7 @@ def run_formation(ctx: NativeContext) -> List[NativeRun]:
                 bufs.nbytes + 2 * _outside(bufs, model, [records])
                 + (wb.queued_bytes() if wb else 0)
             )
-            # The previous run's slices may still be on the wire as views
-            # of the sorted buffer: they must be out before it is written,
-            # which the sort's gather does only once the order is known.
-            records = model.sort(records, out=bufs.sorted, scratch=bufs,
-                                 before_write=comm.flush)
+            records = model.sort(records, out=bufs.sorted, scratch=bufs)
 
             piece = _distributed_sort_run(ctx, records)
             del records
@@ -1032,13 +1034,21 @@ def merge(
     sorted below ``(k*, r*, u*)``.
 
     G is ``piece_blocks - R`` (at least one): batch plus carry fit the
-    M/3 chunk run formation sorts, so a round runs on run formation's
-    fixed buffer set.  A round's units are read into the ``sorted``
-    buffer (the stage), each run's carry copied in front of its fresh
-    units; the emitted cuts are concatenated in ``chunk`` and gathered
-    into ``piece``; the carries then wait in ``chunk`` for the next
-    round's stage.  (Where R outgrows G the stage can overflow; what
-    does not fit is allocated.)  Verification happens in stream:
+    chunk run formation sorts, so a round runs on run formation's fixed
+    buffer set.  A round's units are read into the ``sorted`` buffer
+    (the stage), run by run, each run's carry copied in front of its
+    fresh units, so the stage is in (run, position) order.  The emitted
+    records, ``(key, run) <= (k*, r*)``, are then a prefix of the
+    stage's (key, run, position) order (Guidesort's leave to merge a
+    prediction-ordered batch by sorting it): one stable sort of the
+    whole stage into ``chunk`` orders them, and the round emits its
+    first ``n = Σ cuts`` records.  The carries are copied out of their
+    run regions into ``chunk`` behind those ``n``, where they wait for
+    the next round's stage.  The job's gate keeps R + 1 blocks within
+    the chunk, so a fixed16 stage always fits; a stage that does not
+    fit its buffer — a string one, whose set is empty — is concatenated
+    instead, so both models take the one path.  Verification happens in
+    stream:
     sortedness, count, first/last key and the model's checksum are
     computed as the output is written.  Keys are the model's, so both
     record models get the same merge and the same tie order.
@@ -1144,19 +1154,20 @@ def merge(
             if prefetcher is not None:
                 fetched = {idx: prefetcher.get(idx) for idx in range(lo, hi)}
 
-            bound = guide[hi] if hi < len(guide) else None
-            parts, tails = [], []
-            held = 0
+            # The stage, run by run: each run's carry, then its fresh
+            # units — (run, position) order.
+            pieces, regions = [], []
             at = 0
+            placed = True  # every piece landed in the stage so far
             for r in sorted(carry.keys() | wanted.keys()):
                 start = at
-                pieces = []
-                placed = True  # every piece landed in the stage so far
                 if r in carry:
                     kept = carry.pop(r)
                     dest = _fit(stage, at, len(kept))
                     placed = placed and dest is not None
-                    pieces.append(model.copy(kept, out=dest))
+                    pieces.append(
+                        kept if dest is None else model.copy(kept, out=dest)
+                    )
                     at += len(kept)
                 ids = wanted.get(r, [])
                 if prefetcher is not None:
@@ -1175,39 +1186,52 @@ def merge(
                         placed = placed and dest is not None
                         pieces.append(_read_exactly(store, span, dest))
                         at += span.count
-                if placed:
-                    buf = model.slice(stage, start, at)
-                else:
-                    buf = model.concat(pieces)
-                    held += model.footprint(buf)
-                cut = len(buf)
+                regions.append((r, start, at))
+            whole = model.slice(stage, 0, at) if placed else model.concat(pieces)
+            held = 0 if placed else model.footprint(whole)
+            del pieces
+
+            # Cut every run against the first triple still on disk; the
+            # carry lies in the run's last loaded block, so only that
+            # tail of its region needs searching.
+            bound = guide[hi] if hi < len(guide) else None
+            n = 0
+            tails = []
+            for r, start, stop in regions:
+                cut = stop
                 if bound is not None:
-                    # The carry lies in the last loaded block: only that
-                    # tail of the buffer needs searching.
                     cut = model.cut(
-                        buf, bound[0], "right" if r <= bound[1] else "left",
-                        lo=max(0, len(buf) - block),
+                        whole, bound[0], "right" if r <= bound[1] else "left",
+                        lo=max(start, stop - block), hi=stop,
                     )
-                if cut:
-                    parts.append(model.slice(buf, 0, cut))
-                if cut < len(buf):
-                    tails.append((r, model.slice(buf, cut, len(buf))))
-            n = sum(len(p) for p in parts)
-            batch = model.merge(parts, out=_fit(bufs.piece, 0, n), scratch=bufs)
-            # The chunk is free again: the carries wait there, out of the
-            # stage the next round overwrites.  A carry pins at most its
-            # own block, never the batch it was cut from.
-            at = 0
-            for r, tail in tails:
-                carry[r] = model.copy(tail, out=_fit(bufs.chunk, at, len(tail)))
-                at += len(tail)
+                n += cut - start
+                if cut < stop:
+                    tails.append((r, cut, stop))
+            # The emitted set, (key, run) <= (k*, r*), is a prefix of the
+            # stage's (key, run, position) order: one stable sort of the
+            # whole stage orders it, and its first n records are the batch.
+            ordered = model.sort(
+                whole, out=_fit(bufs.chunk, 0, len(whole)), scratch=bufs
+            )
+            # The carries leave the stage, which the next round
+            # overwrites, for the sorted copy's tail behind the batch.  A
+            # carry pins at most its own block, never the batch it was
+            # cut from.
+            at = n
+            for r, a, b in tails:
+                carry[r] = model.copy(
+                    model.slice(whole, a, b), out=_fit(bufs.chunk, at, b - a)
+                )
+                at += b - a
+            batch = model.slice(ordered, 0, n)
             ctx.stats.note_resident(
                 bufs.nbytes
                 + held
-                + 2 * _outside(bufs, model, [batch])
+                + _outside(bufs, model, [ordered])
                 + (prefetcher.buffered_bytes() if prefetcher else 0)
                 + (wb.queued_bytes() if wb else 0)
             )
+            del whole, ordered
             emit(batch)
             if wb is not None:
                 # The writer owns the batch's buffer now.

@@ -122,19 +122,20 @@ class RecordBuffers:
     """A fixed set of fixed16 working buffers, allocated once per job.
 
     The paper's memory model is one budget M reused run after run, not a
-    stream of fresh allocations: every buffer here holds ``capacity``
-    records (run formation's M/3 chunk) and is reused by every run and
-    every merge round, so steady-state sorting takes no page faults.
+    stream of fresh allocations: every record buffer here holds
+    ``capacity`` records (run formation's M/2 chunk) and is reused by
+    every run and every merge round, so steady-state sorting takes no
+    page faults.  Two record buffers, the words and the probe: 40 bytes
+    per record plus the probe.
 
-    * ``chunk`` — what a read lands in and, once its records are sorted
-      out of it, where a merge's parts lie back to back (the exchange's
-      landing slots); :func:`merge_record_arrays` concatenates into it;
-    * ``sorted`` — a sort's output (the exchange sends views of it);
-    * ``piece`` — a merge's output;
+    * ``chunk`` — what a read lands in; the exchange's landing slots,
+      back to back, which the P-way merge gathers from; a merge round's
+      sorted stage, followed by the carries it keeps for the next round;
+    * ``sorted`` — a sort's output, from which the exchange sends views
+      and the piece is written; a merge round's stage;
     * ``words`` — the packed-word order's ``u64`` words;
-    * ``ramp`` — the positions ``0 .. capacity-1`` the words are built
-      from, filled once;
-    * ``probe`` — a small ``u64`` block the tie scan works through.
+    * ``probe`` — a small ``u64`` block the position ramp and the tie
+      scan work through.
 
     ``RecordBuffers(0)`` is the empty set of a record model whose kernels
     allocate instead (strings).
@@ -144,14 +145,11 @@ class RecordBuffers:
         self.capacity = int(capacity)
         self.chunk = np.empty(self.capacity, dtype=NATIVE_DTYPE)
         self.sorted = np.empty(self.capacity, dtype=NATIVE_DTYPE)
-        self.piece = np.empty(self.capacity, dtype=NATIVE_DTYPE)
         self.words = np.empty(self.capacity, dtype=np.uint64)
-        self.ramp = np.arange(self.capacity, dtype=np.uint64)
         self.probe = np.empty(min(self.capacity, _PROBE_WORDS), dtype=np.uint64)
 
     def _arrays(self) -> List[np.ndarray]:
-        return [self.chunk, self.sorted, self.piece, self.words, self.ramp,
-                self.probe]
+        return [self.chunk, self.sorted, self.words, self.probe]
 
     @property
     def nbytes(self) -> int:
@@ -170,13 +168,18 @@ class RecordBuffers:
     def release(self, part) -> None:
         """Hand the buffer ``part`` lies in to another owner (a
         write-behind thread): the set takes a fresh replacement."""
-        for name in ("chunk", "sorted", "piece"):
+        for name in ("chunk", "sorted"):
             if np.may_share_memory(getattr(self, name), part):
                 setattr(self, name, np.empty(self.capacity, dtype=NATIVE_DTYPE))
 
 
-#: Words of :attr:`RecordBuffers.probe`: the tie scan's block.
+#: Words of :attr:`RecordBuffers.probe`: the block the position ramp
+#: and the tie scan work through.
 _PROBE_WORDS = 1 << 15
+
+#: Positions ``0 .. _PROBE_WORDS-1``: a block's positions are these plus
+#: the block's offset.
+_RAMP = np.arange(_PROBE_WORDS, dtype=np.uint64)
 
 
 def _destination(out: np.ndarray, n: int, *inputs) -> np.ndarray:
@@ -246,9 +249,10 @@ def _packed_order(
     n up to 2^21, narrower at every level for any n below 2^32.
 
     With a ``scratch`` the words are its ``words`` (the permutation comes
-    back as their ``int64`` view) and only prefix ties allocate.
-    ``stable`` sorts the words with timsort, which merges presorted runs
-    (two merge parts) faster than the default sort does.
+    back as their ``int64`` view), the positions are added one probe
+    block at a time, and only prefix ties allocate.  ``stable`` sorts the
+    words with timsort, which merges presorted runs (two merge parts)
+    faster than the default sort does.
     """
     n = len(keys)
     b = (n - 1).bit_length()
@@ -256,14 +260,20 @@ def _packed_order(
     shift = max(0, int(keys.max() - lo).bit_length() - (64 - b))
     if scratch is None:
         words = np.subtract(keys, lo, dtype=np.uint64)
-        ramp = np.arange(n, dtype=np.uint64)
     else:
         words = np.subtract(keys, lo, dtype=np.uint64, out=scratch.words[:n])
-        ramp = scratch.ramp[:n]
     if shift:
         words >>= np.uint64(shift)
     words <<= np.uint64(b)
-    words |= ramp
+    if scratch is None:
+        words |= np.arange(n, dtype=np.uint64)
+    else:
+        step = len(scratch.probe)
+        for at in range(0, n, step):
+            k = min(step, n - at)
+            words[at : at + k] |= np.add(
+                _RAMP[:k], np.uint64(at), out=scratch.probe[:k]
+            )
     words.sort(kind="stable" if stable else None)
     low_bits = np.uint64((1 << b) - 1)
     tied = None
@@ -301,7 +311,6 @@ def sort_records(
     records: np.ndarray,
     out: Optional[np.ndarray] = None,
     scratch: Optional[RecordBuffers] = None,
-    before_write: Optional[Callable[[], None]] = None,
 ) -> np.ndarray:
     """Sort records by key, stable in input position (ties keep order).
 
@@ -311,23 +320,16 @@ def sort_records(
     once along the order :func:`_packed_order` reads off one SIMD sort of
     (key prefix | position) words — the ``scratch``'s, when given and
     large enough — and a second one over the records whose prefixes tie,
-    if any do.  ``before_write`` is called once the order is known, just
-    before ``out`` is first written: run formation waits there for the
-    sends still reading it.
+    if any do.
     """
     keys = records["key"]
     scratch = _fitting(scratch, len(keys))
     dest = None if out is None else _destination(out, len(keys), records)
-    order = None
     if len(keys) >= 2 and not _ascending(keys, scratch):
         # Without a scratch the helper's temporaries die with its frames,
         # before the gather allocates the output: they never add to the
         # sort's peak.
-        order = _packed_order(keys, scratch)
-    if before_write is not None:
-        before_write()
-    if order is not None:
-        return _gather(records, order, dest)
+        return _gather(records, _packed_order(keys, scratch), dest)
     if dest is None:
         return records.copy()
     _copy_records(dest, records)
@@ -1406,7 +1408,8 @@ class RecordModel:
 
     * parts — ``generate``, ``sort``, ``concat``, ``merge`` (stable in
       list order), ``slice``, ``copy``, ``keys``, ``key_at``, ``cut`` (a
-      buffer at a key, ``side`` as in ``searchsorted``), ``is_sorted``,
+      sorted range ``[lo, hi)`` of a buffer at a key, ``side`` as in
+      ``searchsorted``), ``is_sorted``,
       ``checksum``, ``footprint`` (the bytes a part holds in memory, for
       the resident accounting: its records, plus the key column for
       strings);
@@ -1414,7 +1417,11 @@ class RecordModel:
       :class:`RecordBuffers` set; ``sort``, ``merge``, ``copy`` and the
       block store's reads take an ``out`` (and the kernels a
       ``scratch``) from it.  Fixed16 lands every result there; strings
-      get an empty set and ignore both;
+      get an empty set and ignore both.  ``working_copies`` is how many
+      run-sized copies of the records a run holds at its peak, so a run
+      chunk is M / ``working_copies``: fixed16's two record buffers, or
+      a string run's input, sorted copy and merged piece, which its
+      kernels allocate;
     * files — the :class:`~repro.native.blockstore.FileBlockStore` moves
       byte extents; the model maps records to bytes:
       ``boundaries(store, path, tag)`` (record ``i`` of ``path`` starts
@@ -1449,6 +1456,7 @@ class RecordModel:
     name: str = "abstract"
     varlen: bool = False
     nominal_bytes: int = RECORD_BYTES
+    working_copies: int
 
     def read_output(self, path: str):
         raise NotImplementedError
@@ -1470,6 +1478,7 @@ class Fixed16Model(RecordModel):
 
     name = "fixed16"
     varlen = False
+    working_copies = 2
 
     def read_output(self, path: str) -> np.ndarray:
         return np.fromfile(path, dtype=NATIVE_DTYPE)
@@ -1484,9 +1493,8 @@ class Fixed16Model(RecordModel):
     def buffers(self, capacity):
         return RecordBuffers(capacity)
 
-    def sort(self, part, out=None, scratch=None, before_write=None):
-        return sort_records(part, out=out, scratch=scratch,
-                            before_write=before_write)
+    def sort(self, part, out=None, scratch=None):
+        return sort_records(part, out=out, scratch=scratch)
 
     def concat(self, parts):
         return parts[0] if len(parts) == 1 else concat_records(parts)
@@ -1510,8 +1518,8 @@ class Fixed16Model(RecordModel):
     def key_at(self, part, i) -> int:
         return int(part["key"][i])
 
-    def cut(self, part, key, side, lo=0) -> int:
-        return lo + int(np.searchsorted(part["key"][lo:], key, side=side))
+    def cut(self, part, key, side, lo=0, hi=None) -> int:
+        return lo + int(np.searchsorted(part["key"][lo:hi], key, side=side))
 
     def is_sorted(self, part) -> bool:
         keys = part["key"]
@@ -1607,6 +1615,7 @@ class StringModel(RecordModel):
 
     name = "string"
     varlen = True
+    working_copies = 3
 
     def read_output(self, path: str) -> VarlenBatch:
         return read_varlen_file(path)
@@ -1623,7 +1632,7 @@ class StringModel(RecordModel):
     def buffers(self, capacity):
         return RecordBuffers(0)
 
-    def sort(self, part, out=None, scratch=None, before_write=None):
+    def sort(self, part, out=None, scratch=None):
         return part.sort()
 
     def concat(self, parts):
@@ -1648,8 +1657,8 @@ class StringModel(RecordModel):
     def key_at(self, part, i) -> bytes:
         return part.key_at(i)
 
-    def cut(self, part, key, side, lo=0) -> int:
-        return lo + int(np.searchsorted(part.column[lo:], key, side=side))
+    def cut(self, part, key, side, lo=0, hi=None) -> int:
+        return lo + int(np.searchsorted(part.column[lo:hi], key, side=side))
 
     def is_sorted(self, part) -> bool:
         column = part.column

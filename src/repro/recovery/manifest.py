@@ -59,7 +59,10 @@ def job_fingerprint(job) -> str:
     sends) are deliberately excluded: they change *how* the job runs,
     never *what* it computes, so a resume may legally alter them.  So
     is ``config.selection``, which only the simulator reads.  The record
-    model is included: it decides what every journaled key means.
+    model is included: it decides what every journaled key means.  So is
+    the run length, ``chunk_records``: it fixes the chunk schedule, and
+    it follows from M, B and the model only as the sizing rule of the
+    code that wrote the journal does.
     """
     config = job.config
     ident = {
@@ -73,6 +76,7 @@ def job_fingerprint(job) -> str:
         "randomize": bool(config.randomize),
         "seed": int(config.seed),
         "records": str(job.records),
+        "chunk_records": int(job.chunk_records),
     }
     blob = json.dumps(ident, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()[:16]

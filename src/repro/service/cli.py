@@ -42,6 +42,7 @@ def run_serve(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
+        allow_abbrev=False,
         description="Run the persistent sort service over a warm PE pool.",
     )
     parser.add_argument(
@@ -181,6 +182,7 @@ def run_submit(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro submit",
+        allow_abbrev=False,
         description="Submit a sort job to a running sort service.",
     )
     parser.add_argument(
@@ -230,6 +232,7 @@ def run_jobs(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro jobs",
+        allow_abbrev=False,
         description="List jobs, read service stats, cancel, or shut down.",
     )
     parser.add_argument(

@@ -30,6 +30,7 @@ from . import chaos, corpus, differential, properties
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro conformance",
+        allow_abbrev=False,
         description="Differential conformance: sim backend vs native "
         "backend vs np.sort, plus native fault injection.",
     )

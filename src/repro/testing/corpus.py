@@ -15,7 +15,7 @@ Two orthogonal axes:
 * **sizings** (:data:`SIZINGS`) fix the *record counts* relative to the
   memory budget M and block size B — ``N = M ± 1`` record, counts
   straddling a block boundary, the single-run N ≤ M regime, and a
-  many-run configuration close to the two-pass N = O(M²/B) limit.
+  many-run configuration towards the two-pass N = O(M²/B) limit.
 
 Everything is a pure function of ``(name, n, rank, n_ranks, seed)``.
 """
@@ -211,8 +211,10 @@ class Sizing:
 
     All quantities are in *records* (16 bytes each for the native
     backend).  ``memory_records`` is the per-worker budget M; the native
-    backend sizes one run chunk at M/3 records, so the run count R
-    follows from ``n_per_rank`` and these two numbers.
+    backend sizes one run chunk at M / ``working_copies`` records of the
+    record model (M/2 for fixed16, M/3 for strings), so the run count R
+    follows from ``n_per_rank``, these two numbers and the model.  The
+    comments below give R as fixed16 / strings.
     """
 
     name: str
@@ -225,18 +227,20 @@ class Sizing:
 SIZINGS: Dict[str, Sizing] = {
     s.name: s
     for s in [
-        # Baseline: R = 4 runs of M/3 = 128 records each.
+        # Baseline: R = 3 / 4 runs of M/2 = 192 / M/3 = 128 records.
         Sizing("base", 512, 32, 384, "multi-run baseline"),
-        # The memory-budget boundary: one record less / more than M.
+        # The memory-budget boundary: one record less / more than M.  At
+        # 12 / 13 blocks, R = 2 / 3 (fixed16) and 3 / 4 (strings): the
+        # extra record opens a one-block run.
         Sizing("m_minus_1", 383, 32, 384, "N = M - 1 record"),
         Sizing("m_plus_1", 385, 32, 384, "N = M + 1 record"),
         # The block boundary: one record less / more than a whole block.
         Sizing("block_minus_1", 255, 32, 384, "N = 8B - 1 record"),
         Sizing("block_plus_1", 257, 32, 384, "N = 8B + 1 record"),
         # N <= M: the single-run regime (no selection/redistribution work).
-        Sizing("single_run", 128, 32, 384, "one run: N <= M/3 chunk"),
-        # Many runs: close to the two-pass N = O(M^2/B) merge limit.
-        Sizing("many_runs", 2048, 8, 384, "R = 16 runs near the 2-pass limit"),
+        Sizing("single_run", 128, 32, 384, "one run: N <= the run chunk"),
+        # Many runs: R = 11 / 16, towards the two-pass N = O(M^2/B) limit.
+        Sizing("many_runs", 2048, 8, 384, "R = 11 / 16 runs near the 2-pass limit"),
     ]
 }
 
@@ -268,20 +272,24 @@ def ad_hoc_name(n_per_rank: int, block_records: int, memory_records: int) -> str
 
 
 def sizing_feasible(sizing: Sizing, record_bytes: int = 16) -> bool:
-    """Would both backends accept this sizing?  Mirrors the feasibility
-    checks of :class:`repro.native.job.NativeJob` (the merge-buffer
-    two-pass limit with the M/3 run chunk) and the simulator's
-    ``SortConfig.validate`` (R ≤ memory blocks, ≥ 2 keys per block)."""
+    """Would both backends, and both native record models, accept this
+    sizing?  Mirrors the feasibility checks of
+    :class:`repro.native.job.NativeJob` (the merge stage of R + 1 blocks
+    fits the working copies beside one run chunk of M/2 or M/3) and the
+    simulator's ``SortConfig.validate`` (R ≤ memory blocks, ≥ 2 keys per
+    block)."""
     n, b, m = sizing.n_per_rank, sizing.block_records, sizing.memory_records
     if n < 1 or b < 2 or m < b:
         return False
     input_blocks = -(-n // b)
-    # Native: run chunk is M/3 worth of blocks.
-    piece_native = max(1, (m * record_bytes // 3) // (b * record_bytes))
-    runs_native = max(1, -(-input_blocks // piece_native))
-    chunk = piece_native * b
-    if (runs_native * 2 + 4) * b * record_bytes > (m + chunk) * record_bytes:
-        return False
+    # Native: a run chunk is M / working_copies worth of blocks.
+    from ..native.records import MODELS
+
+    for copies in sorted({model.working_copies for model in MODELS.values()}):
+        piece_native = max(1, (m * record_bytes // copies) // (b * record_bytes))
+        runs_native = max(1, -(-input_blocks // piece_native))
+        if runs_native + 1 > (copies - 1) * piece_native:
+            return False
     # Sim: run piece is the full memory in blocks.
     piece_sim = max(1, m // b)
     runs_sim = max(1, -(-input_blocks // piece_sim))

@@ -60,3 +60,23 @@ def test_canonical_still_composes_with_gated_features(tmp_path):
     )
     assert job.checkpointing and job.pipelined
     assert _job(tmp_path, algo="canonical", records="string").varlen
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algo", "striped"],
+    ["--backend", "native", "--algo", "striped"],
+    ["submit", "--connect", "127.0.0.1:1", "--algo", "striped"],
+    ["conformance", "--algo", "striped"],
+    ["--nodes", "2", "--data", "1"],
+    ["jobs", "--connect", "127.0.0.1:1", "--stat"],
+], ids=["main", "native", "submit", "conformance", "data-prefix", "jobs"])
+def test_abbreviated_flags_are_unknown(argv, capsys):
+    """No parser takes a prefix of a long flag: ``--algo striped`` is not
+    ``--algorithm striped`` (the ``--algo`` flag itself is gone), and a
+    shortened flag is an error, not a guess."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,6 +7,7 @@ ENOSPC with a torn write — and asserts the driver surfaces a clean
 kill-at-every-phase-boundary sweep runs nightly (``-m conformance``).
 """
 
+import os
 import time
 
 import numpy as np
@@ -54,6 +55,110 @@ def assert_fails_fast(job, budget=30.0, match=None):
     if match is not None:
         assert match in str(excinfo.value), str(excinfo.value)
     return excinfo.value
+
+
+# ------------------------------------------------- the collector, faked
+
+
+class _FakeProc:
+    """A worker process as ``NativeSorter._collect`` sees it: a sentinel
+    fd that turns readable when it dies, ``is_alive`` and ``exitcode``."""
+
+    def __init__(self):
+        self.sentinel, self._alive = os.pipe()
+        self.exitcode = None
+
+    def is_alive(self):
+        return self._alive is not None
+
+    def die(self, code=-9):
+        os.close(self._alive)
+        self._alive, self.exitcode = None, code
+
+    def close(self):
+        if self._alive is not None:
+            self.die()
+        os.close(self.sentinel)
+
+
+def _collect_with(tmp_path, monkeypatch, setup, grace=0.05):
+    """Run ``_collect`` over two fake workers; ``setup(procs, writers)``
+    puts them in the state under test.  Returns the error it raises."""
+    import multiprocessing as mp
+
+    from repro.native import driver
+
+    monkeypatch.setattr(driver, "DEATH_GRACE_S", grace)
+    procs = [_FakeProc(), _FakeProc()]
+    pipes = [mp.Pipe(duplex=False) for _ in procs]
+    try:
+        setup(procs, [writer for _reader, writer in pipes])
+        sorter = NativeSorter(chaos_job(tmp_path, None))
+        with pytest.raises(NativeSortError) as excinfo:
+            sorter._collect(procs, [reader for reader, _writer in pipes])
+        return excinfo.value
+    finally:
+        for proc in procs:
+            proc.close()
+        for reader, writer in pipes:
+            reader.close()
+            writer.close()
+
+
+_COLLATERAL = ("error", 0, "CommError: peer 1 closed its channel (dead PE)")
+
+
+@pytest.mark.parametrize("eof", [False, True], ids=["open", "eof"])
+def test_collector_blames_the_dead_rank_over_a_collateral_report(
+    tmp_path, monkeypatch, eof
+):
+    """Rank 1 died without a report, and rank 0's report of the dead
+    channel is ready in the same wait: the error names rank 1 and keeps
+    rank 0's report.  Rank 1's result pipe may still be held open by a
+    forked sibling or be at EOF; neither is a report."""
+
+    def setup(procs, writers):
+        writers[0].send(_COLLATERAL)
+        procs[1].die()
+        if eof:
+            writers[1].close()
+
+    err = _collect_with(tmp_path, monkeypatch, setup)
+    assert err.rank == 1
+    assert str(err).startswith("worker 1 died (exit code -9)")
+    assert "dead PE" in str(err)
+
+
+def test_collector_keeps_an_error_no_death_explains(tmp_path, monkeypatch):
+    """A reported error with every other worker alive through the grace,
+    or dead after reporting, is the reporter's own."""
+
+    def alive(procs, writers):
+        writers[0].send(("error", 0, "OSError: [Errno 28] No space left"))
+
+    def reported(procs, writers):
+        alive(procs, writers)
+        writers[1].send(_COLLATERAL[:1] + (1, "CommError: dead PE"))
+        procs[1].die(1)
+
+    for setup in (alive, reported):
+        err = _collect_with(tmp_path, monkeypatch, setup)
+        assert err.rank == 0
+        assert str(err).startswith("worker 0 failed:\nOSError")
+
+
+def test_collector_waits_the_grace_for_a_death(tmp_path, monkeypatch):
+    """The dead rank's sentinel may fire only after its peer's report has
+    been read: the collector waits for it, up to the grace."""
+    import threading
+
+    def setup(procs, writers):
+        writers[0].send(_COLLATERAL)
+        threading.Timer(0.2, procs[1].die).start()
+
+    start = time.monotonic()
+    err = _collect_with(tmp_path, monkeypatch, setup, grace=5.0)
+    assert err.rank == 1 and time.monotonic() - start < 4.0
 
 
 # ------------------------------------------------------------- quick tier

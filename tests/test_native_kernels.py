@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SortConfig
+from repro.core.config import ConfigError, SortConfig
 from repro.native import NativeJob, NativeSorter, native_sort
 from repro.native.blockstore import FileBlockStore
 from repro.native.phases import (
@@ -333,10 +333,24 @@ def test_merge_takes_parts_already_in_place_without_copying():
     bufs.chunk.flags.writeable = False  # any copy into it would raise
     slots = [bufs.chunk[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-    got = merge_record_arrays(slots, out=bufs.piece, scratch=bufs)
+    got = merge_record_arrays(slots, out=bufs.sorted, scratch=bufs)
 
     assert np.array_equal(got, merge_record_arrays(parts))
-    assert _lands_in(got, bufs.piece)
+    assert _lands_in(got, bufs.sorted)
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 1000, 1 << 15, 1 << 17])
+def test_the_fixed_set_holds_40_bytes_per_record_plus_the_probe(capacity):
+    """Two record buffers and the words: 16 + 16 + 8 bytes per record of
+    the run chunk, plus the probe block (at most 32 Ki words), whatever
+    the chunk.  The positions come from a probe-sized ramp, one block at
+    a time, and still order a set of several blocks exactly."""
+    bufs = RecordBuffers(capacity)
+    assert bufs.nbytes <= 40 * capacity + 8 * min(capacity, 1 << 15)
+    if capacity >= 2:
+        order = _packed_order(np.arange(capacity, 0, -1, dtype=np.uint64), bufs)
+        assert np.shares_memory(order, bufs.words)
+        assert np.array_equal(order, np.arange(capacity - 1, -1, -1))
 
 
 @pytest.mark.parametrize("every", [1, 3, 10**6])
@@ -382,27 +396,45 @@ def test_block_reads_into_out_equal_the_allocating_path(tmp_path, name):
 # ------------------------------------------------------------ golden bytes
 
 #: sha256 over both ranks' output files of the sorts below (64 KiB per
-#: rank, M = 32 KiB, R = 7), recorded with the argsort + tie repair sort
-#: and the timsort merge: a new kernel must keep every output byte, tie
-#: order included, at either block size.
+#: rank), per run chunk: 10 KiB (R = 7), recorded with the argsort + tie
+#: repair sort and the timsort merge, and 16 KiB (R = 4).  A new kernel
+#: must keep every output byte, tie order included, at either block
+#: size.  Keys that never tie give one output whatever the runs; the
+#: tie-heavy keys break ties by run, so their bytes follow the chunk.
 _GOLDEN = {
     "tie-heavy": "b2dcb1e2e9bb905155a3bd6e1bc63f77cfb569a5d1aa1d9f4ce874fd8b4b40af",
     "uniform": "4b06d9b1aeadbc6ca109af1b323ffb19728bcd89bff031265e11f7dc8a36d32d",
     "fig6-local-sorted":
         "0f3b74ec36ac45ee02530db62e2239c09895260e5ab8187dff13e3a03cc80bba",
 }
+_GOLDEN_16K = dict(
+    _GOLDEN,
+    **{"tie-heavy":
+       "905b80d0e543ae2570a6b8e8cf3d46733110b459b277e8820c27d029cdfe7364"},
+)
+
+#: id -> (block KiB, M KiB, run chunk in blocks, R, goldens).  At 2 KiB
+#: blocks a 10 KiB chunk holds 5 blocks, too few to stage R = 7 carries
+#: and a fresh block, so the merge gate refuses that job: the 2 KiB
+#: sorts run at 16 KiB chunks, beside 1 KiB ones.
+_GOLDEN_JOBS = {
+    "1": (1, 20, 10, 7, _GOLDEN),
+    "2": (2, 32, 8, 4, _GOLDEN_16K),
+    "1-chunk16k": (1, 32, 16, 4, _GOLDEN_16K),
+}
 
 
-@pytest.mark.parametrize("block_kib", [1, 2])
+@pytest.mark.parametrize("job_id", sorted(_GOLDEN_JOBS))
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_fixed16_sort_output_is_pinned(tmp_path, name, block_kib):
+def test_fixed16_sort_output_is_pinned(tmp_path, name, job_id):
     """Tie-heavy: gensort's duplicate-heavy keys (3548 distinct among
     8192), no randomization.  Uniform: randomized runs of full-range keys.
     Fig. 6: locally sorted input, no randomization, pre-written."""
     KiB = 1024
+    block_kib, memory_kib, piece_blocks, n_runs, golden = _GOLDEN_JOBS[job_id]
     config = SortConfig(
         data_per_node_bytes=64 * KiB,
-        memory_bytes=32 * KiB,
+        memory_bytes=memory_kib * KiB,
         block_bytes=block_kib * KiB,
         randomize=(name == "uniform"),
         seed=3,
@@ -421,28 +453,52 @@ def test_fixed16_sort_output_is_pinned(tmp_path, name, block_kib):
             config, n_workers=2, spill_dir=str(tmp_path),
             skew=(name == "tie-heavy"),
         )
+    assert (result.job.piece_blocks, result.job.n_runs) == (piece_blocks, n_runs)
     assert result.validate().ok
     digest = hashlib.sha256()
     for meta in result.outputs:
         with open(meta.path, "rb") as handle:
             digest.update(handle.read())
-    assert digest.hexdigest() == _GOLDEN[name]
+    assert digest.hexdigest() == golden[name]
+
+
+def test_a_10k_chunk_of_2k_blocks_cannot_stage_seven_runs(tmp_path):
+    """The job the 2 KiB goldens ran before runs went to M/2: 10 KiB
+    chunks of 2 KiB blocks hold 5 blocks, and R = 7 carries plus a fresh
+    block need 8."""
+    with pytest.raises(ConfigError, match="stages"):
+        NativeJob(
+            config=SortConfig(data_per_node_bytes=64 * 1024,
+                              memory_bytes=20 * 1024, block_bytes=2 * 1024),
+            n_workers=2, spill_dir=str(tmp_path),
+        )
 
 
 # ------------------------------------------------------------ phases.merge
 
 
-def _merge_job(spill, n_runs, block, piece_blocks, **knobs):
-    """A feasible single-rank job with R = ``n_runs`` and the given M/3."""
+def _smallest_piece_blocks(model, n_runs):
+    """The smallest run chunk, in blocks, at which the merge gate admits
+    R = ``n_runs``: the stage of R carry blocks and one fresh block fits
+    the working copies beside the chunk the round sorts into."""
+    return -(-(n_runs + 1) // (model.working_copies - 1))
+
+
+def _merge_job(spill, n_runs, block, piece_blocks, records="fixed16",
+               **knobs):
+    """A feasible single-rank job with R = ``n_runs`` and the given run
+    chunk (M / the model's ``working_copies``)."""
+    copies = resolve_model(records).working_copies
     return NativeJob(
         config=SortConfig(
             data_per_node_bytes=n_runs * piece_blocks * block * RECORD_BYTES,
-            memory_bytes=3 * piece_blocks * block * RECORD_BYTES,
+            memory_bytes=copies * piece_blocks * block * RECORD_BYTES,
             block_bytes=block * RECORD_BYTES,
             seed=1,
         ),
         n_workers=1,
         spill_dir=str(spill),
+        records=records,
         **knobs,
     )
 
@@ -579,13 +635,13 @@ def merge_cases(draw):
             SegmentLayout(a, draw(st.integers(0, 2 * block + 1)), b - a, n - b)
         )
     total_units = sum(-(-n // block) + 3 for n in lengths)
-    # From the smallest feasible M (G = 1) to G >= all read units.
-    piece_blocks = draw(st.integers((n_runs + 3) // 2, n_runs + total_units + 1))
     return {
         "lengths": lengths,
         "layouts": layouts,
         "block": block,
-        "piece_blocks": piece_blocks,
+        # Run chunks beyond the smallest the record model admits: from
+        # G = 1 to G >= all read units.
+        "spare_blocks": draw(st.integers(0, total_units)),
         "key_range": draw(st.sampled_from([1, 3, 50, 2**40])),
         "seed": draw(st.integers(0, 2**16)),
         "harvested": draw(st.booleans()),
@@ -606,7 +662,9 @@ def test_merge_is_the_stable_merge_of_the_segments(
     )
     expect = model.merge(segments)
     nbytes = expect.nbytes
-    shape = (case["block"], case["piece_blocks"], case["harvested"])
+    piece_blocks = _smallest_piece_blocks(model, len(segments))
+    shape = (case["block"], piece_blocks + case["spare_blocks"],
+             case["harvested"])
 
     out, meta, store, stats, job = _run_merge(
         tmp_path_factory.mktemp("sync"), segments, *shape,

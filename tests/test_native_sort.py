@@ -414,13 +414,13 @@ def test_samples_sparser_than_a_piece_survive_the_next_run(
 ):
     """A piece's sample is its block-first keys (K = B), so pieces of
     as few blocks as the job allows give samples of as few keys: here
-    two, the smallest at R >= 3 (the merge's buffer gate asks for
-    2R + 4 blocks of M plus one chunk, which one-block chunks never
-    give).  The sample must be a copy: without write-behind the next
-    run's merge gathers into the same piece buffer, and the selection
-    reads the samples only after the last run.  Equal pieces of uniform
-    keys split right even from wrong samples, so the selection also
-    checks every own piece's sample against its file."""
+    four, the smallest at R >= 3 (a merge round stages R carry blocks
+    and a fresh one in a chunk, so the gate asks for R + 1 <=
+    piece_blocks).  The sample must be a copy: without write-behind the
+    next run's merge gathers into the same sorted buffer, and the
+    selection reads the samples only after the last run.  Equal pieces
+    of uniform keys split right even from wrong samples, so the
+    selection also checks every own piece's sample against its file."""
     from repro.native import phases
 
     exact_splits = phases.exact_splits
@@ -435,13 +435,13 @@ def test_samples_sparser_than_a_piece_survive_the_next_run(
                             window)
 
     monkeypatch.setattr(phases, "exact_splits", checked)
-    # 2 KiB blocks, M = 8 blocks (two-block chunks), 6 input blocks.
+    # 2 KiB blocks, M = 8 blocks (four-block chunks), 12 input blocks.
     result = native_sort(
-        native_config(data_per_node_bytes=12 * KiB, memory_bytes=16 * KiB),
+        native_config(data_per_node_bytes=24 * KiB, memory_bytes=16 * KiB),
         n_workers=2, spill_dir=str(tmp_path), timeout=120,
         write_behind_blocks=0,
     )
-    assert result.job.piece_blocks == 2
+    assert result.job.piece_blocks == 4
     assert result.stats.n_runs >= 3
     assert result.validate().ok
     assert _output_sha(result) == _oracle_sha(result.job)

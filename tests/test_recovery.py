@@ -85,6 +85,29 @@ def test_fingerprint_changes_with_the_computation(tmp_path):
     assert job_fingerprint(dc_replace(base, records="string")) != fp
 
 
+def test_a_journal_at_another_run_length_is_refused(tmp_path, monkeypatch):
+    """Same job, same M and B, but the run length an older sizing rule
+    gave (fixed16 runs at M/3, before they went to M/2): the chunk
+    schedule differs, so a resume refuses the journal instead of
+    restoring runs cut at the wrong length."""
+    from repro.native.records import Fixed16Model
+
+    job = make_job(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fixed16Model, "working_copies", 3)
+        assert job.chunk_records == 160
+        old = journal_for(tmp_path, fingerprint=job_fingerprint(job))
+    assert job.chunk_records == 256
+    old.begin_epoch(0)
+    old.generate_done()
+    old.close()
+
+    resume = journal_for(tmp_path, fingerprint=job_fingerprint(job))
+    assert resume.fingerprint != old.fingerprint
+    with pytest.raises(ManifestMismatch, match="refusing"):
+        resume.load_resume()
+
+
 # -- rank journal -------------------------------------------------------------
 
 

@@ -217,9 +217,16 @@ def test_cut_matches_bisect(keys, probe, lo):
     part = batch(srt)
     probes = [probe, _LONG, _LONG + b"\x01"] + srt[:2]
     lo = min(lo, len(srt))
+    hi = max(lo, len(srt) - 1)
     for key in probes:
         assert MODEL.cut(part, key, "left", lo) == bisect_left(srt, key, lo)
         assert MODEL.cut(part, key, "right", lo) == bisect_right(srt, key, lo)
+        assert MODEL.cut(part, key, "left", lo, hi) == bisect_left(
+            srt, key, lo, hi
+        )
+        assert MODEL.cut(part, key, "right", lo, hi) == bisect_right(
+            srt, key, lo, hi
+        )
 
 
 def test_record_bytes_and_columns_convert_across_blocks():
