@@ -105,9 +105,5 @@ class Node:
         """Timed event for a local parallel ``arity``-way merge."""
         return self._charge(self.spec.merge_seconds(n_elements, arity, elem_bytes), tag)
 
-    def scan_compute(self, n_bytes: float, tag: Optional[str] = None) -> Timeout:
-        """Timed event for one linear sweep over ``n_bytes``."""
-        return self._charge(self.spec.scan_seconds(n_bytes), tag)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.node_id} disks={len(self.disks)}>"

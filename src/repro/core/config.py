@@ -142,9 +142,6 @@ class SortConfig:
         """Paper-scale record count of ``n_keys`` simulated keys."""
         return n_keys * self.repr_elems_per_key
 
-    def blocks_to_bytes(self, n_blocks: float) -> float:
-        return n_blocks * self.block_bytes
-
     def total_keys(self, n_nodes: int) -> int:
         """Simulated N (keys over the whole machine)."""
         return self.keys_per_node * n_nodes

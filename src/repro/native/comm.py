@@ -36,10 +36,10 @@ Design notes
   never used.  Each read waits at most the comm timeout, so a peer that
   stops mid-frame is a :class:`CommTimeout`, not a hang.
 
-* **Announced closes.**  ``close()`` sends each peer a GOODBYE before
-  closing its end, so a peer still inside a collective
-  this rank finished tells a deliberate shutdown from a dead PE's
-  silent EOF.  A chaos sever sends none.  :class:`TcpComm` shares this.
+* **Socket ends.**  A duplex ``multiprocessing`` pipe end is one end of
+  an ``AF_UNIX`` socketpair, so :meth:`MeshComm.close` shuts pipe and
+  tcp channels down the same way: ``shutdown(SHUT_RDWR)`` is EOF at the
+  peer and wakes a sender blocked on a full channel.
 
 * **Stash-aware receives.**  A fast peer may already be sending its next
   phase's traffic while a slow peer still owes this phase's message.
@@ -55,7 +55,7 @@ import select
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional
 
-from ..net.framing import KIND_GOODBYE, frame_parts, write_parts
+from ..net.framing import write_parts
 from .comm_api import (
     DEFAULT_PENDING_SENDS,
     DEFAULT_TIMEOUT,
@@ -78,8 +78,9 @@ class PipeComm(MeshComm):
     """Point-to-point and collective communication over a pipe mesh.
 
     ``conns`` maps every peer to this rank's end of their channel: any
-    connected stream with a ``fileno()`` and a ``close()`` (a duplex
-    ``multiprocessing`` pipe end here, a socket for :class:`TcpComm`).
+    connected stream socket with a ``fileno()`` and a ``close()`` (a
+    duplex ``multiprocessing`` pipe end here, a TCP socket for
+    :class:`TcpComm`).
     """
 
     def __init__(
@@ -150,39 +151,5 @@ class PipeComm(MeshComm):
         except OSError:
             pass
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def _close_transport(self) -> None:
-        # Announce the close first: at P > 2 a peer may still be inside
-        # the collective this rank just finished, and must tell this
-        # deliberate shutdown from a dead PE's silent EOF.  Only a sender
-        # thread that has stopped leaves every channel at a frame
-        # boundary; one still blocked mid-write means the protocol failed,
-        # and then peers see the EOF of a dead PE.
-        if self._sender is None or not self._sender.is_alive():
-            for peer in list(self.conns):
-                try:
-                    self._write_goodbye(peer)
-                except OSError:
-                    pass
-        self._sever_transport()
-
-    def _write_goodbye(self, peer: int) -> None:
-        """One GOODBYE frame to ``peer`` that never blocks: a peer that
-        stopped draining may have left the pipe full, and then the write
-        fails (a frame this small goes out in one piece or not at all)."""
-        os.set_blocking(self._fds[peer], False)
-        self._write(peer, frame_parts(KIND_GOODBYE, None))
-
-    def _sever_transport(self) -> None:
-        # No GOODBYE here: a sever *is* the silent loss peers must
-        # diagnose as a dead PE.  Closing the ends is also what reaps a
-        # sender thread still blocked writing to a peer that stopped
-        # draining (a collective raised mid-exchange): its write fails
-        # once the peer's end is closed too, and the thread exits
-        # instead of leaking with the fds pinned.
-        for conn in self.conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _ends(self) -> list:
+        return list(self.conns.values())

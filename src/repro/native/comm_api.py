@@ -49,6 +49,14 @@ arrivals even when the OS-level channel to some peer is full.
 expected message that never arrives raises :class:`CommTimeout` (a
 subclass) after ``timeout`` seconds.  Never a hang.
 
+**Close.**  ``close()`` is one protocol for every transport: a rank
+whose collectives all completed flushes its queued messages with a
+GOODBYE to every peer behind them, so a peer still inside the last
+collective tells a deliberate close from a dead PE's silent EOF; a rank
+whose collective failed sends nothing more.  Then every channel end is
+shut down, which wakes a sender blocked on a full channel, and the
+sender thread is joined once.
+
 The simulator's :class:`repro.cluster.mpi.Comm` is the third party to
 this contract in spirit — same collectives, same epoch discipline — but
 its API is event-driven (rank-parameterized calls returning simulation
@@ -59,6 +67,7 @@ signatures.  The correspondence is documented there.
 from __future__ import annotations
 
 import queue
+import socket
 import threading
 import time
 from collections import deque
@@ -224,11 +233,15 @@ class MeshComm:
       peer's channel is readable (data or EOF), waking early for the
       service interrupt channel too;
 
+    * :meth:`_ends` — every channel end this rank holds: objects with
+      ``fileno()`` (a stream socket's) and ``close()``;
+
     plus optional hooks (``_drop_channel``, ``_on_frame``,
-    ``_close_transport``, ``_sever_transport``, ``_wedge_transport``,
-    ``_on_send_idle``, ``_idle_seconds``, ``_timeout_context``).  The
-    subclass sets its channels up before calling ``__init__``, which
-    starts the sender thread.
+    ``_wedge_transport``, ``_on_send_idle``, ``_idle_seconds``,
+    ``_timeout_context``).  The subclass sets its channels up before
+    calling ``__init__``, which starts the sender thread.  The lifecycle
+    is this class's alone: :meth:`close` and :meth:`sever` shut the
+    ends down and close them.
     """
 
     #: Whether frames carry (and must carry) a CRC: the socket transport's.
@@ -290,6 +303,10 @@ class MeshComm:
         #: EOF is a normal shutdown, not a dead PE.
         self._peer_goodbye = set()
         self._epoch = 0
+        #: The last epoch whose collective completed; behind ``_epoch``
+        #: once a collective failed (see :meth:`close`).
+        self._settled = 0
+        self._closed = False
         #: While an ``alltoall(into=...)`` runs: its epoch, and per peer
         #: the buffer that peer's part lands in (see :meth:`_landing_slot`).
         self._slots: Optional[Tuple[int, Dict[int, memoryview]]] = None
@@ -320,12 +337,6 @@ class MeshComm:
         self.peer_recv: Dict[int, int] = {p: 0 for p in self.peers}
         self._start_sender()
 
-    #: Best-effort bounds used by :meth:`close`.  Class attributes so
-    #: the wedged-sender teardown tests can shrink them instead of
-    #: waiting out three five-second joins.
-    SHUTDOWN_FLUSH_TIMEOUT = 5.0
-    SHUTDOWN_JOIN_TIMEOUT = 5.0
-
     # -- transport primitives (subclass responsibilities) ---------------------
 
     def _write(self, peer: int, parts: list) -> None:
@@ -337,17 +348,14 @@ class MeshComm:
     def _ready_peers(self, timeout: float) -> List[int]:
         raise NotImplementedError
 
+    def _ends(self) -> List:
+        raise NotImplementedError
+
     def _drop_channel(self, peer: int) -> None:
         """Forget a peer that said GOODBYE and then closed (default: none)."""
 
     def _on_frame(self, peer: int, nbytes: int) -> None:
         """A frame of ``nbytes`` arrived from ``peer`` (default: nothing)."""
-
-    def _close_transport(self) -> None:
-        """Release transport resources at :meth:`close` (default: none)."""
-
-    def _sever_transport(self) -> None:
-        """Abruptly drop every channel (chaos hook; default: none)."""
 
     def _wedge_transport(self) -> None:
         """Leave channels half-broken (chaos hook; default: none)."""
@@ -385,9 +393,17 @@ class MeshComm:
                 continue
             if item is None:
                 return
-            if not self._wedged:
+            peer, msg = item
+            if self._wedged:
+                pass
+            elif msg is None:  # the GOODBYE close() queues last
                 try:
-                    self._transmit(*item)
+                    self._write(peer, frame_parts(KIND_GOODBYE, None))
+                except (OSError, CommError):
+                    pass  # that peer left already; the others get theirs
+            else:
+                try:
+                    self._transmit(peer, msg)
                 except BaseException as exc:  # surface on the main thread
                     with self._send_lock:
                         self._send_error = exc
@@ -396,7 +412,7 @@ class MeshComm:
             # Drop the message now: its payload can be a view of a whole
             # run chunk, which must not stay resident until the next
             # message comes along.
-            item = None
+            item = msg = None
             with self._send_lock:
                 self._sent += 1
                 self._send_lock.notify_all()
@@ -573,6 +589,9 @@ class MeshComm:
                 timeout=deadline,
             )
             still_pending = self._enqueued - self._sent
+        if self._send_error is not None or not ok:
+            # A failed flush fails the collective it completes.
+            self._settled = -1
         if self._send_error is not None:
             raise CommError(f"sender thread died: {self._send_error!r}")
         if not ok:
@@ -583,27 +602,61 @@ class MeshComm:
             )
 
     def close(self) -> None:
-        """Flush queued messages, stop the sender thread, close the channels.
+        """Say GOODBYE if the protocol completed, then shut down and close.
 
-        The flush and the join are best effort, bounded by the
-        ``SHUTDOWN_*_TIMEOUT`` class attributes.  A sender still blocked
-        mid-transmit after the join timeout (a collective raised while a
-        peer stopped draining) is *reaped*, not abandoned: closing the
-        transport fails its in-flight write, and a second join collects
-        it.  Leaving it parked forever would leak the thread and pin the
-        channel fds for the life of the process.
+        1. If no collective failed, queue a GOODBYE to every peer still
+           connected behind the queued messages, and flush them all
+           within the comm timeout.  A rank whose collective failed
+           sends nothing more: its peers see the EOF of a dead PE.
+        2. Shut every channel end down.  Its peer sees EOF, and a sender
+           blocked on a full channel wakes with an error.
+        3. Join the sender thread, once, and close the ends.
+
+        The flush cannot deadlock two closing ranks.  A rank flushes
+        only messages of collectives it completed, so a peer that has
+        not read them has not completed that collective.  Such a peer is
+        still inside it and drains its channels, or it failed in it and
+        has shut its ends down.
         """
-        if not self._severed:
+        if self._closed:
+            return
+        self._closed = True
+        if (self._settled == self._epoch and not self._severed
+                and self._send_error is None):
+            for peer in self.peers:
+                if peer not in self._peer_goodbye:
+                    self._enqueued += 1
+                    self._sendq.put((peer, None))
             try:
-                self.flush(timeout=self.SHUTDOWN_FLUSH_TIMEOUT)
+                self.flush()
             except CommError:
                 pass
         self._sendq.put(None)
-        if self._sender is not None:
-            self._sender.join(timeout=self.SHUTDOWN_JOIN_TIMEOUT)
-        self._close_transport()
-        if self._sender is not None and self._sender.is_alive():
-            self._sender.join(timeout=self.SHUTDOWN_JOIN_TIMEOUT)
+        self._shutdown()
+        self._sender.join(self.timeout)
+        for end in self._ends():
+            try:
+                end.close()
+            except OSError:
+                pass
+
+    def _shutdown(self) -> None:
+        """``shutdown(SHUT_RDWR)`` every channel end this rank holds.
+
+        Unlike a close, this acts on the socket itself, whichever
+        process holds a copy: the peer reads EOF, and a thread blocked
+        writing or polling on the end returns."""
+        for end in self._ends():
+            try:
+                sock = socket.socket(fileno=end.fileno())
+            except (OSError, ValueError):
+                continue  # closed already
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            finally:
+                sock.detach()
 
     # -- chaos hooks ----------------------------------------------------------
 
@@ -616,7 +669,7 @@ class MeshComm:
         """
         self._severed = True
         self._sendq.put(None)  # stop the sender even if idle
-        self._sever_transport()
+        self._shutdown()
 
     def wedge(self) -> None:
         """Chaos: stop draining sends without closing anything.
@@ -703,6 +756,7 @@ class MeshComm:
             )
             out[peer] = msg[2]
             need.discard(peer)
+        self._settled = epoch
         return out
 
     def allgather(self, obj) -> List:
@@ -733,6 +787,7 @@ class MeshComm:
             while len(got) < count:
                 got.append(self.recv_match(match)[1][3])
             out[peer] = got
+        self._settled = epoch
         return out
 
     def alltoall(

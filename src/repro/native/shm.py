@@ -27,22 +27,26 @@ asks for out — a payload straight into its ``alltoall`` landing slot
 when one is registered.  A frame larger than the ring flows through in
 pieces while the consumer drains.
 
-Wakeup is condition-based, never a spin: each ring carries two doorbell
-pipes.  The consumer parks on the *data* doorbell (a
-``multiprocessing.connection.wait``-able pipe) after publishing
-``cons_waiting``; the producer rings it only when the flag is up.  A
-producer blocked on a full ring parks symmetrically on the *space*
-doorbell after publishing ``prod_waiting``.  The flag-then-recheck
-handshake on both sides closes the lost-wakeup race; the 8-byte
-head/tail stores are single aligned memcpys (atomic in practice on
-x86-64/aarch64 — the platforms ``fork`` restricts us to).
+Wakeup is condition-based, never a spin: each ring carries one doorbell,
+a duplex ``multiprocessing`` pipe (an ``AF_UNIX`` socketpair) whose
+producer end belongs to the sender's rank and whose consumer end to the
+receiver's.  The consumer parks on its end (a
+``multiprocessing.connection.wait``-able connection) after publishing
+``cons_waiting``; the producer rings it, one byte into its own end, only
+when the flag is up.  A producer blocked on a full ring parks
+symmetrically on its end after publishing ``prod_waiting``, and the
+consumer rings back.  Each direction of the doorbell carries one kind
+of ring.  The flag-then-recheck handshake on both sides closes the
+lost-wakeup race; the 8-byte head/tail stores are single aligned
+memcpys (atomic in practice on x86-64/aarch64 — the platforms ``fork``
+restricts us to).
 
-Failure semantics match the siblings: a peer that dies or severs closes
-its doorbell fds, which the other side observes as EOF and raises
-:class:`CommError`; a *wedged* peer (stops draining, nothing closed)
-leaves the ring full and surfaces as :class:`CommTimeout` through the
-usual flush/exchange deadlines, and one that stops mid-frame as a
-:class:`CommTimeout` of the frame read.
+Failure semantics match the siblings: a rank holds only its own doorbell
+ends, so a peer that dies, severs or closes is EOF on the doorbells here
+and, without a GOODBYE first, a :class:`CommError`; a *wedged* peer
+(stops draining, nothing closed) leaves the ring full and surfaces as
+:class:`CommTimeout` through the usual flush/exchange deadlines, and one
+that stops mid-frame as a :class:`CommTimeout` of the frame read.
 
 Segment lifetime: whoever calls :func:`create_shm_mesh` owns the names
 and must call ``unlink()`` on the returned mesh once the job is over
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -119,42 +122,38 @@ def list_shm_segments(prefix: str = SHM_PREFIX) -> List[str]:
 
 @dataclass
 class ShmRingSpec:
-    """Everything needed to attach one directed ring from any process.
+    """One rank's side of one directed ring, attachable from any process.
 
-    Connections pickle across ``multiprocessing`` channels (fd passing),
-    and the segment is re-attached by name, so a spec can be shipped to
-    a forked worker or through the warm pool's control pipe alike.
+    The doorbell end pickles across ``multiprocessing`` channels (fd
+    passing), and the segment is re-attached by name, so a spec can be
+    shipped to a forked worker or through the warm pool's control pipe
+    alike.
     """
 
     name: str
     capacity: int
-    data_rd: Connection   # consumer parks here (data doorbell)
-    data_wr: Connection   # producer rings it
-    space_rd: Connection  # producer parks here (space doorbell)
-    space_wr: Connection  # consumer rings it
+    #: This side's end of the ring's doorbell: the producer rings data
+    #: and parks for space on it, the consumer the other way round.
+    bell: Connection
     #: True when attaching processes run their own resource tracker
     #: (spawn start method): the attach registration must be dropped or
     #: a worker exit would unlink a segment the driver still owns.
     untrack_on_attach: bool = False
 
-    def close(self) -> None:
-        for conn in (self.data_rd, self.data_wr, self.space_rd, self.space_wr):
-            try:
-                conn.close()
-            except OSError:
-                pass
-
 
 @dataclass
 class ShmChannelSpec:
-    """One rank's pair of directed rings to a single peer."""
+    """One rank's pair of directed rings to a single peer.
+
+    It holds the producer side of the send ring and the consumer side of
+    the receive ring, so the peer's doorbell ends are never in it."""
 
     send: ShmRingSpec
     recv: ShmRingSpec
 
     def close(self) -> None:
-        self.send.close()
-        self.recv.close()
+        self.send.bell.close()
+        self.recv.bell.close()
 
 
 @dataclass
@@ -188,15 +187,17 @@ def create_shm_mesh(
     ring_bytes: int = DEFAULT_RING_BYTES,
     job_tag: int = 0,
 ) -> ShmMesh:
-    """Create rings + doorbells for every directed pair.
+    """Create a ring and its doorbell for every directed pair.
 
-    ``channels[rank][peer]`` holds rank's send ring to ``peer`` and its
-    receive ring from ``peer``.  The caller owns the segment names and
-    must eventually call :meth:`ShmMesh.unlink`.
+    ``channels[rank][peer]`` holds rank's side of its send ring to
+    ``peer`` and of its receive ring from ``peer``: each doorbell end
+    sits in exactly one rank's channels.  The caller owns the segment
+    names and must eventually call :meth:`ShmMesh.unlink`.
     """
     token = uuid.uuid4().hex[:8]
     untrack = getattr(ctx, "get_start_method", lambda: "fork")() == "spawn"
-    rings: Dict[tuple, ShmRingSpec] = {}
+    # (i, j) -> the producer and the consumer side of ring i -> j.
+    rings: Dict[tuple, tuple] = {}
     names: List[str] = []
     for i in range(n_workers):
         for j in range(n_workers):
@@ -209,40 +210,34 @@ def create_shm_mesh(
             _RING_HEADER.pack_into(seg.buf, 0, 0, 0, 0, 0)
             seg.close()
             names.append(name)
-            data_rd, data_wr = ctx.Pipe(duplex=False)
-            space_rd, space_wr = ctx.Pipe(duplex=False)
-            rings[(i, j)] = ShmRingSpec(
-                name=name, capacity=ring_bytes,
-                data_rd=data_rd, data_wr=data_wr,
-                space_rd=space_rd, space_wr=space_wr,
-                untrack_on_attach=untrack,
+            prod, cons = ctx.Pipe(duplex=True)
+            rings[(i, j)] = (
+                ShmRingSpec(name, ring_bytes, prod, untrack),
+                ShmRingSpec(name, ring_bytes, cons, untrack),
             )
-    channels: List[Dict[int, ShmChannelSpec]] = [dict() for _ in range(n_workers)]
-    for i in range(n_workers):
-        for j in range(n_workers):
-            if i == j:
-                continue
-            channels[i][j] = ShmChannelSpec(
-                send=rings[(i, j)], recv=rings[(j, i)]
-            )
+    channels = [
+        {j: ShmChannelSpec(send=rings[(i, j)][0], recv=rings[(j, i)][1])
+         for j in range(n_workers) if j != i}
+        for i in range(n_workers)
+    ]
     return ShmMesh(channels=channels, names=names)
 
 
 # ------------------------------------------------------------ ring endpoints
 
 
-def _ring(doorbell: Connection) -> None:
-    """Ring a doorbell: one raw byte into its pipe."""
+def _ring(bell: Connection) -> None:
+    """Ring the other side of a doorbell: one raw byte into this end."""
     try:
-        os.write(doorbell.fileno(), b"!")
+        os.write(bell.fileno(), b"!")
     except (OSError, ValueError):
         pass  # the other side is gone; its EOF surfaces on our waits
 
 
-def _swallow_rings(doorbell: Connection) -> None:
-    """Drain a doorbell's pending rings; EOFError once its ringer closed."""
-    while doorbell.poll(0):
-        if not os.read(doorbell.fileno(), 4096):
+def _swallow_rings(bell: Connection) -> None:
+    """Drain this end's pending rings; EOFError once the other side left."""
+    while bell.poll(0):
+        if not os.read(bell.fileno(), 4096):
             raise EOFError("doorbell closed")
 
 
@@ -258,19 +253,44 @@ def _attach(spec: ShmRingSpec) -> shared_memory.SharedMemory:
     return seg
 
 
-class _RingProducer:
-    """Send side of one directed ring (sender-thread only)."""
+class _RingEnd:
+    """One side of one directed ring: the mapping and this side's
+    doorbell end.  A channel end as :class:`MeshComm` sees it: its
+    ``fileno()`` is the doorbell's socket, ``close()`` unmaps too."""
 
     def __init__(self, spec: ShmRingSpec):
         self._shm = _attach(spec)
         self._buf = self._shm.buf
         self.capacity = spec.capacity
         self._data = self._buf[_DATA_OFF:_DATA_OFF + spec.capacity]
-        self._doorbell = spec.data_wr
-        self._space = spec.space_rd
+        self.bell = spec.bell
+        self._closed = False
+
+    def fileno(self) -> int:
+        return self.bell.fileno()
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self.bell.close()
+        except OSError:
+            pass
+        try:
+            self._data.release()
+            self._shm.close()
+        except (BufferError, OSError):  # pragma: no cover
+            pass
+
+
+class _RingProducer(_RingEnd):
+    """Send side of one directed ring (sender-thread only)."""
+
+    def __init__(self, spec: ShmRingSpec):
+        super().__init__(spec)
         # The producer is the sole writer of tail: cache it locally.
         self._tail = struct.unpack_from("<Q", self._buf, _TAIL_OFF)[0]
-        self._closed = False
 
     def _head(self) -> int:
         return struct.unpack_from("<Q", self._buf, _HEAD_OFF)[0]
@@ -285,29 +305,29 @@ class _RingProducer:
     def _cons_waiting(self) -> bool:
         return bool(struct.unpack_from("<I", self._buf, _CONS_WAIT_OFF)[0])
 
-    def _wait_space(self, deadline: float, abort) -> None:
-        """Park on the space doorbell until the consumer frees bytes."""
+    def _wait_space(self, deadline: float) -> None:
+        """Park on the doorbell until the consumer frees bytes."""
         struct.pack_into("<I", self._buf, _PROD_WAIT_OFF, 1)
         try:
             if self._free() > 0:  # re-check after raising the flag
                 return
-            abort()
             if time.monotonic() > deadline:
                 raise CommTimeout(
                     "shm ring full and the peer stopped draining "
                     f"(capacity {self.capacity} bytes): wedged consumer"
                 )
             try:
-                if self._space.poll(_WAIT_TICK):
-                    _swallow_rings(self._space)
+                if self.bell.poll(_WAIT_TICK):
+                    _swallow_rings(self.bell)
             except (EOFError, OSError) as exc:
                 raise CommError(
-                    "peer closed its shm space doorbell (dead PE)"
+                    "shm doorbell closed while the ring was full "
+                    "(dead PE, or this rank shut down)"
                 ) from exc
         finally:
             struct.pack_into("<I", self._buf, _PROD_WAIT_OFF, 0)
 
-    def write(self, parts, deadline: float, abort) -> None:
+    def write(self, parts, deadline: float) -> None:
         """Stream ``parts`` (bytes-likes) into the ring, in order.
 
         Publishes tail incrementally — the consumer treats the ring as a
@@ -320,7 +340,7 @@ class _RingProducer:
             while off < n:
                 free = self._free()
                 if free == 0:
-                    self._wait_space(deadline, abort)
+                    self._wait_space(deadline)
                     continue
                 take = min(free, n - off)
                 pos = self._tail % self.capacity
@@ -332,37 +352,16 @@ class _RingProducer:
                 struct.pack_into("<Q", self._buf, _TAIL_OFF, self._tail)
                 off += take
                 if self._cons_waiting():
-                    _ring(self._doorbell)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for conn in (self._doorbell, self._space):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._data.release()
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+                    _ring(self.bell)
 
 
-class _RingConsumer:
+class _RingConsumer(_RingEnd):
     """Receive side of one directed ring (poll-thread only)."""
 
     def __init__(self, spec: ShmRingSpec):
-        self._shm = _attach(spec)
-        self._buf = self._shm.buf
-        self.capacity = spec.capacity
-        self._data = self._buf[_DATA_OFF:_DATA_OFF + spec.capacity]
-        self.doorbell = spec.data_rd
-        self._space = spec.space_wr
+        super().__init__(spec)
         self._head = struct.unpack_from("<Q", self._buf, _HEAD_OFF)[0]
         self.eof = False
-        self._closed = False
 
     def _tail(self) -> int:
         return struct.unpack_from("<Q", self._buf, _TAIL_OFF)[0]
@@ -377,7 +376,7 @@ class _RingConsumer:
     def clear_doorbell(self) -> None:
         """Swallow pending rings; a closed doorbell marks the peer gone."""
         try:
-            _swallow_rings(self.doorbell)
+            _swallow_rings(self.bell)
         except (EOFError, OSError):
             self.eof = True
 
@@ -401,7 +400,7 @@ class _RingConsumer:
             self.set_waiting(1)
             try:
                 if not self.avail():  # re-check after raising the flag
-                    self.doorbell.poll(_WAIT_TICK)
+                    self.bell.poll(_WAIT_TICK)
                     self.clear_doorbell()
             except (EOFError, OSError):
                 self.eof = True
@@ -417,22 +416,7 @@ class _RingConsumer:
         self._head += n
         struct.pack_into("<Q", self._buf, _HEAD_OFF, self._head)
         if struct.unpack_from("<I", self._buf, _PROD_WAIT_OFF)[0]:
-            _ring(self._space)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for conn in (self.doorbell, self._space):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._data.release()
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+            _ring(self.bell)
 
 
 # ------------------------------------------------------------------ ShmComm
@@ -453,10 +437,8 @@ class ShmComm(MeshComm):
         job_tag: int = 0,
         interrupt: Optional[Connection] = None,
         interrupt_tag: int = 0,
-        own_channel_ends: bool = False,
     ):
         self.channels = channels
-        self._closing = threading.Event()
         self._producers: Dict[int, _RingProducer] = {}
         self._consumers: Dict[int, _RingConsumer] = {}
         try:
@@ -464,24 +446,9 @@ class ShmComm(MeshComm):
                 self._producers[peer] = _RingProducer(chan.send)
                 self._consumers[peer] = _RingConsumer(chan.recv)
         except Exception:
-            self._teardown_endpoints()
+            for end in self._ends():
+                end.close()
             raise
-        if own_channel_ends:
-            # Process-per-rank usage (worker processes, pool PEs): the
-            # specs arrived pickled, so this process holds duplicated
-            # fds of *both* sides' doorbell ends.  Drop the peer's ends
-            # so a dead peer turns into doorbell EOF here instead of a
-            # timeout.  Threaded harnesses share the spec objects
-            # between endpoints and must keep the default (False).
-            for chan in channels.values():
-                for conn in (
-                    chan.send.data_rd, chan.send.space_wr,
-                    chan.recv.data_wr, chan.recv.space_rd,
-                ):
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
         super().__init__(
             rank,
             n_workers,
@@ -497,14 +464,8 @@ class ShmComm(MeshComm):
 
     # -- byte channel ---------------------------------------------------------
 
-    def _abort_send(self) -> None:
-        if self._closing.is_set() or self._severed:
-            raise CommError(f"rank {self.rank}: shm transport closed")
-
     def _write(self, peer: int, parts: list) -> None:
-        self._producers[peer].write(
-            parts, time.monotonic() + self.timeout, self._abort_send
-        )
+        self._producers[peer].write(parts, time.monotonic() + self.timeout)
 
     def _read_into(self, peer: int, view: memoryview) -> int:
         return self._consumers[peer].read_into(view, self.timeout)
@@ -525,7 +486,7 @@ class ShmComm(MeshComm):
         try:
             if any(cons.avail() for cons in live):
                 return ready()
-            waits = [cons.doorbell for cons in live]
+            waits = [cons.bell for cons in live]
             if self._interrupt is not None:
                 waits.append(self._interrupt)
             if not waits:
@@ -540,27 +501,15 @@ class ShmComm(MeshComm):
             for cons in live:
                 cons.set_waiting(0)
         for cons in live:
-            if cons.doorbell in rung:
+            if cons.bell in rung:
                 cons.clear_doorbell()
         return ready()
 
-    # -- lifecycle / chaos ----------------------------------------------------
+    def _drop_channel(self, peer: int) -> None:
+        self._consumers.pop(peer).close()
 
-    def _teardown_endpoints(self) -> None:
-        for prod in self._producers.values():
-            prod.close()
-        for cons in self._consumers.values():
-            cons.close()
-
-    def _close_transport(self) -> None:
-        # Unblock a sender parked on a full ring first (it checks the
-        # closing event every wait tick), then drop every endpoint.
-        # Without a goodbye, peers observe doorbell EOF at their next
-        # park, exactly like a died PE — which is what a sever is.
-        self._closing.set()
-        self._teardown_endpoints()
-
-    _sever_transport = _close_transport
+    def _ends(self) -> list:
+        return [*self._producers.values(), *self._consumers.values()]
 
     def _timeout_context(self) -> str:
         full = [

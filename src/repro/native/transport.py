@@ -30,9 +30,11 @@ __all__ = ["LocalMesh", "local_mesh", "open_comm"]
 class LocalMesh:
     """A same-host job's full mesh, built before its workers start.
 
-    ``endpoints[rank]`` maps every peer to rank's end of their channel;
-    each end pickles across ``multiprocessing`` (fd passing), so it can
-    ride a ``Process`` argument or the pool's control pipe alike.
+    ``endpoints[rank]`` maps every peer to rank's end of their channel:
+    a pipe end, or rank's side of the two rings with its doorbell ends.
+    Every fd belongs to exactly one rank's endpoints.  Each end pickles
+    across ``multiprocessing`` (fd passing), so it can ride a ``Process``
+    argument or the pool's control pipe alike.
     """
 
     endpoints: List[Dict[int, object]]
@@ -44,18 +46,15 @@ class LocalMesh:
         """Rank ``rank``'s endpoints, in a worker forked after the mesh
         was built.
 
-        A forked worker inherits every rank's pipe ends.  Each pipe end
-        belongs to one rank, so the worker closes the ends of the other
-        ranks: a peer that closes its end, or dies, is then EOF here at
-        once, not silence until the job timeout.  This is the pipe twin
-        of shm's ``own_channel_ends``; shm ring specs are shared between
-        the two ranks of a channel, so they stay open here.
+        A forked worker inherits every rank's ends and closes those of
+        the other ranks: a peer that dies is then EOF here at once, not
+        silence until the job timeout.  A worker that receives its ends
+        through the pool's control pipe gets only its own to begin with.
         """
-        if self.shm is None:
-            for other, per_rank in enumerate(self.endpoints):
-                if other != rank:
-                    for end in per_rank.values():
-                        end.close()
+        for other, per_rank in enumerate(self.endpoints):
+            if other != rank:
+                for end in per_rank.values():
+                    end.close()
         return self.endpoints[rank]
 
     def close_parent_ends(self) -> None:
@@ -116,15 +115,9 @@ def open_comm(
         interrupt_tag=interrupt_tag,
     )
     if job.transport == "tcp":
-        from ..net.tcp import TcpComm
-
-        return TcpComm(rank, job.n_workers, endpoints, **common)
-    if job.transport == "shm":
-        from .shm import ShmComm
-
-        # The specs arrived pickled, so this process holds both sides'
-        # doorbell ends; owning them drops the peer's.
-        return ShmComm(
-            rank, job.n_workers, endpoints, own_channel_ends=True, **common
-        )
-    return PipeComm(rank, job.n_workers, endpoints, **common)
+        from ..net.tcp import TcpComm as comm_class
+    elif job.transport == "shm":
+        from .shm import ShmComm as comm_class
+    else:
+        comm_class = PipeComm
+    return comm_class(rank, job.n_workers, endpoints, **common)

@@ -33,7 +33,6 @@ from ..native.comm import PipeComm
 from ..native.comm_api import DEFAULT_PENDING_SENDS, DEFAULT_TIMEOUT
 from .framing import (
     FRAME_HEADER,
-    KIND_GOODBYE,
     KIND_HEARTBEAT,
     KIND_MSG,
     MAGIC,
@@ -109,7 +108,7 @@ class TcpComm(PipeComm):
         return self.heartbeat_s
 
     def _on_send_idle(self) -> None:
-        if self._wedged or self._severed:
+        if self._wedged or self._severed or self._closed:
             return
         for peer in list(self.socks):
             try:
@@ -129,29 +128,7 @@ class TcpComm(PipeComm):
         listing = ", ".join(f"{p} ({age:.1f}s ago)" for p, age in silent)
         return f"; peers silent past the heartbeat: {listing}"
 
-    # -- lifecycle / chaos ----------------------------------------------------
-
-    def _write_goodbye(self, peer: int) -> None:
-        # A peer that stopped draining may have left the socket buffer
-        # full, so the goodbye is time-bounded rather than blocking.
-        self.socks[peer].settimeout(1.0)
-        self._write(peer, frame_parts(KIND_GOODBYE, None))
-
-    def _sever_transport(self) -> None:
-        # No GOODBYE here — a sever *is* the silent network loss peers
-        # must diagnose as a dead PE.  shutdown() — unlike close() —
-        # wakes a sender thread still blocked in sendmsg on the socket
-        # (its write fails with EPIPE), so shutdown's join can reap it.
-        for sock in list(self.socks.values()):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self.socks.clear()
+    # -- chaos ----------------------------------------------------------------
 
     def _wedge_transport(self) -> None:
         # A valid header promising meta bytes that will never arrive:

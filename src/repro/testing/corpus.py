@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -324,9 +324,3 @@ def full_matrix() -> List[Tuple[str, str]]:
         for entry in entry_names()
         for sizing in sorted(SIZINGS)
     ]
-
-
-def iter_cases(matrix: Iterable[Tuple[str, str]]):
-    """Resolve (entry-name, sizing-name) pairs to corpus objects."""
-    for entry_name, sizing_name in matrix:
-        yield ENTRIES[entry_name], SIZINGS[sizing_name]

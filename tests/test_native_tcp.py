@@ -133,15 +133,22 @@ def test_chaos_kill_over_tcp_fails_fast(tmp_path):
     assert verdict["ok"], verdict
 
 
-@pytest.mark.parametrize("transport", ["pipe", "tcp", "shm"])
-def test_chaos_sever_fails_fast_without_torn_outputs(tmp_path, transport):
+@pytest.mark.parametrize("transport,n_workers", [
+    pytest.param(t, p, id=t if p == 2 else f"{t}-p{p}")
+    for p in (2, 3) for t in ("pipe", "tcp", "shm")
+])
+def test_chaos_sever_fails_fast_without_torn_outputs(
+    tmp_path, transport, n_workers
+):
     """A severed peer is EOF on every channel, well before the job
-    timeout: the budget is a small fraction of it.  A pipe worker that
-    kept the other ranks' inherited pipe ends open saw the sever only
-    at the timeout."""
+    timeout: the budget is a small fraction of it.  A worker that kept
+    the other ranks' inherited ends open saw the sever only at the
+    timeout; at P = 3 it also needs the third rank, whose own channel
+    is intact, to fail fast."""
     verdict = run_chaos_case(
         ChaosSpec(rank=0, sever_comm_at="before:all_to_all"),
         str(tmp_path / "spill"),
+        n_workers=n_workers,
         job_timeout=60.0,
         budget=5.0,
         transport=transport,

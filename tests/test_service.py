@@ -297,20 +297,41 @@ class TestShmTransportJobs:
     def test_shm_job_matches_pipe_job_bitwise(self, tmp_path):
         """A ``transport: shm`` spec runs on the warm pool over
         shared-memory rings and produces byte-identical output."""
+        self.check_shm_batch(tmp_path, n_workers=2, n_seeds=1)
+
+    def test_three_pe_shm_batch_is_done_and_matches_pipe(self, tmp_path):
+        """At P = 3 a rank that leaves the final barrier closes while
+        another is still in it, so every job of the batch checks that a
+        closed peer's GOODBYE is not taken for a dead PE.  The ring ends
+        reach these workers through the control pipe, not by fork."""
+        self.check_shm_batch(tmp_path, n_workers=3, n_seeds=24)
+
+    @staticmethod
+    def check_shm_batch(tmp_path, n_workers, n_seeds):
+        """``n_seeds`` shm jobs on a pool of ``n_workers`` all reach DONE,
+        the first matches its pipe twin byte for byte, and ``/dev/shm``
+        is clean afterwards."""
         from repro.native.shm import list_shm_segments
 
         before = set(list_shm_segments())
+        spec = dict(SMALL, n_workers=n_workers)
         with SortService(
-            pool_size=2, spill_root=str(tmp_path / "svc"), listen=None
+            pool_size=n_workers, spill_root=str(tmp_path / "svc"), listen=None
         ) as svc:
-            shm = svc.wait(svc.submit(dict(SMALL, transport="shm")), timeout=120)
-            pipe = svc.wait(svc.submit(dict(SMALL, transport="pipe")), timeout=120)
-            assert shm.state == "DONE", shm.error
+            shm_ids = [
+                svc.submit(dict(spec, transport="shm", seed=spec["seed"] + k))
+                for k in range(n_seeds)
+            ]
+            pipe = svc.wait(svc.submit(dict(spec, transport="pipe")), timeout=120)
+            shms = [svc.wait(job_id, timeout=120) for job_id in shm_ids]
+            assert [s.state for s in shms] == ["DONE"] * n_seeds, [
+                s.error for s in shms if s.state != "DONE"
+            ]
             assert pipe.state == "DONE", pipe.error
-            assert output_bytes(shm.job, shm.result.outputs) == (
+            assert output_bytes(shms[0].job, shms[0].result.outputs) == (
                 output_bytes(pipe.job, pipe.result.outputs)
             )
-            # The attempt finalized: its ring segments are already gone.
+            # The attempts finalized: their ring segments are already gone.
             assert set(list_shm_segments()) - before == set()
         assert set(list_shm_segments()) - before == set()
 
