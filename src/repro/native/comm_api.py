@@ -115,7 +115,7 @@ class CommTimeout(CommError):
 
 
 class JobInterrupted(CommError):
-    """The owning service interrupted this job (cancel or peer failure).
+    """The owning service interrupted this job (cancel or shutdown).
 
     Raised out of a comm operation on a warm-pool worker when the
     service posts an interrupt for the job currently running; the

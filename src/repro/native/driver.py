@@ -19,15 +19,18 @@ all sorting happens inside :mod:`repro.native.worker`.  Three transports
   driver waits for externally launched ``python -m repro worker`` PEs
   (other terminals, other hosts).
 
-Failure handling is transport-blind — one collector reads every result
-channel: a worker that reports an error, a torn or wedged result
-message, or a death without a report all raise
-:class:`NativeSortError` well inside the timeout.  When the job
-checkpoints (``max_restarts > 0`` or ``checkpoint=True``) the failure
-instead feeds a supervisor loop (see :mod:`repro.recovery`): the driver
-re-runs the job at an incremented epoch, the respawned workers resume
-from their manifests at the last globally completed phase boundary, and
-the stale frames of the dead attempt are fenced off by epoch.
+Failure handling is one rule, shared with the sort service
+(:class:`Attempt`): the attempt fails at its first own failure — a
+worker's error report, a death without a result, an unreadable result
+or the deadline — and the driver then stops every worker that has not
+settled (SIGTERM), waits for their exits and blames by how each rank
+ended: a rank that ended by itself without a result first, then the
+reporting rank, then the deadline.  When the job checkpoints
+(``max_restarts > 0`` or ``checkpoint=True``) the failure instead feeds
+a supervisor loop (see :mod:`repro.recovery`): the driver re-runs the
+job at an incremented epoch, the respawned workers resume from their
+manifests at the last globally completed phase boundary, and the stale
+frames of the dead attempt are fenced off by epoch.
 """
 
 from __future__ import annotations
@@ -35,12 +38,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import shutil
+import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait as conn_wait
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.config import SortConfig
 from ..core.stats import SortStats, WorkerStats
@@ -52,60 +56,26 @@ from .transport import LocalMesh, local_mesh
 from .worker import tcp_worker_main, worker_main
 
 __all__ = [
+    "Attempt",
     "NativeSorter",
     "NativeSortResult",
     "NativeSortError",
     "native_sort",
-    "assemble_result",
-    "check_result_payload",
 ]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-#: How long the driver looks for a sibling that died without reporting
-#: once a worker has reported an error: a kill makes its peers fail on
-#: the dead channel, and the survivor's report can arrive before the
-#: dead worker's process sentinel fires.
-DEATH_GRACE_S = 1.0
+#: How long past the job's own ``timeout`` a supervisor waits for an
+#: attempt before it stops it.  Every receive inside a PE is bounded by
+#: ``timeout``, so a live attempt fails or finishes well before; the
+#: grace covers a PE that never gets to a receive (or a rendezvous).
+DEADLINE_GRACE_S = 30.0
 
 #: How long the driver will wait for the *rest* of a result message once
 #: its first bytes have arrived.  Results are small; if a complete
 #: message does not materialize in this window the worker died mid-send
 #: (a torn/wedged result pipe) and the job must fail fast, not hang.
 RESULT_RECV_TIMEOUT = 10.0
-
-
-def assemble_result(
-    job: NativeJob, results: List[tuple], total_time: float
-) -> NativeSortResult:
-    """Fold per-rank ``("ok", ...)`` payloads into one sort result.
-
-    Shared by the single-shot driver and the sort service's scheduler —
-    both collect the same worker reports, whatever channel carried them.
-    """
-    workers: List[WorkerStats] = []
-    outputs: List[OutputMeta] = []
-    input_checksum = 0
-    n_runs = 0
-    for payload in results:
-        _tag, stats, out_meta, chk, worker_runs = payload
-        workers.append(stats)
-        outputs.append(out_meta)
-        input_checksum = (input_checksum + chk) & _MASK
-        n_runs = max(n_runs, worker_runs)
-    outputs.sort(key=lambda m: m.rank)
-
-    stats = SortStats(workers=workers)
-    stats.total_time = total_time
-    stats.n_runs = n_runs
-    stats.total_records = job.total_records
-    stats.record_bytes = job.record_bytes
-    return NativeSortResult(
-        job=job,
-        stats=stats,
-        outputs=outputs,
-        input_checksum=input_checksum,
-    )
 
 
 def _cleanup_spill(job: NativeJob) -> None:
@@ -140,33 +110,6 @@ class NativeSortError(RuntimeError):
     def __init__(self, message: str, rank: Optional[int] = None):
         super().__init__(message)
         self.rank = rank
-
-
-def check_result_payload(rank: int, payload) -> tuple:
-    """Return rank ``rank``'s ``("ok", ...)`` report, or raise.
-
-    An ``("error", rank, traceback)`` report raises the worker's own
-    failure; anything else that is not a well-shaped report raises as
-    malformed.  The driver's collector and the service's result routing
-    both apply it to what a worker sent.
-    """
-    if (
-        not isinstance(payload, tuple)
-        or not payload
-        or payload[0] not in ("ok", "error")
-        or (payload[0] == "ok" and len(payload) != 5)
-        or (payload[0] == "error" and len(payload) != 3)
-    ):
-        raise NativeSortError(
-            f"worker {rank} sent a malformed result: {payload!r}",
-            rank=rank,
-        )
-    if payload[0] == "error":
-        raise NativeSortError(
-            f"worker {payload[1]} failed:\n{payload[2]}",
-            rank=int(payload[1]),
-        )
-    return payload
 
 
 @dataclass
@@ -246,6 +189,147 @@ class NativeSortResult:
         _cleanup_spill(self.job)
 
 
+class Attempt:
+    """One attempt of one job, as its supervisor sees it.
+
+    Both supervisors — :class:`NativeSorter` over the processes it
+    forked and :class:`~repro.service.daemon.SortService` over its warm
+    pool — feed it how each rank ended, and it alone decides the
+    outcome.  Per rank, exactly one of:
+
+    * :meth:`received` — a message on the rank's result channel: its
+      result, or an error report;
+    * :meth:`ended` — the rank ended without a readable result (death,
+      EOF, a torn frame).
+
+    The attempt has :attr:`failed` at its first own failure: an error
+    report, an end without a result, or :meth:`expire` at the
+    :attr:`deadline`.  Every phase ends in a collective, so the other
+    ranks can only stall from then on: the supervisor stops those still
+    :attr:`pending` (:meth:`stop`, then SIGTERM), waits for their exits,
+    feeds them in and asks for the :meth:`outcome`.  Blame follows how each
+    rank ended: a rank that ended by itself without a result first (its
+    peers' reports of the dead channel are collateral), otherwise the
+    first reporting rank, otherwise the deadline.  A rank the
+    supervisor stopped is never blamed.  No grace is needed to get this
+    right: a dead PE's exit status is fixed before the kernel closes its
+    fds, so a peer's report of the EOF cannot overtake the death, and a
+    SIGTERM that lands on a rank already dying leaves its own status in
+    place — which is how :meth:`ended` tells the two apart.
+    """
+
+    def __init__(self, job: NativeJob, started: float):
+        self.job = job
+        self.started = started
+        self.deadline = started + job.timeout + DEADLINE_GRACE_S
+        self._results: Dict[int, tuple] = {}
+        #: (rank, message) of each error report, in arrival order.  Only
+        #: text is kept: a stored exception that is raised again would
+        #: tie this attempt, through its traceback, into a cycle.
+        self._reports: List[Tuple[int, str]] = []
+        #: Ranks that ended by themselves without a result, and how.
+        self._lost: Dict[int, str] = {}
+        self._stopped: Set[int] = set()
+        self._settled: Set[int] = set()
+        #: The ranks still pending when the deadline passed, if it did.
+        self._expired: Optional[List[int]] = None
+
+    @property
+    def pending(self) -> List[int]:
+        """Ranks that have neither reported nor ended."""
+        return [r for r in range(self.job.n_workers) if r not in self._settled]
+
+    @property
+    def failed(self) -> bool:
+        return bool(self._reports or self._lost) or self._expired is not None
+
+    def received(self, rank: int, payload) -> None:
+        """Rank ``rank`` sent ``payload``: an ``("ok", ...)`` result or
+        an ``("error", rank, traceback)`` report; anything else is a
+        malformed result, reported against the rank."""
+        self._settled.add(rank)
+        kind = payload[0] if isinstance(payload, tuple) and payload else None
+        if kind == "ok" and len(payload) == 5:
+            self._results[rank] = payload
+        elif kind == "error" and len(payload) == 3:
+            self._reports.append(
+                (int(payload[1]), f"worker {payload[1]} failed:\n{payload[2]}")
+            )
+        else:
+            self._reports.append(
+                (rank, f"worker {rank} sent a malformed result: {payload!r}")
+            )
+
+    def ended(self, rank: int, exitcode: Optional[int],
+              why: Optional[str] = None) -> None:
+        """Rank ``rank`` ended without a readable result: ``exitcode``
+        is its exit status (None without a process, e.g. an external tcp
+        worker), ``why`` what its channel showed.  A rank :meth:`stop`
+        signalled whose status is that signal was stopped; any other end
+        is the rank's own."""
+        self._settled.add(rank)
+        if rank in self._stopped and exitcode == -signal.SIGTERM:
+            return
+        self._lost[rank] = why or (
+            f"worker {rank} died (exit code {exitcode}) without reporting "
+            "a result"
+        )
+
+    def expire(self) -> None:
+        """The deadline passed with ranks still pending."""
+        if self._expired is None:
+            self._expired = self.pending
+
+    def stop(self) -> List[int]:
+        """Mark every pending rank not yet stopped as stopped and return
+        them; the supervisor sends each a SIGTERM."""
+        fresh = [r for r in self.pending if r not in self._stopped]
+        self._stopped.update(fresh)
+        return fresh
+
+    def outcome(self, total_time: float) -> NativeSortResult:
+        """The attempt's result, or the :class:`NativeSortError` that
+        blames it (see the class docstring for the order)."""
+        if self._lost:
+            rank, why = next(iter(self._lost.items()))
+            if self._reports:
+                why += f"; collateral: {self._reports[0][1]}"
+            raise NativeSortError(why, rank=rank)
+        if self._reports:
+            rank, report = self._reports[0]
+            raise NativeSortError(report, rank=rank)
+        if self._expired is not None:
+            raise NativeSortError(
+                f"timed out after {self.deadline - self.started:.0f}s "
+                f"waiting for workers {self._expired}"
+            )
+        return self._assemble(total_time)
+
+    def _assemble(self, total_time: float) -> NativeSortResult:
+        """Fold the per-rank results, in rank order, into one result."""
+        job = self.job
+        workers: List[WorkerStats] = []
+        outputs: List[OutputMeta] = []
+        input_checksum = 0
+        n_runs = 0
+        for rank in sorted(self._results):
+            _tag, stats, out_meta, chk, worker_runs = self._results[rank]
+            workers.append(stats)
+            outputs.append(out_meta)
+            input_checksum = (input_checksum + chk) & _MASK
+            n_runs = max(n_runs, worker_runs)
+        outputs.sort(key=lambda m: m.rank)
+        stats = SortStats(workers=workers)
+        stats.total_time = total_time
+        stats.n_runs = n_runs
+        stats.total_records = job.total_records
+        stats.record_bytes = job.record_bytes
+        return NativeSortResult(
+            job=job, stats=stats, outputs=outputs,
+            input_checksum=input_checksum,
+        )
+
+
 class NativeSorter:
     """Run CANONICALMERGESORT with ``n_workers`` OS processes as PEs."""
 
@@ -277,13 +361,8 @@ class NativeSorter:
                 else:
                     result = self._run_local(attempt)
             except NativeSortError as exc:
-                epoch = attempt.epoch
-                if job.checkpointing and policy.record_failure(
-                    epoch, exc.rank, str(exc)
-                ):
-                    attempt = dc_replace(
-                        job, epoch=epoch + 1, suspect_ranks=policy.suspects()
-                    )
+                attempt = policy.retry(attempt, exc)
+                if attempt is not None:
                     continue
                 if job.cleanup_on_abort:
                     # Best effort only: the job is lost either way, and
@@ -314,7 +393,7 @@ class NativeSorter:
         mesh = local_mesh(self._ctx, job)
         result_pipes = [self._ctx.Pipe(duplex=False) for _ in range(job.n_workers)]
         procs: List = []
-        start = time.monotonic()
+        attempt = Attempt(job, time.monotonic())
         try:
             for rank in range(job.n_workers):
                 procs.append(self._spawn(
@@ -325,13 +404,13 @@ class NativeSorter:
             mesh.close_parent_ends()
             for _reader, writer in result_pipes:
                 writer.close()
-            results = self._collect(procs, [r for r, _w in result_pipes])
+            self._supervise(attempt, procs, [r for r, _w in result_pipes])
         finally:
             self._reap(procs)
             for reader, _writer in result_pipes:
                 reader.close()
             mesh.release()
-        return assemble_result(job, results, time.monotonic() - start)
+        return attempt.outcome(time.monotonic() - attempt.started)
 
     def _run_tcp(self, job: NativeJob) -> NativeSortResult:
         """Rendezvous-based execution over the socket transport."""
@@ -350,7 +429,7 @@ class NativeSorter:
                 for rank in range(job.n_workers):
                     procs.append(self._spawn(
                         rank, tcp_worker_main, coordinator.addr,
-                        connect_timeout=job.timeout + 30.0,
+                        connect_timeout=job.timeout + DEADLINE_GRACE_S,
                     ))
             else:
                 # External PEs need the endpoint to dial; port may be
@@ -373,149 +452,90 @@ class NativeSorter:
                             rank=rank,
                         )
 
-            deadline = time.monotonic() + job.timeout + 30.0
             try:
                 socks = coordinator.wait_for_workers(
-                    job, deadline, health=health if procs else None
+                    job, start + job.timeout + DEADLINE_GRACE_S,
+                    health=health if procs else None,
                 )
             except NativeSortError:
                 raise
             except Exception as exc:
                 raise NativeSortError(f"rendezvous failed: {exc}") from exc
             channels = [ResultChannel(socks[r]) for r in range(job.n_workers)]
-            results = self._collect(procs, channels)
+            # The sort's own deadline starts once the mesh is up: external
+            # workers may take a while to dial in.
+            attempt = Attempt(job, time.monotonic())
+            self._supervise(attempt, procs, channels)
         finally:
             self._reap(procs)
             for channel in channels:
                 channel.close()
             coordinator.close()
-        return assemble_result(job, results, time.monotonic() - start)
+        return attempt.outcome(time.monotonic() - start)
 
-    def _collect(self, procs, conns) -> List[tuple]:
-        """Wait for every worker's result; fail fast on error or death.
+    def _supervise(self, attempt: Attempt, procs, conns) -> None:
+        """Run ``attempt`` to its end: collect every rank, and at the
+        first failure stop the rest.
 
         ``conns[rank]`` is rank's result channel — a pipe end, or a
         :class:`~repro.net.rendezvous.ResultChannel` over its rendezvous
-        socket; both offer ``fileno`` / ``poll`` / ``recv``.  Hardened
-        against the ways a worker can die *unhelpfully*:
+        socket; both offer ``fileno`` / ``poll`` / ``recv``.  The wait
+        covers each pending rank's channel *and* its process sentinel:
+        under the fork start method sibling workers inherit each other's
+        result-pipe write ends, so a dead worker's pipe shows no EOF
+        while a sibling lives, but its sentinel fires at once.
+        Externally launched workers (``procs`` empty) have no sentinel;
+        TCP turns their death into EOF on the socket.
 
-        * **death without EOF** — under the fork start method sibling
-          workers inherit each other's pipe write-ends, so a dead
-          worker's result pipe never signals EOF while any sibling
-          lives.  The wait therefore includes each pending worker's
-          process *sentinel*: death wakes the driver immediately.
-          Externally launched workers (``procs`` empty) have none; a
-          dead one surfaces as EOF on its socket, which TCP delivers on
-          process death.
-        * **torn / wedged result message** — a worker killed mid-send
-          can leave a partial frame behind; a bare ``recv`` would block
-          forever on it.  Every ``recv`` runs under
-          :data:`RESULT_RECV_TIMEOUT` (see :meth:`_read_result`).
-        * **collateral errors** — a dead worker's peers fail on its
-          channel and report that, sometimes before its sentinel fires.
-          An error report is therefore held for up to
-          :data:`DEATH_GRACE_S` while the other pending workers settle;
-          if one of them died without reporting, the failure names it,
-          with the report as the collateral it is (see
-          :meth:`_blame_silent_death`).
+        Once :attr:`Attempt.failed`, the pending ranks are stopped
+        (:meth:`Attempt.stop`, then SIGTERM with escalation) and, after
+        their exits, whatever their channels hold is fed in: no writer
+        is left, so those reads cannot block.  Without ``procs`` there
+        is nothing to stop, and the first failure decides.
         """
-        deadline = time.monotonic() + self.job.timeout + 30.0
-        pending = dict(enumerate(conns))
-        results: List[tuple] = []
-        while pending:
-            remaining = deadline - time.monotonic()
+        while attempt.pending and not attempt.failed:
+            remaining = attempt.deadline - time.monotonic()
             if remaining <= 0:
-                alive = (
-                    [r for r in sorted(pending) if procs[r].is_alive()]
-                    if procs else "external"
-                )
-                raise NativeSortError(
-                    f"timed out waiting for workers {sorted(pending)} "
-                    f"(still alive: {alive})"
-                )
-            by_conn = {id(c): r for r, c in pending.items()}
-            sentinels = [procs[r].sentinel for r in pending] if procs else []
-            ready = conn_wait(
-                list(pending.values()) + sentinels,
+                attempt.expire()
+                break
+            pending = attempt.pending
+            conn_wait(
+                [conns[r] for r in pending]
+                + [procs[r].sentinel for r in pending if procs],
                 timeout=min(1.0, remaining),
             )
-            # Results first: a worker that reported and exited promptly
-            # trips both its channel and its sentinel — that is a success.
-            got_result = False
-            for obj in ready:
-                rank = by_conn.get(id(obj))
-                if rank is None or rank not in pending:
-                    continue
-                results.append(self._take(procs, pending, rank))
-                got_result = True
-            if got_result or not procs:
-                continue
-            for rank in list(pending):
-                proc = procs[rank]
-                if proc.is_alive():
-                    continue
-                if pending[rank].poll(0):
-                    # Death after (or during) the send: drain what there
-                    # is — _read_result turns a torn frame into an error.
-                    results.append(self._take(procs, pending, rank))
-                else:
-                    raise NativeSortError(
-                        f"worker {rank} died (exit code {proc.exitcode}) "
-                        "without reporting a result",
-                        rank=rank,
-                    )
-        return results
+            for rank in pending:
+                self._settle(attempt, procs, conns[rank], rank)
+        if procs and attempt.stop():
+            self._reap(procs)
+            for rank in attempt.pending:
+                self._settle(attempt, procs, conns[rank], rank)
 
-    def _take(self, procs, pending, rank: int) -> tuple:
-        """Pop ``rank``'s result off ``pending`` and return its report.
+    def _settle(self, attempt: Attempt, procs, conn, rank: int) -> None:
+        """Feed ``attempt`` how ``rank`` ended, if it has.
 
-        A report of an error raises — naming the worker that died
-        without reporting instead, if one does within the grace
-        (:meth:`_blame_silent_death`).
+        The channel is read first: a worker that reported and exited
+        promptly trips both its channel and its sentinel, and that is a
+        result.  A readable channel that yields no message ends the
+        rank: a torn or wedged frame with that reason, a dead worker's
+        clean EOF as a death without a result.
         """
-        payload = self._read_result(procs, pending.pop(rank), rank)
-        try:
-            return check_result_payload(rank, payload)
-        except NativeSortError as report:
-            self._blame_silent_death(procs, pending, report)
-            raise
-
-    def _blame_silent_death(self, procs, pending, report: NativeSortError):
-        """Raise for a pending worker that dies without a result within
-        :data:`DEATH_GRACE_S`; return once none can any more.
-
-        ``report`` is the error another worker reported.  The grace ends
-        early once every pending worker has exited.  A dead worker whose
-        channel holds a readable result reported and is not blamed; one
-        whose channel is empty, closed or torn died silently, and the
-        error names it, quoting ``report`` as collateral.
-        """
-        if not procs:
-            return
-        until = time.monotonic() + DEATH_GRACE_S
-        settled = set()
-        while True:
-            for rank, conn in pending.items():
-                proc = procs[rank]
-                if rank in settled or proc.is_alive():
-                    continue
-                settled.add(rank)
-                if conn.poll(0):
-                    try:
-                        self._read_result(procs, conn, rank)
-                        continue
-                    except NativeSortError:
-                        pass  # EOF or a torn frame: no report
-                raise NativeSortError(
-                    f"worker {rank} died (exit code {proc.exitcode}) without "
-                    f"reporting a result; collateral: {report}",
-                    rank=rank,
-                ) from report
-            alive = [procs[r].sentinel for r in pending if r not in settled]
-            left = until - time.monotonic()
-            if not alive or left <= 0:
+        dead = bool(procs) and not procs[rank].is_alive()
+        if conn.poll(0):
+            try:
+                attempt.received(rank, self._read_result(procs, conn, rank))
                 return
-            conn_wait(alive, timeout=left)
+            except NativeSortError as exc:
+                # A dead worker's clean EOF holds no report: its exit
+                # says how it ended.  A torn frame says more.
+                if not (dead and isinstance(exc.__cause__, EOFError)):
+                    attempt.ended(
+                        rank, procs[rank].exitcode if procs else None,
+                        str(exc),
+                    )
+                    return
+        if dead:
+            attempt.ended(rank, procs[rank].exitcode)
 
     def _read_result(self, procs, conn, rank: int):
         """One result ``recv`` that cannot hang the driver; returns the
@@ -557,7 +577,7 @@ class NativeSorter:
                 f"worker {rank} result unreadable: {box['exc']!r} "
                 f"(worker {status()})",
                 rank=rank,
-            )
+            ) from box["exc"]
         return box["payload"]
 
     @staticmethod
@@ -590,8 +610,8 @@ def native_sort(
 ) -> NativeSortResult:
     """Convenience one-call native sort (generate, sort, return result).
 
-    ``transport`` picks the interconnect substrate (``"pipe"`` or
-    ``"tcp"``, see :mod:`repro.net`); ``prefetch_blocks`` /
+    ``transport`` picks the interconnect substrate: ``"pipe"``,
+    ``"shm"`` or ``"tcp"`` (docs/TRANSPORT.md); ``prefetch_blocks`` /
     ``write_behind_blocks`` enable the pipelined I/O layer
     (:mod:`repro.native.pipeline`); both default to 0, the synchronous
     path.  ``max_restarts`` / ``checkpoint`` enable the recovery

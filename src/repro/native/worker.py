@@ -57,13 +57,9 @@ def _chaos_point(
         job.chaos.at_point(rank, point, result_conn=result_conn, comm=comm)
 
 
-def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
-                persistent: bool = False) -> None:
-    """The four phases over an established mesh; reports, never raises.
-
-    ``persistent``: the comm and the result channel outlive this call
-    (the caller closes them), so the final teardown skips both.
-    """
+def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn) -> None:
+    """The four phases over an established mesh; reports, never raises,
+    and closes the comm and the result channel whatever the outcome."""
 
     def at(point: str) -> None:
         _chaos_point(job, rank, point, result_conn, comm=comm)
@@ -229,15 +225,14 @@ def _run_phases(rank: int, job: NativeJob, comm: Comm, result_conn,
                 journal.close()
             except Exception:
                 pass
-        if not persistent:
-            try:
-                comm.close()
-            except Exception:
-                pass
-            try:
-                result_conn.close()
-            except Exception:
-                pass
+        try:
+            comm.close()
+        except Exception:
+            pass
+        try:
+            result_conn.close()
+        except Exception:
+            pass
 
 
 def worker_main(

@@ -1,14 +1,15 @@
-"""Driver-side restart policy: how many epochs a job may burn.
+"""Restart policy: how many epochs a job may burn.
 
-The :class:`~repro.native.driver.NativeSorter` supervisor loop consults
-a :class:`RestartPolicy` after each failed attempt.  The policy records
-the failure (epoch, suspect rank, first line of the error) and answers
-one question: may we try again?  The accumulated
+Both supervisors — the :class:`~repro.native.driver.NativeSorter` loop
+and the sort service's scheduler — take one step after each failed
+attempt, :meth:`RestartPolicy.retry`.  The policy records the failure
+(epoch, suspect rank, first line of the error) and answers one
+question: may we try again, and with which job?  The accumulated
 :class:`RestartEvent` log rides into ``SortStats`` so ``--json``
 reports show exactly what the job survived.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 
@@ -45,6 +46,21 @@ class RestartPolicy:
             error=(first_line[0] if first_line else "")[:240],
         ))
         return self.restarts_used <= self.max_restarts
+
+    def retry(self, job, error):
+        """The next attempt after ``job`` failed with ``error``, or None.
+
+        Only a checkpointing job restarts: the failure is recorded and,
+        while the budget allows, the job runs again at ``epoch + 1`` with
+        the rank ``error`` implicates suspect (it CRC-verifies its
+        retained spill state before it resumes)."""
+        if not job.checkpointing or not self.record_failure(
+            job.epoch, error.rank, str(error)
+        ):
+            return None
+        return replace(
+            job, epoch=job.epoch + 1, suspect_ranks=self.suspects()
+        )
 
     def suspects(self) -> tuple:
         """Ranks implicated by the most recent failure (best effort)."""

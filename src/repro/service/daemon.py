@@ -32,12 +32,18 @@ randomization may ship in its all-to-all — :func:`.jobs.job_costs`).  The head
 until it fits — jobs whose combined cost exceeds a budget are thereby
 *provably serialized*, and nothing ever starves.
 
-**Failure handling** applies the recovery subsystem per job: a worker
-death (or error report) fails only the attempt it was running; the
-job's own :class:`~repro.recovery.supervisor.RestartPolicy` decides
-whether it re-queues (at the *front*, epoch + 1, implicated rank marked
-suspect) or fails for good.  The dead worker is respawned and the pool
-keeps serving every other job throughout.
+**Failure handling** is the one-shot driver's rule, applied per
+attempt through the same :class:`~repro.native.driver.Attempt`: a
+worker's error report, its death without a result, or the deadline
+fails only the attempt it was running; the attempt's other workers
+are stopped at once (SIGTERM) and respawned like any dead worker, and
+the rank that ended by itself is blamed over its peers' reports of
+the dead channel.  The job's own
+:class:`~repro.recovery.supervisor.RestartPolicy` then decides whether
+it re-queues (at the *front*, epoch + 1, implicated rank marked
+suspect) or fails for good.  A cancel interrupts the job's workers
+instead, so they unwind inside their warm processes.  The pool keeps
+serving every other job throughout.
 """
 
 from __future__ import annotations
@@ -46,16 +52,12 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as conn_wait
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..native.blockstore import purge_namespace
-from ..native.driver import (
-    NativeSortError,
-    assemble_result,
-    check_result_payload,
-)
+from ..native.driver import Attempt, NativeSortError
 from ..recovery.supervisor import RestartPolicy
 from .jobs import (
     ADMITTED,
@@ -77,31 +79,15 @@ from .stats import ServiceStats
 
 __all__ = ["SortService"]
 
-#: Grace beyond a job's own timeout before the scheduler declares an
-#: attempt wedged and interrupts it; one more grace period later the
-#: still-busy workers are killed outright (their deaths then unwind the
-#: attempt through the normal sentinel path).
-ATTEMPT_GRACE = 30.0
-KILL_GRACE = 15.0
-
 
 @dataclass
-class _Attempt:
-    """One dispatch of one job onto a set of pool workers."""
+class _Dispatch:
+    """One attempt of one job on a set of pool workers."""
 
     seq: int
     job_id: str
-    epoch: int
     handles: Dict[int, WorkerHandle]  # rank -> handle
-    outstanding: Set[int]  # ranks still owing a result
-    started: float
-    deadline: float
-    results: Dict[int, tuple] = field(default_factory=dict)
-    failed: bool = False
-    fail_rank: Optional[int] = None
-    fail_error: str = ""
-    interrupted: bool = False
-    killed: bool = False
+    attempt: Attempt
 
 
 class SortService:
@@ -130,7 +116,7 @@ class SortService:
         self._lock = threading.RLock()
         self._jobs: Dict[str, ServiceJob] = {}
         self._queue: "deque[ServiceJob]" = deque()
-        self._attempts: Dict[int, _Attempt] = {}
+        self._attempts: Dict[int, _Dispatch] = {}
         self._next_num = 1
         self._next_seq = 1
         self._reserved_mem = 0
@@ -199,6 +185,7 @@ class SortService:
                 num=num,
                 label=str(spec.get("label", "")),
                 job=native,
+                attempt_job=native,
                 mem_cost=mem_cost,
                 spill_cost=spill_cost,
                 policy=RestartPolicy(native.max_restarts),
@@ -258,9 +245,9 @@ class SortService:
                     pass
                 self._finish_terminal(job, CANCELLED, "cancelled while queued")
             else:
-                for attempt in self._attempts.values():
-                    if attempt.job_id == job_id:
-                        self._interrupt_attempt(attempt)
+                for run in self._attempts.values():
+                    if run.job_id == job_id:
+                        self._interrupt(run)
             state = job.state
         self._wake()
         return state
@@ -276,12 +263,12 @@ class SortService:
     def worker_pids(self, job_id: str) -> List[int]:
         """PIDs of the pool workers currently running ``job_id``."""
         with self._lock:
-            for attempt in self._attempts.values():
-                if attempt.job_id == job_id:
+            for run in self._attempts.values():
+                if run.job_id == job_id:
                     return [
                         h.pid
-                        for h in attempt.handles.values()
-                        if h.busy_seq == attempt.seq
+                        for h in run.handles.values()
+                        if h.busy_seq == run.seq
                     ]
         return []
 
@@ -296,9 +283,9 @@ class SortService:
                 job = self._queue.popleft()
                 job.cancel_requested = True
                 self._finish_terminal(job, CANCELLED, "service shut down")
-            for attempt in self._attempts.values():
-                self._jobs[attempt.job_id].cancel_requested = True
-                self._interrupt_attempt(attempt)
+            for run in self._attempts.values():
+                self._jobs[run.job_id].cancel_requested = True
+                self._interrupt(run)
         self._wake()
         self._scheduler.join(timeout=timeout)
         if self._server is not None:
@@ -365,7 +352,7 @@ class SortService:
                 for handle in list(self.pool.handles):
                     if not handle.proc.is_alive():
                         self._worker_died(handle)
-                self._check_deadlines()
+                self._supervise()
 
     def _drain_ctrl(self, handle: WorkerHandle) -> None:
         while True:
@@ -389,73 +376,48 @@ class SortService:
         rank = handle.job_rank
         if handle.busy_seq == seq:
             handle.mark_idle()
-        attempt = self._attempts.get(seq)
-        if attempt is None or rank is None or rank not in attempt.outstanding:
+        run = self._attempts.get(seq)
+        if run is None or rank not in run.attempt.pending:
             return  # late report from an attempt already torn down
-        attempt.outstanding.discard(rank)
-        try:
-            attempt.results[rank] = check_result_payload(rank, payload)
-        except NativeSortError as exc:
-            self._fail_attempt(attempt, exc.rank, str(exc))
-        if not attempt.outstanding:
-            self._finalize_attempt(attempt)
+        run.attempt.received(rank, payload)
 
     def _worker_died(self, handle: WorkerHandle) -> None:
-        seq, rank = handle.busy_seq, handle.job_rank
-        pid, code = handle.pid, handle.proc.exitcode
+        seq, rank, code = handle.busy_seq, handle.job_rank, handle.proc.exitcode
         handle.mark_idle()
         self.pool.respawn(handle)
-        if seq is None:
-            return
-        attempt = self._attempts.get(seq)
-        if attempt is None or rank not in attempt.outstanding:
-            return
-        attempt.outstanding.discard(rank)
-        death = f"pool worker died mid-job (pid {pid}, exit code {code})"
-        if attempt.failed and not attempt.killed:
-            # A surviving peer's "closed its pipe" CommError may race in
-            # ahead of the sentinel; the death is the root cause, so it
-            # wins the attribution (unless *we* killed the worker past
-            # the deadline grace, where the timeout message stands).
-            attempt.fail_rank = rank
-            attempt.fail_error = death
-        self._fail_attempt(attempt, rank, death)
-        if not attempt.outstanding:
-            self._finalize_attempt(attempt)
+        run = self._attempts.get(seq) if seq is not None else None
+        if run is not None and rank in run.attempt.pending:
+            run.attempt.ended(rank, code)
 
-    def _fail_attempt(self, attempt: _Attempt, rank: Optional[int],
-                      error: str) -> None:
-        if not attempt.failed:
-            attempt.failed = True
-            attempt.fail_rank = rank
-            attempt.fail_error = error
-        self._interrupt_attempt(attempt)
+    def _interrupt(self, run: _Dispatch) -> None:
+        """Ask the attempt's pending workers to abort it (cancel,
+        shutdown): they unwind in their warm processes and report."""
+        for rank in run.attempt.pending:
+            self.pool.interrupt(run.handles[rank], run.seq)
 
-    def _interrupt_attempt(self, attempt: _Attempt) -> None:
-        if attempt.interrupted:
-            return
-        attempt.interrupted = True
-        for handle in attempt.handles.values():
-            if handle.busy_seq == attempt.seq:
-                self.pool.interrupt(handle, attempt.seq)
+    def _supervise(self) -> None:
+        """Apply the one attempt rule (:class:`Attempt`) to every
+        running attempt, after this step's results and deaths are in.
 
-    def _check_deadlines(self) -> None:
+        At the attempt's first own failure its pending workers are
+        stopped with SIGTERM; the sentinel pass respawns them and feeds
+        their exits in.  A cancelled job's workers were interrupted
+        instead, so their reports stop nothing — only the deadline does.
+        An attempt with no rank pending is finalized.
+        """
         now = time.monotonic()
-        for attempt in list(self._attempts.values()):
-            if now >= attempt.deadline and not attempt.failed:
-                self._fail_attempt(
-                    attempt, None,
-                    f"attempt timed out after "
-                    f"{attempt.deadline - attempt.started:.0f}s",
-                )
-            if now >= attempt.deadline + KILL_GRACE and not attempt.killed:
-                attempt.killed = True
-                for handle in attempt.handles.values():
-                    if (
-                        handle.busy_seq == attempt.seq
-                        and handle.proc.is_alive()
-                    ):
-                        handle.proc.terminate()
+        for run in list(self._attempts.values()):
+            attempt = run.attempt
+            late = now >= attempt.deadline
+            if late:
+                attempt.expire()
+            if late or (
+                attempt.failed and not self._jobs[run.job_id].cancel_requested
+            ):
+                for rank in attempt.stop():
+                    self.pool.terminate(run.handles[rank])
+            if not attempt.pending:
+                self._finalize_attempt(run)
 
     def _try_admit(self) -> None:
         """Strict-FIFO admission: the head blocks until it fits.
@@ -492,68 +454,54 @@ class SortService:
             job.admitted = now
             job.admission_wait = now - job.created
             self.stats.note_admission_wait(job.admission_wait)
+        if job.started is None:
+            job.started = now
         self._reserved_mem += job.mem_cost
         self._reserved_spill += job.spill_cost
         seq = self._next_seq
         self._next_seq += 1
-        native = job.attempt_job()
-        attempt = _Attempt(
-            seq=seq,
-            job_id=job.id,
-            epoch=job.epoch,
-            handles=dict(enumerate(handles)),
-            outstanding=set(range(native.n_workers)),
-            started=now,
-            deadline=now + native.timeout + ATTEMPT_GRACE,
+        run = _Dispatch(
+            seq=seq, job_id=job.id, handles=dict(enumerate(handles)),
+            attempt=Attempt(job.attempt_job, now),
         )
-        self._attempts[seq] = attempt
+        self._attempts[seq] = run
         try:
-            self.pool.dispatch(native, seq, job.id, handles)
+            self.pool.dispatch(job.attempt_job, seq, job.id, handles)
         except Exception as exc:  # a worker died in the dispatch window
-            dispatched = {
-                rank
-                for rank, h in attempt.handles.items()
-                if h.busy_seq == seq
-            }
-            attempt.outstanding = dispatched
-            self._fail_attempt(attempt, None, f"dispatch failed: {exc}")
-            if not attempt.outstanding:
-                self._finalize_attempt(attempt)
+            for rank, handle in run.handles.items():
+                if handle.busy_seq != seq:
+                    run.attempt.ended(
+                        rank, None, f"dispatch to worker {rank} failed: {exc}"
+                    )
             return
         job.state = RUNNING
-        if job.started is None:
-            job.started = now
         self.stats.dispatches += 1
 
-    def _finalize_attempt(self, attempt: _Attempt) -> None:
-        self._attempts.pop(attempt.seq, None)
+    def _finalize_attempt(self, run: _Dispatch) -> None:
+        self._attempts.pop(run.seq, None)
         # Whatever the outcome, the attempt's shm mesh (if its job ran
-        # the shm transport) is done: unlink the segment names now.  A
-        # straggler PE still attached keeps its mapping until it closes.
-        self.pool.release_mesh(attempt.seq)
-        job = self._jobs[attempt.job_id]
+        # the shm transport) is done: unlink the segment names now.
+        self.pool.release_mesh(run.seq)
+        job = self._jobs[run.job_id]
         self._reserved_mem = max(0, self._reserved_mem - job.mem_cost)
         self._reserved_spill = max(0, self._reserved_spill - job.spill_cost)
-        if attempt.failed:
+        try:
+            result = run.attempt.outcome(time.monotonic() - job.started)
+        except NativeSortError as exc:
             if job.cancel_requested:
                 self._finish_terminal(job, CANCELLED, "cancelled while running")
-            elif job.job.checkpointing and job.policy.record_failure(
-                attempt.epoch, attempt.fail_rank, attempt.fail_error
-            ):
-                # Restart: back to the *front* of the queue at the next
-                # epoch — recovery must never starve behind new arrivals.
-                self.stats.restarts += 1
-                job.epoch = attempt.epoch + 1
-                job.suspects = job.policy.suspects()
-                job.state = QUEUED
-                self._queue.appendleft(job)
-            else:
-                self._finish_terminal(job, FAILED, attempt.fail_error)
+                return
+            retry = job.policy.retry(run.attempt.job, exc)
+            if retry is None:
+                self._finish_terminal(job, FAILED, str(exc))
+                return
+            # Restart: back to the *front* of the queue at the next
+            # epoch — recovery must never starve behind new arrivals.
+            self.stats.restarts += 1
+            job.attempt_job = retry
+            job.state = QUEUED
+            self._queue.appendleft(job)
             return
-        ordered = [attempt.results[rank] for rank in sorted(attempt.results)]
-        result = assemble_result(
-            job.attempt_job(), ordered, time.monotonic() - job.started
-        )
         result.stats.restarts = job.policy.restarts_used
         result.stats.recovery_events = job.policy.to_dicts()
         report = result.validate()

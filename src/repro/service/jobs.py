@@ -207,12 +207,14 @@ class ServiceJob:
     id: str
     num: int
     label: str
-    job: NativeJob  # identity-stamped template; epoch applied per attempt
+    job: NativeJob  # identity-stamped template
+    #: The job of the next (or running) attempt: ``job`` until a
+    #: restart, then what the restart policy made of the failed one
+    #: (``epoch + 1``, suspects).
+    attempt_job: NativeJob
     mem_cost: int
     spill_cost: int
     state: str = QUEUED
-    epoch: int = 0
-    suspects: tuple = ()
     cancel_requested: bool = False
     error: Optional[str] = None
     #: The assembled NativeSortResult on DONE (library callers read the
@@ -232,14 +234,6 @@ class ServiceJob:
     def namespace(self) -> str:
         return self.job.spill_namespace
 
-    def attempt_job(self) -> NativeJob:
-        """The NativeJob for the *current* attempt (epoch + suspects)."""
-        if self.epoch == 0 and not self.suspects:
-            return self.job
-        return dc_replace(
-            self.job, epoch=self.epoch, suspect_ranks=tuple(self.suspects)
-        )
-
     def snapshot(self, queue_position: Optional[int] = None) -> dict:
         """JSON-safe status view (what ``status``/``jobs`` return)."""
         out = {
@@ -251,7 +245,7 @@ class ServiceJob:
             "mem_cost_bytes": self.mem_cost,
             "spill_cost_bytes": self.spill_cost,
             "namespace": self.namespace,
-            "epoch": self.epoch,
+            "epoch": self.attempt_job.epoch,
             "restarts": self.policy.restarts_used,
             "cancel_requested": self.cancel_requested,
             "created_at": self.created_wall,

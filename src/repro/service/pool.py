@@ -10,9 +10,10 @@ to the scheduler:
   ``payload`` is exactly the tuple a single-shot worker would have sent
   on its result pipe;
 * a one-way **interrupt pipe** — the scheduler drops a dispatch
-  sequence number in to abort the matching job mid-phase (cancel, peer
-  failure, deadline); the worker's comm polls it between messages and
-  raises :class:`~repro.native.comm_api.JobInterrupted`.
+  sequence number in to abort the matching job mid-phase (cancel,
+  service shutdown); the worker's comm polls it between messages and
+  raises :class:`~repro.native.comm_api.JobInterrupted`, so the job
+  unwinds and the warm process lives on.
 
 The mesh is **fresh per job**: at dispatch time the scheduler builds
 the job's pipe pairs or shm rings with the one-shot driver's own
@@ -27,9 +28,10 @@ impossible.  What *is* reused — the point of the pool — is the warm
 process: an imported interpreter, hot numpy, and the two control
 channels.
 
-A worker that dies (chaos kill, crash) is detected by the scheduler via
-its process sentinel and replaced with a fresh process under a new
-worker id; the pool never shrinks.
+A worker that dies (chaos kill, crash, or the scheduler's own SIGTERM
+when the attempt it was running failed elsewhere, :meth:`WarmPool.terminate`)
+is detected by the scheduler via its process sentinel and replaced
+with a fresh process under a new worker id; the pool never shrinks.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ class WorkerHandle:
     busy_since: Optional[float] = None
     jobs_run: int = 0
     busy_seconds: float = 0.0
+    #: Sent SIGTERM (:meth:`WarmPool.terminate`): dispatch nothing more
+    #: to it, even if it reports before it dies.
+    terminated: bool = False
 
     @property
     def pid(self) -> Optional[int]:
@@ -202,7 +207,10 @@ class WarmPool:
         )
 
     def idle_handles(self) -> List[WorkerHandle]:
-        return [h for h in self.handles if h.idle and h.proc.is_alive()]
+        return [
+            h for h in self.handles
+            if h.idle and not h.terminated and h.proc.is_alive()
+        ]
 
     def dispatch(self, job: NativeJob, seq: int, job_id: str,
                  handles: List[WorkerHandle]) -> None:
@@ -247,6 +255,12 @@ class WarmPool:
             handle.interrupt.send(seq)
         except (OSError, ValueError):
             pass
+
+    def terminate(self, handle: WorkerHandle) -> None:
+        """Stop ``handle``'s process (SIGTERM) mid-job; the scheduler
+        sees it die like any other worker and respawns it."""
+        handle.terminated = True
+        handle.proc.terminate()
 
     def respawn(self, handle: WorkerHandle) -> WorkerHandle:
         """Replace a dead worker in place; returns the new handle."""

@@ -732,6 +732,31 @@ def _svc_output_bytes(result) -> bytes:
     return b"".join(chunks)
 
 
+def _service_case(fault: str, spill_root: str, budget: float, body) -> dict:
+    """Run ``body(spill, issues)`` in a fresh directory under
+    ``spill_root`` and turn it into a verdict: ``ok`` when it logged no
+    issue and took at most ``budget`` seconds; the outcome is what
+    ``body`` returned, or the issues."""
+    import shutil
+    import tempfile
+
+    start = time.monotonic()
+    spill = tempfile.mkdtemp(prefix="service-", dir=spill_root)
+    issues: List[str] = []
+    outcome = ""
+    try:
+        outcome = body(spill, issues)
+    except Exception as exc:  # noqa: BLE001 - a case must never raise
+        issues.append(f"raised: {exc!r}")
+    finally:
+        shutil.rmtree(spill, ignore_errors=True)
+    elapsed = time.monotonic() - start
+    if elapsed > budget:
+        issues.append(f"took {elapsed:.1f}s > budget {budget}s")
+    return {"fault": fault, "ok": not issues, "elapsed": elapsed,
+            "outcome": "; ".join(issues) if issues else outcome}
+
+
 def run_service_smoke(spill_root: str, budget: float = 120.0) -> List[dict]:
     """CI smoke: a live service, two overlapping wire jobs, clean stop.
 
@@ -740,75 +765,53 @@ def run_service_smoke(spill_root: str, budget: float = 120.0) -> List[dict]:
     DONE with valid output, zero worker respawns (the pool stayed
     warm), and a clean shutdown, all inside ``budget`` seconds.
     """
-    import tempfile
-
     from ..service import SortClient, SortService
 
-    start = time.monotonic()
-    verdict = {"fault": "service-smoke", "ok": False, "elapsed": 0.0,
-               "outcome": ""}
-    spill = tempfile.mkdtemp(prefix="service-smoke-", dir=spill_root)
-    issues: List[str] = []
-    try:
+    def body(spill: str, issues: List[str]) -> str:
         with SortService(pool_size=4, spill_root=spill) as svc:
             with SortClient(svc.addr) as client:
                 slow = client.submit(dict(_SVC_SLOW, label="slow"))
                 quick = client.submit(dict(_SVC_SMALL, label="quick"))
                 for job_id in (quick, slow):
-                    reply = client.result(job_id, timeout=budget)
-                    state = reply["job"]["state"]
-                    if state != "DONE":
+                    job = client.result(job_id, timeout=budget)["job"]
+                    if job["state"] != "DONE":
                         issues.append(
-                            f"{job_id} ended {state}: "
-                            f"{reply['job'].get('error')}"
+                            f"{job_id} ended {job['state']}: {job.get('error')}"
                         )
                 stats = client.stats()
-            if stats["respawns"] != 0:
-                issues.append(
-                    f"pool burned {stats['respawns']} respawns on a "
-                    "fault-free run"
-                )
-            if stats["jobs"]["done"] != 2:
-                issues.append(f"expected 2 done jobs, saw {stats['jobs']}")
-    except Exception as exc:  # noqa: BLE001 - the smoke must never raise
-        issues.append(f"smoke raised: {exc!r}")
-    finally:
-        import shutil
+        if stats["respawns"] != 0:
+            issues.append(
+                f"pool burned {stats['respawns']} respawns on a fault-free run"
+            )
+        if stats["jobs"]["done"] != 2:
+            issues.append(f"expected 2 done jobs, saw {stats['jobs']}")
+        return "two overlapping wire jobs DONE, pool warm, clean shutdown"
 
-        shutil.rmtree(spill, ignore_errors=True)
-    verdict["elapsed"] = time.monotonic() - start
-    if verdict["elapsed"] > budget:
-        issues.append(f"took {verdict['elapsed']:.1f}s > budget {budget}s")
-    verdict["ok"] = not issues
-    verdict["outcome"] = (
-        "two overlapping wire jobs DONE, pool warm, clean shutdown"
-        if not issues else "; ".join(issues)
-    )
-    return [verdict]
+    return [_service_case("service-smoke", spill_root, budget, body)]
 
 
 def run_service_chaos(spill_root: str, budget: float = 180.0) -> List[dict]:
-    """Nightly: kill a pool worker mid-job; only that job feels it.
+    """Pool faults only the faulty job may feel: a kill and a sever.
 
-    Job A runs with one restart allowed; one of its pool workers is
-    SIGKILLed mid-flight.  The contract: concurrent job B completes
-    clean with zero restarts, the pool respawns the victim, job A
-    recovers via its per-job supervisor, and A's recovered output is
-    bitwise identical to a single-shot run of the same spec.
+    **Kill**: job A runs with one restart allowed, and one of its pool
+    workers is SIGKILLed mid-flight.  Concurrent job B must complete
+    clean with zero restarts, the pool must respawn the victim, and A
+    must recover via its per-job supervisor to output bitwise identical
+    to a single-shot run of the same spec.
+
+    **Sever**: rank 1 of a 2-PE job (5 s timeout) severs its mesh before
+    the all-to-all and idles without reporting.  Its peer reports the
+    dead channel and the scheduler stops rank 1 at once, so the job must
+    be FAILED within 3 s, and the pool, with rank 1's worker respawned,
+    must run the next job to DONE.
     """
     import signal as _signal
-    import tempfile
 
     from ..native.driver import NativeSorter
     from ..service import SortService
     from ..service.jobs import build_native_job
 
-    start = time.monotonic()
-    verdict = {"fault": "service-chaos: kill pool worker mid-job",
-               "ok": False, "elapsed": 0.0, "outcome": "", "restarts": 0}
-    spill = tempfile.mkdtemp(prefix="service-chaos-", dir=spill_root)
-    issues: List[str] = []
-    try:
+    def kill(spill: str, issues: List[str]) -> str:
         oracle = NativeSorter(
             build_native_job(dict(_SVC_SLOW), os.path.join(spill, "oracle"))
         ).run()
@@ -829,7 +832,6 @@ def run_service_chaos(spill_root: str, budget: float = 180.0) -> List[dict]:
                 os.kill(pids[0], _signal.SIGKILL)
             jb = svc.wait(b, timeout=budget)
             ja = svc.wait(a, timeout=budget)
-            verdict["restarts"] = ja.policy.restarts_used
             if jb.state != "DONE":
                 issues.append(f"bystander ended {jb.state}: {jb.error}")
             elif jb.policy.restarts_used != 0:
@@ -846,18 +848,26 @@ def run_service_chaos(spill_root: str, budget: float = 180.0) -> List[dict]:
                     )
             if svc.pool.respawns < 1:
                 issues.append("the pool never respawned the killed worker")
-    except Exception as exc:  # noqa: BLE001
-        issues.append(f"service chaos raised: {exc!r}")
-    finally:
-        import shutil
+        return (f"victim recovered ({ja.policy.restarts_used} restart), "
+                "bystander clean, pool healed")
 
-        shutil.rmtree(spill, ignore_errors=True)
-    verdict["elapsed"] = time.monotonic() - start
-    if verdict["elapsed"] > budget:
-        issues.append(f"took {verdict['elapsed']:.1f}s > budget {budget}s")
-    verdict["ok"] = not issues
-    verdict["outcome"] = (
-        f"victim recovered ({verdict['restarts']} restart), bystander "
-        "clean, pool healed" if not issues else "; ".join(issues)
-    )
-    return [verdict]
+    def sever(spill: str, issues: List[str]) -> str:
+        with SortService(pool_size=2, spill_root=spill, listen=None) as svc:
+            doomed = svc.submit(dict(
+                _SVC_SMALL, timeout=5.0, label="severed",
+                chaos=ChaosSpec(rank=1, sever_comm_at="before:all_to_all"),
+            ))
+            job = svc.wait(doomed, timeout=60.0)
+            if job.state != "FAILED":
+                issues.append(f"severed job ended {job.state}")
+            again = svc.wait(svc.submit(dict(_SVC_SMALL)), timeout=120.0)
+            if again.state != "DONE":
+                issues.append(f"next job ended {again.state}: {again.error}")
+        return "severed job FAILED fast, next job DONE"
+
+    return [
+        _service_case("service-chaos: kill pool worker mid-job", spill_root,
+                      budget, kill),
+        _service_case("service-chaos: sever a pool PE's mesh", spill_root,
+                      3.0, sever),
+    ]

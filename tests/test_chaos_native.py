@@ -8,6 +8,7 @@ kill-at-every-phase-boundary sweep runs nightly (``-m conformance``).
 """
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.config import SortConfig
 from repro.native import NativeJob, NativeSorter
-from repro.native.driver import NativeSortError
+from repro.native.driver import Attempt, NativeSortError
 from repro.testing.chaos import (
     KILL_EXIT_CODE,
     ChaosSpec,
@@ -57,16 +58,19 @@ def assert_fails_fast(job, budget=30.0, match=None):
     return excinfo.value
 
 
-# ------------------------------------------------- the collector, faked
+# ------------------------------------------------- the supervisor, faked
 
 
 class _FakeProc:
-    """A worker process as ``NativeSorter._collect`` sees it: a sentinel
-    fd that turns readable when it dies, ``is_alive`` and ``exitcode``."""
+    """A worker process as ``NativeSorter._supervise`` sees it: a sentinel
+    fd that turns readable when it dies, ``is_alive`` and ``exitcode``,
+    and the stop (``terminate`` / ``kill`` / ``join``).  A rank already
+    ``dying`` by itself keeps that status whatever signal lands."""
 
-    def __init__(self):
+    def __init__(self, dying=None):
         self.sentinel, self._alive = os.pipe()
         self.exitcode = None
+        self.dying = dying
 
     def is_alive(self):
         return self._alive is not None
@@ -75,27 +79,38 @@ class _FakeProc:
         os.close(self._alive)
         self._alive, self.exitcode = None, code
 
+    def terminate(self):
+        if self._alive is not None:
+            self.die(self.dying if self.dying is not None else -signal.SIGTERM)
+
+    kill = terminate
+
+    def join(self, timeout=None):
+        pass
+
     def close(self):
         if self._alive is not None:
             self.die()
         os.close(self.sentinel)
 
 
-def _collect_with(tmp_path, monkeypatch, setup, grace=0.05):
-    """Run ``_collect`` over two fake workers; ``setup(procs, writers)``
-    puts them in the state under test.  Returns the error it raises."""
+def _supervise_with(tmp_path, setup, procs=None):
+    """Run ``_supervise`` over two fake workers; ``setup(procs, writers)``
+    puts them in the state under test.  Returns the error the attempt's
+    outcome raises."""
     import multiprocessing as mp
 
-    from repro.native import driver
-
-    monkeypatch.setattr(driver, "DEATH_GRACE_S", grace)
-    procs = [_FakeProc(), _FakeProc()]
+    procs = procs or [_FakeProc(), _FakeProc()]
     pipes = [mp.Pipe(duplex=False) for _ in procs]
     try:
         setup(procs, [writer for _reader, writer in pipes])
-        sorter = NativeSorter(chaos_job(tmp_path, None))
+        job = chaos_job(tmp_path, None)
+        attempt = Attempt(job, time.monotonic())
+        NativeSorter(job)._supervise(
+            attempt, procs, [reader for reader, _writer in pipes]
+        )
         with pytest.raises(NativeSortError) as excinfo:
-            sorter._collect(procs, [reader for reader, _writer in pipes])
+            attempt.outcome(0.0)
         return excinfo.value
     finally:
         for proc in procs:
@@ -110,7 +125,7 @@ _COLLATERAL = ("error", 0, "CommError: peer 1 closed its channel (dead PE)")
 
 @pytest.mark.parametrize("eof", [False, True], ids=["open", "eof"])
 def test_collector_blames_the_dead_rank_over_a_collateral_report(
-    tmp_path, monkeypatch, eof
+    tmp_path, eof
 ):
     """Rank 1 died without a report, and rank 0's report of the dead
     channel is ready in the same wait: the error names rank 1 and keeps
@@ -123,15 +138,15 @@ def test_collector_blames_the_dead_rank_over_a_collateral_report(
         if eof:
             writers[1].close()
 
-    err = _collect_with(tmp_path, monkeypatch, setup)
+    err = _supervise_with(tmp_path, setup)
     assert err.rank == 1
     assert str(err).startswith("worker 1 died (exit code -9)")
     assert "dead PE" in str(err)
 
 
-def test_collector_keeps_an_error_no_death_explains(tmp_path, monkeypatch):
-    """A reported error with every other worker alive through the grace,
-    or dead after reporting, is the reporter's own."""
+def test_collector_keeps_an_error_no_death_explains(tmp_path):
+    """A reported error with every other worker alive until it is
+    stopped, or dead after reporting, is the reporter's own."""
 
     def alive(procs, writers):
         writers[0].send(("error", 0, "OSError: [Errno 28] No space left"))
@@ -142,23 +157,96 @@ def test_collector_keeps_an_error_no_death_explains(tmp_path, monkeypatch):
         procs[1].die(1)
 
     for setup in (alive, reported):
-        err = _collect_with(tmp_path, monkeypatch, setup)
+        err = _supervise_with(tmp_path, setup)
         assert err.rank == 0
         assert str(err).startswith("worker 0 failed:\nOSError")
 
 
-def test_collector_waits_the_grace_for_a_death(tmp_path, monkeypatch):
-    """The dead rank's sentinel may fire only after its peer's report has
-    been read: the collector waits for it, up to the grace."""
-    import threading
+def test_collector_blames_a_rank_that_ended_by_itself_not_one_it_stopped(
+    tmp_path,
+):
+    """After rank 0's report the supervisor stops rank 1 at once.  If
+    the stop is what ended rank 1, the report stands; if rank 1 was
+    already dying by itself (its status fixed, its sentinel not yet
+    fired), its own status shows through the stop and it is blamed."""
 
     def setup(procs, writers):
         writers[0].send(_COLLATERAL)
-        threading.Timer(0.2, procs[1].die).start()
 
     start = time.monotonic()
-    err = _collect_with(tmp_path, monkeypatch, setup, grace=5.0)
-    assert err.rank == 1 and time.monotonic() - start < 4.0
+    err = _supervise_with(tmp_path, setup)
+    assert err.rank == 0 and "dead PE" in str(err)
+    err = _supervise_with(
+        tmp_path, setup, procs=[_FakeProc(), _FakeProc(dying=-9)]
+    )
+    assert err.rank == 1
+    assert str(err).startswith("worker 1 died (exit code -9)")
+    assert time.monotonic() - start < 1.0
+
+
+def _ok(rank):
+    from repro.core.stats import WorkerStats
+    from repro.native.phases import OutputMeta
+
+    meta = OutputMeta(rank=rank, path="", n_records=0, first_key=None,
+                      last_key=None, checksum=rank, sorted_ok=True)
+    return ("ok", WorkerStats(rank=rank), meta, rank, 3)
+
+
+#: How one rank ended, as a supervisor feeds it to ``Attempt``.
+_ENDS = {
+    "result": lambda a, r: a.received(r, _ok(r)),
+    "report": lambda a, r: a.received(r, ("error", r, "boom")),
+    "malformed": lambda a, r: a.received(r, ("ok", "torn")),
+    "exit": lambda a, r: a.ended(r, 77),
+    "sigterm": lambda a, r: a.ended(r, -signal.SIGTERM),
+    "sigkill": lambda a, r: a.ended(r, -9),
+}
+
+
+@pytest.mark.parametrize("events,blamed,needle", [
+    (["0 result", "1 result", "2 result"], "ok", None),
+    (["1 report", "stop", "0 sigterm", "2 sigterm"], 1, "worker 1 failed"),
+    (["0 report", "stop", "1 sigkill", "2 sigterm"], 1,
+     "collateral: worker 0 failed"),
+    (["2 exit", "stop", "0 report", "1 sigterm"], 2, "exit code 77"),
+    (["0 result", "deadline", "stop", "1 sigterm", "2 sigterm"], None,
+     "timed out"),
+    (["deadline", "stop", "0 sigterm", "1 report", "2 sigterm"], 1,
+     "worker 1 failed"),
+    (["0 result", "1 malformed", "stop", "2 sigterm"], 1, "malformed"),
+    (["0 report", "1 sigterm", "stop", "2 sigterm"], 1, "exit code -15"),
+])
+def test_attempt_outcome_table(tmp_path, events, blamed, needle):
+    """The one rule both supervisors apply, over every way a rank ends
+    (result, report, self-exit, stopped, deadline), fed in the order a
+    supervisor sees them: after the first failure it stops the pending
+    ranks (``stop``) and feeds their exits.  A rank that ended by itself
+    without a result is blamed first, then the first reporting rank,
+    then the deadline.  A stopped rank's SIGTERM never blames it, while
+    one that was already dying shows its own status; a SIGTERM the
+    supervisor did not send is the rank's own end."""
+    attempt = Attempt(chaos_job(tmp_path, None, n_workers=3), 0.0)
+    for event in events:
+        if event == "deadline":
+            attempt.expire()
+        elif event == "stop":
+            assert attempt.failed and attempt.stop() == attempt.pending
+        else:
+            rank, end = event.split()
+            _ENDS[end](attempt, int(rank))
+    assert attempt.pending == []
+    if blamed == "ok":
+        assert not attempt.failed
+        result = attempt.outcome(1.5)
+        assert [m.rank for m in result.outputs] == [0, 1, 2]
+        assert [w.rank for w in result.stats.workers] == [0, 1, 2]
+        assert result.input_checksum == 3 and result.stats.n_runs == 3
+        return
+    with pytest.raises(NativeSortError) as excinfo:
+        attempt.outcome(1.5)
+    assert excinfo.value.rank == blamed
+    assert needle in str(excinfo.value), str(excinfo.value)
 
 
 # ------------------------------------------------------------- quick tier

@@ -540,6 +540,30 @@ class TestCancellation:
             assert leftovers == []
 
 
+    def test_cancel_lets_a_busy_rank_unwind_instead_of_stopping_it(
+        self, tmp_path
+    ):
+        """Rank 1 is busy (stalled 1 s before run formation) when the
+        cancel comes, so rank 0 reports the interrupt first.  That report
+        is no failure of the job's own: rank 1 is left to see the
+        interrupt once it is back in a collective, and nothing is
+        respawned."""
+        stall = ChaosSpec(rank=1, stall_at="before:run_formation",
+                          stall_seconds=1.0)
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+            victim = svc.submit(dict(SMALL, chaos=stall))
+            wait_for(
+                lambda: svc.status(victim)["state"] == "RUNNING",
+                what="victim running",
+            )
+            time.sleep(0.2)
+            svc.cancel(victim)
+            assert svc.wait(victim, timeout=60).state == "CANCELLED"
+            assert svc.pool.respawns == 0
+
+
 # ------------------------------------------------- failure isolation (chaos)
 
 
@@ -589,6 +613,38 @@ class TestFailureIsolation:
             # The pool healed: a fresh job runs fine afterwards.
             again = svc.wait(svc.submit(dict(SMALL, seed=5)), timeout=120)
             assert again.state == "DONE", again.error
+
+    @pytest.mark.parametrize("fault,budget", [
+        ("sever_comm_at", 3.0), ("wedge_comm_at", 8.0),
+    ], ids=["sever", "wedge"])
+    def test_a_severed_or_wedged_rank_fails_its_job_fast(
+        self, tmp_path, fault, budget
+    ):
+        """Rank 1 severs (or wedges) its mesh and idles without ever
+        reporting.  Its peer reports the dead (or, at the 5 s comm
+        timeout, the stalled) channel, and the scheduler stops rank 1 at
+        once instead of waiting for the attempt's deadline: the job
+        fails within ``budget`` of its submit, and the pool — rank 1's
+        worker respawned — runs the next job clean."""
+        from repro.native.shm import list_shm_segments
+
+        before = set(list_shm_segments())
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+            start = time.monotonic()
+            doomed = svc.submit(dict(
+                SMALL, timeout=5.0,
+                chaos=ChaosSpec(rank=1, **{fault: "before:all_to_all"}),
+            ))
+            job = svc.wait(doomed, timeout=60)
+            elapsed = time.monotonic() - start
+            assert job.state == "FAILED", job.error
+            assert elapsed <= budget, f"{elapsed:.2f}s: {job.error}"
+            assert "worker 0 failed" in job.error, job.error
+            again = svc.wait(svc.submit(dict(SMALL)), timeout=120)
+            assert again.state == "DONE", again.error
+        assert set(list_shm_segments()) - before == set()
 
     def test_abort_cleanup_cannot_touch_a_concurrent_job(self, tmp_path):
         """Satellite 2 end-to-end: job A aborts with cleanup_on_abort
