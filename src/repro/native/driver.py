@@ -61,6 +61,7 @@ __all__ = [
     "NativeSortResult",
     "NativeSortError",
     "native_sort",
+    "reap",
 ]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -70,6 +71,13 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 #: ``timeout``, so a live attempt fails or finishes well before; the
 #: grace covers a PE that never gets to a receive (or a rendezvous).
 DEADLINE_GRACE_S = 30.0
+
+#: How long a stopped worker may outlive its SIGTERM before its
+#: supervisor sends SIGKILL.  A worker dies of SIGTERM at once unless it
+#: blocks or catches it (a forked worker inherits its parent's handler;
+#: a pool worker resets it); this bound keeps such a stop from holding
+#: an attempt open.
+SIGKILL_AFTER_S = 5.0
 
 #: How long the driver will wait for the *rest* of a result message once
 #: its first bytes have arrived.  Results are small; if a complete
@@ -215,7 +223,9 @@ class Attempt:
     right: a dead PE's exit status is fixed before the kernel closes its
     fds, so a peer's report of the EOF cannot overtake the death, and a
     SIGTERM that lands on a rank already dying leaves its own status in
-    place — which is how :meth:`ended` tells the two apart.
+    place — which is how :meth:`ended` tells the two apart.  A stopped
+    rank still alive :data:`SIGKILL_AFTER_S` later is killed
+    (:meth:`escalate`), and that SIGKILL is the supervisor's too.
     """
 
     def __init__(self, job: NativeJob, started: float):
@@ -229,7 +239,9 @@ class Attempt:
         self._reports: List[Tuple[int, str]] = []
         #: Ranks that ended by themselves without a result, and how.
         self._lost: Dict[int, str] = {}
-        self._stopped: Set[int] = set()
+        #: The signals the supervisor sent each rank it stopped: an end
+        #: by one of them is the stop's, not the rank's own.
+        self._sent: Dict[int, Set[int]] = {}
         self._settled: Set[int] = set()
         #: The ranks still pending when the deadline passed, if it did.
         self._expired: Optional[List[int]] = None
@@ -264,11 +276,11 @@ class Attempt:
               why: Optional[str] = None) -> None:
         """Rank ``rank`` ended without a readable result: ``exitcode``
         is its exit status (None without a process, e.g. an external tcp
-        worker), ``why`` what its channel showed.  A rank :meth:`stop`
-        signalled whose status is that signal was stopped; any other end
-        is the rank's own."""
+        worker), ``why`` what its channel showed.  A rank that ended
+        by a signal the supervisor sent it (:meth:`stop`,
+        :meth:`escalate`) was stopped; any other end is the rank's own."""
         self._settled.add(rank)
-        if rank in self._stopped and exitcode == -signal.SIGTERM:
+        if exitcode is not None and -exitcode in self._sent.get(rank, ()):
             return
         self._lost[rank] = why or (
             f"worker {rank} died (exit code {exitcode}) without reporting "
@@ -276,16 +288,23 @@ class Attempt:
         )
 
     def expire(self) -> None:
-        """The deadline passed with ranks still pending."""
-        if self._expired is None:
+        """The deadline passed: fail the attempt if ranks are still
+        pending (one whose last rank just reported has not timed out)."""
+        if self._expired is None and self.pending:
             self._expired = self.pending
 
     def stop(self) -> List[int]:
         """Mark every pending rank not yet stopped as stopped and return
         them; the supervisor sends each a SIGTERM."""
-        fresh = [r for r in self.pending if r not in self._stopped]
-        self._stopped.update(fresh)
+        fresh = [r for r in self.pending if r not in self._sent]
+        for rank in fresh:
+            self._sent[rank] = {signal.SIGTERM}
         return fresh
+
+    def escalate(self, rank: int) -> None:
+        """The supervisor sends the stopped ``rank`` SIGKILL: it outlived
+        its SIGTERM by :data:`SIGKILL_AFTER_S`."""
+        self._sent.setdefault(rank, set()).add(signal.SIGKILL)
 
     def outcome(self, total_time: float) -> NativeSortResult:
         """The attempt's result, or the :class:`NativeSortError` that
@@ -406,7 +425,7 @@ class NativeSorter:
                 writer.close()
             self._supervise(attempt, procs, [r for r, _w in result_pipes])
         finally:
-            self._reap(procs)
+            reap(procs)
             for reader, _writer in result_pipes:
                 reader.close()
             mesh.release()
@@ -467,7 +486,7 @@ class NativeSorter:
             attempt = Attempt(job, time.monotonic())
             self._supervise(attempt, procs, channels)
         finally:
-            self._reap(procs)
+            reap(procs)
             for channel in channels:
                 channel.close()
             coordinator.close()
@@ -507,7 +526,7 @@ class NativeSorter:
             for rank in pending:
                 self._settle(attempt, procs, conns[rank], rank)
         if procs and attempt.stop():
-            self._reap(procs)
+            reap(procs, attempt)
             for rank in attempt.pending:
                 self._settle(attempt, procs, conns[rank], rank)
 
@@ -580,18 +599,23 @@ class NativeSorter:
             ) from box["exc"]
         return box["payload"]
 
-    @staticmethod
-    def _reap(procs) -> None:
-        """Terminate stragglers, escalating to SIGKILL; never wait forever."""
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=10.0)
-        for proc in procs:
-            if proc.is_alive():  # pragma: no cover - SIGTERM normally works
-                proc.kill()
-                proc.join(timeout=5.0)
+
+def reap(procs, attempt: Optional[Attempt] = None) -> None:
+    """Terminate stragglers, escalating to SIGKILL after
+    :data:`SIGKILL_AFTER_S` (told to ``attempt``, whose stop it is);
+    never wait forever."""
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    bound = time.monotonic() + SIGKILL_AFTER_S
+    for proc in procs:
+        proc.join(timeout=max(0.0, bound - time.monotonic()))
+    for rank, proc in enumerate(procs):
+        if proc.is_alive():
+            if attempt is not None:
+                attempt.escalate(rank)
+            proc.kill()
+            proc.join(timeout=5.0)
 
 
 def native_sort(

@@ -32,9 +32,10 @@ class LocalMesh:
 
     ``endpoints[rank]`` maps every peer to rank's end of their channel:
     a pipe end, or rank's side of the two rings with its doorbell ends.
-    Every fd belongs to exactly one rank's endpoints.  Each end pickles
-    across ``multiprocessing`` (fd passing), so it can ride a ``Process``
-    argument or the pool's control pipe alike.
+    Every fd belongs to exactly one rank's endpoints.  Each end is a
+    ``multiprocessing`` connection, so it can ride a forked ``Process``'s
+    arguments or, its fd passed as ``SCM_RIGHTS``, the pool's control
+    pipe.
     """
 
     endpoints: List[Dict[int, object]]

@@ -401,10 +401,17 @@ class SortService:
 
         At the attempt's first own failure its pending workers are
         stopped with SIGTERM; the sentinel pass respawns them and feeds
-        their exits in.  A cancelled job's workers were interrupted
+        their exits in.  A stopped worker still alive
+        :data:`~repro.native.driver.SIGKILL_AFTER_S` later is killed, and
+        its attempt told so.  A cancelled job's workers were interrupted
         instead, so their reports stop nothing — only the deadline does.
         An attempt with no rank pending is finalized.
         """
+        for handle in self.pool.overdue():
+            run = self._attempts.get(handle.busy_seq)
+            if run is not None:
+                run.attempt.escalate(handle.job_rank)
+            handle.proc.kill()
         now = time.monotonic()
         for run in list(self._attempts.values()):
             attempt = run.attempt

@@ -18,8 +18,9 @@ to the scheduler:
 The mesh is **fresh per job**: at dispatch time the scheduler builds
 the job's pipe pairs or shm rings with the one-shot driver's own
 :func:`~repro.native.transport.local_mesh`, ships each worker its
-endpoints *through* the control pipe (``multiprocessing``'s connection
-reduction carries the fds), then closes its own copies; each worker
+endpoints *through* the control pipe (the message names each end by
+index, and the fds ride right behind it as ``SCM_RIGHTS``), then
+closes its own copies; each worker
 opens its comm through the one PE entry point,
 :func:`~repro.native.worker.worker_main`.  Reusing mesh pipes across jobs
 would let one job's stale bytes corrupt the next; fresh pipes plus the
@@ -32,15 +33,25 @@ A worker that dies (chaos kill, crash, or the scheduler's own SIGTERM
 when the attempt it was running failed elsewhere, :meth:`WarmPool.terminate`)
 is detected by the scheduler via its process sentinel and replaced
 with a fresh process under a new worker id; the pool never shrinks.
+A worker starts with SIGTERM at its default, whatever handler the
+service process installed, so that stop is a death; one still alive
+:data:`~repro.native.driver.SIGKILL_AFTER_S` later is killed
+(:meth:`WarmPool.overdue`).
 """
 
 from __future__ import annotations
 
+import io
 import multiprocessing as mp
+import pickle
+import signal
+import socket
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from typing import Dict, List, Optional
 
+from ..native.driver import SIGKILL_AFTER_S, reap
 from ..native.job import NativeJob
 from ..native.transport import LocalMesh, local_mesh
 from ..native.worker import worker_main
@@ -83,6 +94,46 @@ class _ResultProxy:
         pass
 
 
+def _send_ends(ctrl, head: tuple, endpoints) -> None:
+    """Send ``head + (endpoints, fd count)`` down ``ctrl``, each
+    connection pickled as its index in the fds sent right after it as
+    ``SCM_RIGHTS``.  ``multiprocessing``'s own pickling would park a
+    duplicate of every end in the service's resource sharer until the
+    worker fetched it — for good, if the worker died first; an fd in
+    flight closes with its receiver."""
+    fds: List[int] = []
+
+    def persistent_id(obj):
+        if isinstance(obj, Connection):
+            fds.append(obj.fileno())
+            return len(fds) - 1, obj.readable, obj.writable
+        return None
+
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump(endpoints)
+    ctrl.send(head + (buf.getvalue(), len(fds)))
+    if fds:
+        with socket.fromfd(ctrl.fileno(), socket.AF_UNIX,
+                           socket.SOCK_STREAM) as sock:
+            socket.send_fds(sock, [b"F"], fds)
+
+
+def _recv_ends(ctrl, data: bytes, n_fds: int):
+    """The endpoints :func:`_send_ends` sent, with their fds."""
+    fds: List[int] = []
+    if n_fds:
+        with socket.fromfd(ctrl.fileno(), socket.AF_UNIX,
+                           socket.SOCK_STREAM) as sock:
+            fds = socket.recv_fds(sock, 1, n_fds)[1]
+        if len(fds) != n_fds:
+            raise EOFError(f"expected {n_fds} mesh fds, got {len(fds)}")
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = lambda pid: Connection(fds[pid[0]], *pid[1:])
+    return unpickler.load()
+
+
 def pool_worker_main(worker_id: int, ctrl, interrupt) -> None:
     """Persistent pool-worker loop: serve dispatches until told to stop.
 
@@ -93,7 +144,14 @@ def pool_worker_main(worker_id: int, ctrl, interrupt) -> None:
     the outcome, while the control and interrupt channels persist.
     Exits on an explicit ``("stop",)``, on control-pipe EOF (the service
     died), or via ``os._exit`` from an injected chaos kill inside a job.
+
+    SIGTERM is the scheduler's stop, so it is reset to its default: a
+    worker forked after the service installed its own handler would
+    otherwise inherit it and live on.  SIGINT is ignored: a terminal's
+    Ctrl-C reaches the service too, which shuts its workers down.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
             cmd = ctrl.recv()
@@ -104,7 +162,11 @@ def pool_worker_main(worker_id: int, ctrl, interrupt) -> None:
         if cmd[0] == CMD_STOP:
             return
         if cmd[0] == CMD_RUN:
-            seq, job, job_rank, endpoints = cmd[1:5]
+            seq, job, job_rank, data, n_fds = cmd[1:6]
+            try:
+                endpoints = _recv_ends(ctrl, data, n_fds)
+            except (EOFError, OSError):
+                return
             worker_main(
                 job_rank, job, endpoints, _ResultProxy(ctrl, seq),
                 interrupt, seq,
@@ -126,9 +188,9 @@ class WorkerHandle:
     busy_since: Optional[float] = None
     jobs_run: int = 0
     busy_seconds: float = 0.0
-    #: Sent SIGTERM (:meth:`WarmPool.terminate`): dispatch nothing more
-    #: to it, even if it reports before it dies.
-    terminated: bool = False
+    #: When the scheduler sent it SIGTERM (:meth:`WarmPool.terminate`):
+    #: dispatch nothing more to it, even if it reports before it dies.
+    stopped_at: Optional[float] = None
 
     @property
     def pid(self) -> Optional[int]:
@@ -209,7 +271,7 @@ class WarmPool:
     def idle_handles(self) -> List[WorkerHandle]:
         return [
             h for h in self.handles
-            if h.idle and not h.terminated and h.proc.is_alive()
+            if h.idle and h.stopped_at is None and h.proc.is_alive()
         ]
 
     def dispatch(self, job: NativeJob, seq: int, job_id: str,
@@ -231,9 +293,10 @@ class WarmPool:
         try:
             for rank, handle in enumerate(handles):
                 # The endpoints ride the control pipe: pipe ends and ring
-                # doorbells via connection reduction, ring segments by
-                # name (attached in the worker).
-                handle.ctrl.send((CMD_RUN, seq, job, rank, mesh.endpoints[rank]))
+                # doorbells as passed fds, ring segments by name
+                # (attached in the worker).
+                _send_ends(handle.ctrl, (CMD_RUN, seq, job, rank),
+                           mesh.endpoints[rank])
                 handle.mark_busy(seq, job_id, rank)
         finally:
             mesh.close_parent_ends()
@@ -259,8 +322,20 @@ class WarmPool:
     def terminate(self, handle: WorkerHandle) -> None:
         """Stop ``handle``'s process (SIGTERM) mid-job; the scheduler
         sees it die like any other worker and respawns it."""
-        handle.terminated = True
+        handle.stopped_at = time.monotonic()
         handle.proc.terminate()
+
+    def overdue(self) -> List[WorkerHandle]:
+        """Stopped workers still alive :data:`SIGKILL_AFTER_S` after
+        their SIGTERM: the scheduler kills them, and respawns them like
+        any dead worker."""
+        now = time.monotonic()
+        return [
+            h for h in self.handles
+            if h.stopped_at is not None
+            and now - h.stopped_at >= SIGKILL_AFTER_S
+            and h.proc.is_alive()
+        ]
 
     def respawn(self, handle: WorkerHandle) -> WorkerHandle:
         """Replace a dead worker in place; returns the new handle."""
@@ -271,6 +346,9 @@ class WarmPool:
             except OSError:
                 pass
         handle.proc.join(timeout=5.0)
+        # Release the dead process's sentinel now, not whenever the last
+        # reference to its handle goes.
+        handle.proc.close()
         fresh = self._spawn()
         self.handles[idx] = fresh
         self.respawns += 1
@@ -296,13 +374,8 @@ class WarmPool:
                 pass
         for handle in self.handles:
             handle.proc.join(timeout=5.0)
+        reap([handle.proc for handle in self.handles])
         for handle in self.handles:
-            if handle.proc.is_alive():
-                handle.proc.terminate()
-                handle.proc.join(timeout=5.0)
-            if handle.proc.is_alive():  # pragma: no cover
-                handle.proc.kill()
-                handle.proc.join(timeout=2.0)
             try:
                 handle.ctrl.close()
             except OSError:

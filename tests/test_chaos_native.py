@@ -201,6 +201,7 @@ _ENDS = {
     "exit": lambda a, r: a.ended(r, 77),
     "sigterm": lambda a, r: a.ended(r, -signal.SIGTERM),
     "sigkill": lambda a, r: a.ended(r, -9),
+    "escalate": lambda a, r: a.escalate(r),
 }
 
 
@@ -216,6 +217,9 @@ _ENDS = {
      "worker 1 failed"),
     (["0 result", "1 malformed", "stop", "2 sigterm"], 1, "malformed"),
     (["0 report", "1 sigterm", "stop", "2 sigterm"], 1, "exit code -15"),
+    (["0 report", "stop", "1 escalate", "1 sigkill", "2 sigterm"], 0,
+     "worker 0 failed"),
+    (["0 result", "1 result", "2 result", "deadline"], "ok", None),
 ])
 def test_attempt_outcome_table(tmp_path, events, blamed, needle):
     """The one rule both supervisors apply, over every way a rank ends
@@ -223,9 +227,11 @@ def test_attempt_outcome_table(tmp_path, events, blamed, needle):
     supervisor sees them: after the first failure it stops the pending
     ranks (``stop``) and feeds their exits.  A rank that ended by itself
     without a result is blamed first, then the first reporting rank,
-    then the deadline.  A stopped rank's SIGTERM never blames it, while
-    one that was already dying shows its own status; a SIGTERM the
-    supervisor did not send is the rank's own end."""
+    then the deadline.  A stopped rank's SIGTERM never blames it, nor
+    the SIGKILL it gets for outliving that (``escalate``), while one
+    that was already dying shows its own status; a SIGTERM the
+    supervisor did not send is the rank's own end.  A deadline that
+    passes once every rank has reported fails nothing."""
     attempt = Attempt(chaos_job(tmp_path, None, n_workers=3), 0.0)
     for event in events:
         if event == "deadline":

@@ -646,6 +646,99 @@ class TestFailureIsolation:
             assert again.state == "DONE", again.error
         assert set(list_shm_segments()) - before == set()
 
+    def test_a_stop_kills_workers_forked_under_a_sigterm_handler(
+        self, tmp_path
+    ):
+        """``repro serve`` installs a SIGTERM handler once its pool is up,
+        and every worker respawned later is forked with it.  A pool
+        worker resets SIGTERM to its default, so the stop of a failed
+        attempt's peer is still a death: after two severed jobs (the
+        second stops a respawned worker) both stopped workers were
+        respawned, and the pool of 2 runs a clean job."""
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+            previous = signal.signal(signal.SIGTERM, lambda *_: None)
+            try:
+                for _ in range(2):
+                    start = time.monotonic()
+                    job = svc.wait(svc.submit(dict(
+                        SMALL, timeout=5.0, chaos=ChaosSpec(
+                            rank=1, sever_comm_at="before:all_to_all"),
+                    )), timeout=60)
+                    assert job.state == "FAILED", job.error
+                    assert time.monotonic() - start <= 3.0, job.error
+                assert svc.pool.respawns >= 2
+                again = svc.wait(svc.submit(dict(SMALL)), timeout=60)
+                assert again.state == "DONE", again.error
+            finally:
+                signal.signal(signal.SIGTERM, previous)
+
+    def test_a_rank_that_outlives_its_stop_is_killed(
+        self, tmp_path, monkeypatch
+    ):
+        """A stopped worker that ignores SIGTERM is killed
+        ``SIGKILL_AFTER_S`` later, and that SIGKILL is the scheduler's:
+        the job fails on the peer's report, not on the killed rank."""
+        from repro.service import pool
+
+        real_worker_main = pool.worker_main
+
+        def stubborn_worker_main(*args):
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            real_worker_main(*args)
+
+        monkeypatch.setattr(pool, "worker_main", stubborn_worker_main)
+        monkeypatch.setattr(pool, "SIGKILL_AFTER_S", 0.5)
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+            start = time.monotonic()
+            job = svc.wait(svc.submit(dict(
+                SMALL, timeout=5.0,
+                chaos=ChaosSpec(rank=1, sever_comm_at="before:all_to_all"),
+            )), timeout=60)
+            elapsed = time.monotonic() - start
+            assert job.state == "FAILED", job.error
+            assert elapsed <= 3.0, f"{elapsed:.2f}s: {job.error}"
+            assert "worker 0 failed" in job.error, job.error
+            assert svc.pool.respawns >= 1
+            again = svc.wait(svc.submit(dict(SMALL)), timeout=60)
+            assert again.state == "DONE", again.error
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_failed_attempts_leave_no_fds_in_the_service(self, tmp_path):
+        """A worker killed right after dispatch, and its stopped peer,
+        may never receive their mesh ends.  Those ends travel as fds in
+        flight on the control pipe, so none of them stays open in the
+        service process, however many attempts fail that way."""
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+
+            def kill_case():
+                doomed = svc.submit(dict(SMALL, label="doomed"))
+                pids = wait_for(
+                    lambda: svc.worker_pids(doomed), what="job dispatched"
+                )
+                os.kill(pids[0], signal.SIGKILL)
+                job = svc.wait(doomed, timeout=60)
+                assert job.state == "FAILED", job.error
+
+            kill_case()
+            before = open_fds()
+            for _ in range(8):
+                kill_case()
+            again = svc.wait(svc.submit(dict(SMALL)), timeout=60)
+            assert again.state == "DONE", again.error
+            assert open_fds() == before
+
     def test_abort_cleanup_cannot_touch_a_concurrent_job(self, tmp_path):
         """Satellite 2 end-to-end: job A aborts with cleanup_on_abort
         while job B runs in the same spill root; B's blocks survive."""
