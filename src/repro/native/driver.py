@@ -1,15 +1,16 @@
-"""Driver: spawn the worker PEs, wire the mesh, collect the result.
+"""Driver: start the worker PEs, wire the mesh, collect the result.
 
 The native counterpart of :class:`repro.core.canonical.CanonicalMergeSort`'s
 top-level ``sort``: it owns process lifecycle and failure handling, while
 all sorting happens inside :mod:`repro.native.worker`.  Three transports
 (``job.transport``), two ways to start the PEs:
 
-* ``"pipe"`` and ``"shm"`` — the driver builds the same-host mesh (one
-  duplex pipe, or one pair of shared-memory rings, per worker pair;
-  :func:`repro.native.transport.local_mesh`), forks one worker per rank
-  with its endpoints, and gives each a result pipe for stats and error
-  reporting;
+* ``"pipe"`` and ``"shm"`` — one dispatch on a pool of P built for the
+  attempt (:class:`repro.native.pool.WarmPool`, the sort service's
+  pool): the pool forks the PEs, sends each its own mesh ends, reads
+  their reports on its control pipes and stops them, through the same
+  supervisor step (:meth:`~repro.native.pool.WarmPool.step`) the
+  service runs;
 * ``"tcp"`` — the driver opens a rendezvous endpoint
   (:class:`repro.net.rendezvous.Coordinator`), the workers dial in,
   receive the job and the peer table, and build their own socket mesh.
@@ -19,11 +20,11 @@ all sorting happens inside :mod:`repro.native.worker`.  Three transports
   driver waits for externally launched ``python -m repro worker`` PEs
   (other terminals, other hosts).
 
-Failure handling is one rule, shared with the sort service
+Failure handling is one rule, shared by every supervisor
 (:class:`Attempt`): the attempt fails at its first own failure — a
 worker's error report, a death without a result, an unreadable result
-or the deadline — and the driver then stops every worker that has not
-settled (SIGTERM), waits for their exits and blames by how each rank
+or the deadline — and the supervisor then stops every worker that has
+not settled (SIGTERM), waits for their exits and blames by how each rank
 ended: a rank that ended by itself without a result first, then the
 reporting rank, then the deadline.  When the job checkpoints
 (``max_restarts > 0`` or ``checkpoint=True``) the failure instead feeds
@@ -52,8 +53,7 @@ from ..workloads.validation import ValidationReport
 from .comm_api import DEFAULT_PENDING_SENDS
 from .job import NativeJob
 from .phases import OutputMeta
-from .transport import LocalMesh, local_mesh
-from .worker import tcp_worker_main, worker_main
+from .worker import tcp_worker_main
 
 __all__ = [
     "Attempt",
@@ -61,6 +61,7 @@ __all__ = [
     "NativeSortResult",
     "NativeSortError",
     "native_sort",
+    "read_result",
     "reap",
 ]
 
@@ -74,9 +75,9 @@ DEADLINE_GRACE_S = 30.0
 
 #: How long a stopped worker may outlive its SIGTERM before its
 #: supervisor sends SIGKILL.  A worker dies of SIGTERM at once unless it
-#: blocks or catches it (a forked worker inherits its parent's handler;
-#: a pool worker resets it); this bound keeps such a stop from holding
-#: an attempt open.
+#: blocks or catches it (a pool worker resets an inherited handler, a
+#: spawned tcp worker does not); this bound keeps such a stop from
+#: holding an attempt open.
 SIGKILL_AFTER_S = 5.0
 
 #: How long the driver will wait for the *rest* of a result message once
@@ -99,11 +100,6 @@ def _cleanup_spill(job: NativeJob) -> None:
         purge_namespace(job.spill_dir, job.spill_namespace)
     else:
         shutil.rmtree(job.spill_dir, ignore_errors=True)
-
-
-def _local_worker(rank: int, mesh: LocalMesh, job: NativeJob, result_conn) -> None:
-    """A same-host PE: :func:`worker_main` over its own ends of ``mesh``."""
-    worker_main(rank, job, mesh.own_ends(rank), result_conn)
 
 
 class NativeSortError(RuntimeError):
@@ -200,10 +196,10 @@ class NativeSortResult:
 class Attempt:
     """One attempt of one job, as its supervisor sees it.
 
-    Both supervisors — :class:`NativeSorter` over the processes it
-    forked and :class:`~repro.service.daemon.SortService` over its warm
-    pool — feed it how each rank ended, and it alone decides the
-    outcome.  Per rank, exactly one of:
+    Every supervisor — :meth:`~repro.native.pool.WarmPool.step`, for a
+    one-shot pipe or shm sort and for the sort service alike, and
+    :class:`NativeSorter`'s tcp collector — feeds it how each rank
+    ended, and it alone decides the outcome.  Per rank, exactly one of:
 
     * :meth:`received` — a message on the rank's result channel: its
       result, or an error report;
@@ -401,35 +397,25 @@ class NativeSorter:
         return proc
 
     def _run_local(self, job: NativeJob) -> NativeSortResult:
-        """Same-host execution over a pipe or shm mesh, one result pipe
-        per worker.
+        """Same-host execution over a pipe or shm mesh: one dispatch on a
+        pool of P, retired at once so each PE exits as soon as it reports,
+        supervised by the sort service's step until no rank is pending.
+        Whatever happens to the attempt, the ``finally`` stops the pool,
+        which releases the mesh, so ``/dev/shm`` never accumulates
+        leftovers."""
+        from .pool import WarmPool
 
-        The driver owns the mesh: whatever happens to the attempt —
-        success, a chaos ``SIGKILL`` mid-phase, a timeout — the
-        ``finally`` releases it after the workers are reaped, so
-        ``/dev/shm`` never accumulates leftovers.
-        """
-        mesh = local_mesh(self._ctx, job)
-        result_pipes = [self._ctx.Pipe(duplex=False) for _ in range(job.n_workers)]
-        procs: List = []
-        attempt = Attempt(job, time.monotonic())
+        start = time.monotonic()
+        pool = WarmPool(job.n_workers)
         try:
-            for rank in range(job.n_workers):
-                procs.append(self._spawn(
-                    rank, _local_worker, mesh, job, result_pipes[rank][1],
-                ))
-            # The parent's copies of the worker-side ends must close so
-            # a dead worker turns into EOF, not a silent hang.
-            mesh.close_parent_ends()
-            for _reader, writer in result_pipes:
-                writer.close()
-            self._supervise(attempt, procs, [r for r, _w in result_pipes])
+            run = pool.dispatch(job, "", pool.handles)
+            pool.retire(pool.handles)
+            while pool.running:
+                pool.wait()
+                pool.step()
         finally:
-            reap(procs)
-            for reader, _writer in result_pipes:
-                reader.close()
-            mesh.release()
-        return attempt.outcome(time.monotonic() - attempt.started)
+            pool.stop()
+        return run.attempt.outcome(time.monotonic() - start)
 
     def _run_tcp(self, job: NativeJob) -> NativeSortResult:
         """Rendezvous-based execution over the socket transport."""
@@ -496,15 +482,13 @@ class NativeSorter:
         """Run ``attempt`` to its end: collect every rank, and at the
         first failure stop the rest.
 
-        ``conns[rank]`` is rank's result channel — a pipe end, or a
+        ``conns[rank]`` is rank's result channel, a
         :class:`~repro.net.rendezvous.ResultChannel` over its rendezvous
-        socket; both offer ``fileno`` / ``poll`` / ``recv``.  The wait
-        covers each pending rank's channel *and* its process sentinel:
-        under the fork start method sibling workers inherit each other's
-        result-pipe write ends, so a dead worker's pipe shows no EOF
-        while a sibling lives, but its sentinel fires at once.
-        Externally launched workers (``procs`` empty) have no sentinel;
-        TCP turns their death into EOF on the socket.
+        socket (anything with ``fileno`` / ``poll`` / ``recv``).  The
+        wait covers each pending rank's channel and, when the driver
+        spawned it, its process sentinel.  Externally launched workers
+        (``procs`` empty) have no sentinel; TCP turns their death into
+        EOF on the socket.
 
         Once :attr:`Attempt.failed`, the pending ranks are stopped
         (:meth:`Attempt.stop`, then SIGTERM with escalation) and, after
@@ -539,65 +523,66 @@ class NativeSorter:
         rank: a torn or wedged frame with that reason, a dead worker's
         clean EOF as a death without a result.
         """
-        dead = bool(procs) and not procs[rank].is_alive()
+        proc = procs[rank] if procs else None
+        dead = proc is not None and not proc.is_alive()
         if conn.poll(0):
             try:
-                attempt.received(rank, self._read_result(procs, conn, rank))
+                attempt.received(rank, read_result(conn.recv, rank, proc))
                 return
             except NativeSortError as exc:
                 # A dead worker's clean EOF holds no report: its exit
                 # says how it ended.  A torn frame says more.
                 if not (dead and isinstance(exc.__cause__, EOFError)):
                     attempt.ended(
-                        rank, procs[rank].exitcode if procs else None,
-                        str(exc),
+                        rank, proc.exitcode if proc else None, str(exc)
                     )
                     return
         if dead:
-            attempt.ended(rank, procs[rank].exitcode)
+            attempt.ended(rank, proc.exitcode)
 
-    def _read_result(self, procs, conn, rank: int):
-        """One result ``recv`` that cannot hang the driver; returns the
-        payload unchecked.
 
-        The receive runs in a helper thread bounded by
-        :data:`RESULT_RECV_TIMEOUT`; a worker that died after sending
-        only part of a message, a corrupt frame or a close before any
-        result surfaces as a :class:`NativeSortError` naming the worker
-        and its exit code.
-        """
-        box: Dict[str, object] = {}
+def read_result(recv, rank: int, proc=None):
+    """One ``recv()`` of worker ``rank``'s result channel that cannot hang
+    its supervisor; returns the payload unchecked.
 
-        def _target():
-            try:
-                box["payload"] = conn.recv()
-            except BaseException as exc:  # EOF, OSError, UnpicklingError...
-                box["exc"] = exc
+    The receive runs in a helper thread bounded by
+    :data:`RESULT_RECV_TIMEOUT`; a worker that died after sending only
+    part of a message, a corrupt frame or a close before any result
+    surfaces as a :class:`NativeSortError` naming the worker and the
+    state of its process ``proc`` (None: an external worker), caused by
+    what the receive raised (``EOFError``: the channel closed cleanly).
+    """
+    box: Dict[str, object] = {}
 
-        def status() -> str:
-            if not procs:
-                return "external"
-            proc = procs[rank]
-            return "alive" if proc.is_alive() else f"exit code {proc.exitcode}"
+    def _target():
+        try:
+            box["payload"] = recv()
+        except BaseException as exc:  # EOF, OSError, UnpicklingError...
+            box["exc"] = exc
 
-        thread = threading.Thread(
-            target=_target, name=f"native-result-recv-{rank}", daemon=True
+    def status() -> str:
+        if proc is None:
+            return "external"
+        return "alive" if proc.is_alive() else f"exit code {proc.exitcode}"
+
+    thread = threading.Thread(
+        target=_target, name=f"native-result-recv-{rank}", daemon=True
+    )
+    thread.start()
+    thread.join(RESULT_RECV_TIMEOUT)
+    if thread.is_alive():
+        raise NativeSortError(
+            f"worker {rank} result channel wedged: a partial message "
+            f"arrived but never completed (worker {status()})",
+            rank=rank,
         )
-        thread.start()
-        thread.join(RESULT_RECV_TIMEOUT)
-        if thread.is_alive():
-            raise NativeSortError(
-                f"worker {rank} result channel wedged: a partial message "
-                f"arrived but never completed (worker {status()})",
-                rank=rank,
-            )
-        if "exc" in box:
-            raise NativeSortError(
-                f"worker {rank} result unreadable: {box['exc']!r} "
-                f"(worker {status()})",
-                rank=rank,
-            ) from box["exc"]
-        return box["payload"]
+    if "exc" in box:
+        raise NativeSortError(
+            f"worker {rank} result unreadable: {box['exc']!r} "
+            f"(worker {status()})",
+            rank=rank,
+        ) from box["exc"]
+    return box["payload"]
 
 
 def reap(procs, attempt: Optional[Attempt] = None) -> None:

@@ -50,8 +50,8 @@ that stops mid-frame as a :class:`CommTimeout` of the frame read.
 
 Segment lifetime: whoever calls :func:`create_shm_mesh` owns the names
 and must call ``unlink()`` on the returned mesh once the job is over
-(the driver does it in a ``finally``; the service pool when an attempt
-is finalized; tests immediately after every endpoint attached — POSIX
+(the PE pool when an attempt ends or the pool stops; tests
+immediately after every endpoint attached — POSIX
 keeps the memory alive until the last ``close``).  That discipline is
 what the chaos sweep's no-leaked-``/dev/shm`` assertion checks.
 """

@@ -6,8 +6,9 @@ place that maps ``job.transport`` onto a concrete mesh and comm class:
 
 * :func:`local_mesh` builds a same-host job's endpoints — one duplex
   pipe per worker pair (``"pipe"``) or a pair of shared-memory rings per
-  worker pair (``"shm"``) — for the one-shot driver and the warm pool
-  alike;
+  worker pair (``"shm"``) — for the PE pool
+  (:meth:`repro.native.pool.WarmPool.dispatch`), which starts every
+  same-host PE;
 * :func:`open_comm` turns one rank's endpoints (pipe ends, ring specs,
   or the connected sockets :func:`repro.net.rendezvous.join_mesh`
   returns for ``"tcp"``) into that rank's comm, reading every transport
@@ -28,14 +29,13 @@ __all__ = ["LocalMesh", "local_mesh", "open_comm"]
 
 @dataclass
 class LocalMesh:
-    """A same-host job's full mesh, built before its workers start.
+    """A same-host job's full mesh, built by the pool at dispatch.
 
     ``endpoints[rank]`` maps every peer to rank's end of their channel:
     a pipe end, or rank's side of the two rings with its doorbell ends.
     Every fd belongs to exactly one rank's endpoints.  Each end is a
-    ``multiprocessing`` connection, so it can ride a forked ``Process``'s
-    arguments or, its fd passed as ``SCM_RIGHTS``, the pool's control
-    pipe.
+    ``multiprocessing`` connection whose fd the pool passes to its rank
+    as ``SCM_RIGHTS``, so each rank holds only its own ends.
     """
 
     endpoints: List[Dict[int, object]]
@@ -43,24 +43,9 @@ class LocalMesh:
     #: for pipes).
     shm: object = None
 
-    def own_ends(self, rank: int) -> Dict[int, object]:
-        """Rank ``rank``'s endpoints, in a worker forked after the mesh
-        was built.
-
-        A forked worker inherits every rank's ends and closes those of
-        the other ranks: a peer that dies is then EOF here at once, not
-        silence until the job timeout.  A worker that receives its ends
-        through the pool's control pipe gets only its own to begin with.
-        """
-        for other, per_rank in enumerate(self.endpoints):
-            if other != rank:
-                for end in per_rank.values():
-                    end.close()
-        return self.endpoints[rank]
-
     def close_parent_ends(self) -> None:
-        """Close the creator's copies once every worker holds its own, so
-        a dead worker turns into EOF for its peers, not a silent hang."""
+        """Close the creator's copies once they are sent, so a dead
+        worker turns into EOF for its peers, not a silent hang."""
         for per_rank in self.endpoints:
             for end in per_rank.values():
                 end.close()

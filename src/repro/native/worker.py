@@ -8,9 +8,10 @@ data of its output file back to the driver over a dedicated result
 channel.  Any exception is caught and shipped to the driver as a
 formatted traceback so a crashed PE never hangs the job.
 
-One entry point, :func:`worker_main`, serves every PE: the driver's
-spawned pipe and shm workers, the warm pool's persistent workers (one
-call per dispatched job) and :func:`tcp_worker_main`, which first dials
+One entry point, :func:`worker_main`, serves every PE: the pool's
+workers that run every pipe and shm job, one-shot or service (one call
+per dispatched job, :mod:`repro.native.pool`), and
+:func:`tcp_worker_main`, which first dials
 the rendezvous coordinator — the process may be spawned by the driver
 *or* launched independently via ``python -m repro worker`` — receives
 the job and the peer table over the wire, builds the socket mesh, and

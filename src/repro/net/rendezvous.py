@@ -396,7 +396,7 @@ class ResultChannel:
     """A worker's result channel, over its rendezvous socket.
 
     Mirrors the :class:`multiprocessing.connection.Connection` surface of
-    the result pipe a same-host worker reports on, on both ends:
+    the control pipe a same-host (pool) worker reports on, on both ends:
 
     * the worker's half (``send`` / ``send_bytes`` / ``fileno`` /
       ``close``) keeps :func:`repro.native.worker._run_phases` and the

@@ -1,11 +1,10 @@
 """Sort-as-a-service: a persistent multi-job scheduler over a warm PE pool.
 
-The native backend (:mod:`repro.native`) runs one sort per process
-fleet; this package keeps the fleet alive and multiplexes many sorts
-over it:
+The native backend (:mod:`repro.native`) runs one sort per pool of PEs
+(:mod:`repro.native.pool`: persistent worker processes with
+per-dispatch fresh meshes and an interrupt channel); this package keeps
+one pool alive and multiplexes many sorts over it:
 
-* :mod:`repro.service.pool` — persistent worker processes with
-  per-dispatch fresh meshes and an interrupt channel;
 * :mod:`repro.service.jobs` — the client-facing job spec, cost model
   and per-job state machine;
 * :mod:`repro.service.daemon` — :class:`SortService`: FIFO admission

@@ -1,19 +1,18 @@
 """Sort-as-a-service: a multi-job scheduler over the warm PE pool.
 
 :class:`SortService` is the long-running counterpart of the single-shot
-:class:`~repro.native.driver.NativeSorter`: it owns a
-:class:`~repro.service.pool.WarmPool` of persistent worker processes
-and multiplexes any number of client sort jobs over it.
+:class:`~repro.native.driver.NativeSorter`: it keeps one
+:class:`~repro.native.pool.WarmPool` of persistent worker processes
+warm and multiplexes any number of client sort jobs over it.
 
 One **scheduler thread** owns all mutable state (under one lock shared
 with the thin client-facing entry points) and runs the whole control
 loop: admission, dispatch, result collection, failure handling,
-restarts, and worker respawn.  It blocks in one
-``multiprocessing.connection.wait`` over
-
-* a wakeup pipe (submissions, cancels, shutdown poke it),
-* every pool worker's control pipe (results),
-* every pool worker's process sentinel (deaths).
+restarts, and worker respawn.  It blocks in the pool's wait
+(:meth:`~repro.native.pool.WarmPool.wait`) over a wakeup pipe
+(submissions, cancels, shutdown poke it) and every pool worker's
+control pipe and process sentinel, then runs the pool's supervisor
+step, the one a one-shot sort runs too.
 
 **Isolation between jobs** rests on three mechanisms, each introduced
 by an earlier layer and composed here:
@@ -33,7 +32,8 @@ until it fits — jobs whose combined cost exceeds a budget are thereby
 *provably serialized*, and nothing ever starves.
 
 **Failure handling** is the one-shot driver's rule, applied per
-attempt through the same :class:`~repro.native.driver.Attempt`: a
+attempt by the same step over the same
+:class:`~repro.native.driver.Attempt`: a
 worker's error report, its death without a result, or the deadline
 fails only the attempt it was running; the attempt's other workers
 are stopped at once (SIGTERM) and respawned like any dead worker, and
@@ -48,16 +48,16 @@ serving every other job throughout.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional
 
 from ..native.blockstore import purge_namespace
-from ..native.driver import Attempt, NativeSortError
+from ..native.driver import NativeSortError
+from ..native.pool import Dispatch, WarmPool, WorkerHandle
 from ..recovery.supervisor import RestartPolicy
 from .jobs import (
     ADMITTED,
@@ -74,20 +74,9 @@ from .jobs import (
     job_costs,
     stamp_identity,
 )
-from .pool import MSG_RESULT, WarmPool, WorkerHandle
 from .stats import ServiceStats
 
 __all__ = ["SortService"]
-
-
-@dataclass
-class _Dispatch:
-    """One attempt of one job on a set of pool workers."""
-
-    seq: int
-    job_id: str
-    handles: Dict[int, WorkerHandle]  # rank -> handle
-    attempt: Attempt
 
 
 class SortService:
@@ -100,10 +89,9 @@ class SortService:
         listen: Optional[str] = "127.0.0.1:0",
         memory_budget_bytes: Optional[int] = None,
         spill_budget_bytes: Optional[int] = None,
-        ctx=None,
     ):
         self.spill_root = str(spill_root)
-        self.pool = WarmPool(pool_size, ctx)
+        self.pool = WarmPool(pool_size)
         self.memory_budget_bytes = (
             int(memory_budget_bytes)
             if memory_budget_bytes is not None
@@ -116,15 +104,13 @@ class SortService:
         self._lock = threading.RLock()
         self._jobs: Dict[str, ServiceJob] = {}
         self._queue: "deque[ServiceJob]" = deque()
-        self._attempts: Dict[int, _Dispatch] = {}
         self._next_num = 1
-        self._next_seq = 1
         self._reserved_mem = 0
         self._reserved_spill = 0
         self._stopping = False
         self._closed = False
         self.stats = ServiceStats()
-        self._wake_r, self._wake_w = self.pool._ctx.Pipe(duplex=False)
+        self._wake_r, self._wake_w = mp.Pipe(duplex=False)
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="sort-service-scheduler",
             daemon=True,
@@ -219,7 +205,7 @@ class SortService:
             return self.stats.snapshot(
                 self.pool,
                 queue_depth=len(self._queue),
-                running=len(self._attempts),
+                running=len(self.pool.running),
                 reserved_mem=self._reserved_mem,
                 reserved_spill=self._reserved_spill,
                 memory_budget=self.memory_budget_bytes,
@@ -245,9 +231,9 @@ class SortService:
                     pass
                 self._finish_terminal(job, CANCELLED, "cancelled while queued")
             else:
-                for run in self._attempts.values():
+                for run in self.pool.running.values():
                     if run.job_id == job_id:
-                        self._interrupt(run)
+                        self.pool.cancel(run)
             state = job.state
         self._wake()
         return state
@@ -263,7 +249,7 @@ class SortService:
     def worker_pids(self, job_id: str) -> List[int]:
         """PIDs of the pool workers currently running ``job_id``."""
         with self._lock:
-            for run in self._attempts.values():
+            for run in self.pool.running.values():
                 if run.job_id == job_id:
                     return [
                         h.pid
@@ -283,9 +269,9 @@ class SortService:
                 job = self._queue.popleft()
                 job.cancel_requested = True
                 self._finish_terminal(job, CANCELLED, "service shut down")
-            for run in self._attempts.values():
+            for run in self.pool.running.values():
                 self._jobs[run.job_id].cancel_requested = True
-                self._interrupt(run)
+                self.pool.cancel(run)
         self._wake()
         self._scheduler.join(timeout=timeout)
         if self._server is not None:
@@ -324,21 +310,10 @@ class SortService:
     def _scheduler_loop(self) -> None:
         while True:
             with self._lock:
-                if self._stopping and not self._attempts:
+                if self._stopping and not self.pool.running:
                     return
                 self._try_admit()
-                waits = [self._wake_r]
-                sentinels = {}
-                for handle in self.pool.handles:
-                    waits.append(handle.ctrl)
-                    sentinels[handle.proc.sentinel] = handle
-                waits.extend(sentinels)
-            try:
-                conn_wait(waits, timeout=0.25)
-            except OSError:
-                # A pipe was torn down under us (respawn/shutdown race);
-                # the state re-check below sorts it out.
-                time.sleep(0.01)
+            self.pool.wait(self._wake_r)
             with self._lock:
                 while True:
                     try:
@@ -347,84 +322,8 @@ class SortService:
                         self._wake_r.recv_bytes()
                     except (OSError, EOFError):
                         break
-                for handle in list(self.pool.handles):
-                    self._drain_ctrl(handle)
-                for handle in list(self.pool.handles):
-                    if not handle.proc.is_alive():
-                        self._worker_died(handle)
-                self._supervise()
-
-    def _drain_ctrl(self, handle: WorkerHandle) -> None:
-        while True:
-            try:
-                if not handle.ctrl.poll(0):
-                    return
-                msg = handle.ctrl.recv()
-            except (OSError, EOFError):
-                # Death surfaces through the sentinel pass right after.
-                return
-            if (
-                not isinstance(msg, tuple)
-                or len(msg) != 3
-                or msg[0] != MSG_RESULT
-            ):
-                continue
-            _verb, seq, payload = msg
-            self._route_result(handle, seq, payload)
-
-    def _route_result(self, handle: WorkerHandle, seq: int, payload) -> None:
-        rank = handle.job_rank
-        if handle.busy_seq == seq:
-            handle.mark_idle()
-        run = self._attempts.get(seq)
-        if run is None or rank not in run.attempt.pending:
-            return  # late report from an attempt already torn down
-        run.attempt.received(rank, payload)
-
-    def _worker_died(self, handle: WorkerHandle) -> None:
-        seq, rank, code = handle.busy_seq, handle.job_rank, handle.proc.exitcode
-        handle.mark_idle()
-        self.pool.respawn(handle)
-        run = self._attempts.get(seq) if seq is not None else None
-        if run is not None and rank in run.attempt.pending:
-            run.attempt.ended(rank, code)
-
-    def _interrupt(self, run: _Dispatch) -> None:
-        """Ask the attempt's pending workers to abort it (cancel,
-        shutdown): they unwind in their warm processes and report."""
-        for rank in run.attempt.pending:
-            self.pool.interrupt(run.handles[rank], run.seq)
-
-    def _supervise(self) -> None:
-        """Apply the one attempt rule (:class:`Attempt`) to every
-        running attempt, after this step's results and deaths are in.
-
-        At the attempt's first own failure its pending workers are
-        stopped with SIGTERM; the sentinel pass respawns them and feeds
-        their exits in.  A stopped worker still alive
-        :data:`~repro.native.driver.SIGKILL_AFTER_S` later is killed, and
-        its attempt told so.  A cancelled job's workers were interrupted
-        instead, so their reports stop nothing — only the deadline does.
-        An attempt with no rank pending is finalized.
-        """
-        for handle in self.pool.overdue():
-            run = self._attempts.get(handle.busy_seq)
-            if run is not None:
-                run.attempt.escalate(handle.job_rank)
-            handle.proc.kill()
-        now = time.monotonic()
-        for run in list(self._attempts.values()):
-            attempt = run.attempt
-            late = now >= attempt.deadline
-            if late:
-                attempt.expire()
-            if late or (
-                attempt.failed and not self._jobs[run.job_id].cancel_requested
-            ):
-                for rank in attempt.stop():
-                    self.pool.terminate(run.handles[rank])
-            if not attempt.pending:
-                self._finalize_attempt(run)
+                for run in self.pool.step():
+                    self._finalize_attempt(run)
 
     def _try_admit(self) -> None:
         """Strict-FIFO admission: the head blocks until it fits.
@@ -465,30 +364,12 @@ class SortService:
             job.started = now
         self._reserved_mem += job.mem_cost
         self._reserved_spill += job.spill_cost
-        seq = self._next_seq
-        self._next_seq += 1
-        run = _Dispatch(
-            seq=seq, job_id=job.id, handles=dict(enumerate(handles)),
-            attempt=Attempt(job.attempt_job, now),
-        )
-        self._attempts[seq] = run
-        try:
-            self.pool.dispatch(job.attempt_job, seq, job.id, handles)
-        except Exception as exc:  # a worker died in the dispatch window
-            for rank, handle in run.handles.items():
-                if handle.busy_seq != seq:
-                    run.attempt.ended(
-                        rank, None, f"dispatch to worker {rank} failed: {exc}"
-                    )
-            return
-        job.state = RUNNING
-        self.stats.dispatches += 1
+        run = self.pool.dispatch(job.attempt_job, job.id, handles)
+        if not run.attempt.failed:  # a worker may die in the dispatch window
+            job.state = RUNNING
+            self.stats.dispatches += 1
 
-    def _finalize_attempt(self, run: _Dispatch) -> None:
-        self._attempts.pop(run.seq, None)
-        # Whatever the outcome, the attempt's shm mesh (if its job ran
-        # the shm transport) is done: unlink the segment names now.
-        self.pool.release_mesh(run.seq)
+    def _finalize_attempt(self, run: Dispatch) -> None:
         job = self._jobs[run.job_id]
         self._reserved_mem = max(0, self._reserved_mem - job.mem_cost)
         self._reserved_spill = max(0, self._reserved_spill - job.spill_cost)

@@ -269,8 +269,9 @@ def test_kill_nonzero_rank_named_in_error(tmp_path):
     assert_fails_fast(job, match="worker 1")
 
 
-# One result collector reads every transport's result channel: the pipe
-# and shm workers' result pipes and the tcp workers' rendezvous sockets.
+# One reading rule (driver.read_result) covers every transport's result
+# channel: the pipe and shm PEs' pool control pipes and the tcp workers'
+# rendezvous sockets.
 @pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
 def test_wedged_result_pipe_does_not_hang_driver(tmp_path, transport):
     # The worker writes a frame header promising 1 MiB and dies: a naive
@@ -302,6 +303,19 @@ def test_stalled_peer_times_out_with_diagnostic(tmp_path):
     )
     err = assert_fails_fast(job, budget=20.0)
     assert "stalled or dead" in str(err) or "timed out" in str(err)
+    # The same stall under a caller that installed its own SIGTERM
+    # handler: a PE resets SIGTERM to its default, so the stop of the
+    # stalled rank is still a death, not a wait for SIGKILL_AFTER_S.
+    job = chaos_job(
+        tmp_path,
+        ChaosSpec(rank=1, stall_at="before:all_to_all", stall_seconds=3600.0),
+        timeout=2.0,
+    )
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    try:
+        assert_fails_fast(job, budget=job.timeout + 2.0)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def test_enospc_surfaces_worker_traceback(tmp_path):

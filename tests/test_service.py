@@ -14,6 +14,7 @@ at test scale (hundreds of KiB per job).  The acceptance pillars:
   a concurrent job's blocks.
 """
 
+import gc
 import os
 import signal
 import socket
@@ -680,7 +681,7 @@ class TestFailureIsolation:
         """A stopped worker that ignores SIGTERM is killed
         ``SIGKILL_AFTER_S`` later, and that SIGKILL is the scheduler's:
         the job fails on the peer's report, not on the killed rank."""
-        from repro.service import pool
+        from repro.native import pool
 
         real_worker_main = pool.worker_main
 
@@ -738,6 +739,51 @@ class TestFailureIsolation:
             again = svc.wait(svc.submit(dict(SMALL)), timeout=60)
             assert again.state == "DONE", again.error
             assert open_fds() == before
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_failed_oneshots_leave_no_fds_and_no_shm(self, tmp_path):
+        """The one-shot twin of the test above: a one-shot pipe or shm
+        sort is one dispatch on a pool of P, and eight of them failing
+        right after dispatch leave no fd open in this process and no
+        segment in /dev/shm."""
+        from repro.native.driver import NativeSortError
+        from repro.native.shm import list_shm_segments
+
+        def kill_case(i):
+            spec = dict(SMALL, transport=("pipe", "shm")[i % 2], chaos=(
+                ChaosSpec(rank=i % 2, kill_at="before:run_formation")))
+            job = build_native_job(spec, str(tmp_path / f"oneshot{i}"))
+            with pytest.raises(NativeSortError, match="died"):
+                NativeSorter(job).run()
+
+        before_shm = set(list_shm_segments())
+        kill_case(0)
+        kill_case(1)
+        gc.collect()  # earlier tests' garbage, not this test's
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(8):
+            kill_case(i)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert set(list_shm_segments()) - before_shm == set()
+
+    @pytest.mark.parametrize("fault", ["torn_result_at", "goodbye_result_at"])
+    def test_a_torn_result_frame_is_unreadable(self, tmp_path, fault):
+        """A worker that tears its result frame on the control pipe (a
+        pickle cut short, or a frame header with half its body) fails
+        its job as an unreadable result of that rank, and the pool,
+        the torn worker stopped and respawned, runs the next job."""
+        with SortService(
+            pool_size=2, spill_root=str(tmp_path), listen=None
+        ) as svc:
+            job = svc.wait(svc.submit(dict(
+                SMALL, chaos=ChaosSpec(rank=0, **{fault: "before:report"}),
+            )), timeout=60)
+            assert job.state == "FAILED", job.error
+            assert "worker 0 result unreadable" in job.error, job.error
+            again = svc.wait(svc.submit(dict(SMALL)), timeout=60)
+            assert again.state == "DONE", again.error
 
     def test_abort_cleanup_cannot_touch_a_concurrent_job(self, tmp_path):
         """Satellite 2 end-to-end: job A aborts with cleanup_on_abort
